@@ -16,7 +16,6 @@ from .campaign import (
 )
 from .ensembles import (
     EnsembleSpec,
-    generate,
     random_commuting_pair,
     random_hermitian,
     random_pd,
@@ -52,15 +51,10 @@ from .inequalities import (
 )
 from .linalg import (
     Spectrum,
-    add,
-    adjoint,
     as_matrix,
-    frobenius_norm,
-    hermitian_defect,
     hermitian_eigendecompose,
     hermitian_part,
     load_matrix,
-    matmul,
     matrix_from_obj,
     matrix_function,
     matrix_power_psd,
@@ -70,11 +64,8 @@ from .linalg import (
 )
 from .means import (
     geometric_mean,
-    lhs_main,
-    mid_main,
     psd_geometric_mean,
     regularization_epsilon,
-    rhs_main,
     sum_matrices,
 )
 from .norms import (

@@ -19,12 +19,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .inequalities import (
+    ABS_TOL,
     AUDENAERT,
     BOURIN_UCHIYAMA,
     INEQUALITY_IDS,
     LEMMA_CHAIN,
     MAIN_THEOREM,
     PROOF_STEPS,
+    REL_TOL,
     InequalityReport,
     check_audenaert,
     check_bourin_uchiyama,
@@ -120,8 +122,8 @@ class CampaignConfig:
     norm_specs: tuple = (NormSpec.schatten(2.0),)
     ensemble: dict = field(default_factory=lambda: _normalize_ensemble(None))
     root_seed: int = 0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
+    rel_tol: float = REL_TOL
+    abs_tol: float = ABS_TOL
     printed_form: bool = True
     output_path: str | None = None
     output_format: str = "json"

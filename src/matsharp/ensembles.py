@@ -183,13 +183,3 @@ def random_psd_rank_deficient(spec):
                            np.zeros(spec.dim - rank)])
     return _assemble(u, eigs)
 
-
-def generate(spec):
-    """Dispatch on ``spec.kind``; returns a matrix or a pair for ``commuting``."""
-    if spec.kind == KIND_PD:
-        return random_pd(spec)
-    if spec.kind == KIND_PSD:
-        return random_psd_rank_deficient(spec)
-    if spec.kind == KIND_COMMUTING:
-        return random_commuting_pair(spec)
-    return random_hermitian(spec)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     CommutationError,
-    NotPositiveDefiniteError,
     ShapeError,
     UnregisteredFunctionError,
 )
@@ -27,15 +26,11 @@ from .linalg import (
     as_matrix,
     hermitian_eigendecompose,
     hermitian_part,
+    matrix_function,
     spectrum_power,
 )
-from .means import _mean_from_spectra, regularization_epsilon, sum_matrices
-from .norms import norm_from_singular_values, singular_values
-
-# Verdict tolerances: a margin above -(REL_TOL * scale + ABS_TOL) counts as
-# holding, where scale is the largest term value in the chain.
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
+from .means import _mean_from_spectra, _regularized_pair, _strict_spectrum, sum_matrices
+from .norms import ABS_TOL, REL_TOL, norm_from_singular_values, singular_values
 
 AUDENAERT = "Audenaert"
 BOURIN_UCHIYAMA = "BourinUchiyama"
@@ -63,9 +58,10 @@ class InequalityReport:
 
     ``terms`` are ordered left-to-right as in the chain being tested;
     ``margins[i]`` is the signed slack of step i (nonnegative certifies);
-    ``holds`` is true when every margin clears ``-tolerance_band(scale)``
-    with scale the largest term value.  ``fan_margins`` are the matching
-    Ky Fan prefix-sum margins (all-norms certificate).
+    ``holds`` is true when every term and margin is finite and every margin
+    clears ``-tolerance_band(scale)`` with scale the largest term value.
+    ``fan_margins`` are the matching Ky Fan prefix-sum margins (all-norms
+    certificate).
     """
 
     inequality_id: str
@@ -138,15 +134,16 @@ def _build_report(inequality_id, params, labeled_sigmas, norm_spec,
     """Assemble a report from labeled singular-value sequences.
 
     ``steps`` lists (left_index, right_index) pairs; default is the
-    ascending consecutive chain.
+    ascending consecutive chain.  A report with any non-finite term,
+    margin or fan margin never holds.
     """
     values = [norm_from_singular_values(sig, norm_spec) for _, sig in labeled_sigmas]
     if steps is None:
         steps = [(i, i + 1) for i in range(len(labeled_sigmas) - 1)]
     margins = [values[j] - values[i] for i, j in steps]
     fans = [_prefix_margin(labeled_sigmas[i][1], labeled_sigmas[j][1]) for i, j in steps]
-    scale = max(values)
-    holds = min(margins) >= -tolerance_band(scale, rel_tol, abs_tol)
+    finite = all(math.isfinite(x) for x in values + margins + fans)
+    holds = finite and min(margins) >= -tolerance_band(max(values), rel_tol, abs_tol)
     return InequalityReport(
         inequality_id=inequality_id,
         params=params,
@@ -168,16 +165,6 @@ def _psd_sigma(m):
     return np.maximum(w, 0.0)
 
 
-def _strict_spectrum(a, name):
-    s = hermitian_eigendecompose(as_matrix(a), check=False)
-    if float(s.eigenvalues[-1]) <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"{name} must be strictly positive definite "
-            f"(min eigenvalue {float(s.eigenvalues[-1]):.3e})"
-        )
-    return s
-
-
 def _validate_lists(a_list, b_list):
     a_list = [as_matrix(a) for a in a_list]
     b_list = [as_matrix(b) for b in b_list]
@@ -190,9 +177,20 @@ def _validate_lists(a_list, b_list):
     return a_list, b_list, n
 
 
-def _regularized(mats, eps):
-    eye = np.eye(mats[0].shape[0])
-    return [m + eps * eye for m in mats]
+def _pair_mean(a, b, t, epsilon_scale, names, spectra=None):
+    """Mean of one pair and the epsilon it was regularized with (or None).
+
+    Without ``epsilon_scale`` both matrices must be strictly positive
+    definite; ``spectra`` passes their eigendecompositions when the caller
+    already has them.  With it, both are shifted by eps * I first.
+    """
+    if epsilon_scale is not None:
+        a_reg, b_reg, eps = _regularized_pair(a, b, epsilon_scale)
+        return _mean_from_spectra(_eigh(a_reg), _eigh(b_reg), t), eps
+    sa, sb = spectra or (hermitian_eigendecompose(a, check=False),
+                         hermitian_eigendecompose(b, check=False))
+    mean = _mean_from_spectra(_strict_spectrum(sa, names[0]), _strict_spectrum(sb, names[1]), t)
+    return mean, None
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +204,8 @@ def lemma_chain_sigmas(a, b, t, r, s):
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     if r <= 0.0 or s <= 0.0:
         raise ValueError(f"r and s must be positive, got r={r!r}, s={s!r}")
-    a = as_matrix(a)
-    b = as_matrix(b)
-    sa = _strict_spectrum(a, "A")
-    sb = _strict_spectrum(b, "B")
+    sa = _strict_spectrum(hermitian_eigendecompose(a, check=False), "A")
+    sb = _strict_spectrum(hermitian_eigendecompose(b, check=False), "B")
     if sa.dim != sb.dim:
         raise ShapeError(f"shape error: dimensions {sa.dim} vs {sb.dim}")
 
@@ -301,11 +297,8 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
     a_list = [as_matrix(a) for a in a_list]
     if not a_list:
         raise ShapeError("shape error: at least one matrix is required")
-    spectra = [hermitian_eigendecompose(a, check=False) for a in a_list]
-    f_each = [s.assemble([f(x) for x in np.maximum(s.eigenvalues, 0.0)]) for s in spectra]
-    left = sum_matrices(f_each)
-    s_total = hermitian_eigendecompose(sum_matrices(a_list), check=False)
-    right = s_total.assemble([f(x) for x in np.maximum(s_total.eigenvalues, 0.0)])
+    left = sum_matrices([matrix_function(a, f) for a in a_list])
+    right = matrix_function(sum_matrices(a_list), f)
     sigmas = [("sum f(A_i)", _psd_sigma(left)), ("f(sum A_i)", _psd_sigma(right))]
     steps = [(0, 1)] if direction == CONVEX else [(1, 0)]
     params = _params(m=len(a_list), n=a_list[0].shape[0], norm_spec=norm_spec,
@@ -318,52 +311,43 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
 # Main inequality and its proof-step refinement
 # ---------------------------------------------------------------------------
 
-def _main_terms(a_list, b_list, t, r, printed_form, with_proof, epsilon_scale):
+def _main_terms(a_list, b_list, t, r, printed_form, with_proof, epsilon_scale,
+                norm_spec, seed):
+    """Main-chain terms, the regularization epsilon and the report params.
+
+    Returns ``(main, proof, epsilon, params)``: ``main`` is the printed or
+    the t-dependent chain, ``proof`` the five-term refinement (None unless
+    ``with_proof``).  Only the terms those chains contain are built.
+    """
     a_list, b_list, n = _validate_lists(a_list, b_list)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     if r <= 0.0:
         raise ValueError(f"r must be positive, got {r!r}")
 
-    eps_used = None
-    pair_means = []
-    if epsilon_scale is None:
-        for i, (a, b) in enumerate(zip(a_list, b_list)):
-            sa = _strict_spectrum(a, f"A[{i}]")
-            sb = _strict_spectrum(b, f"B[{i}]")
-            pair_means.append(_mean_from_spectra(sa, sb, t))
-    else:
-        for a, b in zip(a_list, b_list):
-            eps = regularization_epsilon(a, b, epsilon_scale)
-            eps_used = eps if eps_used is None else max(eps_used, eps)
-            a_r, b_r = _regularized([a, b], eps)
-            pair_means.append(_mean_from_spectra(_eigh(a_r), _eigh(b_r), t))
-
+    pairs = [_pair_mean(a, b, t, epsilon_scale, (f"A[{i}]", f"B[{i}]"))
+             for i, (a, b) in enumerate(zip(a_list, b_list))]
+    epsilons = [eps for _, eps in pairs]
     mean_pows = []
-    for mean in pair_means:
+    for mean, _ in pairs:
         s = _eigh(mean)
         mean_pows.append(s.assemble(np.power(np.maximum(s.eigenvalues, 0.0), r)))
-    lhs = sum_matrices(mean_pows)
-    sig_lhs = _psd_sigma(lhs)
+    lhs = ("sum (A_i#B_i)^r", _psd_sigma(sum_matrices(mean_pows)))
 
     sum_a = sum_matrices(a_list)
     sum_b = sum_matrices(b_list)
     s_a = _eigh(sum_a)
     s_b = _eigh(sum_b)
 
-    quarter = s_a.assemble(spectrum_power(s_a, r / 4.0))
-    half_b = s_b.assemble(spectrum_power(s_b, r / 2.0))
-    sig_mid_printed = _psd_sigma(hermitian_part(quarter @ half_b @ quarter, require=False))
-    rhs_printed = s_a.assemble(spectrum_power(s_a, r / 2.0)) @ s_b.assemble(
-        spectrum_power(s_b, r / 2.0))
-    sig_rhs_printed = singular_values(rhs_printed)
-
+    if printed_form or with_proof:
+        quarter = s_a.assemble(spectrum_power(s_a, r / 4.0))
+        half_b = s_b.assemble(spectrum_power(s_b, r / 2.0))
+        mid_printed = ("sumA^(r/4) sumB^(r/2) sumA^(r/4)",
+                       _psd_sigma(hermitian_part(quarter @ half_b @ quarter, require=False)))
+        rhs_printed = ("sumA^(r/2) sumB^(r/2)",
+                       singular_values(s_a.assemble(spectrum_power(s_a, r / 2.0)) @ half_b))
     if printed_form:
-        main = [
-            ("sum (A_i#B_i)^r", sig_lhs),
-            ("sumA^(r/4) sumB^(r/2) sumA^(r/4)", sig_mid_printed),
-            ("sumA^(r/2) sumB^(r/2)", sig_rhs_printed),
-        ]
+        main = [lhs, mid_printed, rhs_printed]
     else:
         # t-dependent variant: the four-term chain exponents with s = 1,
         # applied to the summed matrices.
@@ -372,35 +356,29 @@ def _main_terms(a_list, b_list, t, r, printed_form, with_proof, epsilon_scale):
         sig_mid = _psd_sigma(hermitian_part(b_flank @ a_mid @ b_flank, require=False))
         rhs = a_mid @ s_b.assemble(spectrum_power(s_b, r * t))
         main = [
-            ("sum (A_i#B_i)^r", sig_lhs),
+            lhs,
             ("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", sig_mid),
             ("sumA^((1-t)r) sumB^(rt)", singular_values(rhs)),
         ]
 
     proof = None
     if with_proof:
-        s_sum_means = _eigh(sum_matrices(pair_means))
+        s_sum_means = _eigh(sum_matrices([mean for mean, _ in pairs]))
         sig_mean_sum = np.power(np.maximum(s_sum_means.eigenvalues, 0.0), r)
-        if epsilon_scale is None:
-            if float(s_a.eigenvalues[-1]) <= 0.0 or float(s_b.eigenvalues[-1]) <= 0.0:
-                raise NotPositiveDefiniteError(
-                    "summed matrices must be strictly positive definite for the proof steps"
-                )
-            mean_of_sums = _mean_from_spectra(s_a, s_b, t)
-        else:
-            eps = regularization_epsilon(sum_a, sum_b, epsilon_scale)
-            eps_used = eps if eps_used is None else max(eps_used, eps)
-            sa_r, sb_r = _regularized([sum_a, sum_b], eps)
-            mean_of_sums = _mean_from_spectra(_eigh(sa_r), _eigh(sb_r), t)
+        mean_of_sums, eps = _pair_mean(sum_a, sum_b, t, epsilon_scale, ("sum A", "sum B"),
+                                       spectra=(s_a, s_b))
+        epsilons.append(eps)
         sig_mos = np.power(np.maximum(_eigh(mean_of_sums).eigenvalues, 0.0), r)
         proof = [
-            ("sum (A_i#B_i)^r", sig_lhs),
+            lhs,
             ("(sum A_i#B_i)^r", sig_mean_sum),
             ("(sumA # sumB)^r", sig_mos),
-            ("sumA^(r/4) sumB^(r/2) sumA^(r/4)", sig_mid_printed),
-            ("sumA^(r/2) sumB^(r/2)", sig_rhs_printed),
+            mid_printed,
+            rhs_printed,
         ]
-    return main, proof, eps_used, n
+    eps_used = None if epsilon_scale is None else max(epsilons)
+    params = _params(m=len(a_list), n=n, t=t, r=r, norm_spec=norm_spec, seed=seed)
+    return main, proof, eps_used, params
 
 
 def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
@@ -413,8 +391,8 @@ def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
     silently substituted for one another.  ``r < 1`` is allowed for
     exploration and flagged in the params.
     """
-    main, _, eps, n = _main_terms(a_list, b_list, t, r, printed_form, False, epsilon_scale)
-    params = _params(m=len(list(a_list)), n=n, t=t, r=r, norm_spec=norm_spec, seed=seed)
+    main, _, eps, params = _main_terms(a_list, b_list, t, r, printed_form, False,
+                                       epsilon_scale, norm_spec, seed)
     params["printed-form"] = bool(printed_form)
     params["r-in-theorem-range"] = bool(r >= 1.0)
     return _build_report(MAIN_THEOREM, params, main, norm_spec, rel_tol, abs_tol,
@@ -431,8 +409,8 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
     """
     if r < 1.0:
         raise ValueError(f"proof steps require r >= 1, got {r!r}")
-    _, proof, eps, n = _main_terms(a_list, b_list, t, r, True, True, epsilon_scale)
-    params = _params(m=len(list(a_list)), n=n, t=t, r=r, norm_spec=norm_spec, seed=seed)
+    _, proof, eps, params = _main_terms(a_list, b_list, t, r, True, True, epsilon_scale,
+                                        norm_spec, seed)
     return _build_report(PROOF_STEPS, params, proof, norm_spec, rel_tol, abs_tol,
                          regularization_epsilon=eps)
 
@@ -442,8 +420,8 @@ def main_theorem_with_proof(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
     """One-pass evaluation returning (printed main report, proof report)."""
     if r < 1.0:
         raise ValueError(f"proof steps require r >= 1, got {r!r}")
-    main, proof, eps, n = _main_terms(a_list, b_list, t, r, True, True, epsilon_scale)
-    params = _params(m=len(list(a_list)), n=n, t=t, r=r, norm_spec=norm_spec, seed=seed)
+    main, proof, eps, params = _main_terms(a_list, b_list, t, r, True, True, epsilon_scale,
+                                           norm_spec, seed)
     main_params = dict(params)
     main_params["printed-form"] = True
     main_params["r-in-theorem-range"] = bool(r >= 1.0)

@@ -57,40 +57,6 @@ def as_matrix(entries):
     return a
 
 
-def adjoint(a):
-    """Conjugate transpose of ``a``."""
-    return as_matrix(a).conj().T
-
-
-def matmul(a, b):
-    """Matrix product with explicit conformance check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape error: cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def add(a, b):
-    """Entrywise sum with explicit conformance check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape error: cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def frobenius_norm(a):
-    """Frobenius norm of a matrix."""
-    return float(np.linalg.norm(a))
-
-
-def hermitian_defect(a):
-    """Frobenius norm of A - A*, the distance from being Hermitian."""
-    a = as_matrix(a)
-    return float(np.linalg.norm(a - a.conj().T))
-
-
 def hermitian_part(a, require=True):
     """Symmetrize a matrix to (A + A*)/2.
 
@@ -142,10 +108,6 @@ class Spectrum:
         m = (self.vectors * values) @ self.vectors.conj().T
         return 0.5 * (m + m.conj().T)
 
-    def apply(self, f):
-        """Spectral application of a scalar function: V diag(f(w)) V*."""
-        return self.assemble([f(x) for x in self.eigenvalues])
-
 
 def _eigh(a):
     """Eigendecomposition without the invariant re-check (internal hot path)."""
@@ -194,22 +156,15 @@ def hermitian_eigendecompose(a, check=True):
     return spec
 
 
-def clamp_psd_eigenvalues(w, strict=False):
+def clamp_psd_eigenvalues(w):
     """Clamp tiny negative eigenvalues of a PSD matrix to zero.
 
     Values in ``[-tol, 0)`` with ``tol = PSD_CLAMP_RTOL * (1 + max|w|)``
-    are rounded up to 0; anything more negative raises.  With ``strict``,
-    any nonpositive eigenvalue raises instead.
+    are rounded up to 0; anything more negative raises.
     """
     w = np.asarray(w, dtype=np.float64)
     tol = PSD_CLAMP_RTOL * (1.0 + float(np.abs(w).max(initial=0.0)))
     wmin = float(w.min())
-    if strict:
-        if wmin <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"matrix is not strictly positive definite (min eigenvalue {wmin:.3e})"
-            )
-        return w
     if wmin < -tol:
         raise NotPositiveDefiniteError(
             f"matrix is not positive semidefinite (min eigenvalue {wmin:.3e})"

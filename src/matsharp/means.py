@@ -1,10 +1,11 @@
-"""The t-geometric mean and the composite matrix expressions on each side
-of the inequalities under test.
+"""The t-geometric mean, its regularized surrogate, and matrix sums.
 
 The mean ``A #_t B = A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2)`` is the
 Riemannian geodesic between positive definite A and B at parameter t.
 It requires invertible inputs; a regularized surrogate is provided for
-positive semidefinite stress tests.
+positive semidefinite stress tests.  The chain terms built from these
+means live in :mod:`matsharp.inequalities`; they share this module's
+strict-positivity check and epsilon shift, so each is written once.
 """
 
 import numpy as np
@@ -59,13 +60,21 @@ def geometric_mean(a, b, t):
     sb = hermitian_eigendecompose(b, check=False)
     if sa.dim != sb.dim:
         raise ShapeError(f"shape error: dimensions {sa.dim} vs {sb.dim}")
-    for name, s in (("A", sa), ("B", sb)):
-        if float(s.eigenvalues[-1]) <= 0.0:
-            raise NotPositiveDefiniteError(
-                "mean requires strictly positive definite inputs: "
-                f"{name} has min eigenvalue {float(s.eigenvalues[-1]):.3e}"
-            )
-    return _mean_from_spectra(sa, sb, t)
+    return _mean_from_spectra(_strict_spectrum(sa, "A"), _strict_spectrum(sb, "B"), t)
+
+
+def _strict_spectrum(spec, name):
+    """Return ``spec`` unchanged if its least eigenvalue is positive.
+
+    Raises NotPositiveDefiniteError naming the matrix otherwise; the mean
+    and every chain term with a negative power need strict positivity.
+    """
+    wmin = float(spec.eigenvalues[-1])
+    if wmin <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"{name} must be strictly positive definite (min eigenvalue {wmin:.3e})"
+        )
+    return spec
 
 
 def _mean_from_spectra(sa, sb, t):
@@ -100,9 +109,16 @@ def psd_geometric_mean(a, b, t, epsilon_scale=DEFAULT_EPSILON_SCALE):
     """
     if epsilon_scale <= 0.0:
         raise ValueError(f"epsilon_scale must be positive, got {epsilon_scale!r}")
+    a_reg, b_reg, _ = _regularized_pair(a, b, epsilon_scale)
+    return geometric_mean(a_reg, b_reg, t)
+
+
+def _regularized_pair(a, b, epsilon_scale):
+    """Shift both matrices by ``eps * I``; returns (A + eps I, B + eps I, eps)
+    with eps from :func:`regularization_epsilon`."""
     eps = regularization_epsilon(a, b, epsilon_scale)
     eye = np.eye(np.asarray(a).shape[0])
-    return geometric_mean(np.asarray(a) + eps * eye, np.asarray(b) + eps * eye, t)
+    return np.asarray(a) + eps * eye, np.asarray(b) + eps * eye, eps
 
 
 def sum_matrices(mats):
@@ -118,42 +134,3 @@ def sum_matrices(mats):
             raise ShapeError(f"shape error: cannot sum {first.shape} and {m.shape}")
         total = total + m
     return hermitian_part(total)
-
-
-def _pair_means(a_list, b_list, t, epsilon_scale=None):
-    a_list, b_list = list(a_list), list(b_list)
-    if len(a_list) != len(b_list) or not a_list:
-        raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
-    if epsilon_scale is None:
-        return [geometric_mean(a, b, t) for a, b in zip(a_list, b_list)]
-    return [psd_geometric_mean(a, b, t, epsilon_scale) for a, b in zip(a_list, b_list)]
-
-
-def lhs_main(a_list, b_list, t, r, epsilon_scale=None):
-    """Left side of the main inequality: sum over i of (A_i #_t B_i)^r.
-
-    With ``epsilon_scale`` set, each pairwise mean goes through the
-    regularized PSD path.
-    """
-    terms = []
-    for mean in _pair_means(a_list, b_list, t, epsilon_scale):
-        s = hermitian_eigendecompose(mean, check=False)
-        terms.append(s.assemble(spectrum_power(s, r)))
-    return sum_matrices(terms)
-
-
-def _sum_power(mats, p):
-    s = hermitian_eigendecompose(sum_matrices(mats), check=False)
-    return s.assemble(spectrum_power(s, p))
-
-
-def mid_main(a_list, b_list, r):
-    """Middle term: (sum A)^(r/4) (sum B)^(r/2) (sum A)^(r/4), Hermitian PSD."""
-    sa_q = _sum_power(a_list, r / 4.0)
-    sb_h = _sum_power(b_list, r / 2.0)
-    return hermitian_part(sa_q @ sb_h @ sa_q, require=False)
-
-
-def rhs_main(a_list, b_list, r):
-    """Right term: (sum A)^(r/2) (sum B)^(r/2); non-Hermitian in general."""
-    return _sum_power(a_list, r / 2.0) @ _sum_power(b_list, r / 2.0)

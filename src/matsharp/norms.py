@@ -17,9 +17,13 @@ import numpy as np
 from .errors import ConvergenceError, InvalidNormError, ShapeError
 from .linalg import as_matrix
 
-# Verdict tolerances: predicates return a signed margin next to the boolean
-# so inequality chains near equality do not flap on rounding.
+# Verdict tolerances, the one definition every check and campaign imports:
+# predicates return a signed margin next to the boolean so inequality
+# chains near equality do not flap on rounding.  A chain margin above
+# -(REL_TOL * scale + ABS_TOL) counts as holding, where scale is the
+# largest term value in the chain.
 REL_TOL = 1e-9
+ABS_TOL = 1e-12
 # Floor for log(sigma) when a singular value is exactly 0 (PSD stress tests).
 LOG_FLOOR = math.log(1e-300)
 

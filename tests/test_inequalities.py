@@ -291,6 +291,27 @@ class TestMainTheorem:
         assert all(np.isfinite(v) for _, v in report.terms)
         assert report.holds
 
+    def test_generator_inputs_count_pairs(self):
+        a_list = [pd_for(71, n=3), pd_for(72, n=3)]
+        b_list = [pd_for(73, n=3), pd_for(74, n=3)]
+        want = check_main_theorem(a_list, b_list, 0.5, 2.0, S1)
+        got = check_main_theorem(iter(a_list), (b for b in b_list), 0.5, 2.0, S1)
+        assert got.params["m"] == 2 and got.to_obj() == want.to_obj()
+        proof = check_proof_steps(iter(a_list), iter(b_list), 0.5, 2.0, S1)
+        assert proof.params["m"] == 2
+        reports = main_theorem_with_proof(iter(a_list), iter(b_list), 0.5, 2.0, S1)
+        assert [r.params["m"] for r in reports] == [2, 2]
+
+    def test_non_finite_report_never_holds(self):
+        # At kappa = 1e12 and r = 40 the Schatten-2 norms of the middle and
+        # right terms overflow to inf, so the margins are [inf, nan].
+        a = pd_for(0, n=4, kappa=1e12)
+        b = pd_for(100, n=4, kappa=1e12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_main_theorem([a], [b], 0.5, 40.0, NormSpec.schatten(2))
+        assert not all(math.isfinite(m) for m in report.margins)
+        assert report.holds is False
+
 
 class TestProofSteps:
     def test_single_pair_collapses_first_steps(self):

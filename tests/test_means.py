@@ -6,18 +6,19 @@ from conftest import pd_for
 from matsharp import (
     EmptySumError,
     EnsembleSpec,
+    NormSpec,
     NotPositiveDefiniteError,
     ShapeError,
+    check_main_theorem,
+    default_norm_specs,
     geometric_mean,
     hermitian_eigendecompose,
-    lhs_main,
-    mid_main,
     psd_geometric_mean,
     random_commuting_pair,
     random_psd_rank_deficient,
     regularization_epsilon,
-    rhs_main,
     sum_matrices,
+    ui_norm,
 )
 
 T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -155,52 +156,74 @@ class TestSumMatrices:
             sum_matrices([np.eye(2), np.eye(3)])
 
 
+def term_values(report):
+    return [value for _, value in report.terms]
+
+
+SEED11_A = [pd_for(11, n=4), pd_for(1111, n=4)]
+SEED11_B = [pd_for(211, n=4), pd_for(2111, n=4)]
+
+
 class TestMainTerms:
+    """The three printed main-chain terms, read through check_main_theorem."""
+
     def test_single_pair_equal_inputs(self):
+        # (A #_t A)^2, A^(1/2) A A^(1/2) and A A all equal A^2.
         a = pd_for(6, n=3)
-        got = lhs_main([a], [a], 0.3, 2.0)
-        assert np.linalg.norm(got - a @ a) <= 1e-10 * np.linalg.norm(a @ a)
+        for spec in default_norm_specs(3):
+            report = check_main_theorem([a], [a], 0.3, 2.0, spec)
+            want = ui_norm(a @ a, spec)
+            for value in term_values(report):
+                assert abs(value - want) <= 1e-10 * want
+            assert all(abs(f) <= 1e-10 * want for f in report.fan_margins)
 
     def test_scalar_arithmetic(self):
         a_list = [np.diag([1.0]), np.diag([3.0])]
         b_list = [np.diag([2.0]), np.diag([4.0])]
-        assert lhs_main(a_list, b_list, 0.5, 2.0)[0, 0].real == pytest.approx(14.0)
-        assert mid_main(a_list, b_list, 2.0)[0, 0].real == pytest.approx(24.0)
-        assert rhs_main(a_list, b_list, 2.0)[0, 0].real == pytest.approx(24.0)
+        report = check_main_theorem(a_list, b_list, 0.5, 2.0, NormSpec.trace())
+        assert term_values(report) == pytest.approx([14.0, 24.0, 24.0])
+        assert report.margins == pytest.approx([10.0, 0.0], abs=1e-12)
+        assert report.fan_margins == pytest.approx([10.0, 0.0], abs=1e-12)
 
     def test_single_pair_diag(self):
         a = np.diag([1.0, 2.0])
-        assert np.allclose(mid_main([a], [a], 2.0), a @ a, atol=1e-12)
-        assert np.allclose(rhs_main([a], [a], 2.0), a @ a, atol=1e-12)
+        trace = check_main_theorem([a], [a], 0.5, 2.0, NormSpec.trace())
+        operator = check_main_theorem([a], [a], 0.5, 2.0, NormSpec.operator())
+        assert term_values(trace) == pytest.approx([5.0, 5.0, 5.0], abs=1e-12)
+        assert term_values(operator) == pytest.approx([4.0, 4.0, 4.0], abs=1e-12)
 
     def test_seed11_trace_matches_extended_precision(self):
-        a_list = [pd_for(11, n=4), pd_for(1111, n=4)]
-        b_list = [pd_for(211, n=4), pd_for(2111, n=4)]
-        got = np.trace(lhs_main(a_list, b_list, 0.5, 2.0)).real
+        report = check_main_theorem(SEED11_A, SEED11_B, 0.5, 2.0, NormSpec.trace())
+        got = term_values(report)[0]
         with oracles.mp.workdps(oracles.DPS):
             total = oracles.mp.zeros(4, 4)
-            for a, b in zip(a_list, b_list):
+            for a, b in zip(SEED11_A, SEED11_B):
                 mean = oracles.geometric_mean(oracles.to_mp(a), oracles.to_mp(b), oracles.mp.mpf("0.5"))
                 total += oracles.matrix_power(mean, oracles.mp.mpf(2))
             want = float(oracles.mp.re(oracles.trace(total)))
         assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_mid_positive_rhs_non_hermitian(self):
-        a_list = [pd_for(11, n=4), pd_for(1111, n=4)]
-        b_list = [pd_for(211, n=4), pd_for(2111, n=4)]
-        mid = mid_main(a_list, b_list, 3.0)
-        assert np.all(hermitian_eigendecompose(mid).eigenvalues > 0)
-        rhs = rhs_main(a_list, b_list, 3.0)
-        assert np.linalg.norm(rhs - rhs.conj().T) > 1e-6
+        # The middle term is positive definite and similar to the right
+        # one, so both have the same trace; the right term's trace norm
+        # is strictly larger only because it is not normal.
+        ky_fan_3, ky_fan_4 = (
+            term_values(check_main_theorem(SEED11_A, SEED11_B, 0.5, 3.0, NormSpec.ky_fan(k)))[1]
+            for k in (3, 4))
+        assert ky_fan_4 - ky_fan_3 > 0
+        report = check_main_theorem(SEED11_A, SEED11_B, 0.5, 3.0, NormSpec.trace())
+        assert report.margins[1] > 1e-6 * term_values(report)[2]
 
     def test_regularized_path(self):
         a_list = [random_psd_rank_deficient(EnsembleSpec(dim=3, kind="psd", seed=8, rank=2))]
         b_list = [random_psd_rank_deficient(EnsembleSpec(dim=3, kind="psd", seed=88, rank=2))]
         with pytest.raises(NotPositiveDefiniteError):
-            lhs_main(a_list, b_list, 0.5, 2.0)
-        got = lhs_main(a_list, b_list, 0.5, 2.0, epsilon_scale=1e-10)
-        assert np.all(np.isfinite(got))
+            check_main_theorem(a_list, b_list, 0.5, 2.0, NormSpec.trace())
+        report = check_main_theorem(a_list, b_list, 0.5, 2.0, NormSpec.trace(),
+                                    epsilon_scale=1e-10)
+        assert np.all(np.isfinite(term_values(report) + report.margins + report.fan_margins))
+        assert report.regularization_epsilon == regularization_epsilon(a_list[0], b_list[0], 1e-10)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            lhs_main([np.eye(2)], [np.eye(2), np.eye(2)], 0.5, 1.0)
+            check_main_theorem([np.eye(2)], [np.eye(2), np.eye(2)], 0.5, 1.0, NormSpec.trace())

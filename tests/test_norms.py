@@ -9,14 +9,13 @@ from matsharp import (
     InvalidNormError,
     NormSpec,
     ShapeError,
+    check_main_theorem,
     default_norm_specs,
     fan_dominance,
     geometric_mean,
     hermitian_eigendecompose,
     log_majorization,
     matrix_power_psd,
-    mid_main,
-    rhs_main,
     singular_values,
     ui_norm,
     weak_majorization,
@@ -174,9 +173,10 @@ class TestFanDominance:
     def test_mid_vs_rhs_seed11(self):
         a_list = [pd_for(11, n=4), pd_for(1111, n=4)]
         b_list = [pd_for(211, n=4), pd_for(2111, n=4)]
-        mid = mid_main(a_list, b_list, 3.0)
-        rhs = rhs_main(a_list, b_list, 3.0)
-        assert fan_dominance(mid, rhs).holds
+        # The main chain's fan margin between its middle and right terms is
+        # the weak-majorization margin of their singular values.
+        report = check_main_theorem(a_list, b_list, 0.5, 3.0, NormSpec.trace())
+        assert report.fan_margins[1] >= 0.0
 
     def test_implies_every_norm(self):
         a = pd_for(31, n=4)
