@@ -4,8 +4,16 @@ A campaign expands a config into ``trials x |grid|`` inequality reports,
 deterministically: matrices for a grid point depend only on
 ``(root seed, trial, dim index, m index)``, so re-running a config
 reproduces the stream byte for byte, and trials may be evaluated
-concurrently and merged in order.  The searcher performs random-restart
-hill descent on the minimum margin of one fixed inequality instance.
+concurrently and merged in order.
+
+Every grid starts with the instance axes (n, and m where it applies) and
+ends with the norm.  Each instance is drawn once and evaluated in one pass
+over the axes between them (t, r, s or f): input spectra and the sums are
+computed once per instance, pair means once per t, and the chain's
+singular values once per grid point; every norm then only reduces those
+sequences.  The reports are the ones the ``check_*`` predicates give point
+by point.  The searcher performs random-restart hill descent on the
+minimum margin of one fixed inequality instance, one point per instance.
 """
 
 import csv
@@ -28,11 +36,7 @@ from .inequalities import (
     PROOF_STEPS,
     REL_TOL,
     InequalityReport,
-    check_audenaert,
-    check_bourin_uchiyama,
-    check_lemma_chain,
-    check_main_theorem,
-    check_proof_steps,
+    instance_reports,
 )
 from .linalg import hermitian_part, matrix_from_obj, matrix_to_obj
 from .means import DEFAULT_EPSILON_SCALE, DEFAULT_R_GRID, DEFAULT_S_GRID, DEFAULT_T_GRID
@@ -243,12 +247,19 @@ class CampaignConfig:
 
 @dataclass
 class CampaignSummary:
-    """Aggregate of one report stream; ``held + violated == total`` and
-    ``min_margin`` is attained at ``min_margin_params``."""
+    """Aggregate of one report stream.
+
+    ``held + violated + indeterminate == total``: a report with a
+    non-finite term, margin or fan margin is indeterminate, neither held
+    nor violated.  ``min_margin`` is the least margin over the finite
+    reports, attained at ``min_margin_params`` (inf and ``{}`` when there
+    is none).
+    """
 
     total: int
     held: int
     violated: int
+    indeterminate: int
     min_margin: float
     min_margin_params: dict
     wall_time: float
@@ -258,6 +269,7 @@ class CampaignSummary:
             "total": self.total,
             "held": self.held,
             "violated": self.violated,
+            "indeterminate": self.indeterminate,
             "min-margin": self.min_margin,
             "min-margin-params": self.min_margin_params,
             "wall-time": self.wall_time,
@@ -269,12 +281,14 @@ class CampaignSummary:
 
 def summarize(reports, wall_time=0.0):
     """Recompute a CampaignSummary from a report stream."""
-    held = sum(1 for r in reports if r.holds)
-    worst = min(reports, key=lambda r: r.min_margin()) if reports else None
+    finite = [r for r in reports if r.is_finite()]
+    held = sum(1 for r in finite if r.holds)
+    worst = min(finite, key=lambda r: r.min_margin()) if finite else None
     return CampaignSummary(
         total=len(reports),
         held=held,
-        violated=len(reports) - held,
+        violated=len(finite) - held,
+        indeterminate=len(reports) - len(finite),
         min_margin=worst.min_margin() if worst else float("inf"),
         min_margin_params=dict(worst.params, **{"inequality-id": worst.inequality_id})
         if worst else {},
@@ -310,29 +324,26 @@ def _build_inputs(config, n, m, inst_seed):
     return a_list, b_list
 
 
+def _instance_reports(config, grid, a_list, b_list, seed):
+    """Reports of one instance over ``grid`` (axis -> values), in grid order."""
+    return instance_reports(config.inequality_id, a_list, b_list, grid,
+                            printed_form=config.printed_form,
+                            epsilon_scale=config.ensemble["epsilon-scale"],
+                            direction=config.direction, rel_tol=config.rel_tol,
+                            abs_tol=config.abs_tol, seed=seed)
+
+
 def run_check(config, point, a_list, b_list, seed=None):
-    """Dispatch one inequality evaluation for a grid point."""
-    ineq = config.inequality_id
-    rel, ab = config.rel_tol, config.abs_tol
-    eps_scale = config.ensemble["epsilon-scale"]
-    if ineq == LEMMA_CHAIN:
-        return check_lemma_chain(a_list[0], b_list[0], point["t"], point["r"], point["s"],
-                                 point["norm"], rel, ab, seed=seed)
-    if ineq == AUDENAERT:
-        return check_audenaert(a_list, b_list, point["norm"], rel, ab, seed=seed)
-    if ineq == BOURIN_UCHIYAMA:
-        return check_bourin_uchiyama(a_list, point["f"], config.direction, point["norm"],
-                                     rel, ab, seed=seed)
-    if ineq == MAIN_THEOREM:
-        return check_main_theorem(a_list, b_list, point["t"], point["r"], point["norm"],
-                                  printed_form=config.printed_form, epsilon_scale=eps_scale,
-                                  rel_tol=rel, abs_tol=ab, seed=seed)
-    return check_proof_steps(a_list, b_list, point["t"], point["r"], point["norm"],
-                             epsilon_scale=eps_scale, rel_tol=rel, abs_tol=ab, seed=seed)
+    """Evaluate one grid point; the same kernel the campaign sweeps."""
+    grid = {axis: (value,) for axis, value in point.items()}
+    return _instance_reports(config, grid, a_list, b_list, seed)[0]
 
 
 def run_campaign(config):
     """Execute a campaign.
+
+    Each instance (trial, n, m) is drawn once and evaluated in one pass
+    over the remaining axes (see :func:`instance_reports`).
 
     Returns
     -------
@@ -345,21 +356,17 @@ def run_campaign(config):
     reports = []
     dims_index = {n: i for i, n in enumerate(config.dims)}
     m_index = {m: i for i, m in enumerate(config.m_values)}
+    # The instance axes n and m lead every grid and the norm ends it.
+    axes = dict(config._axes())
+    grid = {name: values for name, values in axes.items() if name not in ("n", "m")}
     for trial in range(config.trials):
         trial_seed = split_seed(config.root_seed, trial)
-        cache = {}
-        for point in config.grid_points():
-            n = point["n"]
-            m = point.get("m", 1)
-            key = (n, m)
-            if key not in cache:
-                inst_seed = split_seed(split_seed(trial_seed, dims_index[n]),
-                                       m_index.get(m, 0))
-                cache[key] = (inst_seed, _build_inputs(config, n, m, inst_seed))
-            inst_seed, (a_list, b_list) = cache[key]
-            report = run_check(config, point, a_list, b_list, seed=inst_seed)
-            report.params["trial"] = trial
-            reports.append(report)
+        for n, m in itertools.product(axes["n"], axes.get("m", (1,))):
+            inst_seed = split_seed(split_seed(trial_seed, dims_index[n]), m_index.get(m, 0))
+            a_list, b_list = _build_inputs(config, n, m, inst_seed)
+            for report in _instance_reports(config, grid, a_list, b_list, inst_seed):
+                report.params["trial"] = trial
+                reports.append(report)
     summary = summarize(reports, wall_time=time.perf_counter() - start)
     return summary, reports
 

@@ -74,7 +74,7 @@ def _cmd_campaign(args):
     else:
         sys.stdout.write(render_reports(reports, config.output_format))
         print(summary.to_json(), file=sys.stderr)
-    return 2 if summary.violated else 0
+    return 2 if summary.violated or summary.indeterminate else 0
 
 
 def _cmd_search(args):

@@ -7,11 +7,21 @@ margins between consecutive terms (nonnegative margins certify the
 instance).  Alongside the per-norm margins, each report carries Ky Fan
 prefix-sum margins between consecutive terms ("fan margins"): when these
 are nonnegative the chain holds in every unitarily invariant norm at once.
+
+Each inequality has one evaluation kernel per instance.  It computes every
+spectrum at the outermost grid axis it depends on: input spectra and the
+sums once per instance, pair means once per t, the chain's singular values
+once per grid point.  The norm is then only a reduction over those
+sequences (:func:`_build_report`).  A ``check_*`` predicate is the kernel
+evaluated at one point plus one report; :func:`instance_reports` is the
+same kernel swept over a campaign grid.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +35,7 @@ from .linalg import (
     _eigh,
     as_matrix,
     hermitian_eigendecompose,
-    hermitian_part,
-    matrix_function,
+    spectrum_function,
     spectrum_power,
 )
 from .means import _mean_from_spectra, _regularized_pair, _strict_spectrum, sum_matrices
@@ -73,7 +82,15 @@ class InequalityReport:
     fan_margins: list | None = field(default=None)
 
     def min_margin(self):
+        """Smallest margin, or NaN when any margin is NaN."""
+        if any(math.isnan(m) for m in self.margins):
+            return math.nan
         return min(self.margins)
+
+    def is_finite(self):
+        """True when every term, margin and fan margin is finite."""
+        values = [value for _, value in self.terms] + list(self.margins)
+        return all(math.isfinite(x) for x in values + list(self.fan_margins or ()))
 
     def to_obj(self):
         return {
@@ -106,20 +123,36 @@ class InequalityReport:
         return cls.from_obj(json.loads(text))
 
 
-def _params(m=None, n=None, t=None, r=None, s=None, norm_spec=None,
-            function_id=None, seed=None, **extra):
+def _params(m=None, n=None, t=None, r=None, s=None, function_id=None, seed=None, **extra):
+    # "norm-spec" is filled in per report by _build_report.
     p = {
         "m": m,
         "n": n,
         "t": t,
         "r": r,
         "s": s,
-        "norm-spec": None if norm_spec is None else str(norm_spec),
+        "norm-spec": None,
         "function-id": function_id,
         "seed": seed,
     }
     p.update(extra)
     return p
+
+
+class _ChainPoint(NamedTuple):
+    """One chain evaluated at one grid point, before any norm is taken.
+
+    ``sigmas`` are the terms' labeled singular-value sequences, sorted
+    nonincreasing; ``steps`` lists (left_index, right_index) pairs, the
+    ascending consecutive chain when None.  Every norm's report on this
+    point shares both.
+    """
+
+    inequality_id: str
+    params: dict
+    sigmas: list
+    steps: list | None = None
+    regularization_epsilon: float | None = None
 
 
 def _prefix_margin(sigma_left, sigma_right):
@@ -128,41 +161,49 @@ def _prefix_margin(sigma_left, sigma_right):
     return float(np.min(np.cumsum(sigma_right) - np.cumsum(sigma_left)))
 
 
-def _build_report(inequality_id, params, labeled_sigmas, norm_spec,
-                  rel_tol=REL_TOL, abs_tol=ABS_TOL, steps=None,
-                  regularization_epsilon=None):
-    """Assemble a report from labeled singular-value sequences.
+def _build_report(point, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+    """The report of one norm on a chain point: the only per-norm work.
 
-    ``steps`` lists (left_index, right_index) pairs; default is the
-    ascending consecutive chain.  A report with any non-finite term,
-    margin or fan margin never holds.
+    A report with any non-finite term, margin or fan margin never holds.
     """
-    values = [norm_from_singular_values(sig, norm_spec) for _, sig in labeled_sigmas]
-    if steps is None:
-        steps = [(i, i + 1) for i in range(len(labeled_sigmas) - 1)]
+    sigmas = point.sigmas
+    values = [norm_from_singular_values(sig, norm_spec) for _, sig in sigmas]
+    steps = point.steps or [(i, i + 1) for i in range(len(sigmas) - 1)]
     margins = [values[j] - values[i] for i, j in steps]
-    fans = [_prefix_margin(labeled_sigmas[i][1], labeled_sigmas[j][1]) for i, j in steps]
-    finite = all(math.isfinite(x) for x in values + margins + fans)
-    holds = finite and min(margins) >= -tolerance_band(max(values), rel_tol, abs_tol)
-    return InequalityReport(
-        inequality_id=inequality_id,
+    params = dict(point.params)
+    params["norm-spec"] = str(norm_spec)
+    report = InequalityReport(
+        inequality_id=point.inequality_id,
         params=params,
-        terms=[(label, value) for (label, _), value in zip(labeled_sigmas, values)],
+        terms=[(label, value) for (label, _), value in zip(sigmas, values)],
         margins=margins,
-        holds=bool(holds),
-        regularization_epsilon=regularization_epsilon,
-        fan_margins=fans,
+        holds=False,
+        regularization_epsilon=point.regularization_epsilon,
+        fan_margins=[_prefix_margin(sigmas[i][1], sigmas[j][1]) for i, j in steps],
     )
+    report.holds = bool(report.is_finite()
+                        and min(margins) >= -tolerance_band(max(values), rel_tol, abs_tol))
+    return report
 
 
 # ---------------------------------------------------------------------------
-# Shared matrix helpers (all sigma sequences returned sorted nonincreasing)
+# Shared matrix helpers (all sigma sequences returned sorted nonincreasing).
+# A term whose entries overflowed has no spectrum to read: it gets a NaN
+# sequence, so its reports are indeterminate instead of aborting the caller.
 # ---------------------------------------------------------------------------
 
 def _psd_sigma(m):
-    """Singular values of a PSD-by-construction Hermitian term."""
-    w = _eigh(m).eigenvalues
-    return np.maximum(w, 0.0)
+    """Singular values of a PSD-by-construction term, Hermitian up to rounding."""
+    if not np.isfinite(m).all():
+        return np.full(m.shape[0], np.nan)
+    return np.maximum(_eigh(m).eigenvalues, 0.0)
+
+
+def _product_sigma(m):
+    """Singular values of a general (non-Hermitian) term."""
+    if not np.isfinite(m).all():
+        return np.full(m.shape[0], np.nan)
+    return singular_values(m)
 
 
 def _validate_lists(a_list, b_list):
@@ -177,8 +218,8 @@ def _validate_lists(a_list, b_list):
     return a_list, b_list, n
 
 
-def _pair_mean(a, b, t, epsilon_scale, names, spectra=None):
-    """Mean of one pair and the epsilon it was regularized with (or None).
+def _pair_spectra(a, b, epsilon_scale, names, spectra=None):
+    """Spectra of one pair ready for its mean, and the epsilon (or None).
 
     Without ``epsilon_scale`` both matrices must be strictly positive
     definite; ``spectra`` passes their eigendecompositions when the caller
@@ -186,11 +227,10 @@ def _pair_mean(a, b, t, epsilon_scale, names, spectra=None):
     """
     if epsilon_scale is not None:
         a_reg, b_reg, eps = _regularized_pair(a, b, epsilon_scale)
-        return _mean_from_spectra(_eigh(a_reg), _eigh(b_reg), t), eps
+        return _eigh(a_reg), _eigh(b_reg), eps
     sa, sb = spectra or (hermitian_eigendecompose(a, check=False),
                          hermitian_eigendecompose(b, check=False))
-    mean = _mean_from_spectra(_strict_spectrum(sa, names[0]), _strict_spectrum(sb, names[1]), t)
-    return mean, None
+    return _strict_spectrum(sa, names[0]), _strict_spectrum(sb, names[1]), None
 
 
 # ---------------------------------------------------------------------------
@@ -198,39 +238,75 @@ def _pair_mean(a, b, t, epsilon_scale, names, spectra=None):
 #              (A^((1-t)rs) B^(rts))^(1/s)
 # ---------------------------------------------------------------------------
 
+class _LemmaPair:
+    """Lemma-chain kernel for one PD pair; the strict spectra of A and B
+    are computed on first use and kept for the pair."""
+
+    def __init__(self, a, b, seed=None):
+        self.a, self.b, self.seed = a, b, seed
+
+    @cached_property
+    def spectra(self):
+        sa = _strict_spectrum(hermitian_eigendecompose(self.a, check=False), "A")
+        sb = _strict_spectrum(hermitian_eigendecompose(self.b, check=False), "B")
+        if sa.dim != sb.dim:
+            raise ShapeError(f"shape error: dimensions {sa.dim} vs {sb.dim}")
+        return sa, sb
+
+    def at(self, t):
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"t must lie in [0, 1], got {t!r}")
+        return _LemmaPairAtT(self, t)
+
+
+class _LemmaPairAtT:
+    """A lemma pair at one t; the eigenvalues of A #_t B are kept for every (r, s)."""
+
+    def __init__(self, pair, t):
+        self.pair, self.t = pair, t
+
+    @cached_property
+    def mean_eigenvalues(self):
+        sa, sb = self.pair.spectra
+        return np.maximum(_eigh(_mean_from_spectra(sa, sb, self.t)).eigenvalues, 0.0)
+
+    def sigmas(self, r, s):
+        """Singular-value sequences of the four-term chain, in printed order."""
+        if r <= 0.0 or s <= 0.0:
+            raise ValueError(f"r and s must be positive, got r={r!r}, s={s!r}")
+        sa, sb = self.pair.spectra
+        t = self.t
+        sig1 = self.mean_eigenvalues ** r
+
+        # Spectra of A^r and B^r come for free from the spectra of A and B.
+        sa_r = Spectrum(spectrum_power(sa, r), sa.vectors)
+        sb_r = Spectrum(spectrum_power(sb, r), sb.vectors)
+        sig2 = _psd_sigma(_mean_from_spectra(sa_r, sb_r, t))
+
+        b_flank = sb.assemble(spectrum_power(sb, r * t * s / 2.0))
+        a_mid = sa.assemble(spectrum_power(sa, (1.0 - t) * r * s))
+        sig3 = _psd_sigma(b_flank @ a_mid @ b_flank) ** (1.0 / s)
+
+        product = a_mid @ sb.assemble(spectrum_power(sb, r * t * s))
+        sig4 = _product_sigma(product) ** (1.0 / s)
+
+        return [
+            ("(A#B)^r", sig1),
+            ("A^r#B^r", sig2),
+            ("(B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s)", sig3),
+            ("(A^((1-t)rs) B^(rts))^(1/s)", sig4),
+        ]
+
+    def point(self, r, s):
+        sigmas = self.sigmas(r, s)
+        params = _params(m=1, n=self.pair.spectra[0].dim, t=self.t, r=r, s=s,
+                         seed=self.pair.seed)
+        return _ChainPoint(LEMMA_CHAIN, params, sigmas)
+
+
 def lemma_chain_sigmas(a, b, t, r, s):
     """Singular-value sequences of the four-term chain, in printed order."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    if r <= 0.0 or s <= 0.0:
-        raise ValueError(f"r and s must be positive, got r={r!r}, s={s!r}")
-    sa = _strict_spectrum(hermitian_eigendecompose(a, check=False), "A")
-    sb = _strict_spectrum(hermitian_eigendecompose(b, check=False), "B")
-    if sa.dim != sb.dim:
-        raise ShapeError(f"shape error: dimensions {sa.dim} vs {sb.dim}")
-
-    mean = _mean_from_spectra(sa, sb, t)
-    sig1 = np.maximum(_eigh(mean).eigenvalues, 0.0) ** r
-
-    # Spectra of A^r and B^r come for free from the spectra of A and B.
-    sa_r = Spectrum(spectrum_power(sa, r), sa.vectors)
-    sb_r = Spectrum(spectrum_power(sb, r), sb.vectors)
-    sig2 = _psd_sigma(_mean_from_spectra(sa_r, sb_r, t))
-
-    b_flank = sb.assemble(spectrum_power(sb, r * t * s / 2.0))
-    a_mid = sa.assemble(spectrum_power(sa, (1.0 - t) * r * s))
-    sandwich = hermitian_part(b_flank @ a_mid @ b_flank, require=False)
-    sig3 = _psd_sigma(sandwich) ** (1.0 / s)
-
-    product = a_mid @ sb.assemble(spectrum_power(sb, r * t * s))
-    sig4 = singular_values(product) ** (1.0 / s)
-
-    return [
-        ("(A#B)^r", sig1),
-        ("A^r#B^r", sig2),
-        ("(B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s)", sig3),
-        ("(A^((1-t)rs) B^(rts))^(1/s)", sig4),
-    ]
+    return _LemmaPair(a, b).at(t).sigmas(r, s)
 
 
 def check_lemma_chain(a, b, t, r, s, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
@@ -240,10 +316,8 @@ def check_lemma_chain(a, b, t, r, s, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL
     prefix-sum margins between consecutive terms (the "all unitarily
     invariant norms" form).
     """
-    sigmas = lemma_chain_sigmas(a, b, t, r, s)
-    params = _params(m=1, n=as_matrix(a).shape[0], t=t, r=r, s=s,
-                     norm_spec=norm_spec, seed=seed)
-    return _build_report(LEMMA_CHAIN, params, sigmas, norm_spec, rel_tol, abs_tol)
+    point = _LemmaPair(a, b, seed).at(t).point(r, s)
+    return _build_report(point, norm_spec, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +352,40 @@ def resolve_function(function_id):
     raise UnregisteredFunctionError(f"unregistered function {function_id!r}")
 
 
+class _FunctionSum:
+    """Bourin-Uchiyama kernel for one list A_i; the spectra of every A_i
+    and of sum A_i are computed on first use and serve every f."""
+
+    def __init__(self, a_list, seed=None):
+        self.a_list = [as_matrix(a) for a in a_list]
+        if not self.a_list:
+            raise ShapeError("shape error: at least one matrix is required")
+        self.seed = seed
+
+    @cached_property
+    def spectra(self):
+        """(spectra of the A_i, spectrum of sum A_i)."""
+        return ([hermitian_eigendecompose(a, check=False) for a in self.a_list],
+                hermitian_eigendecompose(sum_matrices(self.a_list), check=False))
+
+    def point(self, function_id, direction):
+        f, directions = resolve_function(function_id)
+        if direction not in (CONVEX, CONCAVE):
+            raise ValueError(f"direction must be 'convex' or 'concave', got {direction!r}")
+        if direction not in directions:
+            raise ValueError(
+                f"direction {direction!r} does not match the registered convexity of {function_id!r}"
+            )
+        spectra, sum_spectrum = self.spectra
+        left = sum_matrices([s.assemble(spectrum_function(s, f)) for s in spectra])
+        right = sum_spectrum.assemble(spectrum_function(sum_spectrum, f))
+        sigmas = [("sum f(A_i)", _psd_sigma(left)), ("f(sum A_i)", _psd_sigma(right))]
+        steps = [(0, 1)] if direction == CONVEX else [(1, 0)]
+        params = _params(m=len(self.a_list), n=self.a_list[0].shape[0],
+                         function_id=str(function_id), seed=self.seed, direction=direction)
+        return _ChainPoint(BOURIN_UCHIYAMA, params, sigmas, steps=steps)
+
+
 def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
                           rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
     """Compare ||| sum f(A_i) ||| against ||| f(sum A_i) |||.
@@ -287,98 +395,132 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
     Terms stay in printed order, so the single margin is right-minus-left
     for convex and left-minus-right for concave.
     """
-    f, directions = resolve_function(function_id)
-    if direction not in (CONVEX, CONCAVE):
-        raise ValueError(f"direction must be 'convex' or 'concave', got {direction!r}")
-    if direction not in directions:
-        raise ValueError(
-            f"direction {direction!r} does not match the registered convexity of {function_id!r}"
-        )
-    a_list = [as_matrix(a) for a in a_list]
-    if not a_list:
-        raise ShapeError("shape error: at least one matrix is required")
-    left = sum_matrices([matrix_function(a, f) for a in a_list])
-    right = matrix_function(sum_matrices(a_list), f)
-    sigmas = [("sum f(A_i)", _psd_sigma(left)), ("f(sum A_i)", _psd_sigma(right))]
-    steps = [(0, 1)] if direction == CONVEX else [(1, 0)]
-    params = _params(m=len(a_list), n=a_list[0].shape[0], norm_spec=norm_spec,
-                     function_id=str(function_id), seed=seed, direction=direction)
-    return _build_report(BOURIN_UCHIYAMA, params, sigmas, norm_spec,
-                         rel_tol, abs_tol, steps=steps)
+    point = _FunctionSum(a_list, seed).point(function_id, direction)
+    return _build_report(point, norm_spec, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
 # Main inequality and its proof-step refinement
 # ---------------------------------------------------------------------------
 
-def _main_terms(a_list, b_list, t, r, printed_form, with_proof, epsilon_scale,
-                norm_spec, seed):
-    """Main-chain terms, the regularization epsilon and the report params.
+class _MainChain:
+    """Main-chain kernel for one instance: the work that depends on
+    neither t nor r, computed on first use and kept for the instance.
 
-    Returns ``(main, proof, epsilon, params)``: ``main`` is the printed or
-    the t-dependent chain, ``proof`` the five-term refinement (None unless
-    ``with_proof``).  Only the terms those chains contain are built.
+    That is the pair spectra (strict, or shifted by their epsilon), sum A
+    and sum B with their spectra, and, for the proof chain, the spectra
+    the mean of the sums is built from.  ``at(t)`` adds the pair means.
     """
-    a_list, b_list, n = _validate_lists(a_list, b_list)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    if r <= 0.0:
-        raise ValueError(f"r must be positive, got {r!r}")
 
-    pairs = [_pair_mean(a, b, t, epsilon_scale, (f"A[{i}]", f"B[{i}]"))
-             for i, (a, b) in enumerate(zip(a_list, b_list))]
-    epsilons = [eps for _, eps in pairs]
-    mean_pows = []
-    for mean, _ in pairs:
-        s = _eigh(mean)
-        mean_pows.append(s.assemble(np.power(np.maximum(s.eigenvalues, 0.0), r)))
-    lhs = ("sum (A_i#B_i)^r", _psd_sigma(sum_matrices(mean_pows)))
+    def __init__(self, a_list, b_list, epsilon_scale=None, seed=None):
+        self.a_list, self.b_list, self.n = _validate_lists(a_list, b_list)
+        self.epsilon_scale = epsilon_scale
+        self.seed = seed
 
-    sum_a = sum_matrices(a_list)
-    sum_b = sum_matrices(b_list)
-    s_a = _eigh(sum_a)
-    s_b = _eigh(sum_b)
+    @cached_property
+    def pair_spectra(self):
+        """(spectrum of A_i, spectrum of B_i, epsilon or None) per pair."""
+        return [_pair_spectra(a, b, self.epsilon_scale, (f"A[{i}]", f"B[{i}]"))
+                for i, (a, b) in enumerate(zip(self.a_list, self.b_list))]
 
-    if printed_form or with_proof:
-        quarter = s_a.assemble(spectrum_power(s_a, r / 4.0))
-        half_b = s_b.assemble(spectrum_power(s_b, r / 2.0))
-        mid_printed = ("sumA^(r/4) sumB^(r/2) sumA^(r/4)",
-                       _psd_sigma(hermitian_part(quarter @ half_b @ quarter, require=False)))
-        rhs_printed = ("sumA^(r/2) sumB^(r/2)",
-                       singular_values(s_a.assemble(spectrum_power(s_a, r / 2.0)) @ half_b))
-    if printed_form:
-        main = [lhs, mid_printed, rhs_printed]
-    else:
-        # t-dependent variant: the four-term chain exponents with s = 1,
-        # applied to the summed matrices.
-        b_flank = s_b.assemble(spectrum_power(s_b, r * t / 2.0))
-        a_mid = s_a.assemble(spectrum_power(s_a, (1.0 - t) * r))
-        sig_mid = _psd_sigma(hermitian_part(b_flank @ a_mid @ b_flank, require=False))
-        rhs = a_mid @ s_b.assemble(spectrum_power(s_b, r * t))
-        main = [
-            lhs,
-            ("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", sig_mid),
-            ("sumA^((1-t)r) sumB^(rt)", singular_values(rhs)),
-        ]
+    @cached_property
+    def sums(self):
+        """(sum A, sum B, spectrum of sum A, spectrum of sum B)."""
+        sum_a = sum_matrices(self.a_list)
+        sum_b = sum_matrices(self.b_list)
+        return sum_a, sum_b, _eigh(sum_a), _eigh(sum_b)
 
-    proof = None
-    if with_proof:
-        s_sum_means = _eigh(sum_matrices([mean for mean, _ in pairs]))
-        sig_mean_sum = np.power(np.maximum(s_sum_means.eigenvalues, 0.0), r)
-        mean_of_sums, eps = _pair_mean(sum_a, sum_b, t, epsilon_scale, ("sum A", "sum B"),
-                                       spectra=(s_a, s_b))
-        epsilons.append(eps)
-        sig_mos = np.power(np.maximum(_eigh(mean_of_sums).eigenvalues, 0.0), r)
-        proof = [
-            lhs,
-            ("(sum A_i#B_i)^r", sig_mean_sum),
-            ("(sumA # sumB)^r", sig_mos),
-            mid_printed,
-            rhs_printed,
-        ]
-    eps_used = None if epsilon_scale is None else max(epsilons)
-    params = _params(m=len(a_list), n=n, t=t, r=r, norm_spec=norm_spec, seed=seed)
-    return main, proof, eps_used, params
+    @cached_property
+    def sum_pair_spectra(self):
+        """Spectra of the pair (sum A, sum B) ready for its mean, and the epsilon."""
+        sum_a, sum_b, s_a, s_b = self.sums
+        return _pair_spectra(sum_a, sum_b, self.epsilon_scale, ("sum A", "sum B"),
+                             spectra=(s_a, s_b))
+
+    def at(self, t):
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"t must lie in [0, 1], got {t!r}")
+        return _MainChainAtT(self, t)
+
+
+class _MainChainAtT:
+    """A main-chain instance at one t; the pair means are kept for every r."""
+
+    def __init__(self, chain, t):
+        self.chain, self.t = chain, t
+
+    @cached_property
+    def pair_means(self):
+        """(A_i #_t B_i, its spectrum) per pair."""
+        means = [_mean_from_spectra(sa, sb, self.t) for sa, sb, _ in self.chain.pair_spectra]
+        return [(mean, _eigh(mean)) for mean in means]
+
+    @cached_property
+    def proof_eigenvalues(self):
+        """Eigenvalues of sum_i A_i #_t B_i and of sumA #_t sumB."""
+        sum_of_means = _eigh(sum_matrices([mean for mean, _ in self.pair_means]))
+        sa, sb, _ = self.chain.sum_pair_spectra
+        mean_of_sums = _eigh(_mean_from_spectra(sa, sb, self.t))
+        return sum_of_means.eigenvalues, mean_of_sums.eigenvalues
+
+    def points(self, r, printed_form, with_proof=False):
+        """The main chain at (t, r), and its five-term proof refinement.
+
+        Returns ``(main, proof)``: ``main`` is the printed or the
+        t-dependent chain, ``proof`` None unless ``with_proof``.  Only the
+        terms those chains contain are built.
+        """
+        if with_proof and r < 1.0:
+            raise ValueError(f"proof steps require r >= 1, got {r!r}")
+        if r <= 0.0:
+            raise ValueError(f"r must be positive, got {r!r}")
+        chain, t = self.chain, self.t
+        mean_pows = [s.assemble(np.power(np.maximum(s.eigenvalues, 0.0), r))
+                     for _, s in self.pair_means]
+        lhs = ("sum (A_i#B_i)^r", _psd_sigma(sum(mean_pows)))
+
+        _, _, s_a, s_b = chain.sums
+        if printed_form or with_proof:
+            quarter = s_a.assemble(spectrum_power(s_a, r / 4.0))
+            half_b = s_b.assemble(spectrum_power(s_b, r / 2.0))
+            mid_printed = ("sumA^(r/4) sumB^(r/2) sumA^(r/4)",
+                           _psd_sigma(quarter @ half_b @ quarter))
+            rhs_printed = ("sumA^(r/2) sumB^(r/2)",
+                           _product_sigma(s_a.assemble(spectrum_power(s_a, r / 2.0)) @ half_b))
+        if printed_form:
+            main = [lhs, mid_printed, rhs_printed]
+        else:
+            # t-dependent variant: the four-term chain exponents with s = 1,
+            # applied to the summed matrices.
+            b_flank = s_b.assemble(spectrum_power(s_b, r * t / 2.0))
+            a_mid = s_a.assemble(spectrum_power(s_a, (1.0 - t) * r))
+            rhs = a_mid @ s_b.assemble(spectrum_power(s_b, r * t))
+            main = [
+                lhs,
+                ("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", _psd_sigma(b_flank @ a_mid @ b_flank)),
+                ("sumA^((1-t)r) sumB^(rt)", _product_sigma(rhs)),
+            ]
+
+        epsilons = [eps for _, _, eps in chain.pair_spectra]
+        proof = None
+        if with_proof:
+            sum_of_means, mean_of_sums = self.proof_eigenvalues
+            epsilons.append(chain.sum_pair_spectra[2])
+            proof = [
+                lhs,
+                ("(sum A_i#B_i)^r", np.power(np.maximum(sum_of_means, 0.0), r)),
+                ("(sumA # sumB)^r", np.power(np.maximum(mean_of_sums, 0.0), r)),
+                mid_printed,
+                rhs_printed,
+            ]
+        eps = None if chain.epsilon_scale is None else max(epsilons)
+        params = _params(m=len(chain.a_list), n=chain.n, t=t, r=r, seed=chain.seed)
+        main_params = dict(params)
+        main_params["printed-form"] = bool(printed_form)
+        main_params["r-in-theorem-range"] = bool(r >= 1.0)
+        return (_ChainPoint(MAIN_THEOREM, main_params, main, regularization_epsilon=eps),
+                None if proof is None else
+                _ChainPoint(PROOF_STEPS, params, proof, regularization_epsilon=eps))
 
 
 def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
@@ -391,12 +533,8 @@ def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
     silently substituted for one another.  ``r < 1`` is allowed for
     exploration and flagged in the params.
     """
-    main, _, eps, params = _main_terms(a_list, b_list, t, r, printed_form, False,
-                                       epsilon_scale, norm_spec, seed)
-    params["printed-form"] = bool(printed_form)
-    params["r-in-theorem-range"] = bool(r >= 1.0)
-    return _build_report(MAIN_THEOREM, params, main, norm_spec, rel_tol, abs_tol,
-                         regularization_epsilon=eps)
+    main, _ = _MainChain(a_list, b_list, epsilon_scale, seed).at(t).points(r, printed_form)
+    return _build_report(main, norm_spec, rel_tol, abs_tol)
 
 
 def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
@@ -407,29 +545,15 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
     localize the four-term-chain step applied to the summed matrices (printed,
     t-free form).  Requires ``r >= 1`` (the convexity step needs it).
     """
-    if r < 1.0:
-        raise ValueError(f"proof steps require r >= 1, got {r!r}")
-    _, proof, eps, params = _main_terms(a_list, b_list, t, r, True, True, epsilon_scale,
-                                        norm_spec, seed)
-    return _build_report(PROOF_STEPS, params, proof, norm_spec, rel_tol, abs_tol,
-                         regularization_epsilon=eps)
+    _, proof = _MainChain(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
+    return _build_report(proof, norm_spec, rel_tol, abs_tol)
 
 
 def main_theorem_with_proof(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
                             rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
     """One-pass evaluation returning (printed main report, proof report)."""
-    if r < 1.0:
-        raise ValueError(f"proof steps require r >= 1, got {r!r}")
-    main, proof, eps, params = _main_terms(a_list, b_list, t, r, True, True, epsilon_scale,
-                                           norm_spec, seed)
-    main_params = dict(params)
-    main_params["printed-form"] = True
-    main_params["r-in-theorem-range"] = bool(r >= 1.0)
-    main_report = _build_report(MAIN_THEOREM, main_params, main, norm_spec, rel_tol,
-                                abs_tol, regularization_epsilon=eps)
-    proof_report = _build_report(PROOF_STEPS, params, proof, norm_spec, rel_tol,
-                                 abs_tol, regularization_epsilon=eps)
-    return main_report, proof_report
+    points = _MainChain(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
+    return tuple(_build_report(point, norm_spec, rel_tol, abs_tol) for point in points)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +567,8 @@ def commutator_defect(a, b):
     return float(np.linalg.norm(a @ b - b @ a))
 
 
-def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
-    """Evaluate the commuting-pair chain.
-
-    Every pair (A_i, B_i) must commute up to
-    ``1e-10 * (1 + ||A_i||_F ||B_i||_F)``; violating pairs raise
-    CommutationError rather than being silently skipped.
-    """
+def _audenaert_point(a_list, b_list, seed=None):
+    """The commuting-pair chain of one instance; the norm is its only axis."""
     a_list, b_list, n = _validate_lists(a_list, b_list)
     for i, (a, b) in enumerate(zip(a_list, b_list)):
         defect = commutator_defect(a, b)
@@ -468,9 +587,53 @@ def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL,
                       @ s_b.assemble(spectrum_power(s_b, 0.5)))
     x = sum(halves)
     sigmas = [
-        ("sum A_iB_i", singular_values(prod_sum)),
-        ("(sum A_i^(1/2)B_i^(1/2))^2", singular_values(x @ x)),
-        ("sumA sumB", singular_values(sum_matrices(a_list) @ sum_matrices(b_list))),
+        ("sum A_iB_i", _product_sigma(prod_sum)),
+        ("(sum A_i^(1/2)B_i^(1/2))^2", _product_sigma(x @ x)),
+        ("sumA sumB", _product_sigma(sum_matrices(a_list) @ sum_matrices(b_list))),
     ]
-    params = _params(m=len(a_list), n=n, norm_spec=norm_spec, seed=seed)
-    return _build_report(AUDENAERT, params, sigmas, norm_spec, rel_tol, abs_tol)
+    return _ChainPoint(AUDENAERT, _params(m=len(a_list), n=n, seed=seed), sigmas)
+
+
+def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
+    """Evaluate the commuting-pair chain.
+
+    Every pair (A_i, B_i) must commute up to
+    ``1e-10 * (1 + ||A_i||_F ||B_i||_F)``; violating pairs raise
+    CommutationError rather than being silently skipped.
+    """
+    return _build_report(_audenaert_point(a_list, b_list, seed), norm_spec, rel_tol, abs_tol)
+
+
+# ---------------------------------------------------------------------------
+# One instance over a campaign grid
+# ---------------------------------------------------------------------------
+
+def instance_reports(inequality_id, a_list, b_list, grid, printed_form=True,
+                     epsilon_scale=None, direction=None, rel_tol=REL_TOL,
+                     abs_tol=ABS_TOL, seed=None):
+    """The reports of one instance over ``grid``, as a list in grid order.
+
+    ``grid`` maps the axes that follow the instance axes to their values:
+    ``t``, ``r`` and ``s`` (lemma chain), ``t`` and ``r`` (main theorem,
+    proof steps) or ``f`` (Bourin-Uchiyama), then ``norm``, varied
+    fastest.  Each report equals the one its ``check_*`` predicate gives
+    for that point, but every spectrum is computed at the outermost axis
+    it depends on, and the norm axis only reduces shared singular values.
+    """
+    if inequality_id == AUDENAERT:
+        points = [_audenaert_point(a_list, b_list, seed)]
+    elif inequality_id == BOURIN_UCHIYAMA:
+        kernel = _FunctionSum(a_list, seed)
+        points = (kernel.point(f, direction) for f in grid["f"])
+    elif inequality_id == LEMMA_CHAIN:
+        kernel = _LemmaPair(a_list[0], b_list[0], seed)
+        points = (at_t.point(r, s) for at_t in map(kernel.at, grid["t"])
+                  for r in grid["r"] for s in grid["s"])
+    else:
+        kernel = _MainChain(a_list, b_list, epsilon_scale, seed)
+        proof = inequality_id == PROOF_STEPS
+        # points() gives (main, proof); the proof chain ends in the printed terms.
+        points = (at_t.points(r, printed_form or proof, proof)[proof]
+                  for at_t in map(kernel.at, grid["t"]) for r in grid["r"])
+    return [_build_report(point, norm_spec, rel_tol, abs_tol)
+            for point in points for norm_spec in grid["norm"]]

@@ -195,6 +195,15 @@ def matrix_function(a, f):
         negative power at 0.
     """
     spec = hermitian_eigendecompose(a, check=False)
+    return spec.assemble(spectrum_function(spec, f))
+
+
+def spectrum_function(spec, f):
+    """Eigenvalues of a PSD spectrum mapped through ``f`` (clamped first).
+
+    The spectral half of :func:`matrix_function`, for callers that apply
+    several functions to one decomposition.
+    """
     w = clamp_psd_eigenvalues(spec.eigenvalues)
     fw = np.empty_like(w)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -210,7 +219,7 @@ def matrix_function(a, f):
                     f"singular matrix function: f({x!r}) = {y!r}"
                 )
             fw[i] = y
-    return spec.assemble(fw)
+    return fw
 
 
 def spectrum_power(spec, p):

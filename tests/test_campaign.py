@@ -1,21 +1,30 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from conftest import pd_for
 from matsharp import (
     CampaignConfig,
     ConfigError,
     InequalityReport,
+    NormSpec,
+    check_audenaert,
+    check_bourin_uchiyama,
+    check_lemma_chain,
+    check_main_theorem,
+    check_proof_steps,
     emit_report,
     load_reports,
     render_reports,
     run_campaign,
     save_matrix,
     search_counterexample,
+    split_seed,
     summarize,
 )
-from matsharp.campaign import CSV_COLUMNS, reevaluate_search_instance
+from matsharp.campaign import CSV_COLUMNS, _build_inputs, reevaluate_search_instance
 from matsharp.cli import main as cli_main
 
 
@@ -160,6 +169,100 @@ class TestRunCampaign:
         _, reports = run_campaign(cfg)
         assert all(r.regularization_epsilon is not None for r in reports)
         assert all(np.isfinite(min(r.margins)) for r in reports)
+
+
+def check_one_point(cfg, point, a_list, b_list, seed):
+    """The public predicate of ``cfg``'s inequality at one grid point."""
+    kw = {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "seed": seed}
+    eps = cfg.ensemble["epsilon-scale"]
+    ineq = cfg.inequality_id
+    if ineq == "LemmaChain":
+        return check_lemma_chain(a_list[0], b_list[0], point["t"], point["r"], point["s"],
+                                 point["norm"], **kw)
+    if ineq == "Audenaert":
+        return check_audenaert(a_list, b_list, point["norm"], **kw)
+    if ineq == "BourinUchiyama":
+        return check_bourin_uchiyama(a_list, point["f"], cfg.direction, point["norm"], **kw)
+    if ineq == "MainTheorem":
+        return check_main_theorem(a_list, b_list, point["t"], point["r"], point["norm"],
+                                  printed_form=cfg.printed_form, epsilon_scale=eps, **kw)
+    return check_proof_steps(a_list, b_list, point["t"], point["r"], point["norm"],
+                             epsilon_scale=eps, **kw)
+
+
+EQUIVALENCE_NORMS = ["schatten:1", "schatten:3", "kyfan:1", "operator"]
+
+
+class TestInstancePass:
+    @pytest.mark.parametrize("obj", [
+        {"inequality-id": "main_theorem"},
+        {"inequality-id": "main_theorem", "printed-form": False, "ensemble": {"kind": "psd"}},
+        {"inequality-id": "proof_steps", "ensemble": {"kind": "psd"}},
+        {"inequality-id": "lemma_chain", "r-grid": [0.5, 2.0], "s-grid": [0.5, 1.0]},
+        {"inequality-id": "audenaert"},
+        {"inequality-id": "bourin_uchiyama", "functions": ["power:2", "expm1"],
+         "direction": "convex"},
+        {"inequality-id": "bourin_uchiyama", "functions": ["power:0.5", "ratio"],
+         "direction": "concave"},
+    ])
+    def test_campaign_equals_one_check_per_point(self, obj):
+        # One pass per instance serves every (t, r, s, f, norm) point; the
+        # reports must equal the public predicates called point by point.
+        cfg = CampaignConfig.from_obj(dict({
+            "trials": 2, "dims": [2, 3], "m-values": [1, 2], "t-grid": [0.25, 0.5],
+            "r-grid": [1.0, 2.0], "norm-specs": EQUIVALENCE_NORMS, "root-seed": 29}, **obj))
+        _, reports = run_campaign(cfg)
+        expected = []
+        for trial in range(cfg.trials):
+            for point in cfg.grid_points():
+                m = point.get("m", 1)
+                seed = split_seed(split_seed(split_seed(cfg.root_seed, trial),
+                                             cfg.dims.index(point["n"])),
+                                  cfg.m_values.index(m) if m in cfg.m_values else 0)
+                a_list, b_list = _build_inputs(cfg, point["n"], m, seed)
+                report = check_one_point(cfg, point, a_list, b_list, seed)
+                report.params["trial"] = trial
+                expected.append(report)
+        assert len(reports) == len(expected) == cfg.trials * cfg.grid_size()
+        assert reports == expected
+
+
+class TestNonFinite:
+    def test_overflowing_instance_does_not_abort_campaign(self):
+        # At kappa = 1e12 and r = 60 the middle and right terms overflow
+        # to non-finite matrices; the campaign goes on and those reports
+        # are indeterminate, never held.
+        cfg = CampaignConfig.from_obj({
+            "inequality-id": "main_theorem", "trials": 1, "dims": [4], "m-values": [1],
+            "t-grid": [0.5], "r-grid": [1.0, 60.0], "norm-specs": ["schatten:2", "trace"],
+            "ensemble": {"condition-target": 1e12}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary, reports = run_campaign(cfg)
+        assert summary.total == len(reports) == 4
+        at_60 = [r for r in reports if r.params["r"] == 60.0]
+        assert len(at_60) == 2
+        assert all(not r.holds and not r.is_finite() for r in at_60)
+        assert all(r.holds for r in reports if r.params["r"] == 1.0)
+        assert (summary.held, summary.violated, summary.indeterminate) == (2, 0, 2)
+
+    def test_summary_separates_indeterminate_reports(self):
+        # At kappa = 1e12 and r = 40 the Schatten-2 margins are [inf, nan].
+        a = pd_for(0, n=4, kappa=1e12)
+        b = pd_for(100, n=4, kappa=1e12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = check_main_theorem([a], [b], 0.5, 40.0, NormSpec.schatten(2))
+        good = check_main_theorem([a], [b], 0.5, 1.0, NormSpec.schatten(2))
+        assert math.isnan(bad.min_margin())
+        for stream in ([bad, good], [good, bad]):
+            summary = summarize(stream)
+            assert (summary.total, summary.held, summary.violated,
+                    summary.indeterminate) == (2, 1, 0, 1)
+            assert summary.min_margin == good.min_margin()
+            assert summary.min_margin_params["r"] == 1.0
+        alone = summarize([bad])
+        assert (alone.violated, alone.indeterminate) == (0, 1)
+        assert alone.min_margin == math.inf and alone.min_margin_params == {}
+        assert alone.to_obj()["indeterminate"] == 1
 
 
 class TestConcurrency:
