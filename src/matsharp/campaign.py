@@ -2,18 +2,27 @@
 
 A campaign expands a config into ``trials x |grid|`` inequality reports,
 deterministically: matrices for a grid point depend only on
-``(root seed, trial, dim index, m index)``, so re-running a config
-reproduces the stream byte for byte, and trials may be evaluated
-concurrently and merged in order.
+``(root seed, trial, dim index, m index)`` (m index 0 for the chains
+without an m axis), so re-running a config reproduces the stream byte for
+byte, and a trial's reports do not depend on which other trials run.
 
 Every grid starts with the instance axes (n, and m where it applies) and
-ends with the norm.  Each instance is drawn once and evaluated in one pass
-over the axes between them (t, r, s or f): input spectra and the sums are
-computed once per instance, pair means once per t, and the chain's
-singular values once per grid point; every norm then only reduces those
-sequences.  The reports are the ones the ``check_*`` predicates give point
-by point.  The searcher performs random-restart hill descent on the
-minimum margin of one fixed inequality instance, one point per instance.
+ends with the norm.  The trials are taken in chunks of ``CHUNK_TRIALS``;
+within a chunk the instances of one (n, m) group are drawn as one stack
+and evaluated in one pass over the axes between them (t, r, s or f).  For
+the main chain and its proof steps that pass is stacked: input spectra
+and the sums are one call per stack, pair means one per t, and the
+chain's singular values one per grid point, each covering every instance
+of the group; the other chains loop over the instances of the stack.
+Every norm then only reduces those sequences.  NumPy gives each slice of
+a stacked call the bits of the single-matrix call, so the reports are the
+ones the ``check_*`` predicates give instance by instance and point by
+point, emitted in (trial, grid point) order.  A main-chain instance that
+fails the strict positive-definite check or the PSD clamp gets NaN terms,
+so its reports count as indeterminate and the others go on.
+
+The searcher performs random-restart hill descent on the minimum margin
+of one fixed inequality instance, evaluating it as a stack of one.
 """
 
 import csv
@@ -36,7 +45,7 @@ from .inequalities import (
     PROOF_STEPS,
     REL_TOL,
     InequalityReport,
-    instance_reports,
+    stack_reports,
 )
 from .linalg import hermitian_part, matrix_from_obj, matrix_to_obj
 from .means import DEFAULT_EPSILON_SCALE, DEFAULT_R_GRID, DEFAULT_S_GRID, DEFAULT_T_GRID
@@ -74,6 +83,11 @@ CSV_COLUMNS = (
     "term-1", "term-2", "term-3", "term-4", "term-5",
     "margin-1", "margin-2", "margin-3", "margin-4",
 )
+
+# Trials per stacked pass of ``run_campaign``: it bounds the memory of one
+# pass while leaving the per-call overhead of NumPy's stacked LAPACK
+# wrappers small next to the work of each stack.
+CHUNK_TRIALS = 64
 
 # Search constants: proposal scale relative to ||M||_F, halving on
 # non-improvement, restart after this many consecutive stalls.
@@ -165,6 +179,9 @@ class CampaignConfig:
         if self.inequality_id == LEMMA_CHAIN and self.ensemble["kind"] == KIND_PSD:
             raise ConfigError("LemmaChain requires strictly positive definite inputs; "
                               "use a pd or commuting ensemble")
+        if self.inequality_id == PROOF_STEPS and min(self.r_grid) < 1.0:
+            raise ConfigError(f"ProofSteps requires every r >= 1 (the convexity step needs it); "
+                              f"r-grid has {min(self.r_grid)!r}")
 
     def _axes(self):
         """Applicable grid axes, in iteration (and emission) order."""
@@ -309,41 +326,54 @@ def _ensemble_spec(config, n, seed, kind=None):
 
 
 def _build_inputs(config, n, m, inst_seed):
-    """Matrix lists for one instance; pure function of (config, n, m, seed)."""
+    """Matrix lists for one instance; pure function of (config, n, m, seed).
+
+    Given a tuple of instance seeds, the inputs of all of them as one
+    stacked draw: arrays (A, B) of shape (T, m, n, n), B of shape
+    (T, 0, n, n) for Bourin-Uchiyama, whose row k holds the lists of seed k.
+    """
+    seeds = inst_seed if isinstance(inst_seed, tuple) else (inst_seed,)
     kind = config.ensemble["kind"]
     if config.inequality_id == AUDENAERT or kind == KIND_COMMUTING:
-        pairs = [random_commuting_pair(_ensemble_spec(config, n, split_seed(inst_seed, i),
-                                                      kind=KIND_COMMUTING))
-                 for i in range(m)]
-        return [p[0] for p in pairs], [p[1] for p in pairs]
-    gen = random_psd_rank_deficient if kind == KIND_PSD else random_pd
-    a_list = [gen(_ensemble_spec(config, n, split_seed(inst_seed, 2 * i))) for i in range(m)]
-    if config.inequality_id == BOURIN_UCHIYAMA:
-        return a_list, []
-    b_list = [gen(_ensemble_spec(config, n, split_seed(inst_seed, 2 * i + 1))) for i in range(m)]
-    return a_list, b_list
+        spec = _ensemble_spec(config, n, tuple(split_seed(seed, i) for seed in seeds
+                                                for i in range(m)), kind=KIND_COMMUTING)
+        a, b = (x.reshape(len(seeds), m, n, n) for x in random_commuting_pair(spec))
+    else:
+        gen = random_psd_rank_deficient if kind == KIND_PSD else random_pd
+        sides = 1 if config.inequality_id == BOURIN_UCHIYAMA else 2
+        spec = _ensemble_spec(config, n, tuple(split_seed(seed, 2 * i + side) for seed in seeds
+                                                for i in range(m) for side in range(sides)))
+        x = gen(spec).reshape(len(seeds), m, sides, n, n)
+        a, b = x[:, :, 0], (x[:, :, 1] if sides == 2 else x[:, :0, 0])
+    if isinstance(inst_seed, tuple):
+        return a, b
+    return list(a[0]), list(b[0])
 
 
-def _instance_reports(config, grid, a_list, b_list, seed):
-    """Reports of one instance over ``grid`` (axis -> values), in grid order."""
-    return instance_reports(config.inequality_id, a_list, b_list, grid,
-                            printed_form=config.printed_form,
-                            epsilon_scale=config.ensemble["epsilon-scale"],
-                            direction=config.direction, rel_tol=config.rel_tol,
-                            abs_tol=config.abs_tol, seed=seed)
+def _stack_reports(config, grid, a, b, seeds, mask_failures=False):
+    """Reports of a stack of instances over ``grid`` (axis -> values): one
+    list per instance, in grid order."""
+    return stack_reports(config.inequality_id, a, b, grid, seeds,
+                         printed_form=config.printed_form,
+                         epsilon_scale=config.ensemble["epsilon-scale"],
+                         direction=config.direction, rel_tol=config.rel_tol,
+                         abs_tol=config.abs_tol, mask_failures=mask_failures)
 
 
 def run_check(config, point, a_list, b_list, seed=None):
-    """Evaluate one grid point; the same kernel the campaign sweeps."""
+    """Evaluate one grid point; the campaign's kernel on a stack of one."""
     grid = {axis: (value,) for axis, value in point.items()}
-    return _instance_reports(config, grid, a_list, b_list, seed)[0]
+    return _stack_reports(config, grid, [a_list], [b_list], (seed,))[0][0]
 
 
 def run_campaign(config):
     """Execute a campaign.
 
-    Each instance (trial, n, m) is drawn once and evaluated in one pass
-    over the remaining axes (see :func:`instance_reports`).
+    Within each chunk of ``CHUNK_TRIALS`` trials, the instances of each
+    (n, m) group are drawn as one stack and evaluated in one pass over the
+    remaining axes (see :func:`stack_reports`).  A main-chain instance that
+    fails the strict positive-definite check or the PSD clamp is reported
+    with NaN terms (indeterminate) instead of aborting the campaign.
 
     Returns
     -------
@@ -356,17 +386,25 @@ def run_campaign(config):
     reports = []
     dims_index = {n: i for i, n in enumerate(config.dims)}
     m_index = {m: i for i, m in enumerate(config.m_values)}
-    # The instance axes n and m lead every grid and the norm ends it.
+    # The instance axes n and m lead every grid and the norm ends it; a
+    # chain without an m axis seeds its instances with m index 0.
     axes = dict(config._axes())
+    groups = [(n, m, dims_index[n], m_index[m] if "m" in axes else 0)
+              for n, m in itertools.product(axes["n"], axes.get("m", (1,)))]
     grid = {name: values for name, values in axes.items() if name not in ("n", "m")}
-    for trial in range(config.trials):
-        trial_seed = split_seed(config.root_seed, trial)
-        for n, m in itertools.product(axes["n"], axes.get("m", (1,))):
-            inst_seed = split_seed(split_seed(trial_seed, dims_index[n]), m_index.get(m, 0))
-            a_list, b_list = _build_inputs(config, n, m, inst_seed)
-            for report in _instance_reports(config, grid, a_list, b_list, inst_seed):
-                report.params["trial"] = trial
-                reports.append(report)
+    for first in range(0, config.trials, CHUNK_TRIALS):
+        trials = range(first, min(first + CHUNK_TRIALS, config.trials))
+        trial_seeds = [split_seed(config.root_seed, trial) for trial in trials]
+        by_group = []
+        for n, m, n_index, m_idx in groups:
+            seeds = tuple(split_seed(split_seed(seed, n_index), m_idx) for seed in trial_seeds)
+            a, b = _build_inputs(config, n, m, seeds)
+            by_group.append(_stack_reports(config, grid, a, b, seeds, mask_failures=True))
+        for k, trial in enumerate(trials):
+            for group in by_group:
+                for report in group[k]:
+                    report.params["trial"] = trial
+                    reports.append(report)
     summary = summarize(reports, wall_time=time.perf_counter() - start)
     return summary, reports
 

@@ -10,7 +10,10 @@ Randomness is built from two documented, implementation-independent pieces:
 
 Every generator is a pure function of its ``EnsembleSpec``: identical
 specs give bit-identical matrices, and per-trial seeds derived through
-:func:`split_seed` keep concurrent trials independent.
+:func:`split_seed` keep concurrent trials independent.  A spec whose seed
+is a tuple of seeds draws a stack, one matrix per seed: each matrix comes
+from its own stream and has the bits of the single draw with that seed,
+while the eigensolve and the assembly run once for the whole stack.
 """
 
 import math
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRankError
-from .linalg import hermitian_eigendecompose, hermitian_part
+from .linalg import Spectrum, _adjoint, _eigh
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -47,29 +50,42 @@ def split_seed(seed, index):
 
 
 class Stream:
-    """Philox4x64-10 keyed bit stream with documented scalar transforms."""
+    """Philox4x64-10 keyed bit stream with documented scalar transforms.
+
+    Keyed by a tuple of seeds, it is one stream per seed drawn in lockstep:
+    every draw gains a leading axis (``shape``), and row k is the draw of
+    ``Stream(seeds[k])``.
+    """
 
     def __init__(self, seed):
-        self._bg = np.random.Philox(key=int(seed) & _MASK64)
+        if isinstance(seed, tuple):
+            self.shape = (len(seed),)
+            self._bgs = [np.random.Philox(key=int(s) & _MASK64) for s in seed]
+        else:
+            self.shape = ()
+            self._bg = np.random.Philox(key=int(seed) & _MASK64)
 
     def uniforms(self, count):
         """Doubles in (0, 1]: ((raw >> 11) + 1) * 2^-53."""
-        raw = self._bg.random_raw(int(count))
+        if self.shape:
+            raw = np.stack([bg.random_raw(int(count)) for bg in self._bgs])
+        else:
+            raw = self._bg.random_raw(int(count))
         return ((raw >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
 
     def normals(self, count):
         """Standard normals via Box-Muller on consecutive uniform pairs."""
         pairs = (int(count) + 1) // 2
         u = self.uniforms(2 * pairs)
-        radius = np.sqrt(-2.0 * np.log(u[0::2]))
-        angle = 2.0 * math.pi * u[1::2]
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-        return z[: int(count)]
+        radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+        angle = 2.0 * math.pi * u[..., 1::2]
+        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+        return z[..., : int(count)]
 
     def complex_normals(self, count):
         """Complex numbers with independent standard-normal parts."""
         z = self.normals(2 * int(count))
-        return z[: int(count)] + 1j * z[int(count):]
+        return z[..., : int(count)] + 1j * z[..., int(count):]
 
     def integers(self, bound):
         """One integer uniform on [0, bound) via modular reduction."""
@@ -83,13 +99,14 @@ class EnsembleSpec:
     ``kind`` is one of ``"pd"`` (strictly positive definite),
     ``"psd"`` (rank-deficient PSD, requires ``rank``), ``"commuting"``
     (a commuting PD pair), or ``"hermitian"`` (indefinite Hermitian).
+    ``seed`` is one seed, or a tuple of seeds for a stack of draws.
     """
 
     dim: int
     kind: str = KIND_PD
     condition_target: float = 100.0
     field: str = "complex"
-    seed: int = 0
+    seed: int | tuple = 0
     rank: int | None = None
 
     def __post_init__(self):
@@ -108,20 +125,20 @@ class EnsembleSpec:
 
 
 def _gaussian_hermitian(stream, n, field):
+    shape = stream.shape + (n, n)
     if field == "complex":
-        g = stream.complex_normals(n * n).reshape(n, n)
+        g = stream.complex_normals(n * n).reshape(shape)
     else:
-        g = stream.normals(n * n).reshape(n, n).astype(np.complex128)
-    return hermitian_part(g, require=False)
+        g = stream.normals(n * n).reshape(shape).astype(np.complex128)
+    return 0.5 * (g + _adjoint(g))
 
 
 def _random_unitary(stream, n, field):
     # Eigenvector matrix of a Gaussian Hermitian draw; reuses the core
     # eigensolver instead of a second orthogonalization path.
     if n == 1:
-        return np.ones((1, 1), dtype=np.complex128)
-    h = _gaussian_hermitian(stream, n, field)
-    return hermitian_eigendecompose(h, check=False).vectors
+        return np.ones(stream.shape + (1, 1), dtype=np.complex128)
+    return _eigh(_gaussian_hermitian(stream, n, field)).vectors
 
 
 def _log_uniform_eigs(stream, count, kappa):
@@ -129,18 +146,18 @@ def _log_uniform_eigs(stream, count, kappa):
     # extremes are pinned so the realized condition number tracks kappa.
     half_log = 0.5 * math.log(kappa)
     if count == 0:
-        return np.empty(0)
+        return np.empty(stream.shape + (0,))
     if count == 1 or half_log == 0.0:
         u = stream.uniforms(count)
         return np.exp((2.0 * u - 1.0) * half_log)
     u = stream.uniforms(count - 2)
     middle = np.exp((2.0 * u - 1.0) * half_log)
-    return np.concatenate([[math.exp(half_log), math.exp(-half_log)], middle])
+    ends = np.broadcast_to([math.exp(half_log), math.exp(-half_log)], stream.shape + (2,))
+    return np.concatenate([ends, middle], axis=-1)
 
 
 def _assemble(u, eigs):
-    m = (u * np.asarray(eigs, dtype=np.float64)) @ u.conj().T
-    return hermitian_part(m, require=False)
+    return Spectrum(eigs, u).assemble(eigs)
 
 
 def random_hermitian(spec):
@@ -180,6 +197,6 @@ def random_psd_rank_deficient(spec):
     stream = Stream(spec.seed)
     u = _random_unitary(stream, spec.dim, spec.field)
     eigs = np.concatenate([_log_uniform_eigs(stream, rank, spec.condition_target),
-                           np.zeros(spec.dim - rank)])
+                           np.zeros(stream.shape + (spec.dim - rank,))], axis=-1)
     return _assemble(u, eigs)
 

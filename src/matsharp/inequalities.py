@@ -8,13 +8,17 @@ instance).  Alongside the per-norm margins, each report carries Ky Fan
 prefix-sum margins between consecutive terms ("fan margins"): when these
 are nonnegative the chain holds in every unitarily invariant norm at once.
 
-Each inequality has one evaluation kernel per instance.  It computes every
-spectrum at the outermost grid axis it depends on: input spectra and the
-sums once per instance, pair means once per t, the chain's singular values
-once per grid point.  The norm is then only a reduction over those
-sequences (:func:`_build_report`).  A ``check_*`` predicate is the kernel
-evaluated at one point plus one report; :func:`instance_reports` is the
-same kernel swept over a campaign grid.
+Each inequality has one evaluation kernel.  It computes every spectrum at
+the outermost grid axis it depends on: input spectra and the sums once per
+instance, pair means once per t, the chain's singular values once per grid
+point.  The norm is then only a reduction over those sequences
+(:func:`_build_report`).  The main chain's kernel (:class:`_MainChain`,
+which also serves the proof steps) takes a stack of instances, arrays of
+shape (T, m, n, n), and makes each of those computations one stacked call
+for all T instances; its terms carry a leading batch axis.  A ``check_*``
+predicate is the kernel on a stack of one, evaluated at one point plus one
+report; :func:`stack_reports` is the same kernel swept over a campaign
+grid for a stack of instances.
 """
 
 import json
@@ -27,13 +31,19 @@ import numpy as np
 
 from .errors import (
     CommutationError,
+    NotPositiveDefiniteError,
     ShapeError,
+    SingularFunctionError,
     UnregisteredFunctionError,
 )
 from .linalg import (
     Spectrum,
+    _as_stack,
+    _check_hermitian,
     _eigh,
+    _psd_clamp_failures,
     as_matrix,
+    clamp_psd_eigenvalues,
     hermitian_eigendecompose,
     spectrum_function,
     spectrum_power,
@@ -123,8 +133,8 @@ class InequalityReport:
         return cls.from_obj(json.loads(text))
 
 
-def _params(m=None, n=None, t=None, r=None, s=None, function_id=None, seed=None, **extra):
-    # "norm-spec" is filled in per report by _build_report.
+def _params(m=None, n=None, t=None, r=None, s=None, function_id=None, **extra):
+    # "norm-spec" and "seed" are filled in per report by _build_report.
     p = {
         "m": m,
         "n": n,
@@ -133,26 +143,36 @@ def _params(m=None, n=None, t=None, r=None, s=None, function_id=None, seed=None,
         "s": s,
         "norm-spec": None,
         "function-id": function_id,
-        "seed": seed,
+        "seed": None,
     }
     p.update(extra)
     return p
 
 
 class _ChainPoint(NamedTuple):
-    """One chain evaluated at one grid point, before any norm is taken.
+    """One chain evaluated at one grid point for a stack of instances,
+    before any norm is taken.
 
-    ``sigmas`` are the terms' labeled singular-value sequences, sorted
-    nonincreasing; ``steps`` lists (left_index, right_index) pairs, the
-    ascending consecutive chain when None.  Every norm's report on this
-    point shares both.
+    ``sigmas`` are the terms' labeled singular-value sequences, one row per
+    instance (shape (T, n)), each sorted nonincreasing; ``seeds`` and
+    ``regularization_epsilon`` (an array, or None) hold one entry per
+    instance.  ``steps`` lists (left_index, right_index) pairs, the
+    ascending consecutive chain when None.  Every norm's report on an
+    instance shares its row.
     """
 
     inequality_id: str
     params: dict
     sigmas: list
+    seeds: tuple
     steps: list | None = None
-    regularization_epsilon: float | None = None
+    regularization_epsilon: np.ndarray | None = None
+
+
+def _single_point(inequality_id, params, sigmas, seed, steps=None):
+    """A chain point of one instance, as a stack of one."""
+    return _ChainPoint(inequality_id, params, [(label, sig[None]) for label, sig in sigmas],
+                       (seed,), steps)
 
 
 def _prefix_margin(sigma_left, sigma_right):
@@ -161,24 +181,27 @@ def _prefix_margin(sigma_left, sigma_right):
     return float(np.min(np.cumsum(sigma_right) - np.cumsum(sigma_left)))
 
 
-def _build_report(point, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-    """The report of one norm on a chain point: the only per-norm work.
+def _build_report(point, k, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+    """The report of one norm on instance ``k`` of a chain point: the only
+    per-norm work.
 
     A report with any non-finite term, margin or fan margin never holds.
     """
-    sigmas = point.sigmas
+    sigmas = [(label, sig[k]) for label, sig in point.sigmas]
     values = [norm_from_singular_values(sig, norm_spec) for _, sig in sigmas]
     steps = point.steps or [(i, i + 1) for i in range(len(sigmas) - 1)]
     margins = [values[j] - values[i] for i, j in steps]
     params = dict(point.params)
     params["norm-spec"] = str(norm_spec)
+    params["seed"] = point.seeds[k]
+    eps = point.regularization_epsilon
     report = InequalityReport(
         inequality_id=point.inequality_id,
         params=params,
         terms=[(label, value) for (label, _), value in zip(sigmas, values)],
         margins=margins,
         holds=False,
-        regularization_epsilon=point.regularization_epsilon,
+        regularization_epsilon=None if eps is None else float(eps[k]),
         fan_margins=[_prefix_margin(sigmas[i][1], sigmas[j][1]) for i, j in steps],
     )
     report.holds = bool(report.is_finite()
@@ -187,23 +210,30 @@ def _build_report(point, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL):
 
 
 # ---------------------------------------------------------------------------
-# Shared matrix helpers (all sigma sequences returned sorted nonincreasing).
-# A term whose entries overflowed has no spectrum to read: it gets a NaN
-# sequence, so its reports are indeterminate instead of aborting the caller.
+# Shared matrix helpers (all sigma sequences returned sorted nonincreasing;
+# a stack of terms gives one sequence per slice).  A term whose entries
+# overflowed has no spectrum to read: it gets a NaN sequence, so its reports
+# are indeterminate instead of aborting the caller.
 # ---------------------------------------------------------------------------
+
+def _finite_sigma(m, sigma):
+    """``sigma`` of the finite slices of ``m``; NaN rows for the others."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if finite.all():
+        return sigma(m)
+    values = sigma(np.where(finite[..., None, None], m, 0.0))
+    values[~finite] = np.nan
+    return values
+
 
 def _psd_sigma(m):
     """Singular values of a PSD-by-construction term, Hermitian up to rounding."""
-    if not np.isfinite(m).all():
-        return np.full(m.shape[0], np.nan)
-    return np.maximum(_eigh(m).eigenvalues, 0.0)
+    return _finite_sigma(m, lambda x: np.maximum(_eigh(x).eigenvalues, 0.0))
 
 
 def _product_sigma(m):
     """Singular values of a general (non-Hermitian) term."""
-    if not np.isfinite(m).all():
-        return np.full(m.shape[0], np.nan)
-    return singular_values(m)
+    return _finite_sigma(m, singular_values)
 
 
 def _validate_lists(a_list, b_list):
@@ -216,21 +246,6 @@ def _validate_lists(a_list, b_list):
         if m.shape[0] != n:
             raise ShapeError("shape error: all matrices must share one dimension")
     return a_list, b_list, n
-
-
-def _pair_spectra(a, b, epsilon_scale, names, spectra=None):
-    """Spectra of one pair ready for its mean, and the epsilon (or None).
-
-    Without ``epsilon_scale`` both matrices must be strictly positive
-    definite; ``spectra`` passes their eigendecompositions when the caller
-    already has them.  With it, both are shifted by eps * I first.
-    """
-    if epsilon_scale is not None:
-        a_reg, b_reg, eps = _regularized_pair(a, b, epsilon_scale)
-        return _eigh(a_reg), _eigh(b_reg), eps
-    sa, sb = spectra or (hermitian_eigendecompose(a, check=False),
-                         hermitian_eigendecompose(b, check=False))
-    return _strict_spectrum(sa, names[0]), _strict_spectrum(sb, names[1]), None
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +314,8 @@ class _LemmaPairAtT:
 
     def point(self, r, s):
         sigmas = self.sigmas(r, s)
-        params = _params(m=1, n=self.pair.spectra[0].dim, t=self.t, r=r, s=s,
-                         seed=self.pair.seed)
-        return _ChainPoint(LEMMA_CHAIN, params, sigmas)
+        params = _params(m=1, n=self.pair.spectra[0].dim, t=self.t, r=r, s=s)
+        return _single_point(LEMMA_CHAIN, params, sigmas, self.pair.seed)
 
 
 def lemma_chain_sigmas(a, b, t, r, s):
@@ -317,7 +331,7 @@ def check_lemma_chain(a, b, t, r, s, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL
     invariant norms" form).
     """
     point = _LemmaPair(a, b, seed).at(t).point(r, s)
-    return _build_report(point, norm_spec, rel_tol, abs_tol)
+    return _build_report(point, 0, norm_spec, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +396,8 @@ class _FunctionSum:
         sigmas = [("sum f(A_i)", _psd_sigma(left)), ("f(sum A_i)", _psd_sigma(right))]
         steps = [(0, 1)] if direction == CONVEX else [(1, 0)]
         params = _params(m=len(self.a_list), n=self.a_list[0].shape[0],
-                         function_id=str(function_id), seed=self.seed, direction=direction)
-        return _ChainPoint(BOURIN_UCHIYAMA, params, sigmas, steps=steps)
+                         function_id=str(function_id), direction=direction)
+        return _single_point(BOURIN_UCHIYAMA, params, sigmas, self.seed, steps)
 
 
 def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
@@ -396,7 +410,7 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
     for convex and left-minus-right for concave.
     """
     point = _FunctionSum(a_list, seed).point(function_id, direction)
-    return _build_report(point, norm_spec, rel_tol, abs_tol)
+    return _build_report(point, 0, norm_spec, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -404,38 +418,100 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
 # ---------------------------------------------------------------------------
 
 class _MainChain:
-    """Main-chain kernel for one instance: the work that depends on
-    neither t nor r, computed on first use and kept for the instance.
+    """Main-chain kernel for a stack of instances: the work that depends on
+    neither t nor r, computed on first use and kept for the stack.
 
-    That is the pair spectra (strict, or shifted by their epsilon), sum A
-    and sum B with their spectra, and, for the proof chain, the spectra
-    the mean of the sums is built from.  ``at(t)`` adds the pair means.
+    ``a`` and ``b`` hold the instances' A- and B-lists, shape (T, m, n, n),
+    and ``seeds`` one seed per instance.  The kernel keeps the pair spectra
+    (strict, or shifted by their epsilon), sum A and sum B with their
+    spectra, and, for the proof chain, the spectra the mean of the sums is
+    built from; each is one stacked call over every instance and pair.
+    ``at(t)`` adds the pair means.
+
+    A slice that fails the strict positive-definite check or the PSD clamp
+    raises as the single-matrix functions do.  With ``mask_failures`` it is
+    replaced by the identity spectrum instead, so the other slices go on,
+    and its instance is marked in ``failed``: all of its terms are NaN.
     """
 
-    def __init__(self, a_list, b_list, epsilon_scale=None, seed=None):
-        self.a_list, self.b_list, self.n = _validate_lists(a_list, b_list)
+    def __init__(self, a, b, epsilon_scale=None, seeds=(None,), mask_failures=False):
+        self.a, self.b = _as_stack(a), _as_stack(b)
+        if self.a.ndim != 4 or self.a.shape != self.b.shape or self.a.shape[0] != len(seeds):
+            raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
         self.epsilon_scale = epsilon_scale
-        self.seed = seed
+        self.seeds = tuple(seeds)
+        self.mask_failures = mask_failures
+        self.failed = np.zeros(len(self.seeds), dtype=bool)
+
+    def _screen(self, spectra, failures, raise_for):
+        """``spectra`` with the slices in ``failures`` (one mask per
+        spectrum) replaced by the identity spectrum.
+
+        Without ``mask_failures``, ``raise_for(side, index, spectrum)``
+        raises the error of the first failing slice instead, taken in
+        (instance, pair, side) order.
+        """
+        failed = np.stack(failures, axis=-1)
+        if not failed.any():
+            return spectra
+        if not self.mask_failures:
+            *index, side = np.argwhere(failed)[0]
+            spec = spectra[side]
+            index = tuple(index)
+            raise_for(side, index, Spectrum(spec.eigenvalues[index], spec.vectors[index]))
+        self.failed |= failed.reshape(len(self.failed), -1).any(axis=1)
+        return [Spectrum(np.where(mask[..., None], 1.0, spec.eigenvalues), spec.vectors)
+                for spec, mask in zip(spectra, failures)]
+
+    def _mean_ready(self, a, b, spectra, names):
+        """Spectra of the pairs (a, b) ready for their means, and the
+        epsilons (or None).
+
+        Without ``epsilon_scale`` both sides, whose decompositions
+        ``spectra`` passes, must be strictly positive definite.  With it,
+        both are shifted by eps * I first; the A side must then stay
+        positive for its inverse square root and the B side pass the clamp.
+        """
+        if self.epsilon_scale is None:
+            failures = [spec.eigenvalues[..., -1] <= 0.0 for spec in spectra]
+            sa, sb = self._screen(spectra, failures, lambda side, index, spec:
+                                  _strict_spectrum(spec, names(side, index)))
+            return sa, sb, None
+        a_reg, b_reg, eps = _regularized_pair(a, b, self.epsilon_scale)
+        sa, sb = _eigh(a_reg), _eigh(b_reg)
+        failures = [sa.eigenvalues[..., -1] <= 0.0, _psd_clamp_failures(sb.eigenvalues)]
+        sa, sb = self._screen((sa, sb), failures, lambda side, index, spec:
+                              spectrum_power(spec, 0.5 if side else -0.5))
+        return sa, sb, eps
 
     @cached_property
     def pair_spectra(self):
-        """(spectrum of A_i, spectrum of B_i, epsilon or None) per pair."""
-        return [_pair_spectra(a, b, self.epsilon_scale, (f"A[{i}]", f"B[{i}]"))
-                for i, (a, b) in enumerate(zip(self.a_list, self.b_list))]
+        """Spectra of the A_i and of the B_i ready for the pair means,
+        stacked (T, m), and the epsilons (T, m) or None."""
+        spectra = None
+        if self.epsilon_scale is None:
+            _check_hermitian(self.a)
+            _check_hermitian(self.b)
+            spectra = (_eigh(self.a), _eigh(self.b))
+        return self._mean_ready(self.a, self.b, spectra,
+                                lambda side, index: f"{'AB'[side]}[{index[1]}]")
 
     @cached_property
     def sums(self):
-        """(sum A, sum B, spectrum of sum A, spectrum of sum B)."""
-        sum_a = sum_matrices(self.a_list)
-        sum_b = sum_matrices(self.b_list)
-        return sum_a, sum_b, _eigh(sum_a), _eigh(sum_b)
+        """(sum A, sum B, spectrum of sum A, spectrum of sum B), stacked (T,)."""
+        sum_a = sum_matrices(np.moveaxis(self.a, 1, 0))
+        sum_b = sum_matrices(np.moveaxis(self.b, 1, 0))
+        spectra = (_eigh(sum_a), _eigh(sum_b))
+        s_a, s_b = self._screen(spectra, [_psd_clamp_failures(s.eigenvalues) for s in spectra],
+                                lambda side, index, spec: clamp_psd_eigenvalues(spec.eigenvalues))
+        return sum_a, sum_b, s_a, s_b
 
     @cached_property
     def sum_pair_spectra(self):
-        """Spectra of the pair (sum A, sum B) ready for its mean, and the epsilon."""
+        """Spectra of the pair (sum A, sum B) ready for its mean, and the epsilons."""
         sum_a, sum_b, s_a, s_b = self.sums
-        return _pair_spectra(sum_a, sum_b, self.epsilon_scale, ("sum A", "sum B"),
-                             spectra=(s_a, s_b))
+        return self._mean_ready(sum_a, sum_b, (s_a, s_b),
+                                lambda side, index: ("sum A", "sum B")[side])
 
     def at(self, t):
         if not 0.0 <= t <= 1.0:
@@ -444,21 +520,23 @@ class _MainChain:
 
 
 class _MainChainAtT:
-    """A main-chain instance at one t; the pair means are kept for every r."""
+    """A main-chain stack at one t; the pair means are kept for every r."""
 
     def __init__(self, chain, t):
         self.chain, self.t = chain, t
 
     @cached_property
     def pair_means(self):
-        """(A_i #_t B_i, its spectrum) per pair."""
-        means = [_mean_from_spectra(sa, sb, self.t) for sa, sb, _ in self.chain.pair_spectra]
-        return [(mean, _eigh(mean)) for mean in means]
+        """The means A_i #_t B_i and their spectra, stacked (T, m)."""
+        sa, sb, _ = self.chain.pair_spectra
+        means = _mean_from_spectra(sa, sb, self.t)
+        return means, _eigh(means)
 
     @cached_property
     def proof_eigenvalues(self):
-        """Eigenvalues of sum_i A_i #_t B_i and of sumA #_t sumB."""
-        sum_of_means = _eigh(sum_matrices([mean for mean, _ in self.pair_means]))
+        """Eigenvalues of sum_i A_i #_t B_i and of sumA #_t sumB, stacked (T,)."""
+        means, _ = self.pair_means
+        sum_of_means = _eigh(sum_matrices(np.moveaxis(means, 1, 0)))
         sa, sb, _ = self.chain.sum_pair_spectra
         mean_of_sums = _eigh(_mean_from_spectra(sa, sb, self.t))
         return sum_of_means.eigenvalues, mean_of_sums.eigenvalues
@@ -468,16 +546,16 @@ class _MainChainAtT:
 
         Returns ``(main, proof)``: ``main`` is the printed or the
         t-dependent chain, ``proof`` None unless ``with_proof``.  Only the
-        terms those chains contain are built.
+        terms those chains contain are built, each once for the stack.
         """
         if with_proof and r < 1.0:
             raise ValueError(f"proof steps require r >= 1, got {r!r}")
         if r <= 0.0:
             raise ValueError(f"r must be positive, got {r!r}")
         chain, t = self.chain, self.t
-        mean_pows = [s.assemble(np.power(np.maximum(s.eigenvalues, 0.0), r))
-                     for _, s in self.pair_means]
-        lhs = ("sum (A_i#B_i)^r", _psd_sigma(sum(mean_pows)))
+        _, spectra = self.pair_means
+        mean_pows = spectra.assemble(np.power(np.maximum(spectra.eigenvalues, 0.0), r))
+        lhs = ("sum (A_i#B_i)^r", _psd_sigma(sum(np.moveaxis(mean_pows, 1, 0))))
 
         _, _, s_a, s_b = chain.sums
         if printed_form or with_proof:
@@ -501,11 +579,12 @@ class _MainChainAtT:
                 ("sumA^((1-t)r) sumB^(rt)", _product_sigma(rhs)),
             ]
 
-        epsilons = [eps for _, _, eps in chain.pair_spectra]
+        eps = None if chain.epsilon_scale is None else chain.pair_spectra[2].max(axis=1)
         proof = None
         if with_proof:
             sum_of_means, mean_of_sums = self.proof_eigenvalues
-            epsilons.append(chain.sum_pair_spectra[2])
+            if eps is not None:
+                eps = np.maximum(eps, chain.sum_pair_spectra[2])
             proof = [
                 lhs,
                 ("(sum A_i#B_i)^r", np.power(np.maximum(sum_of_means, 0.0), r)),
@@ -513,14 +592,25 @@ class _MainChainAtT:
                 mid_printed,
                 rhs_printed,
             ]
-        eps = None if chain.epsilon_scale is None else max(epsilons)
-        params = _params(m=len(chain.a_list), n=chain.n, t=t, r=r, seed=chain.seed)
+        if chain.failed.any():
+            main, proof = (None if terms is None else
+                           [(label, np.where(chain.failed[:, None], np.nan, sig))
+                            for label, sig in terms]
+                           for terms in (main, proof))
+        params = _params(m=chain.a.shape[1], n=chain.a.shape[-1], t=t, r=r)
         main_params = dict(params)
         main_params["printed-form"] = bool(printed_form)
         main_params["r-in-theorem-range"] = bool(r >= 1.0)
-        return (_ChainPoint(MAIN_THEOREM, main_params, main, regularization_epsilon=eps),
+        return (_ChainPoint(MAIN_THEOREM, main_params, main, chain.seeds,
+                            regularization_epsilon=eps),
                 None if proof is None else
-                _ChainPoint(PROOF_STEPS, params, proof, regularization_epsilon=eps))
+                _ChainPoint(PROOF_STEPS, params, proof, chain.seeds, regularization_epsilon=eps))
+
+
+def _one_instance(a_list, b_list, epsilon_scale, seed):
+    """The main-chain kernel of one instance given as lists, validated."""
+    a_list, b_list, _ = _validate_lists(a_list, b_list)
+    return _MainChain([a_list], [b_list], epsilon_scale, (seed,))
 
 
 def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
@@ -533,8 +623,8 @@ def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
     silently substituted for one another.  ``r < 1`` is allowed for
     exploration and flagged in the params.
     """
-    main, _ = _MainChain(a_list, b_list, epsilon_scale, seed).at(t).points(r, printed_form)
-    return _build_report(main, norm_spec, rel_tol, abs_tol)
+    main, _ = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, printed_form)
+    return _build_report(main, 0, norm_spec, rel_tol, abs_tol)
 
 
 def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
@@ -545,15 +635,15 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
     localize the four-term-chain step applied to the summed matrices (printed,
     t-free form).  Requires ``r >= 1`` (the convexity step needs it).
     """
-    _, proof = _MainChain(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
-    return _build_report(proof, norm_spec, rel_tol, abs_tol)
+    _, proof = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
+    return _build_report(proof, 0, norm_spec, rel_tol, abs_tol)
 
 
 def main_theorem_with_proof(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
                             rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
     """One-pass evaluation returning (printed main report, proof report)."""
-    points = _MainChain(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
-    return tuple(_build_report(point, norm_spec, rel_tol, abs_tol) for point in points)
+    points = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
+    return tuple(_build_report(point, 0, norm_spec, rel_tol, abs_tol) for point in points)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +681,7 @@ def _audenaert_point(a_list, b_list, seed=None):
         ("(sum A_i^(1/2)B_i^(1/2))^2", _product_sigma(x @ x)),
         ("sumA sumB", _product_sigma(sum_matrices(a_list) @ sum_matrices(b_list))),
     ]
-    return _ChainPoint(AUDENAERT, _params(m=len(a_list), n=n, seed=seed), sigmas)
+    return _single_point(AUDENAERT, _params(m=len(a_list), n=n), sigmas, seed)
 
 
 def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
@@ -601,39 +691,71 @@ def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL,
     ``1e-10 * (1 + ||A_i||_F ||B_i||_F)``; violating pairs raise
     CommutationError rather than being silently skipped.
     """
-    return _build_report(_audenaert_point(a_list, b_list, seed), norm_spec, rel_tol, abs_tol)
+    return _build_report(_audenaert_point(a_list, b_list, seed), 0, norm_spec, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
-# One instance over a campaign grid
+# A stack of instances over a campaign grid
 # ---------------------------------------------------------------------------
 
-def instance_reports(inequality_id, a_list, b_list, grid, printed_form=True,
-                     epsilon_scale=None, direction=None, rel_tol=REL_TOL,
-                     abs_tol=ABS_TOL, seed=None):
-    """The reports of one instance over ``grid``, as a list in grid order.
+def _instance_points(inequality_id, a_list, b_list, grid, direction, seed, mask_failures):
+    """Chain points of one instance of a chain without a stacked kernel.
 
-    ``grid`` maps the axes that follow the instance axes to their values:
-    ``t``, ``r`` and ``s`` (lemma chain), ``t`` and ``r`` (main theorem,
-    proof steps) or ``f`` (Bourin-Uchiyama), then ``norm``, varied
-    fastest.  Each report equals the one its ``check_*`` predicate gives
-    for that point, but every spectrum is computed at the outermost axis
-    it depends on, and the norm axis only reduces shared singular values.
+    With ``mask_failures``, an instance that fails the strict
+    positive-definite check or a spectral function gets the points of an
+    identity instance with NaN terms instead of raising.
     """
+    try:
+        return _chain_points(inequality_id, a_list, b_list, grid, direction, seed)
+    except (NotPositiveDefiniteError, SingularFunctionError):
+        if not mask_failures:
+            raise
+    eye = [np.eye(np.shape(a_list)[-1])] * len(a_list)
+    return [point._replace(sigmas=[(label, np.full_like(sig, np.nan))
+                                   for label, sig in point.sigmas])
+            for point in _chain_points(inequality_id, eye, eye, grid, direction, seed)]
+
+
+def _chain_points(inequality_id, a_list, b_list, grid, direction, seed):
     if inequality_id == AUDENAERT:
-        points = [_audenaert_point(a_list, b_list, seed)]
-    elif inequality_id == BOURIN_UCHIYAMA:
+        return [_audenaert_point(a_list, b_list, seed)]
+    if inequality_id == BOURIN_UCHIYAMA:
         kernel = _FunctionSum(a_list, seed)
-        points = (kernel.point(f, direction) for f in grid["f"])
-    elif inequality_id == LEMMA_CHAIN:
-        kernel = _LemmaPair(a_list[0], b_list[0], seed)
-        points = (at_t.point(r, s) for at_t in map(kernel.at, grid["t"])
-                  for r in grid["r"] for s in grid["s"])
-    else:
-        kernel = _MainChain(a_list, b_list, epsilon_scale, seed)
+        return [kernel.point(f, direction) for f in grid["f"]]
+    kernel = _LemmaPair(a_list[0], b_list[0], seed)
+    return [at_t.point(r, s) for at_t in map(kernel.at, grid["t"])
+            for r in grid["r"] for s in grid["s"]]
+
+
+def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
+                  direction=None, rel_tol=REL_TOL, abs_tol=ABS_TOL, mask_failures=False):
+    """The reports of a stack of instances over ``grid``: one list per
+    instance, each in grid order.
+
+    ``a`` and ``b`` hold one A-list and one B-list per instance (arrays of
+    shape (T, m, n, n) for the main chain and proof steps), ``seeds`` one
+    seed per instance.  ``grid`` maps the axes that follow the instance
+    axes to their values: ``t``, ``r`` and ``s`` (lemma chain), ``t`` and
+    ``r`` (main theorem, proof steps) or ``f`` (Bourin-Uchiyama), then
+    ``norm``, varied fastest.  Each report equals the one its ``check_*``
+    predicate gives for that instance and point.  The main chain evaluates
+    the whole stack in one pass, each spectrum once at the outermost axis
+    it depends on; the other chains take one instance at a time.  The norm
+    axis only reduces shared singular values.  With ``mask_failures``, an
+    instance that fails the strict positive-definite check or the PSD
+    clamp gets NaN terms (indeterminate reports) instead of raising.
+    """
+    norms = grid["norm"]
+    if inequality_id in (MAIN_THEOREM, PROOF_STEPS):
+        kernel = _MainChain(a, b, epsilon_scale, seeds, mask_failures)
         proof = inequality_id == PROOF_STEPS
         # points() gives (main, proof); the proof chain ends in the printed terms.
-        points = (at_t.points(r, printed_form or proof, proof)[proof]
-                  for at_t in map(kernel.at, grid["t"]) for r in grid["r"])
-    return [_build_report(point, norm_spec, rel_tol, abs_tol)
-            for point in points for norm_spec in grid["norm"]]
+        points = [at_t.points(r, printed_form or proof, proof)[proof]
+                  for at_t in map(kernel.at, grid["t"]) for r in grid["r"]]
+        return [[_build_report(point, k, norm_spec, rel_tol, abs_tol)
+                 for point in points for norm_spec in norms] for k in range(len(seeds))]
+    return [[_build_report(point, 0, norm_spec, rel_tol, abs_tol)
+             for point in _instance_points(inequality_id, a_list, b_list, grid, direction, seed,
+                                           mask_failures)
+             for norm_spec in norms]
+            for a_list, b_list, seed in zip(a, b, seeds)]

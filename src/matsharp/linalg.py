@@ -5,6 +5,16 @@ All matrices are square ``numpy`` arrays of ``complex128``; real input is
 promoted on entry.  Matrices are kept at desk scale (n up to a few dozen),
 so accuracy and determinism are preferred over asymptotic speed.  Every
 function is pure: identical input bits produce identical output bits.
+
+The spectral hot path (:func:`_eigh`, :meth:`Spectrum.assemble`,
+:func:`spectrum_power`, :func:`clamp_psd_eigenvalues` and
+:func:`spectral_norm`) also takes stacks: arrays with leading batch axes,
+``(..., n, n)`` for matrices and ``(..., n)`` for eigenvalues.  NumPy's
+``eigh``, ``svd`` and ``@`` treat each slice of a stack as they treat a
+single matrix, so every slice gets the bits of the single-matrix call at a
+fraction of the per-call overhead.  The validating entry points
+(:func:`as_matrix`, :func:`hermitian_part`,
+:func:`hermitian_eigendecompose`) take one matrix.
 """
 
 import json
@@ -49,7 +59,15 @@ def as_matrix(entries):
         If any entry is NaN or infinite.
     """
     a = np.asarray(entries)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim != 2:
+        raise ShapeError(f"shape error: expected a square matrix, got shape {a.shape}")
+    return _as_stack(a)
+
+
+def _as_stack(entries):
+    """:func:`as_matrix` for a matrix or a stack of them, shape (..., n, n)."""
+    a = np.asarray(entries)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ShapeError(f"shape error: expected a square matrix, got shape {a.shape}")
     a = a.astype(np.complex128, copy=False)
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
@@ -75,23 +93,35 @@ def hermitian_part(a, require=True):
     """
     a = as_matrix(a)
     if require:
-        defect = float(np.linalg.norm(a - a.conj().T))
-        if defect > HERMITIAN_RTOL * (1.0 + float(np.linalg.norm(a))):
-            raise HermitianDefectError(
-                f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance"
-            )
+        _check_hermitian(a)
     return 0.5 * (a + a.conj().T)
+
+
+def _adjoint(a):
+    """Conjugate transpose of a matrix, or of every slice of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _check_hermitian(a):
+    """Raise HermitianDefectError unless every slice of ``a`` is Hermitian
+    within ``HERMITIAN_RTOL * (1 + ||A||_F)``."""
+    defect = np.linalg.norm(a - _adjoint(a), axis=(-2, -1))
+    excess = defect > HERMITIAN_RTOL * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+    if excess.any():
+        raise HermitianDefectError(
+            f"matrix is not Hermitian: defect {defect[excess].flat[0]:.3e} exceeds tolerance"
+        )
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
     Attributes
     ----------
-    eigenvalues : ndarray of shape (n,)
+    eigenvalues : ndarray of shape (..., n)
         Real eigenvalues, sorted nonincreasing.
-    vectors : ndarray of shape (n, n)
+    vectors : ndarray of shape (..., n, n)
         Columns are the matching orthonormal eigenvectors.
     """
 
@@ -100,26 +130,33 @@ class Spectrum:
 
     @property
     def dim(self):
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def assemble(self, values):
-        """Rebuild V diag(values) V* as an exactly Hermitian matrix."""
+        """Rebuild V diag(values) V* as an exactly Hermitian matrix (per slice)."""
         values = np.asarray(values, dtype=np.float64)
-        m = (self.vectors * values) @ self.vectors.conj().T
-        return 0.5 * (m + m.conj().T)
+        m = (self.vectors * values[..., None, :]) @ _adjoint(self.vectors)
+        return 0.5 * (m + _adjoint(m))
 
 
 def _eigh(a):
-    """Eigendecomposition without the invariant re-check (internal hot path)."""
-    h = 0.5 * (a + a.conj().T)
+    """Eigendecomposition without the invariant re-check (internal hot path).
+
+    ``a`` is a matrix or a stack of them; it is symmetrized first.
+    """
+    h = 0.5 * (a + _adjoint(a))
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     # Stable descending order keeps degenerate eigenspaces in LAPACK's
-    # column order (the identity decomposes to identity vectors).
-    order = np.argsort(-w, kind="stable")
-    return Spectrum(w[order], v[:, order])
+    # column order (the identity decomposes to identity vectors).  Without
+    # ties, LAPACK's ascending order reversed is that order.
+    if (w[..., 1:] > w[..., :-1]).all():
+        return Spectrum(w[..., ::-1].copy(), v[..., ::-1].copy())
+    order = np.argsort(-w, axis=-1, kind="stable")
+    return Spectrum(np.take_along_axis(w, order, -1),
+                    np.take_along_axis(v, order[..., None, :], -1))
 
 
 def hermitian_eigendecompose(a, check=True):
@@ -156,16 +193,27 @@ def hermitian_eigendecompose(a, check=True):
     return spec
 
 
+def _psd_clamp_failures(w):
+    """Per slice of eigenvalues ``w`` (..., n): True where the PSD clamp of
+    :func:`clamp_psd_eigenvalues` fails."""
+    tol = PSD_CLAMP_RTOL * (1.0 + np.abs(w).max(axis=-1, initial=0.0))
+    return w.min(axis=-1) < -tol
+
+
 def clamp_psd_eigenvalues(w):
     """Clamp tiny negative eigenvalues of a PSD matrix to zero.
 
     Values in ``[-tol, 0)`` with ``tol = PSD_CLAMP_RTOL * (1 + max|w|)``
-    are rounded up to 0; anything more negative raises.
+    are rounded up to 0; anything more negative raises.  ``w`` may be a
+    stack of eigenvalue sequences; each slice has its own tolerance, and
+    one failing slice raises.
     """
     w = np.asarray(w, dtype=np.float64)
-    tol = PSD_CLAMP_RTOL * (1.0 + float(np.abs(w).max(initial=0.0)))
-    wmin = float(w.min())
-    if wmin < -tol:
+    if w.min() >= 0.0:
+        return w.copy()
+    failed = _psd_clamp_failures(w)
+    if failed.any():
+        wmin = w.min(axis=-1)[failed].flat[0]
         raise NotPositiveDefiniteError(
             f"matrix is not positive semidefinite (min eigenvalue {wmin:.3e})"
         )
@@ -223,7 +271,8 @@ def spectrum_function(spec, f):
 
 
 def spectrum_power(spec, p):
-    """Eigenvalues of a PSD spectrum raised to the power ``p``.
+    """Eigenvalues of a PSD spectrum (or of every slice of a stacked one)
+    raised to the power ``p``.
 
     ``0**p`` is taken as 0 for p > 0 and 1 for p == 0 (continuous
     extension on the PSD cone); negative powers require strict positivity.
@@ -247,10 +296,13 @@ def matrix_power_psd(a, p):
 
 
 def spectral_norm(a):
-    """Largest singular value, computed from the spectrum of A*A."""
-    a = as_matrix(a)
-    w = _eigh(a.conj().T @ a).eigenvalues
-    return float(np.sqrt(max(float(w[0]), 0.0)))
+    """Largest singular value, computed from the spectrum of A*A.
+
+    For a stack of matrices, one value per slice (an array).
+    """
+    a = _as_stack(a)
+    norm = np.sqrt(np.maximum(_eigh(_adjoint(a) @ a).eigenvalues[..., 0], 0.0))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,20 @@ It requires invertible inputs; a regularized surrogate is provided for
 positive semidefinite stress tests.  The chain terms built from these
 means live in :mod:`matsharp.inequalities`; they share this module's
 strict-positivity check and epsilon shift, so each is written once.
+:func:`_mean_from_spectra`, :func:`_regularized_pair`,
+:func:`regularization_epsilon` and :func:`sum_matrices` also take stacks
+of matrices (leading batch axes), one result per slice.
 """
 
 import numpy as np
 
 from .errors import ConvergenceError, EmptySumError, NotPositiveDefiniteError, ShapeError
 from .linalg import (
+    _adjoint,
+    _as_stack,
+    _check_hermitian,
+    as_matrix,
     hermitian_eigendecompose,
-    hermitian_part,
     spectral_norm,
     spectrum_power,
 )
@@ -84,18 +90,25 @@ def _mean_from_spectra(sa, sb, t):
     # the mean as an exactly positive product M M*, which preserves
     # epsilon-level eigenvalues of regularized means that the sandwiched
     # form loses to rounding.
+    # Stacked spectra give a stack of means, one per slice.
     k = sa.assemble(spectrum_power(sa, -0.5)) @ sb.assemble(spectrum_power(sb, 0.5))
     try:
         u, s, _ = np.linalg.svd(k)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    m = sa.assemble(spectrum_power(sa, 0.5)) @ (u * np.power(s, t))
-    return hermitian_part(m @ m.conj().T, require=False)
+    m = sa.assemble(spectrum_power(sa, 0.5)) @ (u * np.power(s, t)[..., None, :])
+    mean = m @ _adjoint(m)
+    if not np.isfinite(mean).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return 0.5 * (mean + _adjoint(mean))
 
 
 def regularization_epsilon(a, b, epsilon_scale=DEFAULT_EPSILON_SCALE):
-    """Epsilon used by the regularized mean: scale * (1 + max spectral norm)."""
-    return float(epsilon_scale) * (1.0 + max(spectral_norm(a), spectral_norm(b)))
+    """Epsilon used by the regularized mean: scale * (1 + max spectral norm).
+
+    For equal-shape stacks of matrices, one epsilon per pair of slices.
+    """
+    return float(epsilon_scale) * (1.0 + np.maximum(spectral_norm(a), spectral_norm(b)))
 
 
 def psd_geometric_mean(a, b, t, epsilon_scale=DEFAULT_EPSILON_SCALE):
@@ -109,20 +122,24 @@ def psd_geometric_mean(a, b, t, epsilon_scale=DEFAULT_EPSILON_SCALE):
     """
     if epsilon_scale <= 0.0:
         raise ValueError(f"epsilon_scale must be positive, got {epsilon_scale!r}")
-    a_reg, b_reg, _ = _regularized_pair(a, b, epsilon_scale)
+    a_reg, b_reg, _ = _regularized_pair(as_matrix(a), as_matrix(b), epsilon_scale)
     return geometric_mean(a_reg, b_reg, t)
 
 
 def _regularized_pair(a, b, epsilon_scale):
     """Shift both matrices by ``eps * I``; returns (A + eps I, B + eps I, eps)
-    with eps from :func:`regularization_epsilon`."""
+    with eps from :func:`regularization_epsilon` (one per slice for stacks)."""
     eps = regularization_epsilon(a, b, epsilon_scale)
-    eye = np.eye(np.asarray(a).shape[0])
-    return np.asarray(a) + eps * eye, np.asarray(b) + eps * eye, eps
+    shift = np.multiply.outer(eps, np.eye(a.shape[-1]))
+    return a + shift, b + shift, eps
 
 
 def sum_matrices(mats):
-    """Entrywise sum of a nonempty list of Hermitian matrices."""
+    """Entrywise sum of a nonempty list of Hermitian matrices.
+
+    The summands may be equal-shape stacks of matrices; the sum is then
+    taken slice by slice.
+    """
     mats = list(mats)
     if not mats:
         raise EmptySumError("empty sum: at least one matrix is required")
@@ -133,4 +150,6 @@ def sum_matrices(mats):
         if m.shape != first.shape:
             raise ShapeError(f"shape error: cannot sum {first.shape} and {m.shape}")
         total = total + m
-    return hermitian_part(total)
+    total = _as_stack(total)
+    _check_hermitian(total)
+    return 0.5 * (total + _adjoint(total))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, InvalidNormError, ShapeError
-from .linalg import as_matrix
+from .linalg import _as_stack, as_matrix
 
 # Verdict tolerances, the one definition every check and campaign imports:
 # predicates return a signed margin next to the boolean so inequality
@@ -113,9 +113,10 @@ def singular_values(m):
     one-sided SVD because explicitly forming M*M squares the condition
     number and loses the small singular values of strongly graded
     products (matrix powers of the inequality chains reach condition
-    numbers beyond what the squared form can resolve in float64).
+    numbers beyond what the squared form can resolve in float64).  For a
+    stack of matrices (leading batch axes), one sequence per slice.
     """
-    m = as_matrix(m)
+    m = _as_stack(m)
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:

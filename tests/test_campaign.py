@@ -10,6 +10,7 @@ from matsharp import (
     ConfigError,
     InequalityReport,
     NormSpec,
+    NotPositiveDefiniteError,
     check_audenaert,
     check_bourin_uchiyama,
     check_lemma_chain,
@@ -24,7 +25,12 @@ from matsharp import (
     split_seed,
     summarize,
 )
-from matsharp.campaign import CSV_COLUMNS, _build_inputs, reevaluate_search_instance
+from matsharp.campaign import (
+    CHUNK_TRIALS,
+    CSV_COLUMNS,
+    _build_inputs,
+    reevaluate_search_instance,
+)
 from matsharp.cli import main as cli_main
 
 
@@ -89,6 +95,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig.from_obj({"inequality-id": "bourin_uchiyama",
                                      "direction": "convex", "functions": []})
+
+    @pytest.mark.parametrize("r_grid", [None, [0.5, 1.0], [2.0, 0.99]])
+    def test_proof_steps_rejects_r_below_one(self, r_grid):
+        # The default r-grid holds 0.5; the proof's convexity step needs
+        # r >= 1, so the config is refused before any instance runs.
+        obj = {"inequality-id": "proof_steps", "trials": 1, "dims": [2], "m-values": [1]}
+        if r_grid is not None:
+            obj["r-grid"] = r_grid
+        with pytest.raises(ConfigError, match="r >= 1"):
+            CampaignConfig.from_obj(obj)
 
     def test_lemma_chain_rejects_psd_ensemble(self):
         with pytest.raises(ConfigError):
@@ -171,6 +187,26 @@ class TestRunCampaign:
         assert all(np.isfinite(min(r.margins)) for r in reports)
 
 
+def instance_seed(cfg, trial, point):
+    """The seed ``run_campaign`` gives the instance of ``point`` in ``trial``."""
+    m_index = cfg.m_values.index(point["m"]) if "m" in point else 0
+    return split_seed(split_seed(split_seed(cfg.root_seed, trial),
+                                 cfg.dims.index(point["n"])), m_index)
+
+
+def expected_reports(cfg, trials):
+    """The public predicates called instance by instance and point by point."""
+    expected = []
+    for trial in trials:
+        for point in cfg.grid_points():
+            seed = instance_seed(cfg, trial, point)
+            a_list, b_list = _build_inputs(cfg, point["n"], point.get("m", 1), seed)
+            report = check_one_point(cfg, point, a_list, b_list, seed)
+            report.params["trial"] = trial
+            expected.append(report)
+    return expected
+
+
 def check_one_point(cfg, point, a_list, b_list, seed):
     """The public predicate of ``cfg``'s inequality at one grid point."""
     kw = {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "seed": seed}
@@ -212,19 +248,58 @@ class TestInstancePass:
             "trials": 2, "dims": [2, 3], "m-values": [1, 2], "t-grid": [0.25, 0.5],
             "r-grid": [1.0, 2.0], "norm-specs": EQUIVALENCE_NORMS, "root-seed": 29}, **obj))
         _, reports = run_campaign(cfg)
-        expected = []
-        for trial in range(cfg.trials):
-            for point in cfg.grid_points():
-                m = point.get("m", 1)
-                seed = split_seed(split_seed(split_seed(cfg.root_seed, trial),
-                                             cfg.dims.index(point["n"])),
-                                  cfg.m_values.index(m) if m in cfg.m_values else 0)
-                a_list, b_list = _build_inputs(cfg, point["n"], m, seed)
-                report = check_one_point(cfg, point, a_list, b_list, seed)
-                report.params["trial"] = trial
-                expected.append(report)
+        expected = expected_reports(cfg, range(cfg.trials))
         assert len(reports) == len(expected) == cfg.trials * cfg.grid_size()
         assert reports == expected
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("obj", [
+        {"inequality-id": "main_theorem"},
+        {"inequality-id": "proof_steps", "ensemble": {"kind": "psd"}},
+        {"inequality-id": "lemma_chain", "s-grid": [1.0]},
+    ])
+    def test_trial_zero_independent_of_trial_count(self, obj):
+        # A trial's reports do not depend on how many trials share its stack.
+        base = dict({"dims": [1, 3], "m-values": [1, 2], "t-grid": [0.3], "r-grid": [1.0, 2.0],
+                     "norm-specs": ["schatten:2", "kyfan:1"], "root-seed": 41}, **obj)
+        _, alone = run_campaign(CampaignConfig.from_obj(dict(base, trials=1)))
+        _, batch = run_campaign(CampaignConfig.from_obj(dict(base, trials=9)))
+        first = [r for r in batch if r.params["trial"] == 0]
+        assert render_reports(alone, "json") == render_reports(first, "json")
+        assert render_reports(alone, "csv") == render_reports(first, "csv")
+
+    def test_trial_after_a_full_chunk_equals_checks(self):
+        # The last trial sits alone in the second chunk of stacked passes.
+        cfg = CampaignConfig.from_obj({
+            "inequality-id": "main_theorem", "trials": CHUNK_TRIALS + 1, "dims": [2],
+            "m-values": [2], "t-grid": [0.5], "r-grid": [1.0, 3.0],
+            "norm-specs": ["schatten:1", "operator"], "ensemble": {"kind": "psd"},
+            "printed-form": False, "root-seed": 43})
+        _, reports = run_campaign(cfg)
+        last = [r for r in reports if r.params["trial"] == CHUNK_TRIALS]
+        assert len(last) == cfg.grid_size()
+        assert last == expected_reports(cfg, [CHUNK_TRIALS])
+
+    @pytest.mark.parametrize("obj,n", [
+        ({"inequality-id": "main_theorem"}, 1),
+        ({"inequality-id": "main_theorem"}, 3),
+        ({"inequality-id": "main_theorem", "ensemble": {"kind": "psd", "rank": 1}}, 3),
+        ({"inequality-id": "main_theorem", "ensemble": {"kind": "commuting"}}, 1),
+        ({"inequality-id": "main_theorem", "ensemble": {"kind": "commuting"}}, 3),
+        ({"inequality-id": "main_theorem", "ensemble": {"field": "real"}}, 3),
+        ({"inequality-id": "audenaert"}, 3),
+        ({"inequality-id": "bourin_uchiyama", "functions": ["expm1"], "direction": "convex"}, 3),
+    ])
+    def test_stacked_draws_equal_single_draws(self, obj, n):
+        cfg = CampaignConfig.from_obj(dict(obj, **{"root-seed": 47}))
+        seeds = tuple(split_seed(47, k) for k in range(5))
+        a, b = _build_inputs(cfg, n, 2, seeds)
+        assert a.shape == (5, 2, n, n)
+        for k, seed in enumerate(seeds):
+            a_list, b_list = _build_inputs(cfg, n, 2, seed)
+            assert a[k].tobytes() == np.array(a_list).tobytes()
+            assert b[k].tobytes() == np.array(b_list).tobytes()
 
 
 class TestNonFinite:
@@ -263,6 +338,61 @@ class TestNonFinite:
         assert (alone.violated, alone.indeterminate) == (0, 1)
         assert alone.min_margin == math.inf and alone.min_margin_params == {}
         assert alone.to_obj()["indeterminate"] == 1
+
+
+class TestFailingSlice:
+    @pytest.mark.parametrize("obj", [
+        {"inequality-id": "main_theorem", "ensemble": {"condition-target": 1e17}},
+        {"inequality-id": "main_theorem", "ensemble": {"condition-target": 1e20}},
+        {"inequality-id": "proof_steps", "ensemble": {"condition-target": 1e17}},
+        {"inequality-id": "lemma_chain", "ensemble": {"condition-target": 1e17}},
+    ])
+    def test_failing_slice_does_not_stop_the_batch(self, obj):
+        # Near kappa = 1e20 a drawn matrix's least eigenvalue rounds to a
+        # negative number.  Its instance gets NaN terms while the rest of
+        # its stack is evaluated as the predicates evaluate it alone.
+        cfg = CampaignConfig.from_obj(dict({
+            "trials": 3, "dims": [2, 4], "m-values": [1, 2], "t-grid": [0.5],
+            "r-grid": [1.0, 2.0], "s-grid": [1.0], "norm-specs": ["schatten:2"]}, **obj))
+        summary, reports = run_campaign(cfg)
+        assert summary.total == len(reports) == 3 * cfg.grid_size()
+        assert summary.indeterminate >= 1
+        assert summary.held + summary.violated + summary.indeterminate == summary.total
+        points = [(trial, point) for trial in range(cfg.trials) for point in cfg.grid_points()]
+        for report, (trial, point) in zip(reports, points):
+            seed = instance_seed(cfg, trial, point)
+            a_list, b_list = _build_inputs(cfg, point["n"], point.get("m", 1), seed)
+            if report.is_finite():
+                expected = check_one_point(cfg, point, a_list, b_list, seed)
+                expected.params["trial"] = trial
+                assert report == expected
+            else:
+                assert report.params["seed"] == seed and not report.holds
+                assert all(math.isnan(value) for _, value in report.terms)
+                with pytest.raises(NotPositiveDefiniteError):
+                    check_one_point(cfg, point, a_list, b_list, seed)
+
+    def test_cli_exits_two_on_indeterminate(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "inequality-id": "main_theorem", "trials": 3, "dims": [4], "m-values": [1],
+            "t-grid": [0.5], "r-grid": [1.0], "norm-specs": ["schatten:2"],
+            "ensemble": {"condition-target": 1e20}}))
+        code = cli_main(["campaign", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert summary["indeterminate"] >= 1
+
+
+class TestLemmaSeeds:
+    def test_stream_ignores_m_values(self):
+        # The lemma chain has no m axis, so m-values must not reach its seeds.
+        obj = {"inequality-id": "lemma_chain", "trials": 2, "dims": [2, 3], "t-grid": [0.5],
+               "r-grid": [1.0], "s-grid": [1.0], "norm-specs": ["trace"], "root-seed": 53}
+        streams = [render_reports(run_campaign(CampaignConfig.from_obj(
+            dict(obj, **{"m-values": m_values})))[1], "json")
+            for m_values in ([1, 2], [2, 1], [3])]
+        assert streams[0] == streams[1] == streams[2]
 
 
 class TestConcurrency:

@@ -52,6 +52,40 @@ class TestDeterminism:
         assert not np.array_equal(a, b)
 
 
+class TestStackedDraws:
+    @pytest.mark.parametrize("draw,kind,n", [
+        (draw, kind, n)
+        for draw, kind in [(random_pd, "pd"), (random_psd_rank_deficient, "psd"),
+                           (random_commuting_pair, "commuting"), (random_hermitian, "hermitian")]
+        for n in (1, 2, 5) if not (kind == "psd" and n == 1)   # rank < n
+    ])
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_stack_rows_equal_single_draws(self, draw, kind, n, field):
+        # A tuple of seeds draws a stack; row k has the bits of the single
+        # draw with seed k, whatever the stack size.
+        seeds = tuple(split_seed(31, k) for k in range(6))
+        spec = EnsembleSpec(dim=n, kind=kind, field=field, seed=seeds, condition_target=1e6)
+        stack = draw(spec)
+        stacks = stack if kind == "commuting" else (stack,)
+        for k, seed in enumerate(seeds):
+            single = draw(EnsembleSpec(dim=n, kind=kind, field=field, seed=seed,
+                                       condition_target=1e6))
+            singles = single if kind == "commuting" else (single,)
+            for whole, one in zip(stacks, singles):
+                assert whole.shape == (len(seeds), n, n)
+                assert whole[k].tobytes() == one.tobytes()
+
+    def test_stream_stack_rows_equal_single_streams(self):
+        seeds = (3, 5, 8)
+        stacked = Stream(seeds)
+        draws = [stacked.uniforms(7), stacked.normals(9), stacked.complex_normals(4)]
+        for k, seed in enumerate(seeds):
+            single = Stream(seed)
+            for whole, one in zip(draws, [single.uniforms(7), single.normals(9),
+                                          single.complex_normals(4)]):
+                assert whole[k].tobytes() == one.tobytes()
+
+
 class TestRandomPd:
     def test_condition_target_seed17(self):
         a = random_pd(EnsembleSpec(dim=6, seed=17, condition_target=100.0))

@@ -19,7 +19,9 @@ from matsharp import (
     matrix_to_obj,
     load_matrix,
     save_matrix,
+    spectral_norm,
 )
+from matsharp.linalg import _eigh, clamp_psd_eigenvalues, spectrum_power
 
 
 class TestEigendecompose:
@@ -67,6 +69,36 @@ class TestEigendecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermitianDefectError):
             hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestStacks:
+    def test_slices_equal_single_matrix_calls(self):
+        # Batch axes: each slice of a stacked call has the single call's bits.
+        for n in (1, 2, 4, 7):
+            mats = np.stack([[pd_for(100 * n + 3 * i + j, n=n) for j in range(3)]
+                             for i in range(2)])
+            stacked = _eigh(mats)
+            powers = spectrum_power(stacked, 0.75)
+            rebuilt = stacked.assemble(powers)
+            norms = spectral_norm(mats)
+            assert stacked.eigenvalues.shape == (2, 3, n) and rebuilt.shape == (2, 3, n, n)
+            for i in range(2):
+                for j in range(3):
+                    one = _eigh(mats[i, j])
+                    assert stacked.eigenvalues[i, j].tobytes() == one.eigenvalues.tobytes()
+                    assert stacked.vectors[i, j].tobytes() == one.vectors.tobytes()
+                    assert powers[i, j].tobytes() == spectrum_power(one, 0.75).tobytes()
+                    assert rebuilt[i, j].tobytes() == one.assemble(
+                        spectrum_power(one, 0.75)).tobytes()
+                    assert norms[i, j] == spectral_norm(mats[i, j])
+
+    def test_one_failing_slice_raises(self):
+        w = np.array([[2.0, 1.0, 0.0], [1.0, -1e-13, -1e-14], [3.0, 1.0, -0.5]])
+        with pytest.raises(NotPositiveDefiniteError, match="-5.000e-01"):
+            clamp_psd_eigenvalues(w)
+        clamped = clamp_psd_eigenvalues(w[:2])
+        rows = np.stack([clamp_psd_eigenvalues(row) for row in w[:2]])
+        assert clamped.tobytes() == rows.tobytes()
 
 
 class TestMatrixFunction:
