@@ -43,7 +43,6 @@ from .inequalities import (
     check_lemma_chain,
     check_main_theorem,
     check_proof_steps,
-    commutator_defect,
     lemma_chain_sigmas,
     main_theorem_with_proof,
     resolve_function,

@@ -9,17 +9,16 @@ byte, and a trial's reports do not depend on which other trials run.
 Every grid starts with the instance axes (n, and m where it applies) and
 ends with the norm.  The trials are taken in chunks of ``CHUNK_TRIALS``;
 within a chunk the instances of one (n, m) group are drawn as one stack
-and evaluated in one pass over the axes between them (t, r, s or f).  For
-the main chain and its proof steps that pass is stacked: input spectra
-and the sums are one call per stack, pair means one per t, and the
-chain's singular values one per grid point, each covering every instance
-of the group; the other chains loop over the instances of the stack.
-Every norm then only reduces those sequences.  NumPy gives each slice of
-a stacked call the bits of the single-matrix call, so the reports are the
-ones the ``check_*`` predicates give instance by instance and point by
-point, emitted in (trial, grid point) order.  A main-chain instance that
-fails the strict positive-definite check or the PSD clamp gets NaN terms,
-so its reports count as indeterminate and the others go on.
+and evaluated in one stacked pass over the axes between them (t, r, s or
+f): for every chain, input spectra and the sums are one call per stack,
+pair means one per t, and the chain's singular values one per grid point,
+each covering every instance of the group.  Every norm then only reduces
+those sequences.  NumPy gives each slice of a stacked call the bits of the
+single-matrix call, so the reports are the ones the ``check_*``
+predicates give instance by instance and point by point, emitted in
+(trial, grid point) order.  An instance that fails the strict
+positive-definite check, the PSD clamp or a Bourin-Uchiyama f gets NaN
+terms, so its reports count as indeterminate and the others go on.
 
 The searcher performs random-restart hill descent on the minimum margin
 of one fixed inequality instance, evaluating it as a stack of one.
@@ -49,7 +48,7 @@ from .inequalities import (
 )
 from .linalg import hermitian_part, matrix_from_obj, matrix_to_obj
 from .means import DEFAULT_EPSILON_SCALE, DEFAULT_R_GRID, DEFAULT_S_GRID, DEFAULT_T_GRID
-from .norms import NormSpec
+from .norms import KY_FAN, NormSpec
 from .ensembles import (
     EnsembleSpec,
     KIND_COMMUTING,
@@ -167,6 +166,9 @@ class CampaignConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.dims or any(n < 1 for n in self.dims):
             raise ConfigError("dims must be a nonempty list of positive integers")
+        for spec in self.norm_specs:
+            if spec.kind == KY_FAN and spec.k > min(self.dims):
+                raise ConfigError(f"norm {spec} needs n >= {spec.k}; dims holds {min(self.dims)}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ConfigError("relTol and absTol must be positive")
         if self.output_format not in ("json", "csv"):
@@ -371,9 +373,9 @@ def run_campaign(config):
 
     Within each chunk of ``CHUNK_TRIALS`` trials, the instances of each
     (n, m) group are drawn as one stack and evaluated in one pass over the
-    remaining axes (see :func:`stack_reports`).  A main-chain instance that
-    fails the strict positive-definite check or the PSD clamp is reported
-    with NaN terms (indeterminate) instead of aborting the campaign.
+    remaining axes (see :func:`stack_reports`).  An instance that fails the
+    strict positive-definite check, the PSD clamp or f is reported with NaN
+    terms (indeterminate) instead of aborting the campaign.
 
     Returns
     -------

@@ -8,17 +8,19 @@ instance).  Alongside the per-norm margins, each report carries Ky Fan
 prefix-sum margins between consecutive terms ("fan margins"): when these
 are nonnegative the chain holds in every unitarily invariant norm at once.
 
-Each inequality has one evaluation kernel.  It computes every spectrum at
-the outermost grid axis it depends on: input spectra and the sums once per
-instance, pair means once per t, the chain's singular values once per grid
-point.  The norm is then only a reduction over those sequences
-(:func:`_build_report`).  The main chain's kernel (:class:`_MainChain`,
-which also serves the proof steps) takes a stack of instances, arrays of
-shape (T, m, n, n), and makes each of those computations one stacked call
-for all T instances; its terms carry a leading batch axis.  A ``check_*``
-predicate is the kernel on a stack of one, evaluated at one point plus one
-report; :func:`stack_reports` is the same kernel swept over a campaign
-grid for a stack of instances.
+Each inequality has one evaluation kernel, and every kernel takes a stack
+of instances: arrays of shape (T, m, n, n), one A-list (and B-list) per
+instance.  It computes every spectrum at the outermost grid axis it
+depends on (input spectra and the sums once per stack, pair means once per
+t, the chain's singular values once per grid point), each as one stacked
+call for all T instances, so its terms carry a leading batch axis.  The
+norm is then only a reduction over those sequences (:func:`_build_report`).
+The main chain's kernel (:class:`_MainChain`) also serves the proof steps
+and, on single pairs, the lemma chain, whose last two terms are the
+t-dependent main chain's middle and right terms at s = 1
+(:func:`_flank_sigmas`).  A ``check_*`` predicate is the kernel on a stack
+of one, evaluated at one point plus one report; :func:`stack_reports` is
+the same kernel swept over a campaign grid.
 """
 
 import json
@@ -29,22 +31,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CommutationError,
-    NotPositiveDefiniteError,
-    ShapeError,
-    SingularFunctionError,
-    UnregisteredFunctionError,
-)
+from .errors import CommutationError, ShapeError, UnregisteredFunctionError
 from .linalg import (
     Spectrum,
     _as_stack,
     _check_hermitian,
     _eigh,
+    _function_values,
     _psd_clamp_failures,
     as_matrix,
     clamp_psd_eigenvalues,
-    hermitian_eigendecompose,
     spectrum_function,
     spectrum_power,
 )
@@ -169,12 +165,6 @@ class _ChainPoint(NamedTuple):
     regularization_epsilon: np.ndarray | None = None
 
 
-def _single_point(inequality_id, params, sigmas, seed, steps=None):
-    """A chain point of one instance, as a stack of one."""
-    return _ChainPoint(inequality_id, params, [(label, sig[None]) for label, sig in sigmas],
-                       (seed,), steps)
-
-
 def _prefix_margin(sigma_left, sigma_right):
     # Minimum Ky Fan prefix-sum difference; sequences are already sorted
     # nonincreasing by construction.
@@ -236,7 +226,22 @@ def _product_sigma(m):
     return _finite_sigma(m, singular_values)
 
 
+def _flank_sigmas(s_a, s_b, t, r, s):
+    """Singular values of (B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s) and of
+    (A^((1-t)rs) B^(rts))^(1/s), built from the spectra of A and B.
+
+    These are the lemma chain's last two terms and, at s = 1 on the spectra
+    of the sums, the t-dependent main chain's middle and right terms.
+    """
+    b_flank = s_b.assemble(spectrum_power(s_b, r * t * s / 2.0))
+    a_mid = s_a.assemble(spectrum_power(s_a, (1.0 - t) * r * s))
+    product = a_mid @ s_b.assemble(spectrum_power(s_b, r * t * s))
+    return (_psd_sigma(b_flank @ a_mid @ b_flank) ** (1.0 / s),
+            _product_sigma(product) ** (1.0 / s))
+
+
 def _validate_lists(a_list, b_list):
+    """One instance's A- and B-lists, validated, as stacks of one (1, m, n, n)."""
     a_list = [as_matrix(a) for a in a_list]
     b_list = [as_matrix(b) for b in b_list]
     if not a_list or len(a_list) != len(b_list):
@@ -245,93 +250,54 @@ def _validate_lists(a_list, b_list):
     for m in a_list + b_list:
         if m.shape[0] != n:
             raise ShapeError("shape error: all matrices must share one dimension")
-    return a_list, b_list, n
+    return np.array(a_list)[None], np.array(b_list)[None]
 
 
-# ---------------------------------------------------------------------------
-# Lemma chain: (A#tB)^r ; A^r #t B^r ; (B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s) ;
-#              (A^((1-t)rs) B^(rts))^(1/s)
-# ---------------------------------------------------------------------------
+class _StackKernel:
+    """A stack of instances and the failure screen every kernel shares.
 
-class _LemmaPair:
-    """Lemma-chain kernel for one PD pair; the strict spectra of A and B
-    are computed on first use and kept for the pair."""
-
-    def __init__(self, a, b, seed=None):
-        self.a, self.b, self.seed = a, b, seed
-
-    @cached_property
-    def spectra(self):
-        sa = _strict_spectrum(hermitian_eigendecompose(self.a, check=False), "A")
-        sb = _strict_spectrum(hermitian_eigendecompose(self.b, check=False), "B")
-        if sa.dim != sb.dim:
-            raise ShapeError(f"shape error: dimensions {sa.dim} vs {sb.dim}")
-        return sa, sb
-
-    def at(self, t):
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {t!r}")
-        return _LemmaPairAtT(self, t)
-
-
-class _LemmaPairAtT:
-    """A lemma pair at one t; the eigenvalues of A #_t B are kept for every (r, s)."""
-
-    def __init__(self, pair, t):
-        self.pair, self.t = pair, t
-
-    @cached_property
-    def mean_eigenvalues(self):
-        sa, sb = self.pair.spectra
-        return np.maximum(_eigh(_mean_from_spectra(sa, sb, self.t)).eigenvalues, 0.0)
-
-    def sigmas(self, r, s):
-        """Singular-value sequences of the four-term chain, in printed order."""
-        if r <= 0.0 or s <= 0.0:
-            raise ValueError(f"r and s must be positive, got r={r!r}, s={s!r}")
-        sa, sb = self.pair.spectra
-        t = self.t
-        sig1 = self.mean_eigenvalues ** r
-
-        # Spectra of A^r and B^r come for free from the spectra of A and B.
-        sa_r = Spectrum(spectrum_power(sa, r), sa.vectors)
-        sb_r = Spectrum(spectrum_power(sb, r), sb.vectors)
-        sig2 = _psd_sigma(_mean_from_spectra(sa_r, sb_r, t))
-
-        b_flank = sb.assemble(spectrum_power(sb, r * t * s / 2.0))
-        a_mid = sa.assemble(spectrum_power(sa, (1.0 - t) * r * s))
-        sig3 = _psd_sigma(b_flank @ a_mid @ b_flank) ** (1.0 / s)
-
-        product = a_mid @ sb.assemble(spectrum_power(sb, r * t * s))
-        sig4 = _product_sigma(product) ** (1.0 / s)
-
-        return [
-            ("(A#B)^r", sig1),
-            ("A^r#B^r", sig2),
-            ("(B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s)", sig3),
-            ("(A^((1-t)rs) B^(rts))^(1/s)", sig4),
-        ]
-
-    def point(self, r, s):
-        sigmas = self.sigmas(r, s)
-        params = _params(m=1, n=self.pair.spectra[0].dim, t=self.t, r=r, s=s)
-        return _single_point(LEMMA_CHAIN, params, sigmas, self.pair.seed)
-
-
-def lemma_chain_sigmas(a, b, t, r, s):
-    """Singular-value sequences of the four-term chain, in printed order."""
-    return _LemmaPair(a, b).at(t).sigmas(r, s)
-
-
-def check_lemma_chain(a, b, t, r, s, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
-    """Evaluate the four-term norm chain for one PD pair.
-
-    Margins are reported in printed order together with the Ky Fan
-    prefix-sum margins between consecutive terms (the "all unitarily
-    invariant norms" form).
+    ``a`` and ``b`` hold the instances' A- and B-lists, shape (T, m, n, n)
+    (``b`` is None for a chain without B-lists), and ``seeds`` one seed per
+    instance.  A slice that fails a spectral check raises as the
+    single-matrix functions do.  With ``mask_failures`` it is replaced by
+    the identity spectrum instead, so the other slices go on, and its
+    instance is marked in ``failed``: :func:`stack_reports` makes all of its
+    terms NaN.
     """
-    point = _LemmaPair(a, b, seed).at(t).point(r, s)
-    return _build_report(point, 0, norm_spec, rel_tol, abs_tol)
+
+    def __init__(self, a, b, seeds, mask_failures):
+        self.a = _as_stack(a)
+        self.b = self.a if b is None else _as_stack(b)
+        if self.a.ndim != 4 or self.a.shape != self.b.shape or self.a.shape[0] != len(seeds):
+            raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
+        self.seeds = tuple(seeds)
+        self.mask_failures = mask_failures
+        self.failed = np.zeros(len(self.seeds), dtype=bool)
+
+    def _screen(self, spectra, failures, raise_for):
+        """``spectra`` with the slices in ``failures`` (one mask per
+        spectrum) replaced by the identity spectrum.
+
+        Without ``mask_failures``, ``raise_for(side, index, spectrum)``
+        raises the error of the first failing slice instead, taken in
+        (instance, pair, side) order.
+        """
+        if not any(mask.any() for mask in failures):
+            return spectra
+        failed = np.stack(failures, axis=-1)
+        if not self.mask_failures:
+            *index, side = np.argwhere(failed)[0]
+            spec = spectra[side]
+            index = tuple(index)
+            raise_for(side, index, Spectrum(spec.eigenvalues[index], spec.vectors[index]))
+        self.failed |= failed.reshape(len(self.failed), -1).any(axis=1)
+        return [Spectrum(np.where(mask[..., None], 1.0, spec.eigenvalues), spec.vectors)
+                for spec, mask in zip(spectra, failures)]
+
+    def _psd_screened(self, spectra):
+        """``spectra`` (of equal shape) screened by the PSD clamp."""
+        return self._screen(spectra, [_psd_clamp_failures(s.eigenvalues) for s in spectra],
+                            lambda side, index, spec: clamp_psd_eigenvalues(spec.eigenvalues))
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +332,27 @@ def resolve_function(function_id):
     raise UnregisteredFunctionError(f"unregistered function {function_id!r}")
 
 
-class _FunctionSum:
-    """Bourin-Uchiyama kernel for one list A_i; the spectra of every A_i
-    and of sum A_i are computed on first use and serve every f."""
-
-    def __init__(self, a_list, seed=None):
-        self.a_list = [as_matrix(a) for a in a_list]
-        if not self.a_list:
-            raise ShapeError("shape error: at least one matrix is required")
-        self.seed = seed
+class _FunctionSum(_StackKernel):
+    """Bourin-Uchiyama kernel for a stack of A-lists (T, m, n, n); the
+    spectra of every A_i and of sum A_i are computed on first use and serve
+    every f."""
 
     @cached_property
     def spectra(self):
-        """(spectra of the A_i, spectrum of sum A_i)."""
-        return ([hermitian_eigendecompose(a, check=False) for a in self.a_list],
-                hermitian_eigendecompose(sum_matrices(self.a_list), check=False))
+        """(spectra of the A_i, stacked (T, m); spectrum of sum A_i, stacked (T,))."""
+        _check_hermitian(self.a)
+        sum_a = sum_matrices(np.moveaxis(self.a, 1, 0))
+        return [self._psd_screened([_eigh(x)])[0] for x in (self.a, sum_a)]
+
+    def _mapped(self, spec, f):
+        """f(M) for each slice M of ``spec``; a slice where f is undefined
+        or not finite is screened."""
+        fw = _function_values(clamp_psd_eigenvalues(spec.eigenvalues), f)
+        mapped, = self._screen(
+            [Spectrum(fw, spec.vectors)], [~np.isfinite(fw).all(axis=-1)],
+            lambda side, index, _: spectrum_function(
+                Spectrum(spec.eigenvalues[index], spec.vectors[index]), f))
+        return mapped.assemble(mapped.eigenvalues)
 
     def point(self, function_id, direction):
         f, directions = resolve_function(function_id)
@@ -390,14 +362,14 @@ class _FunctionSum:
             raise ValueError(
                 f"direction {direction!r} does not match the registered convexity of {function_id!r}"
             )
-        spectra, sum_spectrum = self.spectra
-        left = sum_matrices([s.assemble(spectrum_function(s, f)) for s in spectra])
-        right = sum_spectrum.assemble(spectrum_function(sum_spectrum, f))
-        sigmas = [("sum f(A_i)", _psd_sigma(left)), ("f(sum A_i)", _psd_sigma(right))]
+        spec_a, spec_sum = self.spectra
+        left = sum_matrices(np.moveaxis(self._mapped(spec_a, f), 1, 0))
+        sigmas = [("sum f(A_i)", _psd_sigma(left)),
+                  ("f(sum A_i)", _psd_sigma(self._mapped(spec_sum, f)))]
         steps = [(0, 1)] if direction == CONVEX else [(1, 0)]
-        params = _params(m=len(self.a_list), n=self.a_list[0].shape[0],
+        params = _params(m=self.a.shape[1], n=self.a.shape[-1],
                          function_id=str(function_id), direction=direction)
-        return _single_point(BOURIN_UCHIYAMA, params, sigmas, self.seed, steps)
+        return _ChainPoint(BOURIN_UCHIYAMA, params, sigmas, self.seeds, steps)
 
 
 def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
@@ -409,59 +381,35 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
     Terms stay in printed order, so the single margin is right-minus-left
     for convex and left-minus-right for concave.
     """
-    point = _FunctionSum(a_list, seed).point(function_id, direction)
+    a_list = list(a_list)
+    if not a_list:
+        raise ShapeError("shape error: at least one matrix is required")
+    a, _ = _validate_lists(a_list, a_list)
+    point = _FunctionSum(a, None, (seed,), False).point(function_id, direction)
     return _build_report(point, 0, norm_spec, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
-# Main inequality and its proof-step refinement
+# Main inequality, its proof-step refinement, and the lemma chain:
+# (A#tB)^r ; A^r #t B^r ; (B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s) ;
+# (A^((1-t)rs) B^(rts))^(1/s), the main chain's kernel on single pairs
 # ---------------------------------------------------------------------------
 
-class _MainChain:
+class _MainChain(_StackKernel):
     """Main-chain kernel for a stack of instances: the work that depends on
     neither t nor r, computed on first use and kept for the stack.
 
-    ``a`` and ``b`` hold the instances' A- and B-lists, shape (T, m, n, n),
-    and ``seeds`` one seed per instance.  The kernel keeps the pair spectra
-    (strict, or shifted by their epsilon), sum A and sum B with their
-    spectra, and, for the proof chain, the spectra the mean of the sums is
-    built from; each is one stacked call over every instance and pair.
-    ``at(t)`` adds the pair means.
-
-    A slice that fails the strict positive-definite check or the PSD clamp
-    raises as the single-matrix functions do.  With ``mask_failures`` it is
-    replaced by the identity spectrum instead, so the other slices go on,
-    and its instance is marked in ``failed``: all of its terms are NaN.
+    The kernel keeps the pair spectra (strict, or shifted by their epsilon),
+    sum A and sum B with their spectra, and, for the proof chain, the
+    spectra the mean of the sums is built from; each is one stacked call
+    over every instance and pair.  ``at(t)`` adds the pair means.  On a
+    stack of single pairs (m = 1) without ``epsilon_scale`` it is the lemma
+    chain's kernel as well.
     """
 
     def __init__(self, a, b, epsilon_scale=None, seeds=(None,), mask_failures=False):
-        self.a, self.b = _as_stack(a), _as_stack(b)
-        if self.a.ndim != 4 or self.a.shape != self.b.shape or self.a.shape[0] != len(seeds):
-            raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
+        super().__init__(a, b, seeds, mask_failures)
         self.epsilon_scale = epsilon_scale
-        self.seeds = tuple(seeds)
-        self.mask_failures = mask_failures
-        self.failed = np.zeros(len(self.seeds), dtype=bool)
-
-    def _screen(self, spectra, failures, raise_for):
-        """``spectra`` with the slices in ``failures`` (one mask per
-        spectrum) replaced by the identity spectrum.
-
-        Without ``mask_failures``, ``raise_for(side, index, spectrum)``
-        raises the error of the first failing slice instead, taken in
-        (instance, pair, side) order.
-        """
-        failed = np.stack(failures, axis=-1)
-        if not failed.any():
-            return spectra
-        if not self.mask_failures:
-            *index, side = np.argwhere(failed)[0]
-            spec = spectra[side]
-            index = tuple(index)
-            raise_for(side, index, Spectrum(spec.eigenvalues[index], spec.vectors[index]))
-        self.failed |= failed.reshape(len(self.failed), -1).any(axis=1)
-        return [Spectrum(np.where(mask[..., None], 1.0, spec.eigenvalues), spec.vectors)
-                for spec, mask in zip(spectra, failures)]
 
     def _mean_ready(self, a, b, spectra, names):
         """Spectra of the pairs (a, b) ready for their means, and the
@@ -501,9 +449,7 @@ class _MainChain:
         """(sum A, sum B, spectrum of sum A, spectrum of sum B), stacked (T,)."""
         sum_a = sum_matrices(np.moveaxis(self.a, 1, 0))
         sum_b = sum_matrices(np.moveaxis(self.b, 1, 0))
-        spectra = (_eigh(sum_a), _eigh(sum_b))
-        s_a, s_b = self._screen(spectra, [_psd_clamp_failures(s.eigenvalues) for s in spectra],
-                                lambda side, index, spec: clamp_psd_eigenvalues(spec.eigenvalues))
+        s_a, s_b = self._psd_screened([_eigh(sum_a), _eigh(sum_b)])
         return sum_a, sum_b, s_a, s_b
 
     @cached_property
@@ -568,16 +514,11 @@ class _MainChainAtT:
         if printed_form:
             main = [lhs, mid_printed, rhs_printed]
         else:
-            # t-dependent variant: the four-term chain exponents with s = 1,
-            # applied to the summed matrices.
-            b_flank = s_b.assemble(spectrum_power(s_b, r * t / 2.0))
-            a_mid = s_a.assemble(spectrum_power(s_a, (1.0 - t) * r))
-            rhs = a_mid @ s_b.assemble(spectrum_power(s_b, r * t))
-            main = [
-                lhs,
-                ("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", _psd_sigma(b_flank @ a_mid @ b_flank)),
-                ("sumA^((1-t)r) sumB^(rt)", _product_sigma(rhs)),
-            ]
+            # t-dependent variant: the lemma chain's last two terms with
+            # s = 1, applied to the summed matrices.
+            mid, rhs = _flank_sigmas(s_a, s_b, t, r, 1.0)
+            main = [lhs, ("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", mid),
+                    ("sumA^((1-t)r) sumB^(rt)", rhs)]
 
         eps = None if chain.epsilon_scale is None else chain.pair_spectra[2].max(axis=1)
         proof = None
@@ -592,11 +533,6 @@ class _MainChainAtT:
                 mid_printed,
                 rhs_printed,
             ]
-        if chain.failed.any():
-            main, proof = (None if terms is None else
-                           [(label, np.where(chain.failed[:, None], np.nan, sig))
-                            for label, sig in terms]
-                           for terms in (main, proof))
         params = _params(m=chain.a.shape[1], n=chain.a.shape[-1], t=t, r=r)
         main_params = dict(params)
         main_params["printed-form"] = bool(printed_form)
@@ -606,11 +542,34 @@ class _MainChainAtT:
                 None if proof is None else
                 _ChainPoint(PROOF_STEPS, params, proof, chain.seeds, regularization_epsilon=eps))
 
+    def lemma_point(self, r, s):
+        """The four-term lemma chain at (t, r, s) on a stack of single pairs."""
+        if r <= 0.0 or s <= 0.0:
+            raise ValueError(f"r and s must be positive, got r={r!r}, s={s!r}")
+        sa, sb, _ = self.chain.pair_spectra
+        _, mean = self.pair_means
+        # Spectra of A^r and B^r come for free from the spectra of A and B;
+        # the mean needs A^(-r/2), which fails where A^r underflows to 0.
+        sa_r, sb_r = (Spectrum(spectrum_power(x, r), x.vectors) for x in (sa, sb))
+        underflow = sa_r.eigenvalues[..., -1] <= 0.0
+        sa_r, sb_r = self.chain._screen([sa_r, sb_r], [underflow, underflow],
+                                        lambda side, index, spec: spectrum_power(spec, -0.5))
+        flank, product = _flank_sigmas(sa, sb, self.t, r, s)
+        sigmas = [
+            ("(A#B)^r", np.maximum(mean.eigenvalues, 0.0) ** r),
+            ("A^r#B^r", _psd_sigma(_mean_from_spectra(sa_r, sb_r, self.t))),
+            ("(B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s)", flank),
+            ("(A^((1-t)rs) B^(rts))^(1/s)", product),
+        ]
+        params = _params(m=1, n=sa.dim, t=self.t, r=r, s=s)
+        return _ChainPoint(LEMMA_CHAIN, params, [(label, sig[:, 0]) for label, sig in sigmas],
+                           self.chain.seeds)
 
-def _one_instance(a_list, b_list, epsilon_scale, seed):
+
+def _one_instance(a_list, b_list, epsilon_scale=None, seed=None):
     """The main-chain kernel of one instance given as lists, validated."""
-    a_list, b_list, _ = _validate_lists(a_list, b_list)
-    return _MainChain([a_list], [b_list], epsilon_scale, (seed,))
+    a, b = _validate_lists(a_list, b_list)
+    return _MainChain(a, b, epsilon_scale, (seed,))
 
 
 def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
@@ -646,42 +605,50 @@ def main_theorem_with_proof(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
     return tuple(_build_report(point, 0, norm_spec, rel_tol, abs_tol) for point in points)
 
 
+def lemma_chain_sigmas(a, b, t, r, s):
+    """Singular-value sequences of the four-term chain, in printed order."""
+    point = _one_instance([a], [b]).at(t).lemma_point(r, s)
+    return [(label, sig[0]) for label, sig in point.sigmas]
+
+
+def check_lemma_chain(a, b, t, r, s, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
+    """Evaluate the four-term norm chain for one PD pair.
+
+    Margins are reported in printed order together with the Ky Fan
+    prefix-sum margins between consecutive terms (the "all unitarily
+    invariant norms" form).
+    """
+    point = _one_instance([a], [b], seed=seed).at(t).lemma_point(r, s)
+    return _build_report(point, 0, norm_spec, rel_tol, abs_tol)
+
+
 # ---------------------------------------------------------------------------
 # Audenaert: sum A_iB_i ; (sum A_i^(1/2)B_i^(1/2))^2 ; (sum A_i)(sum B_i)
 # ---------------------------------------------------------------------------
 
-def commutator_defect(a, b):
-    """Frobenius norm of AB - BA."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    return float(np.linalg.norm(a @ b - b @ a))
-
-
-def _audenaert_point(a_list, b_list, seed=None):
-    """The commuting-pair chain of one instance; the norm is its only axis."""
-    a_list, b_list, n = _validate_lists(a_list, b_list)
-    for i, (a, b) in enumerate(zip(a_list, b_list)):
-        defect = commutator_defect(a, b)
-        bound = COMMUTATION_RTOL * (1.0 + float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
-        if defect > bound:
-            raise CommutationError(
-                f"inputs do not commute: pair {i} has commutator norm {defect:.3e} "
-                f"(tolerance {bound:.3e})"
-            )
-    prod_sum = sum(a @ b for a, b in zip(a_list, b_list))
-    halves = []
-    for a, b in zip(a_list, b_list):
-        s_a = _eigh(a)
-        s_b = _eigh(b)
-        halves.append(s_a.assemble(spectrum_power(s_a, 0.5))
-                      @ s_b.assemble(spectrum_power(s_b, 0.5)))
-    x = sum(halves)
+def _audenaert_point(kernel):
+    """The commuting-pair chain of a stack of instances; the norm is its only axis."""
+    a, b = kernel.a, kernel.b
+    products = a @ b
+    defect = np.linalg.norm(products - b @ a, axis=(-2, -1))
+    bound = COMMUTATION_RTOL * (1.0 + np.linalg.norm(a, axis=(-2, -1))
+                                * np.linalg.norm(b, axis=(-2, -1)))
+    if (defect > bound).any():
+        k, i = np.argwhere(defect > bound)[0]
+        raise CommutationError(
+            f"inputs do not commute: pair {i} has commutator norm {defect[k, i]:.3e} "
+            f"(tolerance {bound[k, i]:.3e})"
+        )
+    s_a, s_b = kernel._psd_screened([_eigh(a), _eigh(b)])
+    halves = s_a.assemble(spectrum_power(s_a, 0.5)) @ s_b.assemble(spectrum_power(s_b, 0.5))
+    x = sum(np.moveaxis(halves, 1, 0))
+    sum_a, sum_b = (sum_matrices(np.moveaxis(m, 1, 0)) for m in (a, b))
     sigmas = [
-        ("sum A_iB_i", _product_sigma(prod_sum)),
+        ("sum A_iB_i", _product_sigma(sum(np.moveaxis(products, 1, 0)))),
         ("(sum A_i^(1/2)B_i^(1/2))^2", _product_sigma(x @ x)),
-        ("sumA sumB", _product_sigma(sum_matrices(a_list) @ sum_matrices(b_list))),
+        ("sumA sumB", _product_sigma(sum_a @ sum_b)),
     ]
-    return _single_point(AUDENAERT, _params(m=len(a_list), n=n), sigmas, seed)
+    return _ChainPoint(AUDENAERT, _params(m=a.shape[1], n=a.shape[-1]), sigmas, kernel.seeds)
 
 
 def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
@@ -691,71 +658,51 @@ def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL,
     ``1e-10 * (1 + ||A_i||_F ||B_i||_F)``; violating pairs raise
     CommutationError rather than being silently skipped.
     """
-    return _build_report(_audenaert_point(a_list, b_list, seed), 0, norm_spec, rel_tol, abs_tol)
+    kernel = _StackKernel(*_validate_lists(a_list, b_list), (seed,), False)
+    return _build_report(_audenaert_point(kernel), 0, norm_spec, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
 # A stack of instances over a campaign grid
 # ---------------------------------------------------------------------------
 
-def _instance_points(inequality_id, a_list, b_list, grid, direction, seed, mask_failures):
-    """Chain points of one instance of a chain without a stacked kernel.
-
-    With ``mask_failures``, an instance that fails the strict
-    positive-definite check or a spectral function gets the points of an
-    identity instance with NaN terms instead of raising.
-    """
-    try:
-        return _chain_points(inequality_id, a_list, b_list, grid, direction, seed)
-    except (NotPositiveDefiniteError, SingularFunctionError):
-        if not mask_failures:
-            raise
-    eye = [np.eye(np.shape(a_list)[-1])] * len(a_list)
-    return [point._replace(sigmas=[(label, np.full_like(sig, np.nan))
-                                   for label, sig in point.sigmas])
-            for point in _chain_points(inequality_id, eye, eye, grid, direction, seed)]
-
-
-def _chain_points(inequality_id, a_list, b_list, grid, direction, seed):
-    if inequality_id == AUDENAERT:
-        return [_audenaert_point(a_list, b_list, seed)]
-    if inequality_id == BOURIN_UCHIYAMA:
-        kernel = _FunctionSum(a_list, seed)
-        return [kernel.point(f, direction) for f in grid["f"]]
-    kernel = _LemmaPair(a_list[0], b_list[0], seed)
-    return [at_t.point(r, s) for at_t in map(kernel.at, grid["t"])
-            for r in grid["r"] for s in grid["s"]]
-
-
 def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
                   direction=None, rel_tol=REL_TOL, abs_tol=ABS_TOL, mask_failures=False):
     """The reports of a stack of instances over ``grid``: one list per
     instance, each in grid order.
 
-    ``a`` and ``b`` hold one A-list and one B-list per instance (arrays of
-    shape (T, m, n, n) for the main chain and proof steps), ``seeds`` one
-    seed per instance.  ``grid`` maps the axes that follow the instance
-    axes to their values: ``t``, ``r`` and ``s`` (lemma chain), ``t`` and
-    ``r`` (main theorem, proof steps) or ``f`` (Bourin-Uchiyama), then
-    ``norm``, varied fastest.  Each report equals the one its ``check_*``
-    predicate gives for that instance and point.  The main chain evaluates
-    the whole stack in one pass, each spectrum once at the outermost axis
-    it depends on; the other chains take one instance at a time.  The norm
-    axis only reduces shared singular values.  With ``mask_failures``, an
-    instance that fails the strict positive-definite check or the PSD
-    clamp gets NaN terms (indeterminate reports) instead of raising.
+    ``a`` and ``b`` hold one A-list and one B-list per instance, arrays of
+    shape (T, m, n, n) (``b`` is ignored for Bourin-Uchiyama, and the lemma
+    chain takes each instance's first pair); ``seeds`` holds one seed per
+    instance.  ``grid`` maps the axes that follow the instance axes to
+    their values: ``t``, ``r`` and ``s`` (lemma chain), ``t`` and ``r``
+    (main theorem, proof steps) or ``f`` (Bourin-Uchiyama), then ``norm``,
+    varied fastest.  Each report equals the one its ``check_*`` predicate
+    gives for that instance and point.  Every chain evaluates the whole
+    stack in one pass, each spectrum once at the outermost axis it depends
+    on; the norm axis only reduces shared singular values.  With
+    ``mask_failures``, an instance with a slice that fails the strict
+    positive-definite check, the PSD clamp or f gets NaN terms at every
+    point (indeterminate reports) instead of raising.
     """
-    norms = grid["norm"]
-    if inequality_id in (MAIN_THEOREM, PROOF_STEPS):
+    if inequality_id == BOURIN_UCHIYAMA:
+        kernel = _FunctionSum(a, None, seeds, mask_failures)
+        points = [kernel.point(f, direction) for f in grid["f"]]
+    elif inequality_id == AUDENAERT:
+        kernel = _StackKernel(a, b, seeds, mask_failures)
+        points = [_audenaert_point(kernel)]
+    elif inequality_id == LEMMA_CHAIN:
+        kernel = _MainChain(_as_stack(a)[:, :1], _as_stack(b)[:, :1], None, seeds, mask_failures)
+        points = [at_t.lemma_point(r, s) for at_t in map(kernel.at, grid["t"])
+                  for r in grid["r"] for s in grid["s"]]
+    else:
         kernel = _MainChain(a, b, epsilon_scale, seeds, mask_failures)
         proof = inequality_id == PROOF_STEPS
         # points() gives (main, proof); the proof chain ends in the printed terms.
         points = [at_t.points(r, printed_form or proof, proof)[proof]
                   for at_t in map(kernel.at, grid["t"]) for r in grid["r"]]
-        return [[_build_report(point, k, norm_spec, rel_tol, abs_tol)
-                 for point in points for norm_spec in norms] for k in range(len(seeds))]
-    return [[_build_report(point, 0, norm_spec, rel_tol, abs_tol)
-             for point in _instance_points(inequality_id, a_list, b_list, grid, direction, seed,
-                                           mask_failures)
-             for norm_spec in norms]
-            for a_list, b_list, seed in zip(a, b, seeds)]
+    if kernel.failed.any():
+        points = [point._replace(sigmas=[(label, np.where(kernel.failed[:, None], np.nan, sig))
+                                         for label, sig in point.sigmas]) for point in points]
+    return [[_build_report(point, k, norm_spec, rel_tol, abs_tol)
+             for point in points for norm_spec in grid["norm"]] for k in range(len(seeds))]

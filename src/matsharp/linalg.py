@@ -70,7 +70,7 @@ def _as_stack(entries):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ShapeError(f"shape error: expected a square matrix, got shape {a.shape}")
     a = a.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return a
 
@@ -253,20 +253,30 @@ def spectrum_function(spec, f):
     several functions to one decomposition.
     """
     w = clamp_psd_eigenvalues(spec.eigenvalues)
-    fw = np.empty_like(w)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, x in enumerate(w):
+    fw = _function_values(w, f)
+    bad = ~np.isfinite(fw)
+    if bad.any():
+        x = w[bad][0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             try:
                 y = float(f(x))
             except (ArithmeticError, ValueError) as exc:
                 raise SingularFunctionError(
                     f"singular matrix function: f undefined at eigenvalue {x!r}"
                 ) from exc
-            if not np.isfinite(y):
-                raise SingularFunctionError(
-                    f"singular matrix function: f({x!r}) = {y!r}"
-                )
-            fw[i] = y
+        raise SingularFunctionError(f"singular matrix function: f({x!r}) = {y!r}")
+    return fw
+
+
+def _function_values(w, f):
+    """``f`` at every value of ``w`` (any shape); NaN where ``f`` raises."""
+    fw = np.empty_like(w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, x in enumerate(w.flat):
+            try:
+                fw.flat[i] = float(f(x))
+            except (ArithmeticError, ValueError):
+                fw.flat[i] = np.nan
     return fw
 
 

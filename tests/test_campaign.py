@@ -11,6 +11,7 @@ from matsharp import (
     InequalityReport,
     NormSpec,
     NotPositiveDefiniteError,
+    SingularFunctionError,
     check_audenaert,
     check_bourin_uchiyama,
     check_lemma_chain,
@@ -105,6 +106,27 @@ class TestConfig:
             obj["r-grid"] = r_grid
         with pytest.raises(ConfigError, match="r >= 1"):
             CampaignConfig.from_obj(obj)
+
+    def test_rejects_ky_fan_index_above_a_dimension(self, tmp_path, capsys):
+        # Ky Fan k needs k singular values: with n = 1 in dims, kyfan:3
+        # would fail partway through the run, so the config is refused.
+        obj = {"inequality-id": "main_theorem", "trials": 2, "dims": [4, 1],
+               "m-values": [1], "r-grid": [1.0], "norm-specs": ["schatten:2", "kyfan:3"]}
+        with pytest.raises(ConfigError, match="kyfan:3"):
+            CampaignConfig.from_obj(obj)
+        cfg = CampaignConfig.from_obj(dict(obj, dims=[4]))
+        cfg.dims = (4, 1)
+        with pytest.raises(ConfigError, match="kyfan:3"):
+            run_campaign(cfg)
+        cfg = CampaignConfig.from_obj(dict(obj, dims=[3], **{"norm-specs": ["kyfan:3"]}))
+        cfg.dims = (1,)
+        with pytest.raises(ConfigError, match="kyfan:3"):
+            search_counterexample(cfg, 5)
+        a = tmp_path / "a.json"
+        save_matrix(a, np.eye(2))
+        assert cli_main(["eval", "--inequality", "main_theorem", "--a", str(a), "--b", str(a),
+                         "--norm", "kyfan:3"]) == 1
+        assert "kyfan:3" in capsys.readouterr().err
 
     def test_lemma_chain_rejects_psd_ensemble(self):
         with pytest.raises(ConfigError):
@@ -258,6 +280,9 @@ class TestBatchInvariance:
         {"inequality-id": "main_theorem"},
         {"inequality-id": "proof_steps", "ensemble": {"kind": "psd"}},
         {"inequality-id": "lemma_chain", "s-grid": [1.0]},
+        {"inequality-id": "audenaert"},
+        {"inequality-id": "bourin_uchiyama", "functions": ["power:2", "expm1"],
+         "direction": "convex"},
     ])
     def test_trial_zero_independent_of_trial_count(self, obj):
         # A trial's reports do not depend on how many trials share its stack.
@@ -269,13 +294,19 @@ class TestBatchInvariance:
         assert render_reports(alone, "json") == render_reports(first, "json")
         assert render_reports(alone, "csv") == render_reports(first, "csv")
 
-    def test_trial_after_a_full_chunk_equals_checks(self):
+    @pytest.mark.parametrize("obj", [
+        {"inequality-id": "main_theorem", "ensemble": {"kind": "psd"}, "printed-form": False},
+        {"inequality-id": "lemma_chain", "s-grid": [0.5, 1.0]},
+        {"inequality-id": "audenaert"},
+        {"inequality-id": "bourin_uchiyama", "functions": ["power:3", "expm1"],
+         "direction": "convex"},
+    ], ids=["main_theorem", "lemma_chain", "audenaert", "bourin_uchiyama"])
+    def test_trial_after_a_full_chunk_equals_checks(self, obj):
         # The last trial sits alone in the second chunk of stacked passes.
-        cfg = CampaignConfig.from_obj({
-            "inequality-id": "main_theorem", "trials": CHUNK_TRIALS + 1, "dims": [2],
-            "m-values": [2], "t-grid": [0.5], "r-grid": [1.0, 3.0],
-            "norm-specs": ["schatten:1", "operator"], "ensemble": {"kind": "psd"},
-            "printed-form": False, "root-seed": 43})
+        cfg = CampaignConfig.from_obj(dict({
+            "trials": CHUNK_TRIALS + 1, "dims": [2], "m-values": [2], "t-grid": [0.5],
+            "r-grid": [1.0, 3.0], "norm-specs": ["schatten:1", "operator"],
+            "root-seed": 43}, **obj))
         _, reports = run_campaign(cfg)
         last = [r for r in reports if r.params["trial"] == CHUNK_TRIALS]
         assert len(last) == cfg.grid_size()
@@ -320,6 +351,23 @@ class TestNonFinite:
         assert all(r.holds for r in reports if r.params["r"] == 1.0)
         assert (summary.held, summary.violated, summary.indeterminate) == (2, 0, 2)
 
+    def test_lemma_power_underflow_does_not_abort_campaign(self):
+        # At kappa = 1e12 and r = 60 the least eigenvalue of A^r underflows
+        # to 0, and A^r #_t B^r needs its inverse square root: the check
+        # raises, and the campaign reports the instance as indeterminate at
+        # every point.
+        cfg = CampaignConfig.from_obj({
+            "inequality-id": "lemma_chain", "trials": 2, "dims": [4], "t-grid": [0.5],
+            "r-grid": [1.0, 60.0], "s-grid": [1.0], "norm-specs": ["trace"],
+            "ensemble": {"condition-target": 1e12}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary, reports = run_campaign(cfg)
+        assert (summary.held, summary.violated, summary.indeterminate) == (0, 0, 4)
+        a_list, b_list = _build_inputs(cfg, 4, 1, instance_seed(cfg, 0, {"n": 4}))
+        assert check_lemma_chain(a_list[0], b_list[0], 0.5, 1.0, 1.0, NormSpec.trace()).holds
+        with pytest.raises(SingularFunctionError), np.errstate(over="ignore"):
+            check_lemma_chain(a_list[0], b_list[0], 0.5, 60.0, 1.0, NormSpec.trace())
+
     def test_summary_separates_indeterminate_reports(self):
         # At kappa = 1e12 and r = 40 the Schatten-2 margins are [inf, nan].
         a = pd_for(0, n=4, kappa=1e12)
@@ -340,12 +388,19 @@ class TestNonFinite:
         assert alone.to_obj()["indeterminate"] == 1
 
 
+FAILING_SLICE_ERRORS = {"BourinUchiyama": SingularFunctionError}
+
+
 class TestFailingSlice:
     @pytest.mark.parametrize("obj", [
         {"inequality-id": "main_theorem", "ensemble": {"condition-target": 1e17}},
         {"inequality-id": "main_theorem", "ensemble": {"condition-target": 1e20}},
         {"inequality-id": "proof_steps", "ensemble": {"condition-target": 1e17}},
         {"inequality-id": "lemma_chain", "ensemble": {"condition-target": 1e17}},
+        # expm1 overflows at one instance's eigenvalues.
+        {"inequality-id": "bourin_uchiyama", "functions": ["expm1", "power:2"],
+         "direction": "convex", "trials": 20, "dims": [1], "norm-specs": ["trace"],
+         "root-seed": 0, "ensemble": {"condition-target": 1e7}},
     ])
     def test_failing_slice_does_not_stop_the_batch(self, obj):
         # Near kappa = 1e20 a drawn matrix's least eigenvalue rounds to a
@@ -354,8 +409,9 @@ class TestFailingSlice:
         cfg = CampaignConfig.from_obj(dict({
             "trials": 3, "dims": [2, 4], "m-values": [1, 2], "t-grid": [0.5],
             "r-grid": [1.0, 2.0], "s-grid": [1.0], "norm-specs": ["schatten:2"]}, **obj))
+        error = FAILING_SLICE_ERRORS.get(cfg.inequality_id, NotPositiveDefiniteError)
         summary, reports = run_campaign(cfg)
-        assert summary.total == len(reports) == 3 * cfg.grid_size()
+        assert summary.total == len(reports) == cfg.trials * cfg.grid_size()
         assert summary.indeterminate >= 1
         assert summary.held + summary.violated + summary.indeterminate == summary.total
         points = [(trial, point) for trial in range(cfg.trials) for point in cfg.grid_points()]
@@ -369,8 +425,11 @@ class TestFailingSlice:
             else:
                 assert report.params["seed"] == seed and not report.holds
                 assert all(math.isnan(value) for _, value in report.terms)
-                with pytest.raises(NotPositiveDefiniteError):
-                    check_one_point(cfg, point, a_list, b_list, seed)
+                # An f that fails masks the instance at every f.
+                points = [dict(point, f=f) for f in cfg.functions] if "f" in point else [point]
+                with pytest.raises(error):
+                    for failing in points:
+                        check_one_point(cfg, failing, a_list, b_list, seed)
 
     def test_cli_exits_two_on_indeterminate(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -8,8 +8,11 @@ from conftest import pd_for
 from matsharp import (
     CommutationError,
     EnsembleSpec,
+    HermitianDefectError,
     NormSpec,
     NotPositiveDefiniteError,
+    ShapeError,
+    SingularFunctionError,
     UnregisteredFunctionError,
     check_audenaert,
     check_bourin_uchiyama,
@@ -400,3 +403,65 @@ class TestReportMechanics:
         report = check_proof_steps([a], [a], 0.5, 1.0, S1)
         assert len(report.margins) == len(report.terms) - 1
         assert len(report.fan_margins) == len(report.margins)
+
+
+PD = np.diag([2.0, 3.0])
+PD_B = np.array([[2.0, 0.5], [0.5, 1.0]])
+NON_PD = np.diag([1.0, -1.0])
+NON_HERMITIAN = np.array([[1.0, 1.0], [0.0, 1.0]])
+NAN = np.array([[1.0, np.nan], [np.nan, 1.0]])
+
+# One error per call: (call, error type, text the message contains).
+SINGLE_ERRORS = {
+    "lemma-non-pd": (lambda: check_lemma_chain(NON_PD, PD, 0.5, 1.0, 1.0, S1),
+                     NotPositiveDefiniteError, "strictly positive definite"),
+    "lemma-non-hermitian": (lambda: check_lemma_chain(NON_HERMITIAN, PD, 0.5, 1.0, 1.0, S1),
+                            HermitianDefectError, "not Hermitian"),
+    "lemma-nan": (lambda: check_lemma_chain(NAN, PD, 0.5, 1.0, 1.0, S1), ValueError, "finite"),
+    "lemma-non-square": (lambda: check_lemma_chain(np.ones((2, 3)), PD, 0.5, 1.0, 1.0, S1),
+                         ShapeError, "square"),
+    "lemma-dimensions": (lambda: check_lemma_chain(PD, np.eye(3), 0.5, 1.0, 1.0, S1),
+                         ShapeError, "shape error"),
+    "lemma-bad-t": (lambda: check_lemma_chain(PD, PD_B, 1.5, 1.0, 1.0, S1), ValueError, "t must"),
+    "lemma-bad-r": (lambda: check_lemma_chain(PD, PD_B, 0.5, 0.0, 1.0, S1), ValueError, "r=0.0"),
+    "lemma-bad-s": (lambda: check_lemma_chain(PD, PD_B, 0.5, 1.0, -1.0, S1), ValueError, "s=-1.0"),
+    "sigmas-singular": (lambda: lemma_chain_sigmas(PD, np.diag([1.0, 0.0]), 0.5, 1.0, 1.0),
+                        NotPositiveDefiniteError, "strictly positive definite"),
+    "sigmas-bad-s": (lambda: lemma_chain_sigmas(PD, PD_B, 0.5, 1.0, 0.0), ValueError, "s=0.0"),
+    "sigmas-dimensions": (lambda: lemma_chain_sigmas(np.eye(3), PD, 0.5, 1.0, 1.0),
+                          ShapeError, "shape error"),
+    "audenaert-non-commuting": (lambda: check_audenaert([PD, PD_B], [PD, PD], S1),
+                                CommutationError, "pair 1"),
+    "audenaert-empty": (lambda: check_audenaert([], [], S1), ShapeError, "nonempty"),
+    "audenaert-unequal-length": (lambda: check_audenaert([PD, PD], [PD], S1),
+                                 ShapeError, "equal length"),
+    "audenaert-dimensions": (lambda: check_audenaert([PD], [np.eye(3)], S1),
+                             ShapeError, "share one dimension"),
+    "audenaert-non-psd": (lambda: check_audenaert([NON_PD], [PD], S1),
+                          NotPositiveDefiniteError, "positive semidefinite"),
+    "audenaert-non-hermitian": (lambda: check_audenaert([NON_HERMITIAN], [np.eye(2)], S1),
+                                HermitianDefectError, "not Hermitian"),
+    "bu-empty": (lambda: check_bourin_uchiyama([], "power:2", "convex", S1),
+                 ShapeError, "at least one matrix"),
+    "bu-dimensions": (lambda: check_bourin_uchiyama([PD, np.eye(3)], "power:2", "convex", S1),
+                      ShapeError, "shape error"),
+    "bu-unknown-f": (lambda: check_bourin_uchiyama([PD], "log1p", "concave", S1),
+                     UnregisteredFunctionError, "log1p"),
+    "bu-wrong-direction": (lambda: check_bourin_uchiyama([PD], "expm1", "concave", S1),
+                           ValueError, "registered convexity"),
+    "bu-expm1-overflow": (lambda: check_bourin_uchiyama([np.diag([800.0, 1.0])], "expm1",
+                                                        "convex", S1),
+                          SingularFunctionError, "800.0"),
+    "bu-non-psd": (lambda: check_bourin_uchiyama([PD, NON_PD], "power:2", "convex", S1),
+                   NotPositiveDefiniteError, "positive semidefinite"),
+}
+
+
+class TestSingleErrors:
+    @pytest.mark.parametrize("case", sorted(SINGLE_ERRORS))
+    def test_raises_its_error(self, case):
+        # The stacked kernels on a stack of one raise what the
+        # one-instance predicates raised, for each kind of bad input.
+        call, error, text = SINGLE_ERRORS[case]
+        with pytest.raises(error, match=text):
+            call()

@@ -1,0 +1,175 @@
+"""Digests of matsharp's report streams, for checking that a refactor
+leaves every report byte-identical.
+
+Usage::
+
+    python tools/stream_digests.py > digests.txt
+
+Each output line is ``name digest held/violated/indeterminate``: the first
+12 hex digits of the SHA-256 of a fixed campaign's JSON and CSV rendering
+(or of a 300-step search report with its wall time dropped, or of a set of
+direct ``check_*`` calls), then the verdict counts.  The set covers every
+inequality id, stacks of more trials than one chunk, and configs whose
+stacks hold failing slices.  Run it in two checkouts and diff the outputs.
+The digests depend on the LAPACK build, so none is pinned here.  The
+library is imported from the ``src`` directory next to this script.
+"""
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from matsharp import (  # noqa: E402
+    CampaignConfig,
+    EnsembleSpec,
+    NormSpec,
+    check_audenaert,
+    check_bourin_uchiyama,
+    check_lemma_chain,
+    check_main_theorem,
+    check_proof_steps,
+    main_theorem_with_proof,
+    random_commuting_pair,
+    random_pd,
+    random_psd_rank_deficient,
+    render_reports,
+    run_campaign,
+    search_counterexample,
+)
+from matsharp.inequalities import lemma_chain_sigmas  # noqa: E402
+
+NORMS = ["schatten:1", "schatten:2", "operator", "trace", "kyfan:2"]
+BASE = {"trials": 6, "dims": [2, 4], "m-values": [1, 2], "t-grid": [0.0, 0.1, 0.5, 0.9, 1.0],
+        "r-grid": [1.0, 2.0, 3.0], "norm-specs": NORMS, "root-seed": 913}
+PSD = {"kind": "psd", "rank": 1}
+CONVEX = {"inequality-id": "bourin_uchiyama", "functions": ["power:2", "power:3", "expm1"],
+          "direction": "convex"}
+CONCAVE = {"inequality-id": "bourin_uchiyama", "functions": ["power:0.5", "ratio"],
+           "direction": "concave"}
+
+CAMPAIGNS = {
+    "main-printed-pd": {"inequality-id": "main_theorem"},
+    "main-variant-pd": {"inequality-id": "main_theorem", "printed-form": False},
+    "main-printed-psd": {"inequality-id": "main_theorem", "ensemble": PSD},
+    "main-variant-psd": {"inequality-id": "main_theorem", "printed-form": False, "ensemble": PSD},
+    "main-kappa1e12": {"inequality-id": "main_theorem", "r-grid": [1.0, 40.0],
+                       "ensemble": {"condition-target": 1e12}},
+    "proof-pd": {"inequality-id": "proof_steps"},
+    "proof-psd": {"inequality-id": "proof_steps", "ensemble": PSD},
+    "lemma-chain": {"inequality-id": "lemma_chain", "r-grid": [0.5, 1.0, 2.0],
+                    "s-grid": [0.5, 1.0, 2.0]},
+    "lemma-commuting": {"inequality-id": "lemma_chain", "s-grid": [1.0, 2.0],
+                        "ensemble": {"kind": "commuting", "field": "real"}},
+    "audenaert": {"inequality-id": "audenaert", "m-values": [1, 2, 3]},
+    "bu-convex-pd": CONVEX,
+    "bu-concave-pd": CONCAVE,
+    "bu-convex-psd": dict(CONVEX, ensemble=PSD),
+    "bu-concave-psd": dict(CONCAVE, ensemble=PSD),
+    # More trials than one stack.
+    "main-many-trials": {"inequality-id": "main_theorem", "trials": 150, "dims": [1, 3],
+                         "m-values": [2, 1], "norm-specs": ["kyfan:1", "trace"]},
+    "proof-real-psd-many": {"inequality-id": "proof_steps", "trials": 70, "dims": [1, 2, 5],
+                            "m-values": [3], "t-grid": [0.3], "norm-specs": ["kyfan:1"],
+                            "ensemble": {"kind": "psd", "field": "real"}},
+    "lemma-many": {"inequality-id": "lemma_chain", "trials": 70, "dims": [1, 3],
+                   "t-grid": [0.25, 0.5], "r-grid": [1.0, 2.0], "s-grid": [1.0, 2.0],
+                   "norm-specs": ["kyfan:1", "schatten:2"]},
+    "audenaert-many": {"inequality-id": "audenaert", "trials": 70, "dims": [1, 3],
+                       "m-values": [1, 2], "norm-specs": ["kyfan:1", "trace"]},
+    "bu-many": dict(CONVEX, trials=70, dims=[1, 3], **{"m-values": [2, 3],
+                                                        "norm-specs": ["kyfan:1", "trace"]}),
+    # Stacks with failing slices: non-positive-definite draws and f overflow.
+    "main-kappa1e20": {"inequality-id": "main_theorem", "trials": 20, "t-grid": [0.5],
+                       "ensemble": {"condition-target": 1e20}},
+    "lemma-kappa1e17": {"inequality-id": "lemma_chain", "trials": 20, "t-grid": [0.5],
+                        "r-grid": [1.0, 2.0], "s-grid": [1.0],
+                        "ensemble": {"condition-target": 1e17}},
+    "lemma-r60-underflow": {"inequality-id": "lemma_chain", "trials": 20, "t-grid": [0.5],
+                            "r-grid": [1.0, 60.0], "s-grid": [1.0],
+                            "ensemble": {"condition-target": 1e12}},
+    "bu-expm1-overflow": {"inequality-id": "bourin_uchiyama", "trials": 20, "dims": [1],
+                          "m-values": [1, 2], "functions": ["expm1", "power:2"],
+                          "direction": "convex", "norm-specs": ["schatten:2"], "root-seed": 0,
+                          "ensemble": {"condition-target": 1e7}},
+}
+
+SEARCH = {"dims": [3], "m-values": [2], "t-grid": [0.1], "r-grid": [1.0], "s-grid": [1.0],
+          "norm-specs": ["schatten:2"], "root-seed": 7}
+SEARCHES = {
+    "search-main-t0.1": {"inequality-id": "main_theorem"},
+    "search-main-psd-variant": {"inequality-id": "main_theorem", "printed-form": False,
+                                "t-grid": [0.3], "ensemble": {"kind": "psd"}},
+    "search-proof": {"inequality-id": "proof_steps", "t-grid": [0.25], "r-grid": [2.0]},
+    "search-lemma": {"inequality-id": "lemma_chain", "t-grid": [0.5], "r-grid": [2.0],
+                     "s-grid": [2.0]},
+    "search-bu": {"inequality-id": "bourin_uchiyama", "functions": ["power:3"],
+                  "direction": "convex"},
+}
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def counts(reports):
+    finite = [r for r in reports if r.is_finite()]
+    held = sum(r.holds for r in finite)
+    return f"{held}/{len(finite) - held}/{len(reports) - len(finite)}"
+
+
+def campaign_line(name, obj):
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, reports = run_campaign(CampaignConfig.from_obj(dict(BASE, **obj)))
+    text = render_reports(reports, "json") + render_reports(reports, "csv")
+    return f"{name} {digest(text)} {counts(reports)}"
+
+
+def search_line(name, obj):
+    report = search_counterexample(CampaignConfig.from_obj(dict(SEARCH, **obj)), 300).to_obj()
+    del report["wall-time"]
+    return f"{name} {digest(json.dumps(report))} -"
+
+
+def direct_reports():
+    """Every public predicate called directly on fixed inputs."""
+    pd = [random_pd(EnsembleSpec(dim=3, seed=seed, condition_target=50.0)) for seed in range(4)]
+    psd = [random_psd_rank_deficient(EnsembleSpec(dim=3, kind="psd", seed=seed, rank=1))
+           for seed in range(4, 6)]
+    pairs = [random_commuting_pair(EnsembleSpec(dim=3, kind="commuting", seed=seed))
+             for seed in range(6, 8)]
+    reports = []
+    for spec in map(NormSpec.parse, NORMS):
+        for t in (0.0, 0.3, 1.0):
+            reports.append(check_lemma_chain(pd[0], pd[1], t, 2.0, 0.5, spec, seed=1))
+            reports.append(check_main_theorem(pd[:2], pd[2:], t, 2.0, spec, seed=2))
+            reports.append(check_main_theorem(pd[:2], pd[2:], t, 1.5, spec, printed_form=False))
+            reports.append(check_main_theorem(psd[:1], psd[1:], t, 2.0, spec, printed_form=False,
+                                              epsilon_scale=1e-10))
+            reports.append(check_proof_steps(psd[:1], psd[1:], t, 2.0, spec, epsilon_scale=1e-10))
+            reports.extend(main_theorem_with_proof(pd[:2], pd[2:], t, 3.0, spec, seed=3))
+        reports.append(check_audenaert([p[0] for p in pairs], [p[1] for p in pairs], spec, seed=4))
+        for fid, direction in (("power:2", "convex"), ("expm1", "convex"), ("ratio", "concave")):
+            reports.append(check_bourin_uchiyama(pd[:3], fid, direction, spec, seed=5))
+    sigmas = [sig.tobytes().hex() for _, sig in lemma_chain_sigmas(pd[2], pd[3], 0.25, 1.5, 2.0)]
+    return reports, "\n".join(sigmas)
+
+
+def main():
+    for name, obj in CAMPAIGNS.items():
+        print(campaign_line(name, obj), flush=True)
+    for name, obj in SEARCHES.items():
+        print(search_line(name, obj), flush=True)
+    reports, sigmas = direct_reports()
+    print(f"direct-checks {digest(render_reports(reports, 'json') + sigmas)} {counts(reports)}")
+
+
+if __name__ == "__main__":
+    main()
