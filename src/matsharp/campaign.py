@@ -12,9 +12,11 @@ within a chunk the instances of one (n, m) group are drawn as one stack
 and evaluated in one stacked pass over the axes between them (t, r, s or
 f): for every chain, input spectra and the sums are one call per stack,
 pair means one per t, and the chain's singular values one per grid point,
-each covering every instance of the group.  Every norm then only reduces
-those sequences.  NumPy gives each slice of a stacked call the bits of the
-single-matrix call, so the reports are the ones the ``check_*``
+each covering every instance of the group.  Each norm then reduces those
+sequences into arrays over the whole stack, which the summary and the
+rendering read; a report object is built only when one is read from the
+:class:`ReportStream`.  NumPy gives each slice of a stacked call the bits
+of the single-matrix call, so the reports are the ones the ``check_*``
 predicates give instance by instance and point by point, emitted in
 (trial, grid point) order.  An instance that fails the strict
 positive-definite check, the PSD clamp or a Bourin-Uchiyama f gets NaN
@@ -28,7 +30,9 @@ import csv
 import io
 import itertools
 import json
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +48,7 @@ from .inequalities import (
     PROOF_STEPS,
     REL_TOL,
     InequalityReport,
+    _build_report,
     stack_reports,
 )
 from .linalg import hermitian_part, matrix_from_obj, matrix_to_obj
@@ -299,15 +304,18 @@ class CampaignSummary:
 
 
 def summarize(reports, wall_time=0.0):
-    """Recompute a CampaignSummary from a report stream."""
-    finite = [r for r in reports if r.is_finite()]
-    held = sum(1 for r in finite if r.holds)
-    worst = min(finite, key=lambda r: r.min_margin()) if finite else None
+    """Recompute a CampaignSummary from a report stream (of a ReportStream, its arrays)."""
+    if isinstance(reports, ReportStream):
+        held, finite, worst = reports._verdicts()
+    else:
+        finite_reports = [r for r in reports if r.is_finite()]
+        held, finite = sum(1 for r in finite_reports if r.holds), len(finite_reports)
+        worst = min(finite_reports, key=lambda r: r.min_margin()) if finite_reports else None
     return CampaignSummary(
         total=len(reports),
         held=held,
-        violated=len(finite) - held,
-        indeterminate=len(reports) - len(finite),
+        violated=finite - held,
+        indeterminate=len(reports) - finite,
         min_margin=worst.min_margin() if worst else float("inf"),
         min_margin_params=dict(worst.params, **{"inequality-id": worst.inequality_id})
         if worst else {},
@@ -353,8 +361,7 @@ def _build_inputs(config, n, m, inst_seed):
 
 
 def _stack_reports(config, grid, a, b, seeds, mask_failures=False):
-    """Reports of a stack of instances over ``grid`` (axis -> values): one
-    list per instance, in grid order."""
+    """The reports of a stack of instances over ``grid`` (axis -> values), as arrays."""
     return stack_reports(config.inequality_id, a, b, grid, seeds,
                          printed_form=config.printed_form,
                          epsilon_scale=config.ensemble["epsilon-scale"],
@@ -365,7 +372,91 @@ def _stack_reports(config, grid, a, b, seeds, mask_failures=False):
 def run_check(config, point, a_list, b_list, seed=None):
     """Evaluate one grid point; the campaign's kernel on a stack of one."""
     grid = {axis: (value,) for axis, value in point.items()}
-    return _stack_reports(config, grid, [a_list], [b_list], (seed,))[0][0]
+    return _build_report(_stack_reports(config, grid, [a_list], [b_list], (seed,)), 0, 0, 0)
+
+
+def _trial_report(block, point, norm, k, trial):
+    report = _build_report(block, point, norm, k)
+    report.params["trial"] = trial
+    return report
+
+
+class ReportStream(Sequence):
+    """A campaign's reports in (trial, grid point) order, kept as the
+    reduced blocks of its stacks.
+
+    Reading a report builds it, a new object on every read;
+    :func:`render_reports` and :func:`summarize` read the arrays instead.
+    A stream equals any sequence of equal reports.
+    """
+
+    def __init__(self, chunks, grid_size):
+        # (first trial, trial count, the blocks of the (n, m) groups), in trial order
+        self._chunks, self._grid_size = chunks, grid_size
+
+    def __len__(self):
+        return sum(count for _, count, _ in self._chunks) * self._grid_size
+
+    def __getitem__(self, index):
+        position = operator.index(index) + (len(self) if index < 0 else 0)
+        if not 0 <= position < len(self):
+            raise IndexError(f"report index {index} out of range")
+        trial, offset = divmod(position, self._grid_size)
+        first, _, blocks = next(chunk for chunk in self._chunks if trial < chunk[0] + chunk[1])
+        for block in blocks:
+            if offset < len(block.params) * len(block.norms):
+                return _trial_report(block, *divmod(offset, len(block.norms)), trial - first, trial)
+            offset -= len(block.params) * len(block.norms)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def _verdicts(self):
+        """(held, finite, the first report of least margin among the finite
+        ones in stream order, or None)."""
+        held = finite = 0
+        worst = None   # ((least margin, stream position), report location)
+        for first, _, blocks in self._chunks:
+            for group, block in enumerate(blocks):
+                held += int(block.holds.sum())
+                finite += int(block.finite.sum())
+                if block.finite.any():
+                    # (T, P, N): the flat order is stream order within the block
+                    lowest = np.moveaxis(np.where(block.finite, block.margins.min(axis=2),
+                                                  np.inf), -1, 0)
+                    k, point, norm = map(int, np.unravel_index(lowest.argmin(), lowest.shape))
+                    key = (float(lowest[k, point, norm]), first + k, group, point, norm)
+                    if worst is None or key < worst[0]:
+                        worst = key, (block, point, norm, k, first + k)
+        return held, finite, worst and _trial_report(*worst[1])
+
+    def _rows(self):
+        """Each report's fields in ``InequalityReport`` order."""
+        for first, count, blocks in self._chunks:
+            tables = [_row_table(block) for block in blocks]
+            for k in range(count):
+                for block, (bases, values, margins, holds, eps, fans) in zip(blocks, tables):
+                    for point, point_bases in enumerate(bases):
+                        for norm, base in enumerate(point_bases):
+                            yield (block.inequality_id,
+                                   dict(base, seed=block.seeds[k], trial=first + k),
+                                   list(zip(block.labels, values[k][point][norm])),
+                                   margins[k][point][norm], holds[k][point][norm],
+                                   eps[k][point], fans[k][point])
+
+
+def _row_table(block):
+    """A block's params per (point, norm), then its arrays as instance-major lists."""
+    bases = [[dict(params, **{"norm-spec": str(norm)}) for norm in block.norms]
+             for params in block.params]
+    arrays = [np.moveaxis(x, -1, 0).tolist() for x in (block.values, block.margins, block.holds)]
+    eps = ([[None] * len(bases)] * len(block.seeds) if block.epsilon is None
+           else block.epsilon.T.tolist())
+    return bases, *arrays, eps, np.moveaxis(block.fan_margins, -1, 0).tolist()
 
 
 def run_campaign(config):
@@ -379,13 +470,13 @@ def run_campaign(config):
 
     Returns
     -------
-    (CampaignSummary, list of InequalityReport)
+    (CampaignSummary, ReportStream)
         Exactly ``trials * grid_size`` reports, ordered by
         (trial, grid point); the stream is a pure function of the config.
     """
     config.validate()
     start = time.perf_counter()
-    reports = []
+    chunks = []
     dims_index = {n: i for i, n in enumerate(config.dims)}
     m_index = {m: i for i, m in enumerate(config.m_values)}
     # The instance axes n and m lead every grid and the norm ends it; a
@@ -397,52 +488,39 @@ def run_campaign(config):
     for first in range(0, config.trials, CHUNK_TRIALS):
         trials = range(first, min(first + CHUNK_TRIALS, config.trials))
         trial_seeds = [split_seed(config.root_seed, trial) for trial in trials]
-        by_group = []
+        blocks = []
         for n, m, n_index, m_idx in groups:
             seeds = tuple(split_seed(split_seed(seed, n_index), m_idx) for seed in trial_seeds)
             a, b = _build_inputs(config, n, m, seeds)
-            by_group.append(_stack_reports(config, grid, a, b, seeds, mask_failures=True))
-        for k, trial in enumerate(trials):
-            for group in by_group:
-                for report in group[k]:
-                    report.params["trial"] = trial
-                    reports.append(report)
-    summary = summarize(reports, wall_time=time.perf_counter() - start)
-    return summary, reports
+            blocks.append(_stack_reports(config, grid, a, b, seeds, mask_failures=True))
+        chunks.append((first, len(trials), blocks))
+    stream = ReportStream(chunks, config.grid_size())
+    return summarize(stream, wall_time=time.perf_counter() - start), stream
 
 
 # ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _fmt_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_reports(reports, output_format):
     """Render a report stream to text (line-delimited JSON or CSV)."""
+    rows = reports._rows() if isinstance(reports, ReportStream) else (
+        (r.inequality_id, r.params, r.terms, r.margins, r.holds, r.regularization_epsilon,
+         r.fan_margins) for r in reports)
     if output_format == "json":
-        return "".join(r.to_json() + "\n" for r in reports)
+        return "".join(InequalityReport(*row).to_json() + "\n" for row in rows)
     if output_format != "csv":
         raise ConfigError(f"output-format must be 'json' or 'csv', got {output_format!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in reports:
-        p = r.params
-        terms = [value for _, value in r.terms]
-        terms += [None] * (5 - len(terms))
-        margins = list(r.margins) + [None] * (4 - len(r.margins))
-        row = [r.inequality_id, p.get("trial"), p.get("m"), p.get("n"), p.get("t"),
-               p.get("r"), p.get("s"), p.get("norm-spec"), p.get("function-id"),
-               p.get("seed"), p.get("printed-form"), r.regularization_epsilon, r.holds]
-        writer.writerow([_fmt_cell(c) for c in row + terms + margins])
+    for inequality_id, p, terms, margins, holds, eps, _ in rows:
+        row = [inequality_id, p.get("trial"), p.get("m"), p.get("n"), p.get("t"), p.get("r"),
+               p.get("s"), p.get("norm-spec"), p.get("function-id"), p.get("seed"),
+               p.get("printed-form"), eps, holds, *(value for _, value in terms)]
+        row += [None] * (18 - len(row)) + list(margins) + [None] * (4 - len(margins))
+        # csv writes None as an empty cell and any other value through str().
+        writer.writerow(["true" if c is True else "false" if c is False else c for c in row])
     return buf.getvalue()
 
 

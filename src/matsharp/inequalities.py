@@ -14,13 +14,15 @@ instance.  It computes every spectrum at the outermost grid axis it
 depends on (input spectra and the sums once per stack, pair means once per
 t, the chain's singular values once per grid point), each as one stacked
 call for all T instances, so its terms carry a leading batch axis.  The
-norm is then only a reduction over those sequences (:func:`_build_report`).
+norms, margins, fan margins and verdicts of every report of a stack are
+then array reductions over those sequences, stacked over the grid points
+(:func:`_reduce`); :func:`_build_report` reads one report out of them.
 The main chain's kernel (:class:`_MainChain`) also serves the proof steps
 and, on single pairs, the lemma chain, whose last two terms are the
 t-dependent main chain's middle and right terms at s = 1
 (:func:`_flank_sigmas`).  A ``check_*`` predicate is the kernel on a stack
-of one, evaluated at one point plus one report; :func:`stack_reports` is
-the same kernel swept over a campaign grid.
+of one, evaluated and reduced at one point; :func:`stack_reports` is the
+same kernel swept over a campaign grid.
 """
 
 import json
@@ -165,38 +167,74 @@ class _ChainPoint(NamedTuple):
     regularization_epsilon: np.ndarray | None = None
 
 
-def _prefix_margin(sigma_left, sigma_right):
-    # Minimum Ky Fan prefix-sum difference; sequences are already sorted
-    # nonincreasing by construction.
-    return float(np.min(np.cumsum(sigma_right) - np.cumsum(sigma_left)))
+class _ReportBlock(NamedTuple):
+    """The reports of a stack of T instances over P points of one chain and
+    N norms, as arrays: ``values`` (P, N, terms, T), ``margins`` (P, N,
+    steps, T), ``fan_margins`` (P, steps, T), which no norm changes, the
+    verdict masks ``finite`` and ``holds`` (P, N, T), and ``epsilon`` (P, T)
+    or None."""
+
+    inequality_id: str
+    params: list
+    labels: list
+    norms: tuple
+    seeds: tuple
+    values: np.ndarray
+    margins: np.ndarray
+    fan_margins: np.ndarray
+    finite: np.ndarray
+    holds: np.ndarray
+    epsilon: np.ndarray | None
 
 
-def _build_report(point, k, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-    """The report of one norm on instance ``k`` of a chain point: the only
-    per-norm work.
+def _reduce(points, norms, rel_tol=REL_TOL, abs_tol=ABS_TOL, failed=None):
+    """Every norm's reports on ``points`` (chain points of one stack) as one
+    :class:`_ReportBlock`; the instances in ``failed`` get NaN terms.
 
     A report with any non-finite term, margin or fan margin never holds.
     """
-    sigmas = [(label, sig[k]) for label, sig in point.sigmas]
-    values = [norm_from_singular_values(sig, norm_spec) for _, sig in sigmas]
-    steps = point.steps or [(i, i + 1) for i in range(len(sigmas) - 1)]
-    margins = [values[j] - values[i] for i, j in steps]
-    params = dict(point.params)
-    params["norm-spec"] = str(norm_spec)
-    params["seed"] = point.seeds[k]
-    eps = point.regularization_epsilon
-    report = InequalityReport(
-        inequality_id=point.inequality_id,
+    first = points[0]
+    sigma = np.stack([np.stack([sig for _, sig in point.sigmas]) for point in points])
+    if failed is not None and failed.any():
+        sigma[:, :, failed] = np.nan
+    steps = first.steps or [(i, i + 1) for i in range(sigma.shape[1] - 1)]
+    left, right = ([step[side] for step in steps] for side in (0, 1))
+    values = np.stack([norm_from_singular_values(sigma, spec) for spec in norms], axis=1)
+    margins = values[:, :, right] - values[:, :, left]
+    prefix = np.cumsum(sigma, axis=-1)
+    fan_margins = (prefix[:, right] - prefix[:, left]).min(axis=-1)
+    finite = (np.isfinite(values).all(axis=2) & np.isfinite(margins).all(axis=2)
+              & np.isfinite(fan_margins).all(axis=1)[:, None])
+    holds = finite & (margins.min(axis=2)
+                      >= -tolerance_band(values.max(axis=2), rel_tol, abs_tol))
+    epsilon = None
+    if first.regularization_epsilon is not None:
+        epsilon = np.stack([point.regularization_epsilon for point in points])
+    return _ReportBlock(first.inequality_id, [point.params for point in points],
+                        [label for label, _ in first.sigmas], tuple(norms), first.seeds,
+                        values, margins, fan_margins, finite, holds, epsilon)
+
+
+def _build_report(block, point, norm, k):
+    """The report of norm ``norm`` on instance ``k`` at point ``point`` of a
+    reduced block."""
+    params = dict(block.params[point])
+    params["norm-spec"] = str(block.norms[norm])
+    params["seed"] = block.seeds[k]
+    return InequalityReport(
+        inequality_id=block.inequality_id,
         params=params,
-        terms=[(label, value) for (label, _), value in zip(sigmas, values)],
-        margins=margins,
-        holds=False,
-        regularization_epsilon=None if eps is None else float(eps[k]),
-        fan_margins=[_prefix_margin(sigmas[i][1], sigmas[j][1]) for i, j in steps],
+        terms=list(zip(block.labels, block.values[point, norm, :, k].tolist())),
+        margins=block.margins[point, norm, :, k].tolist(),
+        holds=bool(block.holds[point, norm, k]),
+        regularization_epsilon=None if block.epsilon is None else float(block.epsilon[point, k]),
+        fan_margins=block.fan_margins[point, :, k].tolist(),
     )
-    report.holds = bool(report.is_finite()
-                        and min(margins) >= -tolerance_band(max(values), rel_tol, abs_tol))
-    return report
+
+
+def _one_report(point, norm_spec, rel_tol, abs_tol):
+    """The report of one norm on a chain point of a stack of one."""
+    return _build_report(_reduce([point], (norm_spec,), rel_tol, abs_tol), 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +424,7 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
         raise ShapeError("shape error: at least one matrix is required")
     a, _ = _validate_lists(a_list, a_list)
     point = _FunctionSum(a, None, (seed,), False).point(function_id, direction)
-    return _build_report(point, 0, norm_spec, rel_tol, abs_tol)
+    return _one_report(point, norm_spec, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +621,7 @@ def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
     exploration and flagged in the params.
     """
     main, _ = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, printed_form)
-    return _build_report(main, 0, norm_spec, rel_tol, abs_tol)
+    return _one_report(main, norm_spec, rel_tol, abs_tol)
 
 
 def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
@@ -595,14 +633,14 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
     t-free form).  Requires ``r >= 1`` (the convexity step needs it).
     """
     _, proof = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
-    return _build_report(proof, 0, norm_spec, rel_tol, abs_tol)
+    return _one_report(proof, norm_spec, rel_tol, abs_tol)
 
 
 def main_theorem_with_proof(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
                             rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
     """One-pass evaluation returning (printed main report, proof report)."""
     points = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
-    return tuple(_build_report(point, 0, norm_spec, rel_tol, abs_tol) for point in points)
+    return tuple(_one_report(point, norm_spec, rel_tol, abs_tol) for point in points)
 
 
 def lemma_chain_sigmas(a, b, t, r, s):
@@ -619,7 +657,7 @@ def check_lemma_chain(a, b, t, r, s, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL
     invariant norms" form).
     """
     point = _one_instance([a], [b], seed=seed).at(t).lemma_point(r, s)
-    return _build_report(point, 0, norm_spec, rel_tol, abs_tol)
+    return _one_report(point, norm_spec, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +697,7 @@ def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL,
     CommutationError rather than being silently skipped.
     """
     kernel = _StackKernel(*_validate_lists(a_list, b_list), (seed,), False)
-    return _build_report(_audenaert_point(kernel), 0, norm_spec, rel_tol, abs_tol)
+    return _one_report(_audenaert_point(kernel), norm_spec, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +706,8 @@ def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL,
 
 def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
                   direction=None, rel_tol=REL_TOL, abs_tol=ABS_TOL, mask_failures=False):
-    """The reports of a stack of instances over ``grid``: one list per
-    instance, each in grid order.
+    """The reports of a stack of instances over ``grid``, reduced into one
+    :class:`_ReportBlock` (read one report with :func:`_build_report`).
 
     ``a`` and ``b`` hold one A-list and one B-list per instance, arrays of
     shape (T, m, n, n) (``b`` is ignored for Bourin-Uchiyama, and the lemma
@@ -677,10 +715,12 @@ def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_s
     instance.  ``grid`` maps the axes that follow the instance axes to
     their values: ``t``, ``r`` and ``s`` (lemma chain), ``t`` and ``r``
     (main theorem, proof steps) or ``f`` (Bourin-Uchiyama), then ``norm``,
-    varied fastest.  Each report equals the one its ``check_*`` predicate
-    gives for that instance and point.  Every chain evaluates the whole
-    stack in one pass, each spectrum once at the outermost axis it depends
-    on; the norm axis only reduces shared singular values.  With
+    varied fastest; the block's points follow the axes before ``norm`` in
+    grid order.  Each report equals the one its ``check_*`` predicate gives
+    for that instance and point.  Every chain evaluates the whole stack in
+    one pass, each spectrum once at the outermost axis it depends on; each
+    norm is then one reduction over the singular values of every point and
+    instance, and the fan margins one for all norms.  With
     ``mask_failures``, an instance with a slice that fails the strict
     positive-definite check, the PSD clamp or f gets NaN terms at every
     point (indeterminate reports) instead of raising.
@@ -701,8 +741,4 @@ def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_s
         # points() gives (main, proof); the proof chain ends in the printed terms.
         points = [at_t.points(r, printed_form or proof, proof)[proof]
                   for at_t in map(kernel.at, grid["t"]) for r in grid["r"]]
-    if kernel.failed.any():
-        points = [point._replace(sigmas=[(label, np.where(kernel.failed[:, None], np.nan, sig))
-                                         for label, sig in point.sigmas]) for point in points]
-    return [[_build_report(point, k, norm_spec, rel_tol, abs_tol)
-             for point in points for norm_spec in grid["norm"]] for k in range(len(seeds))]
+    return _reduce(points, grid["norm"], rel_tol, abs_tol, kernel.failed)

@@ -124,22 +124,25 @@ def singular_values(m):
 
 
 def norm_from_singular_values(sigma, spec):
-    """Evaluate a norm spec on a precomputed singular value sequence."""
+    """Evaluate a norm spec on precomputed singular value sequences (the last
+    axis): a float for one sequence, an array of the same bits for a stack."""
     sigma = np.asarray(sigma, dtype=np.float64)
-    n = sigma.shape[0]
-    if spec.kind == SCHATTEN:
-        if math.isinf(spec.p):
-            return float(sigma[0])
-        return float(np.sum(sigma ** spec.p) ** (1.0 / spec.p))
-    if spec.kind == KY_FAN:
-        if spec.k > n:
-            raise InvalidNormError(f"invalid Ky Fan index {spec.k} for dimension {n}")
-        return float(np.sum(sigma[: spec.k]))
-    if spec.kind == OPERATOR:
-        return float(sigma[0])
-    if spec.kind == TRACE:
-        return float(np.sum(sigma))
-    raise InvalidNormError(f"unknown norm kind {spec.kind!r}")
+    if spec.kind == KY_FAN and spec.k > sigma.shape[-1]:
+        raise InvalidNormError(f"invalid Ky Fan index {spec.k} for dimension {sigma.shape[-1]}")
+    if spec.kind == OPERATOR or (spec.kind == SCHATTEN and math.isinf(spec.p)):
+        value = sigma[..., 0]
+    elif spec.kind == KY_FAN:
+        value = np.sum(sigma[..., : spec.k], axis=-1)
+    elif spec.kind == TRACE:
+        value = np.sum(sigma, axis=-1)
+    elif spec.kind == SCHATTEN:
+        # The root goes through the C library's pow one value at a time:
+        # NumPy's vectorized power can round differently.
+        sums, root = np.sum(sigma ** spec.p, axis=-1), 1.0 / spec.p
+        value = np.array([x ** root for x in sums.ravel().tolist()]).reshape(sums.shape)
+    else:
+        raise InvalidNormError(f"unknown norm kind {spec.kind!r}")
+    return float(value) if sigma.ndim == 1 else value
 
 
 def ui_norm(m, spec):

@@ -443,6 +443,46 @@ class TestFailingSlice:
         assert summary["indeterminate"] >= 1
 
 
+class TestReportStream:
+    @pytest.mark.parametrize("obj", [
+        {"inequality-id": "main_theorem", "trials": CHUNK_TRIALS + 2},
+        {"inequality-id": "main_theorem", "printed-form": False, "ensemble": {"kind": "psd"}},
+        {"inequality-id": "proof_steps"},
+        {"inequality-id": "lemma_chain", "s-grid": [0.5, 1.0]},
+        {"inequality-id": "audenaert"},
+        {"inequality-id": "bourin_uchiyama", "functions": ["power:2", "expm1"],
+         "direction": "convex"},
+        # Failing slices mask their instances: NaN terms in both formats.
+        {"inequality-id": "main_theorem", "ensemble": {"condition-target": 1e17}},
+    ], ids=["main_theorem", "main_variant_psd", "proof_steps", "lemma_chain", "audenaert",
+            "bourin_uchiyama", "masked_failing_slice"])
+    def test_arrays_agree_with_the_reports_they_hold(self, obj):
+        # kyfan:1 and operator both read sigma_1: every report is tied with
+        # the next one, and the summary must keep the first of a tie.
+        cfg = CampaignConfig.from_obj(dict({
+            "trials": 3, "dims": [2, 3], "m-values": [1, 2], "t-grid": [0.25, 0.5],
+            "r-grid": [1.0, 2.0], "norm-specs": ["kyfan:1", "operator"],
+            "root-seed": 67}, **obj))
+        summary, stream = run_campaign(cfg)
+        reports = list(stream)
+        assert len(stream) == len(reports) == cfg.trials * cfg.grid_size()
+        for output_format in ("json", "csv"):
+            assert render_reports(stream, output_format) == render_reports(reports, output_format)
+        assert summarize(reports, summary.wall_time).to_json() == summary.to_json()
+        tied = [r for r in reports if r.is_finite() and r.min_margin() == summary.min_margin]
+        assert len(tied) >= 2 and tied[1].params["norm-spec"] == "operator"
+        assert summary.min_margin_params == dict(tied[0].params,
+                                                 **{"inequality-id": cfg.inequality_id})
+        assert [stream[i].to_json() for i in range(len(stream))] == [r.to_json() for r in reports]
+        assert stream[-1].to_json() == reports[-1].to_json()
+        with pytest.raises(IndexError):
+            stream[len(stream)]
+        if cfg.ensemble["condition-target"] > 1e12:
+            assert summary.held and summary.indeterminate
+            assert "NaN" in render_reports(stream, "json")
+            assert ",nan," in render_reports(stream, "csv")
+
+
 class TestLemmaSeeds:
     def test_stream_ignores_m_values(self):
         # The lemma chain has no m axis, so m-values must not reach its seeds.

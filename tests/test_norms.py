@@ -16,6 +16,7 @@ from matsharp import (
     hermitian_eigendecompose,
     log_majorization,
     matrix_power_psd,
+    norm_from_singular_values,
     singular_values,
     ui_norm,
     weak_majorization,
@@ -117,6 +118,26 @@ class TestUiNorm:
                 na, nb, nab = ui_norm(a, spec), ui_norm(b, spec), ui_norm(a + b, spec)
                 assert nab <= (na + nb) * (1 + 1e-10)
                 assert ui_norm(2.5 * a, spec) == pytest.approx(2.5 * na, rel=1e-10)
+
+
+class TestStackedReduction:
+    @pytest.mark.parametrize("text", ["schatten:1", "schatten:1.5", "schatten:2", "schatten:3",
+                                      "schatten:inf", "operator", "trace", "kyfan:1", "kyfan:4"])
+    def test_each_row_keeps_the_bits_of_its_own_sequence(self, text):
+        # One call over a (4, 5, 50, n) stack gives every row the value (and
+        # the bits) of the 1-D call on that row.
+        spec = NormSpec.parse(text)
+        sigma = -np.sort(-np.exp(np.random.default_rng(3).uniform(-8.0, 8.0, (4, 5, 50, 9))))
+        got = norm_from_singular_values(sigma, spec)
+        assert got.shape == (4, 5, 50)
+        want = [norm_from_singular_values(row, spec) for row in sigma.reshape(-1, 9)]
+        assert all(isinstance(w, float) for w in want)
+        assert got.ravel().tolist() == want
+        if spec.kind == "schatten" and math.isfinite(spec.p):
+            # The scalar form, whose root NumPy's vectorized power may round
+            # differently.
+            assert want == [float(np.sum(row ** spec.p) ** (1.0 / spec.p))
+                            for row in sigma.reshape(-1, 9)]
 
 
 class TestWeakMajorization:
