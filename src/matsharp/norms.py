@@ -136,13 +136,24 @@ def norm_from_singular_values(sigma, spec):
     elif spec.kind == TRACE:
         value = np.sum(sigma, axis=-1)
     elif spec.kind == SCHATTEN:
-        # The root goes through the C library's pow one value at a time:
-        # NumPy's vectorized power can round differently.
-        sums, root = np.sum(sigma ** spec.p, axis=-1), 1.0 / spec.p
-        value = np.array([x ** root for x in sums.ravel().tolist()]).reshape(sums.shape)
+        with np.errstate(over="ignore"):
+            value = _schatten(sigma, spec.p)
+        # Where the sum of powers overflows although the sequence is
+        # finite, scale by sigma_1 first; every finite value keeps its bits.
+        over = ~np.isfinite(value) & np.isfinite(sigma).all(axis=-1)
+        if over.any():
+            top = sigma[over].max(axis=-1, keepdims=True)
+            value[over] = top[:, 0] * _schatten(sigma[over] / top, spec.p)
     else:
         raise InvalidNormError(f"unknown norm kind {spec.kind!r}")
     return float(value) if sigma.ndim == 1 else value
+
+
+def _schatten(sigma, p):
+    # The root goes through the C library's pow one value at a time:
+    # NumPy's vectorized power can round differently.
+    sums, root = np.sum(sigma ** p, axis=-1), 1.0 / p
+    return np.array([x ** root for x in sums.ravel().tolist()]).reshape(sums.shape)
 
 
 def ui_norm(m, spec):

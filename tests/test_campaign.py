@@ -368,12 +368,28 @@ class TestNonFinite:
         with pytest.raises(SingularFunctionError), np.errstate(over="ignore"):
             check_lemma_chain(a_list[0], b_list[0], 0.5, 60.0, 1.0, NormSpec.trace())
 
+    def test_schatten_norm_of_a_huge_finite_term_is_finite(self):
+        # For n = 1 Schatten-2 is the trace norm.  At one instance f(sum A_i)
+        # is about 5e174: finite, though its square is not, so both norms
+        # must give the same verdicts.
+        cfg = CampaignConfig.from_obj({
+            "inequality-id": "bourin_uchiyama", "trials": 20, "dims": [1], "m-values": [1, 2],
+            "functions": ["expm1"], "direction": "convex", "norm-specs": ["schatten:2", "trace"],
+            "root-seed": 0, "ensemble": {"condition-target": 1e7}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, reports = run_campaign(cfg)
+        verdicts = {spec: [(r.holds, r.is_finite()) for r in reports
+                           if r.params["norm-spec"] == spec] for spec in ("schatten:2", "trace")}
+        assert verdicts["schatten:2"] == verdicts["trace"]
+        assert sum(holds for holds, _ in verdicts["trace"]) == 39
+
     def test_summary_separates_indeterminate_reports(self):
-        # At kappa = 1e12 and r = 40 the Schatten-2 margins are [inf, nan].
+        # At kappa = 1e12 and r = 60 the middle and right terms overflow to
+        # non-finite matrices, so the margins are NaN.
         a = pd_for(0, n=4, kappa=1e12)
         b = pd_for(100, n=4, kappa=1e12)
         with np.errstate(over="ignore", invalid="ignore"):
-            bad = check_main_theorem([a], [b], 0.5, 40.0, NormSpec.schatten(2))
+            bad = check_main_theorem([a], [b], 0.5, 60.0, NormSpec.schatten(2))
         good = check_main_theorem([a], [b], 0.5, 1.0, NormSpec.schatten(2))
         assert math.isnan(bad.min_margin())
         for stream in ([bad, good], [good, bad]):

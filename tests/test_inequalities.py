@@ -306,12 +306,12 @@ class TestMainTheorem:
         assert [r.params["m"] for r in reports] == [2, 2]
 
     def test_non_finite_report_never_holds(self):
-        # At kappa = 1e12 and r = 40 the Schatten-2 norms of the middle and
-        # right terms overflow to inf, so the margins are [inf, nan].
+        # At kappa = 1e12 and r = 60 the middle and right terms overflow to
+        # non-finite matrices, so their values and the margins are NaN.
         a = pd_for(0, n=4, kappa=1e12)
         b = pd_for(100, n=4, kappa=1e12)
         with np.errstate(over="ignore", invalid="ignore"):
-            report = check_main_theorem([a], [b], 0.5, 40.0, NormSpec.schatten(2))
+            report = check_main_theorem([a], [b], 0.5, 60.0, NormSpec.schatten(2))
         assert not all(math.isfinite(m) for m in report.margins)
         assert report.holds is False
 

@@ -140,6 +140,17 @@ class TestStackedReduction:
                             for row in sigma.reshape(-1, 9)]
 
 
+    def test_schatten_sum_past_the_float_range(self):
+        # sigma_1 = 1e200: the sum of squares overflows, the norm does not.
+        assert norm_from_singular_values([1e200, 1.0], NormSpec.schatten(2)) == 1e200
+        assert norm_from_singular_values([1e200, 1e200], NormSpec.schatten(3)) == \
+            pytest.approx(2.0 ** (1.0 / 3.0) * 1e200, rel=1e-15)
+        stack = np.array([[3.0, 4.0], [1e200, 1e199], [np.inf, 1.0], [np.nan, 1.0]])
+        got = norm_from_singular_values(stack, NormSpec.schatten(2))
+        assert got[0] == 5.0 and got[2] == math.inf and math.isnan(got[3])
+        assert got[1] == pytest.approx(math.hypot(1e200, 1e199), rel=1e-15)
+
+
 class TestWeakMajorization:
     def test_examples(self):
         assert weak_majorization([2.0, 2.0], [3.0, 1.0]).holds
