@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, UnregisteredFunctionError
 from .inequalities import (
     ABS_TOL,
     AUDENAERT,
@@ -49,6 +49,7 @@ from .inequalities import (
     REL_TOL,
     InequalityReport,
     _build_report,
+    resolve_function,
     stack_reports,
 )
 from .linalg import hermitian_part, matrix_from_obj, matrix_to_obj
@@ -181,8 +182,16 @@ class CampaignConfig:
         for name, grid in self._axes():
             if not grid:
                 raise ConfigError(f"grid {name!r} must be nonempty for {self.inequality_id}")
-        if self.inequality_id == BOURIN_UCHIYAMA and self.direction not in ("convex", "concave"):
-            raise ConfigError("BourinUchiyama campaigns need direction = convex|concave")
+        if self.inequality_id == BOURIN_UCHIYAMA:
+            if self.direction not in ("convex", "concave"):
+                raise ConfigError("BourinUchiyama campaigns need direction = convex|concave")
+            for function_id in self.functions:
+                try:
+                    _, directions = resolve_function(function_id)
+                except UnregisteredFunctionError as exc:
+                    raise ConfigError(exc.args[0]) from None
+                if self.direction not in directions:
+                    raise ConfigError(f"function {function_id!r} is not {self.direction}")
         if self.inequality_id == LEMMA_CHAIN and self.ensemble["kind"] == KIND_PSD:
             raise ConfigError("LemmaChain requires strictly positive definite inputs; "
                               "use a pd or commuting ensemble")
@@ -382,13 +391,9 @@ def _trial_report(block, point, norm, k, trial):
 
 
 class ReportStream(Sequence):
-    """A campaign's reports in (trial, grid point) order, kept as the
-    reduced blocks of its stacks.
-
-    Reading a report builds it, a new object on every read;
-    :func:`render_reports` and :func:`summarize` read the arrays instead.
-    A stream equals any sequence of equal reports.
-    """
+    """A campaign's reports in (trial, grid point) order, kept as the reduced
+    blocks of its stacks: a report is built anew on every read, while
+    :func:`render_reports` and :func:`summarize` read the arrays."""
 
     def __init__(self, chunks, grid_size):
         # (first trial, trial count, the blocks of the (n, m) groups), in trial order

@@ -54,23 +54,33 @@ class Stream:
 
     Keyed by a tuple of seeds, it is one stream per seed drawn in lockstep:
     every draw gains a leading axis (``shape``), and row k is the draw of
-    ``Stream(seeds[k])``.
+    ``Stream(seeds[k])``; one generator serves every seed, its state set to
+    the seed's key and block counter before each of the seed's draws.
     """
 
     def __init__(self, seed):
-        if isinstance(seed, tuple):
-            self.shape = (len(seed),)
-            self._bgs = [np.random.Philox(key=int(s) & _MASK64) for s in seed]
-        else:
-            self.shape = ()
-            self._bg = np.random.Philox(key=int(seed) & _MASK64)
+        self.shape = (len(seed),) if isinstance(seed, tuple) else ()
+        self._keys = [int(s) & _MASK64 for s in seed] if self.shape else None
+        self._bg = np.random.Philox(key=0 if self.shape else int(seed) & _MASK64)
+        self._drawn = 0   # words drawn from each keyed stream
+
+    def _raw(self, count):
+        if not self.shape:
+            return self._bg.random_raw(count)
+        # Philox emits words in blocks of four, the first block at counter 1.
+        block, skip = divmod(self._drawn, 4)
+        self._drawn += count
+        rows = []
+        for key in self._keys:
+            self._bg.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+                              "state": {"counter": [block, 0, 0, 0], "key": [key, 0]},
+                              "has_uint32": 0, "uinteger": 0}
+            rows.append(self._bg.random_raw(skip + count)[skip:])
+        return np.stack(rows)
 
     def uniforms(self, count):
         """Doubles in (0, 1]: ((raw >> 11) + 1) * 2^-53."""
-        if self.shape:
-            raw = np.stack([bg.random_raw(int(count)) for bg in self._bgs])
-        else:
-            raw = self._bg.random_raw(int(count))
+        raw = self._raw(int(count))
         return ((raw >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
 
     def normals(self, count):
@@ -89,7 +99,7 @@ class Stream:
 
     def integers(self, bound):
         """One integer uniform on [0, bound) via modular reduction."""
-        return int(self._bg.random_raw(1)[0] % np.uint64(int(bound)))
+        return int(self._raw(1)[0] % np.uint64(int(bound)))
 
 
 @dataclass(frozen=True)

@@ -207,12 +207,11 @@ def _reduce(points, norms, rel_tol=REL_TOL, abs_tol=ABS_TOL, failed=None):
               & np.isfinite(fan_margins).all(axis=1)[:, None])
     holds = finite & (margins.min(axis=2)
                       >= -tolerance_band(values.max(axis=2), rel_tol, abs_tol))
-    epsilon = None
-    if first.regularization_epsilon is not None:
-        epsilon = np.stack([point.regularization_epsilon for point in points])
+    eps = [point.regularization_epsilon for point in points]
     return _ReportBlock(first.inequality_id, [point.params for point in points],
                         [label for label, _ in first.sigmas], tuple(norms), first.seeds,
-                        values, margins, fan_margins, finite, holds, epsilon)
+                        values, margins, fan_margins, finite, holds,
+                        None if eps[0] is None else np.stack(eps))
 
 
 def _build_report(block, point, norm, k):

@@ -97,6 +97,19 @@ class TestConfig:
             CampaignConfig.from_obj({"inequality-id": "bourin_uchiyama",
                                      "direction": "convex", "functions": []})
 
+    @pytest.mark.parametrize("functions,direction", [
+        (["power:2", "ratio"], "convex"),   # ratio is concave
+        (["power:3"], "concave"),
+        (["log1p"], "convex"),              # not registered
+        (["power:-1"], "convex"),
+    ])
+    def test_bourin_uchiyama_rejects_unusable_functions(self, functions, direction):
+        # Refused up front, not at the first stack of the run.
+        with pytest.raises(ConfigError):
+            CampaignConfig.from_obj({"inequality-id": "bourin_uchiyama", "trials": 2,
+                                     "dims": [2], "m-values": [2], "functions": functions,
+                                     "direction": direction})
+
     @pytest.mark.parametrize("r_grid", [None, [0.5, 1.0], [2.0, 0.99]])
     def test_proof_steps_rejects_r_below_one(self, r_grid):
         # The default r-grid holds 0.5; the proof's convexity step needs

@@ -86,6 +86,16 @@ class TestStackedDraws:
                 assert whole[k].tobytes() == one.tobytes()
 
 
+    def test_stack_rows_equal_keyed_philox_words(self):
+        # Successive draws of odd lengths cross the four-word block
+        # boundaries of Philox at every offset.
+        seeds = (0, 1, 2 ** 64 - 1, split_seed(9, 4), split_seed(9, 5))
+        stacked = Stream(seeds)
+        draws = [stacked._raw(count) for count in (3, 5, 1, 7, 2, 9)]
+        for k, seed in enumerate(seeds):
+            words = np.random.Philox(key=seed).random_raw(27)
+            assert np.concatenate([draw[k] for draw in draws]).tobytes() == words.tobytes()
+
 class TestRandomPd:
     def test_condition_target_seed17(self):
         a = random_pd(EnsembleSpec(dim=6, seed=17, condition_target=100.0))
