@@ -187,26 +187,28 @@ class _ReportBlock(NamedTuple):
     epsilon: np.ndarray | None
 
 
-def _reduce(points, norms, rel_tol=REL_TOL, abs_tol=ABS_TOL, failed=None):
+def _reduce(points, norms, rel_tol, abs_tol, failed=None):
     """Every norm's reports on ``points`` (chain points of one stack) as one
     :class:`_ReportBlock`; the instances in ``failed`` get NaN terms.
 
     A report with any non-finite term, margin or fan margin never holds.
     """
     first = points[0]
-    sigma = np.stack([np.stack([sig for _, sig in point.sigmas]) for point in points])
+    sigma = np.array([[sig for _, sig in point.sigmas] for point in points])
     if failed is not None and failed.any():
         sigma[:, :, failed] = np.nan
     steps = first.steps or [(i, i + 1) for i in range(sigma.shape[1] - 1)]
     left, right = ([step[side] for step in steps] for side in (0, 1))
-    values = np.stack([norm_from_singular_values(sigma, spec) for spec in norms], axis=1)
+    values = np.array([norm_from_singular_values(sigma, spec) for spec in norms])
+    values = values.transpose(1, 0, 2, 3)
     margins = values[:, :, right] - values[:, :, left]
-    prefix = np.cumsum(sigma, axis=-1)
+    prefix = sigma.cumsum(axis=-1)
     fan_margins = (prefix[:, right] - prefix[:, left]).min(axis=-1)
-    finite = (np.isfinite(values).all(axis=2) & np.isfinite(margins).all(axis=2)
-              & np.isfinite(fan_margins).all(axis=1)[:, None])
-    holds = finite & (margins.min(axis=2)
-                      >= -tolerance_band(values.max(axis=2), rel_tol, abs_tol))
+    # Terms are norms, never negative: the largest is finite exactly when
+    # every term is, and then every margin is finite too.
+    scale = values.max(axis=2)
+    finite = np.isfinite(scale) & np.isfinite(fan_margins).all(axis=1)[:, None]
+    holds = finite & (margins.min(axis=2) >= -tolerance_band(scale, rel_tol, abs_tol))
     eps = [point.regularization_epsilon for point in points]
     return _ReportBlock(first.inequality_id, [point.params for point in points],
                         [label for label, _ in first.sigmas], tuple(norms), first.seeds,

@@ -132,16 +132,17 @@ def norm_from_singular_values(sigma, spec):
     if spec.kind == OPERATOR or (spec.kind == SCHATTEN and math.isinf(spec.p)):
         value = sigma[..., 0]
     elif spec.kind == KY_FAN:
-        value = np.sum(sigma[..., : spec.k], axis=-1)
+        value = sigma[..., : spec.k].sum(axis=-1)
     elif spec.kind == TRACE:
-        value = np.sum(sigma, axis=-1)
+        value = sigma.sum(axis=-1)
     elif spec.kind == SCHATTEN:
         with np.errstate(over="ignore"):
             value = _schatten(sigma, spec.p)
         # Where the sum of powers overflows although the sequence is
         # finite, scale by sigma_1 first; every finite value keeps its bits.
-        over = ~np.isfinite(value) & np.isfinite(sigma).all(axis=-1)
+        over = np.isinf(value)
         if over.any():
+            over &= np.isfinite(sigma).all(axis=-1)
             top = sigma[over].max(axis=-1, keepdims=True)
             value[over] = top[:, 0] * _schatten(sigma[over] / top, spec.p)
     else:
@@ -152,7 +153,7 @@ def norm_from_singular_values(sigma, spec):
 def _schatten(sigma, p):
     # The root goes through the C library's pow one value at a time:
     # NumPy's vectorized power can round differently.
-    sums, root = np.sum(sigma ** p, axis=-1), 1.0 / p
+    sums, root = (sigma ** p).sum(axis=-1), 1.0 / p
     return np.array([x ** root for x in sums.ravel().tolist()]).reshape(sums.shape)
 
 
