@@ -313,7 +313,8 @@ class CampaignSummary:
 
 
 def summarize(reports, wall_time=0.0):
-    """Recompute a CampaignSummary from a report stream (of a ReportStream, its arrays)."""
+    """Recompute a CampaignSummary from a report stream; a ReportStream's
+    arrays are read directly."""
     if isinstance(reports, ReportStream):
         held, finite, worst = reports._verdicts()
     else:
