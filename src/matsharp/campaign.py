@@ -12,11 +12,10 @@ within a chunk the instances of one (n, m) group are drawn as one stack
 and evaluated in one stacked pass over the axes between them (t, r, s or
 f): for every chain, input spectra and the sums are one call per stack,
 pair means one per t, and the chain's singular values one per grid point,
-each covering every instance of the group.  Each norm then reduces those
-sequences into arrays over the whole stack, which the summary and the
-rendering read; a report object is built only when one is read from the
-:class:`ReportStream`.  NumPy gives each slice of a stacked call the bits
-of the single-matrix call, so the reports are the ones the ``check_*``
+each covering every instance of the group.  Every norm then reduces those
+sequences into arrays, which the summary reads; a report is built when the
+:class:`ReportStream` is read.  NumPy gives each slice of a stacked call the
+bits of the single-matrix call, so the reports are the ones the ``check_*``
 predicates give instance by instance and point by point, emitted in
 (trial, grid point) order.  An instance that fails the strict
 positive-definite check, the PSD clamp or a Bourin-Uchiyama f gets NaN
@@ -30,7 +29,6 @@ import csv
 import io
 import itertools
 import json
-import operator
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -49,6 +47,7 @@ from .inequalities import (
     REL_TOL,
     InequalityReport,
     _build_report,
+    _instance_reports,
     resolve_function,
     stack_reports,
 )
@@ -182,16 +181,14 @@ class CampaignConfig:
         for name, grid in self._axes():
             if not grid:
                 raise ConfigError(f"grid {name!r} must be nonempty for {self.inequality_id}")
-        if self.inequality_id == BOURIN_UCHIYAMA:
-            if self.direction not in ("convex", "concave"):
-                raise ConfigError("BourinUchiyama campaigns need direction = convex|concave")
-            for function_id in self.functions:
-                try:
-                    _, directions = resolve_function(function_id)
-                except UnregisteredFunctionError as exc:
-                    raise ConfigError(exc.args[0]) from None
-                if self.direction not in directions:
-                    raise ConfigError(f"function {function_id!r} is not {self.direction}")
+        for function_id in self.functions if self.inequality_id == BOURIN_UCHIYAMA else ():
+            try:
+                usable = self.direction in resolve_function(function_id)[1]
+            except UnregisteredFunctionError as exc:
+                raise ConfigError(exc.args[0]) from None
+            if not usable:
+                raise ConfigError(f"BourinUchiyama function {function_id!r} is not {self.direction!r}"
+                                  "; direction must be convex|concave and fit every function")
         if self.inequality_id == LEMMA_CHAIN and self.ensemble["kind"] == KIND_PSD:
             raise ConfigError("LemmaChain requires strictly positive definite inputs; "
                               "use a pd or commuting ensemble")
@@ -313,8 +310,7 @@ class CampaignSummary:
 
 
 def summarize(reports, wall_time=0.0):
-    """Recompute a CampaignSummary from a report stream; a ReportStream's
-    arrays are read directly."""
+    """Recompute a CampaignSummary from a report stream (a ReportStream's from its arrays)."""
     if isinstance(reports, ReportStream):
         held, finite, worst = reports._verdicts()
     else:
@@ -382,87 +378,44 @@ def _stack_reports(config, grid, a, b, seeds, mask_failures=False):
 def run_check(config, point, a_list, b_list, seed=None):
     """Evaluate one grid point; the campaign's kernel on a stack of one."""
     grid = {axis: (value,) for axis, value in point.items()}
-    return _build_report(_stack_reports(config, grid, [a_list], [b_list], (seed,)), 0, 0, 0)
-
-
-def _trial_report(block, point, norm, k, trial):
-    report = _build_report(block, point, norm, k)
-    report.params["trial"] = trial
-    return report
+    return _build_report(_stack_reports(config, grid, [a_list], [b_list], (seed,)))
 
 
 class ReportStream(Sequence):
     """A campaign's reports in (trial, grid point) order, kept as the reduced
-    blocks of its stacks: a report is built anew on every read, while
-    :func:`render_reports` and :func:`summarize` read the arrays."""
+    blocks of its stacks (one list per chunk of trials): reports are built
+    when they are read, while :func:`summarize` reads the arrays."""
 
-    def __init__(self, chunks, grid_size):
-        # (first trial, trial count, the blocks of the (n, m) groups), in trial order
-        self._chunks, self._grid_size = chunks, grid_size
+    def __init__(self, chunks, trials, grid_size):
+        self._chunks, self._trials, self._grid_size = chunks, trials, grid_size
 
     def __len__(self):
-        return sum(count for _, count, _ in self._chunks) * self._grid_size
+        return self._trials * self._grid_size
+
+    def _trial(self, trial):
+        for block in self._chunks[trial // CHUNK_TRIALS]:
+            yield from _instance_reports(block, trial % CHUNK_TRIALS, trial=trial)
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(map(self._trial, range(self._trials)))
 
     def __getitem__(self, index):
-        position = operator.index(index) + (len(self) if index < 0 else 0)
-        if not 0 <= position < len(self):
-            raise IndexError(f"report index {index} out of range")
-        trial, offset = divmod(position, self._grid_size)
-        first, _, blocks = next(chunk for chunk in self._chunks if trial < chunk[0] + chunk[1])
-        for block in blocks:
-            if offset < len(block.params) * len(block.norms):
-                return _trial_report(block, *divmod(offset, len(block.norms)), trial - first, trial)
-            offset -= len(block.params) * len(block.norms)
+        trial, offset = divmod(range(len(self))[index], self._grid_size)
+        return next(itertools.islice(self._trial(trial), offset, None))
 
     def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
     def _verdicts(self):
-        """(held, finite, the first report of least margin among the finite
-        ones in stream order, or None)."""
-        held = finite = 0
-        worst = None   # ((least margin, stream position), report location)
-        for first, _, blocks in self._chunks:
-            for group, block in enumerate(blocks):
-                held += int(block.holds.sum())
-                finite += int(block.finite.sum())
-                if block.finite.any():
-                    # (T, P, N): the flat order is stream order within the block
-                    lowest = np.moveaxis(np.where(block.finite, block.margins.min(axis=2),
-                                                  np.inf), -1, 0)
-                    k, point, norm = map(int, np.unravel_index(lowest.argmin(), lowest.shape))
-                    key = (float(lowest[k, point, norm]), first + k, group, point, norm)
-                    if worst is None or key < worst[0]:
-                        worst = key, (block, point, norm, k, first + k)
-        return held, finite, worst and _trial_report(*worst[1])
-
-    def _rows(self):
-        """Each report's fields in ``InequalityReport`` order."""
-        for first, count, blocks in self._chunks:
-            tables = [_row_table(block) for block in blocks]
-            for k in range(count):
-                for block, (bases, values, margins, holds, eps, fans) in zip(blocks, tables):
-                    for point, point_bases in enumerate(bases):
-                        for norm, base in enumerate(point_bases):
-                            yield (block.inequality_id,
-                                   dict(base, seed=block.seeds[k], trial=first + k),
-                                   list(zip(block.labels, values[k][point][norm])),
-                                   margins[k][point][norm], holds[k][point][norm],
-                                   eps[k][point], fans[k][point])
-
-
-def _row_table(block):
-    """A block's params per (point, norm), then its arrays as instance-major lists."""
-    bases = [[dict(params, **{"norm-spec": str(norm)}) for norm in block.norms]
-             for params in block.params]
-    arrays = [np.moveaxis(x, -1, 0).tolist() for x in (block.values, block.margins, block.holds)]
-    eps = ([[None] * len(bases)] * len(block.seeds) if block.epsilon is None
-           else block.epsilon.T.tolist())
-    return bases, *arrays, eps, np.moveaxis(block.fan_margins, -1, 0).tolist()
+        """(held, finite, the first finite report of least margin or None)."""
+        # Per chunk, the least margins as (trials, grid size), inf where a
+        # report is not finite: the flat order is stream order.
+        lowest = np.concatenate([np.concatenate([
+            np.where(b.finite, b.margins.min(axis=2), np.inf).reshape(-1, len(b.seeds)).T
+            for b in blocks], axis=1).ravel() for blocks in self._chunks])
+        worst = int(lowest.argmin())
+        return (sum(int(b.holds.sum()) for blocks in self._chunks for b in blocks),
+                int(np.isfinite(lowest).sum()), self[worst] if lowest[worst] < np.inf else None)
 
 
 def run_campaign(config):
@@ -499,8 +452,8 @@ def run_campaign(config):
             seeds = tuple(split_seed(split_seed(seed, n_index), m_idx) for seed in trial_seeds)
             a, b = _build_inputs(config, n, m, seeds)
             blocks.append(_stack_reports(config, grid, a, b, seeds, mask_failures=True))
-        chunks.append((first, len(trials), blocks))
-    stream = ReportStream(chunks, config.grid_size())
+        chunks.append(blocks)
+    stream = ReportStream(chunks, config.trials, config.grid_size())
     return summarize(stream, wall_time=time.perf_counter() - start), stream
 
 
@@ -510,21 +463,20 @@ def run_campaign(config):
 
 def render_reports(reports, output_format):
     """Render a report stream to text (line-delimited JSON or CSV)."""
-    rows = reports._rows() if isinstance(reports, ReportStream) else (
-        (r.inequality_id, r.params, r.terms, r.margins, r.holds, r.regularization_epsilon,
-         r.fan_margins) for r in reports)
     if output_format == "json":
-        return "".join(InequalityReport(*row).to_json() + "\n" for row in rows)
+        return "".join(r.to_json() + "\n" for r in reports)
     if output_format != "csv":
         raise ConfigError(f"output-format must be 'json' or 'csv', got {output_format!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for inequality_id, p, terms, margins, holds, eps, _ in rows:
-        row = [inequality_id, p.get("trial"), p.get("m"), p.get("n"), p.get("t"), p.get("r"),
+    for r in reports:
+        p = r.params
+        row = [r.inequality_id, p.get("trial"), p.get("m"), p.get("n"), p.get("t"), p.get("r"),
                p.get("s"), p.get("norm-spec"), p.get("function-id"), p.get("seed"),
-               p.get("printed-form"), eps, holds, *(value for _, value in terms)]
-        row += [None] * (18 - len(row)) + list(margins) + [None] * (4 - len(margins))
+               p.get("printed-form"), r.regularization_epsilon, r.holds,
+               *(value for _, value in r.terms)]
+        row += [None] * (18 - len(row)) + list(r.margins) + [None] * (4 - len(r.margins))
         # csv writes None as an empty cell and any other value through str().
         writer.writerow(["true" if c is True else "false" if c is False else c for c in row])
     return buf.getvalue()

@@ -62,6 +62,7 @@ class Stream:
         self.shape = (len(seed),) if isinstance(seed, tuple) else ()
         self._keys = [int(s) & _MASK64 for s in seed] if self.shape else None
         self._bg = np.random.Philox(key=0 if self.shape else int(seed) & _MASK64)
+        self._state = dict(self._bg.state, buffer_pos=4) if self.shape else None   # nothing buffered
         self._drawn = 0   # words drawn from each keyed stream
 
     def _raw(self, count):
@@ -72,9 +73,7 @@ class Stream:
         self._drawn += count
         rows = []
         for key in self._keys:
-            self._bg.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
-                              "state": {"counter": [block, 0, 0, 0], "key": [key, 0]},
-                              "has_uint32": 0, "uinteger": 0}
+            self._bg.state = dict(self._state, state={"counter": [block, 0, 0, 0], "key": [key, 0]})
             rows.append(self._bg.random_raw(skip + count)[skip:])
         return np.stack(rows)
 

@@ -13,10 +13,9 @@ of instances: arrays of shape (T, m, n, n), one A-list (and B-list) per
 instance.  It computes every spectrum at the outermost grid axis it
 depends on (input spectra and the sums once per stack, pair means once per
 t, the chain's singular values once per grid point), each as one stacked
-call for all T instances, so its terms carry a leading batch axis.  The
-norms, margins, fan margins and verdicts of every report of a stack are
-then array reductions over those sequences, stacked over the grid points
-(:func:`_reduce`); :func:`_build_report` reads one report out of them.
+call for all T instances, so its terms carry a leading batch axis.  Every
+norm, margin and verdict is then an array reduction over those sequences
+(:func:`_reduce`), read out as reports by :func:`_instance_reports`.
 The main chain's kernel (:class:`_MainChain`) also serves the proof steps
 and, on single pairs, the lemma chain, whose last two terms are the
 t-dependent main chain's middle and right terms at s = 1
@@ -168,11 +167,10 @@ class _ChainPoint(NamedTuple):
 
 
 class _ReportBlock(NamedTuple):
-    """The reports of a stack of T instances over P points of one chain and
-    N norms, as arrays: ``values`` (P, N, terms, T), ``margins`` (P, N,
-    steps, T), ``fan_margins`` (P, steps, T), which no norm changes, the
-    verdict masks ``finite`` and ``holds`` (P, N, T), and ``epsilon`` (P, T)
-    or None."""
+    """A stack of T instances reduced over P points of one chain and N norms:
+    ``values`` (P, N, terms, T), ``margins`` (P, N, steps, T), ``fan_margins``
+    (P, steps, T), which no norm changes, the masks ``finite`` and ``holds``
+    (P, N, T), and ``epsilon`` (P, T) or None."""
 
     inequality_id: str
     params: list
@@ -197,10 +195,8 @@ def _reduce(points, norms, rel_tol, abs_tol, failed=None):
     sigma = np.array([[sig for _, sig in point.sigmas] for point in points])
     if failed is not None and failed.any():
         sigma[:, :, failed] = np.nan
-    steps = first.steps or [(i, i + 1) for i in range(sigma.shape[1] - 1)]
-    left, right = ([step[side] for step in steps] for side in (0, 1))
-    values = np.array([norm_from_singular_values(sigma, spec) for spec in norms])
-    values = values.transpose(1, 0, 2, 3)
+    left, right = np.array(first.steps or [(i, i + 1) for i in range(sigma.shape[1] - 1)]).T
+    values = np.array([norm_from_singular_values(sigma, spec) for spec in norms]).swapaxes(0, 1)
     margins = values[:, :, right] - values[:, :, left]
     prefix = sigma.cumsum(axis=-1)
     fan_margins = (prefix[:, right] - prefix[:, left]).min(axis=-1)
@@ -216,26 +212,24 @@ def _reduce(points, norms, rel_tol, abs_tol, failed=None):
                         None if eps[0] is None else np.stack(eps))
 
 
-def _build_report(block, point, norm, k):
+def _instance_reports(block, k, **extra):
+    """The reports of instance ``k`` of a reduced block in grid order, one
+    ``tolist`` per array; ``extra`` params end each report's params."""
+    names = [str(norm) for norm in block.norms]
+    values, margins, holds, fans = (x[..., k].tolist() for x in (
+        block.values, block.margins, block.holds, block.fan_margins))
+    eps = [None] * len(block.params) if block.epsilon is None else block.epsilon[:, k].tolist()
+    return [InequalityReport(block.inequality_id,
+                             dict(params, **{"norm-spec": name, "seed": block.seeds[k]}, **extra),
+                             list(zip(block.labels, values[point][norm])), margins[point][norm],
+                             holds[point][norm], eps[point], fans[point])
+            for point, params in enumerate(block.params) for norm, name in enumerate(names)]
+
+
+def _build_report(block, point=0, norm=0, k=0):
     """The report of norm ``norm`` on instance ``k`` at point ``point`` of a
-    reduced block."""
-    params = dict(block.params[point])
-    params["norm-spec"] = str(block.norms[norm])
-    params["seed"] = block.seeds[k]
-    return InequalityReport(
-        inequality_id=block.inequality_id,
-        params=params,
-        terms=list(zip(block.labels, block.values[point, norm, :, k].tolist())),
-        margins=block.margins[point, norm, :, k].tolist(),
-        holds=bool(block.holds[point, norm, k]),
-        regularization_epsilon=None if block.epsilon is None else float(block.epsilon[point, k]),
-        fan_margins=block.fan_margins[point, :, k].tolist(),
-    )
-
-
-def _one_report(point, norm_spec, rel_tol, abs_tol):
-    """The report of one norm on a chain point of a stack of one."""
-    return _build_report(_reduce([point], (norm_spec,), rel_tol, abs_tol), 0, 0, 0)
+    reduced block; by default the only one of a ``check_*`` block."""
+    return _instance_reports(block, k)[point * len(block.norms) + norm]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +419,7 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
         raise ShapeError("shape error: at least one matrix is required")
     a, _ = _validate_lists(a_list, a_list)
     point = _FunctionSum(a, None, (seed,), False).point(function_id, direction)
-    return _one_report(point, norm_spec, rel_tol, abs_tol)
+    return _build_report(_reduce([point], (norm_spec,), rel_tol, abs_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +616,7 @@ def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
     exploration and flagged in the params.
     """
     main, _ = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, printed_form)
-    return _one_report(main, norm_spec, rel_tol, abs_tol)
+    return _build_report(_reduce([main], (norm_spec,), rel_tol, abs_tol))
 
 
 def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
@@ -634,14 +628,14 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
     t-free form).  Requires ``r >= 1`` (the convexity step needs it).
     """
     _, proof = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
-    return _one_report(proof, norm_spec, rel_tol, abs_tol)
+    return _build_report(_reduce([proof], (norm_spec,), rel_tol, abs_tol))
 
 
 def main_theorem_with_proof(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
                             rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
     """One-pass evaluation returning (printed main report, proof report)."""
     points = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
-    return tuple(_one_report(point, norm_spec, rel_tol, abs_tol) for point in points)
+    return tuple(_build_report(_reduce([p], (norm_spec,), rel_tol, abs_tol)) for p in points)
 
 
 def lemma_chain_sigmas(a, b, t, r, s):
@@ -658,7 +652,7 @@ def check_lemma_chain(a, b, t, r, s, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL
     invariant norms" form).
     """
     point = _one_instance([a], [b], seed=seed).at(t).lemma_point(r, s)
-    return _one_report(point, norm_spec, rel_tol, abs_tol)
+    return _build_report(_reduce([point], (norm_spec,), rel_tol, abs_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +692,7 @@ def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL,
     CommutationError rather than being silently skipped.
     """
     kernel = _StackKernel(*_validate_lists(a_list, b_list), (seed,), False)
-    return _one_report(_audenaert_point(kernel), norm_spec, rel_tol, abs_tol)
+    return _build_report(_reduce([_audenaert_point(kernel)], (norm_spec,), rel_tol, abs_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +713,8 @@ def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_s
     varied fastest; the block's points follow the axes before ``norm`` in
     grid order.  Each report equals the one its ``check_*`` predicate gives
     for that instance and point.  Every chain evaluates the whole stack in
-    one pass, each spectrum once at the outermost axis it depends on; each
-    norm is then one reduction over the singular values of every point and
-    instance, and the fan margins one for all norms.  With
+    one pass, each spectrum once at the outermost axis it depends on, and
+    each norm is one reduction over every point and instance.  With
     ``mask_failures``, an instance with a slice that fails the strict
     positive-definite check, the PSD clamp or f gets NaN terms at every
     point (indeterminate reports) instead of raising.

@@ -29,10 +29,12 @@ from matsharp import (
 from matsharp.campaign import (
     CHUNK_TRIALS,
     CSV_COLUMNS,
+    ReportStream,
     _build_inputs,
     reevaluate_search_instance,
 )
 from matsharp.cli import main as cli_main
+from matsharp.inequalities import BOURIN_UCHIYAMA, stack_reports
 
 
 def small_config(**overrides):
@@ -395,6 +397,30 @@ class TestNonFinite:
                            if r.params["norm-spec"] == spec] for spec in ("schatten:2", "trace")}
         assert verdicts["schatten:2"] == verdicts["trace"]
         assert sum(holds for holds, _ in verdicts["trace"]) == 39
+
+    def test_infinite_term_among_finite_ones_is_indeterminate(self):
+        # f(sum A_i) = expm1(709) I_3 has finite entries and singular values,
+        # but its trace overflows: the report's other term and its fan
+        # margins stay finite, while Schatten-2 and the tame instance hold.
+        a = np.stack([np.diag([354.5] * 3)] * 2)
+        grid = {"f": ("expm1",), "norm": (NormSpec.trace(), NormSpec.schatten(2))}
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = stack_reports(BOURIN_UCHIYAMA, np.stack([a, a / 354.5]), None, grid,
+                                  (1, 2), direction="convex")
+        stream = ReportStream([[block]], 2, 2)
+        reports = list(stream)
+        bad = reports[0]
+        assert bad.terms[1][1] == math.inf and math.isfinite(bad.terms[0][1])
+        assert all(math.isfinite(x) for x in bad.fan_margins)
+        assert not bad.is_finite() and bad.holds is False
+        assert all(r.is_finite() and r.holds for r in reports[1:])
+        for summary in (summarize(stream), summarize(reports)):
+            assert (summary.held, summary.violated, summary.indeterminate) == (3, 0, 1)
+        assert summarize(stream).to_json() == summarize(reports).to_json()
+        with np.errstate(over="ignore", invalid="ignore"):
+            check = check_bourin_uchiyama(list(a), "expm1", "convex", NormSpec.trace(), seed=1)
+        check.params["trial"] = 0
+        assert check == bad
 
     def test_summary_separates_indeterminate_reports(self):
         # At kappa = 1e12 and r = 60 the middle and right terms overflow to
