@@ -44,7 +44,6 @@ from .inequalities import (
     check_main_theorem,
     check_proof_steps,
     lemma_chain_sigmas,
-    main_theorem_with_proof,
     resolve_function,
     tolerance_band,
 )

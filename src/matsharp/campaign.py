@@ -51,7 +51,7 @@ from .inequalities import (
     resolve_function,
     stack_reports,
 )
-from .linalg import hermitian_part, matrix_from_obj, matrix_to_obj
+from .linalg import Spectrum, _adjoint, matrix_from_obj, matrix_to_obj
 from .means import DEFAULT_EPSILON_SCALE, DEFAULT_R_GRID, DEFAULT_S_GRID, DEFAULT_T_GRID
 from .norms import KY_FAN, NormSpec
 from .ensembles import (
@@ -124,7 +124,7 @@ def _normalize_ensemble(obj):
         "condition-target": float(obj.get("condition-target", 100.0)),
         "field": obj.get("field", "complex"),
         "rank": obj.get("rank"),
-        "epsilon-scale": eps,
+        "epsilon-scale": None if eps is None else float(eps),
     }
 
 
@@ -171,6 +171,11 @@ class CampaignConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.dims or any(n < 1 for n in self.dims):
             raise ConfigError("dims must be a nonempty list of positive integers")
+        if any(m < 1 for m in self.m_values):
+            raise ConfigError("m-values must be positive integers")
+        eps = self.ensemble["epsilon-scale"]
+        if eps is not None and not eps > 0.0:
+            raise ConfigError(f"ensemble epsilon-scale must be positive, got {eps!r}")
         for spec in self.norm_specs:
             if spec.kind == KY_FAN and spec.k > min(self.dims):
                 raise ConfigError(f"norm {spec} needs n >= {spec.k}; dims holds {min(self.dims)}")
@@ -558,7 +563,8 @@ def _search_target(config):
 
 
 def _perturb(stream, a_list, b_list, scale, clamp_floor):
-    """Add one random Hermitian step to one matrix and re-project."""
+    """Add one random Hermitian step to one matrix and re-project; every
+    matrix made here is symmetrized to (X + X*)/2, and the kernel checks it."""
     a_list = list(a_list)
     b_list = list(b_list)
     total = len(a_list) + len(b_list)
@@ -567,15 +573,15 @@ def _perturb(stream, a_list, b_list, scale, clamp_floor):
     m = side[idx]
     n = m.shape[0]
     step = stream.complex_normals(n * n).reshape(n, n)
-    step = hermitian_part(step, require=False)
+    step = 0.5 * (step + _adjoint(step))
     norm = float(np.linalg.norm(step))
     if norm > 0.0:
         step *= scale * float(np.linalg.norm(m)) / norm
     cand = m + step
-    w, v = np.linalg.eigh(hermitian_part(cand, require=False))
+    w, v = np.linalg.eigh(0.5 * (cand + _adjoint(cand)))
     floor = clamp_floor * max(float(w.max()), 1e-30)
     w = np.maximum(w, floor)
-    side[idx] = hermitian_part((v * w) @ v.conj().T, require=False)
+    side[idx] = Spectrum(w, v).assemble(w)
     return a_list, b_list
 
 

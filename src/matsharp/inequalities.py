@@ -40,12 +40,11 @@ from .linalg import (
     _eigh,
     _function_values,
     _psd_clamp_failures,
-    as_matrix,
     clamp_psd_eigenvalues,
     spectrum_function,
     spectrum_power,
 )
-from .means import _mean_from_spectra, _regularized_pair, _strict_spectrum, sum_matrices
+from .means import _mean_from_spectra, _pair_sum, _regularized_pair, _strict_spectrum
 from .norms import ABS_TOL, REL_TOL, norm_from_singular_values, singular_values
 
 AUDENAERT = "Audenaert"
@@ -274,15 +273,13 @@ def _flank_sigmas(s_a, s_b, t, r, s):
 
 
 def _validate_lists(a_list, b_list):
-    """One instance's A- and B-lists, validated, as stacks of one (1, m, n, n)."""
-    a_list = [as_matrix(a) for a in a_list]
-    b_list = [as_matrix(b) for b in b_list]
+    """One instance's A- and B-lists, checked for length and shape, as stacks (1, m, n, n)."""
+    a_list, b_list = list(a_list), list(b_list)
     if not a_list or len(a_list) != len(b_list):
         raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
-    n = a_list[0].shape[0]
-    for m in a_list + b_list:
-        if m.shape[0] != n:
-            raise ShapeError("shape error: all matrices must share one dimension")
+    shape = np.shape(a_list[0])
+    if len(shape) != 2 or any(np.shape(m) != shape[-1:] * 2 for m in a_list + b_list):
+        raise ShapeError("shape error: all matrices must be square and share one dimension")
     return np.array(a_list)[None], np.array(b_list)[None]
 
 
@@ -291,11 +288,13 @@ class _StackKernel:
 
     ``a`` and ``b`` hold the instances' A- and B-lists, shape (T, m, n, n)
     (``b`` is None for a chain without B-lists), and ``seeds`` one seed per
-    instance.  A slice that fails a spectral check raises as the
-    single-matrix functions do.  With ``mask_failures`` it is replaced by
-    the identity spectrum instead, so the other slices go on, and its
-    instance is marked in ``failed``: :func:`stack_reports` makes all of its
-    terms NaN.
+    instance.  It is the one place a kernel's inputs are validated: a matrix
+    that is not square, finite and Hermitian raises, even with
+    ``mask_failures``, and nothing behind it (sums, spectra, means) re-checks.
+    A slice that fails a spectral check raises as the single-matrix
+    functions do.  With ``mask_failures`` it is replaced by the identity
+    spectrum instead, so the other slices go on, and its instance is marked
+    in ``failed``: :func:`stack_reports` makes all of its terms NaN.
     """
 
     def __init__(self, a, b, seeds, mask_failures):
@@ -303,6 +302,9 @@ class _StackKernel:
         self.b = self.a if b is None else _as_stack(b)
         if self.a.ndim != 4 or self.a.shape != self.b.shape or self.a.shape[0] != len(seeds):
             raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
+        _check_hermitian(self.a)
+        if b is not None:
+            _check_hermitian(self.b)
         self.seeds = tuple(seeds)
         self.mask_failures = mask_failures
         self.failed = np.zeros(len(self.seeds), dtype=bool)
@@ -373,9 +375,7 @@ class _FunctionSum(_StackKernel):
     @cached_property
     def spectra(self):
         """(spectra of the A_i, stacked (T, m); spectrum of sum A_i, stacked (T,))."""
-        _check_hermitian(self.a)
-        sum_a = sum_matrices(np.moveaxis(self.a, 1, 0))
-        return [self._psd_screened([_eigh(x)])[0] for x in (self.a, sum_a)]
+        return [self._psd_screened([_eigh(x)])[0] for x in (self.a, _pair_sum(self.a))]
 
     def _mapped(self, spec, f):
         """f(M) for each slice M of ``spec``; a slice where f is undefined
@@ -396,7 +396,7 @@ class _FunctionSum(_StackKernel):
                 f"direction {direction!r} does not match the registered convexity of {function_id!r}"
             )
         spec_a, spec_sum = self.spectra
-        left = sum_matrices(np.moveaxis(self._mapped(spec_a, f), 1, 0))
+        left = _pair_sum(self._mapped(spec_a, f))
         sigmas = [("sum f(A_i)", _psd_sigma(left)),
                   ("f(sum A_i)", _psd_sigma(self._mapped(spec_sum, f)))]
         steps = [(0, 1)] if direction == CONVEX else [(1, 0)]
@@ -469,19 +469,14 @@ class _MainChain(_StackKernel):
     def pair_spectra(self):
         """Spectra of the A_i and of the B_i ready for the pair means,
         stacked (T, m), and the epsilons (T, m) or None."""
-        spectra = None
-        if self.epsilon_scale is None:
-            _check_hermitian(self.a)
-            _check_hermitian(self.b)
-            spectra = (_eigh(self.a), _eigh(self.b))
+        spectra = (_eigh(self.a), _eigh(self.b)) if self.epsilon_scale is None else None
         return self._mean_ready(self.a, self.b, spectra,
                                 lambda side, index: f"{'AB'[side]}[{index[1]}]")
 
     @cached_property
     def sums(self):
         """(sum A, sum B, spectrum of sum A, spectrum of sum B), stacked (T,)."""
-        sum_a = sum_matrices(np.moveaxis(self.a, 1, 0))
-        sum_b = sum_matrices(np.moveaxis(self.b, 1, 0))
+        sum_a, sum_b = _pair_sum(self.a), _pair_sum(self.b)
         s_a, s_b = self._psd_screened([_eigh(sum_a), _eigh(sum_b)])
         return sum_a, sum_b, s_a, s_b
 
@@ -515,7 +510,7 @@ class _MainChainAtT:
     def proof_eigenvalues(self):
         """Eigenvalues of sum_i A_i #_t B_i and of sumA #_t sumB, stacked (T,)."""
         means, _ = self.pair_means
-        sum_of_means = _eigh(sum_matrices(np.moveaxis(means, 1, 0)))
+        sum_of_means = _eigh(_pair_sum(means))
         sa, sb, _ = self.chain.sum_pair_spectra
         mean_of_sums = _eigh(_mean_from_spectra(sa, sb, self.t))
         return sum_of_means.eigenvalues, mean_of_sums.eigenvalues
@@ -631,13 +626,6 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
     return _build_report(_reduce([proof], (norm_spec,), rel_tol, abs_tol))
 
 
-def main_theorem_with_proof(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
-                            rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
-    """One-pass evaluation returning (printed main report, proof report)."""
-    points = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
-    return tuple(_build_report(_reduce([p], (norm_spec,), rel_tol, abs_tol)) for p in points)
-
-
 def lemma_chain_sigmas(a, b, t, r, s):
     """Singular-value sequences of the four-term chain, in printed order."""
     point = _one_instance([a], [b]).at(t).lemma_point(r, s)
@@ -675,7 +663,7 @@ def _audenaert_point(kernel):
     s_a, s_b = kernel._psd_screened([_eigh(a), _eigh(b)])
     halves = s_a.assemble(spectrum_power(s_a, 0.5)) @ s_b.assemble(spectrum_power(s_b, 0.5))
     x = sum(np.moveaxis(halves, 1, 0))
-    sum_a, sum_b = (sum_matrices(np.moveaxis(m, 1, 0)) for m in (a, b))
+    sum_a, sum_b = _pair_sum(a), _pair_sum(b)
     sigmas = [
         ("sum A_iB_i", _product_sigma(sum(np.moveaxis(products, 1, 0)))),
         ("(sum A_i^(1/2)B_i^(1/2))^2", _product_sigma(x @ x)),
@@ -726,7 +714,7 @@ def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_s
         kernel = _StackKernel(a, b, seeds, mask_failures)
         points = [_audenaert_point(kernel)]
     elif inequality_id == LEMMA_CHAIN:
-        kernel = _MainChain(_as_stack(a)[:, :1], _as_stack(b)[:, :1], None, seeds, mask_failures)
+        kernel = _MainChain(np.asarray(a)[:, :1], np.asarray(b)[:, :1], None, seeds, mask_failures)
         points = [at_t.lemma_point(r, s) for at_t in map(kernel.at, grid["t"])
                   for r in grid["r"] for s in grid["s"]]
     else:

@@ -14,7 +14,9 @@ The spectral hot path (:func:`_eigh`, :meth:`Spectrum.assemble`,
 single matrix, so every slice gets the bits of the single-matrix call at a
 fraction of the per-call overhead.  The validating entry points
 (:func:`as_matrix`, :func:`hermitian_part`,
-:func:`hermitian_eigendecompose`) take one matrix.
+:func:`hermitian_eigendecompose`) take one matrix.  The inequality kernels
+have one boundary, ``inequalities._StackKernel``: it runs :func:`_as_stack`
+and :func:`_check_hermitian` on each stack, and nothing behind it re-checks.
 """
 
 import json
@@ -75,16 +77,14 @@ def _as_stack(entries):
     return a
 
 
-def hermitian_part(a, require=True):
+def hermitian_part(a):
     """Symmetrize a matrix to (A + A*)/2.
 
     Parameters
     ----------
     a : array_like
-        Square matrix, expected to be Hermitian up to rounding.
-    require : bool
-        When True, raise if the defect exceeds
-        ``HERMITIAN_RTOL * (1 + ||A||_F)`` instead of symmetrizing silently.
+        Square matrix, Hermitian up to rounding: a defect above
+        ``HERMITIAN_RTOL * (1 + ||A||_F)`` raises HermitianDefectError.
 
     Returns
     -------
@@ -92,8 +92,7 @@ def hermitian_part(a, require=True):
         Exactly Hermitian matrix (equal to its own conjugate transpose).
     """
     a = as_matrix(a)
-    if require:
-        _check_hermitian(a)
+    _check_hermitian(a)
     return 0.5 * (a + a.conj().T)
 
 

@@ -134,22 +134,28 @@ def _regularized_pair(a, b, epsilon_scale):
     return a + shift, b + shift, eps
 
 
+def _pair_sum(stack):
+    """Sum over the pair axis (-3) of ``stack``, (..., m, n, n), symmetrized
+    to (S + S*)/2.  Unchecked: the summands are trusted to be Hermitian."""
+    total = np.zeros(stack.shape[:-3] + stack.shape[-2:], dtype=np.complex128)
+    for m in np.moveaxis(stack, -3, 0):
+        total = total + m
+    return 0.5 * (total + _adjoint(total))
+
+
 def sum_matrices(mats):
     """Entrywise sum of a nonempty list of Hermitian matrices.
 
     The summands may be equal-shape stacks of matrices; the sum is then
-    taken slice by slice.
+    taken slice by slice.  Every summand is validated as square, finite and
+    Hermitian.
     """
-    mats = list(mats)
+    mats = [_as_stack(m) for m in mats]
     if not mats:
         raise EmptySumError("empty sum: at least one matrix is required")
-    first = np.asarray(mats[0])
-    total = np.zeros_like(first, dtype=np.complex128)
     for m in mats:
-        m = np.asarray(m)
-        if m.shape != first.shape:
-            raise ShapeError(f"shape error: cannot sum {first.shape} and {m.shape}")
-        total = total + m
-    total = _as_stack(total)
-    _check_hermitian(total)
-    return 0.5 * (total + _adjoint(total))
+        if m.shape != mats[0].shape:
+            raise ShapeError(f"shape error: cannot sum {mats[0].shape} and {m.shape}")
+    stack = np.stack(mats, axis=-3)
+    _check_hermitian(stack)
+    return _pair_sum(stack)

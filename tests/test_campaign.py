@@ -91,6 +91,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig.from_obj({"inequality-id": "fermat"})
 
+    def test_rejects_nonpositive_m_values(self):
+        # m = 0 would reach the stacked draw as an empty list of pairs.
+        with pytest.raises(ConfigError, match="m-values"):
+            small_config(**{"m-values": [0]})
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_rejects_nonpositive_epsilon_scale(self, scale):
+        # psd_geometric_mean refuses these scales; a campaign must refuse them up front.
+        with pytest.raises(ConfigError, match="epsilon-scale"):
+            small_config(ensemble={"kind": "psd", "rank": 1, "epsilon-scale": scale})
+
     def test_bourin_uchiyama_needs_direction_and_functions(self):
         with pytest.raises(ConfigError):
             CampaignConfig.from_obj({"inequality-id": "bourin_uchiyama",

@@ -21,14 +21,21 @@ from matsharp import (
     check_proof_steps,
     default_norm_specs,
     hermitian_eigendecompose,
-    main_theorem_with_proof,
     norm_from_singular_values,
     random_commuting_pair,
     resolve_function,
     tolerance_band,
 )
 from matsharp.ensembles import Stream, _assemble, _log_uniform_eigs
-from matsharp.inequalities import InequalityReport, lemma_chain_sigmas
+from matsharp.inequalities import (
+    AUDENAERT,
+    BOURIN_UCHIYAMA,
+    INEQUALITY_IDS,
+    LEMMA_CHAIN,
+    InequalityReport,
+    lemma_chain_sigmas,
+    stack_reports,
+)
 
 S1 = NormSpec.schatten(1)
 
@@ -302,8 +309,6 @@ class TestMainTheorem:
         assert got.params["m"] == 2 and got.to_obj() == want.to_obj()
         proof = check_proof_steps(iter(a_list), iter(b_list), 0.5, 2.0, S1)
         assert proof.params["m"] == 2
-        reports = main_theorem_with_proof(iter(a_list), iter(b_list), 0.5, 2.0, S1)
-        assert [r.params["m"] for r in reports] == [2, 2]
 
     def test_non_finite_report_never_holds(self):
         # At kappa = 1e12 and r = 60 the middle and right terms overflow to
@@ -359,15 +364,6 @@ class TestProofSteps:
         band = tolerance_band(max(v for _, v in report.terms))
         assert all(m >= -band for m in report.margins)
 
-    def test_combined_evaluation_matches_separate(self):
-        a_list = [pd_for(61, n=3), pd_for(62, n=3)]
-        b_list = [pd_for(63, n=3), pd_for(64, n=3)]
-        main, proof = main_theorem_with_proof(a_list, b_list, 0.5, 2.0, S1)
-        sep_main = check_main_theorem(a_list, b_list, 0.5, 2.0, S1)
-        sep_proof = check_proof_steps(a_list, b_list, 0.5, 2.0, S1)
-        assert main.terms == sep_main.terms and main.margins == sep_main.margins
-        assert proof.terms == sep_proof.terms and proof.margins == sep_proof.margins
-
 
 class TestReductionIdentity:
     def test_main_printed_matches_audenaert_on_commuting_pairs(self):
@@ -410,6 +406,9 @@ PD_B = np.array([[2.0, 0.5], [0.5, 1.0]])
 NON_PD = np.diag([1.0, -1.0])
 NON_HERMITIAN = np.array([[1.0, 1.0], [0.0, 1.0]])
 NAN = np.array([[1.0, np.nan], [np.nan, 1.0]])
+# X + X* is Hermitian though X is not: the inputs, not their sums, must be checked.
+X_AND_ADJOINT = [NON_HERMITIAN, NON_HERMITIAN.T]
+IDENTITIES = [np.eye(2), np.eye(2)]
 
 # One error per call: (call, error type, text the message contains).
 SINGLE_ERRORS = {
@@ -441,6 +440,14 @@ SINGLE_ERRORS = {
                           NotPositiveDefiniteError, "positive semidefinite"),
     "audenaert-non-hermitian": (lambda: check_audenaert([NON_HERMITIAN], [np.eye(2)], S1),
                                 HermitianDefectError, "not Hermitian"),
+    "audenaert-hermitian-sum": (lambda: check_audenaert(X_AND_ADJOINT, IDENTITIES, S1),
+                                HermitianDefectError, "not Hermitian"),
+    "main-psd-hermitian-sum": (lambda: check_main_theorem(X_AND_ADJOINT, IDENTITIES, 0.5, 2.0,
+                                                          S1, epsilon_scale=1e-10),
+                               HermitianDefectError, "not Hermitian"),
+    "proof-psd-hermitian-sum": (lambda: check_proof_steps(X_AND_ADJOINT, IDENTITIES, 0.5, 2.0,
+                                                          S1, epsilon_scale=1e-10),
+                                HermitianDefectError, "not Hermitian"),
     "bu-empty": (lambda: check_bourin_uchiyama([], "power:2", "convex", S1),
                  ShapeError, "at least one matrix"),
     "bu-dimensions": (lambda: check_bourin_uchiyama([PD, np.eye(3)], "power:2", "convex", S1),
@@ -465,3 +472,15 @@ class TestSingleErrors:
         call, error, text = SINGLE_ERRORS[case]
         with pytest.raises(error, match=text):
             call()
+
+    @pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
+    def test_masked_stack_raises_for_hermitian_defect(self, inequality_id):
+        # mask_failures masks spectral failures of one instance; an input
+        # that is not Hermitian is refused at the boundary for the stack.
+        a = np.array([X_AND_ADJOINT, IDENTITIES])
+        grid = {AUDENAERT: {}, BOURIN_UCHIYAMA: {"f": ("power:2",)},
+                LEMMA_CHAIN: {"t": (0.5,), "r": (1.0,), "s": (1.0,)}}.get(
+            inequality_id, {"t": (0.5,), "r": (1.0,)})
+        with pytest.raises(HermitianDefectError, match="not Hermitian"):
+            stack_reports(inequality_id, a, np.array([IDENTITIES] * 2), dict(grid, norm=(S1,)),
+                          (1, 2), epsilon_scale=1e-10, direction="convex", mask_failures=True)

@@ -6,6 +6,7 @@ from conftest import pd_for
 from matsharp import (
     EmptySumError,
     EnsembleSpec,
+    HermitianDefectError,
     NormSpec,
     NotPositiveDefiniteError,
     ShapeError,
@@ -154,6 +155,14 @@ class TestSumMatrices:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             sum_matrices([np.eye(2), np.eye(3)])
+
+    def test_rejects_non_hermitian_summand(self):
+        x = np.array([[2.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(HermitianDefectError):
+            sum_matrices([x, np.eye(2)])
+        # Each summand is checked, not only the sum: X + X* is Hermitian.
+        with pytest.raises(HermitianDefectError):
+            sum_matrices([x, x.T])
 
 
 def term_values(report):

@@ -36,7 +36,6 @@ from matsharp import (  # noqa: E402
     check_lemma_chain,
     check_main_theorem,
     check_proof_steps,
-    main_theorem_with_proof,
     random_commuting_pair,
     random_pd,
     random_psd_rank_deficient,
@@ -154,7 +153,8 @@ def direct_reports():
             reports.append(check_main_theorem(psd[:1], psd[1:], t, 2.0, spec, printed_form=False,
                                               epsilon_scale=1e-10))
             reports.append(check_proof_steps(psd[:1], psd[1:], t, 2.0, spec, epsilon_scale=1e-10))
-            reports.extend(main_theorem_with_proof(pd[:2], pd[2:], t, 3.0, spec, seed=3))
+            reports.append(check_main_theorem(pd[:2], pd[2:], t, 3.0, spec, seed=3))
+            reports.append(check_proof_steps(pd[:2], pd[2:], t, 3.0, spec, seed=3))
         reports.append(check_audenaert([p[0] for p in pairs], [p[1] for p in pairs], spec, seed=4))
         for fid, direction in (("power:2", "convex"), ("expm1", "convex"), ("ratio", "concave")):
             reports.append(check_bourin_uchiyama(pd[:3], fid, direction, spec, seed=5))
