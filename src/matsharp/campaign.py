@@ -29,9 +29,10 @@ import csv
 import io
 import itertools
 import json
+import numbers
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .inequalities import (
     PROOF_STEPS,
     REL_TOL,
     InequalityReport,
-    _build_report,
+    _check,
     _instance_reports,
     resolve_function,
     stack_reports,
@@ -107,6 +108,13 @@ def parse_inequality_id(text):
     return _ID_ALIASES[key]
 
 
+def _integer(name, value):
+    """``value`` as an int; ConfigError unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} takes integers, got {value!r}")
+    return int(value)
+
+
 def _normalize_ensemble(obj):
     obj = dict(obj or {})
     known = {"kind", "condition-target", "field", "rank", "epsilon-scale"}
@@ -154,8 +162,9 @@ class CampaignConfig:
 
     def __post_init__(self):
         self.inequality_id = parse_inequality_id(self.inequality_id)
-        self.dims = tuple(int(n) for n in self.dims)
-        self.m_values = tuple(int(m) for m in self.m_values)
+        self.trials = _integer("trials", self.trials)
+        self.dims = tuple(_integer("dims", n) for n in self.dims)
+        self.m_values = tuple(_integer("m-values", m) for m in self.m_values)
         self.t_grid = tuple(float(t) for t in self.t_grid)
         self.r_grid = tuple(float(r) for r in self.r_grid)
         self.s_grid = tuple(float(s) for s in self.s_grid)
@@ -227,57 +236,32 @@ class CampaignConfig:
 
     @classmethod
     def from_obj(cls, obj):
-        mapping = {
-            "inequality-id": "inequality_id",
-            "trials": "trials",
-            "dims": "dims",
-            "m-values": "m_values",
-            "t-grid": "t_grid",
-            "r-grid": "r_grid",
-            "s-grid": "s_grid",
-            "norm-specs": "norm_specs",
-            "ensemble": "ensemble",
-            "root-seed": "root_seed",
-            "relTol": "rel_tol",
-            "absTol": "abs_tol",
-            "printed-form": "printed_form",
-            "output-path": "output_path",
-            "output-format": "output_format",
-            "functions": "functions",
-            "direction": "direction",
-        }
-        unknown = set(obj) - set(mapping)
+        unknown = set(obj) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         if "inequality-id" not in obj:
             raise ConfigError("config is missing 'inequality-id'")
-        kwargs = {mapping[k]: v for k, v in obj.items()}
-        return cls(**kwargs)
+        return cls(**{_CONFIG_KEYS[key]: value for key, value in obj.items()})
 
     @classmethod
     def from_json(cls, text):
         return cls.from_obj(json.loads(text))
 
     def to_obj(self):
-        return {
-            "inequality-id": self.inequality_id,
-            "trials": self.trials,
-            "dims": list(self.dims),
-            "m-values": list(self.m_values),
-            "t-grid": list(self.t_grid),
-            "r-grid": list(self.r_grid),
-            "s-grid": list(self.s_grid),
-            "norm-specs": [str(n) for n in self.norm_specs],
-            "ensemble": dict(self.ensemble),
-            "root-seed": self.root_seed,
-            "relTol": self.rel_tol,
-            "absTol": self.abs_tol,
-            "printed-form": self.printed_form,
-            "output-path": self.output_path,
-            "output-format": self.output_format,
-            "functions": list(self.functions),
-            "direction": self.direction,
-        }
+        return {key: _json_value(getattr(self, name)) for key, name in _CONFIG_KEYS.items()}
+
+
+# JSON key -> attribute, in field order: the attribute's name with hyphens,
+# except for the tolerances.
+_CONFIG_KEYS = {{"rel_tol": "relTol", "abs_tol": "absTol"}.get(f.name, f.name.replace("_", "-")):
+                f.name for f in fields(CampaignConfig)}
+
+
+def _json_value(value):
+    """A config attribute as JSON data: tuples become lists, norms their text."""
+    if isinstance(value, tuple):
+        return [str(v) if isinstance(v, NormSpec) else v for v in value]
+    return dict(value) if isinstance(value, dict) else value
 
 
 @dataclass
@@ -371,19 +355,15 @@ def _build_inputs(config, n, m, inst_seed):
     return list(a[0]), list(b[0])
 
 
-def _stack_reports(config, grid, a, b, seeds, mask_failures=False):
-    """The reports of a stack of instances over ``grid`` (axis -> values), as arrays."""
-    return stack_reports(config.inequality_id, a, b, grid, seeds,
-                         printed_form=config.printed_form,
-                         epsilon_scale=config.ensemble["epsilon-scale"],
-                         direction=config.direction, rel_tol=config.rel_tol,
-                         abs_tol=config.abs_tol, mask_failures=mask_failures)
+def _kernel_options(config):
+    """The keyword arguments of :func:`stack_reports` that ``config`` sets."""
+    return {"printed_form": config.printed_form, "epsilon_scale": config.ensemble["epsilon-scale"],
+            "direction": config.direction, "rel_tol": config.rel_tol, "abs_tol": config.abs_tol}
 
 
 def run_check(config, point, a_list, b_list, seed=None):
     """Evaluate one grid point; the campaign's kernel on a stack of one."""
-    grid = {axis: (value,) for axis, value in point.items()}
-    return _build_report(_stack_reports(config, grid, [a_list], [b_list], (seed,)))
+    return _check(config.inequality_id, a_list, b_list, point, seed, **_kernel_options(config))
 
 
 class ReportStream(Sequence):
@@ -405,8 +385,15 @@ class ReportStream(Sequence):
         return itertools.chain.from_iterable(map(self._trial, range(self._trials)))
 
     def __getitem__(self, index):
-        trial, offset = divmod(range(len(self))[index], self._grid_size)
-        return next(itertools.islice(self._trial(trial), offset, None))
+        rows = range(len(self))[index]
+        if isinstance(rows, int):
+            trial, offset = divmod(rows, self._grid_size)
+            return next(itertools.islice(self._trial(trial), offset, None))
+        # A slice, as a list: every trial it touches is built once.
+        first = min(rows, default=0) // self._grid_size
+        trials = range(first, max(rows, default=-1) // self._grid_size + 1)
+        built = list(itertools.chain.from_iterable(map(self._trial, trials)))
+        return [built[row - first * self._grid_size] for row in rows]
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
@@ -456,7 +443,8 @@ def run_campaign(config):
         for n, m, n_index, m_idx in groups:
             seeds = tuple(split_seed(split_seed(seed, n_index), m_idx) for seed in trial_seeds)
             a, b = _build_inputs(config, n, m, seeds)
-            blocks.append(_stack_reports(config, grid, a, b, seeds, mask_failures=True))
+            blocks.append(stack_reports(config.inequality_id, a, b, grid, seeds,
+                                        mask_failures=True, **_kernel_options(config)))
         chunks.append(blocks)
     stream = ReportStream(chunks, config.trials, config.grid_size())
     return summarize(stream, wall_time=time.perf_counter() - start), stream

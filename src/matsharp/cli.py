@@ -10,6 +10,7 @@ import sys
 
 from .campaign import (
     CampaignConfig,
+    _search_target,
     emit_report,
     render_reports,
     run_campaign,
@@ -18,7 +19,6 @@ from .campaign import (
 )
 from .errors import MatSharpError
 from .linalg import load_matrix
-from .norms import NormSpec
 
 
 def _load_config(args):
@@ -113,17 +113,13 @@ def _cmd_eval(args):
         t_grid=[args.t],
         r_grid=[args.r],
         s_grid=[args.s],
-        norm_specs=[NormSpec.parse(args.norm)],
+        norm_specs=[args.norm],
         printed_form=bool(args.printed_form) if args.printed_form is not None else True,
         functions=[args.function] if args.function else (),
         direction=args.direction,
         ensemble={"epsilon-scale": args.epsilon_scale} if args.epsilon_scale else None,
     )
-    point = {"n": a_list[0].shape[0], "m": len(a_list), "t": args.t, "r": args.r,
-             "s": args.s, "norm": config.norm_specs[0]}
-    if args.function:
-        point["f"] = args.function
-    report = run_check(config, point, a_list, b_list)
+    report = run_check(config, _search_target(config), a_list, b_list)
     print(report.to_json())
     return 0 if report.holds else 2
 

@@ -19,9 +19,11 @@ norm, margin and verdict is then an array reduction over those sequences
 The main chain's kernel (:class:`_MainChain`) also serves the proof steps
 and, on single pairs, the lemma chain, whose last two terms are the
 t-dependent main chain's middle and right terms at s = 1
-(:func:`_flank_sigmas`).  A ``check_*`` predicate is the kernel on a stack
-of one, evaluated and reduced at one point; :func:`stack_reports` is the
-same kernel swept over a campaign grid.
+(:func:`_flank_sigmas`).  One driver, :func:`_chain_points`, maps an
+inequality id to its kernel and walks the grid; :func:`stack_reports` is
+that driver followed by the reduction.  A ``check_*`` predicate is a
+one-point :func:`stack_reports` call on a stack of one, and
+:func:`lemma_chain_sigmas` reads the driver's one point.
 """
 
 import json
@@ -417,9 +419,8 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
     a_list = list(a_list)
     if not a_list:
         raise ShapeError("shape error: at least one matrix is required")
-    a, _ = _validate_lists(a_list, a_list)
-    point = _FunctionSum(a, None, (seed,), False).point(function_id, direction)
-    return _build_report(_reduce([point], (norm_spec,), rel_tol, abs_tol))
+    return _check(BOURIN_UCHIYAMA, a_list, (), {"f": function_id, "norm": norm_spec}, seed,
+                  direction=direction, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +441,7 @@ class _MainChain(_StackKernel):
     chain's kernel as well.
     """
 
-    def __init__(self, a, b, epsilon_scale=None, seeds=(None,), mask_failures=False):
+    def __init__(self, a, b, epsilon_scale, seeds, mask_failures):
         super().__init__(a, b, seeds, mask_failures)
         self.epsilon_scale = epsilon_scale
 
@@ -515,14 +516,13 @@ class _MainChainAtT:
         mean_of_sums = _eigh(_mean_from_spectra(sa, sb, self.t))
         return sum_of_means.eigenvalues, mean_of_sums.eigenvalues
 
-    def points(self, r, printed_form, with_proof=False):
-        """The main chain at (t, r), and its five-term proof refinement.
-
-        Returns ``(main, proof)``: ``main`` is the printed or the
-        t-dependent chain, ``proof`` None unless ``with_proof``.  Only the
-        terms those chains contain are built, each once for the stack.
+    def point(self, r, printed_form, proof=False):
+        """The main chain at (t, r), printed or t-dependent, or with
+        ``proof`` its five-term proof refinement, which ends in the printed
+        terms.  Only the terms of that chain are built, each once for the
+        stack.
         """
-        if with_proof and r < 1.0:
+        if proof and r < 1.0:
             raise ValueError(f"proof steps require r >= 1, got {r!r}")
         if r <= 0.0:
             raise ValueError(f"r must be positive, got {r!r}")
@@ -532,43 +532,31 @@ class _MainChainAtT:
         lhs = ("sum (A_i#B_i)^r", _psd_sigma(sum(np.moveaxis(mean_pows, 1, 0))))
 
         _, _, s_a, s_b = chain.sums
-        if printed_form or with_proof:
+        if printed_form or proof:
             quarter = s_a.assemble(spectrum_power(s_a, r / 4.0))
             half_b = s_b.assemble(spectrum_power(s_b, r / 2.0))
-            mid_printed = ("sumA^(r/4) sumB^(r/2) sumA^(r/4)",
-                           _psd_sigma(quarter @ half_b @ quarter))
-            rhs_printed = ("sumA^(r/2) sumB^(r/2)",
-                           _product_sigma(s_a.assemble(spectrum_power(s_a, r / 2.0)) @ half_b))
+            printed = [("sumA^(r/4) sumB^(r/2) sumA^(r/4)", _psd_sigma(quarter @ half_b @ quarter)),
+                       ("sumA^(r/2) sumB^(r/2)",
+                        _product_sigma(s_a.assemble(spectrum_power(s_a, r / 2.0)) @ half_b))]
+        params = _params(m=chain.a.shape[1], n=chain.a.shape[-1], t=t, r=r)
+        eps = None if chain.epsilon_scale is None else chain.pair_spectra[2].max(axis=1)
+        if proof:
+            sum_of_means, mean_of_sums = self.proof_eigenvalues
+            if eps is not None:
+                eps = np.maximum(eps, chain.sum_pair_spectra[2])
+            terms = [lhs, ("(sum A_i#B_i)^r", np.power(np.maximum(sum_of_means, 0.0), r)),
+                     ("(sumA # sumB)^r", np.power(np.maximum(mean_of_sums, 0.0), r)), *printed]
+            return _ChainPoint(PROOF_STEPS, params, terms, chain.seeds, regularization_epsilon=eps)
         if printed_form:
-            main = [lhs, mid_printed, rhs_printed]
+            terms = [lhs, *printed]
         else:
             # t-dependent variant: the lemma chain's last two terms with
             # s = 1, applied to the summed matrices.
             mid, rhs = _flank_sigmas(s_a, s_b, t, r, 1.0)
-            main = [lhs, ("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", mid),
-                    ("sumA^((1-t)r) sumB^(rt)", rhs)]
-
-        eps = None if chain.epsilon_scale is None else chain.pair_spectra[2].max(axis=1)
-        proof = None
-        if with_proof:
-            sum_of_means, mean_of_sums = self.proof_eigenvalues
-            if eps is not None:
-                eps = np.maximum(eps, chain.sum_pair_spectra[2])
-            proof = [
-                lhs,
-                ("(sum A_i#B_i)^r", np.power(np.maximum(sum_of_means, 0.0), r)),
-                ("(sumA # sumB)^r", np.power(np.maximum(mean_of_sums, 0.0), r)),
-                mid_printed,
-                rhs_printed,
-            ]
-        params = _params(m=chain.a.shape[1], n=chain.a.shape[-1], t=t, r=r)
-        main_params = dict(params)
-        main_params["printed-form"] = bool(printed_form)
-        main_params["r-in-theorem-range"] = bool(r >= 1.0)
-        return (_ChainPoint(MAIN_THEOREM, main_params, main, chain.seeds,
-                            regularization_epsilon=eps),
-                None if proof is None else
-                _ChainPoint(PROOF_STEPS, params, proof, chain.seeds, regularization_epsilon=eps))
+            terms = [lhs, ("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", mid),
+                     ("sumA^((1-t)r) sumB^(rt)", rhs)]
+        params.update({"printed-form": bool(printed_form), "r-in-theorem-range": bool(r >= 1.0)})
+        return _ChainPoint(MAIN_THEOREM, params, terms, chain.seeds, regularization_epsilon=eps)
 
     def lemma_point(self, r, s):
         """The four-term lemma chain at (t, r, s) on a stack of single pairs."""
@@ -594,12 +582,6 @@ class _MainChainAtT:
                            self.chain.seeds)
 
 
-def _one_instance(a_list, b_list, epsilon_scale=None, seed=None):
-    """The main-chain kernel of one instance given as lists, validated."""
-    a, b = _validate_lists(a_list, b_list)
-    return _MainChain(a, b, epsilon_scale, (seed,))
-
-
 def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
                        epsilon_scale=None, rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
     """Evaluate the three-term main chain.
@@ -610,8 +592,9 @@ def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
     silently substituted for one another.  ``r < 1`` is allowed for
     exploration and flagged in the params.
     """
-    main, _ = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, printed_form)
-    return _build_report(_reduce([main], (norm_spec,), rel_tol, abs_tol))
+    return _check(MAIN_THEOREM, a_list, b_list, {"t": t, "r": r, "norm": norm_spec}, seed,
+                  printed_form=printed_form, epsilon_scale=epsilon_scale,
+                  rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
@@ -622,13 +605,14 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
     localize the four-term-chain step applied to the summed matrices (printed,
     t-free form).  Requires ``r >= 1`` (the convexity step needs it).
     """
-    _, proof = _one_instance(a_list, b_list, epsilon_scale, seed).at(t).points(r, True, True)
-    return _build_report(_reduce([proof], (norm_spec,), rel_tol, abs_tol))
+    return _check(PROOF_STEPS, a_list, b_list, {"t": t, "r": r, "norm": norm_spec}, seed,
+                  epsilon_scale=epsilon_scale, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 def lemma_chain_sigmas(a, b, t, r, s):
     """Singular-value sequences of the four-term chain, in printed order."""
-    point = _one_instance([a], [b]).at(t).lemma_point(r, s)
+    _, (point,) = _chain_points(LEMMA_CHAIN, *_validate_lists([a], [b]),
+                                {"t": (t,), "r": (r,), "s": (s,)}, (None,))
     return [(label, sig[0]) for label, sig in point.sigmas]
 
 
@@ -639,8 +623,8 @@ def check_lemma_chain(a, b, t, r, s, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL
     prefix-sum margins between consecutive terms (the "all unitarily
     invariant norms" form).
     """
-    point = _one_instance([a], [b], seed=seed).at(t).lemma_point(r, s)
-    return _build_report(_reduce([point], (norm_spec,), rel_tol, abs_tol))
+    return _check(LEMMA_CHAIN, [a], [b], {"t": t, "r": r, "s": s, "norm": norm_spec}, seed,
+                  rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +663,35 @@ def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL,
     ``1e-10 * (1 + ||A_i||_F ||B_i||_F)``; violating pairs raise
     CommutationError rather than being silently skipped.
     """
-    kernel = _StackKernel(*_validate_lists(a_list, b_list), (seed,), False)
-    return _build_report(_reduce([_audenaert_point(kernel)], (norm_spec,), rel_tol, abs_tol))
+    return _check(AUDENAERT, a_list, b_list, {"norm": norm_spec}, seed,
+                  rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 # ---------------------------------------------------------------------------
 # A stack of instances over a campaign grid
 # ---------------------------------------------------------------------------
+
+def _chain_points(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
+                  direction=None, mask_failures=False):
+    """The kernel of ``inequality_id`` on a stack of instances and its chain
+    points over ``grid``, in grid order: the one place an inequality id is
+    mapped to its kernel and a grid is walked.  The arguments are those of
+    :func:`stack_reports`; the norm axis is not read.
+    """
+    if inequality_id == BOURIN_UCHIYAMA:
+        kernel = _FunctionSum(a, None, seeds, mask_failures)
+        return kernel, [kernel.point(f, direction) for f in grid["f"]]
+    if inequality_id == AUDENAERT:
+        kernel = _StackKernel(a, b, seeds, mask_failures)
+        return kernel, [_audenaert_point(kernel)]
+    if inequality_id == LEMMA_CHAIN:
+        kernel = _MainChain(np.asarray(a)[:, :1], np.asarray(b)[:, :1], None, seeds, mask_failures)
+        return kernel, [at_t.lemma_point(r, s) for at_t in map(kernel.at, grid["t"])
+                        for r in grid["r"] for s in grid["s"]]
+    kernel = _MainChain(a, b, epsilon_scale, seeds, mask_failures)
+    return kernel, [at_t.point(r, printed_form, inequality_id == PROOF_STEPS)
+                    for at_t in map(kernel.at, grid["t"]) for r in grid["r"]]
+
 
 def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
                   direction=None, rel_tol=REL_TOL, abs_tol=ABS_TOL, mask_failures=False):
@@ -699,28 +705,26 @@ def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_s
     their values: ``t``, ``r`` and ``s`` (lemma chain), ``t`` and ``r``
     (main theorem, proof steps) or ``f`` (Bourin-Uchiyama), then ``norm``,
     varied fastest; the block's points follow the axes before ``norm`` in
-    grid order.  Each report equals the one its ``check_*`` predicate gives
-    for that instance and point.  Every chain evaluates the whole stack in
-    one pass, each spectrum once at the outermost axis it depends on, and
-    each norm is one reduction over every point and instance.  With
-    ``mask_failures``, an instance with a slice that fails the strict
-    positive-definite check, the PSD clamp or f gets NaN terms at every
-    point (indeterminate reports) instead of raising.
+    grid order, and other axes are ignored.  :func:`_chain_points` evaluates
+    the chain over the grid, the whole stack in one pass with each spectrum
+    computed once at the outermost axis it depends on, and :func:`_reduce`
+    takes each norm as one reduction over every point and instance.  A
+    ``check_*`` predicate is this function on a stack of one over a
+    one-point grid.  With ``mask_failures``, an instance with a slice that
+    fails the strict positive-definite check, the PSD clamp or f gets NaN
+    terms at every point (indeterminate reports) instead of raising.
     """
-    if inequality_id == BOURIN_UCHIYAMA:
-        kernel = _FunctionSum(a, None, seeds, mask_failures)
-        points = [kernel.point(f, direction) for f in grid["f"]]
-    elif inequality_id == AUDENAERT:
-        kernel = _StackKernel(a, b, seeds, mask_failures)
-        points = [_audenaert_point(kernel)]
-    elif inequality_id == LEMMA_CHAIN:
-        kernel = _MainChain(np.asarray(a)[:, :1], np.asarray(b)[:, :1], None, seeds, mask_failures)
-        points = [at_t.lemma_point(r, s) for at_t in map(kernel.at, grid["t"])
-                  for r in grid["r"] for s in grid["s"]]
-    else:
-        kernel = _MainChain(a, b, epsilon_scale, seeds, mask_failures)
-        proof = inequality_id == PROOF_STEPS
-        # points() gives (main, proof); the proof chain ends in the printed terms.
-        points = [at_t.points(r, printed_form or proof, proof)[proof]
-                  for at_t in map(kernel.at, grid["t"]) for r in grid["r"]]
+    kernel, points = _chain_points(inequality_id, a, b, grid, seeds, printed_form,
+                                   epsilon_scale, direction, mask_failures)
     return _reduce(points, grid["norm"], rel_tol, abs_tol, kernel.failed)
+
+
+def _check(inequality_id, a_list, b_list, point, seed, **options):
+    """The report of one instance, given as lists, at one grid ``point``
+    (axis -> value, the norm included): :func:`stack_reports` on a stack of
+    one over a one-point grid.  ``options`` are its keyword arguments; a
+    Bourin-Uchiyama instance has no B-list.
+    """
+    a, b = _validate_lists(a_list, a_list if inequality_id == BOURIN_UCHIYAMA else b_list)
+    grid = {axis: (value,) for axis, value in point.items()}
+    return _build_report(stack_reports(inequality_id, a, b, grid, (seed,), **options))

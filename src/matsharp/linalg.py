@@ -158,37 +158,38 @@ def _eigh(a):
                     np.take_along_axis(v, order[..., None, :], -1))
 
 
-def hermitian_eigendecompose(a, check=True):
+def hermitian_eigendecompose(a):
     """Eigendecompose a Hermitian matrix.
 
     Parameters
     ----------
     a : array_like
         Hermitian matrix (validated; symmetrized via (A + A*)/2).
-    check : bool
-        When True, verify the unitarity and reconstruction invariants of
-        the result and raise ConvergenceError carrying the residual if
-        either fails.
 
     Returns
     -------
     Spectrum
         Eigenvalues sorted nonincreasing with orthonormal eigenvectors.
         Deterministic: identical input bits give identical output bits.
+
+    Raises
+    ------
+    ConvergenceError
+        Carrying the residuals, if the result fails the unitarity or the
+        reconstruction invariant.
     """
     h = hermitian_part(a)
     spec = _eigh(h)
-    if check:
-        n = spec.dim
-        v = spec.vectors
-        unit = float(np.linalg.norm(v.conj().T @ v - np.eye(n)))
-        recon = float(np.linalg.norm(h - spec.assemble(spec.eigenvalues)))
-        scale = 1.0 + float(np.linalg.norm(h))
-        if unit > UNITARITY_RTOL * n or recon > RECONSTRUCTION_RTOL * scale:
-            raise ConvergenceError(
-                "eigensolver did not converge: reconstruction residual "
-                f"{recon:.3e}, unitarity defect {unit:.3e}"
-            )
+    n = spec.dim
+    v = spec.vectors
+    unit = float(np.linalg.norm(v.conj().T @ v - np.eye(n)))
+    recon = float(np.linalg.norm(h - spec.assemble(spec.eigenvalues)))
+    scale = 1.0 + float(np.linalg.norm(h))
+    if unit > UNITARITY_RTOL * n or recon > RECONSTRUCTION_RTOL * scale:
+        raise ConvergenceError(
+            "eigensolver did not converge: reconstruction residual "
+            f"{recon:.3e}, unitarity defect {unit:.3e}"
+        )
     return spec
 
 
@@ -241,7 +242,7 @@ def matrix_function(a, f):
         If ``f`` is undefined (non-finite) at some eigenvalue, e.g. a
         negative power at 0.
     """
-    spec = hermitian_eigendecompose(a, check=False)
+    spec = _eigh(hermitian_part(a))
     return spec.assemble(spectrum_function(spec, f))
 
 
@@ -300,7 +301,7 @@ def matrix_power_psd(a, p):
 
     Negative ``p`` requires a strictly positive definite input.
     """
-    spec = hermitian_eigendecompose(a, check=False)
+    spec = _eigh(hermitian_part(a))
     return spec.assemble(spectrum_power(spec, p))
 
 

@@ -18,8 +18,9 @@ from .linalg import (
     _adjoint,
     _as_stack,
     _check_hermitian,
+    _eigh,
     as_matrix,
-    hermitian_eigendecompose,
+    hermitian_part,
     spectral_norm,
     spectrum_power,
 )
@@ -62,8 +63,8 @@ def geometric_mean(a, b, t):
         :func:`psd_geometric_mean` for PSD inputs.
     """
     _check_weight(t)
-    sa = hermitian_eigendecompose(a, check=False)
-    sb = hermitian_eigendecompose(b, check=False)
+    sa = _eigh(hermitian_part(a))
+    sb = _eigh(hermitian_part(b))
     if sa.dim != sb.dim:
         raise ShapeError(f"shape error: dimensions {sa.dim} vs {sb.dim}")
     return _mean_from_spectra(_strict_spectrum(sa, "A"), _strict_spectrum(sb, "B"), t)

@@ -8,6 +8,7 @@ from conftest import pd_for
 from matsharp import (
     CampaignConfig,
     ConfigError,
+    EnsembleSpec,
     InequalityReport,
     NormSpec,
     NotPositiveDefiniteError,
@@ -19,6 +20,7 @@ from matsharp import (
     check_proof_steps,
     emit_report,
     load_reports,
+    random_commuting_pair,
     render_reports,
     run_campaign,
     save_matrix,
@@ -95,6 +97,20 @@ class TestConfig:
         # m = 0 would reach the stacked draw as an empty list of pairs.
         with pytest.raises(ConfigError, match="m-values"):
             small_config(**{"m-values": [0]})
+
+    @pytest.mark.parametrize("key,value", [
+        ("trials", "3"),         # was a TypeError from validate
+        ("trials", 2.5),         # was a TypeError from range()
+        ("dims", [2.7]),         # ran silently at n = 2
+        ("m-values", [1, 1.5]),
+    ])
+    def test_rejects_non_integer_counts(self, key, value, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=key):
+            small_config(**{key: value})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"inequality-id": "main_theorem", key: value}))
+        assert cli_main(["campaign", "--config", str(cfg_path)]) == 1
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", [0.0, -1.0])
     def test_rejects_nonpositive_epsilon_scale(self, scale):
@@ -549,6 +565,16 @@ class TestReportStream:
             assert ",nan," in render_reports(stream, "csv")
 
 
+    def test_slices_are_lists_of_reports(self):
+        _, stream = run_campaign(small_config())
+        reports = [r.to_json() for r in stream]
+        for index in (slice(0, 1), slice(None, None, -1), slice(3, 27, 5), slice(-9, None),
+                      slice(4, 2), slice(len(reports), None)):
+            got = stream[index]
+            assert isinstance(got, list)
+            assert [r.to_json() for r in got] == reports[index]
+
+
 class TestLemmaSeeds:
     def test_stream_ignores_m_values(self):
         # The lemma chain has no m axis, so m-values must not reach its seeds.
@@ -680,6 +706,32 @@ class TestCli:
                          "--norm", "trace"])
         report = InequalityReport.from_json(capsys.readouterr().out)
         assert code == 2 and not report.holds
+
+    @pytest.mark.parametrize("inequality", ["audenaert", "bourin_uchiyama", "lemma_chain",
+                                            "main_theorem", "proof_steps"])
+    def test_eval_prints_its_check(self, inequality, tmp_path, capsys):
+        pairs = [random_commuting_pair(EnsembleSpec(dim=3, kind="commuting", seed=seed))
+                 for seed in (31, 32)][:1 if inequality == "lemma_chain" else 2]
+        argv = ["eval", "--inequality", inequality, "--t", "0.3", "--r", "2", "--s", "0.5",
+                "--norm", "trace"]
+        for side, flag in ((0, "--a"), (1, "--b")):
+            for i, pair in enumerate(pairs):
+                save_matrix(tmp_path / f"{side}{i}.json", pair[side])
+                argv += [flag, str(tmp_path / f"{side}{i}.json")]
+        a_list, b_list = [p[0] for p in pairs], [p[1] for p in pairs]
+        trace = NormSpec.trace()
+        expected = {
+            "audenaert": lambda: check_audenaert(a_list, b_list, trace),
+            "bourin_uchiyama": lambda: check_bourin_uchiyama(a_list, "power:2", "convex", trace),
+            "lemma_chain": lambda: check_lemma_chain(a_list[0], b_list[0], 0.3, 2.0, 0.5, trace),
+            "main_theorem": lambda: check_main_theorem(a_list, b_list, 0.3, 2.0, trace),
+            "proof_steps": lambda: check_proof_steps(a_list, b_list, 0.3, 2.0, trace),
+        }[inequality]()
+        if inequality == "bourin_uchiyama":
+            argv += ["--function", "power:2", "--direction", "convex"]
+        code = cli_main(argv)
+        assert capsys.readouterr().out == expected.to_json() + "\n"
+        assert code == (0 if expected.holds else 2)
 
     def test_campaign_writes_reports_and_summary(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

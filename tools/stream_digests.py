@@ -7,8 +7,9 @@ Usage::
 
 Each output line is ``name digest held/violated/indeterminate``: the first
 12 hex digits of the SHA-256 of a fixed campaign's JSON and CSV rendering
-(or of a 300-step search report with its wall time dropped, or of a set of
-direct ``check_*`` calls), then the verdict counts.  The set covers every
+(or of a 300-step search report with its wall time dropped, of a set of
+direct ``check_*`` calls, or of the ``lemma_chain_sigmas`` bytes over the
+criterion-4 grid), then the verdict counts.  The set covers every
 inequality id, stacks of more trials than one chunk, and configs whose
 stacks hold failing slices.  Run it in two checkouts and diff the outputs.
 The digests depend on the LAPACK build, so none is pinned here.  The
@@ -162,6 +163,19 @@ def direct_reports():
     return reports, "\n".join(sigmas)
 
 
+def lemma_sigmas_grid():
+    """``lemma_chain_sigmas`` bytes, point by point, over the acceptance suite's
+    criterion-4 (t, r, s) grid for one n=2 and one n=5 pair."""
+    hexes = []
+    for n, seed in ((2, 80), (5, 82)):
+        a, b = (random_pd(EnsembleSpec(dim=n, seed=seed + side)) for side in (0, 1))
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for r in (0.5, 1.0, 2.0):
+                for s in (0.5, 1.0, 2.0):
+                    hexes += [sig.tobytes().hex() for _, sig in lemma_chain_sigmas(a, b, t, r, s)]
+    return "\n".join(hexes)
+
+
 def main():
     for name, obj in CAMPAIGNS.items():
         print(campaign_line(name, obj), flush=True)
@@ -169,6 +183,7 @@ def main():
         print(search_line(name, obj), flush=True)
     reports, sigmas = direct_reports()
     print(f"direct-checks {digest(render_reports(reports, 'json') + sigmas)} {counts(reports)}")
+    print(f"lemma-sigmas-grid {digest(lemma_sigmas_grid())} -")
 
 
 if __name__ == "__main__":
