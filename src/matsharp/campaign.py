@@ -23,16 +23,20 @@ terms, so its reports count as indeterminate and the others go on.
 
 The searcher performs random-restart hill descent on the minimum margin
 of one fixed inequality instance, evaluating it as a stack of one.
+
+The config, the summary and the search report are JSON records like the
+reports; the config refuses a value of the wrong JSON type, naming its
+key.  Every output file is written by :func:`write_output`.
 """
 
 import csv
 import io
 import itertools
-import json
+import math
 import numbers
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from .inequalities import (
     REL_TOL,
     InequalityReport,
     _check,
+    _Record,
     _instance_reports,
     resolve_function,
     stack_reports,
@@ -88,6 +93,9 @@ CSV_COLUMNS = (
     "term-1", "term-2", "term-3", "term-4", "term-5",
     "margin-1", "margin-2", "margin-3", "margin-4",
 )
+# The columns read from a report's params, and the first margin column.
+_CSV_PARAMS = CSV_COLUMNS[1:CSV_COLUMNS.index("regularization-epsilon")]
+_CSV_MARGINS = CSV_COLUMNS.index("margin-1")
 
 # Trials per stacked pass of ``run_campaign``: it bounds the memory of one
 # pass while leaving the per-call overhead of NumPy's stacked LAPACK
@@ -108,15 +116,47 @@ def parse_inequality_id(text):
     return _ID_ALIASES[key]
 
 
+def _typed(name, value, kind, what):
+    """``value``; ConfigError naming ``name`` unless it is a ``kind``.  As in
+    JSON, a bool is not a number."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{name} takes {what}, got {value!r}")
+    return value
+
+
 def _integer(name, value):
-    """``value`` as an int; ConfigError unless it is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} takes integers, got {value!r}")
-    return int(value)
+    return int(_typed(name, value, numbers.Integral, "integers"))
+
+
+def _number(name, value):
+    value = float(_typed(name, value, numbers.Real, "numbers"))
+    if not math.isfinite(value):   # JSON has no NaN or Infinity
+        raise ConfigError(f"{name} takes finite numbers, got {value!r}")
+    return value
+
+
+def _string(name, value):
+    return _typed(name, value, str, "strings")
+
+
+def _norm(name, value):
+    """``value`` as a NormSpec; ConfigError unless it is one or parses as one."""
+    if isinstance(value, NormSpec):
+        return value
+    text = _string(name, value)
+    try:
+        return NormSpec.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _array(name, value, item):
+    """A JSON array as a tuple of ``item(name, entry)``."""
+    return tuple(item(name, entry) for entry in _typed(name, value, (list, tuple), "a JSON array"))
 
 
 def _normalize_ensemble(obj):
-    obj = dict(obj or {})
+    obj = dict(_typed("ensemble", obj, (dict, type(None)), "a JSON object") or {})
     known = {"kind", "condition-target", "field", "rank", "epsilon-scale"}
     unknown = set(obj) - known
     if unknown:
@@ -127,20 +167,21 @@ def _normalize_ensemble(obj):
     eps = obj.get("epsilon-scale")
     if eps is None and kind == KIND_PSD:
         eps = DEFAULT_EPSILON_SCALE
+    rank, target = obj.get("rank"), obj.get("condition-target", 100.0)
     return {
         "kind": kind,
-        "condition-target": float(obj.get("condition-target", 100.0)),
+        "condition-target": _number("ensemble condition-target", target),
         "field": obj.get("field", "complex"),
-        "rank": obj.get("rank"),
-        "epsilon-scale": None if eps is None else float(eps),
+        "rank": None if rank is None else _integer("ensemble rank", rank),
+        "epsilon-scale": None if eps is None else _number("ensemble epsilon-scale", eps),
     }
 
 
 @dataclass
-class CampaignConfig:
-    """Inputs of one campaign; JSON field names mirror the attributes
-    with hyphens (``inequality-id``, ``m-values``, ``t-grid``, ...,
-    ``relTol``/``absTol`` for the tolerances)."""
+class CampaignConfig(_Record):
+    """Inputs of one campaign, read and written as a JSON record
+    (``inequality-id``, ``m-values``, ``t-grid``, ..., ``relTol``/``absTol``
+    for the tolerances)."""
 
     inequality_id: str
     trials: int = 100
@@ -163,16 +204,19 @@ class CampaignConfig:
     def __post_init__(self):
         self.inequality_id = parse_inequality_id(self.inequality_id)
         self.trials = _integer("trials", self.trials)
-        self.dims = tuple(_integer("dims", n) for n in self.dims)
-        self.m_values = tuple(_integer("m-values", m) for m in self.m_values)
-        self.t_grid = tuple(float(t) for t in self.t_grid)
-        self.r_grid = tuple(float(r) for r in self.r_grid)
-        self.s_grid = tuple(float(s) for s in self.s_grid)
-        self.norm_specs = tuple(
-            n if isinstance(n, NormSpec) else NormSpec.parse(n) for n in self.norm_specs
-        )
+        self.dims = _array("dims", self.dims, _integer)
+        self.m_values = _array("m-values", self.m_values, _integer)
+        self.t_grid = _array("t-grid", self.t_grid, _number)
+        self.r_grid = _array("r-grid", self.r_grid, _number)
+        self.s_grid = _array("s-grid", self.s_grid, _number)
+        self.norm_specs = _array("norm-specs", self.norm_specs, _norm)
         self.ensemble = _normalize_ensemble(self.ensemble)
-        self.functions = tuple(str(f) for f in self.functions)
+        self.functions = _array("functions", self.functions, _string)
+        self.root_seed = _integer("root-seed", self.root_seed)
+        _number("relTol", self.rel_tol)
+        _number("absTol", self.abs_tol)
+        _typed("printed-form", self.printed_form, bool, "true or false")
+        _typed("output-path", self.output_path, (str, type(None)), "a string or null")
         self.validate()
 
     def validate(self):
@@ -185,6 +229,11 @@ class CampaignConfig:
         eps = self.ensemble["epsilon-scale"]
         if eps is not None and not eps > 0.0:
             raise ConfigError(f"ensemble epsilon-scale must be positive, got {eps!r}")
+        for n in self.dims:
+            try:
+                _ensemble_spec(self, n, seed=0)
+            except ValueError as exc:
+                raise ConfigError(f"ensemble {exc}") from None
         for spec in self.norm_specs:
             if spec.kind == KY_FAN and spec.k > min(self.dims):
                 raise ConfigError(f"norm {spec} needs n >= {spec.k}; dims holds {min(self.dims)}")
@@ -236,36 +285,16 @@ class CampaignConfig:
 
     @classmethod
     def from_obj(cls, obj):
-        unknown = set(obj) - set(_CONFIG_KEYS)
+        unknown = set(obj) - set(cls._keys)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         if "inequality-id" not in obj:
             raise ConfigError("config is missing 'inequality-id'")
-        return cls(**{_CONFIG_KEYS[key]: value for key, value in obj.items()})
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_obj(json.loads(text))
-
-    def to_obj(self):
-        return {key: _json_value(getattr(self, name)) for key, name in _CONFIG_KEYS.items()}
-
-
-# JSON key -> attribute, in field order: the attribute's name with hyphens,
-# except for the tolerances.
-_CONFIG_KEYS = {{"rel_tol": "relTol", "abs_tol": "absTol"}.get(f.name, f.name.replace("_", "-")):
-                f.name for f in fields(CampaignConfig)}
-
-
-def _json_value(value):
-    """A config attribute as JSON data: tuples become lists, norms their text."""
-    if isinstance(value, tuple):
-        return [str(v) if isinstance(v, NormSpec) else v for v in value]
-    return dict(value) if isinstance(value, dict) else value
+        return super().from_obj(obj)
 
 
 @dataclass
-class CampaignSummary:
+class CampaignSummary(_Record):
     """Aggregate of one report stream.
 
     ``held + violated + indeterminate == total``: a report with a
@@ -282,20 +311,6 @@ class CampaignSummary:
     min_margin: float
     min_margin_params: dict
     wall_time: float
-
-    def to_obj(self):
-        return {
-            "total": self.total,
-            "held": self.held,
-            "violated": self.violated,
-            "indeterminate": self.indeterminate,
-            "min-margin": self.min_margin,
-            "min-margin-params": self.min_margin_params,
-            "wall-time": self.wall_time,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_obj())
 
 
 def summarize(reports, wall_time=0.0):
@@ -326,7 +341,7 @@ def _ensemble_spec(config, n, seed, kind=None):
         condition_target=ens["condition-target"],
         field=ens["field"],
         seed=seed,
-        rank=(None if ens["rank"] is None else int(ens["rank"])),
+        rank=ens["rank"],
     )
 
 
@@ -464,26 +479,29 @@ def render_reports(reports, output_format):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in reports:
-        p = r.params
-        row = [r.inequality_id, p.get("trial"), p.get("m"), p.get("n"), p.get("t"), p.get("r"),
-               p.get("s"), p.get("norm-spec"), p.get("function-id"), p.get("seed"),
-               p.get("printed-form"), r.regularization_epsilon, r.holds,
-               *(value for _, value in r.terms)]
-        row += [None] * (18 - len(row)) + list(r.margins) + [None] * (4 - len(r.margins))
+        row = [r.inequality_id, *map(r.params.get, _CSV_PARAMS), r.regularization_epsilon,
+               r.holds, *(value for _, value in r.terms)]
+        row += [None] * (_CSV_MARGINS - len(row)) + list(r.margins)
+        row += [None] * (len(CSV_COLUMNS) - len(row))
         # csv writes None as an empty cell and any other value through str().
         writer.writerow(["true" if c is True else "false" if c is False else c for c in row])
     return buf.getvalue()
 
 
-def emit_report(reports, output_format, path):
-    """Write a report stream to ``path``; errors carry the path context."""
-    text = render_reports(reports, output_format)
+def write_output(path, text):
+    """Write ``text`` to ``path``, the one writer of every output file; an
+    error names the path."""
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write report stream to {path!r}: {exc}") from exc
+        raise OSError(f"cannot write {path!r}: {exc}") from exc
     return path
+
+
+def emit_report(reports, output_format, path):
+    """Write a report stream to ``path``; errors carry the path context."""
+    return write_output(path, render_reports(reports, output_format))
 
 
 def load_reports(path):
@@ -497,7 +515,7 @@ def load_reports(path):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SearchReport:
+class SearchReport(_Record):
     """Outcome of one hill-descent search on a fixed inequality target."""
 
     inequality_id: str
@@ -510,23 +528,6 @@ class SearchReport:
     best_instance: dict
     best_report: dict
     wall_time: float
-
-    def to_obj(self):
-        return {
-            "inequality-id": self.inequality_id,
-            "params": self.params,
-            "steps": self.steps,
-            "evaluations": self.evaluations,
-            "restarts": self.restarts,
-            "best-margin": self.best_margin,
-            "violation-found": self.violation_found,
-            "best-instance": self.best_instance,
-            "best-report": self.best_report,
-            "wall-time": self.wall_time,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_obj())
 
 
 def instance_to_obj(a_list, b_list):

@@ -16,12 +16,14 @@ from .campaign import (
     run_campaign,
     run_check,
     search_counterexample,
+    write_output,
 )
 from .errors import MatSharpError
 from .linalg import load_matrix
 
 
 def _load_config(args):
+    obj = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -30,25 +32,14 @@ def _load_config(args):
             raise MatSharpError(f"cannot read config {args.config!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise MatSharpError(f"config {args.config!r} is not valid JSON: {exc}") from exc
-    else:
-        obj = {}
+        if not isinstance(obj, dict):
+            raise MatSharpError(f"config {args.config!r} is not a JSON object")
     # Flags override file values.
-    if args.seed is not None:
-        obj["root-seed"] = args.seed
-    if args.trials is not None:
-        obj["trials"] = args.trials
-    if args.dim is not None:
-        obj["dims"] = [args.dim]
-    if args.out is not None:
-        obj["output-path"] = args.out
-    if args.format is not None:
-        obj["output-format"] = args.format
-    if args.printed_form is not None:
-        obj["printed-form"] = args.printed_form
-    if args.tolerance_rel is not None:
-        obj["relTol"] = args.tolerance_rel
-    if args.tolerance_abs is not None:
-        obj["absTol"] = args.tolerance_abs
+    flags = {"root-seed": args.seed, "trials": args.trials,
+             "dims": None if args.dim is None else [args.dim], "output-path": args.out,
+             "output-format": args.format, "printed-form": args.printed_form,
+             "relTol": args.tolerance_rel, "absTol": args.tolerance_abs}
+    obj.update((key, value) for key, value in flags.items() if value is not None)
     return CampaignConfig.from_obj(obj)
 
 
@@ -82,12 +73,7 @@ def _cmd_search(args):
     report = search_counterexample(config, args.steps)
     text = report.to_json()
     if config.output_path:
-        try:
-            with open(config.output_path, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise MatSharpError(
-                f"cannot write search report to {config.output_path!r}: {exc}") from exc
+        write_output(config.output_path, text + "\n")
         print(json.dumps({"best-margin": report.best_margin,
                           "violation-found": report.violation_found,
                           "output-path": config.output_path}))
@@ -117,7 +103,7 @@ def _cmd_eval(args):
         printed_form=bool(args.printed_form) if args.printed_form is not None else True,
         functions=[args.function] if args.function else (),
         direction=args.direction,
-        ensemble={"epsilon-scale": args.epsilon_scale} if args.epsilon_scale else None,
+        ensemble=None if args.epsilon_scale is None else {"epsilon-scale": args.epsilon_scale},
     )
     report = run_check(config, _search_target(config), a_list, b_list)
     print(report.to_json())

@@ -23,7 +23,9 @@ t-dependent main chain's middle and right terms at s = 1
 inequality id to its kernel and walks the grid; :func:`stack_reports` is
 that driver followed by the reduction.  A ``check_*`` predicate is a
 one-point :func:`stack_reports` call on a stack of one, and
-:func:`lemma_chain_sigmas` reads the driver's one point.
+:func:`lemma_chain_sigmas` reads the driver's one point.  Every JSON record
+(a report; a campaign's config and summary; a search report) is a
+dataclass with the :class:`_Record` mixin: one rule maps fields to keys.
 """
 
 import json
@@ -47,7 +49,7 @@ from .linalg import (
     spectrum_power,
 )
 from .means import _mean_from_spectra, _pair_sum, _regularized_pair, _strict_spectrum
-from .norms import ABS_TOL, REL_TOL, norm_from_singular_values, singular_values
+from .norms import ABS_TOL, REL_TOL, NormSpec, norm_from_singular_values, singular_values
 
 AUDENAERT = "Audenaert"
 BOURIN_UCHIYAMA = "BourinUchiyama"
@@ -69,8 +71,42 @@ def tolerance_band(scale, rel_tol=REL_TOL, abs_tol=ABS_TOL):
     return rel_tol * scale + abs_tol
 
 
+class _Record:
+    """A dataclass as one JSON object: its fields in order, each under its
+    name with hyphens (``relTol``/``absTol`` for the tolerances), tuples as
+    lists and norms as their text.  ``_keys`` (JSON key -> field) is built
+    once per class, from the fields it annotates."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._keys = {{"rel_tol": "relTol", "abs_tol": "absTol"}.get(name, name.replace("_", "-")):
+                     name for name in cls.__annotations__}
+
+    def to_obj(self):
+        return {key: _json_data(getattr(self, name)) for key, name in self._keys.items()}
+
+    def to_json(self):
+        return json.dumps(self.to_obj())
+
+    @classmethod
+    def from_obj(cls, obj):
+        """The record written as ``obj``; a missing key leaves its field's default."""
+        return cls(**{name: obj[key] for key, name in cls._keys.items() if key in obj})
+
+    @classmethod
+    def from_json(cls, text):
+        return cls.from_obj(json.loads(text))
+
+
+def _json_data(value):
+    """A field's value as JSON data: a tuple becomes a list, a norm its text."""
+    if isinstance(value, tuple):
+        return [str(v) if isinstance(v, NormSpec) else v for v in value]
+    return value
+
+
 @dataclass
-class InequalityReport:
+class InequalityReport(_Record):
     """Evaluated terms, margins, and verdict for one inequality instance.
 
     ``terms`` are ordered left-to-right as in the chain being tested;
@@ -100,35 +136,10 @@ class InequalityReport:
         values = [value for _, value in self.terms] + list(self.margins)
         return all(math.isfinite(x) for x in values + list(self.fan_margins or ()))
 
-    def to_obj(self):
-        return {
-            "inequality-id": self.inequality_id,
-            "params": self.params,
-            "terms": [[label, value] for label, value in self.terms],
-            "margins": list(self.margins),
-            "holds": self.holds,
-            "regularization-epsilon": self.regularization_epsilon,
-            "fan-margins": None if self.fan_margins is None else list(self.fan_margins),
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_obj())
-
     @classmethod
     def from_obj(cls, obj):
-        return cls(
-            inequality_id=obj["inequality-id"],
-            params=dict(obj["params"]),
-            terms=[(label, value) for label, value in obj["terms"]],
-            margins=list(obj["margins"]),
-            holds=bool(obj["holds"]),
-            regularization_epsilon=obj.get("regularization-epsilon"),
-            fan_margins=None if obj.get("fan-margins") is None else list(obj["fan-margins"]),
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_obj(json.loads(text))
+        """The report written as ``obj``; its terms become (label, value) tuples."""
+        return super().from_obj(dict(obj, terms=[tuple(term) for term in obj["terms"]]))
 
 
 def _params(m=None, n=None, t=None, r=None, s=None, function_id=None, **extra):

@@ -121,15 +121,16 @@ def psd_geometric_mean(a, b, t, epsilon_scale=DEFAULT_EPSILON_SCALE):
     the epsilon alongside any result derived from it
     (:func:`regularization_epsilon` recomputes it).
     """
-    if epsilon_scale <= 0.0:
-        raise ValueError(f"epsilon_scale must be positive, got {epsilon_scale!r}")
     a_reg, b_reg, _ = _regularized_pair(as_matrix(a), as_matrix(b), epsilon_scale)
     return geometric_mean(a_reg, b_reg, t)
 
 
 def _regularized_pair(a, b, epsilon_scale):
     """Shift both matrices by ``eps * I``; returns (A + eps I, B + eps I, eps)
-    with eps from :func:`regularization_epsilon` (one per slice for stacks)."""
+    with eps from :func:`regularization_epsilon` (one per slice for stacks).
+    The shift of every regularized mean and chain; ``epsilon_scale`` must be positive."""
+    if not epsilon_scale > 0.0:
+        raise ValueError(f"epsilon_scale must be positive, got {epsilon_scale!r}")
     eps = regularization_epsilon(a, b, epsilon_scale)
     shift = np.multiply.outer(eps, np.eye(a.shape[-1]))
     return a + shift, b + shift, eps

@@ -48,7 +48,7 @@ class NormSpec:
 
     def __post_init__(self):
         if self.kind == SCHATTEN:
-            if self.p is None or (self.p < 1.0 and not math.isinf(self.p)):
+            if self.p is None or not self.p >= 1.0:
                 raise InvalidNormError(f"Schatten exponent must be >= 1 or inf, got {self.p!r}")
         elif self.kind == KY_FAN:
             if self.k is None or self.k < 1:

@@ -31,7 +31,9 @@ from matsharp import (
 from matsharp.campaign import (
     CHUNK_TRIALS,
     CSV_COLUMNS,
+    CampaignSummary,
     ReportStream,
+    SearchReport,
     _build_inputs,
     reevaluate_search_instance,
 )
@@ -39,19 +41,31 @@ from matsharp.cli import main as cli_main
 from matsharp.inequalities import BOURIN_UCHIYAMA, stack_reports
 
 
+SMALL = {
+    "inequality-id": "main_theorem",
+    "trials": 4,
+    "dims": [2, 3],
+    "m-values": [1, 2],
+    "t-grid": [0.5],
+    "r-grid": [1.0, 2.0],
+    "norm-specs": ["schatten:2"],
+    "root-seed": 11,
+}
+
+
 def small_config(**overrides):
-    obj = {
-        "inequality-id": "main_theorem",
-        "trials": 4,
-        "dims": [2, 3],
-        "m-values": [1, 2],
-        "t-grid": [0.5],
-        "r-grid": [1.0, 2.0],
-        "norm-specs": ["schatten:2"],
-        "root-seed": 11,
-    }
-    obj.update(overrides)
-    return CampaignConfig.from_obj(obj)
+    return CampaignConfig.from_obj(dict(SMALL, **overrides))
+
+
+def assert_refused(key, overrides, tmp_path, capsys):
+    """``SMALL`` with ``overrides`` raises ConfigError naming ``key``, and
+    ``matsharp campaign`` exits 1 with ``key`` on stderr."""
+    with pytest.raises(ConfigError, match=key):
+        small_config(**overrides)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SMALL, **overrides)))
+    assert cli_main(["campaign", "--config", str(cfg_path)]) == 1
+    assert key in capsys.readouterr().err
 
 
 def synthetic_report(i):
@@ -111,6 +125,50 @@ class TestConfig:
         cfg_path.write_text(json.dumps({"inequality-id": "main_theorem", key: value}))
         assert cli_main(["campaign", "--config", str(cfg_path)]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("dims", 3),                 # was a TypeError traceback
+        ("m-values", 2),
+        ("t-grid", 0.5),
+        ("r-grid", 2.0),
+        ("s-grid", 1.0),
+        ("norm-specs", "trace"),     # was read character by character
+        ("functions", "expm1"),
+        ("t-grid", ["a"]),           # was a bare float-conversion error
+        ("r-grid", [1.0, True]),     # ran as r = 1
+        ("r-grid", [math.nan]),      # every report was indeterminate
+        ("norm-specs", ["schatten:x"]),
+    ])
+    def test_rejects_lists_of_the_wrong_type(self, key, value, tmp_path, capsys):
+        assert_refused(key, {key: value}, tmp_path, capsys)
+
+    @pytest.mark.parametrize("key,value", [
+        ("printed-form", "no"),      # ran the printed form
+        ("printed-form", 0),
+        ("relTol", "x"),             # was a TypeError traceback from validate
+        ("relTol", True),            # ran with a tolerance of 1
+        ("absTol", [1e-12]),
+        ("relTol", math.nan),        # no report held
+        ("ensemble", [1]),           # was a TypeError traceback
+        ("root-seed", "x"),          # failed at the first draw
+        ("root-seed", True),         # ran as seed 1
+        ("root-seed", 1.5),
+        ("output-path", 5),          # was opened as file descriptor 5
+    ])
+    def test_rejects_scalars_of_the_wrong_type(self, key, value, tmp_path, capsys):
+        assert_refused(key, {key: value}, tmp_path, capsys)
+
+    @pytest.mark.parametrize("key,ensemble", [
+        ("condition-target", {"condition-target": 0.5}),
+        ("condition-target", {"condition-target": "big"}),
+        ("condition-target", {"condition-target": math.inf}),
+        ("field", {"field": "quaternion"}),
+        ("rank", {"kind": "psd", "rank": 5}),
+        ("rank", {"rank": "x"}),
+    ])
+    def test_rejects_ensembles_before_the_first_draw(self, key, ensemble, tmp_path, capsys):
+        # Refused by the config, not when run_campaign or search draws.
+        assert_refused(key, {"dims": [2], "ensemble": ensemble}, tmp_path, capsys)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0])
     def test_rejects_nonpositive_epsilon_scale(self, scale):
@@ -627,6 +685,33 @@ class TestEmitReport:
             emit_report([], "csv", tmp_path / "no" / "such" / "dir" / "x.csv")
 
 
+class TestRecords:
+    def test_fields_in_order_under_hyphenated_keys(self):
+        cfg = small_config(trials=1, dims=[2], ensemble={"kind": "psd", "rank": 1},
+                           **{"m-values": [1], "r-grid": [1.0]})
+        summary, reports = run_campaign(cfg)
+        search = search_counterexample(cfg, 2)
+        assert list(cfg.to_obj()) == [
+            "inequality-id", "trials", "dims", "m-values", "t-grid", "r-grid", "s-grid",
+            "norm-specs", "ensemble", "root-seed", "relTol", "absTol", "printed-form",
+            "output-path", "output-format", "functions", "direction"]
+        assert list(reports[0].to_obj()) == [
+            "inequality-id", "params", "terms", "margins", "holds", "regularization-epsilon",
+            "fan-margins"]
+        assert list(summary.to_obj()) == [
+            "total", "held", "violated", "indeterminate", "min-margin", "min-margin-params",
+            "wall-time"]
+        assert list(search.to_obj()) == [
+            "inequality-id", "params", "steps", "evaluations", "restarts", "best-margin",
+            "violation-found", "best-instance", "best-report", "wall-time"]
+        assert json.loads(cfg.to_json())["norm-specs"] == ["schatten:2"]
+        # Each reads back from its JSON.
+        assert CampaignConfig.from_json(cfg.to_json()) == cfg
+        assert CampaignSummary.from_json(summary.to_json()) == summary
+        # best-report holds the report's to_obj, whose terms are tuples.
+        assert SearchReport.from_json(search.to_json()).to_json() == search.to_json()
+
+
 class TestSearch:
     def test_scalar_target_stays_at_equality(self):
         # 1x1 inputs make every chain term identical: the descent must
@@ -766,8 +851,36 @@ class TestCli:
         assert cli_main(["campaign", "--config", str(cfg_path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,flags", [("5", []), ("[1]", ["--seed", "3"])])
+    def test_config_that_is_not_an_object_exit_one(self, text, flags, tmp_path, capsys):
+        # Was a TypeError traceback from the flag overrides or from from_obj.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert cli_main(["campaign", "--config", str(cfg_path), *flags]) == 1
+        assert "not a JSON object" in capsys.readouterr().err
+
     def test_missing_config_file_exit_one(self, capsys):
         assert cli_main(["campaign", "--config", "/nonexistent/cfg.json"]) == 1
+
+    def test_eval_refuses_zero_epsilon_scale(self, tmp_path, capsys):
+        # A zero scale was taken as no scale: the PSD inputs then failed the
+        # strict check instead of being refused like a negative scale.
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix(a, np.diag([1.0, 0.0]))
+        save_matrix(b, np.diag([0.0, 1.0]))
+        code = cli_main(["eval", "--inequality", "main_theorem", "--a", str(a), "--b", str(b),
+                         "--epsilon-scale", "0"])
+        assert code == 1
+        assert "epsilon-scale must be positive" in capsys.readouterr().err
+
+    def test_search_unwritable_path_names_it(self, tmp_path, capsys):
+        out_path = tmp_path / "no" / "such" / "dir" / "search.json"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "inequality-id": "lemma_chain", "dims": [2], "t-grid": [0.5], "r-grid": [1.0],
+            "s-grid": [1.0], "norm-specs": ["trace"], "output-path": str(out_path)}))
+        assert cli_main(["search", "--config", str(cfg_path), "--steps", "2"]) == 1
+        assert str(out_path) in capsys.readouterr().err
 
     def test_eval_bourin_uchiyama_needs_function(self, tmp_path, capsys):
         a = tmp_path / "a.json"

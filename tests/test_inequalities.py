@@ -448,6 +448,19 @@ SINGLE_ERRORS = {
     "proof-psd-hermitian-sum": (lambda: check_proof_steps(X_AND_ADJOINT, IDENTITIES, 0.5, 2.0,
                                                           S1, epsilon_scale=1e-10),
                                 HermitianDefectError, "not Hermitian"),
+    # psd_geometric_mean refuses these scales; so does every regularized chain.
+    "main-zero-epsilon": (lambda: check_main_theorem([PD], [PD_B], 0.5, 2.0, S1,
+                                                     epsilon_scale=0.0),
+                          ValueError, "epsilon_scale must be positive"),
+    "main-negative-epsilon": (lambda: check_main_theorem([PD], [PD_B], 0.5, 2.0, S1,
+                                                         printed_form=False, epsilon_scale=-1e-10),
+                              ValueError, "epsilon_scale must be positive"),
+    "proof-zero-epsilon": (lambda: check_proof_steps([PD], [PD_B], 0.5, 2.0, S1,
+                                                     epsilon_scale=0.0),
+                           ValueError, "epsilon_scale must be positive"),
+    "proof-negative-epsilon": (lambda: check_proof_steps([PD], [PD_B], 0.5, 2.0, S1,
+                                                         epsilon_scale=-1e-10),
+                               ValueError, "epsilon_scale must be positive"),
     "bu-empty": (lambda: check_bourin_uchiyama([], "power:2", "convex", S1),
                  ShapeError, "at least one matrix"),
     "bu-dimensions": (lambda: check_bourin_uchiyama([PD, np.eye(3)], "power:2", "convex", S1),

@@ -60,6 +60,8 @@ class TestNormSpec:
             NormSpec.parse("kyfan:0")
         with pytest.raises(InvalidNormError):
             NormSpec.parse("nuclear")
+        with pytest.raises(InvalidNormError):   # every report was indeterminate
+            NormSpec.parse("schatten:nan")
 
     def test_default_set(self):
         specs = default_norm_specs(4)

@@ -8,12 +8,14 @@ Usage::
 Each output line is ``name digest held/violated/indeterminate``: the first
 12 hex digits of the SHA-256 of a fixed campaign's JSON and CSV rendering
 (or of a 300-step search report with its wall time dropped, of a set of
-direct ``check_*`` calls, or of the ``lemma_chain_sigmas`` bytes over the
-criterion-4 grid), then the verdict counts.  The set covers every
-inequality id, stacks of more trials than one chunk, and configs whose
-stacks hold failing slices.  Run it in two checkouts and diff the outputs.
-The digests depend on the LAPACK build, so none is pinned here.  The
-library is imported from the ``src`` directory next to this script.
+direct ``check_*`` calls, of the ``lemma_chain_sigmas`` bytes over the
+criterion-4 grid, or, on the ``records`` line, of every campaign's config
+and summary records with the wall time set to 0), then the verdict
+counts.  The set covers every inequality id, stacks of more trials than
+one chunk, and configs whose stacks hold failing slices.  Run it in two
+checkouts and diff the outputs.  The digests depend on the LAPACK build,
+so none is pinned here.  The library is imported from the ``src``
+directory next to this script.
 """
 
 import hashlib
@@ -125,9 +127,15 @@ def counts(reports):
     return f"{held}/{len(finite) - held}/{len(reports) - len(finite)}"
 
 
-def campaign_line(name, obj):
+def campaign_line(name, obj, records):
+    """The campaign's digest line; its config and summary records join ``records``."""
+    config = CampaignConfig.from_obj(dict(BASE, **obj))
     with np.errstate(over="ignore", invalid="ignore"):
-        _, reports = run_campaign(CampaignConfig.from_obj(dict(BASE, **obj)))
+        summary, reports = run_campaign(config)
+    summary.wall_time = 0.0
+    # The config through to_obj, so that the script also runs on checkouts
+    # whose CampaignConfig has no to_json.
+    records += [json.dumps(config.to_obj()), summary.to_json()]
     text = render_reports(reports, "json") + render_reports(reports, "csv")
     return f"{name} {digest(text)} {counts(reports)}"
 
@@ -177,13 +185,15 @@ def lemma_sigmas_grid():
 
 
 def main():
+    records = []
     for name, obj in CAMPAIGNS.items():
-        print(campaign_line(name, obj), flush=True)
+        print(campaign_line(name, obj, records), flush=True)
     for name, obj in SEARCHES.items():
         print(search_line(name, obj), flush=True)
     reports, sigmas = direct_reports()
     print(f"direct-checks {digest(render_reports(reports, 'json') + sigmas)} {counts(reports)}")
     print(f"lemma-sigmas-grid {digest(lemma_sigmas_grid())} -")
+    print("records", digest("\n".join(records)), "-")
 
 
 if __name__ == "__main__":
