@@ -45,7 +45,6 @@ from .inequalities import (
     check_proof_steps,
     lemma_chain_sigmas,
     resolve_function,
-    tolerance_band,
 )
 from .linalg import (
     Spectrum,
@@ -74,6 +73,7 @@ from .norms import (
     log_majorization,
     norm_from_singular_values,
     singular_values,
+    tolerance_band,
     ui_norm,
     weak_majorization,
 )

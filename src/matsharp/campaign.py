@@ -42,14 +42,12 @@ import numpy as np
 
 from .errors import ConfigError, UnregisteredFunctionError
 from .inequalities import (
-    ABS_TOL,
     AUDENAERT,
     BOURIN_UCHIYAMA,
     INEQUALITY_IDS,
     LEMMA_CHAIN,
     MAIN_THEOREM,
     PROOF_STEPS,
-    REL_TOL,
     InequalityReport,
     _check,
     _Record,
@@ -180,8 +178,7 @@ def _normalize_ensemble(obj):
 @dataclass
 class CampaignConfig(_Record):
     """Inputs of one campaign, read and written as a JSON record
-    (``inequality-id``, ``m-values``, ``t-grid``, ..., ``relTol``/``absTol``
-    for the tolerances)."""
+    (``inequality-id``, ``m-values``, ``t-grid``, ...)."""
 
     inequality_id: str
     trials: int = 100
@@ -193,8 +190,6 @@ class CampaignConfig(_Record):
     norm_specs: tuple = (NormSpec.schatten(2.0),)
     ensemble: dict = field(default_factory=lambda: _normalize_ensemble(None))
     root_seed: int = 0
-    rel_tol: float = REL_TOL
-    abs_tol: float = ABS_TOL
     printed_form: bool = True
     output_path: str | None = None
     output_format: str = "json"
@@ -213,8 +208,6 @@ class CampaignConfig(_Record):
         self.ensemble = _normalize_ensemble(self.ensemble)
         self.functions = _array("functions", self.functions, _string)
         self.root_seed = _integer("root-seed", self.root_seed)
-        _number("relTol", self.rel_tol)
-        _number("absTol", self.abs_tol)
         _typed("printed-form", self.printed_form, bool, "true or false")
         _typed("output-path", self.output_path, (str, type(None)), "a string or null")
         self.validate()
@@ -237,13 +230,15 @@ class CampaignConfig(_Record):
         for spec in self.norm_specs:
             if spec.kind == KY_FAN and spec.k > min(self.dims):
                 raise ConfigError(f"norm {spec} needs n >= {spec.k}; dims holds {min(self.dims)}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ConfigError("relTol and absTol must be positive")
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"output-format must be 'json' or 'csv', got {self.output_format!r}")
         for name, grid in self._axes():
             if not grid:
                 raise ConfigError(f"grid {name!r} must be nonempty for {self.inequality_id}")
+            if name == "t" and not all(0.0 <= t <= 1.0 for t in grid):
+                raise ConfigError(f"t-grid values must lie in [0, 1], got {list(grid)}")
+            if name in ("r", "s") and not all(x > 0.0 for x in grid):
+                raise ConfigError(f"{name}-grid values must be positive, got {list(grid)}")
         for function_id in self.functions if self.inequality_id == BOURIN_UCHIYAMA else ():
             try:
                 usable = self.direction in resolve_function(function_id)[1]
@@ -373,7 +368,7 @@ def _build_inputs(config, n, m, inst_seed):
 def _kernel_options(config):
     """The keyword arguments of :func:`stack_reports` that ``config`` sets."""
     return {"printed_form": config.printed_form, "epsilon_scale": config.ensemble["epsilon-scale"],
-            "direction": config.direction, "rel_tol": config.rel_tol, "abs_tol": config.abs_tol}
+            "direction": config.direction}
 
 
 def run_check(config, point, a_list, b_list, seed=None):

@@ -37,8 +37,7 @@ def _load_config(args):
     # Flags override file values.
     flags = {"root-seed": args.seed, "trials": args.trials,
              "dims": None if args.dim is None else [args.dim], "output-path": args.out,
-             "output-format": args.format, "printed-form": args.printed_form,
-             "relTol": args.tolerance_rel, "absTol": args.tolerance_abs}
+             "output-format": args.format, "printed-form": args.printed_form}
     obj.update((key, value) for key, value in flags.items() if value is not None)
     return CampaignConfig.from_obj(obj)
 
@@ -52,8 +51,6 @@ def _add_common_flags(parser):
     parser.add_argument("--format", choices=("json", "csv"), help="override output-format")
     parser.add_argument("--printed-form", action=argparse.BooleanOptionalAction,
                         default=None, help="override printed-form")
-    parser.add_argument("--tolerance-rel", type=float, help="override relTol")
-    parser.add_argument("--tolerance-abs", type=float, help="override absTol")
 
 
 def _cmd_campaign(args):

@@ -49,7 +49,7 @@ from .linalg import (
     spectrum_power,
 )
 from .means import _mean_from_spectra, _pair_sum, _regularized_pair, _strict_spectrum
-from .norms import ABS_TOL, REL_TOL, NormSpec, norm_from_singular_values, singular_values
+from .norms import NormSpec, norm_from_singular_values, singular_values, tolerance_band
 
 AUDENAERT = "Audenaert"
 BOURIN_UCHIYAMA = "BourinUchiyama"
@@ -66,21 +66,15 @@ CONCAVE = "concave"
 COMMUTATION_RTOL = 1e-10
 
 
-def tolerance_band(scale, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-    """Width of the numerical-tie band around zero for a given term scale."""
-    return rel_tol * scale + abs_tol
-
-
 class _Record:
     """A dataclass as one JSON object: its fields in order, each under its
-    name with hyphens (``relTol``/``absTol`` for the tolerances), tuples as
-    lists and norms as their text.  ``_keys`` (JSON key -> field) is built
-    once per class, from the fields it annotates."""
+    name with hyphens, tuples as lists and norms as their text.  ``_keys``
+    (JSON key -> field) is built once per class, from the fields it
+    annotates."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._keys = {{"rel_tol": "relTol", "abs_tol": "absTol"}.get(name, name.replace("_", "-")):
-                     name for name in cls.__annotations__}
+        cls._keys = {name.replace("_", "-"): name for name in cls.__annotations__}
 
     def to_obj(self):
         return {key: _json_data(getattr(self, name)) for key, name in self._keys.items()}
@@ -112,9 +106,12 @@ class InequalityReport(_Record):
     ``terms`` are ordered left-to-right as in the chain being tested;
     ``margins[i]`` is the signed slack of step i (nonnegative certifies);
     ``holds`` is true when every term and margin is finite and every margin
-    clears ``-tolerance_band(scale)`` with scale the largest term value.
+    clears ``-tolerance_band(scale)`` (``REL_TOL * scale``) with scale the
+    largest term value, so scaling the inputs of a homogeneous chain does
+    not change it.
     ``fan_margins`` are the matching Ky Fan prefix-sum margins (all-norms
-    certificate).
+    certificate); they get no band and enter ``holds`` only through the
+    finiteness check.
     """
 
     inequality_id: str
@@ -197,7 +194,7 @@ class _ReportBlock(NamedTuple):
     epsilon: np.ndarray | None
 
 
-def _reduce(points, norms, rel_tol, abs_tol, failed=None):
+def _reduce(points, norms, failed=None):
     """Every norm's reports on ``points`` (chain points of one stack) as one
     :class:`_ReportBlock`; the instances in ``failed`` get NaN terms.
 
@@ -216,7 +213,7 @@ def _reduce(points, norms, rel_tol, abs_tol, failed=None):
     # every term is, and then every margin is finite too.
     scale = values.max(axis=2)
     finite = np.isfinite(scale) & np.isfinite(fan_margins).all(axis=1)[:, None]
-    holds = finite & (margins.min(axis=2) >= -tolerance_band(scale, rel_tol, abs_tol))
+    holds = finite & (margins.min(axis=2) >= -tolerance_band(scale))
     eps = [point.regularization_epsilon for point in points]
     return _ReportBlock(first.inequality_id, [point.params for point in points],
                         [label for label, _ in first.sigmas], tuple(norms), first.seeds,
@@ -418,8 +415,7 @@ class _FunctionSum(_StackKernel):
         return _ChainPoint(BOURIN_UCHIYAMA, params, sigmas, self.seeds, steps)
 
 
-def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
-                          rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
+def check_bourin_uchiyama(a_list, function_id, direction, norm_spec, seed=None):
     """Compare ||| sum f(A_i) ||| against ||| f(sum A_i) |||.
 
     ``direction`` must match the registered convexity of ``function_id``;
@@ -431,7 +427,7 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec,
     if not a_list:
         raise ShapeError("shape error: at least one matrix is required")
     return _check(BOURIN_UCHIYAMA, a_list, (), {"f": function_id, "norm": norm_spec}, seed,
-                  direction=direction, rel_tol=rel_tol, abs_tol=abs_tol)
+                  direction=direction)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +590,7 @@ class _MainChainAtT:
 
 
 def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
-                       epsilon_scale=None, rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
+                       epsilon_scale=None, seed=None):
     """Evaluate the three-term main chain.
 
     With ``printed_form`` the middle and right terms use the t-free
@@ -604,12 +600,10 @@ def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
     exploration and flagged in the params.
     """
     return _check(MAIN_THEOREM, a_list, b_list, {"t": t, "r": r, "norm": norm_spec}, seed,
-                  printed_form=printed_form, epsilon_scale=epsilon_scale,
-                  rel_tol=rel_tol, abs_tol=abs_tol)
+                  printed_form=printed_form, epsilon_scale=epsilon_scale)
 
 
-def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
-                      rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
+def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None, seed=None):
     """Evaluate the five-term proof refinement of the main chain.
 
     Margins 1-2 localize the convexity/concavity step; margins 3-4
@@ -617,7 +611,7 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None,
     t-free form).  Requires ``r >= 1`` (the convexity step needs it).
     """
     return _check(PROOF_STEPS, a_list, b_list, {"t": t, "r": r, "norm": norm_spec}, seed,
-                  epsilon_scale=epsilon_scale, rel_tol=rel_tol, abs_tol=abs_tol)
+                  epsilon_scale=epsilon_scale)
 
 
 def lemma_chain_sigmas(a, b, t, r, s):
@@ -627,15 +621,14 @@ def lemma_chain_sigmas(a, b, t, r, s):
     return [(label, sig[0]) for label, sig in point.sigmas]
 
 
-def check_lemma_chain(a, b, t, r, s, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
+def check_lemma_chain(a, b, t, r, s, norm_spec, seed=None):
     """Evaluate the four-term norm chain for one PD pair.
 
     Margins are reported in printed order together with the Ky Fan
     prefix-sum margins between consecutive terms (the "all unitarily
     invariant norms" form).
     """
-    return _check(LEMMA_CHAIN, [a], [b], {"t": t, "r": r, "s": s, "norm": norm_spec}, seed,
-                  rel_tol=rel_tol, abs_tol=abs_tol)
+    return _check(LEMMA_CHAIN, [a], [b], {"t": t, "r": r, "s": s, "norm": norm_spec}, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -667,15 +660,14 @@ def _audenaert_point(kernel):
     return _ChainPoint(AUDENAERT, _params(m=a.shape[1], n=a.shape[-1]), sigmas, kernel.seeds)
 
 
-def check_audenaert(a_list, b_list, norm_spec, rel_tol=REL_TOL, abs_tol=ABS_TOL, seed=None):
+def check_audenaert(a_list, b_list, norm_spec, seed=None):
     """Evaluate the commuting-pair chain.
 
     Every pair (A_i, B_i) must commute up to
     ``1e-10 * (1 + ||A_i||_F ||B_i||_F)``; violating pairs raise
     CommutationError rather than being silently skipped.
     """
-    return _check(AUDENAERT, a_list, b_list, {"norm": norm_spec}, seed,
-                  rel_tol=rel_tol, abs_tol=abs_tol)
+    return _check(AUDENAERT, a_list, b_list, {"norm": norm_spec}, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +697,7 @@ def _chain_points(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_s
 
 
 def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
-                  direction=None, rel_tol=REL_TOL, abs_tol=ABS_TOL, mask_failures=False):
+                  direction=None, mask_failures=False):
     """The reports of a stack of instances over ``grid``, reduced into one
     :class:`_ReportBlock` (read one report with :func:`_build_report`).
 
@@ -727,7 +719,7 @@ def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_s
     """
     kernel, points = _chain_points(inequality_id, a, b, grid, seeds, printed_form,
                                    epsilon_scale, direction, mask_failures)
-    return _reduce(points, grid["norm"], rel_tol, abs_tol, kernel.failed)
+    return _reduce(points, grid["norm"], kernel.failed)
 
 
 def _check(inequality_id, a_list, b_list, point, seed, **options):

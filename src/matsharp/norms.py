@@ -17,13 +17,13 @@ import numpy as np
 from .errors import ConvergenceError, InvalidNormError, ShapeError
 from .linalg import _as_stack, as_matrix
 
-# Verdict tolerances, the one definition every check and campaign imports:
+# The verdict tolerance, the one definition every check and campaign reads:
 # predicates return a signed margin next to the boolean so inequality
-# chains near equality do not flap on rounding.  A chain margin above
-# -(REL_TOL * scale + ABS_TOL) counts as holding, where scale is the
-# largest term value in the chain.
+# chains near equality do not flap on rounding.  The band is relative only,
+# so scaling the inputs of a chain homogeneous in them (all but
+# Bourin-Uchiyama with a non-power f, and the regularized path) does not
+# change a verdict; at scale 0 every term and margin is exactly 0.
 REL_TOL = 1e-9
-ABS_TOL = 1e-12
 # Floor for log(sigma) when a singular value is exactly 0 (PSD stress tests).
 LOG_FLOOR = math.log(1e-300)
 
@@ -157,6 +157,12 @@ def _schatten(sigma, p):
     return np.array([x ** root for x in sums.ravel().tolist()]).reshape(sums.shape)
 
 
+def tolerance_band(scale):
+    """Width of the numerical-tie band around zero for a given term scale:
+    a margin at or above ``-tolerance_band(scale)`` counts as holding."""
+    return REL_TOL * scale
+
+
 def ui_norm(m, spec):
     """Unitarily invariant norm of a matrix.
 
@@ -183,21 +189,19 @@ class MajorizationResult(NamedTuple):
     margin: float
 
 
-def weak_majorization(x, y, rel_tol=REL_TOL):
+def weak_majorization(x, y):
     """Test x prec_w y: every prefix sum of x is at most that of y.
 
     Parameters
     ----------
     x, y : array_like
         Nonnegative sequences of equal length (sorted internally).
-    rel_tol : float
-        Verdict tolerance; the comparison allows ``rel_tol * (1 + sum(y))``.
 
     Returns
     -------
     MajorizationResult
         ``margin`` is the minimum prefix-sum difference (y - x), signed and
-        tolerance-free; ``holds`` applies the tolerance.
+        tolerance-free; ``holds`` applies ``tolerance_band(sum(y))``.
     """
     x = np.sort(np.asarray(x, dtype=np.float64))[::-1]
     y = np.sort(np.asarray(y, dtype=np.float64))[::-1]
@@ -205,17 +209,17 @@ def weak_majorization(x, y, rel_tol=REL_TOL):
         raise ShapeError(f"shape error: sequences of length {x.shape[0]} vs {y.shape[0]}")
     diffs = np.cumsum(y) - np.cumsum(x)
     margin = float(diffs.min())
-    tol = rel_tol * (1.0 + float(np.sum(y)))
-    return MajorizationResult(bool(margin >= -tol), margin)
+    return MajorizationResult(bool(margin >= -tolerance_band(float(np.sum(y)))), margin)
 
 
-def log_majorization(a, b, rel_tol=REL_TOL):
+def log_majorization(a, b):
     """Test A prec_log B on singular values: prefix products dominate.
 
     Products are compared as prefix sums of log(sigma) with zero singular
     values floored at log(1e-300) so PSD inputs stay finite.  The verdict
-    allows a factor ``(1 + rel_tol)^k`` on the k-th prefix product; the
-    reported margin is the raw minimum log prefix-sum difference.
+    allows a factor ``(1 + REL_TOL)^k`` on the k-th prefix product, a band
+    that is already free of scale in log space; the reported margin is the
+    raw minimum log prefix-sum difference.
     """
     sa = singular_values(as_matrix(a))
     sb = singular_values(as_matrix(b))
@@ -225,14 +229,14 @@ def log_majorization(a, b, rel_tol=REL_TOL):
     lb = np.cumsum(np.maximum(np.log(np.maximum(sb, 1e-300)), LOG_FLOOR))
     ks = np.arange(1, sa.shape[0] + 1, dtype=np.float64)
     margin = float((lb - la).min())
-    holds = bool(np.all(la <= lb + ks * math.log1p(rel_tol)))
+    holds = bool(np.all(la <= lb + ks * math.log1p(REL_TOL)))
     return MajorizationResult(holds, margin)
 
 
-def fan_dominance(a, b, rel_tol=REL_TOL):
+def fan_dominance(a, b):
     """Test |||A||| <= |||B||| for every unitarily invariant norm.
 
     Implemented as weak majorization of the singular value sequences,
     which is equivalent by the Fan dominance principle.
     """
-    return weak_majorization(singular_values(as_matrix(a)), singular_values(as_matrix(b)), rel_tol)
+    return weak_majorization(singular_values(as_matrix(a)), singular_values(as_matrix(b)))

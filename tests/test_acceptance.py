@@ -29,7 +29,6 @@ from matsharp import (
     search_counterexample,
     singular_values,
     split_seed,
-    tolerance_band,
     ui_norm,
 )
 from matsharp.campaign import reevaluate_search_instance, render_reports
@@ -47,7 +46,7 @@ def note(criterion, ok, detail):
 
 
 def band(scale):
-    return tolerance_band(scale, REL, ABS)
+    return REL * scale + ABS
 
 
 # --------------------------------------------------------------------------

@@ -158,6 +158,19 @@ class TestConfig:
     def test_rejects_scalars_of_the_wrong_type(self, key, value, tmp_path, capsys):
         assert_refused(key, {key: value}, tmp_path, capsys)
 
+    @pytest.mark.parametrize("key,value", [
+        ("t-grid", [0.5, 1.5]),      # each failed after the first draw, in the kernel
+        ("t-grid", [-0.25]),
+        ("r-grid", [0]),
+        ("r-grid", [-1.0]),
+        ("s-grid", [0]),
+        ("s-grid", [-1.0]),
+    ])
+    def test_rejects_grid_values_outside_their_domain(self, key, value, tmp_path, capsys):
+        assert_refused(key, {"inequality-id": "lemma_chain", key: value}, tmp_path, capsys)
+        if key != "s-grid":
+            assert_refused(key, {key: value}, tmp_path, capsys)
+
     @pytest.mark.parametrize("key,ensemble", [
         ("condition-target", {"condition-target": 0.5}),
         ("condition-target", {"condition-target": "big"}),
@@ -238,8 +251,7 @@ class TestConfig:
         obj = cfg.to_obj()
         assert set(obj) >= {"inequality-id", "trials", "dims", "m-values", "t-grid",
                             "r-grid", "s-grid", "norm-specs", "ensemble", "root-seed",
-                            "relTol", "absTol", "printed-form", "output-path",
-                            "output-format"}
+                            "printed-form", "output-path", "output-format"}
         again = CampaignConfig.from_obj(obj)
         assert again.to_obj() == obj
 
@@ -331,7 +343,7 @@ def expected_reports(cfg, trials):
 
 def check_one_point(cfg, point, a_list, b_list, seed):
     """The public predicate of ``cfg``'s inequality at one grid point."""
-    kw = {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "seed": seed}
+    kw = {"seed": seed}
     eps = cfg.ensemble["epsilon-scale"]
     ineq = cfg.inequality_id
     if ineq == "LemmaChain":
@@ -693,8 +705,8 @@ class TestRecords:
         search = search_counterexample(cfg, 2)
         assert list(cfg.to_obj()) == [
             "inequality-id", "trials", "dims", "m-values", "t-grid", "r-grid", "s-grid",
-            "norm-specs", "ensemble", "root-seed", "relTol", "absTol", "printed-form",
-            "output-path", "output-format", "functions", "direction"]
+            "norm-specs", "ensemble", "root-seed", "printed-form", "output-path",
+            "output-format", "functions", "direction"]
         assert list(reports[0].to_obj()) == [
             "inequality-id", "params", "terms", "margins", "holds", "regularization-epsilon",
             "fan-margins"]

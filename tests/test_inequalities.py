@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import pd_for
@@ -24,6 +26,7 @@ from matsharp import (
     norm_from_singular_values,
     random_commuting_pair,
     resolve_function,
+    split_seed,
     tolerance_band,
 )
 from matsharp.ensembles import Stream, _assemble, _log_uniform_eigs
@@ -376,6 +379,58 @@ class TestReductionIdentity:
             for (_, v_main), (_, v_aud) in zip(main.terms, aud.terms):
                 assert v_main == pytest.approx(v_aud, rel=1e-9)
             assert aud.holds and main.holds
+
+
+# Every chain but Bourin-Uchiyama with a non-power f, and the regularized
+# path, is homogeneous in (A, B), so its verdict must not depend on c.
+SCALES = [10.0 ** k for k in range(-8, 9, 2)]
+SCALE_CHAINS = {
+    "main-printed": lambda a, b, t, r, s, norm: check_main_theorem(a, b, t, r, norm),
+    "main-variant": lambda a, b, t, r, s, norm: check_main_theorem(a, b, t, r, norm,
+                                                                   printed_form=False),
+    "proof-steps": lambda a, b, t, r, s, norm: check_proof_steps(a, b, t, max(r, 1.0), norm),
+    "lemma-chain": lambda a, b, t, r, s, norm: check_lemma_chain(a[0], b[0], t, r, s, norm),
+    "audenaert": lambda a, b, t, r, s, norm: check_audenaert(a, b, norm),
+}
+
+
+def scaled_verdicts(chain, a_list, b_list, t=0.5, r=2.0, s=1.0, norm=NormSpec.schatten(2)):
+    """The verdict of ``chain`` on (c A_i, c B_i) for every c in ``SCALES``."""
+    check = SCALE_CHAINS[chain]
+    return [check([c * a for a in a_list], [c * b for b in b_list], t, r, s, norm).holds
+            for c in SCALES]
+
+
+class TestScaleInvariance:
+    def test_lemma_chain_reversal_is_violated_at_every_scale(self):
+        # The Ando-Hiai reversal of step 1 at r = 2; an absolute floor in
+        # the band once let it hold at c = 1e-6 and 1e-8.
+        a = pd_for(split_seed(5, 0), n=3)
+        b = pd_for(split_seed(5, 1), n=3)
+        assert scaled_verdicts("lemma-chain", [a], [b]) == [False] * len(SCALES)
+
+    @settings(derandomize=True, deadline=5000, max_examples=100, database=None)
+    @given(chain=st.sampled_from(sorted(SCALE_CHAINS)), seed=st.integers(0, 2 ** 32 - 1),
+           n=st.integers(1, 4), m=st.integers(1, 3), t=st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
+           r=st.sampled_from([0.5, 1.0, 2.0, 3.0]), s=st.sampled_from([0.5, 1.0, 2.0]),
+           norm=st.sampled_from(["schatten:1", "schatten:2", "operator", "kyfan:1"]))
+    def test_verdict_does_not_depend_on_scale(self, chain, seed, n, m, t, r, s, norm):
+        if chain == "audenaert":
+            pairs = [random_commuting_pair(EnsembleSpec(dim=n, kind="commuting",
+                                                        seed=split_seed(seed, i)))
+                     for i in range(m)]
+            a_list, b_list = [a for a, _ in pairs], [b for _, b in pairs]
+        else:
+            a_list = [pd_for(split_seed(seed, 2 * i), n=n) for i in range(m)]
+            b_list = [pd_for(split_seed(seed, 2 * i + 1), n=n) for i in range(m)]
+        verdicts = scaled_verdicts(chain, a_list, b_list, t, r, s, NormSpec.parse(norm))
+        assert len(set(verdicts)) == 1, verdicts
+
+    def test_all_zero_chain_holds(self):
+        # At scale 0 every term and margin is exactly 0: no floor is needed.
+        zero = np.zeros((2, 2))
+        report = check_audenaert([zero], [zero], S1)
+        assert report.margins == [0.0, 0.0] and report.holds
 
 
 class TestReportMechanics:

@@ -168,6 +168,14 @@ class TestWeakMajorization:
         with pytest.raises(ShapeError):
             weak_majorization([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("c", [10.0 ** k for k in range(-8, 9, 2)])
+    def test_verdict_does_not_depend_on_scale(self, c):
+        # A relative shortfall of 1e-6 fails at every scale; an absolute
+        # floor in the band once let it hold at c = 1e-6.
+        x, y = np.array([1.0]), np.array([1.0 - 1e-6])
+        assert not weak_majorization(c * x, c * y).holds
+        assert weak_majorization(c * y, c * x).holds
+
 
 class TestLogMajorization:
     def test_examples(self):
