@@ -21,8 +21,10 @@ predicates give instance by instance and point by point, emitted in
 positive-definite check, the PSD clamp or a Bourin-Uchiyama f gets NaN
 terms, so its reports count as indeterminate and the others go on.
 
-The searcher performs random-restart hill descent on the minimum margin
-of one fixed inequality instance, evaluating it as a stack of one.
+The searcher performs random-restart hill descent on the relative margin
+(least margin over largest term) of one fixed grid point, with
+``SEARCH_CHAINS`` chains in lockstep: each round evaluates one candidate
+per chain, all of them as one stack.
 
 The config, the summary and the search report are JSON records like the
 reports; the config refuses a value of the wrong JSON type, naming its
@@ -51,6 +53,7 @@ from .inequalities import (
     InequalityReport,
     _check,
     _Record,
+    _build_report,
     _instance_reports,
     resolve_function,
     stack_reports,
@@ -100,9 +103,13 @@ _CSV_MARGINS = CSV_COLUMNS.index("margin-1")
 # wrappers small next to the work of each stack.
 CHUNK_TRIALS = 64
 
-# Search constants: proposal scale relative to ||M||_F, halving on
-# non-improvement, restart after this many consecutive stalls.
+# Search constants: chains run in lockstep; a chain's step, relative to
+# ||M||_F, starts at SEARCH_STEP_SCALE, grows by SEARCH_STEP_GROWTH on
+# acceptance up to ||M||_F itself and halves on non-improvement; a chain
+# restarts after SEARCH_STALL_LIMIT consecutive stalls.
+SEARCH_CHAINS = 16
 SEARCH_STEP_SCALE = 0.05
+SEARCH_STEP_GROWTH = 4.0
 SEARCH_STALL_LIMIT = 50
 
 
@@ -537,7 +544,8 @@ def instance_from_obj(obj):
             [matrix_from_obj(o) for o in obj["b-list"]])
 
 
-def _search_target(config):
+def _grid_point(config):
+    """The one grid point of a config whose every axis holds one value."""
     for name, grid in config._axes():
         if name != "norm" and len(grid) != 1:
             raise ConfigError(f"search requires a single-point grid for {name!r}, got {len(grid)}")
@@ -546,44 +554,81 @@ def _search_target(config):
     return next(iter(config.grid_points()))
 
 
-def _perturb(stream, a_list, b_list, scale, clamp_floor):
-    """Add one random Hermitian step to one matrix and re-project; every
-    matrix made here is symmetrized to (X + X*)/2, and the kernel checks it."""
-    a_list = list(a_list)
-    b_list = list(b_list)
-    total = len(a_list) + len(b_list)
-    pick = stream.integers(total)
-    side, idx = (a_list, pick) if pick < len(a_list) else (b_list, pick - len(a_list))
-    m = side[idx]
-    n = m.shape[0]
-    step = stream.complex_normals(n * n).reshape(n, n)
+def _search_target(config):
+    """The grid point a search descends on.  Audenaert is refused: a step
+    moves A_i and B_i apart, so the pairs would stop commuting."""
+    if config.inequality_id == AUDENAERT:
+        raise ConfigError(f"search cannot take inequality-id {AUDENAERT!r}: "
+                          "a perturbation breaks its commuting hypothesis")
+    return _grid_point(config)
+
+
+def _perturb(stream, a, b, scale, clamp_floor):
+    """One random Hermitian step for each of C chains, re-projected.
+
+    ``a`` and ``b`` hold the chains' A- and B-lists, shape (C, m, n, n)
+    (``b`` is (C, 0, n, n) for Bourin-Uchiyama), and ``scale`` each chain's
+    step relative to ||M||_F.  Each chain moves one matrix M, picked
+    uniformly: ``stream`` gives the picks, then every step as one draw, each
+    in chain order.  The moved M is clamped at ``clamp_floor`` times its
+    largest eigenvalue and rebuilt exactly Hermitian; the kernel checks it.
+    """
+    chains, m, n = len(a), a.shape[1], a.shape[-1]
+    both = np.concatenate([a, b], axis=1)
+    picks = np.ceil(stream.uniforms(chains) * both.shape[1]).astype(int) - 1
+    rows = np.arange(chains)
+    moved = both[rows, picks]
+    step = stream.complex_normals(chains * n * n).reshape(chains, n, n)
     step = 0.5 * (step + _adjoint(step))
-    norm = float(np.linalg.norm(step))
-    if norm > 0.0:
-        step *= scale * float(np.linalg.norm(m)) / norm
-    cand = m + step
-    w, v = np.linalg.eigh(0.5 * (cand + _adjoint(cand)))
-    floor = clamp_floor * max(float(w.max()), 1e-30)
-    w = np.maximum(w, floor)
-    side[idx] = Spectrum(w, v).assemble(w)
-    return a_list, b_list
+    norm = np.linalg.norm(step, axis=(-2, -1))
+    step *= np.divide(scale * np.linalg.norm(moved, axis=(-2, -1)), norm,
+                      out=np.zeros(chains), where=norm > 0.0)[:, None, None]
+    moved = moved + step
+    w, v = np.linalg.eigh(0.5 * (moved + _adjoint(moved)))
+    w = np.maximum(w, clamp_floor * np.maximum(w.max(axis=-1), 1e-30)[:, None])
+    both[rows, picks] = Spectrum(w, v).assemble(w)
+    return both[:, :m], both[:, m:]
+
+
+def _relative_margins(block):
+    """Each instance's least margin over its largest term, in a block of one
+    point and one norm: the margin where the largest term is 0, and +inf
+    where a term or margin is not finite."""
+    low, scale = block.margins[0, 0].min(axis=0), block.values[0, 0].max(axis=0)
+    with np.errstate(invalid="ignore"):
+        ratio = low / np.where(scale > 0.0, scale, 1.0)
+    return np.where(block.finite[0, 0], ratio, np.inf)
 
 
 def search_counterexample(config, steps):
-    """Random-restart hill descent on the minimum margin of one target.
+    """Random-restart hill descent on the relative margin of one target.
 
-    From a random instance, small Hermitian perturbations
-    (``0.05 ||M||_F``, halved on non-improvement, restart after 50 stalls)
-    are accepted when they decrease the minimum margin.  Returns the most
-    negative margin found with its full instance; when no violation is
-    found the smallest observed margin and its instance are returned.
+    ``steps`` is the evaluation budget.  ``C = min(SEARCH_CHAINS, steps)``
+    chains descend in lockstep, chain i starting from restart draw i, and
+    each of ``ceil(steps / C)`` rounds evaluates one candidate per chain,
+    all C as one stack.  A chain's candidate is a Hermitian perturbation of
+    one of its matrices M (see :func:`_perturb`), of size ``0.05 ||M||_F``
+    at first, grown 4x on acceptance up to ``||M||_F`` and halved on
+    non-improvement; a chain that stalled 50 rounds offers the next unused
+    restart draw instead.  A candidate is accepted when it lowers its
+    chain's relative margin, the least margin over the largest term, which
+    scaling the inputs does not move.  A candidate that fails a spectral
+    check or overflows is masked: it is never accepted and never best.
+
+    The report is the instance of least relative margin (the first, on a
+    tie), built from the block it was evaluated in; ``best_margin`` is its
+    least margin, NaN when every instance evaluated was masked, which is
+    no violation.  ``evaluations`` counts the instances evaluated, the C
+    initial draws included.
     """
     config.validate()
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     point = _search_target(config)
-    n = point["n"]
-    m = point.get("m", 1)
+    n, m = point["n"], point.get("m", 1)
+    grid = {axis: (value,) for axis, value in point.items()}
+    chains = min(SEARCH_CHAINS, int(steps))
+    rounds = -(-int(steps) // chains)
     # PD inputs stay strictly positive under perturbation; PSD stress
     # targets clamp at zero and rely on the regularized mean.
     clamp_floor = 0.0 if config.ensemble["kind"] == KIND_PSD else 1e-12
@@ -591,55 +636,52 @@ def search_counterexample(config, steps):
     start = time.perf_counter()
     stream = Stream(split_seed(config.root_seed, 0x5EA2C8))
 
-    def fresh(restart_index):
-        inst_seed = split_seed(split_seed(config.root_seed, restart_index), 0)
-        return _build_inputs(config, n, m, inst_seed)
+    def fresh(first, count):
+        """Restart draws first, ..., first + count - 1 as one stack."""
+        return _build_inputs(config, n, m, tuple(split_seed(split_seed(config.root_seed, i), 0)
+                                                 for i in range(first, first + count)))
 
-    def evaluate(inst):
-        report = run_check(config, point, inst[0], inst[1])
-        return report.min_margin(), report
-
-    current = fresh(0)
-    cur_margin, cur_report = evaluate(current)
-    best_margin, best_report, best_instance = cur_margin, cur_report, current
-    evaluations = 1
+    a, b = fresh(0, chains)
+    cand_a, cand_b = a.copy(), b.copy()
+    current = np.full(chains, np.inf)
+    stall = np.zeros(chains, dtype=int)
+    scale = np.full(chains, SEARCH_STEP_SCALE)
     restarts = 0
-    stall = 0
-    step_factor = 1.0
-    for _ in range(int(steps)):
-        candidate = _perturb(stream, current[0], current[1],
-                             SEARCH_STEP_SCALE * step_factor, clamp_floor)
-        margin, report = evaluate(candidate)
-        evaluations += 1
-        if margin < best_margin:
-            best_margin, best_report, best_instance = margin, report, candidate
-        if margin < cur_margin:
-            current, cur_margin = candidate, margin
-            stall = 0
-            step_factor = 1.0
-        else:
-            stall += 1
-            step_factor *= 0.5
-            if stall >= SEARCH_STALL_LIMIT:
-                restarts += 1
-                current = fresh(restarts)
-                cur_margin, report = evaluate(current)
-                evaluations += 1
-                if cur_margin < best_margin:
-                    best_margin, best_report, best_instance = cur_margin, report, current
-                stall = 0
-                step_factor = 1.0
-    params = dict(best_report.params)
+    best = None
+    for round_index in range(rounds + 1):
+        if round_index:
+            restart = stall >= SEARCH_STALL_LIMIT
+            if restart.any():
+                count = int(restart.sum())
+                a[restart], b[restart] = fresh(chains + restarts, count)
+                restarts += count
+                current[restart], stall[restart], scale[restart] = np.inf, 0, SEARCH_STEP_SCALE
+            cand_a, cand_b = a.copy(), b.copy()
+            if not restart.all():
+                cand_a[~restart], cand_b[~restart] = _perturb(
+                    stream, a[~restart], b[~restart], scale[~restart], clamp_floor)
+        block = stack_reports(config.inequality_id, cand_a, cand_b, grid, (None,) * chains,
+                              mask_failures=True, **_kernel_options(config))
+        objective = _relative_margins(block)
+        k = int(objective.argmin())
+        if best is None or objective[k] < best[0]:
+            best = objective[k], block, k, (cand_a[k], cand_b[k])
+        accept = objective < current
+        a[accept], b[accept], current[accept] = cand_a[accept], cand_b[accept], objective[accept]
+        stall = np.where(accept, 0, stall + 1)
+        scale = np.where(accept, np.minimum(SEARCH_STEP_GROWTH * scale, 1.0), 0.5 * scale)
+    _, block, k, (best_a, best_b) = best
+    report = _build_report(block, k=k)
     return SearchReport(
         inequality_id=config.inequality_id,
-        params=params,
+        params=report.params,
         steps=int(steps),
-        evaluations=evaluations,
+        evaluations=chains * (rounds + 1),
         restarts=restarts,
-        best_margin=best_margin,
-        violation_found=not best_report.holds,
-        best_instance=instance_to_obj(best_instance[0], best_instance[1]),
-        best_report=best_report.to_obj(),
+        best_margin=report.min_margin(),
+        violation_found=report.is_finite() and not report.holds,
+        best_instance=instance_to_obj(best_a, best_b),
+        best_report=report.to_obj(),
         wall_time=time.perf_counter() - start,
     )
 
@@ -647,8 +689,9 @@ def search_counterexample(config, steps):
 def reevaluate_search_instance(config, search_report):
     """Re-run the target on a SearchReport's serialized instance.
 
-    The reproduced minimum margin must match the reported one to within
-    1e-12 (search soundness).
+    The reproduced minimum margin equals the reported one (search
+    soundness): a slice of the search's stacked kernel call has the bits of
+    this stack-of-one call.
     """
     point = _search_target(config)
     a_list, b_list = instance_from_obj(search_report.best_instance

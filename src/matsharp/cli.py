@@ -6,11 +6,12 @@ Exit codes: 0 = ran with no violations, 2 = ran and found violations,
 
 import argparse
 import json
+import math
 import sys
 
 from .campaign import (
     CampaignConfig,
-    _search_target,
+    _grid_point,
     emit_report,
     render_reports,
     run_campaign,
@@ -76,7 +77,8 @@ def _cmd_search(args):
                           "output-path": config.output_path}))
     else:
         print(text)
-    return 2 if report.violation_found else 0
+    # As for a campaign, a best report that is not finite also exits 2.
+    return 2 if report.violation_found or not math.isfinite(report.best_margin) else 0
 
 
 def _cmd_eval(args):
@@ -102,7 +104,7 @@ def _cmd_eval(args):
         direction=args.direction,
         ensemble=None if args.epsilon_scale is None else {"epsilon-scale": args.epsilon_scale},
     )
-    report = run_check(config, _search_target(config), a_list, b_list)
+    report = run_check(config, _grid_point(config), a_list, b_list)
     print(report.to_json())
     return 0 if report.holds else 2
 
@@ -120,7 +122,7 @@ def build_parser():
 
     p_search = sub.add_parser("search", help="hill-descent counterexample search")
     _add_common_flags(p_search)
-    p_search.add_argument("--steps", type=int, default=10000, help="descent steps")
+    p_search.add_argument("--steps", type=int, default=10000, help="evaluation budget")
     p_search.set_defaults(func=_cmd_search)
 
     p_eval = sub.add_parser("eval", help="evaluate one instance from matrix JSON files")

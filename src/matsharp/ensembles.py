@@ -96,10 +96,6 @@ class Stream:
         z = self.normals(2 * int(count))
         return z[..., : int(count)] + 1j * z[..., int(count):]
 
-    def integers(self, bound):
-        """One integer uniform on [0, bound) via modular reduction."""
-        return int(self._raw(1)[0] % np.uint64(int(bound)))
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:

@@ -640,7 +640,8 @@ def _audenaert_point(kernel):
     a, b = kernel.a, kernel.b
     products = a @ b
     defect = np.linalg.norm(products - b @ a, axis=(-2, -1))
-    bound = COMMUTATION_RTOL * (1.0 + np.linalg.norm(a, axis=(-2, -1))
+    # No absolute floor: the bound scales with the inputs, as the defect does.
+    bound = COMMUTATION_RTOL * (np.linalg.norm(a, axis=(-2, -1))
                                 * np.linalg.norm(b, axis=(-2, -1)))
     if (defect > bound).any():
         k, i = np.argwhere(defect > bound)[0]
@@ -663,8 +664,8 @@ def _audenaert_point(kernel):
 def check_audenaert(a_list, b_list, norm_spec, seed=None):
     """Evaluate the commuting-pair chain.
 
-    Every pair (A_i, B_i) must commute up to
-    ``1e-10 * (1 + ||A_i||_F ||B_i||_F)``; violating pairs raise
+    Every pair (A_i, B_i) must commute up to ``1e-10 ||A_i||_F ||B_i||_F``,
+    a bound that scales with the inputs; violating pairs raise
     CommutationError rather than being silently skipped.
     """
     return _check(AUDENAERT, a_list, b_list, {"norm": norm_spec}, seed)

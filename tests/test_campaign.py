@@ -28,6 +28,7 @@ from matsharp import (
     split_seed,
     summarize,
 )
+import matsharp.campaign as campaign
 from matsharp.campaign import (
     CHUNK_TRIALS,
     CSV_COLUMNS,
@@ -724,6 +725,19 @@ class TestRecords:
         assert SearchReport.from_json(search.to_json()).to_json() == search.to_json()
 
 
+# The search targets of tools/stream_digests.py.
+SEARCH_BASE = {"inequality-id": "main_theorem", "dims": [3], "m-values": [2], "t-grid": [0.1],
+               "r-grid": [1.0], "s-grid": [1.0], "norm-specs": ["schatten:2"], "root-seed": 7}
+SEARCH_TARGETS = {
+    "main-t0.1": {},
+    "main-psd-variant": {"printed-form": False, "t-grid": [0.3], "ensemble": {"kind": "psd"}},
+    "proof": {"inequality-id": "proof_steps", "t-grid": [0.25], "r-grid": [2.0]},
+    "lemma": {"inequality-id": "lemma_chain", "t-grid": [0.5], "r-grid": [2.0],
+              "s-grid": [2.0]},
+    "bu": {"inequality-id": "bourin_uchiyama", "functions": ["power:3"], "direction": "convex"},
+}
+
+
 class TestSearch:
     def test_scalar_target_stays_at_equality(self):
         # 1x1 inputs make every chain term identical: the descent must
@@ -777,6 +791,72 @@ class TestSearch:
     def test_rejects_multi_point_target(self):
         with pytest.raises(ConfigError):
             search_counterexample(small_config(), 10)
+
+    def test_refuses_audenaert_before_any_draw(self, monkeypatch):
+        # A step moves A_i and B_i apart, so the pairs stop commuting.
+        def no_draw(*args):
+            raise AssertionError("the search drew an instance")
+        monkeypatch.setattr(campaign, "_build_inputs", no_draw)
+        cfg = CampaignConfig.from_obj(dict(SEARCH_BASE, **{"inequality-id": "audenaert"}))
+        with pytest.raises(ConfigError, match="inequality-id"):
+            search_counterexample(cfg, 10)
+
+    @pytest.mark.parametrize("steps", [5, 100])
+    def test_evaluations_count_the_instances_evaluated(self, steps, monkeypatch):
+        evaluated = []
+
+        def counted(inequality_id, a, *args, **kwargs):
+            evaluated.append(len(a))
+            return stack_reports(inequality_id, a, *args, **kwargs)
+        monkeypatch.setattr(campaign, "stack_reports", counted)
+        report = search_counterexample(CampaignConfig.from_obj(SEARCH_BASE), steps)
+        assert report.evaluations == sum(evaluated)
+        assert max(evaluated) == min(steps, campaign.SEARCH_CHAINS)
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_TARGETS))
+    def test_instance_reproduces_the_margin_exactly(self, name):
+        cfg = CampaignConfig.from_obj(dict(SEARCH_BASE, **SEARCH_TARGETS[name]))
+        report = search_counterexample(cfg, 300)
+        margin, _ = reevaluate_search_instance(cfg, report)
+        assert margin == report.best_margin
+
+    def test_runs_are_identical(self):
+        cfg = CampaignConfig.from_obj(SEARCH_BASE)
+        first, second = (search_counterexample(cfg, 200).to_obj() for _ in range(2))
+        del first["wall-time"], second["wall-time"]
+        assert first == second
+
+    def test_masked_candidates_neither_abort_nor_win(self, monkeypatch):
+        # expm1 overflows on the larger draws of a condition-1e7 ensemble.
+        masked = []
+
+        def counted(*args, **kwargs):
+            block = stack_reports(*args, **kwargs)
+            masked.append(int((~block.finite).sum()))
+            return block
+        monkeypatch.setattr(campaign, "stack_reports", counted)
+        cfg = CampaignConfig.from_obj({
+            "inequality-id": "bourin_uchiyama", "dims": [1], "m-values": [2],
+            "functions": ["expm1"], "direction": "convex", "norm-specs": ["schatten:2"],
+            "root-seed": 0, "ensemble": {"condition-target": 1e7}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = search_counterexample(cfg, 200)
+        assert 0 < sum(masked) < report.evaluations
+        assert InequalityReport.from_obj(report.best_report).is_finite()
+        assert reevaluate_search_instance(cfg, report)[0] == report.best_margin
+
+    def test_search_that_never_sees_a_finite_instance_finds_no_violation(self, tmp_path,
+                                                                          capsys):
+        # Every slice of this draw and of its one candidate fails the strict check.
+        obj = dict(SEARCH_BASE, **{"t-grid": [0.5], "root-seed": 0,
+                                   "ensemble": {"condition-target": 1e20}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = search_counterexample(CampaignConfig.from_obj(obj), 1)
+            assert math.isnan(report.best_margin) and not report.violation_found
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(obj))
+            assert cli_main(["search", "--config", str(cfg_path), "--steps", "1"]) == 2
+        assert json.loads(capsys.readouterr().out)["violation-found"] is False
 
 
 class TestCli:

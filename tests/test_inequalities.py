@@ -426,6 +426,14 @@ class TestScaleInvariance:
         verdicts = scaled_verdicts(chain, a_list, b_list, t, r, s, NormSpec.parse(norm))
         assert len(set(verdicts)) == 1, verdicts
 
+    def test_noncommuting_pair_is_refused_at_every_scale(self):
+        # An absolute floor in the commutation bound once let the pair
+        # through at c = 1e-6 and 1e-8.
+        a, b = pd_for(1, n=3), pd_for(2, n=3)
+        for c in SCALES:
+            with pytest.raises(CommutationError):
+                check_audenaert([c * a], [c * b], S1)
+
     def test_all_zero_chain_holds(self):
         # At scale 0 every term and margin is exactly 0: no floor is needed.
         zero = np.zeros((2, 2))

@@ -12,7 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-QUICK_DEMOS = [d for d in DEMOS if d.name[:2] in ("01", "02", "03")]
+QUICK_DEMOS = [d for d in DEMOS if d.name[:2] in ("01", "02", "03", "05")]
 
 
 def matsharp_imports(path):
@@ -24,7 +24,7 @@ def matsharp_imports(path):
 
 
 def test_demos_found():
-    assert len(QUICK_DEMOS) == 3 and len(DEMOS) >= len(QUICK_DEMOS)
+    assert len(QUICK_DEMOS) == 4 and len(DEMOS) >= len(QUICK_DEMOS)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
