@@ -36,6 +36,7 @@ import io
 import itertools
 import math
 import numbers
+import re
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -48,7 +49,6 @@ from .inequalities import (
     BOURIN_UCHIYAMA,
     INEQUALITY_IDS,
     LEMMA_CHAIN,
-    MAIN_THEOREM,
     PROOF_STEPS,
     InequalityReport,
     _check,
@@ -73,18 +73,15 @@ from .ensembles import (
     split_seed,
 )
 
-_ID_ALIASES = {identifier.lower(): identifier for identifier in INEQUALITY_IDS}
-_ID_ALIASES.update({
-    "audenaert": AUDENAERT,
-    "bourin_uchiyama": BOURIN_UCHIYAMA,
-    "bourin-uchiyama": BOURIN_UCHIYAMA,
-    "lemma_chain": LEMMA_CHAIN,
-    "lemma-chain": LEMMA_CHAIN,
-    "main_theorem": MAIN_THEOREM,
-    "main-theorem": MAIN_THEOREM,
-    "proof_steps": PROOF_STEPS,
-    "proof-steps": PROOF_STEPS,
-})
+# Each id is accepted in lower case and in its snake_case and kebab-case
+# forms ("MainTheorem", "maintheorem", "main_theorem", "main-theorem").
+_ID_ALIASES = {alias: identifier for identifier in INEQUALITY_IDS
+               for snake in [re.sub(r"(?<=[a-z])(?=[A-Z])", "_", identifier).lower()]
+               for alias in (identifier.lower(), snake, snake.replace("_", "-"))}
+
+# The config key of each grid axis, for the errors that name it.
+_AXIS_KEYS = {"n": "dims", "m": "m-values", "t": "t-grid", "r": "r-grid", "s": "s-grid",
+              "f": "functions", "norm": "norm-specs"}
 
 # Fixed CSV layout: one margin column per chain step (longest chain has
 # five terms, hence four margins); unused cells stay empty.
@@ -241,7 +238,9 @@ class CampaignConfig(_Record):
             raise ConfigError(f"output-format must be 'json' or 'csv', got {self.output_format!r}")
         for name, grid in self._axes():
             if not grid:
-                raise ConfigError(f"grid {name!r} must be nonempty for {self.inequality_id}")
+                raise ConfigError(f"{_AXIS_KEYS[name]} must be nonempty for {self.inequality_id}")
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"{_AXIS_KEYS[name]} repeats a value: {[str(x) for x in grid]}")
             if name == "t" and not all(0.0 <= t <= 1.0 for t in grid):
                 raise ConfigError(f"t-grid values must lie in [0, 1], got {list(grid)}")
             if name in ("r", "s") and not all(x > 0.0 for x in grid):

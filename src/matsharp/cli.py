@@ -82,9 +82,6 @@ def _cmd_search(args):
 
 
 def _cmd_eval(args):
-    if args.inequality.replace("-", "_").lower() == "bourin_uchiyama":
-        if not args.function or not args.direction:
-            raise MatSharpError("bourin_uchiyama needs --function and --direction")
     try:
         a_list = [load_matrix(p) for p in args.a]
         b_list = [load_matrix(p) for p in args.b] if args.b else []

@@ -235,10 +235,10 @@ def _instance_reports(block, k, **extra):
             for point, params in enumerate(block.params) for norm, name in enumerate(names)]
 
 
-def _build_report(block, point=0, norm=0, k=0):
-    """The report of norm ``norm`` on instance ``k`` at point ``point`` of a
-    reduced block; by default the only one of a ``check_*`` block."""
-    return _instance_reports(block, k)[point * len(block.norms) + norm]
+def _build_report(block, k=0):
+    """The first report of instance ``k`` of a reduced block; by default the
+    only one of a ``check_*`` block."""
+    return _instance_reports(block, k)[0]
 
 
 # ---------------------------------------------------------------------------

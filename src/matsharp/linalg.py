@@ -32,13 +32,10 @@ from .errors import (
     SingularFunctionError,
 )
 
-# Relative tolerance for the Hermitian-defect and PSD-clamp invariants.
-HERMITIAN_RTOL = 1e-12
-PSD_CLAMP_RTOL = 1e-12
-# Spectrum invariants: ||V*V - I||_F <= UNITARITY_RTOL * n and
-# ||A - V diag(w) V*||_F <= RECONSTRUCTION_RTOL * (1 + ||A||_F).
-UNITARITY_RTOL = 1e-12
-RECONSTRUCTION_RTOL = 1e-12
+# The one tolerance of every numerical screen: a defect counts when it
+# exceeds SCREEN_RTOL times the matrix's own scale, with no absolute part,
+# so a screen's outcome does not change when the input is scaled.
+SCREEN_RTOL = 1e-12
 
 
 def as_matrix(entries):
@@ -83,8 +80,9 @@ def hermitian_part(a):
     Parameters
     ----------
     a : array_like
-        Square matrix, Hermitian up to rounding: a defect above
-        ``HERMITIAN_RTOL * (1 + ||A||_F)`` raises HermitianDefectError.
+        Square matrix, Hermitian up to rounding: a defect
+        ``||A - A*||_F`` above ``SCREEN_RTOL * ||A||_F`` raises
+        HermitianDefectError.
 
     Returns
     -------
@@ -103,9 +101,9 @@ def _adjoint(a):
 
 def _check_hermitian(a):
     """Raise HermitianDefectError unless every slice of ``a`` is Hermitian
-    within ``HERMITIAN_RTOL * (1 + ||A||_F)``."""
+    within ``||A - A*||_F <= SCREEN_RTOL * ||A||_F``."""
     defect = np.linalg.norm(a - _adjoint(a), axis=(-2, -1))
-    excess = defect > HERMITIAN_RTOL * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+    excess = defect > SCREEN_RTOL * np.linalg.norm(a, axis=(-2, -1))
     if excess.any():
         raise HermitianDefectError(
             f"matrix is not Hermitian: defect {defect[excess].flat[0]:.3e} exceeds tolerance"
@@ -175,8 +173,9 @@ def hermitian_eigendecompose(a):
     Raises
     ------
     ConvergenceError
-        Carrying the residuals, if the result fails the unitarity or the
-        reconstruction invariant.
+        Carrying the residuals, if the result fails the unitarity invariant
+        ``||V*V - I||_F <= SCREEN_RTOL * n`` or the reconstruction invariant
+        ``||A - V diag(w) V*||_F <= SCREEN_RTOL * ||A||_F``.
     """
     h = hermitian_part(a)
     spec = _eigh(h)
@@ -184,8 +183,7 @@ def hermitian_eigendecompose(a):
     v = spec.vectors
     unit = float(np.linalg.norm(v.conj().T @ v - np.eye(n)))
     recon = float(np.linalg.norm(h - spec.assemble(spec.eigenvalues)))
-    scale = 1.0 + float(np.linalg.norm(h))
-    if unit > UNITARITY_RTOL * n or recon > RECONSTRUCTION_RTOL * scale:
+    if unit > SCREEN_RTOL * n or recon > SCREEN_RTOL * float(np.linalg.norm(h)):
         raise ConvergenceError(
             "eigensolver did not converge: reconstruction residual "
             f"{recon:.3e}, unitarity defect {unit:.3e}"
@@ -196,17 +194,15 @@ def hermitian_eigendecompose(a):
 def _psd_clamp_failures(w):
     """Per slice of eigenvalues ``w`` (..., n): True where the PSD clamp of
     :func:`clamp_psd_eigenvalues` fails."""
-    tol = PSD_CLAMP_RTOL * (1.0 + np.abs(w).max(axis=-1, initial=0.0))
-    return w.min(axis=-1) < -tol
+    return w.min(axis=-1) < -SCREEN_RTOL * np.abs(w).max(axis=-1, initial=0.0)
 
 
 def clamp_psd_eigenvalues(w):
     """Clamp tiny negative eigenvalues of a PSD matrix to zero.
 
-    Values in ``[-tol, 0)`` with ``tol = PSD_CLAMP_RTOL * (1 + max|w|)``
-    are rounded up to 0; anything more negative raises.  ``w`` may be a
-    stack of eigenvalue sequences; each slice has its own tolerance, and
-    one failing slice raises.
+    Values in ``[-SCREEN_RTOL * max|w|, 0)`` are rounded up to 0; anything
+    more negative raises.  ``w`` may be a stack of eigenvalue sequences;
+    each slice has its own tolerance, and one failing slice raises.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.min() >= 0.0:
@@ -226,8 +222,8 @@ def matrix_function(a, f):
     Parameters
     ----------
     a : array_like
-        PSD Hermitian matrix; eigenvalues in ``[-tol, 0)`` are clamped to 0
-        before ``f`` is evaluated.
+        PSD Hermitian matrix; eigenvalues in ``[-SCREEN_RTOL * max|w|, 0)``
+        are clamped to 0 before ``f`` is evaluated.
     f : callable
         Real scalar function defined on ``[0, max eigenvalue]``.
 

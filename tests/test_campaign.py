@@ -260,6 +260,43 @@ class TestConfig:
         assert small_config(**{"inequality-id": "MainTheorem"}).inequality_id == "MainTheorem"
         assert small_config(**{"inequality-id": "proof-steps"}).inequality_id == "ProofSteps"
 
+    @pytest.mark.parametrize("spelling,identifier", [
+        ("audenaert", "Audenaert"),
+        ("bourinuchiyama", "BourinUchiyama"),
+        ("bourin_uchiyama", "BourinUchiyama"),
+        ("bourin-uchiyama", "BourinUchiyama"),
+        ("lemmachain", "LemmaChain"),
+        ("lemma_chain", "LemmaChain"),
+        ("lemma-chain", "LemmaChain"),
+        ("maintheorem", "MainTheorem"),
+        ("main_theorem", "MainTheorem"),
+        ("main-theorem", "MainTheorem"),
+        ("proofsteps", "ProofSteps"),
+        ("proof_steps", "ProofSteps"),
+        ("proof-steps", "ProofSteps"),
+    ])
+    def test_every_id_spelling(self, spelling, identifier):
+        assert campaign.parse_inequality_id(spelling) == identifier
+        assert campaign.parse_inequality_id(spelling.upper()) == identifier
+
+    def test_refuses_an_unknown_id_spelling(self):
+        with pytest.raises(ConfigError, match="inequality-id"):
+            campaign.parse_inequality_id("main theorem")
+
+    @pytest.mark.parametrize("key,overrides", [
+        # dims [2, 2, 3] once drew the same n = 2 instances twice.
+        ("dims", {"dims": [2, 2, 3]}),
+        ("m-values", {"m-values": [1, 2, 1]}),
+        ("t-grid", {"t-grid": [0.5, 0.5]}),
+        ("r-grid", {"r-grid": [1.0, 2.0, 1.0]}),
+        ("norm-specs", {"norm-specs": ["trace", "schatten:2", "trace"]}),
+        ("s-grid", {"inequality-id": "lemma_chain", "s-grid": [1.0, 1.0]}),
+        ("functions", {"inequality-id": "bourin_uchiyama", "direction": "convex",
+                       "functions": ["power:2", "power:2"]}),
+    ])
+    def test_rejects_repeated_grid_values(self, key, overrides, tmp_path, capsys):
+        assert_refused(key, overrides, tmp_path, capsys)
+
 
 class TestRunCampaign:
     def test_report_count_is_trials_times_grid(self):
@@ -980,6 +1017,14 @@ class TestCli:
         code = cli_main(["eval", "--inequality", "bourin_uchiyama", "--a", str(a)])
         assert code == 1
         assert "function" in capsys.readouterr().err
+
+    def test_eval_bourin_uchiyama_needs_function_in_any_spelling(self, tmp_path, capsys):
+        # The CamelCase id once skipped the check and got "grid 'f' must be nonempty".
+        a = tmp_path / "a.json"
+        save_matrix(a, np.eye(2))
+        for spelling in ("bourin_uchiyama", "BourinUchiyama"):
+            assert cli_main(["eval", "--inequality", spelling, "--a", str(a)]) == 1
+            assert "functions must be nonempty for BourinUchiyama" in capsys.readouterr().err
 
     def test_search_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

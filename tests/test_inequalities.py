@@ -23,8 +23,11 @@ from matsharp import (
     check_proof_steps,
     default_norm_specs,
     hermitian_eigendecompose,
+    hermitian_part,
+    matrix_power_psd,
     norm_from_singular_values,
     random_commuting_pair,
+    random_hermitian,
     resolve_function,
     split_seed,
     tolerance_band,
@@ -47,7 +50,6 @@ def jointly_diagonal_pairs(seed, n, m, kappa=100.0):
     """Commuting ensemble sharing one eigenbasis across all pairs,
     together with the eigenvalue vectors (the scalar reduction)."""
     stream = Stream(seed)
-    from matsharp import random_hermitian
     u = hermitian_eigendecompose(
         random_hermitian(EnsembleSpec(dim=n, kind="hermitian", seed=seed))).vectors
     a_eigs = [_log_uniform_eigs(stream, n, kappa) for _ in range(m)]
@@ -392,6 +394,35 @@ SCALE_CHAINS = {
     "lemma-chain": lambda a, b, t, r, s, norm: check_lemma_chain(a[0], b[0], t, r, s, norm),
     "audenaert": lambda a, b, t, r, s, norm: check_audenaert(a, b, norm),
 }
+# The degree of homogeneity of each chain's terms in (A, B).
+SCALE_DEGREES = {
+    "main-printed": lambda r: r,
+    "main-variant": lambda r: r,
+    "proof-steps": lambda r: max(r, 1.0),
+    "lemma-chain": lambda r: r,
+    "audenaert": lambda r: 2.0,
+}
+CHAIN_SAMPLES = dict(
+    chain=st.sampled_from(sorted(SCALE_CHAINS)), seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(1, 4), m=st.integers(1, 3), t=st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
+    r=st.sampled_from([0.5, 1.0, 2.0, 3.0]), s=st.sampled_from([0.5, 1.0, 2.0]),
+    norm=st.sampled_from(["schatten:1", "schatten:2", "operator", "kyfan:1"]))
+
+
+def chain_inputs(chain, seed, n, m):
+    """Seeded inputs of ``chain``: commuting pairs for Audenaert, PD otherwise."""
+    if chain == "audenaert":
+        pairs = [random_commuting_pair(EnsembleSpec(dim=n, kind="commuting",
+                                                    seed=split_seed(seed, i)))
+                 for i in range(m)]
+        return [a for a, _ in pairs], [b for _, b in pairs]
+    return ([pd_for(split_seed(seed, 2 * i), n=n) for i in range(m)],
+            [pd_for(split_seed(seed, 2 * i + 1), n=n) for i in range(m)])
+
+
+def term_values(chain, a_list, b_list, t, r, s, norm):
+    report = SCALE_CHAINS[chain](a_list, b_list, t, r, s, NormSpec.parse(norm))
+    return np.array([v for _, v in report.terms])
 
 
 def scaled_verdicts(chain, a_list, b_list, t=0.5, r=2.0, s=1.0, norm=NormSpec.schatten(2)):
@@ -410,21 +441,27 @@ class TestScaleInvariance:
         assert scaled_verdicts("lemma-chain", [a], [b]) == [False] * len(SCALES)
 
     @settings(derandomize=True, deadline=5000, max_examples=100, database=None)
-    @given(chain=st.sampled_from(sorted(SCALE_CHAINS)), seed=st.integers(0, 2 ** 32 - 1),
-           n=st.integers(1, 4), m=st.integers(1, 3), t=st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
-           r=st.sampled_from([0.5, 1.0, 2.0, 3.0]), s=st.sampled_from([0.5, 1.0, 2.0]),
-           norm=st.sampled_from(["schatten:1", "schatten:2", "operator", "kyfan:1"]))
+    @given(**CHAIN_SAMPLES)
     def test_verdict_does_not_depend_on_scale(self, chain, seed, n, m, t, r, s, norm):
-        if chain == "audenaert":
-            pairs = [random_commuting_pair(EnsembleSpec(dim=n, kind="commuting",
-                                                        seed=split_seed(seed, i)))
-                     for i in range(m)]
-            a_list, b_list = [a for a, _ in pairs], [b for _, b in pairs]
-        else:
-            a_list = [pd_for(split_seed(seed, 2 * i), n=n) for i in range(m)]
-            b_list = [pd_for(split_seed(seed, 2 * i + 1), n=n) for i in range(m)]
+        a_list, b_list = chain_inputs(chain, seed, n, m)
         verdicts = scaled_verdicts(chain, a_list, b_list, t, r, s, NormSpec.parse(norm))
         assert len(set(verdicts)) == 1, verdicts
+
+    @settings(derandomize=True, deadline=5000, max_examples=100, database=None)
+    @given(c=st.sampled_from([1e-6, 1e-3, 1e3, 1e6]), **CHAIN_SAMPLES)
+    def test_terms_are_congruence_invariant_and_homogeneous(self, chain, seed, n, m, t, r, s,
+                                                            norm, c):
+        a_list, b_list = chain_inputs(chain, seed, n, m)
+        values = term_values(chain, a_list, b_list, t, r, s, norm)
+        u = hermitian_eigendecompose(
+            random_hermitian(EnsembleSpec(dim=n, kind="hermitian", seed=seed))).vectors
+        turned = term_values(chain, [u @ a @ u.conj().T for a in a_list],
+                             [u @ b @ u.conj().T for b in b_list], t, r, s, norm)
+        np.testing.assert_allclose(turned, values, rtol=1e-10, atol=0.0)
+        scaled = term_values(chain, [c * a for a in a_list], [c * b for b in b_list],
+                             t, r, s, norm)
+        np.testing.assert_allclose(scaled, c ** SCALE_DEGREES[chain](r) * values,
+                                   rtol=1e-10, atol=0.0)
 
     def test_noncommuting_pair_is_refused_at_every_scale(self):
         # An absolute floor in the commutation bound once let the pair
@@ -433,6 +470,43 @@ class TestScaleInvariance:
         for c in SCALES:
             with pytest.raises(CommutationError):
                 check_audenaert([c * a], [c * b], S1)
+
+    def test_non_hermitian_input_is_refused_at_every_scale(self):
+        # An absolute floor in the Hermitian screen once let cX through at
+        # c = 1e-8.
+        x = np.array([[1.0, 1e-6], [0.0, 1.0]])
+        for c in SCALES:
+            with pytest.raises(HermitianDefectError):
+                check_main_theorem([c * x], [c * np.eye(2)], 0.5, 1.0, NormSpec.trace())
+
+    def test_indefinite_input_is_refused_at_every_scale(self):
+        # An absolute floor in the PSD clamp once let cN through at c = 1e-8
+        # and 1e-6.
+        neg = np.diag([1.0, -1e-6])
+        for c in SCALES:
+            with pytest.raises(NotPositiveDefiniteError):
+                check_bourin_uchiyama([c * neg, c * np.eye(2)], "power:2", "convex",
+                                      NormSpec.trace())
+
+    def test_regularized_chain_refuses_indefinite_input_at_every_scale(self):
+        # The same floor once gave cN a violated report at c = 1e-8 and 1e-6.
+        neg = np.diag([1.0, -1e-6])
+        for c in SCALES:
+            with pytest.raises(NotPositiveDefiniteError):
+                check_main_theorem([c * neg], [c * np.eye(2)], 0.5, 1.0, NormSpec.trace(),
+                                   epsilon_scale=1e-10)
+
+    def test_zero_matrix_passes_every_screen(self):
+        zero = np.zeros((3, 3))
+        assert not hermitian_part(zero).any()
+        assert not hermitian_eigendecompose(zero).eigenvalues.any()
+        assert not matrix_power_psd(zero, 0.5).any()
+
+    def test_eigendecompose_succeeds_at_every_scale(self):
+        a = pd_for(17, n=4)
+        w = hermitian_eigendecompose(a).eigenvalues
+        for c in SCALES:
+            assert hermitian_eigendecompose(c * a).eigenvalues == pytest.approx(c * w, rel=1e-12)
 
     def test_all_zero_chain_holds(self):
         # At scale 0 every term and margin is exactly 0: no floor is needed.

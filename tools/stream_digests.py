@@ -14,8 +14,11 @@ and summary records with the wall time set to 0), then the verdict
 counts.  The set covers every inequality id, stacks of more trials than
 one chunk, and configs whose stacks hold failing slices.  Run it in two
 checkouts and diff the outputs.  The digests depend on the LAPACK build,
-so none is pinned here.  The library is imported from the ``src``
-directory next to this script.
+so none is pinned here.  The last line, ``screens-at-scale``, is no
+digest: for each of three inputs that the numerical screens must refuse,
+it gives the outcome at c = 1e-8, 1e-6, ..., 1e8, one letter each: ``h``
+held, ``v`` violated, ``i`` indeterminate, ``x`` refused with an error.
+The library is imported from the ``src`` directory next to this script.
 """
 
 import hashlib
@@ -33,6 +36,7 @@ import numpy as np  # noqa: E402
 from matsharp import (  # noqa: E402
     CampaignConfig,
     EnsembleSpec,
+    MatSharpError,
     NormSpec,
     check_audenaert,
     check_bourin_uchiyama,
@@ -184,6 +188,32 @@ def lemma_sigmas_grid():
     return "\n".join(hexes)
 
 
+def screens_at_scale():
+    """The outcome letters of three inputs that fail a screen, at every scale:
+    a non-Hermitian X, and an indefinite N through the PSD clamp of
+    Bourin-Uchiyama and of the regularized main chain."""
+    x, neg = np.array([[1, 1e-6], [0, 1]]), np.diag([1, -1e-6])
+    eye, trace = np.eye(2), NormSpec.trace()
+    inputs = {
+        "hermitian": lambda c: check_main_theorem([c * x], [c * eye], 0.5, 1.0, trace),
+        "psd": lambda c: check_bourin_uchiyama([c * neg, c * eye], "power:2", "convex", trace),
+        "regularized": lambda c: check_main_theorem([c * neg], [c * eye], 0.5, 1.0, trace,
+                                                    epsilon_scale=1e-10),
+    }
+    fields = []
+    for name, check in inputs.items():
+        letters = ""
+        for k in range(-8, 9, 2):
+            try:
+                report = check(10.0 ** k)
+            except MatSharpError:
+                letters += "x"
+                continue
+            letters += "h" if report.holds else "v" if report.is_finite() else "i"
+        fields.append(f"{name}:{letters}")
+    return " ".join(fields)
+
+
 def main():
     records = []
     for name, obj in CAMPAIGNS.items():
@@ -194,6 +224,7 @@ def main():
     print(f"direct-checks {digest(render_reports(reports, 'json') + sigmas)} {counts(reports)}")
     print(f"lemma-sigmas-grid {digest(lemma_sigmas_grid())} -")
     print("records", digest("\n".join(records)), "-")
+    print("screens-at-scale", screens_at_scale())
 
 
 if __name__ == "__main__":
