@@ -47,6 +47,8 @@ from .errors import ConfigError, UnregisteredFunctionError
 from .inequalities import (
     AUDENAERT,
     BOURIN_UCHIYAMA,
+    CONCAVE,
+    CONVEX,
     INEQUALITY_IDS,
     LEMMA_CHAIN,
     PROOF_STEPS,
@@ -245,6 +247,9 @@ class CampaignConfig(_Record):
                 raise ConfigError(f"t-grid values must lie in [0, 1], got {list(grid)}")
             if name in ("r", "s") and not all(x > 0.0 for x in grid):
                 raise ConfigError(f"{name}-grid values must be positive, got {list(grid)}")
+        if self.inequality_id == BOURIN_UCHIYAMA and self.direction not in (CONVEX, CONCAVE):
+            given = "it is missing" if self.direction is None else f"got {self.direction!r}"
+            raise ConfigError(f"BourinUchiyama needs direction 'convex' or 'concave'; {given}")
         for function_id in self.functions if self.inequality_id == BOURIN_UCHIYAMA else ():
             try:
                 usable = self.direction in resolve_function(function_id)[1]
@@ -252,7 +257,7 @@ class CampaignConfig(_Record):
                 raise ConfigError(exc.args[0]) from None
             if not usable:
                 raise ConfigError(f"BourinUchiyama function {function_id!r} is not {self.direction!r}"
-                                  "; direction must be convex|concave and fit every function")
+                                  "; direction must fit every function")
         if self.inequality_id == LEMMA_CHAIN and self.ensemble["kind"] == KIND_PSD:
             raise ConfigError("LemmaChain requires strictly positive definite inputs; "
                               "use a pd or commuting ensemble")

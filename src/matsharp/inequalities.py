@@ -28,6 +28,7 @@ one-point :func:`stack_reports` call on a stack of one, and
 dataclass with the :class:`_Record` mixin: one rule maps fields to keys.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -268,18 +269,35 @@ def _product_sigma(m):
     return _finite_sigma(m, singular_values)
 
 
-def _flank_sigmas(s_a, s_b, t, r, s):
+def _powers(spec, exponents):
+    """V diag(w^p) V* for every p in ``exponents``, stacked (len(exponents),
+    ...) ahead of the stack axes of ``spec``: the eigenvalues clamped once
+    (as :func:`spectrum_power` clamps them), one power per exponent, each
+    with the exponent as given, then one assembly.  Every exponent is
+    nonnegative, so no power can divide by 0."""
+    w = clamp_psd_eigenvalues(spec.eigenvalues)
+    return spec.assemble(np.array([np.power(w, p) for p in exponents]))
+
+
+def _flank_sigmas(s_a, s_b, ts, rs, ss):
     """Singular values of (B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s) and of
-    (A^((1-t)rs) B^(rts))^(1/s), built from the spectra of A and B.
+    (A^((1-t)rs) B^(rts))^(1/s) at every (t, r, s), built from the spectra
+    of A and B, each stacked (len(ts), len(rs), len(ss), ...).
 
     These are the lemma chain's last two terms and, at s = 1 on the spectra
     of the sums, the t-dependent main chain's middle and right terms.
     """
-    b_flank = s_b.assemble(spectrum_power(s_b, r * t * s / 2.0))
-    a_mid = s_a.assemble(spectrum_power(s_a, (1.0 - t) * r * s))
-    product = a_mid @ s_b.assemble(spectrum_power(s_b, r * t * s))
-    return (_psd_sigma(b_flank @ a_mid @ b_flank) ** (1.0 / s),
-            _product_sigma(product) ** (1.0 / s))
+    grid = list(itertools.product(ts, rs, ss))
+    b_flank = _powers(s_b, [r * t * s / 2.0 for t, r, s in grid])
+    a_mid = _powers(s_a, [(1.0 - t) * r * s for t, r, s in grid])
+    product = a_mid @ _powers(s_b, [r * t * s for t, r, s in grid])
+    shape = (len(ts), len(rs), len(ss)) + s_a.eigenvalues.shape
+    sigmas = [_psd_sigma(b_flank @ a_mid @ b_flank).reshape(shape),
+              _product_sigma(product).reshape(shape)]
+    for sigma in sigmas:
+        for k, s in enumerate(ss):
+            sigma[:, :, k] = sigma[:, :, k] ** (1.0 / s)
+    return sigmas
 
 
 def _validate_lists(a_list, b_list):
@@ -437,15 +455,19 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec, seed=None):
 # ---------------------------------------------------------------------------
 
 class _MainChain(_StackKernel):
-    """Main-chain kernel for a stack of instances: the work that depends on
-    neither t nor r, computed on first use and kept for the stack.
+    """Main-chain kernel for a stack of instances, evaluated over a whole
+    (t, r) grid, or (t, r, s) grid for the lemma chain, in one pass.
 
-    The kernel keeps the pair spectra (strict, or shifted by their epsilon),
-    sum A and sum B with their spectra, and, for the proof chain, the
-    spectra the mean of the sums is built from; each is one stacked call
-    over every instance and pair.  ``at(t)`` adds the pair means.  On a
-    stack of single pairs (m = 1) without ``epsilon_scale`` it is the lemma
-    chain's kernel as well.
+    The work that depends on neither t nor r is computed on first use and
+    kept for the stack: the pair spectra (strict, or shifted by their
+    epsilon), sum A and sum B with their spectra, and, for the proof chain,
+    the spectra the mean of the sums is built from.  :meth:`points` then
+    builds each term once over the grid axes it depends on: the pair means
+    over every t (one SVD of A^(-1/2) B^(1/2) serves them all), the printed
+    terms over every r, A^r #_t B^r over every (t, r), and the flank terms
+    over every point, each as one stacked call over those values and every
+    instance and pair.  On a stack of single pairs (m = 1) without
+    ``epsilon_scale`` it is the lemma chain's kernel as well.
     """
 
     def __init__(self, a, b, epsilon_scale, seeds, mask_failures):
@@ -495,98 +517,96 @@ class _MainChain(_StackKernel):
         return self._mean_ready(sum_a, sum_b, (s_a, s_b),
                                 lambda side, index: ("sum A", "sum B")[side])
 
-    def at(self, t):
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {t!r}")
-        return _MainChainAtT(self, t)
-
-
-class _MainChainAtT:
-    """A main-chain stack at one t; the pair means are kept for every r."""
-
-    def __init__(self, chain, t):
-        self.chain, self.t = chain, t
-
-    @cached_property
-    def pair_means(self):
-        """The means A_i #_t B_i and their spectra, stacked (T, m)."""
-        sa, sb, _ = self.chain.pair_spectra
-        means = _mean_from_spectra(sa, sb, self.t)
-        return means, _eigh(means)
-
-    @cached_property
-    def proof_eigenvalues(self):
-        """Eigenvalues of sum_i A_i #_t B_i and of sumA #_t sumB, stacked (T,)."""
-        means, _ = self.pair_means
-        sum_of_means = _eigh(_pair_sum(means))
-        sa, sb, _ = self.chain.sum_pair_spectra
-        mean_of_sums = _eigh(_mean_from_spectra(sa, sb, self.t))
-        return sum_of_means.eigenvalues, mean_of_sums.eigenvalues
-
-    def point(self, r, printed_form, proof=False):
-        """The main chain at (t, r), printed or t-dependent, or with
-        ``proof`` its five-term proof refinement, which ends in the printed
-        terms.  Only the terms of that chain are built, each once for the
-        stack.
+    def points(self, inequality_id, grid, printed_form=True):
+        """The chain points of ``inequality_id`` over ``grid``, in grid
+        order: the main chain at every (t, r), printed or t-dependent; its
+        five-term proof refinement, which ends in the printed terms; or the
+        four-term lemma chain at every (t, r, s) on a stack of single pairs.
         """
-        if proof and r < 1.0:
-            raise ValueError(f"proof steps require r >= 1, got {r!r}")
-        if r <= 0.0:
-            raise ValueError(f"r must be positive, got {r!r}")
-        chain, t = self.chain, self.t
-        _, spectra = self.pair_means
-        mean_pows = spectra.assemble(np.power(np.maximum(spectra.eigenvalues, 0.0), r))
-        lhs = ("sum (A_i#B_i)^r", _psd_sigma(sum(np.moveaxis(mean_pows, 1, 0))))
-
-        _, _, s_a, s_b = chain.sums
-        if printed_form or proof:
-            quarter = s_a.assemble(spectrum_power(s_a, r / 4.0))
-            half_b = s_b.assemble(spectrum_power(s_b, r / 2.0))
-            printed = [("sumA^(r/4) sumB^(r/2) sumA^(r/4)", _psd_sigma(quarter @ half_b @ quarter)),
-                       ("sumA^(r/2) sumB^(r/2)",
-                        _product_sigma(s_a.assemble(spectrum_power(s_a, r / 2.0)) @ half_b))]
-        params = _params(m=chain.a.shape[1], n=chain.a.shape[-1], t=t, r=r)
-        eps = None if chain.epsilon_scale is None else chain.pair_spectra[2].max(axis=1)
-        if proof:
-            sum_of_means, mean_of_sums = self.proof_eigenvalues
-            if eps is not None:
-                eps = np.maximum(eps, chain.sum_pair_spectra[2])
-            terms = [lhs, ("(sum A_i#B_i)^r", np.power(np.maximum(sum_of_means, 0.0), r)),
-                     ("(sumA # sumB)^r", np.power(np.maximum(mean_of_sums, 0.0), r)), *printed]
-            return _ChainPoint(PROOF_STEPS, params, terms, chain.seeds, regularization_epsilon=eps)
-        if printed_form:
-            terms = [lhs, *printed]
+        lemma, proof = inequality_id == LEMMA_CHAIN, inequality_id == PROOF_STEPS
+        ts, rs = tuple(grid["t"]), tuple(grid["r"])
+        ss = tuple(grid["s"]) if lemma else (None,)
+        for t, r, s in itertools.product(ts, rs, ss):
+            if not 0.0 <= t <= 1.0:
+                raise ValueError(f"t must lie in [0, 1], got {t!r}")
+            if lemma and (r <= 0.0 or s <= 0.0):
+                raise ValueError(f"r and s must be positive, got r={r!r}, s={s!r}")
+            if proof and r < 1.0:
+                raise ValueError(f"proof steps require r >= 1, got {r!r}")
+            if r <= 0.0:
+                raise ValueError(f"r must be positive, got {r!r}")
+        # Every term is laid out (t, r, s, T, n), with a length-1 axis for
+        # each grid axis it does not depend on.
+        sa, sb, eps = self.pair_spectra
+        means = _mean_from_spectra(sa, sb, ts)
+        spectra = _eigh(means)
+        mean_w = np.maximum(spectra.eigenvalues, 0.0)
+        if lemma:
+            terms = self._lemma_terms(sa, sb, mean_w, ts, rs, ss)
         else:
-            # t-dependent variant: the lemma chain's last two terms with
-            # s = 1, applied to the summed matrices.
-            mid, rhs = _flank_sigmas(s_a, s_b, t, r, 1.0)
-            terms = [lhs, ("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", mid),
-                     ("sumA^((1-t)r) sumB^(rt)", rhs)]
-        params.update({"printed-form": bool(printed_form), "r-in-theorem-range": bool(r >= 1.0)})
-        return _ChainPoint(MAIN_THEOREM, params, terms, chain.seeds, regularization_epsilon=eps)
+            mean_pows = spectra.assemble(np.array([np.power(mean_w, r) for r in rs]))
+            lhs = _psd_sigma(sum(np.moveaxis(mean_pows, -3, 0))).swapaxes(0, 1)
+            terms = [("sum (A_i#B_i)^r", lhs[:, :, None])]
+            _, _, s_a, s_b = self.sums
+            if proof:
+                terms += self._proof_terms(means, ts, rs)
+            if eps is not None:
+                eps = eps.max(axis=1)
+                if proof:
+                    eps = np.maximum(eps, self.sum_pair_spectra[2])
+            if printed_form or proof:
+                quarter = _powers(s_a, [r / 4.0 for r in rs])
+                half_b = _powers(s_b, [r / 2.0 for r in rs])
+                halves = _product_sigma(_powers(s_a, [r / 2.0 for r in rs]) @ half_b)
+                terms += [("sumA^(r/4) sumB^(r/2) sumA^(r/4)",
+                           _psd_sigma(quarter @ half_b @ quarter)[None, :, None]),
+                          ("sumA^(r/2) sumB^(r/2)", halves[None, :, None])]
+            else:
+                # t-dependent variant: the lemma chain's last two terms with
+                # s = 1, applied to the summed matrices.
+                mid, rhs = _flank_sigmas(s_a, s_b, ts, rs, (1.0,))
+                terms += [("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", mid),
+                          ("sumA^((1-t)r) sumB^(rt)", rhs)]
+        m, n = self.a.shape[1], self.a.shape[-1]
+        points = []
+        for (i, t), (j, r), (k, s) in itertools.product(enumerate(ts), enumerate(rs), enumerate(ss)):
+            extra = {} if lemma or proof else {"printed-form": bool(printed_form),
+                                               "r-in-theorem-range": bool(r >= 1.0)}
+            # A length-1 axis serves every value of its grid axis.
+            sigmas = [(label, x[i % x.shape[0], j % x.shape[1], k % x.shape[2]])
+                      for label, x in terms]
+            points.append(_ChainPoint(inequality_id, _params(m=m, n=n, t=t, r=r, s=s, **extra),
+                                      sigmas, self.seeds, regularization_epsilon=eps))
+        return points
 
-    def lemma_point(self, r, s):
-        """The four-term lemma chain at (t, r, s) on a stack of single pairs."""
-        if r <= 0.0 or s <= 0.0:
-            raise ValueError(f"r and s must be positive, got r={r!r}, s={s!r}")
-        sa, sb, _ = self.chain.pair_spectra
-        _, mean = self.pair_means
-        # Spectra of A^r and B^r come for free from the spectra of A and B;
-        # the mean needs A^(-r/2), which fails where A^r underflows to 0.
-        sa_r, sb_r = (Spectrum(spectrum_power(x, r), x.vectors) for x in (sa, sb))
+    def _proof_terms(self, means, ts, rs):
+        """(sum_i A_i #_t B_i)^r and (sumA #_t sumB)^r from the pair ``means``
+        at every t, laid out (t, r, 1, T, n)."""
+        sa, sb, _ = self.sum_pair_spectra
+        sum_of_means = _eigh(_pair_sum(means))
+        mean_of_sums = _eigh(_mean_from_spectra(sa, sb, ts))
+        return [(label, np.array([np.power(w, r) for r in rs]).swapaxes(0, 1)[:, :, None])
+                for label, w in (("(sum A_i#B_i)^r", np.maximum(sum_of_means.eigenvalues, 0.0)),
+                                 ("(sumA # sumB)^r", np.maximum(mean_of_sums.eigenvalues, 0.0)))]
+
+    def _lemma_terms(self, sa, sb, mean_w, ts, rs, ss):
+        """The lemma chain's four terms, laid out (t, r, s, T, n)."""
+        # Spectra of A^r and B^r come for free from the spectra of A and B,
+        # one r per slot of the pair axis; the mean needs A^(-r/2), which
+        # fails where A^r underflows to 0.
+        shape = sa.vectors.shape[:1] + (len(rs),) + sa.vectors.shape[2:]
+        sa_r, sb_r = (Spectrum(np.concatenate([spectrum_power(x, r) for r in rs], axis=1),
+                               np.broadcast_to(x.vectors, shape)) for x in (sa, sb))
         underflow = sa_r.eigenvalues[..., -1] <= 0.0
-        sa_r, sb_r = self.chain._screen([sa_r, sb_r], [underflow, underflow],
-                                        lambda side, index, spec: spectrum_power(spec, -0.5))
-        flank, product = _flank_sigmas(sa, sb, self.t, r, s)
-        sigmas = [
-            ("(A#B)^r", np.maximum(mean.eigenvalues, 0.0) ** r),
-            ("A^r#B^r", _psd_sigma(_mean_from_spectra(sa_r, sb_r, self.t))),
-            ("(B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s)", flank),
-            ("(A^((1-t)rs) B^(rts))^(1/s)", product),
-        ]
-        params = _params(m=1, n=sa.dim, t=self.t, r=r, s=s)
-        return _ChainPoint(LEMMA_CHAIN, params, [(label, sig[:, 0]) for label, sig in sigmas],
-                           self.chain.seeds)
+        sa_r, sb_r = self._screen([sa_r, sb_r], [underflow, underflow],
+                                  lambda side, index, spec: spectrum_power(spec, -0.5))
+        means_r = np.moveaxis(_psd_sigma(_mean_from_spectra(sa_r, sb_r, ts)), 2, 1)
+        flank, product = _flank_sigmas(sa, sb, ts, rs, ss)
+        mean_pows = np.array([mean_w ** r for r in rs]).swapaxes(0, 1)
+        return [("(A#B)^r", mean_pows[:, :, None, :, 0]),
+                ("A^r#B^r", means_r[:, :, None]),
+                ("(B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s)", flank[..., 0, :]),
+                ("(A^((1-t)rs) B^(rts))^(1/s)", product[..., 0, :])]
 
 
 def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
@@ -689,12 +709,9 @@ def _chain_points(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_s
         kernel = _StackKernel(a, b, seeds, mask_failures)
         return kernel, [_audenaert_point(kernel)]
     if inequality_id == LEMMA_CHAIN:
-        kernel = _MainChain(np.asarray(a)[:, :1], np.asarray(b)[:, :1], None, seeds, mask_failures)
-        return kernel, [at_t.lemma_point(r, s) for at_t in map(kernel.at, grid["t"])
-                        for r in grid["r"] for s in grid["s"]]
+        a, b, epsilon_scale = np.asarray(a)[:, :1], np.asarray(b)[:, :1], None
     kernel = _MainChain(a, b, epsilon_scale, seeds, mask_failures)
-    return kernel, [at_t.point(r, printed_form, inequality_id == PROOF_STEPS)
-                    for at_t in map(kernel.at, grid["t"]) for r in grid["r"]]
+    return kernel, kernel.points(inequality_id, grid, printed_form)
 
 
 def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,

@@ -67,7 +67,7 @@ def geometric_mean(a, b, t):
     sb = _eigh(hermitian_part(b))
     if sa.dim != sb.dim:
         raise ShapeError(f"shape error: dimensions {sa.dim} vs {sb.dim}")
-    return _mean_from_spectra(_strict_spectrum(sa, "A"), _strict_spectrum(sb, "B"), t)
+    return _mean_from_spectra(_strict_spectrum(sa, "A"), _strict_spectrum(sb, "B"), (t,))[0]
 
 
 def _strict_spectrum(spec, name):
@@ -84,20 +84,23 @@ def _strict_spectrum(spec, name):
     return spec
 
 
-def _mean_from_spectra(sa, sb, t):
+def _mean_from_spectra(sa, sb, ts):
+    """The means A #_t B at every t in ``ts``, stacked (len(ts), ...) ahead
+    of the spectra's own stack axes, one mean per slice."""
     # The inner matrix A^(-1/2) B A^(-1/2) equals K K* with
     # K = A^(-1/2) B^(1/2), so its spectral data comes from an SVD of K.
     # That halves the exponent range the solver must resolve and yields
     # the mean as an exactly positive product M M*, which preserves
     # epsilon-level eigenvalues of regularized means that the sandwiched
-    # form loses to rounding.
-    # Stacked spectra give a stack of means, one per slice.
+    # form loses to rounding.  K does not depend on t: one SVD serves every
+    # t, and only s^t is taken per t.
     k = sa.assemble(spectrum_power(sa, -0.5)) @ sb.assemble(spectrum_power(sb, 0.5))
     try:
         u, s, _ = np.linalg.svd(k)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    m = sa.assemble(spectrum_power(sa, 0.5)) @ (u * np.power(s, t)[..., None, :])
+    s_t = np.array([np.power(s, t) for t in ts])
+    m = sa.assemble(spectrum_power(sa, 0.5)) @ (u * s_t[..., None, :])
     mean = m @ _adjoint(m)
     if not np.isfinite(mean).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pd_for
 from matsharp import (
@@ -191,9 +193,14 @@ class TestConfig:
             small_config(ensemble={"kind": "psd", "rank": 1, "epsilon-scale": scale})
 
     def test_bourin_uchiyama_needs_direction_and_functions(self):
-        with pytest.raises(ConfigError):
+        # A missing direction is named as such, with its two values.
+        with pytest.raises(ConfigError, match="direction 'convex' or 'concave'; it is missing"):
             CampaignConfig.from_obj({"inequality-id": "bourin_uchiyama",
-                                     "functions": ["power:2"]})
+                                     "functions": ["power:2"], "trials": 1, "dims": [2],
+                                     "m-values": [1]})
+        with pytest.raises(ConfigError, match="direction 'convex' or 'concave'; got 'linear'"):
+            CampaignConfig.from_obj({"inequality-id": "bourin_uchiyama",
+                                     "functions": ["power:2"], "direction": "linear"})
         with pytest.raises(ConfigError):
             CampaignConfig.from_obj({"inequality-id": "bourin_uchiyama",
                                      "direction": "convex", "functions": []})
@@ -405,8 +412,14 @@ class TestInstancePass:
     @pytest.mark.parametrize("obj", [
         {"inequality-id": "main_theorem"},
         {"inequality-id": "main_theorem", "printed-form": False, "ensemble": {"kind": "psd"}},
+        # The regularized printed chain.
+        {"inequality-id": "main_theorem", "ensemble": {"kind": "psd"}},
+        # A 3 x 3 (t, r) grid: every term stacked over more than one t and r.
+        {"inequality-id": "main_theorem", "printed-form": False, "t-grid": [0.1, 0.5, 0.9],
+         "r-grid": [0.5, 1.0, 3.0]},
         {"inequality-id": "proof_steps", "ensemble": {"kind": "psd"}},
         {"inequality-id": "lemma_chain", "r-grid": [0.5, 2.0], "s-grid": [0.5, 1.0]},
+        {"inequality-id": "lemma_chain", "r-grid": [0.5, 2.0], "s-grid": [0.5, 1.0, 2.0]},
         {"inequality-id": "audenaert"},
         {"inequality-id": "bourin_uchiyama", "functions": ["power:2", "expm1"],
          "direction": "convex"},
@@ -423,6 +436,18 @@ class TestInstancePass:
         expected = expected_reports(cfg, range(cfg.trials))
         assert len(reports) == len(expected) == cfg.trials * cfg.grid_size()
         assert reports == expected
+
+
+# The property test's full grid, from which it draws sub-grids and trial counts.
+SUB_GRID_BASE = {"trials": 5, "dims": [2, 3], "m-values": [1, 2], "t-grid": [0.0, 0.25, 0.5, 0.9],
+                 "r-grid": [1.0, 2.0, 3.0, 0.5], "s-grid": [0.5, 1.0, 2.0],
+                 "norm-specs": ["schatten:2", "kyfan:1"], "root-seed": 53}
+SUB_GRID_CHAINS = [
+    {"inequality-id": "main_theorem"},
+    {"inequality-id": "main_theorem", "printed-form": False, "ensemble": {"kind": "psd"}},
+    {"inequality-id": "proof_steps", "r-grid": [1.0, 2.0, 3.0]},
+    {"inequality-id": "lemma_chain"},
+]
 
 
 class TestBatchInvariance:
@@ -443,6 +468,32 @@ class TestBatchInvariance:
         first = [r for r in batch if r.params["trial"] == 0]
         assert render_reports(alone, "json") == render_reports(first, "json")
         assert render_reports(alone, "csv") == render_reports(first, "csv")
+
+    @pytest.mark.parametrize("chunk", [CHUNK_TRIALS, 2])
+    @pytest.mark.parametrize("obj", SUB_GRID_CHAINS,
+                             ids=["main_printed", "main_variant_psd", "proof_steps", "lemma_chain"])
+    def test_reports_do_not_depend_on_the_grid_or_the_chunk(self, obj, chunk, monkeypatch):
+        # Each grid axis is stacked into the kernel's calls, so the stack
+        # holds every point of the grid and every trial of the chunk; a
+        # (trial, point) report must not depend on either.
+        base = dict(SUB_GRID_BASE, **obj)
+        _, full = run_campaign(CampaignConfig.from_obj(base))
+        by_point = {tuple(report.params.items()): report for report in full}
+        monkeypatch.setattr(campaign, "CHUNK_TRIALS", chunk)
+
+        @settings(derandomize=True, deadline=5000, max_examples=10, database=None)
+        @given(data=st.data())
+        def sub_grid_reports_equal_full_grid_reports(data):
+            sub = {key: data.draw(st.lists(st.sampled_from(base[key]), min_size=1,
+                                           max_size=len(base[key]), unique=True))
+                   for key in ("t-grid", "r-grid", "s-grid")}
+            trials = data.draw(st.integers(1, base["trials"]))
+            _, reports = run_campaign(CampaignConfig.from_obj(dict(base, trials=trials, **sub)))
+            assert len(reports) > 0
+            for report in reports:
+                assert report == by_point[tuple(report.params.items())]
+
+        sub_grid_reports_equal_full_grid_reports()
 
     @pytest.mark.parametrize("obj", [
         {"inequality-id": "main_theorem", "ensemble": {"kind": "psd"}, "printed-form": False},
@@ -587,6 +638,11 @@ class TestFailingSlice:
         {"inequality-id": "main_theorem", "ensemble": {"condition-target": 1e20}},
         {"inequality-id": "proof_steps", "ensemble": {"condition-target": 1e17}},
         {"inequality-id": "lemma_chain", "ensemble": {"condition-target": 1e17}},
+        # Masked slices inside stacks over several t.
+        {"inequality-id": "main_theorem", "t-grid": [0.25, 0.5, 0.75],
+         "ensemble": {"condition-target": 1e20}},
+        {"inequality-id": "lemma_chain", "t-grid": [0.25, 0.5, 0.75],
+         "ensemble": {"condition-target": 1e17}},
         # expm1 overflows at one instance's eigenvalues.
         {"inequality-id": "bourin_uchiyama", "functions": ["expm1", "power:2"],
          "direction": "convex", "trials": 20, "dims": [1], "norm-specs": ["trace"],
