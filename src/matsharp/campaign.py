@@ -11,8 +11,9 @@ ends with the norm.  The trials are taken in chunks of ``CHUNK_TRIALS``;
 within a chunk the instances of one (n, m) group are drawn as one stack
 and evaluated in one stacked pass over the axes between them (t, r, s or
 f): for every chain, input spectra and the sums are one call per stack,
-pair means one per t, and the chain's singular values one per grid point,
-each covering every instance of the group.  Every norm then reduces those
+and each chain term is one call over the grid values it depends on (the
+pair means over every t, the main chain's terms over every (t, r) point
+they vary with), each covering every instance of the group.  Every norm then reduces those
 sequences into arrays, which the summary reads; a report is built when the
 :class:`ReportStream` is read.  NumPy gives each slice of a stacked call the
 bits of the single-matrix call, so the reports are the ones the ``check_*``

@@ -10,18 +10,20 @@ are nonnegative the chain holds in every unitarily invariant norm at once.
 
 Each inequality has one evaluation kernel, and every kernel takes a stack
 of instances: arrays of shape (T, m, n, n), one A-list (and B-list) per
-instance.  It computes every spectrum at the outermost grid axis it
-depends on (input spectra and the sums once per stack, pair means once per
-t, the chain's singular values once per grid point), each as one stacked
-call for all T instances, so its terms carry a leading batch axis.  Every
-norm, margin and verdict is then an array reduction over those sequences
-(:func:`_reduce`), read out as reports by :func:`_instance_reports`.
-The main chain's kernel (:class:`_MainChain`) also serves the proof steps
-and, on single pairs, the lemma chain, whose last two terms are the
-t-dependent main chain's middle and right terms at s = 1
-(:func:`_flank_sigmas`).  One driver, :func:`_chain_points`, maps an
-inequality id to its kernel and walks the grid; :func:`stack_reports` is
-that driver followed by the reduction.  A ``check_*`` predicate is a
+instance.  It builds the whole grid in one pass, each term once over the
+grid axes it depends on: input spectra and the sums once per stack, the
+pair means once over every t, the printed main-chain terms once over
+every r, the flank terms once over every grid point.  Each of those is
+one stacked call over those grid values and all T instances, so its terms
+carry leading grid and batch axes; only the elementwise powers are taken
+one exponent at a time.  Every norm, margin and verdict is then an array
+reduction over those sequences (:func:`_reduce`), read out as reports by
+:func:`_instance_reports`.  The main chain's kernel (:class:`_MainChain`)
+also serves the proof steps and, on single pairs, the lemma chain, whose
+last two terms are the t-dependent main chain's middle and right terms at
+s = 1 (:func:`_flank_sigmas`).  One driver, :func:`_chain_points`, maps an
+inequality id to its kernel and its grid to the kernel's chain points;
+:func:`stack_reports` is that driver followed by the reduction.  A ``check_*`` predicate is a
 one-point :func:`stack_reports` call on a stack of one, and
 :func:`lemma_chain_sigmas` reads the driver's one point.  Every JSON record
 (a report; a campaign's config and summary; a search report) is a

@@ -8,7 +8,8 @@ means live in :mod:`matsharp.inequalities`; they share this module's
 strict-positivity check and epsilon shift, so each is written once.
 :func:`_mean_from_spectra`, :func:`_regularized_pair`,
 :func:`regularization_epsilon` and :func:`sum_matrices` also take stacks
-of matrices (leading batch axes), one result per slice.
+of matrices (leading batch axes), one result per slice;
+:func:`_mean_from_spectra` also takes every t of a grid at once.
 """
 
 import numpy as np
