@@ -23,9 +23,9 @@ also serves the proof steps and, on single pairs, the lemma chain, whose
 last two terms are the t-dependent main chain's middle and right terms at
 s = 1 (:func:`_flank_sigmas`).  One driver, :func:`_chain_points`, maps an
 inequality id to its kernel and its grid to the kernel's chain points;
-:func:`stack_reports` is that driver followed by the reduction.  A ``check_*`` predicate is a
-one-point :func:`stack_reports` call on a stack of one, and
-:func:`lemma_chain_sigmas` reads the driver's one point.  Every JSON record
+:func:`stack_reports` is that driver followed by the reduction.  A
+``check_*`` predicate is a one-point :func:`stack_reports` call on a stack
+of one, and :func:`lemma_chain_sigmas` reads the driver's one point.  Every JSON record
 (a report; a campaign's config and summary; a search report) is a
 dataclass with the :class:`_Record` mixin: one rule maps fields to keys.
 """
