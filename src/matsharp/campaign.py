@@ -106,11 +106,14 @@ CHUNK_TRIALS = 64
 # Search constants: chains run in lockstep; a chain's step, relative to
 # ||M||_F, starts at SEARCH_STEP_SCALE, grows by SEARCH_STEP_GROWTH on
 # acceptance up to ||M||_F itself and halves on non-improvement; a chain
-# restarts after SEARCH_STALL_LIMIT consecutive stalls.
+# restarts after SEARCH_STALL_LIMIT consecutive stalls.  A moved PD matrix
+# is clamped at SEARCH_CLAMP_FLOOR times its largest eigenvalue, so its
+# condition number is at most 1e12: the floor bounds how deep a descent goes.
 SEARCH_CHAINS = 16
 SEARCH_STEP_SCALE = 0.05
 SEARCH_STEP_GROWTH = 4.0
 SEARCH_STALL_LIMIT = 50
+SEARCH_CLAMP_FLOOR = 1e-12
 
 
 def parse_inequality_id(text):
@@ -615,7 +618,9 @@ def search_counterexample(config, steps):
     one of its matrices M (see :func:`_perturb`), of size ``0.05 ||M||_F``
     at first, grown 4x on acceptance up to ``||M||_F`` and halved on
     non-improvement; a chain that stalled 50 rounds offers the next unused
-    restart draw instead.  A candidate is accepted when it lowers its
+    restart draw instead.  On PD inputs a moved matrix is clamped to
+    condition number at most 1e12 (``SEARCH_CLAMP_FLOOR``), which bounds
+    how deep a descent can go.  A candidate is accepted when it lowers its
     chain's relative margin, the least margin over the largest term, which
     scaling the inputs does not move.  A candidate that fails a spectral
     check or overflows is masked: it is never accepted and never best.
@@ -636,7 +641,7 @@ def search_counterexample(config, steps):
     rounds = -(-int(steps) // chains)
     # PD inputs stay strictly positive under perturbation; PSD stress
     # targets clamp at zero and rely on the regularized mean.
-    clamp_floor = 0.0 if config.ensemble["kind"] == KIND_PSD else 1e-12
+    clamp_floor = 0.0 if config.ensemble["kind"] == KIND_PSD else SEARCH_CLAMP_FLOOR
 
     start = time.perf_counter()
     stream = Stream(split_seed(config.root_seed, 0x5EA2C8))

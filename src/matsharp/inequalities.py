@@ -21,13 +21,14 @@ reduction over those sequences (:func:`_reduce`), read out as reports by
 :func:`_instance_reports`.  The main chain's kernel (:class:`_MainChain`)
 also serves the proof steps and, on single pairs, the lemma chain, whose
 last two terms are the t-dependent main chain's middle and right terms at
-s = 1 (:func:`_flank_sigmas`).  One driver, :func:`_chain_points`, maps an
-inequality id to its kernel and its grid to the kernel's chain points;
+s = 1 (:func:`_flank_sigmas`).  One driver, :func:`_chain`, maps an
+inequality id to its kernel, which returns the whole grid as one
+:class:`_Chain`, all its sequences in one (points, terms, T, n) array;
 :func:`stack_reports` is that driver followed by the reduction.  A
 ``check_*`` predicate is a one-point :func:`stack_reports` call on a stack
-of one, and :func:`lemma_chain_sigmas` reads the driver's one point.  Every JSON record
-(a report; a campaign's config and summary; a search report) is a
-dataclass with the :class:`_Record` mixin: one rule maps fields to keys.
+of one, and :func:`lemma_chain_sigmas` reads the chain's one point.  Every
+JSON record (a report; a campaign's config and summary; a search report)
+is a dataclass with the :class:`_Record` mixin: one rule maps fields to keys.
 """
 
 import itertools
@@ -144,45 +145,34 @@ class InequalityReport(_Record):
 
 def _params(m=None, n=None, t=None, r=None, s=None, function_id=None, **extra):
     # "norm-spec" and "seed" are filled in per report by _build_report.
-    p = {
-        "m": m,
-        "n": n,
-        "t": t,
-        "r": r,
-        "s": s,
-        "norm-spec": None,
-        "function-id": function_id,
-        "seed": None,
-    }
-    p.update(extra)
-    return p
+    return {"m": m, "n": n, "t": t, "r": r, "s": s, "norm-spec": None,
+            "function-id": function_id, "seed": None, **extra}
 
 
-class _ChainPoint(NamedTuple):
-    """One chain evaluated at one grid point for a stack of instances,
-    before any norm is taken.
-
-    ``sigmas`` are the terms' labeled singular-value sequences, one row per
-    instance (shape (T, n)), each sorted nonincreasing; ``seeds`` and
-    ``regularization_epsilon`` (an array, or None) hold one entry per
-    instance.  ``steps`` lists (left_index, right_index) pairs, the
-    ascending consecutive chain when None.  Every norm's report on an
-    instance shares its row.
+class _Chain(NamedTuple):
+    """One chain over the P points of a grid for a stack of T instances,
+    before any norm is taken: ``sigma`` holds the terms' singular-value
+    sequences, (P, terms, T, n) in grid order, each sorted nonincreasing;
+    ``params`` one dict per point, ``labels`` one label per term, and
+    ``seeds`` and ``epsilon`` ((T,), or None) one entry per instance.
+    ``steps`` lists (left_index, right_index) pairs, the ascending
+    consecutive chain when None.
     """
 
     inequality_id: str
-    params: dict
-    sigmas: list
+    params: list
+    labels: list
+    sigma: np.ndarray
     seeds: tuple
     steps: list | None = None
-    regularization_epsilon: np.ndarray | None = None
+    epsilon: np.ndarray | None = None
 
 
 class _ReportBlock(NamedTuple):
     """A stack of T instances reduced over P points of one chain and N norms:
     ``values`` (P, N, terms, T), ``margins`` (P, N, steps, T), ``fan_margins``
     (P, steps, T), which no norm changes, the masks ``finite`` and ``holds``
-    (P, N, T), and ``epsilon`` (P, T) or None."""
+    (P, N, T), and ``epsilon`` (T,) or None."""
 
     inequality_id: str
     params: list
@@ -197,17 +187,13 @@ class _ReportBlock(NamedTuple):
     epsilon: np.ndarray | None
 
 
-def _reduce(points, norms, failed=None):
-    """Every norm's reports on ``points`` (chain points of one stack) as one
-    :class:`_ReportBlock`; the instances in ``failed`` get NaN terms.
+def _reduce(chain, norms):
+    """Every norm's reports on ``chain`` as one :class:`_ReportBlock`.
 
     A report with any non-finite term, margin or fan margin never holds.
     """
-    first = points[0]
-    sigma = np.array([[sig for _, sig in point.sigmas] for point in points])
-    if failed is not None and failed.any():
-        sigma[:, :, failed] = np.nan
-    left, right = np.array(first.steps or [(i, i + 1) for i in range(sigma.shape[1] - 1)]).T
+    sigma = chain.sigma
+    left, right = np.array(chain.steps or [(i, i + 1) for i in range(sigma.shape[1] - 1)]).T
     values = np.array([norm_from_singular_values(sigma, spec) for spec in norms]).swapaxes(0, 1)
     margins = values[:, :, right] - values[:, :, left]
     prefix = sigma.cumsum(axis=-1)
@@ -217,11 +203,8 @@ def _reduce(points, norms, failed=None):
     scale = values.max(axis=2)
     finite = np.isfinite(scale) & np.isfinite(fan_margins).all(axis=1)[:, None]
     holds = finite & (margins.min(axis=2) >= -tolerance_band(scale))
-    eps = [point.regularization_epsilon for point in points]
-    return _ReportBlock(first.inequality_id, [point.params for point in points],
-                        [label for label, _ in first.sigmas], tuple(norms), first.seeds,
-                        values, margins, fan_margins, finite, holds,
-                        None if eps[0] is None else np.stack(eps))
+    return _ReportBlock(chain.inequality_id, chain.params, chain.labels, tuple(norms),
+                        chain.seeds, values, margins, fan_margins, finite, holds, chain.epsilon)
 
 
 def _instance_reports(block, k, **extra):
@@ -230,11 +213,11 @@ def _instance_reports(block, k, **extra):
     names = [str(norm) for norm in block.norms]
     values, margins, holds, fans = (x[..., k].tolist() for x in (
         block.values, block.margins, block.holds, block.fan_margins))
-    eps = [None] * len(block.params) if block.epsilon is None else block.epsilon[:, k].tolist()
+    eps = None if block.epsilon is None else block.epsilon[k].tolist()
     return [InequalityReport(block.inequality_id,
                              dict(params, **{"norm-spec": name, "seed": block.seeds[k]}, **extra),
                              list(zip(block.labels, values[point][norm])), margins[point][norm],
-                             holds[point][norm], eps[point], fans[point])
+                             holds[point][norm], eps, fans[point])
             for point, params in enumerate(block.params) for norm, name in enumerate(names)]
 
 
@@ -417,22 +400,26 @@ class _FunctionSum(_StackKernel):
                 Spectrum(spec.eigenvalues[index], spec.vectors[index]), f))
         return mapped.assemble(mapped.eigenvalues)
 
-    def point(self, function_id, direction):
-        f, directions = resolve_function(function_id)
-        if direction not in (CONVEX, CONCAVE):
-            raise ValueError(f"direction must be 'convex' or 'concave', got {direction!r}")
-        if direction not in directions:
-            raise ValueError(
-                f"direction {direction!r} does not match the registered convexity of {function_id!r}"
-            )
-        spec_a, spec_sum = self.spectra
-        left = _pair_sum(self._mapped(spec_a, f))
-        sigmas = [("sum f(A_i)", _psd_sigma(left)),
-                  ("f(sum A_i)", _psd_sigma(self._mapped(spec_sum, f)))]
+    def chain(self, function_ids, direction):
+        """The chain at every f of ``function_ids``, in order; each f is
+        resolved and checked against ``direction`` before it is applied."""
+        sigma, params = [], []
+        for function_id in function_ids:
+            f, directions = resolve_function(function_id)
+            if direction not in (CONVEX, CONCAVE):
+                raise ValueError(f"direction must be 'convex' or 'concave', got {direction!r}")
+            if direction not in directions:
+                raise ValueError(
+                    f"direction {direction!r} does not match the registered convexity of {function_id!r}"
+                )
+            spec_a, spec_sum = self.spectra
+            sigma.append([_psd_sigma(_pair_sum(self._mapped(spec_a, f))),
+                          _psd_sigma(self._mapped(spec_sum, f))])
+            params.append(_params(m=self.a.shape[1], n=self.a.shape[-1],
+                                  function_id=str(function_id), direction=direction))
         steps = [(0, 1)] if direction == CONVEX else [(1, 0)]
-        params = _params(m=self.a.shape[1], n=self.a.shape[-1],
-                         function_id=str(function_id), direction=direction)
-        return _ChainPoint(BOURIN_UCHIYAMA, params, sigmas, self.seeds, steps)
+        return _Chain(BOURIN_UCHIYAMA, params, ["sum f(A_i)", "f(sum A_i)"], np.array(sigma),
+                      self.seeds, steps)
 
 
 def check_bourin_uchiyama(a_list, function_id, direction, norm_spec, seed=None):
@@ -463,13 +450,15 @@ class _MainChain(_StackKernel):
     The work that depends on neither t nor r is computed on first use and
     kept for the stack: the pair spectra (strict, or shifted by their
     epsilon), sum A and sum B with their spectra, and, for the proof chain,
-    the spectra the mean of the sums is built from.  :meth:`points` then
+    the spectra the mean of the sums is built from.  :meth:`chain` then
     builds each term once over the grid axes it depends on: the pair means
     over every t (one SVD of A^(-1/2) B^(1/2) serves them all), the printed
     terms over every r, A^r #_t B^r over every (t, r), and the flank terms
     over every point, each as one stacked call over those values and every
-    instance and pair.  On a stack of single pairs (m = 1) without
-    ``epsilon_scale`` it is the lemma chain's kernel as well.
+    instance and pair.  Each term is then written into the chain's one
+    array, broadcast over the grid axes it does not depend on.  On a stack
+    of single pairs (m = 1) without ``epsilon_scale`` it is the lemma
+    chain's kernel as well.
     """
 
     def __init__(self, a, b, epsilon_scale, seeds, mask_failures):
@@ -519,11 +508,11 @@ class _MainChain(_StackKernel):
         return self._mean_ready(sum_a, sum_b, (s_a, s_b),
                                 lambda side, index: ("sum A", "sum B")[side])
 
-    def points(self, inequality_id, grid, printed_form=True):
-        """The chain points of ``inequality_id`` over ``grid``, in grid
-        order: the main chain at every (t, r), printed or t-dependent; its
-        five-term proof refinement, which ends in the printed terms; or the
-        four-term lemma chain at every (t, r, s) on a stack of single pairs.
+    def chain(self, inequality_id, grid, printed_form=True):
+        """The chain ``inequality_id`` over ``grid``, in grid order: the
+        main chain at every (t, r), printed or t-dependent; its five-term
+        proof refinement, which ends in the printed terms; or the four-term
+        lemma chain at every (t, r, s) on a stack of single pairs.
         """
         lemma, proof = inequality_id == LEMMA_CHAIN, inequality_id == PROOF_STEPS
         ts, rs = tuple(grid["t"]), tuple(grid["r"])
@@ -570,16 +559,15 @@ class _MainChain(_StackKernel):
                 terms += [("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", mid),
                           ("sumA^((1-t)r) sumB^(rt)", rhs)]
         m, n = self.a.shape[1], self.a.shape[-1]
-        points = []
-        for (i, t), (j, r), (k, s) in itertools.product(enumerate(ts), enumerate(rs), enumerate(ss)):
-            extra = {} if lemma or proof else {"printed-form": bool(printed_form),
-                                               "r-in-theorem-range": bool(r >= 1.0)}
-            # A length-1 axis serves every value of its grid axis.
-            sigmas = [(label, x[i % x.shape[0], j % x.shape[1], k % x.shape[2]])
-                      for label, x in terms]
-            points.append(_ChainPoint(inequality_id, _params(m=m, n=n, t=t, r=r, s=s, **extra),
-                                      sigmas, self.seeds, regularization_epsilon=eps))
-        return points
+        params = [_params(m=m, n=n, t=t, r=r, s=s, **({} if lemma or proof else {
+                      "printed-form": bool(printed_form), "r-in-theorem-range": bool(r >= 1.0)}))
+                  for t, r, s in itertools.product(ts, rs, ss)]
+        # A length-1 axis serves every value of its grid axis.
+        sigma = np.empty((len(ts), len(rs), len(ss), len(terms)) + terms[0][1].shape[-2:])
+        for k, (_, x) in enumerate(terms):
+            sigma[:, :, :, k] = x
+        return _Chain(inequality_id, params, [label for label, _ in terms],
+                      sigma.reshape(-1, *sigma.shape[3:]), self.seeds, epsilon=eps)
 
     def _proof_terms(self, means, ts, rs):
         """(sum_i A_i #_t B_i)^r and (sumA #_t sumB)^r from the pair ``means``
@@ -638,9 +626,9 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None, seed=
 
 def lemma_chain_sigmas(a, b, t, r, s):
     """Singular-value sequences of the four-term chain, in printed order."""
-    _, (point,) = _chain_points(LEMMA_CHAIN, *_validate_lists([a], [b]),
-                                {"t": (t,), "r": (r,), "s": (s,)}, (None,))
-    return [(label, sig[0]) for label, sig in point.sigmas]
+    chain = _chain(LEMMA_CHAIN, *_validate_lists([a], [b]), {"t": (t,), "r": (r,), "s": (s,)},
+                   (None,))
+    return list(zip(chain.labels, chain.sigma[0, :, 0]))
 
 
 def check_lemma_chain(a, b, t, r, s, norm_spec, seed=None):
@@ -657,7 +645,7 @@ def check_lemma_chain(a, b, t, r, s, norm_spec, seed=None):
 # Audenaert: sum A_iB_i ; (sum A_i^(1/2)B_i^(1/2))^2 ; (sum A_i)(sum B_i)
 # ---------------------------------------------------------------------------
 
-def _audenaert_point(kernel):
+def _audenaert_chain(kernel):
     """The commuting-pair chain of a stack of instances; the norm is its only axis."""
     a, b = kernel.a, kernel.b
     products = a @ b
@@ -674,13 +662,11 @@ def _audenaert_point(kernel):
     s_a, s_b = kernel._psd_screened([_eigh(a), _eigh(b)])
     halves = s_a.assemble(spectrum_power(s_a, 0.5)) @ s_b.assemble(spectrum_power(s_b, 0.5))
     x = sum(np.moveaxis(halves, 1, 0))
-    sum_a, sum_b = _pair_sum(a), _pair_sum(b)
-    sigmas = [
-        ("sum A_iB_i", _product_sigma(sum(np.moveaxis(products, 1, 0)))),
-        ("(sum A_i^(1/2)B_i^(1/2))^2", _product_sigma(x @ x)),
-        ("sumA sumB", _product_sigma(sum_a @ sum_b)),
-    ]
-    return _ChainPoint(AUDENAERT, _params(m=a.shape[1], n=a.shape[-1]), sigmas, kernel.seeds)
+    sigma = [_product_sigma(sum(np.moveaxis(products, 1, 0))), _product_sigma(x @ x),
+             _product_sigma(_pair_sum(a) @ _pair_sum(b))]
+    return _Chain(AUDENAERT, [_params(m=a.shape[1], n=a.shape[-1])],
+                  ["sum A_iB_i", "(sum A_i^(1/2)B_i^(1/2))^2", "sumA sumB"],
+                  np.array([sigma]), kernel.seeds)
 
 
 def check_audenaert(a_list, b_list, norm_spec, seed=None):
@@ -697,23 +683,26 @@ def check_audenaert(a_list, b_list, norm_spec, seed=None):
 # A stack of instances over a campaign grid
 # ---------------------------------------------------------------------------
 
-def _chain_points(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
-                  direction=None, mask_failures=False):
-    """The kernel of ``inequality_id`` on a stack of instances and its chain
-    points over ``grid``, in grid order: the one place an inequality id is
-    mapped to its kernel and a grid is walked.  The arguments are those of
-    :func:`stack_reports`; the norm axis is not read.
+def _chain(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
+           direction=None, mask_failures=False):
+    """The chain ``inequality_id`` on a stack of instances over ``grid``,
+    in grid order, with NaN terms for every instance its kernel masked: the
+    one place an inequality id is mapped to its kernel.  The arguments are
+    those of :func:`stack_reports`; the norm axis is not read.
     """
     if inequality_id == BOURIN_UCHIYAMA:
         kernel = _FunctionSum(a, None, seeds, mask_failures)
-        return kernel, [kernel.point(f, direction) for f in grid["f"]]
-    if inequality_id == AUDENAERT:
+        chain = kernel.chain(grid["f"], direction)
+    elif inequality_id == AUDENAERT:
         kernel = _StackKernel(a, b, seeds, mask_failures)
-        return kernel, [_audenaert_point(kernel)]
-    if inequality_id == LEMMA_CHAIN:
-        a, b, epsilon_scale = np.asarray(a)[:, :1], np.asarray(b)[:, :1], None
-    kernel = _MainChain(a, b, epsilon_scale, seeds, mask_failures)
-    return kernel, kernel.points(inequality_id, grid, printed_form)
+        chain = _audenaert_chain(kernel)
+    else:
+        if inequality_id == LEMMA_CHAIN:
+            a, b, epsilon_scale = np.asarray(a)[:, :1], np.asarray(b)[:, :1], None
+        kernel = _MainChain(a, b, epsilon_scale, seeds, mask_failures)
+        chain = kernel.chain(inequality_id, grid, printed_form)
+    chain.sigma[:, :, kernel.failed] = np.nan
+    return chain
 
 
 def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
@@ -728,26 +717,31 @@ def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_s
     their values: ``t``, ``r`` and ``s`` (lemma chain), ``t`` and ``r``
     (main theorem, proof steps) or ``f`` (Bourin-Uchiyama), then ``norm``,
     varied fastest; the block's points follow the axes before ``norm`` in
-    grid order, and other axes are ignored.  :func:`_chain_points` evaluates
-    the chain over the grid, the whole stack in one pass with each spectrum
-    computed once at the outermost axis it depends on, and :func:`_reduce`
-    takes each norm as one reduction over every point and instance.  A
-    ``check_*`` predicate is this function on a stack of one over a
+    grid order, and other axes are ignored.  :func:`_chain` evaluates the
+    chain over the grid, the whole stack in one pass with each spectrum
+    computed once at the outermost axis it depends on, into one array of
+    sequences, and :func:`_reduce` takes each norm as one reduction of it.
+    A ``check_*`` predicate is this function on a stack of one over a
     one-point grid.  With ``mask_failures``, an instance with a slice that
     fails the strict positive-definite check, the PSD clamp or f gets NaN
     terms at every point (indeterminate reports) instead of raising.
     """
-    kernel, points = _chain_points(inequality_id, a, b, grid, seeds, printed_form,
-                                   epsilon_scale, direction, mask_failures)
-    return _reduce(points, grid["norm"], kernel.failed)
+    return _reduce(_chain(inequality_id, a, b, grid, seeds, printed_form, epsilon_scale,
+                          direction, mask_failures), grid["norm"])
 
 
 def _check(inequality_id, a_list, b_list, point, seed, **options):
     """The report of one instance, given as lists, at one grid ``point``
     (axis -> value, the norm included): :func:`stack_reports` on a stack of
-    one over a one-point grid.  ``options`` are its keyword arguments; a
-    Bourin-Uchiyama instance has no B-list.
+    one over a one-point grid.  ``options`` are its keyword arguments.  An
+    input the chain would not read is refused: a Bourin-Uchiyama instance
+    has no B-list, and a lemma-chain instance is one pair.
     """
+    b_list = list(b_list)
+    if inequality_id == BOURIN_UCHIYAMA and b_list:
+        raise ShapeError(f"shape error: {BOURIN_UCHIYAMA} takes no B-list")
     a, b = _validate_lists(a_list, a_list if inequality_id == BOURIN_UCHIYAMA else b_list)
+    if inequality_id == LEMMA_CHAIN and a.shape[1] > 1:
+        raise ShapeError(f"shape error: {LEMMA_CHAIN} takes one pair, got {a.shape[1]}")
     grid = {axis: (value,) for axis, value in point.items()}
     return _build_report(stack_reports(inequality_id, a, b, grid, (seed,), **options))

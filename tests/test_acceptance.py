@@ -7,6 +7,7 @@ the four-term chain's first step genuinely reverses there; the companion
 test pins the r <= 1 region where the chain does hold.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from matsharp import (
 )
 from matsharp.campaign import reevaluate_search_instance, render_reports
 from matsharp.ensembles import Stream
-from matsharp.inequalities import LEMMA_CHAIN, _chain_points
+from matsharp.inequalities import LEMMA_CHAIN, stack_reports
 from matsharp.linalg import matrix_power_psd
 
 ROOT_SEED = 20260809
@@ -158,45 +159,39 @@ def lemma_chain_results():
     """1000 PD pairs x full (t, r, s) grid; margins over the default norm set.
 
     Pair i has n = 2 + i % 4, so the pairs of each n form one stack, in
-    which pair i is row i // 4.  The lemma chain's kernel evaluates each
-    stack over the whole grid in one pass; row i // 4 of a point's sigmas
-    is what ``lemma_chain_sigmas`` gives for pair i at that point.
+    which pair i is row i // 4.  Each stack is evaluated and reduced over
+    the whole grid and the five Schatten norms in one ``stack_reports``
+    call; the suite's own band then judges its margins.  A fan margin's
+    scale is the Schatten-1 value of the step's right term.
     """
     pairs = [[random_pd(EnsembleSpec(dim=2 + i % 4, seed=split_seed(ROOT_SEED + 7, 2 * i + side)))
               for side in (0, 1)] for i in range(1000)]
-    grid = {"t": T4_GRID, "r": R4_GRID, "s": S4_GRID}
-    stacks = {}
-    for n in range(2, 6):
-        group = pairs[n - 2::4]
-        a, b = (np.array([[pair[side]] for pair in group]) for side in (0, 1))
-        stacks[n] = _chain_points(LEMMA_CHAIN, a, b, grid, (None,) * len(a))[1]
+    norms = tuple(NormSpec.schatten(p) for p in SCHATTEN_PS)
+    grid = {"t": T4_GRID, "r": R4_GRID, "s": S4_GRID, "norm": norms}
+    points = list(itertools.product(T4_GRID, R4_GRID, S4_GRID))
     violations = []
     fan_violations = []
     min_margin = {r: math.inf for r in R4_GRID}
-    for i in range(1000):
-        points = iter(stacks[2 + i % 4])
-        for t in T4_GRID:
-            for r in R4_GRID:
-                for s in S4_GRID:
-                    sigmas = [sig[i // 4] for _, sig in next(points).sigmas]
-                    prefixes = [np.cumsum(sig) for sig in sigmas]
-                    key = (i, t, r, s)
-                    for left, right in ((0, 1), (1, 2), (2, 3)):
-                        fan = float(np.min(prefixes[right] - prefixes[left]))
-                        fan_scale = float(prefixes[right][-1])
-                        if fan < -band(fan_scale):
-                            fan_violations.append((key, left, fan))
-                        min_margin[r] = min(min_margin[r], fan / max(fan_scale, 1e-300))
-                    for p in SCHATTEN_PS:
-                        spec = NormSpec.schatten(p)
-                        vals = [norm_from_singular_values(sig, spec) for sig in sigmas]
-                        b_p = band(max(vals))
-                        for j in range(3):
-                            if vals[j + 1] - vals[j] < -b_p:
-                                violations.append((key, f"schatten:{p}", j,
-                                                   vals[j + 1] - vals[j]))
-                    # Ky Fan margins equal the fan prefix margins already
-                    # computed, so they need no second pass.
+    for n in range(2, 6):
+        group = pairs[n - 2::4]
+        a, b = (np.array([[pair[side]] for pair in group]) for side in (0, 1))
+        block = stack_reports(LEMMA_CHAIN, a, b, grid, (None,) * len(a))
+
+        def key(point, row):
+            return (4 * row + n - 2, *points[point])
+
+        bad = block.margins < -band(block.values.max(axis=2))[:, :, None]
+        for point, norm, j, row in np.argwhere(bad):
+            violations.append((key(point, row), f"schatten:{SCHATTEN_PS[norm]}", j,
+                               block.margins[point, norm, j, row]))
+        # Ky Fan margins equal the fan margins, so they need no second pass.
+        fan_scale = block.values[:, SCHATTEN_PS.index(1.0), 1:]
+        for point, left, row in np.argwhere(block.fan_margins < -band(fan_scale)):
+            fan_violations.append((key(point, row), left, block.fan_margins[point, left, row]))
+        ratio = block.fan_margins / np.maximum(fan_scale, 1e-300)
+        by_r = ratio.reshape(len(T4_GRID), len(R4_GRID), -1).min(axis=(0, 2))
+        for r, low in zip(R4_GRID, by_r):
+            min_margin[r] = min(min_margin[r], low)
     return violations, fan_violations, min_margin
 
 

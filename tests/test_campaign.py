@@ -984,7 +984,8 @@ class TestCli:
                  for seed in (31, 32)][:1 if inequality == "lemma_chain" else 2]
         argv = ["eval", "--inequality", inequality, "--t", "0.3", "--r", "2", "--s", "0.5",
                 "--norm", "trace"]
-        for side, flag in ((0, "--a"), (1, "--b")):
+        # Bourin-Uchiyama reads no B-list, so it is given none.
+        for side, flag in ((0, "--a"), (1, "--b"))[:1 if inequality == "bourin_uchiyama" else 2]:
             for i, pair in enumerate(pairs):
                 save_matrix(tmp_path / f"{side}{i}.json", pair[side])
                 argv += [flag, str(tmp_path / f"{side}{i}.json")]
@@ -1002,6 +1003,26 @@ class TestCli:
         code = cli_main(argv)
         assert capsys.readouterr().out == expected.to_json() + "\n"
         assert code == (0 if expected.holds else 2)
+
+    @pytest.mark.parametrize("inequality, pairs, extra, chain", [
+        ("lemma_chain", 2, [], "LemmaChain"),
+        ("bourin_uchiyama", 1, ["--function", "power:2", "--direction", "convex"],
+         "BourinUchiyama"),
+    ])
+    def test_eval_refuses_inputs_its_chain_does_not_read(self, inequality, pairs, extra, chain,
+                                                         tmp_path, capsys):
+        # The lemma chain reads one pair and Bourin-Uchiyama no B-list: a
+        # second pair or a B-list is refused, not silently dropped.
+        argv = ["eval", "--inequality", inequality, "--norm", "trace", *extra]
+        for i in range(pairs):
+            a, b = random_commuting_pair(EnsembleSpec(dim=2, kind="commuting", seed=40 + i))
+            for flag, matrix in (("--a", a), ("--b", b)):
+                save_matrix(tmp_path / f"{flag[2:]}{i}.json", matrix)
+                argv += [flag, str(tmp_path / f"{flag[2:]}{i}.json")]
+        code = cli_main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "shape error" in err and chain in err
 
     def test_campaign_writes_reports_and_summary(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
