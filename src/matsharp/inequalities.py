@@ -52,7 +52,7 @@ from .linalg import (
     spectrum_function,
     spectrum_power,
 )
-from .means import _mean_from_spectra, _pair_sum, _regularized_pair, _strict_spectrum
+from .means import _epsilon, _mean_from_spectra, _pair_sum, _strict_spectrum
 from .norms import NormSpec, norm_from_singular_values, singular_values, tolerance_band
 
 AUDENAERT = "Audenaert"
@@ -448,65 +448,59 @@ class _MainChain(_StackKernel):
     (t, r) grid, or (t, r, s) grid for the lemma chain, in one pass.
 
     The work that depends on neither t nor r is computed on first use and
-    kept for the stack: the pair spectra (strict, or shifted by their
-    epsilon), sum A and sum B with their spectra, and, for the proof chain,
-    the spectra the mean of the sums is built from.  :meth:`chain` then
-    builds each term once over the grid axes it depends on: the pair means
-    over every t (one SVD of A^(-1/2) B^(1/2) serves them all), the printed
-    terms over every r, A^r #_t B^r over every (t, r), and the flank terms
-    over every point, each as one stacked call over those values and every
-    instance and pair.  Each term is then written into the chain's one
-    array, broadcast over the grid axes it does not depend on.  On a stack
-    of single pairs (m = 1) without ``epsilon_scale`` it is the lemma
-    chain's kernel as well.
+    kept for the stack: the pair spectra, the spectra of sum A and sum B,
+    and, for the proof chain, those spectra screened for the mean of the
+    sums.  :meth:`chain` then builds each term once over the grid axes it
+    depends on: the pair means over every t (one SVD of A^(-1/2) B^(1/2)
+    serves them all), the printed terms over every r, A^r #_t B^r over
+    every (t, r), and the flank terms over every point, each as one stacked
+    call over those values and every instance and pair.  Each term is then
+    written into the chain's one array, broadcast over the grid axes it does
+    not depend on.  On a stack of single pairs (m = 1) without
+    ``epsilon_scale`` it is the lemma chain's kernel as well.
+
+    With ``epsilon_scale`` it is the strict chain on the inputs shifted by
+    one epsilon * I per instance: each A_i and B_i must pass the PSD clamp,
+    epsilon is the instance's largest ``regularization_epsilon``, and the
+    eigenvalues (never the matrices, which would break proof step 2's exact
+    tie at m = 1) of the pairs are shifted by epsilon, of the sums by m eps.
     """
 
     def __init__(self, a, b, epsilon_scale, seeds, mask_failures):
         super().__init__(a, b, seeds, mask_failures)
         self.epsilon_scale = epsilon_scale
 
-    def _mean_ready(self, a, b, spectra, names):
-        """Spectra of the pairs (a, b) ready for their means, and the
-        epsilons (or None).
-
-        Without ``epsilon_scale`` both sides, whose decompositions
-        ``spectra`` passes, must be strictly positive definite.  With it,
-        both are shifted by eps * I first; the A side must then stay
-        positive for its inverse square root and the B side pass the clamp.
-        """
-        if self.epsilon_scale is None:
-            failures = [spec.eigenvalues[..., -1] <= 0.0 for spec in spectra]
-            sa, sb = self._screen(spectra, failures, lambda side, index, spec:
-                                  _strict_spectrum(spec, names(side, index)))
-            return sa, sb, None
-        a_reg, b_reg, eps = _regularized_pair(a, b, self.epsilon_scale)
-        sa, sb = _eigh(a_reg), _eigh(b_reg)
-        failures = [sa.eigenvalues[..., -1] <= 0.0, _psd_clamp_failures(sb.eigenvalues)]
-        sa, sb = self._screen((sa, sb), failures, lambda side, index, spec:
-                              spectrum_power(spec, 0.5 if side else -0.5))
-        return sa, sb, eps
+    def _strict_screened(self, spectra, names):
+        """``spectra`` screened for a mean: each side strictly positive definite."""
+        return self._screen(spectra, [spec.eigenvalues[..., -1] <= 0.0 for spec in spectra],
+                            lambda side, index, spec: _strict_spectrum(spec, names(side, index)))
 
     @cached_property
     def pair_spectra(self):
         """Spectra of the A_i and of the B_i ready for the pair means,
-        stacked (T, m), and the epsilons (T, m) or None."""
-        spectra = (_eigh(self.a), _eigh(self.b)) if self.epsilon_scale is None else None
-        return self._mean_ready(self.a, self.b, spectra,
-                                lambda side, index: f"{'AB'[side]}[{index[1]}]")
+        stacked (T, m), and the epsilons (T,) or None."""
+        spectra, eps = [_eigh(self.a), _eigh(self.b)], None
+        if self.epsilon_scale is not None:
+            eps = _epsilon(self.epsilon_scale, *(s.eigenvalues for s in spectra), axis=(1, 2))
+            spectra = [Spectrum(s.eigenvalues + eps[:, None, None], s.vectors)
+                       for s in self._psd_screened(spectra)]
+        sa, sb = self._strict_screened(spectra, lambda side, index: f"{'AB'[side]}[{index[1]}]")
+        return sa, sb, eps
 
     @cached_property
     def sums(self):
-        """(sum A, sum B, spectrum of sum A, spectrum of sum B), stacked (T,)."""
-        sum_a, sum_b = _pair_sum(self.a), _pair_sum(self.b)
-        s_a, s_b = self._psd_screened([_eigh(sum_a), _eigh(sum_b)])
-        return sum_a, sum_b, s_a, s_b
+        """Spectra of sum A and sum B, stacked (T,), shifted by m epsilon."""
+        spectra = [_eigh(_pair_sum(self.a)), _eigh(_pair_sum(self.b))]
+        eps = self.pair_spectra[2]
+        if eps is not None:
+            spectra = [Spectrum(s.eigenvalues + self.a.shape[1] * eps[:, None], s.vectors)
+                       for s in spectra]
+        return self._psd_screened(spectra)
 
     @cached_property
     def sum_pair_spectra(self):
-        """Spectra of the pair (sum A, sum B) ready for its mean, and the epsilons."""
-        sum_a, sum_b, s_a, s_b = self.sums
-        return self._mean_ready(sum_a, sum_b, (s_a, s_b),
-                                lambda side, index: ("sum A", "sum B")[side])
+        """The spectra of :attr:`sums` ready for the mean of the sums."""
+        return self._strict_screened(self.sums, lambda side, index: ("sum A", "sum B")[side])
 
     def chain(self, inequality_id, grid, printed_form=True):
         """The chain ``inequality_id`` over ``grid``, in grid order: the
@@ -538,13 +532,9 @@ class _MainChain(_StackKernel):
             mean_pows = spectra.assemble(np.array([np.power(mean_w, r) for r in rs]))
             lhs = _psd_sigma(sum(np.moveaxis(mean_pows, -3, 0))).swapaxes(0, 1)
             terms = [("sum (A_i#B_i)^r", lhs[:, :, None])]
-            _, _, s_a, s_b = self.sums
+            s_a, s_b = self.sums
             if proof:
                 terms += self._proof_terms(means, ts, rs)
-            if eps is not None:
-                eps = eps.max(axis=1)
-                if proof:
-                    eps = np.maximum(eps, self.sum_pair_spectra[2])
             if printed_form or proof:
                 quarter = _powers(s_a, [r / 4.0 for r in rs])
                 half_b = _powers(s_b, [r / 2.0 for r in rs])
@@ -572,7 +562,7 @@ class _MainChain(_StackKernel):
     def _proof_terms(self, means, ts, rs):
         """(sum_i A_i #_t B_i)^r and (sumA #_t sumB)^r from the pair ``means``
         at every t, laid out (t, r, 1, T, n)."""
-        sa, sb, _ = self.sum_pair_spectra
+        sa, sb = self.sum_pair_spectra
         sum_of_means = _eigh(_pair_sum(means))
         mean_of_sums = _eigh(_mean_from_spectra(sa, sb, ts))
         return [(label, np.array([np.power(w, r) for r in rs]).swapaxes(0, 1)[:, :, None])
@@ -607,7 +597,10 @@ def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
     exponents (r/4, r/2) exactly as printed; otherwise the t-dependent
     variant assembled from the proof is used.  The two forms are never
     silently substituted for one another.  ``r < 1`` is allowed for
-    exploration and flagged in the params.
+    exploration and flagged in the params.  With ``epsilon_scale`` (PSD
+    inputs) the chain is evaluated on the inputs shifted by one epsilon * I,
+    ``epsilon_scale * (1 + max_i max(||A_i||_2, ||B_i||_2))``, which the
+    report records.
     """
     return _check(MAIN_THEOREM, a_list, b_list, {"t": t, "r": r, "norm": norm_spec}, seed,
                   printed_form=printed_form, epsilon_scale=epsilon_scale)

@@ -2,14 +2,15 @@
 
 The mean ``A #_t B = A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2)`` is the
 Riemannian geodesic between positive definite A and B at parameter t.
-It requires invertible inputs; a regularized surrogate is provided for
-positive semidefinite stress tests.  The chain terms built from these
-means live in :mod:`matsharp.inequalities`; they share this module's
-strict-positivity check and epsilon shift, so each is written once.
-:func:`_mean_from_spectra`, :func:`_regularized_pair`,
-:func:`regularization_epsilon` and :func:`sum_matrices` also take stacks
-of matrices (leading batch axes), one result per slice;
-:func:`_mean_from_spectra` also takes every t of a grid at once.
+It requires invertible inputs; the surrogate for positive semidefinite
+stress tests is the strict mean of the inputs shifted by one epsilon * I.
+The chain terms built from these means live in
+:mod:`matsharp.inequalities`; they share this module's strict-positivity
+check and epsilon formula, so each is written once.
+:func:`_mean_from_spectra`, :func:`regularization_epsilon` and
+:func:`sum_matrices` also take stacks of matrices (leading batch axes),
+one result per slice; :func:`_mean_from_spectra` also takes every t of a
+grid at once.
 """
 
 import numpy as np
@@ -22,7 +23,6 @@ from .linalg import (
     _eigh,
     as_matrix,
     hermitian_part,
-    spectral_norm,
     spectrum_power,
 )
 
@@ -108,36 +108,40 @@ def _mean_from_spectra(sa, sb, ts):
     return 0.5 * (mean + _adjoint(mean))
 
 
+def _epsilon(epsilon_scale, w_a, w_b, axis=-1):
+    """``epsilon_scale * (1 + max(||A||_2, ||B||_2))``, the shift of every
+    regularized mean and chain, with ||.||_2 the largest |eigenvalue| in
+    ``w_a`` or ``w_b`` over ``axis``; ``epsilon_scale`` must be positive."""
+    if not epsilon_scale > 0.0:
+        raise ValueError(f"epsilon_scale must be positive, got {epsilon_scale!r}")
+    return float(epsilon_scale) * (1.0 + np.maximum(np.abs(w_a).max(axis=axis),
+                                                    np.abs(w_b).max(axis=axis)))
+
+
 def regularization_epsilon(a, b, epsilon_scale=DEFAULT_EPSILON_SCALE):
-    """Epsilon used by the regularized mean: scale * (1 + max spectral norm).
+    """Epsilon used by the regularized mean: scale * (1 + max spectral norm),
+    with the spectral norm of Hermitian A read as max|lambda| from one
+    eigendecomposition of A.
 
     For equal-shape stacks of matrices, one epsilon per pair of slices.
     """
-    return float(epsilon_scale) * (1.0 + np.maximum(spectral_norm(a), spectral_norm(b)))
+    w_a, w_b = (_eigh(_as_stack(x)).eigenvalues for x in (a, b))
+    return _epsilon(epsilon_scale, w_a, w_b)
 
 
 def psd_geometric_mean(a, b, t, epsilon_scale=DEFAULT_EPSILON_SCALE):
     """Regularized t-geometric mean for positive semidefinite inputs.
 
     Computes ``geometric_mean(A + eps*I, B + eps*I, t)`` with
-    ``eps = epsilon_scale * (1 + max(||A||_2, ||B||_2))``.  This is a
-    regularized surrogate for singular inputs, not a limit claim; report
-    the epsilon alongside any result derived from it
-    (:func:`regularization_epsilon` recomputes it).
+    ``eps = epsilon_scale * (1 + max(||A||_2, ||B||_2))``: the strict mean
+    of the inputs shifted by one eps * I, as a regularized chain shifts
+    each instance.  This is a regularized surrogate for singular inputs,
+    not a limit claim; report the epsilon alongside any result derived
+    from it (:func:`regularization_epsilon` recomputes it).
     """
-    a_reg, b_reg, _ = _regularized_pair(as_matrix(a), as_matrix(b), epsilon_scale)
-    return geometric_mean(a_reg, b_reg, t)
-
-
-def _regularized_pair(a, b, epsilon_scale):
-    """Shift both matrices by ``eps * I``; returns (A + eps I, B + eps I, eps)
-    with eps from :func:`regularization_epsilon` (one per slice for stacks).
-    The shift of every regularized mean and chain; ``epsilon_scale`` must be positive."""
-    if not epsilon_scale > 0.0:
-        raise ValueError(f"epsilon_scale must be positive, got {epsilon_scale!r}")
-    eps = regularization_epsilon(a, b, epsilon_scale)
-    shift = np.multiply.outer(eps, np.eye(a.shape[-1]))
-    return a + shift, b + shift, eps
+    a, b = as_matrix(a), as_matrix(b)
+    shift = regularization_epsilon(a, b, epsilon_scale) * np.eye(a.shape[-1])
+    return geometric_mean(a + shift, b + shift, t)
 
 
 def _pair_sum(stack):

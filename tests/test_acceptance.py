@@ -127,10 +127,9 @@ def test_criterion_3_mean_identities():
             det_want = np.linalg.det(a).real ** (1 - t) * np.linalg.det(b).real ** t
             worst["determinant"] = max(worst["determinant"],
                                        abs(det_got - det_want) / abs(det_want))
-            red = np.linalg.norm(geometric_mean(c, d, t)
-                                 - matrix_power_psd(c, 1 - t) @ matrix_power_psd(d, t))
-            worst["commuting"] = max(worst["commuting"],
-                                     red / np.linalg.norm(geometric_mean(c, d, t)))
+            g_cd = geometric_mean(c, d, t)
+            red = np.linalg.norm(g_cd - matrix_power_psd(c, 1 - t) @ matrix_power_psd(d, t))
+            worst["commuting"] = max(worst["commuting"], red / np.linalg.norm(g_cd))
             if t in (0.25, 0.5, 0.75):
                 left = m @ g @ m.conj().T
                 right = geometric_mean(m @ a @ m.conj().T, m @ b @ m.conj().T, t)

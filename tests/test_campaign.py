@@ -29,6 +29,7 @@ from matsharp import (
     search_counterexample,
     split_seed,
     summarize,
+    tolerance_band,
 )
 import matsharp.campaign as campaign
 from matsharp.campaign import (
@@ -364,6 +365,23 @@ class TestRunCampaign:
         _, reports = run_campaign(cfg)
         assert all(r.regularization_epsilon is not None for r in reports)
         assert all(np.isfinite(min(r.margins)) for r in reports)
+
+    @pytest.mark.parametrize("inequality_id", ["main_theorem", "proof_steps"])
+    def test_rank_one_psd_campaign_violates_no_theorem_step(self, inequality_id):
+        # The theorem steps: every step of the t-dependent variant at r >= 1,
+        # and proof steps 1-2 (all of them at t = 1/2, where the printed
+        # terms are the variant's).  Shifting each pair by its own epsilon
+        # and leaving the sums unshifted once reported such steps violated.
+        cfg = small_config(trials=6, dims=[2, 3, 4], **{
+            "inequality-id": inequality_id, "printed-form": False, "m-values": [2, 3],
+            "t-grid": [0.0, 0.1, 0.5, 0.9, 1.0], "r-grid": [1.0, 2.0, 3.0],
+            "norm-specs": ["schatten:1", "operator", "kyfan:2"],
+            "ensemble": {"kind": "psd", "rank": 1}})
+        _, reports = run_campaign(cfg)
+        for report in reports:
+            steps = 2 if report.inequality_id == "ProofSteps" and report.params["t"] != 0.5 else 4
+            band = tolerance_band(max(value for _, value in report.terms))
+            assert min(report.margins[:steps]) >= -band, report.to_obj()
 
 
 def instance_seed(cfg, trial, point):

@@ -383,6 +383,22 @@ class TestReductionIdentity:
             assert aud.holds and main.holds
 
 
+class TestRegularizedChain:
+    @pytest.mark.parametrize("c", [0.0, 0.01, 0.1, 1.0])
+    def test_scalar_pair_ties_at_every_scale(self, c):
+        # A = B = cI: every term of the shifted chain is ((c + eps) I)^r, an
+        # exact tie.  Shifting the pair means but not the sums once gave a
+        # violation here for every c below 1.
+        a = [c * np.eye(3)]
+        for t in (0.1, 0.5, 0.9):
+            for r in (1.0, 2.0):
+                variant = check_main_theorem(a, a, t, r, NormSpec.trace(), printed_form=False,
+                                             epsilon_scale=1e-10)
+                assert variant.holds, (t, r, variant.margins)
+        printed = check_main_theorem(a, a, 0.5, 1.0, NormSpec.trace(), epsilon_scale=1e-10)
+        assert printed.holds, printed.margins
+
+
 # Every chain but Bourin-Uchiyama with a non-power f, and the regularized
 # path, is homogeneous in (A, B), so its verdict must not depend on c.
 SCALES = [10.0 ** k for k in range(-8, 9, 2)]
@@ -513,6 +529,45 @@ class TestScaleInvariance:
         zero = np.zeros((2, 2))
         report = check_audenaert([zero], [zero], S1)
         assert report.margins == [0.0, 0.0] and report.holds
+
+
+SWAP_SAMPLES = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+                    m=st.integers(1, 3), t=st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0]),
+                    r=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                    norm=st.sampled_from(["schatten:1", "schatten:2", "operator", "kyfan:1"]))
+
+
+class TestMeanSymmetry:
+    @settings(derandomize=True, deadline=5000, max_examples=100, database=None)
+    @given(**SWAP_SAMPLES)
+    def test_swap_leaves_the_mean_terms_unchanged(self, seed, n, m, t, r, norm):
+        # A #_t B = B #_(1-t) A: the lemma chain's first term and the main
+        # chain's left term read only these means.
+        a_list, b_list = chain_inputs("main-printed", seed, n, m)
+        norm = NormSpec.parse(norm)
+        lemma, swapped = (check_lemma_chain(x, y, w, r, 1.0, norm).terms[0][1]
+                          for x, y, w in ((a_list[0], b_list[0], t), (b_list[0], a_list[0], 1 - t)))
+        assert swapped == pytest.approx(lemma, rel=1e-12, abs=0.0)
+        main, swapped = (check_main_theorem(x, y, w, r, norm).terms[0][1]
+                         for x, y, w in ((a_list, b_list, t), (b_list, a_list, 1 - t)))
+        assert swapped == pytest.approx(main, rel=1e-12, abs=0.0)
+
+
+class TestInputForms:
+    def test_audenaert_reads_tuples_and_generators_as_lists(self):
+        pairs = [random_commuting_pair(EnsembleSpec(dim=3, kind="commuting", seed=seed))
+                 for seed in (61, 62)]
+        a_list, b_list = [a for a, _ in pairs], [b for _, b in pairs]
+        want = check_audenaert(a_list, b_list, S1).to_obj()
+        assert check_audenaert(tuple(a_list), tuple(b_list), S1).to_obj() == want
+        assert check_audenaert(iter(a_list), (b for b in b_list), S1).to_obj() == want
+
+    def test_bourin_uchiyama_reads_tuples_and_generators_as_lists(self):
+        a_list = [pd_for(63, n=3), pd_for(64, n=3), pd_for(65, n=3)]
+        want = check_bourin_uchiyama(a_list, "power:2", "convex", S1).to_obj()
+        assert want["params"]["m"] == 3
+        for form in (tuple(a_list), iter(a_list), (a for a in a_list)):
+            assert check_bourin_uchiyama(form, "power:2", "convex", S1).to_obj() == want
 
 
 class TestReportMechanics:

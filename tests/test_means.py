@@ -11,6 +11,7 @@ from matsharp import (
     NotPositiveDefiniteError,
     ShapeError,
     check_main_theorem,
+    check_proof_steps,
     default_norm_specs,
     geometric_mean,
     hermitian_eigendecompose,
@@ -135,6 +136,12 @@ class TestPsdGeometricMean:
         with pytest.raises(ValueError):
             psd_geometric_mean(np.eye(2), np.eye(2), 0.5, 0.0)
 
+    def test_epsilon_reads_the_spectral_norm_from_the_eigenvalues(self):
+        # ||A||_2 of a Hermitian A is its largest |eigenvalue|, negative or not.
+        assert regularization_epsilon(np.diag([3.0, -5.0]), np.eye(2), 0.5) == 3.0
+        stack = np.array([np.diag([3.0, -5.0]), 2 * np.eye(2)])
+        assert regularization_epsilon(stack, np.eye(2), 0.5).tolist() == [3.0, 1.5]
+
 
 class TestSumMatrices:
     def test_singleton(self):
@@ -232,6 +239,18 @@ class TestMainTerms:
                                     epsilon_scale=1e-10)
         assert np.all(np.isfinite(term_values(report) + report.margins + report.fan_margins))
         assert report.regularization_epsilon == regularization_epsilon(a_list[0], b_list[0], 1e-10)
+
+    def test_regularized_path_has_one_epsilon_per_instance(self):
+        # Every pair and both sums are shifted by the largest pair epsilon;
+        # the second pair is scaled up so that the two epsilons differ.
+        a_list, b_list = ([c * random_psd_rank_deficient(
+            EnsembleSpec(dim=3, kind="psd", seed=seed + k, rank=1)) for k, c in enumerate((1, 7))]
+            for seed in (30, 40))
+        want = max(regularization_epsilon(a, b, 1e-10) for a, b in zip(a_list, b_list))
+        assert want > regularization_epsilon(a_list[0], b_list[0], 1e-10)
+        for check in (check_main_theorem, check_proof_steps):
+            report = check(a_list, b_list, 0.5, 2.0, NormSpec.trace(), epsilon_scale=1e-10)
+            assert report.regularization_epsilon == want
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):

@@ -14,10 +14,13 @@ and summary records with the wall time set to 0), then the verdict
 counts.  The set covers every inequality id, stacks of more trials than
 one chunk, and configs whose stacks hold failing slices.  Run it in two
 checkouts and diff the outputs.  The digests depend on the LAPACK build,
-so none is pinned here.  The last line, ``screens-at-scale``, is no
-digest: for each of three inputs that the numerical screens must refuse,
-it gives the outcome at c = 1e-8, 1e-6, ..., 1e8, one letter each: ``h``
-held, ``v`` violated, ``i`` indeterminate, ``x`` refused with an error.
+so none is pinned here.  The last two lines are no digests.
+``screens-at-scale`` gives, for each of three inputs that the numerical
+screens must refuse, the outcome at c = 1e-8, 1e-6, ..., 1e8, one letter
+each: ``h`` held, ``v`` violated, ``i`` indeterminate, ``x`` refused with
+an error.  ``regularized-ties`` gives, in the same letters, the
+regularized printed form and variant on A = B = cI at c = 0, 1e-8, ...,
+1e8, where every term ties.
 The library is imported from the ``src`` directory next to this script.
 """
 
@@ -214,6 +217,21 @@ def screens_at_scale():
     return " ".join(fields)
 
 
+def regularized_ties():
+    """The outcome letters of the regularized main chain, printed and variant,
+    on A = B = cI (n = 3, trace norm, t = 1/2, r = 1, epsilon scale 1e-10)."""
+    fields = []
+    for name, printed_form in (("printed", True), ("variant", False)):
+        letters = ""
+        for c in [0.0] + [10.0 ** k for k in range(-8, 9, 2)]:
+            a = [c * np.eye(3)]
+            report = check_main_theorem(a, a, 0.5, 1.0, NormSpec.trace(),
+                                        printed_form=printed_form, epsilon_scale=1e-10)
+            letters += "h" if report.holds else "v" if report.is_finite() else "i"
+        fields.append(f"{name}:{letters}")
+    return " ".join(fields)
+
+
 def main():
     records = []
     for name, obj in CAMPAIGNS.items():
@@ -225,6 +243,7 @@ def main():
     print(f"lemma-sigmas-grid {digest(lemma_sigmas_grid())} -")
     print("records", digest("\n".join(records)), "-")
     print("screens-at-scale", screens_at_scale())
+    print("regularized-ties", regularized_ties())
 
 
 if __name__ == "__main__":
