@@ -15,7 +15,10 @@ and each chain term is one call over the grid values it depends on (the
 pair means over every t, the main chain's terms over every (t, r) point
 they vary with), each covering every instance of the group.  Every norm then reduces those
 sequences into arrays, which the summary reads; a report is built when the
-:class:`ReportStream` is read.  NumPy gives each slice of a stacked call the
+:class:`ReportStream` is read.  Rendering builds none: :func:`render_reports`
+gives each grid point of a stack one row template, which each of its
+(norm, instance) rows fills from the arrays, and writes a list of reports
+through the same formatter.  NumPy gives each slice of a stacked call the
 bits of the single-matrix call, so the reports are the ones the ``check_*``
 predicates give instance by instance and point by point, emitted in
 (trial, grid point) order.  An instance that fails the strict
@@ -33,8 +36,10 @@ key.  Every output file is written by :func:`write_output`.
 """
 
 import csv
+import functools
 import io
 import itertools
+import json
 import math
 import numbers
 import re
@@ -58,6 +63,7 @@ from .inequalities import (
     _Record,
     _build_report,
     _instance_reports,
+    _report_blocks,
     resolve_function,
     stack_reports,
 )
@@ -94,8 +100,10 @@ CSV_COLUMNS = (
     "term-1", "term-2", "term-3", "term-4", "term-5",
     "margin-1", "margin-2", "margin-3", "margin-4",
 )
-# The columns read from a report's params, and the first margin column.
-_CSV_PARAMS = CSV_COLUMNS[1:CSV_COLUMNS.index("regularization-epsilon")]
+# The columns read from a report's params, the first column after them and
+# the first margin column.
+_CSV_TAIL = CSV_COLUMNS.index("regularization-epsilon")
+_CSV_PARAMS = CSV_COLUMNS[1:_CSV_TAIL]
 _CSV_MARGINS = CSV_COLUMNS.index("margin-1")
 
 # Trials per stacked pass of ``run_campaign``: it bounds the memory of one
@@ -479,23 +487,136 @@ def run_campaign(config):
 # Report emission
 # ---------------------------------------------------------------------------
 
-def render_reports(reports, output_format):
-    """Render a report stream to text (line-delimited JSON or CSV)."""
-    if output_format == "json":
-        return "".join(r.to_json() + "\n" for r in reports)
-    if output_format != "csv":
-        raise ConfigError(f"output-format must be 'json' or 'csv', got {output_format!r}")
+def _mark(field):
+    """The stand-in for format field ``field`` while a row template is built:
+    its NUL characters are in no id, label or param of a report."""
+    return f"\0{field}\0"
+
+
+# The stand-ins as json and csv write them.
+_MARKS = {"json": re.compile(r'"\\u0000(\w+)\\u0000"'), "csv": re.compile("\0(\\w+)\0")}
+
+
+def _format_string(output_format, text):
+    """``text`` as a format string: braces doubled, each stand-in its field."""
+    return _MARKS[output_format].sub(lambda mark: f"{{{mark[1]}}}",
+                                     text.replace("{", "{{").replace("}", "}}"))
+
+
+def _csv_line(cells):
+    """``cells`` as one CSV line, without its terminator."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in reports:
-        row = [r.inequality_id, *map(r.params.get, _CSV_PARAMS), r.regularization_epsilon,
-               r.holds, *(value for _, value in r.terms)]
-        row += [None] * (_CSV_MARGINS - len(row)) + list(r.margins)
-        row += [None] * (len(CSV_COLUMNS) - len(row))
-        # csv writes None as an empty cell and any other value through str().
-        writer.writerow(["true" if c is True else "false" if c is False else c for c in row])
-    return buf.getvalue()
+    # csv writes None as an empty cell and any other value through str().
+    csv.writer(buf, lineterminator="\n").writerow(
+        ["true" if c is True else "false" if c is False else c for c in cells])
+    return buf.getvalue()[:-1]
+
+
+@functools.lru_cache(maxsize=256)
+def _row_frame(output_format, inequality_id, labels, steps, fans):
+    """A row's text around its params, as format strings (before, after)
+    whose fields take a row's cells: {3} holds, {4} epsilon, then the term
+    values, the ``steps`` margins and the ``fans`` fan margins (None: the
+    report has none)."""
+    cells, params = [_mark(i) for i in range(5 + len(labels) + steps + (fans or 0))], _mark("p")
+    values, margins = cells[5:5 + len(labels)], cells[5 + len(labels):5 + len(labels) + steps]
+    if output_format == "json":
+        fan = None if fans is None else cells[5 + len(labels) + steps:]
+        text = InequalityReport(inequality_id, params, list(zip(labels, values)), margins,
+                                cells[3], cells[4], fan).to_json()
+        params = json.dumps(params)
+    else:
+        # The cells after the params, at their columns' offsets.
+        tail = [cells[4], cells[3], *values]
+        tail += [None] * (_CSV_MARGINS - _CSV_TAIL - len(tail)) + margins
+        tail += [None] * (len(CSV_COLUMNS) - _CSV_TAIL - len(tail))
+        text = _csv_line([inequality_id, params, *tail])
+    before, after = text.split(params)
+    return _format_string(output_format, before), _format_string(output_format, after + "\n")
+
+
+def _cells(array, output_format):
+    """``array.tolist()``; in JSON, non-finite floats as json spells them."""
+    if output_format == "csv" or np.isfinite(array).all():
+        return array.tolist()
+    cells = array.astype(object)
+    cells[np.isnan(array)] = "NaN"
+    cells[array == np.inf] = "Infinity"
+    cells[array == -np.inf] = "-Infinity"
+    return cells.tolist()
+
+
+def _block_rows(block, output_format, trials=None):
+    """The rows of a reduced block as text, one string per instance.
+
+    Each grid point gets one format string, its params written once around
+    the frame of :func:`_row_frame`, and each of its (norm, instance) rows
+    fills the fields from one ``tolist`` per array; floats are written by
+    ``float.__repr__``.  ``trials``, one per instance, puts the seed ({0}),
+    the trial ({1}) and the norm ({2}) in each row's params, as
+    :func:`_instance_reports` does; without it the block holds reports
+    (:func:`_report_blocks`), whose params are written as they are.
+    """
+    if trials is None:
+        params = block.params
+    else:
+        params = [dict(point, **{"norm-spec": _mark(2), "seed": _mark(0)}, trial=_mark(1))
+                  for point in block.params]
+    json_format, fan_margins = output_format == "json", block.fan_margins
+    before, after = _row_frame(output_format, block.inequality_id, tuple(block.labels),
+                               block.margins.shape[2],
+                               None if fan_margins is None else fan_margins.shape[1])
+    templates = [before + _format_string(output_format, json.dumps(point) if json_format
+                                         else _csv_line(map(point.get, _CSV_PARAMS))) + after
+                 for point in params]
+    # A norm's text ("schatten:2") needs no CSV quoting.
+    names = [json.dumps(str(norm)) if json_format else str(norm) for norm in block.norms]
+    # One entry per row of an instance: the rows are (point, norm) pairs.
+    templates = [template for template in templates for _ in names]
+    names *= len(block.params)
+    count, null = len(block.seeds), "null" if json_format else ""
+
+    def by_instance(array):
+        """``array`` as (instance, row, entry)."""
+        return _cells(array.transpose(-1, *range(array.ndim - 1)).reshape(
+            count, len(templates), -1), output_format)
+
+    def instance_rows(seed, trial, eps, holds, values, margins, fans):
+        return "".join(template.format(seed, trial, name, held, eps, *value, *margin, *fan)
+                       for template, name, held, value, margin, fan in zip(
+                           templates, names, holds, values, margins, fans))
+
+    return list(map(
+        instance_rows, [null if seed is None else seed for seed in block.seeds],
+        trials or [None] * count,
+        [null] * count if block.epsilon is None else _cells(block.epsilon, output_format),
+        np.where(block.holds, "true", "false").transpose(2, 0, 1).reshape(count, -1).tolist(),
+        by_instance(block.values), by_instance(block.margins),
+        [[()] * len(templates)] * count if fan_margins is None
+        else by_instance(np.repeat(fan_margins[:, None], len(block.norms), axis=1))))
+
+
+def render_reports(reports, output_format):
+    """Render a report stream, or a list of reports, to text (line-delimited
+    JSON or CSV).
+
+    Both go through one row formatter, :func:`_block_rows`: a
+    :class:`ReportStream` straight from its reduced blocks, with no report
+    built, and a list as blocks of its reports (:func:`_report_blocks`).
+    """
+    if output_format not in ("json", "csv"):
+        raise ConfigError(f"output-format must be 'json' or 'csv', got {output_format!r}")
+    if isinstance(reports, ReportStream):
+        chunks = ([(block, range(first, first + len(block.seeds))) for block in blocks]
+                  for first, blocks in zip(itertools.count(0, CHUNK_TRIALS), reports._chunks))
+    else:
+        chunks = ([(block, None)] for block in _report_blocks(reports))
+    text = [] if output_format == "json" else [",".join(CSV_COLUMNS) + "\n"]
+    for chunk in chunks:
+        # One string per instance and block: the stream's order is (trial, block).
+        text += itertools.chain.from_iterable(
+            zip(*[_block_rows(block, output_format, trials) for block, trials in chunk]))
+    return "".join(text)
 
 
 def write_output(path, text):

@@ -227,6 +227,32 @@ def _build_report(block, k=0):
     return _instance_reports(block, k)[0]
 
 
+def _report_blocks(reports):
+    """A list of reports as reduced blocks, the inverse of
+    :func:`_instance_reports`: each run of reports that share a chain, term
+    labels, step counts and epsilon is one block of a point per report, one
+    norm and one instance, whose params are the reports' own."""
+    def layout(report):
+        return (report.inequality_id, [label for label, _ in report.terms], len(report.margins),
+                None if report.fan_margins is None else len(report.fan_margins),
+                report.regularization_epsilon)
+
+    for (inequality_id, labels, _, fans, eps), run in itertools.groupby(reports, key=layout):
+        run = list(run)
+
+        def floats(rows):
+            """(reports, entries) as floats."""
+            return np.array(rows, dtype=float).reshape(len(run), -1)
+
+        yield _ReportBlock(
+            inequality_id, [r.params for r in run], labels, (None,), (None,),
+            floats([[v for _, v in r.terms] for r in run])[:, None, :, None],
+            floats([r.margins for r in run])[:, None, :, None],
+            None if fans is None else floats([r.fan_margins for r in run])[:, :, None],
+            None, np.array([r.holds for r in run]).reshape(-1, 1, 1),
+            None if eps is None else np.array([eps], dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # Shared matrix helpers (all sigma sequences returned sorted nonincreasing;
 # a stack of terms gives one sequence per slice).  A term whose entries

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,7 +45,13 @@ from matsharp.campaign import (
     reevaluate_search_instance,
 )
 from matsharp.cli import main as cli_main
-from matsharp.inequalities import BOURIN_UCHIYAMA, stack_reports
+from matsharp.inequalities import (
+    BOURIN_UCHIYAMA,
+    MAIN_THEOREM,
+    _params,
+    _ReportBlock,
+    stack_reports,
+)
 
 
 SMALL = {
@@ -707,6 +716,30 @@ class TestFailingSlice:
         assert summary["indeterminate"] >= 1
 
 
+# kyfan:1 and operator both read sigma_1: every report is tied with the next one.
+STREAM_BASE = {"trials": 3, "dims": [2, 3], "m-values": [1, 2], "t-grid": [0.25, 0.5],
+               "r-grid": [1.0, 2.0], "norm-specs": ["kyfan:1", "operator"], "root-seed": 67}
+# Failing slices mask their instances: NaN terms in both formats.
+MASKED_FAILING_SLICE = {"inequality-id": "main_theorem", "ensemble": {"condition-target": 1e17}}
+
+
+def special_float_stream():
+    """A hand-built stream of 2 trials x 2 points x 2 norms whose cells hold
+    every float a renderer must spell: NaN, +-inf, -0.0, 1e-300 and 5e+300,
+    at t = 0.0 and 1.0, with seeds from 2^63 up and one epsilon each."""
+    params = [_params(m=1, n=2, t=t, r=1.0, **{"printed-form": True}) for t in (0.0, 1.0)]
+    cells = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e300, 0.1, 2.0])
+    values = np.resize(cells, (2, 2, 3, 2))
+    margins = np.resize(np.roll(cells, 3), (2, 2, 2, 2))
+    fans = np.resize(np.roll(cells, 5), (2, 2, 2))
+    finite = np.isfinite(values).all(axis=2) & np.isfinite(margins).all(axis=2)
+    block = _ReportBlock(MAIN_THEOREM, params, ["left", "middle", "right"],
+                         (NormSpec.trace(), NormSpec.schatten(2)), (2**63, 2**64 - 1), values,
+                         margins, fans, finite, finite & (margins.min(axis=2) >= 0.0),
+                         np.array([1e-300, 0.25]))
+    return ReportStream([[block]], 2, 4)
+
+
 class TestReportStream:
     @pytest.mark.parametrize("obj", [
         {"inequality-id": "main_theorem", "trials": CHUNK_TRIALS + 2},
@@ -716,17 +749,12 @@ class TestReportStream:
         {"inequality-id": "audenaert"},
         {"inequality-id": "bourin_uchiyama", "functions": ["power:2", "expm1"],
          "direction": "convex"},
-        # Failing slices mask their instances: NaN terms in both formats.
-        {"inequality-id": "main_theorem", "ensemble": {"condition-target": 1e17}},
+        MASKED_FAILING_SLICE,
     ], ids=["main_theorem", "main_variant_psd", "proof_steps", "lemma_chain", "audenaert",
             "bourin_uchiyama", "masked_failing_slice"])
     def test_arrays_agree_with_the_reports_they_hold(self, obj):
-        # kyfan:1 and operator both read sigma_1: every report is tied with
-        # the next one, and the summary must keep the first of a tie.
-        cfg = CampaignConfig.from_obj(dict({
-            "trials": 3, "dims": [2, 3], "m-values": [1, 2], "t-grid": [0.25, 0.5],
-            "r-grid": [1.0, 2.0], "norm-specs": ["kyfan:1", "operator"],
-            "root-seed": 67}, **obj))
+        # The summary must keep the first report of a tie.
+        cfg = CampaignConfig.from_obj(dict(STREAM_BASE, **obj))
         summary, stream = run_campaign(cfg)
         reports = list(stream)
         assert len(stream) == len(reports) == cfg.trials * cfg.grid_size()
@@ -745,6 +773,37 @@ class TestReportStream:
             assert summary.held and summary.indeterminate
             assert "NaN" in render_reports(stream, "json")
             assert ",nan," in render_reports(stream, "csv")
+
+    def test_special_floats_render_as_json_and_csv_write_them(self):
+        stream = special_float_stream()
+        reports = list(stream)
+        text = {fmt: render_reports(stream, fmt) for fmt in ("json", "csv")}
+        for output_format, rendered in text.items():
+            assert rendered == render_reports(reports, output_format)
+        assert text["json"].splitlines() == [json.dumps(r.to_obj()) for r in reports]
+        assert {"NaN", "Infinity", "-Infinity", "-0.0", "1e-300", "5e+300"} <= set(
+            re.findall(r"[-\w.+]+", text["json"]))
+        rows = list(csv.DictReader(io.StringIO(text["csv"])))
+        assert [int(row["seed"]) for row in rows[::4]] == [2**63, 2**64 - 1]
+        for row, report in zip(rows, reports, strict=True):
+            assert (row["t"], row["trial"], row["holds"]) == (
+                str(report.params["t"]), str(report.params["trial"]), str(report.holds).lower())
+            written = [row[f"term-{i}"] for i in (1, 2, 3)] + [row["margin-1"], row["margin-2"],
+                                                               row["regularization-epsilon"]]
+            expected = [v for _, v in report.terms] + report.margins + [
+                report.regularization_epsilon]
+            assert written == [str(x) for x in expected]
+            assert row["term-4"] == row["margin-3"] == ""
+
+    def test_loaded_reports_render_to_the_bytes_they_were_read_from(self, tmp_path):
+        _, stream = run_campaign(CampaignConfig.from_obj(dict(STREAM_BASE,
+                                                              **MASKED_FAILING_SLICE)))
+        path = tmp_path / "reports.json"
+        emit_report(stream, "json", path)
+        loaded = load_reports(path)
+        assert any(not r.is_finite() for r in loaded)
+        assert render_reports(loaded, "json") == path.read_text()
+        assert render_reports(loaded, "csv") == render_reports(stream, "csv")
 
 
     def test_slices_are_lists_of_reports(self):
@@ -1145,3 +1204,14 @@ class TestCli:
         lines = [l for l in captured.out.splitlines() if l.strip()]
         assert len(lines) == 1
         InequalityReport.from_json(lines[0])
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_campaign_stdout_is_the_out_file(self, output_format, tmp_path, capsys):
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / f"reports.{output_format}"
+        cfg_path.write_text(json.dumps(dict(STREAM_BASE, **MASKED_FAILING_SLICE)))
+        argv = ["campaign", "--config", str(cfg_path), "--format", output_format]
+        streamed = cli_main(argv)
+        out = capsys.readouterr().out
+        assert cli_main(argv + ["--out", str(out_path)]) == streamed == 2
+        assert out == out_path.read_text()
+        assert ("NaN" if output_format == "json" else ",nan,") in out

@@ -21,6 +21,9 @@ each: ``h`` held, ``v`` violated, ``i`` indeterminate, ``x`` refused with
 an error.  ``regularized-ties`` gives, in the same letters, the
 regularized printed form and variant on A = B = cI at c = 0, 1e-8, ...,
 1e8, where every term ties.
+For every campaign, the script also renders the list of the stream's
+reports in both formats; it exits 1, naming the campaign and format on
+stderr, when that text differs from the stream's own rendering.
 The library is imported from the ``src`` directory next to this script.
 """
 
@@ -134,8 +137,10 @@ def counts(reports):
     return f"{held}/{len(finite) - held}/{len(reports) - len(finite)}"
 
 
-def campaign_line(name, obj, records):
-    """The campaign's digest line; its config and summary records join ``records``."""
+def campaign_line(name, obj, records, mismatches):
+    """The campaign's digest line; its config and summary records join
+    ``records``, and each format in which the stream and its list of reports
+    render differently joins ``mismatches``."""
     config = CampaignConfig.from_obj(dict(BASE, **obj))
     with np.errstate(over="ignore", invalid="ignore"):
         summary, reports = run_campaign(config)
@@ -143,8 +148,10 @@ def campaign_line(name, obj, records):
     # The config through to_obj, so that the script also runs on checkouts
     # whose CampaignConfig has no to_json.
     records += [json.dumps(config.to_obj()), summary.to_json()]
-    text = render_reports(reports, "json") + render_reports(reports, "csv")
-    return f"{name} {digest(text)} {counts(reports)}"
+    text = {fmt: render_reports(reports, fmt) for fmt in ("json", "csv")}
+    listed = list(reports)
+    mismatches += [f"{name} {fmt}" for fmt in text if render_reports(listed, fmt) != text[fmt]]
+    return f"{name} {digest(text['json'] + text['csv'])} {counts(reports)}"
 
 
 def search_line(name, obj):
@@ -233,9 +240,9 @@ def regularized_ties():
 
 
 def main():
-    records = []
+    records, mismatches = [], []
     for name, obj in CAMPAIGNS.items():
-        print(campaign_line(name, obj, records), flush=True)
+        print(campaign_line(name, obj, records, mismatches), flush=True)
     for name, obj in SEARCHES.items():
         print(search_line(name, obj), flush=True)
     reports, sigmas = direct_reports()
@@ -244,7 +251,10 @@ def main():
     print("records", digest("\n".join(records)), "-")
     print("screens-at-scale", screens_at_scale())
     print("regularized-ties", regularized_ties())
+    for mismatch in mismatches:
+        print(f"stream and list render differently: {mismatch}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
