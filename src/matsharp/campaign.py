@@ -8,22 +8,26 @@ byte, and a trial's reports do not depend on which other trials run.
 
 Every grid starts with the instance axes (n, and m where it applies) and
 ends with the norm.  The trials are taken in chunks of ``CHUNK_TRIALS``;
-within a chunk the instances of one (n, m) group are drawn as one stack
-and evaluated in one stacked pass over the axes between them (t, r, s or
-f): for every chain, input spectra and the sums are one call per stack,
-and each chain term is one call over the grid values it depends on (the
-pair means over every t, the main chain's terms over every (t, r) point
-they vary with), each covering every instance of the group.  Every norm then reduces those
-sequences into arrays, which the summary reads; a report is built when the
-:class:`ReportStream` is read.  Rendering builds none: :func:`render_reports`
-gives each grid point of a stack one row template, which each of its
-(norm, instance) rows fills from the arrays, and writes a list of reports
-through the same formatter.  NumPy gives each slice of a stacked call the
-bits of the single-matrix call, so the reports are the ones the ``check_*``
-predicates give instance by instance and point by point, emitted in
-(trial, grid point) order.  An instance that fails the strict
-positive-definite check, the PSD clamp or a Bourin-Uchiyama f gets NaN
-terms, so its reports count as indeterminate and the others go on.
+within a chunk the instances of one n, at every m, are drawn in one call
+and evaluated as one stack in one pass over the axes after m (t, r, s or
+f): for every chain, the input spectra are one call over every pair of
+the stack and the sums one call over every instance, and each chain term
+is one call over the grid values it depends on (the pair means over
+every t, the main chain's terms over every (t, r) point they vary with),
+each covering every pair or instance of the stack.  Every norm then
+reduces those sequences into arrays, once per stack, which are split
+into one block per m; the summary reads them, and a report is built when
+the :class:`ReportStream` is read.  Rendering builds none:
+:func:`render_reports` gives each grid point of a block one row template,
+which each of its (norm, instance) rows fills from the arrays, and writes
+a list of reports through the same formatter.  NumPy gives each slice of a
+stacked call the bits of the single-matrix call, and a sum over a
+zero-padded pair axis has the bits of the sum over the instance's own
+pairs, so the reports are the ones the ``check_*`` predicates give
+instance by instance and point by point, emitted in (trial, grid point)
+order.  An instance that fails the strict positive-definite check, the
+PSD clamp or a Bourin-Uchiyama f gets NaN terms, so its reports count as
+indeterminate and the others, of its own trial too, go on.
 
 The searcher performs random-restart hill descent on the relative margin
 (least margin over largest term) of one fixed grid point, with
@@ -106,9 +110,10 @@ _CSV_TAIL = CSV_COLUMNS.index("regularization-epsilon")
 _CSV_PARAMS = CSV_COLUMNS[1:_CSV_TAIL]
 _CSV_MARGINS = CSV_COLUMNS.index("margin-1")
 
-# Trials per stacked pass of ``run_campaign``: it bounds the memory of one
-# pass while leaving the per-call overhead of NumPy's stacked LAPACK
-# wrappers small next to the work of each stack.
+# Trials per stacked pass of ``run_campaign``; a pass holds these trials'
+# instances at every m of one n.  It bounds the memory of one pass while
+# leaving the per-call overhead of NumPy's stacked LAPACK wrappers small
+# next to the work of each stack.
 CHUNK_TRIALS = 64
 
 # Search constants: chains run in lockstep; a chain's step, relative to
@@ -369,23 +374,35 @@ def _build_inputs(config, n, m, inst_seed):
     Given a tuple of instance seeds, the inputs of all of them as one
     stacked draw: arrays (A, B) of shape (T, m, n, n), B of shape
     (T, 0, n, n) for Bourin-Uchiyama, whose row k holds the lists of seed k.
+    Given a tuple of m-values and, for each, a tuple of instance seeds, the
+    inputs of every m as one draw, returned as one (A, B) per m.  Every
+    matrix is drawn from its own seed, so it has the bits of its single draw.
     """
-    seeds = inst_seed if isinstance(inst_seed, tuple) else (inst_seed,)
+    grouped = isinstance(m, tuple)
+    ms, seed_groups = ((m, inst_seed) if grouped else
+                       ((m,), (inst_seed if isinstance(inst_seed, tuple) else (inst_seed,),)))
     kind = config.ensemble["kind"]
-    if config.inequality_id == AUDENAERT or kind == KIND_COMMUTING:
-        spec = _ensemble_spec(config, n, tuple(split_seed(seed, i) for seed in seeds
-                                                for i in range(m)), kind=KIND_COMMUTING)
-        a, b = (x.reshape(len(seeds), m, n, n) for x in random_commuting_pair(spec))
+    commuting = config.inequality_id == AUDENAERT or kind == KIND_COMMUTING
+    sides = 1 if commuting or config.inequality_id == BOURIN_UCHIYAMA else 2
+    streams = tuple(split_seed(seed, i if commuting else 2 * i + side)
+                    for pairs, seeds in zip(ms, seed_groups) for seed in seeds
+                    for i in range(pairs) for side in range(sides))
+    if commuting:
+        drawn = random_commuting_pair(_ensemble_spec(config, n, streams, kind=KIND_COMMUTING))
     else:
         gen = random_psd_rank_deficient if kind == KIND_PSD else random_pd
-        sides = 1 if config.inequality_id == BOURIN_UCHIYAMA else 2
-        spec = _ensemble_spec(config, n, tuple(split_seed(seed, 2 * i + side) for seed in seeds
-                                                for i in range(m) for side in range(sides)))
-        x = gen(spec).reshape(len(seeds), m, sides, n, n)
-        a, b = x[:, :, 0], (x[:, :, 1] if sides == 2 else x[:, :0, 0])
-    if isinstance(inst_seed, tuple):
-        return a, b
-    return list(a[0]), list(b[0])
+        drawn = (gen(_ensemble_spec(config, n, streams)),)
+    stacks, stop = [], 0
+    for pairs, seeds in zip(ms, seed_groups):
+        rows = slice(stop, stop + len(seeds) * pairs * sides)
+        stop = rows.stop
+        x = [side[rows].reshape(len(seeds), pairs, sides, n, n) for side in drawn]
+        b = x[1][:, :, 0] if commuting else x[0][:, :, 1] if sides == 2 else x[0][:, :0, 0]
+        stacks.append((x[0][:, :, 0], b))
+    if grouped:
+        return stacks
+    a, b = stacks[0]
+    return (a, b) if isinstance(inst_seed, tuple) else (list(a[0]), list(b[0]))
 
 
 def _kernel_options(config):
@@ -446,11 +463,14 @@ class ReportStream(Sequence):
 def run_campaign(config):
     """Execute a campaign.
 
-    Within each chunk of ``CHUNK_TRIALS`` trials, the instances of each
-    (n, m) group are drawn as one stack and evaluated in one pass over the
-    remaining axes (see :func:`stack_reports`).  An instance that fails the
-    strict positive-definite check, the PSD clamp or f is reported with NaN
-    terms (indeterminate) instead of aborting the campaign.
+    Within each chunk of ``CHUNK_TRIALS`` trials, the instances of each n
+    are drawn in one :func:`_build_inputs` call, every m at once, and
+    evaluated as one stack in one pass over the remaining axes, then split
+    into one block per m (see :func:`stack_reports`).  An instance that
+    fails the strict positive-definite check, the PSD clamp or f is
+    reported with NaN terms (indeterminate) instead of aborting the
+    campaign; the other instances of its stack, its trial's included, are
+    not touched.
 
     Returns
     -------
@@ -461,23 +481,22 @@ def run_campaign(config):
     config.validate()
     start = time.perf_counter()
     chunks = []
-    dims_index = {n: i for i, n in enumerate(config.dims)}
-    m_index = {m: i for i, m in enumerate(config.m_values)}
     # The instance axes n and m lead every grid and the norm ends it; a
-    # chain without an m axis seeds its instances with m index 0.
+    # chain without an m axis draws one pair per instance, seeded with m
+    # index 0.
     axes = dict(config._axes())
-    groups = [(n, m, dims_index[n], m_index[m] if "m" in axes else 0)
-              for n, m in itertools.product(axes["n"], axes.get("m", (1,)))]
+    ms = axes.get("m", (1,))
     grid = {name: values for name, values in axes.items() if name not in ("n", "m")}
     for first in range(0, config.trials, CHUNK_TRIALS):
         trials = range(first, min(first + CHUNK_TRIALS, config.trials))
         trial_seeds = [split_seed(config.root_seed, trial) for trial in trials]
         blocks = []
-        for n, m, n_index, m_idx in groups:
-            seeds = tuple(split_seed(split_seed(seed, n_index), m_idx) for seed in trial_seeds)
-            a, b = _build_inputs(config, n, m, seeds)
-            blocks.append(stack_reports(config.inequality_id, a, b, grid, seeds,
-                                        mask_failures=True, **_kernel_options(config)))
+        for n_index, n in enumerate(axes["n"]):
+            seeds = tuple(tuple(split_seed(split_seed(seed, n_index), m_index)
+                                for seed in trial_seeds) for m_index in range(len(ms)))
+            a, b = zip(*_build_inputs(config, n, ms, seeds))
+            blocks += stack_reports(config.inequality_id, list(a), list(b), grid, sum(seeds, ()),
+                                    mask_failures=True, **_kernel_options(config))
         chunks.append(blocks)
     stream = ReportStream(chunks, config.trials, config.grid_size())
     return summarize(stream, wall_time=time.perf_counter() - start), stream

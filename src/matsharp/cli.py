@@ -5,6 +5,7 @@ Exit codes: 0 = ran with no violations, 2 = ran and found violations,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -142,9 +143,13 @@ def build_parser():
     return parser
 
 
+# One parser serves every call of ``main`` in a process: each parse fills a
+# new namespace from the parser's defaults, so no call sees another's flags.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (MatSharpError, ValueError, OSError) as exc:

@@ -10,15 +10,18 @@ are nonnegative the chain holds in every unitarily invariant norm at once.
 
 Each inequality has one evaluation kernel, and every kernel takes a stack
 of instances: arrays of shape (T, m, n, n), one A-list (and B-list) per
-instance.  It builds the whole grid in one pass, each term once over the
-grid axes it depends on: input spectra and the sums once per stack, the
-pair means once over every t, the printed main-chain terms once over
-every r, the flank terms once over every grid point.  Each of those is
-one stacked call over those grid values and all T instances, so its terms
-carry leading grid and batch axes; only the elementwise powers are taken
-one exponent at a time.  Every norm, margin and verdict is then an array
-reduction over those sequences (:func:`_reduce`), read out as reports by
-:func:`_instance_reports`.  The main chain's kernel (:class:`_MainChain`)
+instance, or several such arrays that differ in m, taken as one stack.
+It builds the whole grid in one pass, each term once over the grid axes
+it depends on: input spectra and the sums once per stack, the pair means
+once over every t, the printed main-chain terms once over every r, the
+flank terms once over every grid point.  Each of those is one stacked
+call over those grid values and every pair (for the pair-level terms) or
+every instance of the stack, so its terms carry leading grid and batch
+axes; a sum over each instance's pairs runs on a zero-padded pair axis,
+and only the elementwise powers are taken one exponent at a time.  Every
+norm, margin and verdict is then an array reduction over those sequences
+(:func:`_reduce`), split by m (:func:`_group_blocks`) and read out as
+reports by :func:`_instance_reports`.  The main chain's kernel (:class:`_MainChain`)
 also serves the proof steps and, on single pairs, the lemma chain, whose
 last two terms are the t-dependent main chain's middle and right terms at
 s = 1 (:func:`_flank_sigmas`).  One driver, :func:`_chain`, maps an
@@ -52,7 +55,7 @@ from .linalg import (
     spectrum_function,
     spectrum_power,
 )
-from .means import _epsilon, _mean_from_spectra, _pair_sum, _strict_spectrum
+from .means import _epsilon, _mean_from_spectra, _pair_sum, _pair_total, _strict_spectrum
 from .norms import NormSpec, norm_from_singular_values, singular_values, tolerance_band
 
 AUDENAERT = "Audenaert"
@@ -153,8 +156,10 @@ class _Chain(NamedTuple):
     """One chain over the P points of a grid for a stack of T instances,
     before any norm is taken: ``sigma`` holds the terms' singular-value
     sequences, (P, terms, T, n) in grid order, each sorted nonincreasing;
-    ``params`` one dict per point, ``labels`` one label per term, and
-    ``seeds`` and ``epsilon`` ((T,), or None) one entry per instance.
+    ``params`` one dict per point, its "m" left None, ``labels`` one label
+    per term, and ``seeds`` and ``epsilon`` ((T,), or None) one entry per
+    instance.  ``groups`` lists the stack's runs of instances as (m, count)
+    pairs in instance order; :func:`_group_blocks` fills in each run's m.
     ``steps`` lists (left_index, right_index) pairs, the ascending
     consecutive chain when None.
     """
@@ -164,6 +169,7 @@ class _Chain(NamedTuple):
     labels: list
     sigma: np.ndarray
     seeds: tuple
+    groups: tuple
     steps: list | None = None
     epsilon: np.ndarray | None = None
 
@@ -205,6 +211,23 @@ def _reduce(chain, norms):
     holds = finite & (margins.min(axis=2) >= -tolerance_band(scale))
     return _ReportBlock(chain.inequality_id, chain.params, chain.labels, tuple(norms),
                         chain.seeds, values, margins, fan_margins, finite, holds, chain.epsilon)
+
+
+def _group_blocks(block, groups):
+    """``block`` split along its instances into one block per run of
+    ``groups`` ((m, count) pairs in instance order), each point's "m" the
+    run's own."""
+    blocks, stop = [], 0
+    for m, count in groups:
+        run = slice(stop, stop + count)
+        stop += count
+        blocks.append(block._replace(
+            params=[dict(point, m=m) for point in block.params], seeds=block.seeds[run],
+            values=block.values[..., run], margins=block.margins[..., run],
+            fan_margins=block.fan_margins[..., run], finite=block.finite[..., run],
+            holds=block.holds[..., run],
+            epsilon=None if block.epsilon is None else block.epsilon[run]))
+    return blocks
 
 
 def _instance_reports(block, k, **extra):
@@ -325,32 +348,73 @@ def _validate_lists(a_list, b_list):
 class _StackKernel:
     """A stack of instances and the failure screen every kernel shares.
 
-    ``a`` and ``b`` hold the instances' A- and B-lists, shape (T, m, n, n)
-    (``b`` is None for a chain without B-lists), and ``seeds`` one seed per
-    instance.  It is the one place a kernel's inputs are validated: a matrix
-    that is not square, finite and Hermitian raises, even with
-    ``mask_failures``, and nothing behind it (sums, spectra, means) re-checks.
-    A slice that fails a spectral check raises as the single-matrix
-    functions do.  With ``mask_failures`` it is replaced by the identity
-    spectrum instead, so the other slices go on, and its instance is marked
-    in ``failed``: :func:`stack_reports` makes all of its terms NaN.
+    ``a`` and ``b`` are lists of stacks of A- and B-lists, each stack of
+    shape (T_g, m_g, n, n) with one n for all (``b`` is None for a chain
+    without B-lists), and ``seeds`` one seed per instance, in stack order.
+    The kernel holds every pair of every instance in one flat stack,
+    ``a`` and ``b`` of shape (P, n, n), instance by instance: pair-level
+    work (spectra, screens, means, f, products) runs once over the real
+    pairs, instance-level work once over the T instances, and a sum over
+    each instance's pairs goes through a zero-padded pair axis
+    (:meth:`_padded`).  ``counts`` holds each instance's m and ``groups``
+    the stacks as (m, T_g) pairs.
+
+    It is the one place a kernel's inputs are validated: a matrix that is
+    not square, finite and Hermitian raises, even with ``mask_failures``,
+    and nothing behind it (sums, spectra, means) re-checks.  A slice that
+    fails a spectral check raises as the single-matrix functions do.  With
+    ``mask_failures`` it is replaced by the identity spectrum instead, so
+    the other slices go on, and its instance (only its own) is marked in
+    ``failed``: :func:`stack_reports` makes all of its terms NaN.
     """
 
     def __init__(self, a, b, seeds, mask_failures):
-        self.a = _as_stack(a)
-        self.b = self.a if b is None else _as_stack(b)
-        if self.a.ndim != 4 or self.a.shape != self.b.shape or self.a.shape[0] != len(seeds):
+        shapes = [np.shape(x) for x in a]
+        if (not shapes or any(len(s) != 4 or s[1] < 1 or s[2:] != shapes[0][2:] for s in shapes)
+                or (b is not None and [np.shape(x) for x in b] != shapes)
+                or sum(s[0] for s in shapes) != len(seeds)):
             raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
+        matrix = shapes[0][2:]
+        self.a = _as_stack(np.concatenate([np.reshape(x, (-1,) + matrix) for x in a]))
+        self.b = self.a if b is None else _as_stack(
+            np.concatenate([np.reshape(x, (-1,) + matrix) for x in b]))
         _check_hermitian(self.a)
         if b is not None:
             _check_hermitian(self.b)
+        self.groups = tuple((s[1], s[0]) for s in shapes)
+        self.counts = np.repeat([s[1] for s in shapes], [s[0] for s in shapes])
+        self.width = max(s[1] for s in shapes)
         self.seeds = tuple(seeds)
         self.mask_failures = mask_failures
         self.failed = np.zeros(len(self.seeds), dtype=bool)
 
-    def _screen(self, spectra, failures, raise_for):
+    @cached_property
+    def owner(self):
+        """The instance of each pair, (P,)."""
+        return np.repeat(np.arange(len(self.counts)), self.counts)
+
+    @cached_property
+    def slot(self):
+        """Each pair's index within its instance, (P,)."""
+        return np.arange(len(self.owner)) - (np.cumsum(self.counts) - self.counts)[self.owner]
+
+    def _padded(self, x, axis=-3):
+        """``x``, whose axis ``axis`` runs over the stack's P pairs, with
+        that axis split into (T, m_max): each instance's pairs in order,
+        then zeros up to the widest instance.  When every instance is as
+        wide, that is a reshape."""
+        axis %= x.ndim
+        shape = x.shape[:axis] + (len(self.counts), self.width) + x.shape[axis + 1:]
+        if len(self.a) == len(self.counts) * self.width:
+            return x.reshape(shape)
+        padded = np.zeros(shape, dtype=x.dtype)
+        padded[(slice(None),) * axis + (self.owner, self.slot)] = x
+        return padded
+
+    def _screen(self, spectra, failures, raise_for, pairs=False):
         """``spectra`` with the slices in ``failures`` (one mask per
-        spectrum) replaced by the identity spectrum.
+        spectrum) replaced by the identity spectrum.  The masks' first axis
+        runs over the instances, or over the pairs with ``pairs``.
 
         Without ``mask_failures``, ``raise_for(side, index, spectrum)``
         raises the error of the first failing slice instead, taken in
@@ -364,14 +428,16 @@ class _StackKernel:
             spec = spectra[side]
             index = tuple(index)
             raise_for(side, index, Spectrum(spec.eigenvalues[index], spec.vectors[index]))
-        self.failed |= failed.reshape(len(self.failed), -1).any(axis=1)
+        rows = failed.reshape(len(failed), -1).any(axis=1)
+        self.failed[self.owner[rows] if pairs else rows] = True
         return [Spectrum(np.where(mask[..., None], 1.0, spec.eigenvalues), spec.vectors)
                 for spec, mask in zip(spectra, failures)]
 
-    def _psd_screened(self, spectra):
+    def _psd_screened(self, spectra, pairs=False):
         """``spectra`` (of equal shape) screened by the PSD clamp."""
         return self._screen(spectra, [_psd_clamp_failures(s.eigenvalues) for s in spectra],
-                            lambda side, index, spec: clamp_psd_eigenvalues(spec.eigenvalues))
+                            lambda side, index, spec: clamp_psd_eigenvalues(spec.eigenvalues),
+                            pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +473,23 @@ def resolve_function(function_id):
 
 
 class _FunctionSum(_StackKernel):
-    """Bourin-Uchiyama kernel for a stack of A-lists (T, m, n, n); the
-    spectra of every A_i and of sum A_i are computed on first use and serve
-    every f."""
+    """Bourin-Uchiyama kernel for stacks of A-lists; the spectra of every
+    A_i and of sum A_i are computed on first use and serve every f."""
 
     @cached_property
     def spectra(self):
-        """(spectra of the A_i, stacked (T, m); spectrum of sum A_i, stacked (T,))."""
-        return [self._psd_screened([_eigh(x)])[0] for x in (self.a, _pair_sum(self.a))]
+        """(spectra of the A_i, stacked (P,); spectrum of sum A_i, stacked (T,))."""
+        return [self._psd_screened([_eigh(self.a)], pairs=True)[0],
+                self._psd_screened([_eigh(_pair_sum(self._padded(self.a)))])[0]]
 
-    def _mapped(self, spec, f):
+    def _mapped(self, spec, f, pairs=False):
         """f(M) for each slice M of ``spec``; a slice where f is undefined
         or not finite is screened."""
         fw = _function_values(clamp_psd_eigenvalues(spec.eigenvalues), f)
         mapped, = self._screen(
             [Spectrum(fw, spec.vectors)], [~np.isfinite(fw).all(axis=-1)],
             lambda side, index, _: spectrum_function(
-                Spectrum(spec.eigenvalues[index], spec.vectors[index]), f))
+                Spectrum(spec.eigenvalues[index], spec.vectors[index]), f), pairs)
         return mapped.assemble(mapped.eigenvalues)
 
     def chain(self, function_ids, direction):
@@ -439,13 +505,13 @@ class _FunctionSum(_StackKernel):
                     f"direction {direction!r} does not match the registered convexity of {function_id!r}"
                 )
             spec_a, spec_sum = self.spectra
-            sigma.append([_psd_sigma(_pair_sum(self._mapped(spec_a, f))),
-                          _psd_sigma(self._mapped(spec_sum, f))])
-            params.append(_params(m=self.a.shape[1], n=self.a.shape[-1],
-                                  function_id=str(function_id), direction=direction))
+            mapped = self._padded(self._mapped(spec_a, f, pairs=True))
+            sigma.append([_psd_sigma(_pair_sum(mapped)), _psd_sigma(self._mapped(spec_sum, f))])
+            params.append(_params(n=self.a.shape[-1], function_id=str(function_id),
+                                  direction=direction))
         steps = [(0, 1)] if direction == CONVEX else [(1, 0)]
         return _Chain(BOURIN_UCHIYAMA, params, ["sum f(A_i)", "f(sum A_i)"], np.array(sigma),
-                      self.seeds, steps)
+                      self.seeds, self.groups, steps)
 
 
 def check_bourin_uchiyama(a_list, function_id, direction, norm_spec, seed=None):
@@ -470,7 +536,7 @@ def check_bourin_uchiyama(a_list, function_id, direction, norm_spec, seed=None):
 # ---------------------------------------------------------------------------
 
 class _MainChain(_StackKernel):
-    """Main-chain kernel for a stack of instances, evaluated over a whole
+    """Main-chain kernel for stacks of instances, evaluated over a whole
     (t, r) grid, or (t, r, s) grid for the lemma chain, in one pass.
 
     The work that depends on neither t nor r is computed on first use and
@@ -480,46 +546,53 @@ class _MainChain(_StackKernel):
     depends on: the pair means over every t (one SVD of A^(-1/2) B^(1/2)
     serves them all), the printed terms over every r, A^r #_t B^r over
     every (t, r), and the flank terms over every point, each as one stacked
-    call over those values and every instance and pair.  Each term is then
-    written into the chain's one array, broadcast over the grid axes it does
-    not depend on.  On a stack of single pairs (m = 1) without
-    ``epsilon_scale`` it is the lemma chain's kernel as well.
+    call over those values and every pair (or instance) of every stack.
+    Each term is then written into the chain's one array, broadcast over
+    the grid axes it does not depend on.  On a stack of single pairs
+    (m = 1) without ``epsilon_scale`` it is the lemma chain's kernel as well.
 
     With ``epsilon_scale`` it is the strict chain on the inputs shifted by
     one epsilon * I per instance: each A_i and B_i must pass the PSD clamp,
     epsilon is the instance's largest ``regularization_epsilon``, and the
     eigenvalues (never the matrices, which would break proof step 2's exact
-    tie at m = 1) of the pairs are shifted by epsilon, of the sums by m eps.
+    tie at m = 1) of the pairs are shifted by epsilon, of the sums by the
+    instance's own m times epsilon.
     """
 
     def __init__(self, a, b, epsilon_scale, seeds, mask_failures):
         super().__init__(a, b, seeds, mask_failures)
         self.epsilon_scale = epsilon_scale
 
-    def _strict_screened(self, spectra, names):
+    def _strict_screened(self, spectra, names, pairs=False):
         """``spectra`` screened for a mean: each side strictly positive definite."""
         return self._screen(spectra, [spec.eigenvalues[..., -1] <= 0.0 for spec in spectra],
-                            lambda side, index, spec: _strict_spectrum(spec, names(side, index)))
+                            lambda side, index, spec: _strict_spectrum(spec, names(side, index)),
+                            pairs)
 
     @cached_property
     def pair_spectra(self):
         """Spectra of the A_i and of the B_i ready for the pair means,
-        stacked (T, m), and the epsilons (T,) or None."""
+        stacked (P,), and the epsilons (T,) or None.  Epsilon reads the
+        instance's own pairs: the zero-padded slots hold no eigenvalue of
+        larger modulus."""
         spectra, eps = [_eigh(self.a), _eigh(self.b)], None
         if self.epsilon_scale is not None:
-            eps = _epsilon(self.epsilon_scale, *(s.eigenvalues for s in spectra), axis=(1, 2))
-            spectra = [Spectrum(s.eigenvalues + eps[:, None, None], s.vectors)
-                       for s in self._psd_screened(spectra)]
-        sa, sb = self._strict_screened(spectra, lambda side, index: f"{'AB'[side]}[{index[1]}]")
+            eps = _epsilon(self.epsilon_scale,
+                           *(self._padded(s.eigenvalues, axis=-2) for s in spectra), axis=(1, 2))
+            spectra = [Spectrum(s.eigenvalues + eps[self.owner, None], s.vectors)
+                       for s in self._psd_screened(spectra, pairs=True)]
+        sa, sb = self._strict_screened(
+            spectra, lambda side, index: f"{'AB'[side]}[{self.slot[index[0]]}]", pairs=True)
         return sa, sb, eps
 
     @cached_property
     def sums(self):
-        """Spectra of sum A and sum B, stacked (T,), shifted by m epsilon."""
-        spectra = [_eigh(_pair_sum(self.a)), _eigh(_pair_sum(self.b))]
+        """Spectra of sum A and sum B, stacked (T,), each shifted by its
+        instance's m times epsilon."""
+        spectra = [_eigh(_pair_sum(self._padded(x))) for x in (self.a, self.b)]
         eps = self.pair_spectra[2]
         if eps is not None:
-            spectra = [Spectrum(s.eigenvalues + self.a.shape[1] * eps[:, None], s.vectors)
+            spectra = [Spectrum(s.eigenvalues + (self.counts * eps)[:, None], s.vectors)
                        for s in spectra]
         return self._psd_screened(spectra)
 
@@ -537,9 +610,11 @@ class _MainChain(_StackKernel):
         lemma, proof = inequality_id == LEMMA_CHAIN, inequality_id == PROOF_STEPS
         ts, rs = tuple(grid["t"]), tuple(grid["r"])
         ss = tuple(grid["s"]) if lemma else (None,)
-        for t, r, s in itertools.product(ts, rs, ss):
+        # t is checked once per value, not once per (t, r, s) point.
+        for t in ts:
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"t must lie in [0, 1], got {t!r}")
+        for r, s in itertools.product(rs, ss):
             if lemma and (r <= 0.0 or s <= 0.0):
                 raise ValueError(f"r and s must be positive, got r={r!r}, s={s!r}")
             if proof and r < 1.0:
@@ -547,7 +622,8 @@ class _MainChain(_StackKernel):
             if r <= 0.0:
                 raise ValueError(f"r must be positive, got {r!r}")
         # Every term is laid out (t, r, s, T, n), with a length-1 axis for
-        # each grid axis it does not depend on.
+        # each grid axis it does not depend on; the pair-level terms carry
+        # the P pairs instead of the T instances until they are summed.
         sa, sb, eps = self.pair_spectra
         means = _mean_from_spectra(sa, sb, ts)
         spectra = _eigh(means)
@@ -556,7 +632,7 @@ class _MainChain(_StackKernel):
             terms = self._lemma_terms(sa, sb, mean_w, ts, rs, ss)
         else:
             mean_pows = spectra.assemble(np.array([np.power(mean_w, r) for r in rs]))
-            lhs = _psd_sigma(sum(np.moveaxis(mean_pows, -3, 0))).swapaxes(0, 1)
+            lhs = _psd_sigma(_pair_total(self._padded(mean_pows))).swapaxes(0, 1)
             terms = [("sum (A_i#B_i)^r", lhs[:, :, None])]
             s_a, s_b = self.sums
             if proof:
@@ -574,8 +650,8 @@ class _MainChain(_StackKernel):
                 mid, rhs = _flank_sigmas(s_a, s_b, ts, rs, (1.0,))
                 terms += [("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", mid),
                           ("sumA^((1-t)r) sumB^(rt)", rhs)]
-        m, n = self.a.shape[1], self.a.shape[-1]
-        params = [_params(m=m, n=n, t=t, r=r, s=s, **({} if lemma or proof else {
+        n = self.a.shape[-1]
+        params = [_params(n=n, t=t, r=r, s=s, **({} if lemma or proof else {
                       "printed-form": bool(printed_form), "r-in-theorem-range": bool(r >= 1.0)}))
                   for t, r, s in itertools.product(ts, rs, ss)]
         # A length-1 axis serves every value of its grid axis.
@@ -583,36 +659,38 @@ class _MainChain(_StackKernel):
         for k, (_, x) in enumerate(terms):
             sigma[:, :, :, k] = x
         return _Chain(inequality_id, params, [label for label, _ in terms],
-                      sigma.reshape(-1, *sigma.shape[3:]), self.seeds, epsilon=eps)
+                      sigma.reshape(-1, *sigma.shape[3:]), self.seeds, self.groups, epsilon=eps)
 
     def _proof_terms(self, means, ts, rs):
         """(sum_i A_i #_t B_i)^r and (sumA #_t sumB)^r from the pair ``means``
         at every t, laid out (t, r, 1, T, n)."""
         sa, sb = self.sum_pair_spectra
-        sum_of_means = _eigh(_pair_sum(means))
+        sum_of_means = _eigh(_pair_sum(self._padded(means)))
         mean_of_sums = _eigh(_mean_from_spectra(sa, sb, ts))
         return [(label, np.array([np.power(w, r) for r in rs]).swapaxes(0, 1)[:, :, None])
                 for label, w in (("(sum A_i#B_i)^r", np.maximum(sum_of_means.eigenvalues, 0.0)),
                                  ("(sumA # sumB)^r", np.maximum(mean_of_sums.eigenvalues, 0.0)))]
 
     def _lemma_terms(self, sa, sb, mean_w, ts, rs, ss):
-        """The lemma chain's four terms, laid out (t, r, s, T, n)."""
+        """The lemma chain's four terms, laid out (t, r, s, T, n), from the
+        spectra of a stack of single pairs (P = T)."""
         # Spectra of A^r and B^r come for free from the spectra of A and B,
-        # one r per slot of the pair axis; the mean needs A^(-r/2), which
+        # one r per slot of a new axis; the mean needs A^(-r/2), which
         # fails where A^r underflows to 0.
-        shape = sa.vectors.shape[:1] + (len(rs),) + sa.vectors.shape[2:]
-        sa_r, sb_r = (Spectrum(np.concatenate([spectrum_power(x, r) for r in rs], axis=1),
-                               np.broadcast_to(x.vectors, shape)) for x in (sa, sb))
+        shape = sa.vectors.shape[:1] + (len(rs),) + sa.vectors.shape[1:]
+        sa_r, sb_r = (Spectrum(np.stack([spectrum_power(x, r) for r in rs], axis=1),
+                               np.broadcast_to(x.vectors[:, None], shape)) for x in (sa, sb))
         underflow = sa_r.eigenvalues[..., -1] <= 0.0
         sa_r, sb_r = self._screen([sa_r, sb_r], [underflow, underflow],
-                                  lambda side, index, spec: spectrum_power(spec, -0.5))
+                                  lambda side, index, spec: spectrum_power(spec, -0.5),
+                                  pairs=True)
         means_r = np.moveaxis(_psd_sigma(_mean_from_spectra(sa_r, sb_r, ts)), 2, 1)
         flank, product = _flank_sigmas(sa, sb, ts, rs, ss)
         mean_pows = np.array([mean_w ** r for r in rs]).swapaxes(0, 1)
-        return [("(A#B)^r", mean_pows[:, :, None, :, 0]),
+        return [("(A#B)^r", mean_pows[:, :, None]),
                 ("A^r#B^r", means_r[:, :, None]),
-                ("(B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s)", flank[..., 0, :]),
-                ("(A^((1-t)rs) B^(rts))^(1/s)", product[..., 0, :])]
+                ("(B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s)", flank),
+                ("(A^((1-t)rs) B^(rts))^(1/s)", product)]
 
 
 def check_main_theorem(a_list, b_list, t, r, norm_spec, printed_form=True,
@@ -645,8 +723,8 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None, seed=
 
 def lemma_chain_sigmas(a, b, t, r, s):
     """Singular-value sequences of the four-term chain, in printed order."""
-    chain = _chain(LEMMA_CHAIN, *_validate_lists([a], [b]), {"t": (t,), "r": (r,), "s": (s,)},
-                   (None,))
+    a, b = _validate_lists([a], [b])
+    chain = _chain(LEMMA_CHAIN, [a], [b], {"t": (t,), "r": (r,), "s": (s,)}, (None,))
     return list(zip(chain.labels, chain.sigma[0, :, 0]))
 
 
@@ -673,19 +751,19 @@ def _audenaert_chain(kernel):
     bound = COMMUTATION_RTOL * (np.linalg.norm(a, axis=(-2, -1))
                                 * np.linalg.norm(b, axis=(-2, -1)))
     if (defect > bound).any():
-        k, i = np.argwhere(defect > bound)[0]
+        p = np.flatnonzero(defect > bound)[0]
         raise CommutationError(
-            f"inputs do not commute: pair {i} has commutator norm {defect[k, i]:.3e} "
-            f"(tolerance {bound[k, i]:.3e})"
+            f"inputs do not commute: pair {kernel.slot[p]} has commutator norm {defect[p]:.3e} "
+            f"(tolerance {bound[p]:.3e})"
         )
-    s_a, s_b = kernel._psd_screened([_eigh(a), _eigh(b)])
+    s_a, s_b = kernel._psd_screened([_eigh(a), _eigh(b)], pairs=True)
     halves = s_a.assemble(spectrum_power(s_a, 0.5)) @ s_b.assemble(spectrum_power(s_b, 0.5))
-    x = sum(np.moveaxis(halves, 1, 0))
-    sigma = [_product_sigma(sum(np.moveaxis(products, 1, 0))), _product_sigma(x @ x),
-             _product_sigma(_pair_sum(a) @ _pair_sum(b))]
-    return _Chain(AUDENAERT, [_params(m=a.shape[1], n=a.shape[-1])],
+    x = _pair_total(kernel._padded(halves))
+    sigma = [_product_sigma(_pair_total(kernel._padded(products))), _product_sigma(x @ x),
+             _product_sigma(_pair_sum(kernel._padded(a)) @ _pair_sum(kernel._padded(b)))]
+    return _Chain(AUDENAERT, [_params(n=a.shape[-1])],
                   ["sum A_iB_i", "(sum A_i^(1/2)B_i^(1/2))^2", "sumA sumB"],
-                  np.array([sigma]), kernel.seeds)
+                  np.array([sigma]), kernel.seeds, kernel.groups)
 
 
 def check_audenaert(a_list, b_list, norm_spec, seed=None):
@@ -704,10 +782,11 @@ def check_audenaert(a_list, b_list, norm_spec, seed=None):
 
 def _chain(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
            direction=None, mask_failures=False):
-    """The chain ``inequality_id`` on a stack of instances over ``grid``,
-    in grid order, with NaN terms for every instance its kernel masked: the
-    one place an inequality id is mapped to its kernel.  The arguments are
-    those of :func:`stack_reports`; the norm axis is not read.
+    """The chain ``inequality_id`` on stacks of instances over ``grid``, in
+    grid order, with NaN terms for every instance its kernel masked: the one
+    place an inequality id is mapped to its kernel.  ``a`` and ``b`` are
+    lists of stacks, evaluated as one; the other arguments are those of
+    :func:`stack_reports`, and the norm axis is not read.
     """
     if inequality_id == BOURIN_UCHIYAMA:
         kernel = _FunctionSum(a, None, seeds, mask_failures)
@@ -717,7 +796,8 @@ def _chain(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=No
         chain = _audenaert_chain(kernel)
     else:
         if inequality_id == LEMMA_CHAIN:
-            a, b, epsilon_scale = np.asarray(a)[:, :1], np.asarray(b)[:, :1], None
+            a, b = ([np.asarray(x)[:, :1] for x in stacks] for stacks in (a, b))
+            epsilon_scale = None
         kernel = _MainChain(a, b, epsilon_scale, seeds, mask_failures)
         chain = kernel.chain(inequality_id, grid, printed_form)
     chain.sigma[:, :, kernel.failed] = np.nan
@@ -732,21 +812,31 @@ def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_s
     ``a`` and ``b`` hold one A-list and one B-list per instance, arrays of
     shape (T, m, n, n) (``b`` is ignored for Bourin-Uchiyama, and the lemma
     chain takes each instance's first pair); ``seeds`` holds one seed per
-    instance.  ``grid`` maps the axes that follow the instance axes to
-    their values: ``t``, ``r`` and ``s`` (lemma chain), ``t`` and ``r``
-    (main theorem, proof steps) or ``f`` (Bourin-Uchiyama), then ``norm``,
-    varied fastest; the block's points follow the axes before ``norm`` in
-    grid order, and other axes are ignored.  :func:`_chain` evaluates the
-    chain over the grid, the whole stack in one pass with each spectrum
-    computed once at the outermost axis it depends on, into one array of
-    sequences, and :func:`_reduce` takes each norm as one reduction of it.
-    A ``check_*`` predicate is this function on a stack of one over a
-    one-point grid.  With ``mask_failures``, an instance with a slice that
-    fails the strict positive-definite check, the PSD clamp or f gets NaN
-    terms at every point (indeterminate reports) instead of raising.
+    instance.  Given lists of such arrays, one per m, the stacks are
+    evaluated and reduced as one, and the reports come back as one block
+    per stack, in order; a single array is the one-stack case.  ``grid``
+    maps the axes that follow the instance axes to their values: ``t``,
+    ``r`` and ``s`` (lemma chain), ``t`` and ``r`` (main theorem, proof
+    steps) or ``f`` (Bourin-Uchiyama), then ``norm``, varied fastest; the
+    block's points follow the axes before ``norm`` in grid order, and other
+    axes are ignored.  :func:`_chain` evaluates the chain over the grid,
+    every stack in one pass with each spectrum computed once at the
+    outermost axis it depends on, into one array of sequences,
+    :func:`_reduce` takes each norm as one reduction of it, and
+    :func:`_group_blocks` splits it by stack.  A ``check_*`` predicate is
+    this function on a stack of one over a one-point grid.  With
+    ``mask_failures``, an instance with a slice that fails the strict
+    positive-definite check, the PSD clamp or f gets NaN terms at every
+    point (indeterminate reports) instead of raising; the other instances,
+    those of its trial included, go on.
     """
-    return _reduce(_chain(inequality_id, a, b, grid, seeds, printed_form, epsilon_scale,
-                          direction, mask_failures), grid["norm"])
+    stacks = isinstance(a, list)
+    if not stacks:
+        a, b = [a], None if b is None else [b]
+    chain = _chain(inequality_id, a, b, grid, seeds, printed_form, epsilon_scale, direction,
+                   mask_failures)
+    blocks = _group_blocks(_reduce(chain, grid["norm"]), chain.groups)
+    return blocks if stacks else blocks[0]
 
 
 def _check(inequality_id, a_list, b_list, point, seed, **options):

@@ -35,6 +35,8 @@ from matsharp import (
     tolerance_band,
 )
 import matsharp.campaign as campaign
+import matsharp.cli as cli
+import matsharp.inequalities as inequalities
 from matsharp.campaign import (
     CHUNK_TRIALS,
     CSV_COLUMNS,
@@ -559,6 +561,102 @@ class TestBatchInvariance:
             a_list, b_list = _build_inputs(cfg, n, 2, seed)
             assert a[k].tobytes() == np.array(a_list).tobytes()
             assert b[k].tobytes() == np.array(b_list).tobytes()
+
+
+    @pytest.mark.parametrize("obj,n", [
+        ({"inequality-id": "main_theorem"}, 3),
+        ({"inequality-id": "main_theorem", "ensemble": {"kind": "psd", "rank": 1}}, 3),
+        ({"inequality-id": "main_theorem", "ensemble": {"kind": "commuting"}}, 2),
+        ({"inequality-id": "audenaert"}, 1),
+        ({"inequality-id": "bourin_uchiyama", "functions": ["expm1"], "direction": "convex"}, 3),
+    ])
+    def test_draws_of_every_m_equal_single_draws(self, obj, n):
+        # One draw serves every m of an n; each matrix keeps its seed's bits.
+        cfg = CampaignConfig.from_obj(dict(obj, **{"root-seed": 47}))
+        m_values = (1, 3, 2)
+        seeds = tuple(tuple(split_seed(split_seed(47, k), i) for k in range(3 + i))
+                      for i in range(len(m_values)))
+        stacks = _build_inputs(cfg, n, m_values, seeds)
+        assert len(stacks) == len(m_values)
+        for (a, b), m, group in zip(stacks, m_values, seeds):
+            assert a.shape == (len(group), m, n, n)
+            for k, seed in enumerate(group):
+                a_list, b_list = _build_inputs(cfg, n, m, seed)
+                assert a[k].tobytes() == np.array(a_list).tobytes()
+                assert b[k].tobytes() == np.array(b_list).tobytes()
+
+    def test_one_draw_and_one_kernel_per_chunk_and_dimension(self, monkeypatch):
+        # Every m of an n is drawn in one call and evaluated in one kernel
+        # pass: 2 chunks x 2 dimensions, not one per (chunk, n, m).
+        draws, kernels = [], []
+        draw, init = campaign._build_inputs, inequalities._StackKernel.__init__
+
+        def counted_draw(config, n, m, inst_seed):
+            draws.append((n, m))
+            return draw(config, n, m, inst_seed)
+
+        def counted_init(self, a, *args):
+            kernels.append([x.shape[1] for x in a])
+            init(self, a, *args)
+        monkeypatch.setattr(campaign, "_build_inputs", counted_draw)
+        monkeypatch.setattr(inequalities._StackKernel, "__init__", counted_init)
+        cfg = small_config(trials=CHUNK_TRIALS + 1, dims=[2, 3], **{"m-values": [1, 2, 3],
+                                                                     "r-grid": [1.0]})
+        summary, reports = run_campaign(cfg)
+        assert draws == [(2, (1, 2, 3)), (3, (1, 2, 3))] * 2
+        assert kernels == [[1, 2, 3]] * 4
+        assert summary.total == len(reports) == cfg.trials * cfg.grid_size()
+
+
+# A pair that fails one screen, by chain: a singular A_i fails the strict
+# check, an indefinite one the PSD clamp, and expm1 overflows at 800.
+MIXED_STACK_FAILURES = {
+    "main_strict": ({"inequality-id": "main_theorem"}, [1.0, 0.0], NotPositiveDefiniteError),
+    "main_regularized": ({"inequality-id": "main_theorem", "printed-form": False,
+                          "ensemble": {"kind": "psd"}}, [1.0, -0.5], NotPositiveDefiniteError),
+    "proof_steps": ({"inequality-id": "proof_steps"}, [1.0, 0.0], NotPositiveDefiniteError),
+    "bourin_uchiyama": ({"inequality-id": "bourin_uchiyama", "functions": ["expm1", "power:2"],
+                         "direction": "convex"}, [800.0, 1.0], SingularFunctionError),
+}
+
+
+class TestMixedStack:
+    @pytest.mark.parametrize("name", sorted(MIXED_STACK_FAILURES))
+    def test_failing_pair_masks_only_its_instance(self, name, monkeypatch):
+        # One kernel pass holds every m of a trial.  A failing pair of the
+        # m = 2 instance of trial 0 masks that instance alone: the same
+        # trial's m = 1 and m = 3 instances, and trial 1, are the checks.
+        obj, eigenvalues, error = MIXED_STACK_FAILURES[name]
+        bad = np.diag(eigenvalues).astype(complex)
+        draw = campaign._build_inputs
+
+        def corrupted(config, n, m, inst_seed):
+            stacks = draw(config, n, m, inst_seed)
+            stacks[m.index(2)][0][0, 1] = bad
+            return stacks
+        monkeypatch.setattr(campaign, "_build_inputs", corrupted)
+        cfg = CampaignConfig.from_obj(dict({
+            "trials": 2, "dims": [2], "m-values": [1, 2, 3], "t-grid": [0.25, 0.5],
+            "r-grid": [1.0, 2.0], "norm-specs": ["schatten:1", "operator"], "root-seed": 59},
+            **obj))
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary, reports = run_campaign(cfg)
+        assert summary.indeterminate == cfg.grid_size() // len(cfg.m_values)
+        points = [(trial, point) for trial in range(cfg.trials) for point in cfg.grid_points()]
+        for report, (trial, point) in zip(reports, points, strict=True):
+            seed = instance_seed(cfg, trial, point)
+            a_list, b_list = draw(cfg, point["n"], point["m"], seed)
+            if (trial, point["m"]) == (0, 2):
+                a_list[1] = bad
+                assert all(math.isnan(value) for _, value in report.terms)
+                assert not report.holds and report.params["seed"] == seed
+                with pytest.raises(error), np.errstate(over="ignore", invalid="ignore"):
+                    for f in cfg.functions or [None]:
+                        check_one_point(cfg, dict(point, f=f), a_list, b_list, seed)
+            else:
+                expected = check_one_point(cfg, point, a_list, b_list, seed)
+                expected.params["trial"] = trial
+                assert report.is_finite() and report == expected
 
 
 class TestNonFinite:
@@ -1127,6 +1225,22 @@ class TestCli:
         rows = out_path.read_text().splitlines()
         assert rows[0] == ",".join(CSV_COLUMNS)
         assert len(rows) == 1 + 2
+
+    def test_successive_calls_share_the_parser_but_no_flags(self, tmp_path, capsys):
+        # The parser is built once per process; each call's flags stay its own.
+        cfg_path = tmp_path / "cfg.json"
+        obj = dict(SMALL, trials=2)
+        cfg_path.write_text(json.dumps(obj))
+        flagged, plain = tmp_path / "flagged.out", tmp_path / "plain.out"
+        assert cli_main(["campaign", "--config", str(cfg_path), "--out", str(flagged),
+                         "--seed", "5", "--format", "csv"]) == 0
+        assert cli_main(["campaign", "--config", str(cfg_path), "--out", str(plain)]) == 0
+        capsys.readouterr()
+        assert cli._parser() is cli._parser()
+        _, seeded = run_campaign(CampaignConfig.from_obj(dict(obj, **{"root-seed": 5})))
+        _, unflagged = run_campaign(CampaignConfig.from_obj(obj))
+        assert flagged.read_text() == render_reports(seeded, "csv")
+        assert plain.read_text() == render_reports(unflagged, "json")
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
