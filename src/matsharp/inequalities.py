@@ -55,7 +55,7 @@ from .linalg import (
     spectrum_function,
     spectrum_power,
 )
-from .means import _epsilon, _mean_from_spectra, _pair_sum, _pair_total, _strict_spectrum
+from .means import _epsilon, _mean_from_spectra, _pair_sum, _strict_spectrum
 from .norms import NormSpec, norm_from_singular_values, singular_values, tolerance_band
 
 AUDENAERT = "Audenaert"
@@ -221,12 +221,11 @@ def _group_blocks(block, groups):
     for m, count in groups:
         run = slice(stop, stop + count)
         stop += count
-        blocks.append(block._replace(
-            params=[dict(point, m=m) for point in block.params], seeds=block.seeds[run],
-            values=block.values[..., run], margins=block.margins[..., run],
-            fan_margins=block.fan_margins[..., run], finite=block.finite[..., run],
-            holds=block.holds[..., run],
-            epsilon=None if block.epsilon is None else block.epsilon[run]))
+        blocks.append(_ReportBlock(
+            block.inequality_id, [dict(point, m=m) for point in block.params], block.labels,
+            block.norms, block.seeds[run], block.values[..., run], block.margins[..., run],
+            block.fan_margins[..., run], block.finite[..., run], block.holds[..., run],
+            None if block.epsilon is None else block.epsilon[run]))
     return blocks
 
 
@@ -345,6 +344,13 @@ def _validate_lists(a_list, b_list):
     return np.array(a_list)[None], np.array(b_list)[None]
 
 
+def _flat_pairs(stacks):
+    """The pairs of ``stacks``, arrays (T_g, m_g, n, n), in order, as one
+    validated (P, n, n) stack."""
+    pairs = [x.reshape((-1,) + x.shape[2:]) for x in stacks]
+    return _as_stack(pairs[0] if len(pairs) == 1 else np.concatenate(pairs))
+
+
 class _StackKernel:
     """A stack of instances and the failure screen every kernel shares.
 
@@ -369,24 +375,27 @@ class _StackKernel:
     """
 
     def __init__(self, a, b, seeds, mask_failures):
-        shapes = [np.shape(x) for x in a]
+        a = [np.asarray(x) for x in a]
+        b = None if b is None else [np.asarray(x) for x in b]
+        shapes = [x.shape for x in a]
         if (not shapes or any(len(s) != 4 or s[1] < 1 or s[2:] != shapes[0][2:] for s in shapes)
-                or (b is not None and [np.shape(x) for x in b] != shapes)
+                or (b is not None and [x.shape for x in b] != shapes)
                 or sum(s[0] for s in shapes) != len(seeds)):
             raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
-        matrix = shapes[0][2:]
-        self.a = _as_stack(np.concatenate([np.reshape(x, (-1,) + matrix) for x in a]))
-        self.b = self.a if b is None else _as_stack(
-            np.concatenate([np.reshape(x, (-1,) + matrix) for x in b]))
-        _check_hermitian(self.a)
-        if b is not None:
-            _check_hermitian(self.b)
+        self.a = _flat_pairs(a)
+        self.b = self.a if b is None else _flat_pairs(b)
+        # One check for both sides; a defect of A is still the one reported first.
+        _check_hermitian(self.a if b is None else np.concatenate([self.a, self.b]))
         self.groups = tuple((s[1], s[0]) for s in shapes)
-        self.counts = np.repeat([s[1] for s in shapes], [s[0] for s in shapes])
         self.width = max(s[1] for s in shapes)
         self.seeds = tuple(seeds)
         self.mask_failures = mask_failures
         self.failed = np.zeros(len(self.seeds), dtype=bool)
+
+    @cached_property
+    def counts(self):
+        """Each instance's m, (T,)."""
+        return np.repeat([m for m, _ in self.groups], [count for _, count in self.groups])
 
     @cached_property
     def owner(self):
@@ -404,8 +413,8 @@ class _StackKernel:
         then zeros up to the widest instance.  When every instance is as
         wide, that is a reshape."""
         axis %= x.ndim
-        shape = x.shape[:axis] + (len(self.counts), self.width) + x.shape[axis + 1:]
-        if len(self.a) == len(self.counts) * self.width:
+        shape = x.shape[:axis] + (len(self.seeds), self.width) + x.shape[axis + 1:]
+        if len(self.a) == len(self.seeds) * self.width:
             return x.reshape(shape)
         padded = np.zeros(shape, dtype=x.dtype)
         padded[(slice(None),) * axis + (self.owner, self.slot)] = x
@@ -632,7 +641,7 @@ class _MainChain(_StackKernel):
             terms = self._lemma_terms(sa, sb, mean_w, ts, rs, ss)
         else:
             mean_pows = spectra.assemble(np.array([np.power(mean_w, r) for r in rs]))
-            lhs = _psd_sigma(_pair_total(self._padded(mean_pows))).swapaxes(0, 1)
+            lhs = _psd_sigma(sum(np.moveaxis(self._padded(mean_pows), -3, 0))).swapaxes(0, 1)
             terms = [("sum (A_i#B_i)^r", lhs[:, :, None])]
             s_a, s_b = self.sums
             if proof:
@@ -758,8 +767,9 @@ def _audenaert_chain(kernel):
         )
     s_a, s_b = kernel._psd_screened([_eigh(a), _eigh(b)], pairs=True)
     halves = s_a.assemble(spectrum_power(s_a, 0.5)) @ s_b.assemble(spectrum_power(s_b, 0.5))
-    x = _pair_total(kernel._padded(halves))
-    sigma = [_product_sigma(_pair_total(kernel._padded(products))), _product_sigma(x @ x),
+    x = sum(np.moveaxis(kernel._padded(halves), 1, 0))
+    sigma = [_product_sigma(sum(np.moveaxis(kernel._padded(products), 1, 0))),
+             _product_sigma(x @ x),
              _product_sigma(_pair_sum(kernel._padded(a)) @ _pair_sum(kernel._padded(b)))]
     return _Chain(AUDENAERT, [_params(n=a.shape[-1])],
                   ["sum A_iB_i", "(sum A_i^(1/2)B_i^(1/2))^2", "sumA sumB"],

@@ -144,20 +144,12 @@ def psd_geometric_mean(a, b, t, epsilon_scale=DEFAULT_EPSILON_SCALE):
     return geometric_mean(a + shift, b + shift, t)
 
 
-def _pair_total(stack):
-    """Sum over the pair axis (-3) of ``stack``, (..., m, n, n), added in
-    pair order from zeros: a zero-padded pair slot leaves the sum's bits
-    unchanged."""
+def _pair_sum(stack):
+    """Sum over the pair axis (-3) of ``stack``, (..., m, n, n), symmetrized
+    to (S + S*)/2.  Unchecked: the summands are trusted to be Hermitian."""
     total = np.zeros(stack.shape[:-3] + stack.shape[-2:], dtype=np.complex128)
     for m in np.moveaxis(stack, -3, 0):
         total = total + m
-    return total
-
-
-def _pair_sum(stack):
-    """:func:`_pair_total` symmetrized to (S + S*)/2.  Unchecked: the
-    summands are trusted to be Hermitian."""
-    total = _pair_total(stack)
     return 0.5 * (total + _adjoint(total))
 
 
