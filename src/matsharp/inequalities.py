@@ -619,7 +619,6 @@ class _MainChain(_StackKernel):
         lemma, proof = inequality_id == LEMMA_CHAIN, inequality_id == PROOF_STEPS
         ts, rs = tuple(grid["t"]), tuple(grid["r"])
         ss = tuple(grid["s"]) if lemma else (None,)
-        # t is checked once per value, not once per (t, r, s) point.
         for t in ts:
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"t must lie in [0, 1], got {t!r}")
