@@ -21,10 +21,10 @@ axes; a sum over each instance's pairs runs on a zero-padded pair axis,
 and only the elementwise powers are taken one exponent at a time.  Every
 norm, margin and verdict is then an array reduction over those sequences
 (:func:`_reduce`), split by m (:func:`_group_blocks`) and read out as
-reports by :func:`_instance_reports`.  The main chain's kernel (:class:`_MainChain`)
-also serves the proof steps and, on single pairs, the lemma chain, whose
-last two terms are the t-dependent main chain's middle and right terms at
-s = 1 (:func:`_flank_sigmas`).  One driver, :func:`_chain`, maps an
+reports by :func:`_instance_reports`.  The main chain's kernel
+(:class:`_MainChain`) also serves the proof steps and, on single pairs,
+the lemma chain, whose last two terms are the t-dependent main chain's
+middle and right terms at s = 1 (:func:`_flank_sigmas`).  One driver, :func:`_chain`, maps an
 inequality id to its kernel, which returns the whole grid as one
 :class:`_Chain`, all its sequences in one (points, terms, T, n) array;
 :func:`stack_reports` is that driver followed by the reduction.  A
