@@ -562,7 +562,6 @@ class TestBatchInvariance:
             assert a[k].tobytes() == np.array(a_list).tobytes()
             assert b[k].tobytes() == np.array(b_list).tobytes()
 
-
     @pytest.mark.parametrize("obj,n", [
         ({"inequality-id": "main_theorem"}, 3),
         ({"inequality-id": "main_theorem", "ensemble": {"kind": "psd", "rank": 1}}, 3),
