@@ -16,11 +16,13 @@ is one call over the grid values it depends on (the pair means over
 every t, the main chain's terms over every (t, r) point they vary with),
 each covering every pair or instance of the stack.  Every norm then
 reduces those sequences into arrays, once per stack, which are split
-into one block per m; the summary reads them, and a report is built when
-the :class:`ReportStream` is read.  Rendering builds none:
-:func:`render_reports` gives each grid point of a block one row template,
-which each of its (norm, instance) rows fills from the arrays, and writes
-a list of reports through the same formatter.  NumPy gives each slice of a
+into one block per m; their verdict masks come from one rule
+(``inequalities._reduce``).  A report is built when the
+:class:`ReportStream` is read.  :func:`summarize` and :func:`render_reports`
+build none: they read the blocks of a stream or of a list of reports
+(:func:`_chunks`), and rendering gives each grid point of a block one row
+template, which each of its (norm, instance) rows fills from the arrays.
+NumPy gives each slice of a
 stacked call the bits of the single-matrix call, and a sum over a
 zero-padded pair axis has the bits of the sum over the instance's own
 pairs, so the reports are the ones the ``check_*`` predicates give
@@ -320,11 +322,12 @@ class CampaignConfig(_Record):
 class CampaignSummary(_Record):
     """Aggregate of one report stream.
 
-    ``held + violated + indeterminate == total``: a report with a
-    non-finite term, margin or fan margin is indeterminate, neither held
-    nor violated.  ``min_margin`` is the least margin over the finite
-    reports, attained at ``min_margin_params`` (inf and ``{}`` when there
-    is none).
+    ``held + violated + indeterminate == total``: a report that is not
+    finite by the one verdict rule (``inequalities._reduce``: a non-finite
+    term, margin or fan margin) is indeterminate, neither held nor
+    violated, even when it says it holds.  ``min_margin`` is the least margin over the
+    finite reports, attained first at ``min_margin_params`` (inf and ``{}``
+    when there is none).
     """
 
     total: int
@@ -337,19 +340,26 @@ class CampaignSummary(_Record):
 
 
 def summarize(reports, wall_time=0.0):
-    """Recompute a CampaignSummary from a report stream (a ReportStream's from its arrays)."""
-    if isinstance(reports, ReportStream):
-        held, finite, worst = reports._verdicts()
-    else:
-        finite_reports = [r for r in reports if r.is_finite()]
-        held, finite = sum(1 for r in finite_reports if r.holds), len(finite_reports)
-        worst = min(finite_reports, key=lambda r: r.min_margin()) if finite_reports else None
+    """The CampaignSummary of a report stream or a list of reports, read
+    from the ``finite`` and ``holds`` masks and the margins of its blocks
+    (:func:`_chunks`); only the report of least margin is built."""
+    chunks = [[block for block, _ in chunk] for chunk in _chunks(reports)]
+    held = sum(int((b.holds & b.finite).sum()) for blocks in chunks for b in blocks)
+    finite = sum(int(b.finite.sum()) for blocks in chunks for b in blocks)
+    # Each report's least margin, inf where it is not finite, per chunk as
+    # (instances, rows of the chunk): the flat order is stream order.  The
+    # trailing inf is argmin's answer when no report is finite.
+    lowest = np.concatenate([np.concatenate([
+        np.where(b.finite, b.margins.min(axis=2), np.inf).reshape(-1, len(b.seeds)).T
+        for b in blocks], axis=1).ravel() for blocks in chunks] + [[np.inf]])
+    k = int(lowest.argmin())
+    worst = reports[k] if lowest[k] < np.inf else None
     return CampaignSummary(
         total=len(reports),
         held=held,
         violated=finite - held,
         indeterminate=len(reports) - finite,
-        min_margin=worst.min_margin() if worst else float("inf"),
+        min_margin=float(lowest[k]),
         min_margin_params=dict(worst.params, **{"inequality-id": worst.inequality_id})
         if worst else {},
         wall_time=wall_time,
@@ -371,16 +381,14 @@ def _ensemble_spec(config, n, seed, kind=None):
 def _build_inputs(config, n, m, inst_seed):
     """Matrix lists for one instance; pure function of (config, n, m, seed).
 
-    Given a tuple of instance seeds, the inputs of all of them as one
-    stacked draw: arrays (A, B) of shape (T, m, n, n), B of shape
-    (T, 0, n, n) for Bourin-Uchiyama, whose row k holds the lists of seed k.
     Given a tuple of m-values and, for each, a tuple of instance seeds, the
-    inputs of every m as one draw, returned as one (A, B) per m.  Every
-    matrix is drawn from its own seed, so it has the bits of its single draw.
+    inputs of every m as one stacked draw, returned as one (A, B) per m:
+    arrays of shape (T, m, n, n), B of shape (T, 0, n, n) for
+    Bourin-Uchiyama, whose row k holds the lists of seed k.  Every matrix is
+    drawn from its own seed, so it has the bits of its single draw.
     """
     grouped = isinstance(m, tuple)
-    ms, seed_groups = ((m, inst_seed) if grouped else
-                       ((m,), (inst_seed if isinstance(inst_seed, tuple) else (inst_seed,),)))
+    ms, seed_groups = (m, inst_seed) if grouped else ((m,), ((inst_seed,),))
     kind = config.ensemble["kind"]
     commuting = config.inequality_id == AUDENAERT or kind == KIND_COMMUTING
     sides = 1 if commuting or config.inequality_id == BOURIN_UCHIYAMA else 2
@@ -402,7 +410,7 @@ def _build_inputs(config, n, m, inst_seed):
     if grouped:
         return stacks
     a, b = stacks[0]
-    return (a, b) if isinstance(inst_seed, tuple) else (list(a[0]), list(b[0]))
+    return list(a[0]), list(b[0])
 
 
 def _kernel_options(config):
@@ -419,7 +427,7 @@ def run_check(config, point, a_list, b_list, seed=None):
 class ReportStream(Sequence):
     """A campaign's reports in (trial, grid point) order, kept as the reduced
     blocks of its stacks (one list per chunk of trials): reports are built
-    when they are read, while :func:`summarize` reads the arrays."""
+    when they are read, while summaries and rendering read the arrays."""
 
     def __init__(self, chunks, trials, grid_size):
         self._chunks, self._trials, self._grid_size = chunks, trials, grid_size
@@ -448,16 +456,16 @@ class ReportStream(Sequence):
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
-    def _verdicts(self):
-        """(held, finite, the first finite report of least margin or None)."""
-        # Per chunk, the least margins as (trials, grid size), inf where a
-        # report is not finite: the flat order is stream order.
-        lowest = np.concatenate([np.concatenate([
-            np.where(b.finite, b.margins.min(axis=2), np.inf).reshape(-1, len(b.seeds)).T
-            for b in blocks], axis=1).ravel() for blocks in self._chunks])
-        worst = int(lowest.argmin())
-        return (sum(int(b.holds.sum()) for blocks in self._chunks for b in blocks),
-                int(np.isfinite(lowest).sum()), self[worst] if lowest[worst] < np.inf else None)
+
+def _chunks(reports):
+    """The chunks of reduced blocks of a report stream (its own) or of a list
+    of reports (each of :func:`_report_blocks` alone), each block with its
+    instances' trials (None: its params hold them).  Within a chunk the
+    reports run in (instance, block, row) order."""
+    if isinstance(reports, ReportStream):
+        return ([(block, range(first, first + len(block.seeds))) for block in blocks]
+                for first, blocks in zip(itertools.count(0, CHUNK_TRIALS), reports._chunks))
+    return ([(block, None)] for block in _report_blocks(reports))
 
 
 def run_campaign(config):
@@ -619,19 +627,13 @@ def render_reports(reports, output_format):
     """Render a report stream, or a list of reports, to text (line-delimited
     JSON or CSV).
 
-    Both go through one row formatter, :func:`_block_rows`: a
-    :class:`ReportStream` straight from its reduced blocks, with no report
-    built, and a list as blocks of its reports (:func:`_report_blocks`).
+    Both go through one row formatter, :func:`_block_rows`, over the
+    blocks of :func:`_chunks`, with no report built.
     """
     if output_format not in ("json", "csv"):
         raise ConfigError(f"output-format must be 'json' or 'csv', got {output_format!r}")
-    if isinstance(reports, ReportStream):
-        chunks = ([(block, range(first, first + len(block.seeds))) for block in blocks]
-                  for first, blocks in zip(itertools.count(0, CHUNK_TRIALS), reports._chunks))
-    else:
-        chunks = ([(block, None)] for block in _report_blocks(reports))
     text = [] if output_format == "json" else [",".join(CSV_COLUMNS) + "\n"]
-    for chunk in chunks:
+    for chunk in _chunks(reports):
         # One string per instance and block: the stream's order is (trial, block).
         text += itertools.chain.from_iterable(
             zip(*[_block_rows(block, output_format, trials) for block, trials in chunk]))
@@ -788,8 +790,9 @@ def search_counterexample(config, steps):
 
     def fresh(first, count):
         """Restart draws first, ..., first + count - 1 as one stack."""
-        return _build_inputs(config, n, m, tuple(split_seed(split_seed(config.root_seed, i), 0)
-                                                 for i in range(first, first + count)))
+        seeds = tuple(split_seed(split_seed(config.root_seed, i), 0)
+                      for i in range(first, first + count))
+        return _build_inputs(config, n, (m,), (seeds,))[0]
 
     a, b = fresh(0, chains)
     cand_a, cand_b = a.copy(), b.copy()
@@ -810,8 +813,8 @@ def search_counterexample(config, steps):
             if not restart.all():
                 cand_a[~restart], cand_b[~restart] = _perturb(
                     stream, a[~restart], b[~restart], scale[~restart], clamp_floor)
-        block = stack_reports(config.inequality_id, cand_a, cand_b, grid, (None,) * chains,
-                              mask_failures=True, **_kernel_options(config))
+        block, = stack_reports(config.inequality_id, [cand_a], [cand_b], grid, (None,) * chains,
+                               mask_failures=True, **_kernel_options(config))
         objective = _relative_margins(block)
         k = int(objective.argmin())
         if best is None or objective[k] < best[0]:
@@ -828,8 +831,8 @@ def search_counterexample(config, steps):
         steps=int(steps),
         evaluations=chains * (rounds + 1),
         restarts=restarts,
-        best_margin=report.min_margin(),
-        violation_found=report.is_finite() and not report.holds,
+        best_margin=float(np.min(block.margins[0, 0, :, k])),
+        violation_found=bool(block.finite[0, 0, k] and not block.holds[0, 0, k]),
         best_instance=instance_to_obj(best_a, best_b),
         best_report=report.to_obj(),
         wall_time=time.perf_counter() - start,
@@ -839,13 +842,13 @@ def search_counterexample(config, steps):
 def reevaluate_search_instance(config, search_report):
     """Re-run the target on a SearchReport's serialized instance.
 
-    The reproduced minimum margin equals the reported one (search
-    soundness): a slice of the search's stacked kernel call has the bits of
-    this stack-of-one call.
+    The reproduced minimum margin (NaN when any margin is NaN) equals the
+    reported one (search soundness): a slice of the search's stacked kernel
+    call has the bits of this stack-of-one call.
     """
     point = _search_target(config)
     a_list, b_list = instance_from_obj(search_report.best_instance
                                        if isinstance(search_report, SearchReport)
                                        else search_report["best-instance"])
     report = run_check(config, point, a_list, b_list)
-    return report.min_margin(), report
+    return float(np.min(report.margins)), report

@@ -1,7 +1,9 @@
 """Command line harness: ``campaign``, ``search``, and ``eval``.
 
-Exit codes: 0 = ran with no violations, 2 = ran and found violations,
-1 = error (bad config, unreadable matrix file, ...).
+Exit codes: 0 = ran and every result held; 2 = ran and found a violation
+or an indeterminate (non-finite) result, among a campaign's reports, in a
+search's best report or in an eval's report; 1 = error (bad config,
+unreadable matrix file, ...).
 """
 
 import argparse

@@ -112,13 +112,12 @@ class InequalityReport(_Record):
 
     ``terms`` are ordered left-to-right as in the chain being tested;
     ``margins[i]`` is the signed slack of step i (nonnegative certifies);
-    ``holds`` is true when every term and margin is finite and every margin
-    clears ``-tolerance_band(scale)`` (``REL_TOL * scale``) with scale the
-    largest term value, so scaling the inputs of a homogeneous chain does
-    not change it.
     ``fan_margins`` are the matching Ky Fan prefix-sum margins (all-norms
-    certificate); they get no band and enter ``holds`` only through the
-    finiteness check.
+    certificate).  ``holds`` is the verdict of :func:`_reduce`, the one
+    rule: every term, margin and fan margin is finite (:func:`_finite`) and
+    every margin clears ``-tolerance_band(scale)`` (``REL_TOL * scale``),
+    scale the largest term value, so scaling the inputs of a homogeneous
+    chain does not change it; fan margins get no band.
     """
 
     inequality_id: str
@@ -128,17 +127,6 @@ class InequalityReport(_Record):
     holds: bool
     regularization_epsilon: float | None = None
     fan_margins: list | None = field(default=None)
-
-    def min_margin(self):
-        """Smallest margin, or NaN when any margin is NaN."""
-        if any(math.isnan(m) for m in self.margins):
-            return math.nan
-        return min(self.margins)
-
-    def is_finite(self):
-        """True when every term, margin and fan margin is finite."""
-        values = [value for _, value in self.terms] + list(self.margins)
-        return all(math.isfinite(x) for x in values + list(self.fan_margins or ()))
 
     @classmethod
     def from_obj(cls, obj):
@@ -193,10 +181,21 @@ class _ReportBlock(NamedTuple):
     epsilon: np.ndarray | None
 
 
+def _finite(values, margins, fan_margins):
+    """The finite reports (P, N, T): every term of ``values`` (P, N, terms,
+    T), margin (P, N, steps, T) and fan margin ((P, steps, T), or None) is
+    finite.  A chain's terms are norms, so its margins are finite when they
+    are; a report read from a file may say otherwise."""
+    finite = np.isfinite(values).all(axis=2) & np.isfinite(margins).all(axis=2)
+    return finite if fan_margins is None else finite & np.isfinite(fan_margins).all(1)[:, None]
+
+
 def _reduce(chain, norms):
     """Every norm's reports on ``chain`` as one :class:`_ReportBlock`.
 
-    A report with any non-finite term, margin or fan margin never holds.
+    This is the one verdict rule: a report that is not :func:`_finite` is
+    indeterminate and never holds; a finite one holds when every margin
+    clears the band of its largest term.
     """
     sigma = chain.sigma
     left, right = np.array(chain.steps or [(i, i + 1) for i in range(sigma.shape[1] - 1)]).T
@@ -204,11 +203,8 @@ def _reduce(chain, norms):
     margins = values[:, :, right] - values[:, :, left]
     prefix = sigma.cumsum(axis=-1)
     fan_margins = (prefix[:, right] - prefix[:, left]).min(axis=-1)
-    # Terms are norms, never negative: the largest is finite exactly when
-    # every term is, and then every margin is finite too.
-    scale = values.max(axis=2)
-    finite = np.isfinite(scale) & np.isfinite(fan_margins).all(axis=1)[:, None]
-    holds = finite & (margins.min(axis=2) >= -tolerance_band(scale))
+    finite = _finite(values, margins, fan_margins)
+    holds = finite & (margins.min(axis=2) >= -tolerance_band(values.max(axis=2)))
     return _ReportBlock(chain.inequality_id, chain.params, chain.labels, tuple(norms),
                         chain.seeds, values, margins, fan_margins, finite, holds, chain.epsilon)
 
@@ -253,7 +249,7 @@ def _report_blocks(reports):
     """A list of reports as reduced blocks, the inverse of
     :func:`_instance_reports`: each run of reports that share a chain, term
     labels, step counts and epsilon is one block of a point per report, one
-    norm and one instance, whose params are the reports' own."""
+    norm and one instance, with the reports' own params and ``holds``."""
     def layout(report):
         return (report.inequality_id, [label for label, _ in report.terms], len(report.margins),
                 None if report.fan_margins is None else len(report.fan_margins),
@@ -266,12 +262,13 @@ def _report_blocks(reports):
             """(reports, entries) as floats."""
             return np.array(rows, dtype=float).reshape(len(run), -1)
 
+        values = floats([[v for _, v in r.terms] for r in run])[:, None, :, None]
+        margins = floats([r.margins for r in run])[:, None, :, None]
+        fan_margins = None if fans is None else floats([r.fan_margins for r in run])[:, :, None]
         yield _ReportBlock(
-            inequality_id, [r.params for r in run], labels, (None,), (None,),
-            floats([[v for _, v in r.terms] for r in run])[:, None, :, None],
-            floats([r.margins for r in run])[:, None, :, None],
-            None if fans is None else floats([r.fan_margins for r in run])[:, :, None],
-            None, np.array([r.holds for r in run]).reshape(-1, 1, 1),
+            inequality_id, [r.params for r in run], labels, (None,), (None,), values, margins,
+            fan_margins, _finite(values, margins, fan_margins),
+            np.array([r.holds for r in run]).reshape(-1, 1, 1),
             None if eps is None else np.array([eps], dtype=float))
 
 
@@ -815,15 +812,15 @@ def _chain(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=No
 
 def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
                   direction=None, mask_failures=False):
-    """The reports of a stack of instances over ``grid``, reduced into one
-    :class:`_ReportBlock` (read one report with :func:`_build_report`).
+    """The reports of stacks of instances over ``grid``, one reduced
+    :class:`_ReportBlock` per stack (read a report with :func:`_build_report`).
 
-    ``a`` and ``b`` hold one A-list and one B-list per instance, arrays of
-    shape (T, m, n, n) (``b`` is ignored for Bourin-Uchiyama, and the lemma
-    chain takes each instance's first pair); ``seeds`` holds one seed per
-    instance.  Given lists of such arrays, one per m, the stacks are
-    evaluated and reduced as one, and the reports come back as one block
-    per stack, in order; a single array is the one-stack case.  ``grid``
+    ``a`` and ``b`` are lists of stacks, one per m, each holding one A-list
+    and one B-list per instance, arrays of shape (T, m, n, n) (``b`` is
+    ignored for Bourin-Uchiyama and may be None there, and the lemma chain
+    takes each instance's first pair); ``seeds`` holds one seed per
+    instance, in stack order.  The stacks are evaluated and reduced as one,
+    and the blocks come back in stack order.  ``grid``
     maps the axes that follow the instance axes to their values: ``t``,
     ``r`` and ``s`` (lemma chain), ``t`` and ``r`` (main theorem, proof
     steps) or ``f`` (Bourin-Uchiyama), then ``norm``, varied fastest; the
@@ -839,13 +836,9 @@ def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_s
     point (indeterminate reports) instead of raising; the other instances,
     those of its trial included, go on.
     """
-    stacks = isinstance(a, list)
-    if not stacks:
-        a, b = [a], None if b is None else [b]
     chain = _chain(inequality_id, a, b, grid, seeds, printed_form, epsilon_scale, direction,
                    mask_failures)
-    blocks = _group_blocks(_reduce(chain, grid["norm"]), chain.groups)
-    return blocks if stacks else blocks[0]
+    return _group_blocks(_reduce(chain, grid["norm"]), chain.groups)
 
 
 def _check(inequality_id, a_list, b_list, point, seed, **options):
@@ -862,4 +855,4 @@ def _check(inequality_id, a_list, b_list, point, seed, **options):
     if inequality_id == LEMMA_CHAIN and a.shape[1] > 1:
         raise ShapeError(f"shape error: {LEMMA_CHAIN} takes one pair, got {a.shape[1]}")
     grid = {axis: (value,) for axis, value in point.items()}
-    return _build_report(stack_reports(inequality_id, a, b, grid, (seed,), **options))
+    return _build_report(stack_reports(inequality_id, [a], [b], grid, (seed,), **options)[0])

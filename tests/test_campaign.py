@@ -95,6 +95,40 @@ def synthetic_report(i):
     )
 
 
+def finite(report):
+    """Plain-Python reference, independent of the library's verdict rule:
+    every term, margin and fan margin of ``report`` is finite."""
+    values = [value for _, value in report.terms] + report.margins + (report.fan_margins or [])
+    return all(math.isfinite(x) for x in values)
+
+
+def least_margin(report):
+    """The least margin of ``report``; NaN when any margin is NaN."""
+    return math.nan if any(math.isnan(x) for x in report.margins) else min(report.margins)
+
+
+def reference_summary(reports):
+    """The summary of ``reports`` as a JSON object without its wall time,
+    in plain Python: a report that is not :func:`finite` is indeterminate,
+    a finite one is held when it says so, and the least margin over the
+    finite reports is taken at the first report that attains it."""
+    finite_reports = [r for r in reports if finite(r)]
+    held = sum(1 for r in finite_reports if r.holds)
+    worst = min(finite_reports, key=lambda r: min(r.margins), default=None)
+    return {"total": len(reports), "held": held, "violated": len(finite_reports) - held,
+            "indeterminate": len(reports) - len(finite_reports),
+            "min-margin": math.inf if worst is None else min(worst.margins),
+            "min-margin-params": {} if worst is None else dict(
+                worst.params, **{"inequality-id": worst.inequality_id})}
+
+
+def summary_obj(summary):
+    """``summary`` as a JSON object without its wall time."""
+    obj = summary.to_obj()
+    del obj["wall-time"]
+    return obj
+
+
 class TestConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigError):
@@ -351,10 +385,7 @@ class TestRunCampaign:
     def test_summary_integrity_from_stream(self):
         summary, reports = run_campaign(small_config())
         recomputed = summarize(reports)
-        assert recomputed.total == summary.total
-        assert recomputed.held == summary.held
-        assert recomputed.violated == summary.violated
-        assert recomputed.min_margin == summary.min_margin
+        assert summary_obj(recomputed) == summary_obj(summary) == reference_summary(list(reports))
 
     def test_trials_vary_inputs(self):
         _, reports = run_campaign(small_config(trials=2))
@@ -555,7 +586,7 @@ class TestBatchInvariance:
     def test_stacked_draws_equal_single_draws(self, obj, n):
         cfg = CampaignConfig.from_obj(dict(obj, **{"root-seed": 47}))
         seeds = tuple(split_seed(47, k) for k in range(5))
-        a, b = _build_inputs(cfg, n, 2, seeds)
+        (a, b), = _build_inputs(cfg, n, (2,), (seeds,))
         assert a.shape == (5, 2, n, n)
         for k, seed in enumerate(seeds):
             a_list, b_list = _build_inputs(cfg, n, 2, seed)
@@ -655,7 +686,7 @@ class TestMixedStack:
             else:
                 expected = check_one_point(cfg, point, a_list, b_list, seed)
                 expected.params["trial"] = trial
-                assert report.is_finite() and report == expected
+                assert finite(report) and report == expected
 
 
 class TestNonFinite:
@@ -672,7 +703,7 @@ class TestNonFinite:
         assert summary.total == len(reports) == 4
         at_60 = [r for r in reports if r.params["r"] == 60.0]
         assert len(at_60) == 2
-        assert all(not r.holds and not r.is_finite() for r in at_60)
+        assert all(not r.holds and not finite(r) for r in at_60)
         assert all(r.holds for r in reports if r.params["r"] == 1.0)
         assert (summary.held, summary.violated, summary.indeterminate) == (2, 0, 2)
 
@@ -703,7 +734,7 @@ class TestNonFinite:
             "root-seed": 0, "ensemble": {"condition-target": 1e7}})
         with np.errstate(over="ignore", invalid="ignore"):
             _, reports = run_campaign(cfg)
-        verdicts = {spec: [(r.holds, r.is_finite()) for r in reports
+        verdicts = {spec: [(r.holds, finite(r)) for r in reports
                            if r.params["norm-spec"] == spec] for spec in ("schatten:2", "trace")}
         assert verdicts["schatten:2"] == verdicts["trace"]
         assert sum(holds for holds, _ in verdicts["trace"]) == 39
@@ -715,18 +746,18 @@ class TestNonFinite:
         a = np.stack([np.diag([354.5] * 3)] * 2)
         grid = {"f": ("expm1",), "norm": (NormSpec.trace(), NormSpec.schatten(2))}
         with np.errstate(over="ignore", invalid="ignore"):
-            block = stack_reports(BOURIN_UCHIYAMA, np.stack([a, a / 354.5]), None, grid,
-                                  (1, 2), direction="convex")
+            block, = stack_reports(BOURIN_UCHIYAMA, [np.stack([a, a / 354.5])], None, grid,
+                                   (1, 2), direction="convex")
         stream = ReportStream([[block]], 2, 2)
         reports = list(stream)
         bad = reports[0]
         assert bad.terms[1][1] == math.inf and math.isfinite(bad.terms[0][1])
         assert all(math.isfinite(x) for x in bad.fan_margins)
-        assert not bad.is_finite() and bad.holds is False
-        assert all(r.is_finite() and r.holds for r in reports[1:])
+        assert not finite(bad) and bad.holds is False
+        assert all(finite(r) and r.holds for r in reports[1:])
         for summary in (summarize(stream), summarize(reports)):
             assert (summary.held, summary.violated, summary.indeterminate) == (3, 0, 1)
-        assert summarize(stream).to_json() == summarize(reports).to_json()
+            assert summary_obj(summary) == reference_summary(reports)
         with np.errstate(over="ignore", invalid="ignore"):
             check = check_bourin_uchiyama(list(a), "expm1", "convex", NormSpec.trace(), seed=1)
         check.params["trial"] = 0
@@ -740,17 +771,44 @@ class TestNonFinite:
         with np.errstate(over="ignore", invalid="ignore"):
             bad = check_main_theorem([a], [b], 0.5, 60.0, NormSpec.schatten(2))
         good = check_main_theorem([a], [b], 0.5, 1.0, NormSpec.schatten(2))
-        assert math.isnan(bad.min_margin())
+        assert math.isnan(least_margin(bad))
         for stream in ([bad, good], [good, bad]):
             summary = summarize(stream)
             assert (summary.total, summary.held, summary.violated,
                     summary.indeterminate) == (2, 1, 0, 1)
-            assert summary.min_margin == good.min_margin()
+            assert summary.min_margin == least_margin(good)
             assert summary.min_margin_params["r"] == 1.0
+            assert summary_obj(summary) == reference_summary(stream)
         alone = summarize([bad])
         assert (alone.violated, alone.indeterminate) == (0, 1)
         assert alone.min_margin == math.inf and alone.min_margin_params == {}
         assert alone.to_obj()["indeterminate"] == 1
+        assert summary_obj(alone) == reference_summary([bad])
+
+    def test_outside_report_that_says_it_holds_is_indeterminate_when_not_finite(self,
+                                                                                  tmp_path):
+        # load_reports reads files from outside the program: a file can say
+        # "holds": true next to a NaN term, margin or fan margin.
+        good, nan_term, nan_margin, nan_fan = (synthetic_report(i) for i in range(4))
+        nan_term.terms[1] = ("right", math.nan)
+        nan_margin.margins = [math.nan]
+        nan_fan.fan_margins = [math.nan]
+        path = tmp_path / "reports.json"
+        emit_report([good, nan_term, nan_margin, nan_fan], "json", path)
+        loaded = load_reports(path)
+        assert all(r.holds for r in loaded)
+        for reports, verdicts in ((loaded, (1, 0, 3)), ([nan_term], (0, 0, 1)),
+                                  ([nan_margin], (0, 0, 1)), ([nan_fan], (0, 0, 1))):
+            summary = summarize(reports)
+            assert (summary.held, summary.violated, summary.indeterminate) == verdicts
+            assert summary.held + summary.violated + summary.indeterminate == summary.total
+            assert summary_obj(summary) == reference_summary(reports)
+
+    def test_summary_of_no_reports(self):
+        summary = summarize([])
+        assert (summary.total, summary.held, summary.violated, summary.indeterminate) == (0,) * 4
+        assert summary.min_margin == math.inf and summary.min_margin_params == {}
+        assert '"min-margin": Infinity, "min-margin-params": {}' in summary.to_json()
 
 
 FAILING_SLICE_ERRORS = {"BourinUchiyama": SingularFunctionError}
@@ -788,7 +846,7 @@ class TestFailingSlice:
         for report, (trial, point) in zip(reports, points):
             seed = instance_seed(cfg, trial, point)
             a_list, b_list = _build_inputs(cfg, point["n"], point.get("m", 1), seed)
-            if report.is_finite():
+            if finite(report):
                 expected = check_one_point(cfg, point, a_list, b_list, seed)
                 expected.params["trial"] = trial
                 assert report == expected
@@ -857,8 +915,8 @@ class TestReportStream:
         assert len(stream) == len(reports) == cfg.trials * cfg.grid_size()
         for output_format in ("json", "csv"):
             assert render_reports(stream, output_format) == render_reports(reports, output_format)
-        assert summarize(reports, summary.wall_time).to_json() == summary.to_json()
-        tied = [r for r in reports if r.is_finite() and r.min_margin() == summary.min_margin]
+        assert summary_obj(summary) == reference_summary(reports)
+        tied = [r for r in reports if finite(r) and least_margin(r) == summary.min_margin]
         assert len(tied) >= 2 and tied[1].params["norm-spec"] == "operator"
         assert summary.min_margin_params == dict(tied[0].params,
                                                  **{"inequality-id": cfg.inequality_id})
@@ -898,7 +956,7 @@ class TestReportStream:
         path = tmp_path / "reports.json"
         emit_report(stream, "json", path)
         loaded = load_reports(path)
-        assert any(not r.is_finite() for r in loaded)
+        assert any(not finite(r) for r in loaded)
         assert render_reports(loaded, "json") == path.read_text()
         assert render_reports(loaded, "csv") == render_reports(stream, "csv")
 
@@ -1073,7 +1131,7 @@ class TestSearch:
         evaluated = []
 
         def counted(inequality_id, a, *args, **kwargs):
-            evaluated.append(len(a))
+            evaluated.append(sum(len(stack) for stack in a))
             return stack_reports(inequality_id, a, *args, **kwargs)
         monkeypatch.setattr(campaign, "stack_reports", counted)
         report = search_counterexample(CampaignConfig.from_obj(SEARCH_BASE), steps)
@@ -1098,9 +1156,9 @@ class TestSearch:
         masked = []
 
         def counted(*args, **kwargs):
-            block = stack_reports(*args, **kwargs)
-            masked.append(int((~block.finite).sum()))
-            return block
+            blocks = stack_reports(*args, **kwargs)
+            masked.append(sum(int((~block.finite).sum()) for block in blocks))
+            return blocks
         monkeypatch.setattr(campaign, "stack_reports", counted)
         cfg = CampaignConfig.from_obj({
             "inequality-id": "bourin_uchiyama", "dims": [1], "m-values": [2],
@@ -1109,7 +1167,7 @@ class TestSearch:
         with np.errstate(over="ignore", invalid="ignore"):
             report = search_counterexample(cfg, 200)
         assert 0 < sum(masked) < report.evaluations
-        assert InequalityReport.from_obj(report.best_report).is_finite()
+        assert finite(InequalityReport.from_obj(report.best_report))
         assert reevaluate_search_instance(cfg, report)[0] == report.best_margin
 
     def test_search_that_never_sees_a_finite_instance_finds_no_violation(self, tmp_path,

@@ -687,5 +687,6 @@ class TestSingleErrors:
                 LEMMA_CHAIN: {"t": (0.5,), "r": (1.0,), "s": (1.0,)}}.get(
             inequality_id, {"t": (0.5,), "r": (1.0,)})
         with pytest.raises(HermitianDefectError, match="not Hermitian"):
-            stack_reports(inequality_id, a, np.array([IDENTITIES] * 2), dict(grid, norm=(S1,)),
-                          (1, 2), epsilon_scale=1e-10, direction="convex", mask_failures=True)
+            stack_reports(inequality_id, [a], [np.array([IDENTITIES] * 2)],
+                          dict(grid, norm=(S1,)), (1, 2), epsilon_scale=1e-10,
+                          direction="convex", mask_failures=True)

@@ -22,8 +22,11 @@ an error.  ``regularized-ties`` gives, in the same letters, the
 regularized printed form and variant on A = B = cI at c = 0, 1e-8, ...,
 1e8, where every term ties.
 For every campaign, the script also renders the list of the stream's
-reports in both formats; it exits 1, naming the campaign and format on
-stderr, when that text differs from the stream's own rendering.
+reports in both formats, and counts its verdicts itself: a report is
+finite when every term, margin and fan margin is.  It exits 1, naming the
+campaign on stderr, when the list's text differs from the stream's own
+rendering (naming the format too) or when the campaign's summary gives
+other held/violated/indeterminate counts than its own.
 The library is imported from the ``src`` directory next to this script.
 """
 
@@ -131,8 +134,19 @@ def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def is_finite(report):
+    """Every term, margin and fan margin of ``report`` is finite."""
+    values = [value for _, value in report.terms] + report.margins + (report.fan_margins or [])
+    return all(np.isfinite(values))
+
+
+def letter(report):
+    """``h`` held, ``v`` violated or ``i`` indeterminate."""
+    return "h" if report.holds else "v" if is_finite(report) else "i"
+
+
 def counts(reports):
-    finite = [r for r in reports if r.is_finite()]
+    finite = [r for r in reports if is_finite(r)]
     held = sum(r.holds for r in finite)
     return f"{held}/{len(finite) - held}/{len(reports) - len(finite)}"
 
@@ -140,7 +154,8 @@ def counts(reports):
 def campaign_line(name, obj, records, mismatches):
     """The campaign's digest line; its config and summary records join
     ``records``, and each format in which the stream and its list of reports
-    render differently joins ``mismatches``."""
+    render differently, and the summary's counts when they differ from
+    :func:`counts`, join ``mismatches``."""
     config = CampaignConfig.from_obj(dict(BASE, **obj))
     with np.errstate(over="ignore", invalid="ignore"):
         summary, reports = run_campaign(config)
@@ -150,8 +165,12 @@ def campaign_line(name, obj, records, mismatches):
     records += [json.dumps(config.to_obj()), summary.to_json()]
     text = {fmt: render_reports(reports, fmt) for fmt in ("json", "csv")}
     listed = list(reports)
-    mismatches += [f"{name} {fmt}" for fmt in text if render_reports(listed, fmt) != text[fmt]]
-    return f"{name} {digest(text['json'] + text['csv'])} {counts(reports)}"
+    mismatches += [f"stream and list render differently: {name} {fmt}"
+                   for fmt in text if render_reports(listed, fmt) != text[fmt]]
+    verdicts = f"{summary.held}/{summary.violated}/{summary.indeterminate}"
+    if verdicts != counts(listed):
+        mismatches.append(f"summary counts differ: {name} {verdicts}, not {counts(listed)}")
+    return f"{name} {digest(text['json'] + text['csv'])} {counts(listed)}"
 
 
 def search_line(name, obj):
@@ -219,7 +238,7 @@ def screens_at_scale():
             except MatSharpError:
                 letters += "x"
                 continue
-            letters += "h" if report.holds else "v" if report.is_finite() else "i"
+            letters += letter(report)
         fields.append(f"{name}:{letters}")
     return " ".join(fields)
 
@@ -234,7 +253,7 @@ def regularized_ties():
             a = [c * np.eye(3)]
             report = check_main_theorem(a, a, 0.5, 1.0, NormSpec.trace(),
                                         printed_form=printed_form, epsilon_scale=1e-10)
-            letters += "h" if report.holds else "v" if report.is_finite() else "i"
+            letters += letter(report)
         fields.append(f"{name}:{letters}")
     return " ".join(fields)
 
@@ -252,7 +271,7 @@ def main():
     print("screens-at-scale", screens_at_scale())
     print("regularized-ties", regularized_ties())
     for mismatch in mismatches:
-        print(f"stream and list render differently: {mismatch}", file=sys.stderr)
+        print(mismatch, file=sys.stderr)
     return 1 if mismatches else 0
 
 
