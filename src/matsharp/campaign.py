@@ -17,7 +17,7 @@ every t, the main chain's terms over every (t, r) point they vary with),
 each covering every pair or instance of the stack.  Every norm then
 reduces those sequences into arrays, once per stack, which are split
 into one block per m; their verdict masks come from one rule
-(``inequalities._reduce``).  A report is built when the
+(``inequalities._verdict``).  A report is built when the
 :class:`ReportStream` is read.  :func:`summarize` and :func:`render_reports`
 build none: they read the blocks of a stream or of a list of reports
 (:func:`_chunks`), and rendering gives each grid point of a block one row
@@ -82,6 +82,7 @@ from .ensembles import (
     KIND_PD,
     KIND_PSD,
     Stream,
+    _split_seeds,
     random_commuting_pair,
     random_pd,
     random_psd_rank_deficient,
@@ -322,12 +323,12 @@ class CampaignConfig(_Record):
 class CampaignSummary(_Record):
     """Aggregate of one report stream.
 
-    ``held + violated + indeterminate == total``: a report that is not
-    finite by the one verdict rule (``inequalities._reduce``: a non-finite
-    term, margin or fan margin) is indeterminate, neither held nor
-    violated, even when it says it holds.  ``min_margin`` is the least margin over the
-    finite reports, attained first at ``min_margin_params`` (inf and ``{}``
-    when there is none).
+    ``held + violated + indeterminate == total``, by the one verdict rule
+    (``inequalities._verdict``), whatever a report says: a report with a
+    non-finite term, margin or fan margin is indeterminate, and a finite
+    one is held when every margin clears the band of its largest term.
+    ``min_margin`` is the least margin over the finite reports, attained
+    first at ``min_margin_params`` (inf and ``{}`` when there is none).
     """
 
     total: int
@@ -344,7 +345,7 @@ def summarize(reports, wall_time=0.0):
     from the ``finite`` and ``holds`` masks and the margins of its blocks
     (:func:`_chunks`); only the report of least margin is built."""
     chunks = [[block for block, _ in chunk] for chunk in _chunks(reports)]
-    held = sum(int((b.holds & b.finite).sum()) for blocks in chunks for b in blocks)
+    held = sum(int(b.holds.sum()) for blocks in chunks for b in blocks)
     finite = sum(int(b.finite.sum()) for blocks in chunks for b in blocks)
     # Each report's least margin, inf where it is not finite, per chunk as
     # (instances, rows of the chunk): the flat order is stream order.  The
@@ -381,20 +382,24 @@ def _ensemble_spec(config, n, seed, kind=None):
 def _build_inputs(config, n, m, inst_seed):
     """Matrix lists for one instance; pure function of (config, n, m, seed).
 
-    Given a tuple of m-values and, for each, a tuple of instance seeds, the
-    inputs of every m as one stacked draw, returned as one (A, B) per m:
-    arrays of shape (T, m, n, n), B of shape (T, 0, n, n) for
-    Bourin-Uchiyama, whose row k holds the lists of seed k.  Every matrix is
-    drawn from its own seed, so it has the bits of its single draw.
+    Given a tuple of m-values and, for each, a sequence of instance seeds
+    (a tuple, or a uint64 array), the inputs of every m as one stacked
+    draw, returned as one (A, B) per m: arrays of shape (T, m, n, n), B of
+    shape (T, 0, n, n) for Bourin-Uchiyama, whose row k holds the lists of
+    seed k.  Every matrix is drawn from its own seed, so it has the bits of
+    its single draw.
     """
     grouped = isinstance(m, tuple)
     ms, seed_groups = (m, inst_seed) if grouped else ((m,), ((inst_seed,),))
     kind = config.ensemble["kind"]
     commuting = config.inequality_id == AUDENAERT or kind == KIND_COMMUTING
     sides = 1 if commuting or config.inequality_id == BOURIN_UCHIYAMA else 2
-    streams = tuple(split_seed(seed, i if commuting else 2 * i + side)
-                    for pairs, seeds in zip(ms, seed_groups) for seed in seeds
-                    for i in range(pairs) for side in range(sides))
+    # Matrix (i, side) of an instance has stream index i if commuting, else 2 i + side.
+    step = 1 if commuting else 2
+    streams = tuple(np.concatenate([
+        _split_seeds(np.asarray(seeds, dtype=np.uint64)[:, None, None],
+                     step * np.arange(pairs)[:, None] + np.arange(sides)).ravel()
+        for pairs, seeds in zip(ms, seed_groups)]).tolist())
     if commuting:
         drawn = random_commuting_pair(_ensemble_spec(config, n, streams, kind=KIND_COMMUTING))
     else:
@@ -496,14 +501,15 @@ def run_campaign(config):
     ms = axes.get("m", (1,))
     grid = {name: values for name, values in axes.items() if name not in ("n", "m")}
     for first in range(0, config.trials, CHUNK_TRIALS):
-        trials = range(first, min(first + CHUNK_TRIALS, config.trials))
-        trial_seeds = [split_seed(config.root_seed, trial) for trial in trials]
+        trial_seeds = _split_seeds(config.root_seed % 2 ** 64,
+                                   np.arange(first, min(first + CHUNK_TRIALS, config.trials)))
         blocks = []
         for n_index, n in enumerate(axes["n"]):
-            seeds = tuple(tuple(split_seed(split_seed(seed, n_index), m_index)
-                                for seed in trial_seeds) for m_index in range(len(ms)))
+            # Row i holds the instance seeds of m index i.
+            seeds = _split_seeds(_split_seeds(trial_seeds, n_index), np.arange(len(ms))[:, None])
             a, b = zip(*_build_inputs(config, n, ms, seeds))
-            blocks += stack_reports(config.inequality_id, list(a), list(b), grid, sum(seeds, ()),
+            blocks += stack_reports(config.inequality_id, list(a), list(b), grid,
+                                    tuple(seeds.ravel().tolist()),
                                     mask_failures=True, **_kernel_options(config))
         chunks.append(blocks)
     stream = ReportStream(chunks, config.trials, config.grid_size())
@@ -579,8 +585,8 @@ def _block_rows(block, output_format, trials=None):
     Each grid point gets one format string, its params written once around
     the frame of :func:`_row_frame`, and each of its (norm, instance) rows
     fills the fields from one ``tolist`` per array; floats are written by
-    ``float.__repr__``.  ``trials``, one per instance, puts the seed ({0}),
-    the trial ({1}) and the norm ({2}) in each row's params, as
+    ``float.__repr__``, each once.  ``trials``, one per instance, puts the
+    seed ({0}), the trial ({1}) and the norm ({2}) in each row's params, as
     :func:`_instance_reports` does; without it the block holds reports
     (:func:`_report_blocks`), whose params are written as they are.
     """
@@ -613,14 +619,22 @@ def _block_rows(block, output_format, trials=None):
                        for template, name, held, value, margin, fan in zip(
                            templates, names, holds, values, margins, fans))
 
+    # An instance's epsilon, and in JSON its fan margins at a point, are the
+    # same in each norm's row: each goes to text once, as str.format writes it.
+    fans = [[()] * len(templates)] * count
+    if fan_margins is not None and json_format:
+        # (instance, point) tuples of text, each repeated for every norm.
+        text = zip(*[map(str, _cells(fan_margins.transpose(2, 0, 1).ravel(), output_format))]
+                   * fan_margins.shape[1])
+        rows = [point for point in text for _ in block.norms]
+        fans = [rows[k * len(templates):(k + 1) * len(templates)] for k in range(count)]
     return list(map(
         instance_rows, [null if seed is None else seed for seed in block.seeds],
         trials or [None] * count,
-        [null] * count if block.epsilon is None else _cells(block.epsilon, output_format),
+        [null] * count if block.epsilon is None
+        else list(map(str, _cells(block.epsilon, output_format))),
         np.where(block.holds, "true", "false").transpose(2, 0, 1).reshape(count, -1).tolist(),
-        by_instance(block.values), by_instance(block.margins),
-        [[()] * len(templates)] * count if fan_margins is None
-        else by_instance(np.repeat(fan_margins[:, None], len(block.norms), axis=1))))
+        by_instance(block.values), by_instance(block.margins), fans))
 
 
 def render_reports(reports, output_format):
@@ -790,9 +804,8 @@ def search_counterexample(config, steps):
 
     def fresh(first, count):
         """Restart draws first, ..., first + count - 1 as one stack."""
-        seeds = tuple(split_seed(split_seed(config.root_seed, i), 0)
-                      for i in range(first, first + count))
-        return _build_inputs(config, n, (m,), (seeds,))[0]
+        trials = _split_seeds(config.root_seed % 2 ** 64, np.arange(first, first + count))
+        return _build_inputs(config, n, (m,), (_split_seeds(trials, 0),))[0]
 
     a, b = fresh(0, chains)
     cand_a, cand_b = a.copy(), b.copy()

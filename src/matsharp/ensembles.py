@@ -13,7 +13,11 @@ specs give bit-identical matrices, and per-trial seeds derived through
 :func:`split_seed` keep concurrent trials independent.  A spec whose seed
 is a tuple of seeds draws a stack, one matrix per seed: each matrix comes
 from its own stream and has the bits of the single draw with that seed,
-while the eigensolve and the assembly run once for the whole stack.
+while the eigensolve and the assembly run once for the whole stack.  The
+stack's keyed :class:`Stream` draws each key's words once: one Philox
+pass per key fetches every word the draw reads (the unitary's normals and
+each spectrum's uniforms), and the transforms read that buffer.  Campaign
+seeds are derived as uint64 arrays by the same SplitMix64 mixing.
 """
 
 import math
@@ -49,33 +53,48 @@ def split_seed(seed, index):
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _split_seeds(seeds, indices):
+    """:func:`split_seed` of ``seeds`` in [0, 2^64) and nonnegative
+    ``indices``, broadcast, one an array with an axis: uint64 arrays wrap
+    mod 2^64 as the scalar form masks, where NumPy scalars would warn."""
+    z = seeds ^ (np.asarray(indices, dtype=np.uint64) * np.uint64(_GOLDEN))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
 class Stream:
     """Philox4x64-10 keyed bit stream with documented scalar transforms.
 
     Keyed by a tuple of seeds, it is one stream per seed drawn in lockstep:
     every draw gains a leading axis (``shape``), and row k is the draw of
-    ``Stream(seeds[k])``; one generator serves every seed, its state set to
-    the seed's key and block counter before each of the seed's draws.
+    ``Stream(seeds[k])``.  It draws each key's words once per stack: one
+    generator, its state set once per key, fetches the first ``words``
+    words of every key, a bound on what the stack reads, and the draws read
+    that buffer (a draw past it fetches every key's words again).
     """
 
-    def __init__(self, seed):
+    def __init__(self, seed, words=0):
         self.shape = (len(seed),) if isinstance(seed, tuple) else ()
         self._keys = [int(s) & _MASK64 for s in seed] if self.shape else None
         self._bg = np.random.Philox(key=0 if self.shape else int(seed) & _MASK64)
-        self._state = dict(self._bg.state, buffer_pos=4) if self.shape else None   # nothing buffered
+        self._state = dict(self._bg.state, buffer=[0] * 4) if self.shape else None   # a fresh state
+        self._words = words
+        self._buffer = np.empty(self.shape + (0,), dtype=np.uint64)
         self._drawn = 0   # words drawn from each keyed stream
 
     def _raw(self, count):
         if not self.shape:
             return self._bg.random_raw(count)
-        # Philox emits words in blocks of four, the first block at counter 1.
-        block, skip = divmod(self._drawn, 4)
         self._drawn += count
-        rows = []
-        for key in self._keys:
-            self._bg.state = dict(self._state, state={"counter": [block, 0, 0, 0], "key": [key, 0]})
-            rows.append(self._bg.random_raw(skip + count)[skip:])
-        return np.stack(rows)
+        if self._drawn > self._buffer.shape[1]:
+            rows = []
+            for key in self._keys:
+                self._state["state"] = {"counter": (0, 0, 0, 0), "key": (key, 0)}
+                self._bg.state = self._state
+                rows.append(self._bg.random_raw(max(self._drawn, self._words)))
+            self._buffer = np.concatenate(rows).reshape(len(rows), -1)
+        return self._buffer[:, self._drawn - count:self._drawn]
 
     def uniforms(self, count):
         """Doubles in (0, 1]: ((raw >> 11) + 1) * 2^-53."""
@@ -129,36 +148,37 @@ class EnsembleSpec:
                 raise InvalidRankError(f"invalid rank {self.rank} for dimension {self.dim}")
 
 
-def _gaussian_hermitian(stream, n, field):
+def _gaussian(stream, n, field):
     shape = stream.shape + (n, n)
     if field == "complex":
-        g = stream.complex_normals(n * n).reshape(shape)
-    else:
-        g = stream.normals(n * n).reshape(shape).astype(np.complex128)
-    return 0.5 * (g + _adjoint(g))
+        return stream.complex_normals(n * n).reshape(shape)
+    return stream.normals(n * n).reshape(shape).astype(np.complex128)
 
 
 def _random_unitary(stream, n, field):
-    # Eigenvector matrix of a Gaussian Hermitian draw; reuses the core
-    # eigensolver instead of a second orthogonalization path.
+    # Eigenvectors of a Gaussian draw's Hermitian part, which the core
+    # eigensolver takes, instead of a second orthogonalization path.
     if n == 1:
         return np.ones(stream.shape + (1, 1), dtype=np.complex128)
-    return _eigh(_gaussian_hermitian(stream, n, field)).vectors
+    return _eigh(_gaussian(stream, n, field)).vectors
 
 
 def _log_uniform_eigs(stream, count, kappa):
     # Log-uniform on [1/sqrt(kappa), sqrt(kappa)].  For count >= 2 the two
     # extremes are pinned so the realized condition number tracks kappa.
     half_log = 0.5 * math.log(kappa)
-    if count == 0:
-        return np.empty(stream.shape + (0,))
-    if count == 1 or half_log == 0.0:
-        u = stream.uniforms(count)
-        return np.exp((2.0 * u - 1.0) * half_log)
-    u = stream.uniforms(count - 2)
-    middle = np.exp((2.0 * u - 1.0) * half_log)
+    drawn = count if count < 2 or half_log == 0.0 else count - 2
+    values = np.exp((2.0 * stream.uniforms(drawn) - 1.0) * half_log)
+    if drawn == count:
+        return values
     ends = np.broadcast_to([math.exp(half_log), math.exp(-half_log)], stream.shape + (2,))
-    return np.concatenate([ends, middle], axis=-1)
+    return np.concatenate([ends, values], axis=-1)
+
+
+def _draw_stream(spec):
+    """The stream of a draw, told a bound on the words it reads from each
+    key: 2 n^2 for the Gaussian, n for each spectrum, two at most."""
+    return Stream(spec.seed, 2 * spec.dim * (spec.dim + 1))
 
 
 def _assemble(u, eigs):
@@ -167,8 +187,8 @@ def _assemble(u, eigs):
 
 def random_hermitian(spec):
     """Gaussian Hermitian draw (indefinite spectrum)."""
-    stream = Stream(spec.seed)
-    return _gaussian_hermitian(stream, spec.dim, spec.field)
+    g = _gaussian(Stream(spec.seed), spec.dim, spec.field)
+    return 0.5 * (g + _adjoint(g))
 
 
 def random_pd(spec):
@@ -179,7 +199,7 @@ def random_pd(spec):
     pinned (for dim >= 2) so the measured condition number stays within
     a small factor of ``condition_target``.
     """
-    stream = Stream(spec.seed)
+    stream = _draw_stream(spec)
     u = _random_unitary(stream, spec.dim, spec.field)
     eigs = _log_uniform_eigs(stream, spec.dim, spec.condition_target)
     return _assemble(u, eigs)
@@ -187,7 +207,7 @@ def random_pd(spec):
 
 def random_commuting_pair(spec):
     """Pair (A, B) = (U D1 U*, U D2 U*) sharing one unitary U."""
-    stream = Stream(spec.seed)
+    stream = _draw_stream(spec)
     u = _random_unitary(stream, spec.dim, spec.field)
     d1 = _log_uniform_eigs(stream, spec.dim, spec.condition_target)
     d2 = _log_uniform_eigs(stream, spec.dim, spec.condition_target)
@@ -199,7 +219,7 @@ def random_psd_rank_deficient(spec):
     rank = spec.dim - 1 if spec.rank is None else spec.rank
     if not 0 <= rank < spec.dim:
         raise InvalidRankError(f"invalid rank {rank} for dimension {spec.dim}")
-    stream = Stream(spec.seed)
+    stream = _draw_stream(spec)
     u = _random_unitary(stream, spec.dim, spec.field)
     eigs = np.concatenate([_log_uniform_eigs(stream, rank, spec.condition_target),
                            np.zeros(stream.shape + (spec.dim - rank,))], axis=-1)

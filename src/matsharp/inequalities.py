@@ -113,11 +113,11 @@ class InequalityReport(_Record):
     ``terms`` are ordered left-to-right as in the chain being tested;
     ``margins[i]`` is the signed slack of step i (nonnegative certifies);
     ``fan_margins`` are the matching Ky Fan prefix-sum margins (all-norms
-    certificate).  ``holds`` is the verdict of :func:`_reduce`, the one
-    rule: every term, margin and fan margin is finite (:func:`_finite`) and
-    every margin clears ``-tolerance_band(scale)`` (``REL_TOL * scale``),
-    scale the largest term value, so scaling the inputs of a homogeneous
-    chain does not change it; fan margins get no band.
+    certificate).  ``holds`` is the verdict of :func:`_verdict`, the one
+    rule: every term, margin and fan margin is finite and every margin
+    clears ``-tolerance_band(scale)`` (``REL_TOL * scale``), scale the
+    largest term value, so scaling the inputs of a homogeneous chain does
+    not change it; fan margins get no band.
     """
 
     inequality_id: str
@@ -181,32 +181,31 @@ class _ReportBlock(NamedTuple):
     epsilon: np.ndarray | None
 
 
-def _finite(values, margins, fan_margins):
-    """The finite reports (P, N, T): every term of ``values`` (P, N, terms,
-    T), margin (P, N, steps, T) and fan margin ((P, steps, T), or None) is
-    finite.  A chain's terms are norms, so its margins are finite when they
-    are; a report read from a file may say otherwise."""
+def _verdict(values, margins, fan_margins):
+    """The one verdict rule, as the masks (finite, holds), each (P, N, T),
+    of terms ``values`` (P, N, terms, T), ``margins`` (P, N, steps, T) and
+    ``fan_margins`` ((P, steps, T), or None): a report with a term, margin
+    or fan margin that is not finite is indeterminate and never holds; a
+    finite one holds when every margin clears the band of its largest term.
+    A chain's terms are norms, so its margins are finite when they are; a
+    report read from a file may say otherwise, or say that it holds."""
     finite = np.isfinite(values).all(axis=2) & np.isfinite(margins).all(axis=2)
-    return finite if fan_margins is None else finite & np.isfinite(fan_margins).all(1)[:, None]
+    if fan_margins is not None:
+        finite &= np.isfinite(fan_margins).all(1)[:, None]
+    return finite, finite & (margins.min(axis=2) >= -tolerance_band(values.max(axis=2)))
 
 
 def _reduce(chain, norms):
-    """Every norm's reports on ``chain`` as one :class:`_ReportBlock`.
-
-    This is the one verdict rule: a report that is not :func:`_finite` is
-    indeterminate and never holds; a finite one holds when every margin
-    clears the band of its largest term.
-    """
+    """Every norm's reports on ``chain`` as one :class:`_ReportBlock`."""
     sigma = chain.sigma
     left, right = np.array(chain.steps or [(i, i + 1) for i in range(sigma.shape[1] - 1)]).T
     values = np.array([norm_from_singular_values(sigma, spec) for spec in norms]).swapaxes(0, 1)
     margins = values[:, :, right] - values[:, :, left]
     prefix = sigma.cumsum(axis=-1)
     fan_margins = (prefix[:, right] - prefix[:, left]).min(axis=-1)
-    finite = _finite(values, margins, fan_margins)
-    holds = finite & (margins.min(axis=2) >= -tolerance_band(values.max(axis=2)))
     return _ReportBlock(chain.inequality_id, chain.params, chain.labels, tuple(norms),
-                        chain.seeds, values, margins, fan_margins, finite, holds, chain.epsilon)
+                        chain.seeds, values, margins, fan_margins,
+                        *_verdict(values, margins, fan_margins), chain.epsilon)
 
 
 def _group_blocks(block, groups):
@@ -249,7 +248,8 @@ def _report_blocks(reports):
     """A list of reports as reduced blocks, the inverse of
     :func:`_instance_reports`: each run of reports that share a chain, term
     labels, step counts and epsilon is one block of a point per report, one
-    norm and one instance, with the reports' own params and ``holds``."""
+    norm and one instance, with the reports' own params and the
+    :func:`_verdict` of their numbers, whatever their ``holds`` says."""
     def layout(report):
         return (report.inequality_id, [label for label, _ in report.terms], len(report.margins),
                 None if report.fan_margins is None else len(report.fan_margins),
@@ -267,8 +267,7 @@ def _report_blocks(reports):
         fan_margins = None if fans is None else floats([r.fan_margins for r in run])[:, :, None]
         yield _ReportBlock(
             inequality_id, [r.params for r in run], labels, (None,), (None,), values, margins,
-            fan_margins, _finite(values, margins, fan_margins),
-            np.array([r.holds for r in run]).reshape(-1, 1, 1),
+            fan_margins, *_verdict(values, margins, fan_margins),
             None if eps is None else np.array([eps], dtype=float))
 
 

@@ -54,6 +54,7 @@ from matsharp.inequalities import (
     _ReportBlock,
     stack_reports,
 )
+from matsharp.norms import REL_TOL
 
 
 SMALL = {
@@ -110,10 +111,13 @@ def least_margin(report):
 def reference_summary(reports):
     """The summary of ``reports`` as a JSON object without its wall time,
     in plain Python: a report that is not :func:`finite` is indeterminate,
-    a finite one is held when it says so, and the least margin over the
-    finite reports is taken at the first report that attains it."""
+    a finite one is held when its least margin clears the band of its
+    largest term (``REL_TOL`` times it), whatever it says, and the least
+    margin over the finite reports is taken at the first report that
+    attains it."""
     finite_reports = [r for r in reports if finite(r)]
-    held = sum(1 for r in finite_reports if r.holds)
+    held = sum(1 for r in finite_reports
+               if min(r.margins) >= -REL_TOL * max(value for _, value in r.terms))
     worst = min(finite_reports, key=lambda r: min(r.margins), default=None)
     return {"total": len(reports), "held": held, "violated": len(finite_reports) - held,
             "indeterminate": len(reports) - len(finite_reports),
@@ -794,7 +798,8 @@ class TestNonFinite:
         nan_margin.margins = [math.nan]
         nan_fan.fan_margins = [math.nan]
         path = tmp_path / "reports.json"
-        emit_report([good, nan_term, nan_margin, nan_fan], "json", path)
+        # Written as the reports say: render_reports would write the verdict.
+        path.write_text("".join(r.to_json() + "\n" for r in (good, nan_term, nan_margin, nan_fan)))
         loaded = load_reports(path)
         assert all(r.holds for r in loaded)
         for reports, verdicts in ((loaded, (1, 0, 3)), ([nan_term], (0, 0, 1)),
@@ -803,6 +808,24 @@ class TestNonFinite:
             assert (summary.held, summary.violated, summary.indeterminate) == verdicts
             assert summary.held + summary.violated + summary.indeterminate == summary.total
             assert summary_obj(summary) == reference_summary(reports)
+
+    def test_outside_report_that_says_a_violation_holds_is_violated(self, tmp_path):
+        # A file can say "holds": true next to finite numbers that violate
+        # the chain; the verdict comes from the numbers.
+        report = InequalityReport(
+            inequality_id="LemmaChain", params=synthetic_report(0).params,
+            terms=[("left", 3.0), ("right", 1.0)], margins=[-2.0], holds=True,
+            fan_margins=[-2.0])
+        path = tmp_path / "reports.json"
+        path.write_text(report.to_json() + "\n")
+        loaded = load_reports(path)
+        assert loaded[0].holds
+        summary = summarize(loaded)
+        assert (summary.held, summary.violated, summary.indeterminate) == (0, 1, 0)
+        assert summary.min_margin == -2.0
+        assert summary_obj(summary) == reference_summary(loaded)
+        assert render_reports(loaded, "json") == report.to_json().replace(
+            '"holds": true', '"holds": false') + "\n"
 
     def test_summary_of_no_reports(self):
         summary = summarize([])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matsharp import (
     EnsembleSpec,
@@ -12,7 +14,27 @@ from matsharp import (
     singular_values,
     split_seed,
 )
-from matsharp.ensembles import Stream, _assemble, _log_uniform_eigs
+from matsharp.ensembles import Stream, _assemble, _log_uniform_eigs, _split_seeds
+
+SEED = st.integers(0, 2 ** 64 - 1)
+
+
+PHILOX = np.random.Philox
+
+
+class CountingPhilox(PHILOX):
+    """Philox that counts the times its state is set."""
+
+    sets = 0
+
+    @property
+    def state(self):
+        return PHILOX.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        CountingPhilox.sets += 1
+        PHILOX.state.__set__(self, value)
 
 
 class TestSplitSeed:
@@ -31,6 +53,21 @@ class TestSplitSeed:
 
     def test_stays_in_64_bits(self):
         assert 0 <= split_seed(2**64 - 1, 2**64 - 1) < 2**64
+
+    @settings(derandomize=True, deadline=5000, max_examples=100, database=None)
+    @given(seeds=st.lists(SEED, min_size=1, max_size=5),
+           indices=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=5))
+    def test_array_form_equals_scalar_form(self, seeds, indices):
+        seeds, indices = [0, 2 ** 64 - 1] + seeds, [0, 1, 2 ** 64 - 1] + indices
+        # Every seed with every index, as an outer product and along one axis.
+        table = _split_seeds(np.array(seeds, dtype=np.uint64)[:, None],
+                             np.array(indices, dtype=np.uint64))
+        assert table.tolist() == [[split_seed(s, i) for i in indices] for s in seeds]
+        for i in indices:
+            assert _split_seeds(np.array(seeds, dtype=np.uint64), i).tolist() == [
+                split_seed(s, i) for s in seeds]
+        assert _split_seeds(seeds[-1], np.array(indices, dtype=np.uint64)).tolist() == [
+            split_seed(seeds[-1], i) for i in indices]
 
 
 class TestDeterminism:
@@ -95,6 +132,38 @@ class TestStackedDraws:
         for k, seed in enumerate(seeds):
             words = np.random.Philox(key=seed).random_raw(27)
             assert np.concatenate([draw[k] for draw in draws]).tobytes() == words.tobytes()
+
+    @settings(derandomize=True, deadline=5000, max_examples=100, database=None)
+    @given(seeds=st.lists(SEED, min_size=1, max_size=4), words=st.integers(0, 24),
+           requests=st.lists(st.tuples(st.sampled_from(["_raw", "uniforms", "normals",
+                                                        "complex_normals"]),
+                                       st.integers(0, 40)), max_size=6))
+    def test_buffered_rows_equal_single_streams(self, seeds, words, requests):
+        # Whatever the buffer (``words``) and the requests (sizes of 0, odd
+        # sizes, sizes past the buffer), row k is the draw of seed k alone.
+        stacked = Stream(tuple(seeds), words)
+        singles = [Stream(seed) for seed in seeds]
+        for transform, size in requests:
+            whole = getattr(stacked, transform)(size)
+            assert whole.shape[:1] == (len(seeds),)
+            for row, single in zip(whole, singles):
+                assert row.tobytes() == getattr(single, transform)(size).tobytes()
+
+    @pytest.mark.parametrize("draw,kind,n,rank", [
+        (draw, kind, n, rank)
+        for draw, kind in [(random_pd, "pd"), (random_psd_rank_deficient, "psd"),
+                           (random_commuting_pair, "commuting")]
+        for n in (1, 2, 5) for rank in ((0, n - 1) if kind == "psd" else (None,))
+        if not (kind == "psd" and n == 1)])
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_one_philox_state_set_per_key(self, draw, kind, n, rank, field, monkeypatch):
+        # A stacked draw reads each key's words in one pass: the unitary's
+        # normals and every spectrum's uniforms come from one buffer.
+        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+        monkeypatch.setattr(CountingPhilox, "sets", 0)
+        seeds = tuple(split_seed(17, k) for k in range(7))
+        draw(EnsembleSpec(dim=n, kind=kind, field=field, seed=seeds, rank=rank))
+        assert CountingPhilox.sets == len(seeds)
 
 class TestRandomPd:
     def test_condition_target_seed17(self):
