@@ -8,15 +8,16 @@ byte, and a trial's reports do not depend on which other trials run.
 
 Every grid starts with the instance axes (n, and m where it applies) and
 ends with the norm.  The trials are taken in chunks of ``CHUNK_TRIALS``;
-within a chunk the instances of one n, at every m, are drawn in one call
-and evaluated as one stack in one pass over the axes after m (t, r, s or
-f): for every chain, the input spectra are one call over every pair of
-the stack and the sums one call over every instance, and each chain term
-is one call over the grid values it depends on (the pair means over
-every t, the main chain's terms over every (t, r) point they vary with),
-each covering every pair or instance of the stack.  Every norm then
-reduces those sequences into arrays, once per stack, which are split
-into one block per m; their verdict masks come from one rule
+within a chunk the instances of one n, at every m, are drawn in one call,
+in the kernels' layout (every pair in one flat stack per side, and each
+instance's m), and evaluated as one stack in one pass over the axes after
+m (t, r, s or f): for every chain, the input spectra are one call over
+every pair of the stack and the sums one call over every instance, and
+each chain term is one call over the grid values it depends on (the pair
+means over every t, the main chain's terms over every (t, r) point they
+vary with), each covering every pair or instance of the stack.  Every
+norm then reduces those sequences into arrays, once per stack, which are
+split into one block per m; their verdict masks come from one rule
 (``inequalities._verdict``).  A report is built when the
 :class:`ReportStream` is read.  :func:`summarize` and :func:`render_reports`
 build none: they read the blocks of a stream or of a list of reports
@@ -37,8 +38,10 @@ The searcher performs random-restart hill descent on the relative margin
 per chain, all of them as one stack.
 
 The config, the summary and the search report are JSON records like the
-reports; the config refuses a value of the wrong JSON type, naming its
-key.  Every output file is written by :func:`write_output`.
+reports; the config refuses a value of the wrong JSON type, and a grid
+value outside its domain by the kernels' own rules
+(``inequalities._check_grid``), naming its key.  Every output file is
+written by :func:`write_output`.
 """
 
 import csv
@@ -59,18 +62,15 @@ from .errors import ConfigError, UnregisteredFunctionError
 from .inequalities import (
     AUDENAERT,
     BOURIN_UCHIYAMA,
-    CONCAVE,
-    CONVEX,
     INEQUALITY_IDS,
     LEMMA_CHAIN,
-    PROOF_STEPS,
     InequalityReport,
     _check,
+    _check_grid,
     _Record,
     _build_report,
     _instance_reports,
     _report_blocks,
-    resolve_function,
     stack_reports,
 )
 from .linalg import Spectrum, _adjoint, matrix_from_obj, matrix_to_obj
@@ -239,6 +239,9 @@ class CampaignConfig(_Record):
         self.validate()
 
     def validate(self):
+        """Refuse, with a ConfigError naming the key, a config that cannot
+        run: each grid axis is checked by :func:`_check_grid`, the rule
+        every kernel call applies, before any draw."""
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.dims or any(n < 1 for n in self.dims):
@@ -263,27 +266,13 @@ class CampaignConfig(_Record):
                 raise ConfigError(f"{_AXIS_KEYS[name]} must be nonempty for {self.inequality_id}")
             if len(set(grid)) < len(grid):
                 raise ConfigError(f"{_AXIS_KEYS[name]} repeats a value: {[str(x) for x in grid]}")
-            if name == "t" and not all(0.0 <= t <= 1.0 for t in grid):
-                raise ConfigError(f"t-grid values must lie in [0, 1], got {list(grid)}")
-            if name in ("r", "s") and not all(x > 0.0 for x in grid):
-                raise ConfigError(f"{name}-grid values must be positive, got {list(grid)}")
-        if self.inequality_id == BOURIN_UCHIYAMA and self.direction not in (CONVEX, CONCAVE):
-            given = "it is missing" if self.direction is None else f"got {self.direction!r}"
-            raise ConfigError(f"BourinUchiyama needs direction 'convex' or 'concave'; {given}")
-        for function_id in self.functions if self.inequality_id == BOURIN_UCHIYAMA else ():
             try:
-                usable = self.direction in resolve_function(function_id)[1]
-            except UnregisteredFunctionError as exc:
-                raise ConfigError(exc.args[0]) from None
-            if not usable:
-                raise ConfigError(f"BourinUchiyama function {function_id!r} is not {self.direction!r}"
-                                  "; direction must fit every function")
+                _check_grid(self.inequality_id, {name: grid}, self.direction)
+            except (ValueError, UnregisteredFunctionError) as exc:
+                raise ConfigError(f"{_AXIS_KEYS[name]}: {exc.args[0]}") from None
         if self.inequality_id == LEMMA_CHAIN and self.ensemble["kind"] == KIND_PSD:
             raise ConfigError("LemmaChain requires strictly positive definite inputs; "
                               "use a pd or commuting ensemble")
-        if self.inequality_id == PROOF_STEPS and min(self.r_grid) < 1.0:
-            raise ConfigError(f"ProofSteps requires every r >= 1 (the convexity step needs it); "
-                              f"r-grid has {min(self.r_grid)!r}")
 
     def _axes(self):
         """Applicable grid axes, in iteration (and emission) order."""
@@ -383,11 +372,13 @@ def _build_inputs(config, n, m, inst_seed):
     """Matrix lists for one instance; pure function of (config, n, m, seed).
 
     Given a tuple of m-values and, for each, a sequence of instance seeds
-    (a tuple, or a uint64 array), the inputs of every m as one stacked
-    draw, returned as one (A, B) per m: arrays of shape (T, m, n, n), B of
-    shape (T, 0, n, n) for Bourin-Uchiyama, whose row k holds the lists of
-    seed k.  Every matrix is drawn from its own seed, so it has the bits of
-    its single draw.
+    (a tuple, or a uint64 array), the inputs of every m as one draw, in
+    the kernel's layout (a, b, counts): ``a`` and ``b`` hold every pair of
+    every instance in one flat stack (P, n, n), instance by instance in
+    seed order, ``b`` None when the draw has no B side (Bourin-Uchiyama on
+    an ensemble that is not commuting), and ``counts`` holds each
+    instance's m.  Every matrix is drawn from its own seed, so it has the
+    bits of its single draw.
     """
     grouped = isinstance(m, tuple)
     ms, seed_groups = (m, inst_seed) if grouped else ((m,), ((inst_seed,),))
@@ -401,21 +392,15 @@ def _build_inputs(config, n, m, inst_seed):
                      step * np.arange(pairs)[:, None] + np.arange(sides)).ravel()
         for pairs, seeds in zip(ms, seed_groups)]).tolist())
     if commuting:
-        drawn = random_commuting_pair(_ensemble_spec(config, n, streams, kind=KIND_COMMUTING))
+        a, b = random_commuting_pair(_ensemble_spec(config, n, streams, kind=KIND_COMMUTING))
     else:
         gen = random_psd_rank_deficient if kind == KIND_PSD else random_pd
-        drawn = (gen(_ensemble_spec(config, n, streams)),)
-    stacks, stop = [], 0
-    for pairs, seeds in zip(ms, seed_groups):
-        rows = slice(stop, stop + len(seeds) * pairs * sides)
-        stop = rows.stop
-        x = [side[rows].reshape(len(seeds), pairs, sides, n, n) for side in drawn]
-        b = x[1][:, :, 0] if commuting else x[0][:, :, 1] if sides == 2 else x[0][:, :0, 0]
-        stacks.append((x[0][:, :, 0], b))
+        drawn = gen(_ensemble_spec(config, n, streams))
+        a, b = (drawn[0::2], drawn[1::2]) if sides == 2 else (drawn, None)
+    counts = np.repeat(ms, [len(seeds) for seeds in seed_groups])
     if grouped:
-        return stacks
-    a, b = stacks[0]
-    return list(a[0]), list(b[0])
+        return a, b, counts
+    return list(a), [] if b is None else list(b)
 
 
 def _kernel_options(config):
@@ -507,8 +492,8 @@ def run_campaign(config):
         for n_index, n in enumerate(axes["n"]):
             # Row i holds the instance seeds of m index i.
             seeds = _split_seeds(_split_seeds(trial_seeds, n_index), np.arange(len(ms))[:, None])
-            a, b = zip(*_build_inputs(config, n, ms, seeds))
-            blocks += stack_reports(config.inequality_id, list(a), list(b), grid,
+            a, b, counts = _build_inputs(config, n, ms, seeds)
+            blocks += stack_reports(config.inequality_id, a, b, counts, grid,
                                     tuple(seeds.ravel().tolist()),
                                     mask_failures=True, **_kernel_options(config))
         chunks.append(blocks)
@@ -803,9 +788,11 @@ def search_counterexample(config, steps):
     stream = Stream(split_seed(config.root_seed, 0x5EA2C8))
 
     def fresh(first, count):
-        """Restart draws first, ..., first + count - 1 as one stack."""
+        """Restart draws first, ..., first + count - 1 as lists (count, m, n, n)."""
         trials = _split_seeds(config.root_seed % 2 ** 64, np.arange(first, first + count))
-        return _build_inputs(config, n, (m,), (_split_seeds(trials, 0),))[0]
+        a, b, _ = _build_inputs(config, n, (m,), (_split_seeds(trials, 0),))
+        return (a.reshape(count, m, n, n),
+                np.zeros((count, 0, n, n), a.dtype) if b is None else b.reshape(count, m, n, n))
 
     a, b = fresh(0, chains)
     cand_a, cand_b = a.copy(), b.copy()
@@ -826,7 +813,8 @@ def search_counterexample(config, steps):
             if not restart.all():
                 cand_a[~restart], cand_b[~restart] = _perturb(
                     stream, a[~restart], b[~restart], scale[~restart], clamp_floor)
-        block, = stack_reports(config.inequality_id, [cand_a], [cand_b], grid, (None,) * chains,
+        block, = stack_reports(config.inequality_id, cand_a.reshape(-1, n, n),
+                               cand_b.reshape(-1, n, n), (m,) * chains, grid, (None,) * chains,
                                mask_failures=True, **_kernel_options(config))
         objective = _relative_margins(block)
         k = int(objective.argmin())

@@ -9,8 +9,8 @@ prefix-sum margins between consecutive terms ("fan margins"): when these
 are nonnegative the chain holds in every unitarily invariant norm at once.
 
 Each inequality has one evaluation kernel, and every kernel takes a stack
-of instances: arrays of shape (T, m, n, n), one A-list (and B-list) per
-instance, or several such arrays that differ in m, taken as one stack.
+of instances in one layout: every pair of every instance in one flat
+array (P, n, n) per side, instance by instance, and each instance's m.
 It builds the whole grid in one pass, each term once over the grid axes
 it depends on: input spectra and the sums once per stack, the pair means
 once over every t, the printed main-chain terms once over every r, the
@@ -24,7 +24,9 @@ norm, margin and verdict is then an array reduction over those sequences
 reports by :func:`_instance_reports`.  The main chain's kernel
 (:class:`_MainChain`) also serves the proof steps and, on single pairs,
 the lemma chain, whose last two terms are the t-dependent main chain's
-middle and right terms at s = 1 (:func:`_flank_sigmas`).  One driver, :func:`_chain`, maps an
+middle and right terms at s = 1 (:func:`_flank_sigmas`).  One driver,
+:func:`_chain`, checks the grid values against their domains
+(:func:`_check_grid`, the one statement of those rules) and maps an
 inequality id to its kernel, which returns the whole grid as one
 :class:`_Chain`, all its sequences in one (points, terms, T, n) array;
 :func:`stack_reports` is that driver followed by the reduction.  A
@@ -330,36 +332,27 @@ def _flank_sigmas(s_a, s_b, ts, rs, ss):
 
 
 def _validate_lists(a_list, b_list):
-    """One instance's A- and B-lists, checked for length and shape, as stacks (1, m, n, n)."""
+    """One instance's A- and B-lists, checked for length and shape, as stacks (m, n, n)."""
     a_list, b_list = list(a_list), list(b_list)
     if not a_list or len(a_list) != len(b_list):
         raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
     shape = np.shape(a_list[0])
     if len(shape) != 2 or any(np.shape(m) != shape[-1:] * 2 for m in a_list + b_list):
         raise ShapeError("shape error: all matrices must be square and share one dimension")
-    return np.array(a_list)[None], np.array(b_list)[None]
-
-
-def _flat_pairs(stacks):
-    """The pairs of ``stacks``, arrays (T_g, m_g, n, n), in order, as one
-    validated (P, n, n) stack."""
-    pairs = [x.reshape((-1,) + x.shape[2:]) for x in stacks]
-    return _as_stack(pairs[0] if len(pairs) == 1 else np.concatenate(pairs))
+    return np.array(a_list), np.array(b_list)
 
 
 class _StackKernel:
     """A stack of instances and the failure screen every kernel shares.
 
-    ``a`` and ``b`` are lists of stacks of A- and B-lists, each stack of
-    shape (T_g, m_g, n, n) with one n for all (``b`` is None for a chain
-    without B-lists), and ``seeds`` one seed per instance, in stack order.
-    The kernel holds every pair of every instance in one flat stack,
-    ``a`` and ``b`` of shape (P, n, n), instance by instance: pair-level
-    work (spectra, screens, means, f, products) runs once over the real
-    pairs, instance-level work once over the T instances, and a sum over
-    each instance's pairs goes through a zero-padded pair axis
-    (:meth:`_padded`).  ``counts`` holds each instance's m and ``groups``
-    the stacks as (m, T_g) pairs.
+    ``a`` and ``b`` hold every pair of every instance in one flat stack of
+    shape (P, n, n), instance by instance (``b`` is None for a chain
+    without B-lists), ``counts`` each instance's m, (T,), and ``seeds``
+    one seed per instance.  Pair-level work (spectra, screens, means, f,
+    products) runs once over the P pairs, instance-level work once over
+    the T instances, and a sum over each instance's pairs goes through a
+    zero-padded pair axis (:meth:`_padded`).  ``groups`` lists the runs
+    of ``counts`` as (m, instances) pairs.
 
     It is the one place a kernel's inputs are validated: a matrix that is
     not square, finite and Hermitian raises, even with ``mask_failures``,
@@ -370,28 +363,22 @@ class _StackKernel:
     ``failed``: :func:`stack_reports` makes all of its terms NaN.
     """
 
-    def __init__(self, a, b, seeds, mask_failures):
-        a = [np.asarray(x) for x in a]
-        b = None if b is None else [np.asarray(x) for x in b]
-        shapes = [x.shape for x in a]
-        if (not shapes or any(len(s) != 4 or s[1] < 1 or s[2:] != shapes[0][2:] for s in shapes)
-                or (b is not None and [x.shape for x in b] != shapes)
-                or sum(s[0] for s in shapes) != len(seeds)):
+    def __init__(self, a, b, counts, seeds, mask_failures):
+        a, counts = np.asarray(a), np.asarray(counts)
+        if (a.ndim != 3 or counts.ndim != 1 or not len(counts) or len(counts) != len(seeds)
+                or (counts < 1).any() or counts.sum() != len(a)
+                or (b is not None and np.shape(b) != a.shape)):
             raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
-        self.a = _flat_pairs(a)
-        self.b = self.a if b is None else _flat_pairs(b)
+        self.a = _as_stack(a)
+        self.b = self.a if b is None else _as_stack(b)
         # One check for both sides; a defect of A is still the one reported first.
         _check_hermitian(self.a if b is None else np.concatenate([self.a, self.b]))
-        self.groups = tuple((s[1], s[0]) for s in shapes)
-        self.width = max(s[1] for s in shapes)
+        self.counts = counts
+        self.groups = tuple((m, len(list(run))) for m, run in itertools.groupby(counts.tolist()))
+        self.width = int(counts.max())
         self.seeds = tuple(seeds)
         self.mask_failures = mask_failures
         self.failed = np.zeros(len(self.seeds), dtype=bool)
-
-    @cached_property
-    def counts(self):
-        """Each instance's m, (T,)."""
-        return np.repeat([m for m, _ in self.groups], [count for _, count in self.groups])
 
     @cached_property
     def owner(self):
@@ -498,17 +485,11 @@ class _FunctionSum(_StackKernel):
         return mapped.assemble(mapped.eigenvalues)
 
     def chain(self, function_ids, direction):
-        """The chain at every f of ``function_ids``, in order; each f is
-        resolved and checked against ``direction`` before it is applied."""
+        """The chain at every f of ``function_ids``, in order, each f
+        fitting ``direction`` (:func:`_check_grid`)."""
         sigma, params = [], []
         for function_id in function_ids:
-            f, directions = resolve_function(function_id)
-            if direction not in (CONVEX, CONCAVE):
-                raise ValueError(f"direction must be 'convex' or 'concave', got {direction!r}")
-            if direction not in directions:
-                raise ValueError(
-                    f"direction {direction!r} does not match the registered convexity of {function_id!r}"
-                )
+            f, _ = resolve_function(function_id)
             spec_a, spec_sum = self.spectra
             mapped = self._padded(self._mapped(spec_a, f, pairs=True))
             sigma.append([_psd_sigma(_pair_sum(mapped)), _psd_sigma(self._mapped(spec_sum, f))])
@@ -564,8 +545,8 @@ class _MainChain(_StackKernel):
     instance's own m times epsilon.
     """
 
-    def __init__(self, a, b, epsilon_scale, seeds, mask_failures):
-        super().__init__(a, b, seeds, mask_failures)
+    def __init__(self, a, b, counts, epsilon_scale, seeds, mask_failures):
+        super().__init__(a, b, counts, seeds, mask_failures)
         self.epsilon_scale = epsilon_scale
 
     def _strict_screened(self, spectra, names, pairs=False):
@@ -610,21 +591,12 @@ class _MainChain(_StackKernel):
         """The chain ``inequality_id`` over ``grid``, in grid order: the
         main chain at every (t, r), printed or t-dependent; its five-term
         proof refinement, which ends in the printed terms; or the four-term
-        lemma chain at every (t, r, s) on a stack of single pairs.
+        lemma chain at every (t, r, s) on a stack of single pairs; every
+        value lies in its domain (:func:`_check_grid`).
         """
         lemma, proof = inequality_id == LEMMA_CHAIN, inequality_id == PROOF_STEPS
         ts, rs = tuple(grid["t"]), tuple(grid["r"])
         ss = tuple(grid["s"]) if lemma else (None,)
-        for t in ts:
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"t must lie in [0, 1], got {t!r}")
-        for r, s in itertools.product(rs, ss):
-            if lemma and (r <= 0.0 or s <= 0.0):
-                raise ValueError(f"r and s must be positive, got r={r!r}, s={s!r}")
-            if proof and r < 1.0:
-                raise ValueError(f"proof steps require r >= 1, got {r!r}")
-            if r <= 0.0:
-                raise ValueError(f"r must be positive, got {r!r}")
         # Every term is laid out (t, r, s, T, n), with a length-1 axis for
         # each grid axis it does not depend on; the pair-level terms carry
         # the P pairs instead of the T instances until they are summed.
@@ -728,7 +700,7 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None, seed=
 def lemma_chain_sigmas(a, b, t, r, s):
     """Singular-value sequences of the four-term chain, in printed order."""
     a, b = _validate_lists([a], [b])
-    chain = _chain(LEMMA_CHAIN, [a], [b], {"t": (t,), "r": (r,), "s": (s,)}, (None,))
+    chain = _chain(LEMMA_CHAIN, a, b, (1,), {"t": (t,), "r": (r,), "s": (s,)}, (None,))
     return list(zip(chain.labels, chain.sigma[0, :, 0]))
 
 
@@ -785,73 +757,103 @@ def check_audenaert(a_list, b_list, norm_spec, seed=None):
 # A stack of instances over a campaign grid
 # ---------------------------------------------------------------------------
 
-def _chain(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
+def _check_grid(inequality_id, grid, direction=None):
+    """Refuse, with a ValueError naming the axis, a value of ``grid`` (axis
+    -> values) outside its chain's domain: every t lies in [0, 1], every r
+    and s is finite and positive, every r of the proof steps is at least 1
+    (the convexity step needs it), and a Bourin-Uchiyama ``direction`` is
+    convex or concave and fits every f.  An axis missing from ``grid`` is
+    not read.  These rules are stated here only: every chain goes through
+    :func:`_chain`, which calls this, and a campaign config calls it on
+    each of its axes before any draw.
+    """
+    for t in grid.get("t", ()):
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    for axis in ("r", "s"):
+        for x in grid.get(axis, ()):
+            if not 0.0 < x < math.inf:
+                raise ValueError(f"{axis} must be finite and positive, got {axis}={x!r}")
+    for r in grid.get("r", ()) if inequality_id == PROOF_STEPS else ():
+        if r < 1.0:
+            raise ValueError(f"{PROOF_STEPS} requires every r >= 1 (the convexity step needs "
+                             f"it), got r={r!r}")
+    if inequality_id == BOURIN_UCHIYAMA and "f" in grid:
+        if direction not in (CONVEX, CONCAVE):
+            given = "it is missing" if direction is None else f"got {direction!r}"
+            raise ValueError(f"{BOURIN_UCHIYAMA} needs direction 'convex' or 'concave'; {given}")
+        for function_id in grid["f"]:
+            if direction not in resolve_function(function_id)[1]:
+                raise ValueError(f"direction {direction!r} does not match the registered "
+                                 f"convexity of {function_id!r}")
+
+
+def _chain(inequality_id, a, b, counts, grid, seeds, printed_form=True, epsilon_scale=None,
            direction=None, mask_failures=False):
-    """The chain ``inequality_id`` on stacks of instances over ``grid``, in
+    """The chain ``inequality_id`` on a stack of instances over ``grid``, in
     grid order, with NaN terms for every instance its kernel masked: the one
-    place an inequality id is mapped to its kernel.  ``a`` and ``b`` are
-    lists of stacks, evaluated as one; the other arguments are those of
+    place an inequality id is mapped to its kernel, after
+    :func:`_check_grid` has checked the grid.  The arguments are those of
     :func:`stack_reports`, and the norm axis is not read.
     """
+    _check_grid(inequality_id, grid, direction)
     if inequality_id == BOURIN_UCHIYAMA:
-        kernel = _FunctionSum(a, None, seeds, mask_failures)
+        kernel = _FunctionSum(a, None, counts, seeds, mask_failures)
         chain = kernel.chain(grid["f"], direction)
     elif inequality_id == AUDENAERT:
-        kernel = _StackKernel(a, b, seeds, mask_failures)
+        kernel = _StackKernel(a, b, counts, seeds, mask_failures)
         chain = _audenaert_chain(kernel)
     else:
-        if inequality_id == LEMMA_CHAIN:
-            a, b = ([np.asarray(x)[:, :1] for x in stacks] for stacks in (a, b))
-            epsilon_scale = None
-        kernel = _MainChain(a, b, epsilon_scale, seeds, mask_failures)
+        lemma = inequality_id == LEMMA_CHAIN
+        kernel = _MainChain(a, b, counts, None if lemma else epsilon_scale, seeds, mask_failures)
+        if lemma and kernel.width > 1:
+            raise ShapeError(f"shape error: {LEMMA_CHAIN} takes one pair, got {kernel.width}")
         chain = kernel.chain(inequality_id, grid, printed_form)
     chain.sigma[:, :, kernel.failed] = np.nan
     return chain
 
 
-def stack_reports(inequality_id, a, b, grid, seeds, printed_form=True, epsilon_scale=None,
-                  direction=None, mask_failures=False):
-    """The reports of stacks of instances over ``grid``, one reduced
-    :class:`_ReportBlock` per stack (read a report with :func:`_build_report`).
+def stack_reports(inequality_id, a, b, counts, grid, seeds, printed_form=True,
+                  epsilon_scale=None, direction=None, mask_failures=False):
+    """The reports of a stack of instances over ``grid``, one reduced
+    :class:`_ReportBlock` per run of equal m (read a report with
+    :func:`_build_report`).
 
-    ``a`` and ``b`` are lists of stacks, one per m, each holding one A-list
-    and one B-list per instance, arrays of shape (T, m, n, n) (``b`` is
-    ignored for Bourin-Uchiyama and may be None there, and the lemma chain
-    takes each instance's first pair); ``seeds`` holds one seed per
-    instance, in stack order.  The stacks are evaluated and reduced as one,
-    and the blocks come back in stack order.  ``grid``
-    maps the axes that follow the instance axes to their values: ``t``,
-    ``r`` and ``s`` (lemma chain), ``t`` and ``r`` (main theorem, proof
-    steps) or ``f`` (Bourin-Uchiyama), then ``norm``, varied fastest; the
-    block's points follow the axes before ``norm`` in grid order, and other
-    axes are ignored.  :func:`_chain` evaluates the chain over the grid,
-    every stack in one pass with each spectrum computed once at the
-    outermost axis it depends on, into one array of sequences,
-    :func:`_reduce` takes each norm as one reduction of it, and
-    :func:`_group_blocks` splits it by stack.  A ``check_*`` predicate is
-    this function on a stack of one over a one-point grid.  With
-    ``mask_failures``, an instance with a slice that fails the strict
-    positive-definite check, the PSD clamp or f gets NaN terms at every
-    point (indeterminate reports) instead of raising; the other instances,
-    those of its trial included, go on.
+    ``a`` and ``b`` hold every pair of every instance in one flat stack of
+    shape (P, n, n), instance by instance (``b`` is ignored for
+    Bourin-Uchiyama and may be None there), ``counts`` each instance's m
+    (1 for the lemma chain) and ``seeds`` one seed per instance.  The
+    blocks come back in instance order.  ``grid`` maps the axes that follow
+    the instance axes to their values: ``t``, ``r`` and ``s`` (lemma
+    chain), ``t`` and ``r`` (main theorem, proof steps) or ``f``
+    (Bourin-Uchiyama), then ``norm``, varied fastest; the block's points
+    follow the axes before ``norm`` in grid order, and other axes are
+    ignored.  :func:`_chain` evaluates the chain over the grid, the whole
+    stack in one pass with each spectrum computed once at the outermost
+    axis it depends on, into one array of sequences, :func:`_reduce` takes
+    each norm as one reduction of it, and :func:`_group_blocks` splits it
+    by m.  A ``check_*`` predicate is this function on a stack of one over
+    a one-point grid.  With ``mask_failures``, an instance with a slice
+    that fails the strict positive-definite check, the PSD clamp or f gets
+    NaN terms at every point (indeterminate reports) instead of raising;
+    the other instances, those of its trial included, go on.
     """
-    chain = _chain(inequality_id, a, b, grid, seeds, printed_form, epsilon_scale, direction,
-                   mask_failures)
+    chain = _chain(inequality_id, a, b, counts, grid, seeds, printed_form, epsilon_scale,
+                   direction, mask_failures)
     return _group_blocks(_reduce(chain, grid["norm"]), chain.groups)
 
 
 def _check(inequality_id, a_list, b_list, point, seed, **options):
     """The report of one instance, given as lists, at one grid ``point``
     (axis -> value, the norm included): :func:`stack_reports` on a stack of
-    one over a one-point grid.  ``options`` are its keyword arguments.  An
-    input the chain would not read is refused: a Bourin-Uchiyama instance
-    has no B-list, and a lemma-chain instance is one pair.
+    one over a one-point grid.  ``options`` are its keyword arguments.  A
+    Bourin-Uchiyama instance has no B-list: one given is refused, not
+    dropped.
     """
     b_list = list(b_list)
     if inequality_id == BOURIN_UCHIYAMA and b_list:
         raise ShapeError(f"shape error: {BOURIN_UCHIYAMA} takes no B-list")
     a, b = _validate_lists(a_list, a_list if inequality_id == BOURIN_UCHIYAMA else b_list)
-    if inequality_id == LEMMA_CHAIN and a.shape[1] > 1:
-        raise ShapeError(f"shape error: {LEMMA_CHAIN} takes one pair, got {a.shape[1]}")
     grid = {axis: (value,) for axis, value in point.items()}
-    return _build_report(stack_reports(inequality_id, [a], [b], grid, (seed,), **options)[0])
+    return _build_report(stack_reports(inequality_id, a, b, (len(a),), grid, (seed,),
+                                       **options)[0])

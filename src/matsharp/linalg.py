@@ -335,7 +335,8 @@ def matrix_to_obj(a, field=None):
 
 
 def matrix_from_obj(obj):
-    """Parse the JSON object form back into a complex matrix."""
+    """Parse the JSON object form back into a complex matrix.  As in JSON, a
+    bool or a string is not a number: a dim or an entry of either is refused."""
     if not isinstance(obj, dict):
         raise ValueError("matrix object must be a JSON object")
     try:
@@ -344,21 +345,20 @@ def matrix_from_obj(obj):
         entries = obj["entries"]
     except KeyError as exc:
         raise ValueError(f"matrix object is missing key {exc}") from exc
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ShapeError(f"shape error: dim must be a positive integer, got {n!r}")
-    if len(entries) != n * n:
-        raise ShapeError(
-            f"shape error: expected {n * n} entries for dim {n}, got {len(entries)}"
-        )
-    if field == "real":
-        flat = np.asarray(entries, dtype=np.float64).astype(np.complex128)
-    elif field == "complex":
-        pairs = np.asarray(entries, dtype=np.float64)
-        if pairs.shape != (n * n, 2):
-            raise ShapeError("shape error: complex entries must be [re, im] pairs")
-        flat = pairs[:, 0] + 1j * pairs[:, 1]
-    else:
+    if not isinstance(entries, list) or len(entries) != n * n:
+        raise ShapeError(f"shape error: expected a JSON array of {n * n} entries for dim {n}")
+    if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}; expected 'real' or 'complex'")
+    if field == "complex" and any(not isinstance(x, list) or len(x) != 2 for x in entries):
+        raise ShapeError("shape error: complex entries must be [re, im] pairs")
+    values = entries if field == "real" else [x for pair in entries for x in pair]
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"matrix entries must be JSON numbers, got {x!r}")
+    values = np.asarray(values, dtype=np.float64)
+    flat = values.astype(np.complex128) if field == "real" else values[0::2] + 1j * values[1::2]
     return as_matrix(flat.reshape(n, n))
 
 

@@ -173,8 +173,8 @@ def lemma_chain_results():
     min_margin = {r: math.inf for r in R4_GRID}
     for n in range(2, 6):
         group = pairs[n - 2::4]
-        a, b = (np.array([[pair[side]] for pair in group]) for side in (0, 1))
-        block, = stack_reports(LEMMA_CHAIN, [a], [b], grid, (None,) * len(a))
+        a, b = (np.array([pair[side] for pair in group]) for side in (0, 1))
+        block, = stack_reports(LEMMA_CHAIN, a, b, (1,) * len(a), grid, (None,) * len(a))
 
         def key(point, row):
             return (4 * row + n - 2, *points[point])

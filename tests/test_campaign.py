@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -231,6 +232,7 @@ class TestConfig:
         ("field", {"field": "quaternion"}),
         ("rank", {"kind": "psd", "rank": 5}),
         ("rank", {"rank": "x"}),
+        ("kind", {"kind": "hermitian"}),
     ])
     def test_rejects_ensembles_before_the_first_draw(self, key, ensemble, tmp_path, capsys):
         # Refused by the config, not when run_campaign or search draws.
@@ -437,6 +439,12 @@ def instance_seed(cfg, trial, point):
                                  cfg.dims.index(point["n"])), m_index)
 
 
+def instance_bytes(a, b, counts, k):
+    """The bytes of instance ``k``'s A- and B-lists in a flat draw (b None: no B-list)."""
+    pairs = slice(counts[:k].sum(), counts[:k + 1].sum())
+    return a[pairs].tobytes(), b"" if b is None else b[pairs].tobytes()
+
+
 def expected_reports(cfg, trials):
     """The public predicates called instance by instance and point by point."""
     expected = []
@@ -590,12 +598,12 @@ class TestBatchInvariance:
     def test_stacked_draws_equal_single_draws(self, obj, n):
         cfg = CampaignConfig.from_obj(dict(obj, **{"root-seed": 47}))
         seeds = tuple(split_seed(47, k) for k in range(5))
-        (a, b), = _build_inputs(cfg, n, (2,), (seeds,))
-        assert a.shape == (5, 2, n, n)
+        a, b, counts = _build_inputs(cfg, n, (2,), (seeds,))
+        assert a.shape == (10, n, n) and counts.tolist() == [2] * 5
         for k, seed in enumerate(seeds):
             a_list, b_list = _build_inputs(cfg, n, 2, seed)
-            assert a[k].tobytes() == np.array(a_list).tobytes()
-            assert b[k].tobytes() == np.array(b_list).tobytes()
+            assert instance_bytes(a, b, counts, k) == (np.array(a_list).tobytes(),
+                                                       np.array(b_list).tobytes())
 
     @pytest.mark.parametrize("obj,n", [
         ({"inequality-id": "main_theorem"}, 3),
@@ -610,14 +618,16 @@ class TestBatchInvariance:
         m_values = (1, 3, 2)
         seeds = tuple(tuple(split_seed(split_seed(47, k), i) for k in range(3 + i))
                       for i in range(len(m_values)))
-        stacks = _build_inputs(cfg, n, m_values, seeds)
-        assert len(stacks) == len(m_values)
-        for (a, b), m, group in zip(stacks, m_values, seeds):
-            assert a.shape == (len(group), m, n, n)
-            for k, seed in enumerate(group):
+        a, b, counts = _build_inputs(cfg, n, m_values, seeds)
+        assert counts.tolist() == [m for m, group in zip(m_values, seeds) for _ in group]
+        assert a.shape == (counts.sum(), n, n)
+        k = 0
+        for m, group in zip(m_values, seeds):
+            for seed in group:
                 a_list, b_list = _build_inputs(cfg, n, m, seed)
-                assert a[k].tobytes() == np.array(a_list).tobytes()
-                assert b[k].tobytes() == np.array(b_list).tobytes()
+                assert instance_bytes(a, b, counts, k) == (np.array(a_list).tobytes(),
+                                                           np.array(b_list).tobytes())
+                k += 1
 
     def test_one_draw_and_one_kernel_per_chunk_and_dimension(self, monkeypatch):
         # Every m of an n is drawn in one call and evaluated in one kernel
@@ -629,9 +639,9 @@ class TestBatchInvariance:
             draws.append((n, m))
             return draw(config, n, m, inst_seed)
 
-        def counted_init(self, a, *args):
-            kernels.append([x.shape[1] for x in a])
-            init(self, a, *args)
+        def counted_init(self, a, b, counts, *args):
+            kernels.append([m for m, _ in itertools.groupby(counts.tolist())])
+            init(self, a, b, counts, *args)
         monkeypatch.setattr(campaign, "_build_inputs", counted_draw)
         monkeypatch.setattr(inequalities._StackKernel, "__init__", counted_init)
         cfg = small_config(trials=CHUNK_TRIALS + 1, dims=[2, 3], **{"m-values": [1, 2, 3],
@@ -665,9 +675,11 @@ class TestMixedStack:
         draw = campaign._build_inputs
 
         def corrupted(config, n, m, inst_seed):
-            stacks = draw(config, n, m, inst_seed)
-            stacks[m.index(2)][0][0, 1] = bad
-            return stacks
+            a, b, counts = draw(config, n, m, inst_seed)
+            # Pair 1 of the first m = 2 instance.
+            first = counts.tolist().index(2)
+            a[counts[:first].sum() + 1] = bad
+            return a, b, counts
         monkeypatch.setattr(campaign, "_build_inputs", corrupted)
         cfg = CampaignConfig.from_obj(dict({
             "trials": 2, "dims": [2], "m-values": [1, 2, 3], "t-grid": [0.25, 0.5],
@@ -750,8 +762,8 @@ class TestNonFinite:
         a = np.stack([np.diag([354.5] * 3)] * 2)
         grid = {"f": ("expm1",), "norm": (NormSpec.trace(), NormSpec.schatten(2))}
         with np.errstate(over="ignore", invalid="ignore"):
-            block, = stack_reports(BOURIN_UCHIYAMA, [np.stack([a, a / 354.5])], None, grid,
-                                   (1, 2), direction="convex")
+            block, = stack_reports(BOURIN_UCHIYAMA, np.concatenate([a, a / 354.5]), None,
+                                   (2, 2), grid, (1, 2), direction="convex")
         stream = ReportStream([[block]], 2, 2)
         reports = list(stream)
         bad = reports[0]
@@ -1045,6 +1057,10 @@ class TestEmitReport:
         with pytest.raises(OSError, match="no/such/dir"):
             emit_report([], "csv", tmp_path / "no" / "such" / "dir" / "x.csv")
 
+    def test_unknown_format_is_refused(self):
+        with pytest.raises(ConfigError, match="output-format"):
+            render_reports([synthetic_report(0)], "parquet")
+
 
 class TestRecords:
     def test_fields_in_order_under_hyphenated_keys(self):
@@ -1140,6 +1156,27 @@ class TestSearch:
         with pytest.raises(ConfigError):
             search_counterexample(small_config(), 10)
 
+    @pytest.mark.parametrize("overrides,steps,text", [
+        ({"norm-specs": ["schatten:2", "trace"]}, 10, "one norm spec"),
+        ({}, 0, "steps"),
+        ({}, -3, "steps"),
+    ])
+    def test_refuses_a_target_or_budget_it_cannot_search(self, overrides, steps, text):
+        with pytest.raises(ConfigError, match=text):
+            search_counterexample(CampaignConfig.from_obj(dict(SEARCH_BASE, **overrides)), steps)
+
+    def test_report_read_back_from_its_file_reproduces_the_margin(self, tmp_path, capsys):
+        # reevaluate_search_instance takes the JSON object of a written
+        # report as well as a SearchReport.
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "search.json"
+        cfg_path.write_text(json.dumps(SEARCH_BASE))
+        cli_main(["search", "--config", str(cfg_path), "--steps", "40", "--out", str(out_path)])
+        capsys.readouterr()
+        obj = json.loads(out_path.read_text())
+        margin, report = reevaluate_search_instance(CampaignConfig.from_obj(SEARCH_BASE), obj)
+        assert margin == obj["best-margin"]
+        assert report == InequalityReport.from_obj(obj["best-report"])
+
     def test_refuses_audenaert_before_any_draw(self, monkeypatch):
         # A step moves A_i and B_i apart, so the pairs stop commuting.
         def no_draw(*args):
@@ -1153,9 +1190,9 @@ class TestSearch:
     def test_evaluations_count_the_instances_evaluated(self, steps, monkeypatch):
         evaluated = []
 
-        def counted(inequality_id, a, *args, **kwargs):
-            evaluated.append(sum(len(stack) for stack in a))
-            return stack_reports(inequality_id, a, *args, **kwargs)
+        def counted(inequality_id, a, b, counts, *args, **kwargs):
+            evaluated.append(len(counts))
+            return stack_reports(inequality_id, a, b, counts, *args, **kwargs)
         monkeypatch.setattr(campaign, "stack_reports", counted)
         report = search_counterexample(CampaignConfig.from_obj(SEARCH_BASE), steps)
         assert report.evaluations == sum(evaluated)
@@ -1338,6 +1375,25 @@ class TestCli:
 
     def test_missing_config_file_exit_one(self, capsys):
         assert cli_main(["campaign", "--config", "/nonexistent/cfg.json"]) == 1
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("campaign", "{not json", "not valid JSON"),
+        ("eval", None, "cannot read matrix file"),
+        # Was an uncaught TypeError traceback.
+        ("eval", '{"dim": true, "field": "real", "entries": [1.0]}', "dim"),
+        # Was loaded as 2.0.
+        ("eval", '{"dim": 1, "field": "real", "entries": ["2.0"]}', "'2.0'"),
+    ])
+    def test_unreadable_input_file_exit_one(self, command, text, message, tmp_path, capsys):
+        # text None: the file does not exist.
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        argv = (["campaign", "--config", str(path)] if command == "campaign"
+                else ["eval", "--inequality", "main_theorem", "--a", str(path), "--b", str(path)])
+        assert cli_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
     def test_eval_refuses_zero_epsilon_scale(self, tmp_path, capsys):
         # A zero scale was taken as no scale: the PSD inputs then failed the

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -383,6 +385,39 @@ class TestReductionIdentity:
             assert aud.holds and main.holds
 
 
+class TestClosedFormCounterexamples:
+    @pytest.mark.parametrize("t,r,c", [(0.1, 1.0, 100.0), (0.5, 1.0, 100.0),
+                                       (0.25, 2.0, 10.0), (0.9, 1.5, 0.01)])
+    def test_printed_form_off_half_scales_apart(self, t, r, c):
+        # n = m = 1, A = c, B = 1: the left term is c^((1-t)r) and the
+        # printed middle and right terms are c^(r/2), so left over right is
+        # c^((1/2-t)r), a violation for c large (t < 1/2) or small (t > 1/2).
+        report = check_main_theorem([np.diag([c])], [np.eye(1)], t, r, S1)
+        left, middle, right = (value for _, value in report.terms)
+        assert left == pytest.approx(c ** ((1.0 - t) * r), rel=1e-12)
+        assert middle == pytest.approx(c ** (r / 2.0), rel=1e-12)
+        assert right == pytest.approx(c ** (r / 2.0), rel=1e-12)
+        assert left / right == pytest.approx(c ** ((0.5 - t) * r), rel=1e-12)
+        assert report.holds is (t == 0.5)
+        if (t, r, c) == (0.1, 1.0, 100.0):
+            assert left / right == pytest.approx(6.3096, rel=1e-5)
+
+    @pytest.mark.parametrize("t", [0.1, 0.3, 0.75])
+    @pytest.mark.parametrize("r", [0.5, 0.9, 1.0])
+    def test_variant_below_r_one_fails_at_two_pairs(self, t, r):
+        # n = 1, A_i = B_i = 1, m = 2: the left term is 2 and the middle and
+        # right terms are 2^r, so the variant fails at every r < 1 and ties
+        # at r = 1.
+        one = np.eye(1)
+        report = check_main_theorem([one, one], [one, one], t, r, S1, printed_form=False)
+        left, middle, right = (value for _, value in report.terms)
+        assert left == pytest.approx(2.0, rel=1e-12)
+        assert middle == pytest.approx(2.0 ** r, rel=1e-12)
+        assert right == pytest.approx(2.0 ** r, rel=1e-12)
+        assert report.margins[0] == pytest.approx(2.0 ** r - 2.0, abs=1e-12)
+        assert report.holds is (r == 1.0)
+
+
 class TestRegularizedChain:
     @pytest.mark.parametrize("c", [0.0, 0.01, 0.1, 1.0])
     def test_scalar_pair_ties_at_every_scale(self, c):
@@ -668,6 +703,26 @@ SINGLE_ERRORS = {
                    NotPositiveDefiniteError, "positive semidefinite"),
 }
 
+# Exponents outside (0, inf) are refused, each naming its axis.  NaN and
+# inf once passed the kernels' own r <= 0 and s <= 0 tests: r = NaN gave
+# an indeterminate main-chain report and an SVD failure in the lemma
+# chain, and s = inf a false lemma-chain violation.
+EXPONENT_CALLS = {
+    "main": lambda r, s: check_main_theorem([PD], [PD_B], 0.5, r, S1),
+    "proof": lambda r, s: check_proof_steps([PD], [PD_B], 0.5, r, S1),
+    "lemma": lambda r, s: check_lemma_chain(PD, PD_B, 0.5, r, s, S1),
+    "sigmas": lambda r, s: lemma_chain_sigmas(PD, PD_B, 0.5, r, s),
+}
+SINGLE_ERRORS["main-bad-r"] = (lambda: check_main_theorem([PD], [PD_B], 0.5, 0.0, S1),
+                               ValueError, "r=0.0")
+SINGLE_ERRORS.update({
+    f"{name}-{axis}-{value}": (
+        functools.partial(call, **dict({"r": 1.0, "s": 1.0}, **{axis: value})),
+        ValueError, re.escape(f"{axis}={value}"))
+    for name, call in EXPONENT_CALLS.items()
+    for axis in (("r", "s") if name in ("lemma", "sigmas") else ("r",))
+    for value in (math.nan, math.inf, -math.inf)})
+
 
 class TestSingleErrors:
     @pytest.mark.parametrize("case", sorted(SINGLE_ERRORS))
@@ -682,11 +737,11 @@ class TestSingleErrors:
     def test_masked_stack_raises_for_hermitian_defect(self, inequality_id):
         # mask_failures masks spectral failures of one instance; an input
         # that is not Hermitian is refused at the boundary for the stack.
-        a = np.array([X_AND_ADJOINT, IDENTITIES])
+        a = np.array(X_AND_ADJOINT + IDENTITIES)
         grid = {AUDENAERT: {}, BOURIN_UCHIYAMA: {"f": ("power:2",)},
                 LEMMA_CHAIN: {"t": (0.5,), "r": (1.0,), "s": (1.0,)}}.get(
             inequality_id, {"t": (0.5,), "r": (1.0,)})
         with pytest.raises(HermitianDefectError, match="not Hermitian"):
-            stack_reports(inequality_id, [a], [np.array([IDENTITIES] * 2)],
+            stack_reports(inequality_id, a, np.array(IDENTITIES * 2), (2, 2),
                           dict(grid, norm=(S1,)), (1, 2), epsilon_scale=1e-10,
                           direction="convex", mask_failures=True)

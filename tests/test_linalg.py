@@ -189,3 +189,17 @@ class TestMatrixJson:
             matrix_from_obj({"dim": 1, "field": "quaternion", "entries": [1.0]})
         with pytest.raises(ValueError):
             matrix_from_obj({"dim": 1, "entries": [1.0]})
+
+    @pytest.mark.parametrize("dim,field,entries,error,text", [
+        (True, "real", [1.0], ShapeError, "True"),      # was a TypeError from reshape
+        (1, "real", [True], ValueError, "True"),        # loaded as 1.0
+        (2, "real", [1.0, False, 0.0, 1.0], ValueError, "False"),
+        (1, "real", ["2.0"], ValueError, "'2.0'"),      # loaded as 2.0
+        (1, "real", [None], ValueError, "None"),
+        (1, "complex", [["2.0", 0.0]], ValueError, "'2.0'"),
+        (1, "complex", [[1.0, True]], ValueError, "True"),
+        (1, "real", 5, ShapeError, "JSON array"),       # was a TypeError from len()
+    ])
+    def test_rejects_values_that_are_not_json_numbers(self, dim, field, entries, error, text):
+        with pytest.raises(error, match=text):
+            matrix_from_obj({"dim": dim, "field": field, "entries": entries})
