@@ -375,8 +375,8 @@ def _build_inputs(config, n, m, inst_seed):
     (a tuple, or a uint64 array), the inputs of every m as one draw, in
     the kernel's layout (a, b, counts): ``a`` and ``b`` hold every pair of
     every instance in one flat stack (P, n, n), instance by instance in
-    seed order, ``b`` None when the draw has no B side (Bourin-Uchiyama on
-    an ensemble that is not commuting), and ``counts`` holds each
+    seed order, ``b`` None for Bourin-Uchiyama, which takes no B-list (a
+    commuting draw's B side is dropped), and ``counts`` holds each
     instance's m.  Every matrix is drawn from its own seed, so it has the
     bits of its single draw.
     """
@@ -393,6 +393,7 @@ def _build_inputs(config, n, m, inst_seed):
         for pairs, seeds in zip(ms, seed_groups)]).tolist())
     if commuting:
         a, b = random_commuting_pair(_ensemble_spec(config, n, streams, kind=KIND_COMMUTING))
+        b = None if config.inequality_id == BOURIN_UCHIYAMA else b
     else:
         gen = random_psd_rank_deficient if kind == KIND_PSD else random_pd
         drawn = gen(_ensemble_spec(config, n, streams))

@@ -40,7 +40,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +47,7 @@ import numpy as np
 from .errors import CommutationError, ShapeError, UnregisteredFunctionError
 from .linalg import (
     Spectrum,
+    _adjoint,
     _as_stack,
     _check_hermitian,
     _eigh,
@@ -57,7 +57,7 @@ from .linalg import (
     spectrum_function,
     spectrum_power,
 )
-from .means import _epsilon, _mean_from_spectra, _pair_sum, _strict_spectrum
+from .means import _epsilon, _mean_from_spectra, _strict_spectrum
 from .norms import NormSpec, norm_from_singular_values, singular_values, tolerance_band
 
 AUDENAERT = "Audenaert"
@@ -350,9 +350,10 @@ class _StackKernel:
     without B-lists), ``counts`` each instance's m, (T,), and ``seeds``
     one seed per instance.  Pair-level work (spectra, screens, means, f,
     products) runs once over the P pairs, instance-level work once over
-    the T instances, and a sum over each instance's pairs goes through a
-    zero-padded pair axis (:meth:`_padded`).  ``groups`` lists the runs
-    of ``counts`` as (m, instances) pairs.
+    the T instances, and a sum over each instance's pairs is
+    :meth:`_sum`.  ``owner`` maps each pair to its instance, ``slot`` to
+    its index within it, ``starts`` gives each instance's first pair, and
+    ``groups`` lists the runs of ``counts`` as (m, instances) pairs.
 
     It is the one place a kernel's inputs are validated: a matrix that is
     not square, finite and Hermitian raises, even with ``mask_failures``,
@@ -376,37 +377,31 @@ class _StackKernel:
         self.counts = counts
         self.groups = tuple((m, len(list(run))) for m, run in itertools.groupby(counts.tolist()))
         self.width = int(counts.max())
+        self.starts = np.cumsum(counts) - counts
+        self.owner = np.repeat(np.arange(len(counts)), counts)
+        self.slot = np.arange(len(a)) - self.starts[self.owner]
         self.seeds = tuple(seeds)
         self.mask_failures = mask_failures
         self.failed = np.zeros(len(self.seeds), dtype=bool)
 
-    @cached_property
-    def owner(self):
-        """The instance of each pair, (P,)."""
-        return np.repeat(np.arange(len(self.counts)), self.counts)
+    def _sum(self, x):
+        """Each instance's sum of its own pairs, added one at a time from 0:
+        ``x`` runs over the stack's P pairs on axis -3, the result over its
+        T instances.  The pairs go through a zero-padded (T, m_max) axis,
+        which is a reshape when every instance is as wide."""
+        shape = x.shape[:-3] + (len(self.counts), self.width) + x.shape[-2:]
+        if len(self.a) == len(self.counts) * self.width:
+            padded = x.reshape(shape)
+        else:
+            padded = np.zeros(shape, dtype=x.dtype)
+            padded[..., self.owner, self.slot, :, :] = x
+        return sum(np.moveaxis(padded, -3, 0))
 
-    @cached_property
-    def slot(self):
-        """Each pair's index within its instance, (P,)."""
-        return np.arange(len(self.owner)) - (np.cumsum(self.counts) - self.counts)[self.owner]
-
-    def _padded(self, x, axis=-3):
-        """``x``, whose axis ``axis`` runs over the stack's P pairs, with
-        that axis split into (T, m_max): each instance's pairs in order,
-        then zeros up to the widest instance.  When every instance is as
-        wide, that is a reshape."""
-        axis %= x.ndim
-        shape = x.shape[:axis] + (len(self.seeds), self.width) + x.shape[axis + 1:]
-        if len(self.a) == len(self.seeds) * self.width:
-            return x.reshape(shape)
-        padded = np.zeros(shape, dtype=x.dtype)
-        padded[(slice(None),) * axis + (self.owner, self.slot)] = x
-        return padded
-
-    def _screen(self, spectra, failures, raise_for, pairs=False):
+    def _screen(self, spectra, failures, raise_for):
         """``spectra`` with the slices in ``failures`` (one mask per
-        spectrum) replaced by the identity spectrum.  The masks' first axis
-        runs over the instances, or over the pairs with ``pairs``.
+        spectrum) replaced by the identity spectrum.  A mask whose first
+        axis has the stack's P entries runs over the pairs, any other over
+        the instances (with one pair each, the two agree).
 
         Without ``mask_failures``, ``raise_for(side, index, spectrum)``
         raises the error of the first failing slice instead, taken in
@@ -421,15 +416,14 @@ class _StackKernel:
             index = tuple(index)
             raise_for(side, index, Spectrum(spec.eigenvalues[index], spec.vectors[index]))
         rows = failed.reshape(len(failed), -1).any(axis=1)
-        self.failed[self.owner[rows] if pairs else rows] = True
+        self.failed[self.owner[rows] if len(rows) == len(self.owner) else rows] = True
         return [Spectrum(np.where(mask[..., None], 1.0, spec.eigenvalues), spec.vectors)
                 for spec, mask in zip(spectra, failures)]
 
-    def _psd_screened(self, spectra, pairs=False):
+    def _psd_screened(self, spectra):
         """``spectra`` (of equal shape) screened by the PSD clamp."""
         return self._screen(spectra, [_psd_clamp_failures(s.eigenvalues) for s in spectra],
-                            lambda side, index, spec: clamp_psd_eigenvalues(spec.eigenvalues),
-                            pairs)
+                            lambda side, index, spec: clamp_psd_eigenvalues(spec.eigenvalues))
 
 
 # ---------------------------------------------------------------------------
@@ -466,33 +460,28 @@ def resolve_function(function_id):
 
 class _FunctionSum(_StackKernel):
     """Bourin-Uchiyama kernel for stacks of A-lists; the spectra of every
-    A_i and of sum A_i are computed on first use and serve every f."""
+    A_i and of sum A_i are computed once and serve every f."""
 
-    @cached_property
-    def spectra(self):
-        """(spectra of the A_i, stacked (P,); spectrum of sum A_i, stacked (T,))."""
-        return [self._psd_screened([_eigh(self.a)], pairs=True)[0],
-                self._psd_screened([_eigh(_pair_sum(self._padded(self.a)))])[0]]
-
-    def _mapped(self, spec, f, pairs=False):
+    def _mapped(self, spec, f):
         """f(M) for each slice M of ``spec``; a slice where f is undefined
         or not finite is screened."""
         fw = _function_values(clamp_psd_eigenvalues(spec.eigenvalues), f)
         mapped, = self._screen(
             [Spectrum(fw, spec.vectors)], [~np.isfinite(fw).all(axis=-1)],
             lambda side, index, _: spectrum_function(
-                Spectrum(spec.eigenvalues[index], spec.vectors[index]), f), pairs)
+                Spectrum(spec.eigenvalues[index], spec.vectors[index]), f))
         return mapped.assemble(mapped.eigenvalues)
 
     def chain(self, function_ids, direction):
         """The chain at every f of ``function_ids``, in order, each f
         fitting ``direction`` (:func:`_check_grid`)."""
+        spec_a, = self._psd_screened([_eigh(self.a)])
+        spec_sum, = self._psd_screened([_eigh(self._sum(self.a))])
         sigma, params = [], []
         for function_id in function_ids:
             f, _ = resolve_function(function_id)
-            spec_a, spec_sum = self.spectra
-            mapped = self._padded(self._mapped(spec_a, f, pairs=True))
-            sigma.append([_psd_sigma(_pair_sum(mapped)), _psd_sigma(self._mapped(spec_sum, f))])
+            sigma.append([_psd_sigma(self._sum(self._mapped(spec_a, f))),
+                          _psd_sigma(self._mapped(spec_sum, f))])
             params.append(_params(n=self.a.shape[-1], function_id=str(function_id),
                                   direction=direction))
         steps = [(0, 1)] if direction == CONVEX else [(1, 0)]
@@ -525,17 +514,17 @@ class _MainChain(_StackKernel):
     """Main-chain kernel for stacks of instances, evaluated over a whole
     (t, r) grid, or (t, r, s) grid for the lemma chain, in one pass.
 
-    The work that depends on neither t nor r is computed on first use and
-    kept for the stack: the pair spectra, the spectra of sum A and sum B,
-    and, for the proof chain, those spectra screened for the mean of the
-    sums.  :meth:`chain` then builds each term once over the grid axes it
-    depends on: the pair means over every t (one SVD of A^(-1/2) B^(1/2)
-    serves them all), the printed terms over every r, A^r #_t B^r over
-    every (t, r), and the flank terms over every point, each as one stacked
-    call over those values and every pair (or instance) of every stack.
-    Each term is then written into the chain's one array, broadcast over
-    the grid axes it does not depend on.  On a stack of single pairs
-    (m = 1) without ``epsilon_scale`` it is the lemma chain's kernel as well.
+    :meth:`chain` computes the work that depends on neither t nor r once:
+    the pair spectra, the spectra of sum A and sum B, and, for the proof
+    chain, those spectra screened for the mean of the sums.  It then
+    builds each term once over the grid axes it depends on: the pair means
+    over every t (one SVD of A^(-1/2) B^(1/2) serves them all), the printed
+    terms over every r, A^r #_t B^r over every (t, r), and the flank terms
+    over every point, each as one stacked call over those values and every
+    pair (or instance) of every stack.  Each term is then written into the
+    chain's one array, broadcast over the grid axes it does not depend on.
+    On a stack of single pairs (m = 1) without ``epsilon_scale`` it is the
+    lemma chain's kernel as well.
 
     With ``epsilon_scale`` it is the strict chain on the inputs shifted by
     one epsilon * I per instance: each A_i and B_i must pass the PSD clamp,
@@ -545,49 +534,36 @@ class _MainChain(_StackKernel):
     instance's own m times epsilon.
     """
 
-    def __init__(self, a, b, counts, epsilon_scale, seeds, mask_failures):
-        super().__init__(a, b, counts, seeds, mask_failures)
-        self.epsilon_scale = epsilon_scale
-
-    def _strict_screened(self, spectra, names, pairs=False):
+    def _strict_screened(self, spectra, names):
         """``spectra`` screened for a mean: each side strictly positive definite."""
         return self._screen(spectra, [spec.eigenvalues[..., -1] <= 0.0 for spec in spectra],
-                            lambda side, index, spec: _strict_spectrum(spec, names(side, index)),
-                            pairs)
+                            lambda side, index, spec: _strict_spectrum(spec, names(side, index)))
 
-    @cached_property
-    def pair_spectra(self):
+    def _pair_spectra(self, epsilon_scale):
         """Spectra of the A_i and of the B_i ready for the pair means,
-        stacked (P,), and the epsilons (T,) or None.  Epsilon reads the
-        instance's own pairs: the zero-padded slots hold no eigenvalue of
-        larger modulus."""
+        stacked (P,), and the epsilons (T,), or None without
+        ``epsilon_scale``: each instance's largest epsilon over its own
+        pairs."""
         spectra, eps = [_eigh(self.a), _eigh(self.b)], None
-        if self.epsilon_scale is not None:
-            eps = _epsilon(self.epsilon_scale,
-                           *(self._padded(s.eigenvalues, axis=-2) for s in spectra), axis=(1, 2))
+        if epsilon_scale is not None:
+            eps = np.maximum.reduceat(_epsilon(epsilon_scale, *(s.eigenvalues for s in spectra)),
+                                      self.starts)
             spectra = [Spectrum(s.eigenvalues + eps[self.owner, None], s.vectors)
-                       for s in self._psd_screened(spectra, pairs=True)]
+                       for s in self._psd_screened(spectra)]
         sa, sb = self._strict_screened(
-            spectra, lambda side, index: f"{'AB'[side]}[{self.slot[index[0]]}]", pairs=True)
+            spectra, lambda side, index: f"{'AB'[side]}[{self.slot[index[0]]}]")
         return sa, sb, eps
 
-    @cached_property
-    def sums(self):
+    def _sums(self, eps):
         """Spectra of sum A and sum B, stacked (T,), each shifted by its
-        instance's m times epsilon."""
-        spectra = [_eigh(_pair_sum(self._padded(x))) for x in (self.a, self.b)]
-        eps = self.pair_spectra[2]
+        instance's m times ``eps`` (when not None) and screened."""
+        spectra = [_eigh(self._sum(x)) for x in (self.a, self.b)]
         if eps is not None:
             spectra = [Spectrum(s.eigenvalues + (self.counts * eps)[:, None], s.vectors)
                        for s in spectra]
         return self._psd_screened(spectra)
 
-    @cached_property
-    def sum_pair_spectra(self):
-        """The spectra of :attr:`sums` ready for the mean of the sums."""
-        return self._strict_screened(self.sums, lambda side, index: ("sum A", "sum B")[side])
-
-    def chain(self, inequality_id, grid, printed_form=True):
+    def chain(self, inequality_id, grid, printed_form=True, epsilon_scale=None):
         """The chain ``inequality_id`` over ``grid``, in grid order: the
         main chain at every (t, r), printed or t-dependent; its five-term
         proof refinement, which ends in the printed terms; or the four-term
@@ -600,7 +576,7 @@ class _MainChain(_StackKernel):
         # Every term is laid out (t, r, s, T, n), with a length-1 axis for
         # each grid axis it does not depend on; the pair-level terms carry
         # the P pairs instead of the T instances until they are summed.
-        sa, sb, eps = self.pair_spectra
+        sa, sb, eps = self._pair_spectra(epsilon_scale)
         means = _mean_from_spectra(sa, sb, ts)
         spectra = _eigh(means)
         mean_w = np.maximum(spectra.eigenvalues, 0.0)
@@ -608,11 +584,11 @@ class _MainChain(_StackKernel):
             terms = self._lemma_terms(sa, sb, mean_w, ts, rs, ss)
         else:
             mean_pows = spectra.assemble(np.array([np.power(mean_w, r) for r in rs]))
-            lhs = _psd_sigma(sum(np.moveaxis(self._padded(mean_pows), -3, 0))).swapaxes(0, 1)
+            lhs = _psd_sigma(self._sum(mean_pows)).swapaxes(0, 1)
             terms = [("sum (A_i#B_i)^r", lhs[:, :, None])]
-            s_a, s_b = self.sums
+            s_a, s_b = self._sums(eps)
             if proof:
-                terms += self._proof_terms(means, ts, rs)
+                terms += self._proof_terms(means, [s_a, s_b], ts, rs)
             if printed_form or proof:
                 quarter = _powers(s_a, [r / 4.0 for r in rs])
                 half_b = _powers(s_b, [r / 2.0 for r in rs])
@@ -637,11 +613,11 @@ class _MainChain(_StackKernel):
         return _Chain(inequality_id, params, [label for label, _ in terms],
                       sigma.reshape(-1, *sigma.shape[3:]), self.seeds, self.groups, epsilon=eps)
 
-    def _proof_terms(self, means, ts, rs):
+    def _proof_terms(self, means, sums, ts, rs):
         """(sum_i A_i #_t B_i)^r and (sumA #_t sumB)^r from the pair ``means``
-        at every t, laid out (t, r, 1, T, n)."""
-        sa, sb = self.sum_pair_spectra
-        sum_of_means = _eigh(_pair_sum(self._padded(means)))
+        at every t and the spectra of the ``sums``, laid out (t, r, 1, T, n)."""
+        sa, sb = self._strict_screened(sums, lambda side, index: ("sum A", "sum B")[side])
+        sum_of_means = _eigh(self._sum(means))
         mean_of_sums = _eigh(_mean_from_spectra(sa, sb, ts))
         return [(label, np.array([np.power(w, r) for r in rs]).swapaxes(0, 1)[:, :, None])
                 for label, w in (("(sum A_i#B_i)^r", np.maximum(sum_of_means.eigenvalues, 0.0)),
@@ -658,8 +634,7 @@ class _MainChain(_StackKernel):
                                np.broadcast_to(x.vectors[:, None], shape)) for x in (sa, sb))
         underflow = sa_r.eigenvalues[..., -1] <= 0.0
         sa_r, sb_r = self._screen([sa_r, sb_r], [underflow, underflow],
-                                  lambda side, index, spec: spectrum_power(spec, -0.5),
-                                  pairs=True)
+                                  lambda side, index, spec: spectrum_power(spec, -0.5))
         means_r = np.moveaxis(_psd_sigma(_mean_from_spectra(sa_r, sb_r, ts)), 2, 1)
         flank, product = _flank_sigmas(sa, sb, ts, rs, ss)
         mean_pows = np.array([mean_w ** r for r in rs]).swapaxes(0, 1)
@@ -732,12 +707,13 @@ def _audenaert_chain(kernel):
             f"inputs do not commute: pair {kernel.slot[p]} has commutator norm {defect[p]:.3e} "
             f"(tolerance {bound[p]:.3e})"
         )
-    s_a, s_b = kernel._psd_screened([_eigh(a), _eigh(b)], pairs=True)
+    s_a, s_b = kernel._psd_screened([_eigh(a), _eigh(b)])
     halves = s_a.assemble(spectrum_power(s_a, 0.5)) @ s_b.assemble(spectrum_power(s_b, 0.5))
-    x = sum(np.moveaxis(kernel._padded(halves), 1, 0))
-    sigma = [_product_sigma(sum(np.moveaxis(kernel._padded(products), 1, 0))),
-             _product_sigma(x @ x),
-             _product_sigma(_pair_sum(kernel._padded(a)) @ _pair_sum(kernel._padded(b)))]
+    x = kernel._sum(halves)
+    # The product of the sums reaches no _eigh, so each sum is symmetrized here.
+    sum_a, sum_b = (0.5 * (y + _adjoint(y)) for y in (kernel._sum(a), kernel._sum(b)))
+    sigma = [_product_sigma(kernel._sum(products)), _product_sigma(x @ x),
+             _product_sigma(sum_a @ sum_b)]
     return _Chain(AUDENAERT, [_params(n=a.shape[-1])],
                   ["sum A_iB_i", "(sum A_i^(1/2)B_i^(1/2))^2", "sumA sumB"],
                   np.array([sigma]), kernel.seeds, kernel.groups)
@@ -805,10 +781,10 @@ def _chain(inequality_id, a, b, counts, grid, seeds, printed_form=True, epsilon_
         chain = _audenaert_chain(kernel)
     else:
         lemma = inequality_id == LEMMA_CHAIN
-        kernel = _MainChain(a, b, counts, None if lemma else epsilon_scale, seeds, mask_failures)
+        kernel = _MainChain(a, b, counts, seeds, mask_failures)
         if lemma and kernel.width > 1:
             raise ShapeError(f"shape error: {LEMMA_CHAIN} takes one pair, got {kernel.width}")
-        chain = kernel.chain(inequality_id, grid, printed_form)
+        chain = kernel.chain(inequality_id, grid, printed_form, None if lemma else epsilon_scale)
     chain.sigma[:, :, kernel.failed] = np.nan
     return chain
 

@@ -108,14 +108,15 @@ def _mean_from_spectra(sa, sb, ts):
     return 0.5 * (mean + _adjoint(mean))
 
 
-def _epsilon(epsilon_scale, w_a, w_b, axis=-1):
+def _epsilon(epsilon_scale, w_a, w_b):
     """``epsilon_scale * (1 + max(||A||_2, ||B||_2))``, the shift of every
     regularized mean and chain, with ||.||_2 the largest |eigenvalue| in
-    ``w_a`` or ``w_b`` over ``axis``; ``epsilon_scale`` must be positive."""
+    ``w_a`` or ``w_b`` over the last axis, one epsilon per pair of slices;
+    ``epsilon_scale`` must be positive."""
     if not epsilon_scale > 0.0:
         raise ValueError(f"epsilon_scale must be positive, got {epsilon_scale!r}")
-    return float(epsilon_scale) * (1.0 + np.maximum(np.abs(w_a).max(axis=axis),
-                                                    np.abs(w_b).max(axis=axis)))
+    return float(epsilon_scale) * (1.0 + np.maximum(np.abs(w_a).max(axis=-1),
+                                                    np.abs(w_b).max(axis=-1)))
 
 
 def regularization_epsilon(a, b, epsilon_scale=DEFAULT_EPSILON_SCALE):
@@ -144,15 +145,6 @@ def psd_geometric_mean(a, b, t, epsilon_scale=DEFAULT_EPSILON_SCALE):
     return geometric_mean(a + shift, b + shift, t)
 
 
-def _pair_sum(stack):
-    """Sum over the pair axis (-3) of ``stack``, (..., m, n, n), symmetrized
-    to (S + S*)/2.  Unchecked: the summands are trusted to be Hermitian."""
-    total = np.zeros(stack.shape[:-3] + stack.shape[-2:], dtype=np.complex128)
-    for m in np.moveaxis(stack, -3, 0):
-        total = total + m
-    return 0.5 * (total + _adjoint(total))
-
-
 def sum_matrices(mats):
     """Entrywise sum of a nonempty list of Hermitian matrices.
 
@@ -166,6 +158,6 @@ def sum_matrices(mats):
     for m in mats:
         if m.shape != mats[0].shape:
             raise ShapeError(f"shape error: cannot sum {mats[0].shape} and {m.shape}")
-    stack = np.stack(mats, axis=-3)
-    _check_hermitian(stack)
-    return _pair_sum(stack)
+    _check_hermitian(np.stack(mats, axis=-3))
+    total = sum(mats)
+    return 0.5 * (total + _adjoint(total))

@@ -27,6 +27,8 @@ from matsharp import (
     emit_report,
     load_reports,
     random_commuting_pair,
+    random_psd_rank_deficient,
+    regularization_epsilon,
     render_reports,
     run_campaign,
     save_matrix,
@@ -652,15 +654,23 @@ class TestBatchInvariance:
         assert summary.total == len(reports) == cfg.trials * cfg.grid_size()
 
 
-# A pair that fails one screen, by chain: a singular A_i fails the strict
-# check, an indefinite one the PSD clamp, and expm1 overflows at 800.
+# An instance that fails one screen, by chain: a singular A_i fails the
+# strict check, an indefinite one the PSD clamp, and expm1 overflows at 800.
+# Each entry is (config, eigenvalues of the bad matrix, the instance's pairs
+# it replaces, the error).
 MIXED_STACK_FAILURES = {
-    "main_strict": ({"inequality-id": "main_theorem"}, [1.0, 0.0], NotPositiveDefiniteError),
+    "main_strict": ({"inequality-id": "main_theorem"}, [1.0, 0.0], [1], NotPositiveDefiniteError),
     "main_regularized": ({"inequality-id": "main_theorem", "printed-form": False,
-                          "ensemble": {"kind": "psd"}}, [1.0, -0.5], NotPositiveDefiniteError),
-    "proof_steps": ({"inequality-id": "proof_steps"}, [1.0, 0.0], NotPositiveDefiniteError),
+                          "ensemble": {"kind": "psd"}}, [1.0, -0.5], [1],
+                         NotPositiveDefiniteError),
+    "proof_steps": ({"inequality-id": "proof_steps"}, [1.0, 0.0], [1], NotPositiveDefiniteError),
     "bourin_uchiyama": ({"inequality-id": "bourin_uchiyama", "functions": ["expm1", "power:2"],
-                         "direction": "convex"}, [800.0, 1.0], SingularFunctionError),
+                         "direction": "convex"}, [800.0, 1.0], [1], SingularFunctionError),
+    # expm1 is finite on each pair but overflows on their sum, 800: a failure
+    # of one of the T = 6 instances in a stack of P = 12 pairs.
+    "bourin_uchiyama_sum": ({"inequality-id": "bourin_uchiyama", "functions": ["expm1"],
+                             "direction": "convex"}, [400.0, 1.0], [0, 1],
+                            SingularFunctionError),
 }
 
 
@@ -668,17 +678,18 @@ class TestMixedStack:
     @pytest.mark.parametrize("name", sorted(MIXED_STACK_FAILURES))
     def test_failing_pair_masks_only_its_instance(self, name, monkeypatch):
         # One kernel pass holds every m of a trial.  A failing pair of the
-        # m = 2 instance of trial 0 masks that instance alone: the same
-        # trial's m = 1 and m = 3 instances, and trial 1, are the checks.
-        obj, eigenvalues, error = MIXED_STACK_FAILURES[name]
+        # m = 2 instance of trial 0, or a failing sum of its pairs, masks
+        # that instance alone: the same trial's m = 1 and m = 3 instances,
+        # and trial 1, are the checks.
+        obj, eigenvalues, pairs, error = MIXED_STACK_FAILURES[name]
         bad = np.diag(eigenvalues).astype(complex)
         draw = campaign._build_inputs
 
         def corrupted(config, n, m, inst_seed):
             a, b, counts = draw(config, n, m, inst_seed)
-            # Pair 1 of the first m = 2 instance.
+            # The given pairs of the first m = 2 instance.
             first = counts.tolist().index(2)
-            a[counts[:first].sum() + 1] = bad
+            a[counts[:first].sum() + np.array(pairs)] = bad
             return a, b, counts
         monkeypatch.setattr(campaign, "_build_inputs", corrupted)
         cfg = CampaignConfig.from_obj(dict({
@@ -693,7 +704,8 @@ class TestMixedStack:
             seed = instance_seed(cfg, trial, point)
             a_list, b_list = draw(cfg, point["n"], point["m"], seed)
             if (trial, point["m"]) == (0, 2):
-                a_list[1] = bad
+                for pair in pairs:
+                    a_list[pair] = bad
                 assert all(math.isnan(value) for _, value in report.terms)
                 assert not report.holds and report.params["seed"] == seed
                 with pytest.raises(error), np.errstate(over="ignore", invalid="ignore"):
@@ -703,6 +715,22 @@ class TestMixedStack:
                 expected = check_one_point(cfg, point, a_list, b_list, seed)
                 expected.params["trial"] = trial
                 assert finite(report) and report == expected
+
+    def test_regularized_epsilon_is_each_instances_own(self):
+        # Each instance of a mixed-m stack is shifted by the largest
+        # regularization_epsilon of its own pairs, bit for bit; the scales
+        # put the largest pair of the m = 3 instance in its middle.
+        counts, scales = (1, 3, 2, 1), (1.0, 2.0, 5.0, 3.0, 1.0, 4.0, 2.0)
+        a, b = (np.array([c * random_psd_rank_deficient(
+            EnsembleSpec(dim=3, kind="psd", seed=seed + k, rank=2)) for k, c in enumerate(scales)])
+            for seed in (600, 700))
+        blocks = stack_reports(MAIN_THEOREM, a, b, counts, {"t": (0.5,), "r": (2.0,),
+                               "norm": (NormSpec.trace(),)}, (None,) * len(counts),
+                               printed_form=False, epsilon_scale=1e-10)
+        starts = np.cumsum(counts) - counts
+        want = [max(regularization_epsilon(a[p], b[p], 1e-10) for p in range(start, start + m))
+                for start, m in zip(starts, counts)]
+        assert np.concatenate([block.epsilon for block in blocks]).tolist() == want
 
 
 class TestNonFinite:
@@ -995,7 +1023,6 @@ class TestReportStream:
         assert render_reports(loaded, "json") == path.read_text()
         assert render_reports(loaded, "csv") == render_reports(stream, "csv")
 
-
     def test_slices_are_lists_of_reports(self):
         _, stream = run_campaign(small_config())
         reports = [r.to_json() for r in stream]
@@ -1204,6 +1231,20 @@ class TestSearch:
         report = search_counterexample(cfg, 300)
         margin, _ = reevaluate_search_instance(cfg, report)
         assert margin == report.best_margin
+
+    def test_commuting_bourin_uchiyama_instance_has_no_b_list(self):
+        # Bourin-Uchiyama takes no B-list, so a commuting draw's B side is
+        # neither moved nor written, and the written instance reproduces.
+        cfg = CampaignConfig.from_obj(dict(SEARCH_BASE, **SEARCH_TARGETS["bu"], dims=[2],
+                                           ensemble={"kind": "commuting"}))
+        report = search_counterexample(cfg, 40)
+        assert report.best_instance["b-list"] == []
+        assert reevaluate_search_instance(cfg, report)[0] == report.best_margin
+        # The A side keeps the bits of the commuting pairs' A side.
+        pairs = CampaignConfig.from_obj(dict(cfg.to_obj(), **{"inequality-id": "audenaert"}))
+        a, b, _ = _build_inputs(cfg, 2, (2,), ((5, 6),))
+        assert b is None and _build_inputs(cfg, 2, 2, 5)[1] == []
+        assert np.array_equal(a, _build_inputs(pairs, 2, (2,), ((5, 6),))[0])
 
     def test_runs_are_identical(self):
         cfg = CampaignConfig.from_obj(SEARCH_BASE)

@@ -418,6 +418,36 @@ class TestClosedFormCounterexamples:
         assert report.holds is (r == 1.0)
 
 
+class TestIdentities:
+    def test_lemma_terms_two_to_four_at_r_are_those_at_one_on_powers(self):
+        # Every exponent of terms 2-4 carries r as a factor, so at (t, r, s)
+        # they are the terms at (t, 1, s) on (A^r, B^r).
+        for seed in range(30):
+            a, b = pd_for(seed, n=4), pd_for(seed + 300, n=4)
+            for r in (1.5, 2.0, 3.0):
+                a_r, b_r = matrix_power_psd(a, r), matrix_power_psd(b, r)
+                for t in (0.1, 0.3, 0.7):
+                    for s in (0.5, 1.0, 2.0):
+                        got = lemma_chain_sigmas(a, b, t, r, s)[1:]
+                        want = lemma_chain_sigmas(a_r, b_r, t, 1.0, s)[1:]
+                        for (label, x), (_, y) in zip(got, want, strict=True):
+                            assert np.abs(x - y).max() <= 1e-9 * y[0], (seed, t, r, s, label)
+
+    def test_printed_form_at_one_half_is_the_variant(self):
+        # At t = 1/2, with X = sumA^(r/4) sumB^(r/4), the printed middle term
+        # is X X* and the variant's X* X, and the right terms are one matrix.
+        for k in range(50):
+            m = 1 + k % 3
+            a_list = [pd_for(1000 + 10 * k + i, n=3) for i in range(m)]
+            b_list = [pd_for(2000 + 10 * k + i, n=3) for i in range(m)]
+            for r in (1.0, 2.0, 3.0):
+                printed, variant = (
+                    [value for _, value in check_main_theorem(
+                        a_list, b_list, 0.5, r, NormSpec.trace(), printed_form=form).terms]
+                    for form in (True, False))
+                assert printed == pytest.approx(variant, rel=1e-12, abs=0), (k, r)
+
+
 class TestRegularizedChain:
     @pytest.mark.parametrize("c", [0.0, 0.01, 0.1, 1.0])
     def test_scalar_pair_ties_at_every_scale(self, c):

@@ -1,8 +1,10 @@
 """The public API the demos rely on: every name they import resolves, and
-the quick demos run to completion."""
+the quick demos run to completion.  The functions the benchmark's tracer
+reads (perfbench/spans.py) still exist."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -43,3 +45,14 @@ def test_quick_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_traced_names_exist():
+    # A function the benchmark's layer metrics read that is renamed or gone
+    # would count as zero calls; the traced run refuses it, and so does this.
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer in spans.LAYERS:
+        importlib.import_module(f"{spans.PACKAGE}.{layer}")
+    assert spans.missing_names(spans.Tracer().names) == []
