@@ -18,24 +18,23 @@ means over every t, the main chain's terms over every (t, r) point they
 vary with), each covering every pair or instance of the stack.  Every
 norm then reduces those sequences into arrays, once per stack, which are
 split into one block per m; their verdict masks come from one rule
-(``inequalities._verdict``).  A report is built when the
-:class:`ReportStream` is read.  :func:`summarize` and :func:`render_reports`
-build none: they read the blocks of a stream or of a list of reports
-(:func:`_chunks`), and rendering gives each grid point of a block one row
-template, which each of its (norm, instance) rows fills from the arrays.
-NumPy gives each slice of a
-stacked call the bits of the single-matrix call, and a sum over a
-zero-padded pair axis has the bits of the sum over the instance's own
-pairs, so the reports are the ones the ``check_*`` predicates give
-instance by instance and point by point, emitted in (trial, grid point)
-order.  An instance that fails the strict positive-definite check, the
-PSD clamp or a Bourin-Uchiyama f gets NaN terms, so its reports count as
-indeterminate and the others, of its own trial too, go on.
+(``inequalities._verdict``).  A report is built when the :class:`ReportStream`
+is read: :func:`summarize` builds only the one of least margin, and
+:func:`render_reports` none.  They read the blocks of a stream or of a list
+of reports (:func:`_chunks`), and rendering gives each grid point of a block
+one row template, which each of its (norm, instance) rows fills from the
+arrays.  NumPy gives each slice of a stacked call the bits of the
+single-matrix call, and a sum over a zero-padded pair axis has the bits of
+the sum over the instance's own pairs, so the reports are the ones the
+``check_*`` predicates give instance by instance and point by point, in
+(trial, grid point) order.  An instance that fails the strict check, the
+PSD clamp or a Bourin-Uchiyama f gets NaN terms: its reports are
+indeterminate, and the others, of its trial too, go on.
 
 The searcher performs random-restart hill descent on the relative margin
 (least margin over largest term) of one fixed grid point, with
 ``SEARCH_CHAINS`` chains in lockstep: each round evaluates one candidate
-per chain, all of them as one stack.
+per chain as one stack, which decomposes only the moved matrices and pairs.
 
 The config, the summary and the search report are JSON records like the
 reports; the config refuses a value of the wrong JSON type, and a grid
@@ -65,6 +64,7 @@ from .inequalities import (
     INEQUALITY_IDS,
     LEMMA_CHAIN,
     InequalityReport,
+    _Carry,
     _check,
     _check_grid,
     _Record,
@@ -73,7 +73,7 @@ from .inequalities import (
     _report_blocks,
     stack_reports,
 )
-from .linalg import Spectrum, _adjoint, matrix_from_obj, matrix_to_obj
+from .linalg import Spectrum, _symmetrize, matrix_from_obj, matrix_to_obj
 from .means import DEFAULT_EPSILON_SCALE, DEFAULT_R_GRID, DEFAULT_S_GRID, DEFAULT_T_GRID
 from .norms import KY_FAN, NormSpec
 from .ensembles import (
@@ -288,10 +288,7 @@ class CampaignConfig(_Record):
                 ("r", self.r_grid), ("norm", self.norm_specs)]
 
     def grid_size(self):
-        size = 1
-        for _, grid in self._axes():
-            size *= len(grid)
-        return size
+        return math.prod(len(grid) for _, grid in self._axes())
 
     def grid_points(self):
         names = [name for name, _ in self._axes()]
@@ -426,23 +423,20 @@ class ReportStream(Sequence):
     def __len__(self):
         return self._trials * self._grid_size
 
-    def _trial(self, trial):
-        for block in self._chunks[trial // CHUNK_TRIALS]:
-            yield from _instance_reports(block, trial % CHUNK_TRIALS, trial=trial)
-
     def __iter__(self):
-        return itertools.chain.from_iterable(map(self._trial, range(self._trials)))
+        for trial in range(self._trials):
+            for block in self._chunks[trial // CHUNK_TRIALS]:
+                yield from _instance_reports(block, trial % CHUNK_TRIALS, trial=trial)
 
     def __getitem__(self, index):
         rows = range(len(self))[index]
         if isinstance(rows, int):
             trial, offset = divmod(rows, self._grid_size)
-            return next(itertools.islice(self._trial(trial), offset, None))
-        # A slice, as a list: every trial it touches is built once.
-        first = min(rows, default=0) // self._grid_size
-        trials = range(first, max(rows, default=-1) // self._grid_size + 1)
-        built = list(itertools.chain.from_iterable(map(self._trial, trials)))
-        return [built[row - first * self._grid_size] for row in rows]
+            for block in self._chunks[trial // CHUNK_TRIALS]:
+                if offset < len(block.params) * len(block.norms):
+                    return _instance_reports(block, trial % CHUNK_TRIALS, offset, trial=trial)[0]
+                offset -= len(block.params) * len(block.norms)
+        return [self[row] for row in rows]
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
@@ -728,13 +722,12 @@ def _perturb(stream, a, b, scale, clamp_floor):
     picks = np.ceil(stream.uniforms(chains) * both.shape[1]).astype(int) - 1
     rows = np.arange(chains)
     moved = both[rows, picks]
-    step = stream.complex_normals(chains * n * n).reshape(chains, n, n)
-    step = 0.5 * (step + _adjoint(step))
+    step = _symmetrize(stream.complex_normals(chains * n * n).reshape(chains, n, n))
     norm = np.linalg.norm(step, axis=(-2, -1))
     step *= np.divide(scale * np.linalg.norm(moved, axis=(-2, -1)), norm,
                       out=np.zeros(chains), where=norm > 0.0)[:, None, None]
     moved = moved + step
-    w, v = np.linalg.eigh(0.5 * (moved + _adjoint(moved)))
+    w, v = np.linalg.eigh(_symmetrize(moved))
     w = np.maximum(w, clamp_floor * np.maximum(w.max(axis=-1), 1e-30)[:, None])
     both[rows, picks] = Spectrum(w, v).assemble(w)
     return both[:, :m], both[:, m:]
@@ -753,19 +746,20 @@ def _relative_margins(block):
 def search_counterexample(config, steps):
     """Random-restart hill descent on the relative margin of one target.
 
-    ``steps`` is the evaluation budget.  ``C = min(SEARCH_CHAINS, steps)``
-    chains descend in lockstep, chain i starting from restart draw i, and
-    each of ``ceil(steps / C)`` rounds evaluates one candidate per chain,
-    all C as one stack.  A chain's candidate is a Hermitian perturbation of
-    one of its matrices M (see :func:`_perturb`), of size ``0.05 ||M||_F``
-    at first, grown 4x on acceptance up to ``||M||_F`` and halved on
-    non-improvement; a chain that stalled 50 rounds offers the next unused
-    restart draw instead.  On PD inputs a moved matrix is clamped to
-    condition number at most 1e12 (``SEARCH_CLAMP_FLOOR``), which bounds
-    how deep a descent can go.  A candidate is accepted when it lowers its
-    chain's relative margin, the least margin over the largest term, which
-    scaling the inputs does not move.  A candidate that fails a spectral
-    check or overflows is masked: it is never accepted and never best.
+    ``steps`` is the evaluation budget.  ``C = min(SEARCH_CHAINS, steps)`` chains
+    descend in lockstep, chain i starting from restart draw i, and each of
+    ``ceil(steps / C)`` rounds evaluates one candidate per chain, all C as one
+    stack.  A chain's candidate is a Hermitian perturbation of one of its
+    matrices M (see :func:`_perturb`), of size ``0.05 ||M||_F`` at first,
+    grown 4x on acceptance up to ``||M||_F`` and halved on non-improvement; a
+    chain that stalled 50 rounds offers the next unused restart draw instead.
+    A round decomposes only the moved M and its pair, and carries the rest
+    from the chain's state (``inequalities._Carry``).  On PD inputs a moved
+    matrix is clamped to condition number at most 1e12 (``SEARCH_CLAMP_FLOOR``),
+    which bounds how deep a descent can go.  A candidate is accepted when it
+    lowers its chain's relative margin, the least margin over the largest
+    term, which scaling the inputs does not move.  A candidate that fails a
+    spectral check or overflows is masked: it is never accepted and never best.
 
     The report is the instance of least relative margin (the first, on a
     tie), built from the block it was evaluated in; ``best_margin`` is its
@@ -800,11 +794,10 @@ def search_counterexample(config, steps):
     current = np.full(chains, np.inf)
     stall = np.zeros(chains, dtype=int)
     scale = np.full(chains, SEARCH_STEP_SCALE)
-    restarts = 0
-    best = None
+    restarts, best, carry = 0, None, _Carry()
     for round_index in range(rounds + 1):
+        restart = stall >= SEARCH_STALL_LIMIT
         if round_index:
-            restart = stall >= SEARCH_STALL_LIMIT
             if restart.any():
                 count = int(restart.sum())
                 a[restart], b[restart] = fresh(chains + restarts, count)
@@ -816,13 +809,15 @@ def search_counterexample(config, steps):
                     stream, a[~restart], b[~restart], scale[~restart], clamp_floor)
         block, = stack_reports(config.inequality_id, cand_a.reshape(-1, n, n),
                                cand_b.reshape(-1, n, n), (m,) * chains, grid, (None,) * chains,
-                               mask_failures=True, **_kernel_options(config))
+                               mask_failures=True, carry=carry, **_kernel_options(config))
         objective = _relative_margins(block)
         k = int(objective.argmin())
         if best is None or objective[k] < best[0]:
             best = objective[k], block, k, (cand_a[k], cand_b[k])
         accept = objective < current
         a[accept], b[accept], current[accept] = cand_a[accept], cand_b[accept], objective[accept]
+        # The carry keeps each chain's state: its candidate if accepted or restarted.
+        carry.commit(np.repeat(accept | restart, m))
         stall = np.where(accept, 0, stall + 1)
         scale = np.where(accept, np.minimum(SEARCH_STEP_GROWTH * scale, 1.0), 0.5 * scale)
     _, block, k, (best_a, best_b) = best

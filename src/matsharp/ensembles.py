@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRankError
-from .linalg import Spectrum, _adjoint, _eigh
+from .linalg import Spectrum, _eigh, _symmetrize
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -188,7 +188,7 @@ def _assemble(u, eigs):
 def random_hermitian(spec):
     """Gaussian Hermitian draw (indefinite spectrum)."""
     g = _gaussian(Stream(spec.seed), spec.dim, spec.field)
-    return 0.5 * (g + _adjoint(g))
+    return _symmetrize(g)
 
 
 def random_pd(spec):

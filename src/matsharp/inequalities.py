@@ -47,12 +47,12 @@ import numpy as np
 from .errors import CommutationError, ShapeError, UnregisteredFunctionError
 from .linalg import (
     Spectrum,
-    _adjoint,
     _as_stack,
     _check_hermitian,
     _eigh,
     _function_values,
     _psd_clamp_failures,
+    _symmetrize,
     clamp_psd_eigenvalues,
     spectrum_function,
     spectrum_power,
@@ -226,24 +226,26 @@ def _group_blocks(block, groups):
     return blocks
 
 
-def _instance_reports(block, k, **extra):
-    """The reports of instance ``k`` of a reduced block in grid order, one
-    ``tolist`` per array; ``extra`` params end each report's params."""
+def _instance_reports(block, k, row=None, **extra):
+    """Instance ``k``'s reports in a reduced block in grid order, or only its
+    report ``row``, one ``tolist`` per array; ``extra`` params end their params."""
     names = [str(norm) for norm in block.norms]
     values, margins, holds, fans = (x[..., k].tolist() for x in (
         block.values, block.margins, block.holds, block.fan_margins))
     eps = None if block.epsilon is None else block.epsilon[k].tolist()
+    rows = itertools.product(range(len(block.params)), range(len(names)))
     return [InequalityReport(block.inequality_id,
-                             dict(params, **{"norm-spec": name, "seed": block.seeds[k]}, **extra),
+                             dict(block.params[point], **{"norm-spec": names[norm],
+                                                          "seed": block.seeds[k]}, **extra),
                              list(zip(block.labels, values[point][norm])), margins[point][norm],
                              holds[point][norm], eps, fans[point])
-            for point, params in enumerate(block.params) for norm, name in enumerate(names)]
+            for point, norm in (rows if row is None else [divmod(row, len(names))])]
 
 
 def _build_report(block, k=0):
     """The first report of instance ``k`` of a reduced block; by default the
     only one of a ``check_*`` block."""
-    return _instance_reports(block, k)[0]
+    return _instance_reports(block, k, 0)[0]
 
 
 def _report_blocks(reports):
@@ -300,6 +302,10 @@ def _product_sigma(m):
     return _finite_sigma(m, singular_values)
 
 
+def _arrays(spec):
+    return spec.eigenvalues, spec.vectors
+
+
 def _powers(spec, exponents):
     """V diag(w^p) V* for every p in ``exponents``, stacked (len(exponents),
     ...) ahead of the stack axes of ``spec``: the eigenvalues clamped once
@@ -342,6 +348,19 @@ def _validate_lists(a_list, b_list):
     return np.array(a_list), np.array(b_list)
 
 
+class _Carry(dict):
+    """Kernel entries kept between evaluations of stacks of one layout (the
+    search's rounds), and in ``last`` the last one's: name -> (arrays, pair
+    axis), "inputs" the matrices (2, P, n, n) whose bits decide what moved."""
+
+    def commit(self, pairs):
+        """Keep the last entries at the mask ``pairs`` (all, the first time)."""
+        for name, (arrays, axis) in self.last.items():
+            kept = self.setdefault(name, ([x.copy() for x in arrays], axis))[0]
+            for old, x in zip(kept, arrays):
+                np.copyto(old, x, where=pairs.reshape((-1,) + (1,) * (x.ndim - axis - 1)))
+
+
 class _StackKernel:
     """A stack of instances and the failure screen every kernel shares.
 
@@ -361,10 +380,11 @@ class _StackKernel:
     fails a spectral check raises as the single-matrix functions do.  With
     ``mask_failures`` it is replaced by the identity spectrum instead, so
     the other slices go on, and its instance (only its own) is marked in
-    ``failed``: :func:`stack_reports` makes all of its terms NaN.
+    ``failed``: :func:`stack_reports` makes all of its terms NaN.  With a
+    :class:`_Carry`, only the ``moved`` matrices (2, P) are decomposed.
     """
 
-    def __init__(self, a, b, counts, seeds, mask_failures):
+    def __init__(self, a, b, counts, seeds, mask_failures, carry=None):
         a, counts = np.asarray(a), np.asarray(counts)
         if (a.ndim != 3 or counts.ndim != 1 or not len(counts) or len(counts) != len(seeds)
                 or (counts < 1).any() or counts.sum() != len(a)
@@ -383,6 +403,28 @@ class _StackKernel:
         self.seeds = tuple(seeds)
         self.mask_failures = mask_failures
         self.failed = np.zeros(len(self.seeds), dtype=bool)
+        self.carry, self.moved = carry, np.ones((2, len(a)), dtype=bool)
+        if carry is not None:
+            inputs = np.stack([self.a, self.b])
+            if carry:
+                kept = carry["inputs"][0][0].view(np.uint64)
+                self.moved = (inputs.view(np.uint64) != kept).any(axis=(-2, -1))
+            carry.last = {"inputs": ([inputs], 1)}
+
+    def _carried(self, name, fresh, compute, axis=0):
+        """The arrays ``compute(pairs)`` (pair axis ``axis``) at every pair of a
+        carried stack, computed only where ``fresh``, recorded as entry ``name``."""
+        arrays = compute(slice(None)) if fresh.all() else [x.copy() for x in self.carry[name][0]]
+        for full, x in zip(arrays, compute(fresh) if fresh.any() and not fresh.all() else ()):
+            full[(slice(None),) * axis + (fresh,)] = x
+        self.carry.last[name] = arrays, axis
+        return arrays
+
+    def _spectrum(self, side):
+        """The spectra of the A_i (``side`` 0) or of the B_i (1), (P,)."""
+        x = (self.a, self.b)[side]
+        return _eigh(x) if self.carry is None else Spectrum(*self._carried(
+            "AB"[side], self.moved[side], lambda pairs: _arrays(_eigh(x[pairs]))))
 
     def _sum(self, x):
         """Each instance's sum of its own pairs, added one at a time from 0:
@@ -412,9 +454,7 @@ class _StackKernel:
         failed = np.stack(failures, axis=-1)
         if not self.mask_failures:
             *index, side = np.argwhere(failed)[0]
-            spec = spectra[side]
-            index = tuple(index)
-            raise_for(side, index, Spectrum(spec.eigenvalues[index], spec.vectors[index]))
+            raise_for(side, tuple(index), spectra[side][tuple(index)])
         rows = failed.reshape(len(failed), -1).any(axis=1)
         self.failed[self.owner[rows] if len(rows) == len(self.owner) else rows] = True
         return [Spectrum(np.where(mask[..., None], 1.0, spec.eigenvalues), spec.vectors)
@@ -468,14 +508,13 @@ class _FunctionSum(_StackKernel):
         fw = _function_values(clamp_psd_eigenvalues(spec.eigenvalues), f)
         mapped, = self._screen(
             [Spectrum(fw, spec.vectors)], [~np.isfinite(fw).all(axis=-1)],
-            lambda side, index, _: spectrum_function(
-                Spectrum(spec.eigenvalues[index], spec.vectors[index]), f))
+            lambda side, index, _: spectrum_function(spec[index], f))
         return mapped.assemble(mapped.eigenvalues)
 
     def chain(self, function_ids, direction):
         """The chain at every f of ``function_ids``, in order, each f
         fitting ``direction`` (:func:`_check_grid`)."""
-        spec_a, = self._psd_screened([_eigh(self.a)])
+        spec_a, = self._psd_screened([self._spectrum(0)])
         spec_sum, = self._psd_screened([_eigh(self._sum(self.a))])
         sigma, params = [], []
         for function_id in function_ids:
@@ -544,7 +583,7 @@ class _MainChain(_StackKernel):
         stacked (P,), and the epsilons (T,), or None without
         ``epsilon_scale``: each instance's largest epsilon over its own
         pairs."""
-        spectra, eps = [_eigh(self.a), _eigh(self.b)], None
+        spectra, eps = [self._spectrum(0), self._spectrum(1)], None
         if epsilon_scale is not None:
             eps = np.maximum.reduceat(_epsilon(epsilon_scale, *(s.eigenvalues for s in spectra)),
                                       self.starts)
@@ -577,8 +616,14 @@ class _MainChain(_StackKernel):
         # each grid axis it does not depend on; the pair-level terms carry
         # the P pairs instead of the T instances until they are summed.
         sa, sb, eps = self._pair_spectra(epsilon_scale)
-        means = _mean_from_spectra(sa, sb, ts)
-        spectra = _eigh(means)
+
+        def pair_means(pairs):
+            means = _mean_from_spectra(sa[pairs], sb[pairs], ts)
+            return (means, *_arrays(_eigh(means)))
+        # With epsilon, a pair's means depend on its instance's other pairs.
+        means, *spectra = pair_means(slice(None)) if self.carry is None else self._carried(
+            "means", self.moved.any(axis=0) | (eps is not None), pair_means, axis=1)
+        spectra = Spectrum(*spectra)
         mean_w = np.maximum(spectra.eigenvalues, 0.0)
         if lemma:
             terms = self._lemma_terms(sa, sb, mean_w, ts, rs, ss)
@@ -602,8 +647,7 @@ class _MainChain(_StackKernel):
                 mid, rhs = _flank_sigmas(s_a, s_b, ts, rs, (1.0,))
                 terms += [("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", mid),
                           ("sumA^((1-t)r) sumB^(rt)", rhs)]
-        n = self.a.shape[-1]
-        params = [_params(n=n, t=t, r=r, s=s, **({} if lemma or proof else {
+        params = [_params(n=self.a.shape[-1], t=t, r=r, s=s, **({} if lemma or proof else {
                       "printed-form": bool(printed_form), "r-in-theorem-range": bool(r >= 1.0)}))
                   for t, r, s in itertools.product(ts, rs, ss)]
         # A length-1 axis serves every value of its grid axis.
@@ -711,7 +755,7 @@ def _audenaert_chain(kernel):
     halves = s_a.assemble(spectrum_power(s_a, 0.5)) @ s_b.assemble(spectrum_power(s_b, 0.5))
     x = kernel._sum(halves)
     # The product of the sums reaches no _eigh, so each sum is symmetrized here.
-    sum_a, sum_b = (0.5 * (y + _adjoint(y)) for y in (kernel._sum(a), kernel._sum(b)))
+    sum_a, sum_b = (_symmetrize(kernel._sum(y)) for y in (a, b))
     sigma = [_product_sigma(kernel._sum(products)), _product_sigma(x @ x),
              _product_sigma(sum_a @ sum_b)]
     return _Chain(AUDENAERT, [_params(n=a.shape[-1])],
@@ -765,7 +809,7 @@ def _check_grid(inequality_id, grid, direction=None):
 
 
 def _chain(inequality_id, a, b, counts, grid, seeds, printed_form=True, epsilon_scale=None,
-           direction=None, mask_failures=False):
+           direction=None, mask_failures=False, carry=None):
     """The chain ``inequality_id`` on a stack of instances over ``grid``, in
     grid order, with NaN terms for every instance its kernel masked: the one
     place an inequality id is mapped to its kernel, after
@@ -774,14 +818,14 @@ def _chain(inequality_id, a, b, counts, grid, seeds, printed_form=True, epsilon_
     """
     _check_grid(inequality_id, grid, direction)
     if inequality_id == BOURIN_UCHIYAMA:
-        kernel = _FunctionSum(a, None, counts, seeds, mask_failures)
+        kernel = _FunctionSum(a, None, counts, seeds, mask_failures, carry)
         chain = kernel.chain(grid["f"], direction)
     elif inequality_id == AUDENAERT:
-        kernel = _StackKernel(a, b, counts, seeds, mask_failures)
+        kernel = _StackKernel(a, b, counts, seeds, mask_failures, carry)
         chain = _audenaert_chain(kernel)
     else:
         lemma = inequality_id == LEMMA_CHAIN
-        kernel = _MainChain(a, b, counts, seeds, mask_failures)
+        kernel = _MainChain(a, b, counts, seeds, mask_failures, carry)
         if lemma and kernel.width > 1:
             raise ShapeError(f"shape error: {LEMMA_CHAIN} takes one pair, got {kernel.width}")
         chain = kernel.chain(inequality_id, grid, printed_form, None if lemma else epsilon_scale)
@@ -790,7 +834,7 @@ def _chain(inequality_id, a, b, counts, grid, seeds, printed_form=True, epsilon_
 
 
 def stack_reports(inequality_id, a, b, counts, grid, seeds, printed_form=True,
-                  epsilon_scale=None, direction=None, mask_failures=False):
+                  epsilon_scale=None, direction=None, mask_failures=False, carry=None):
     """The reports of a stack of instances over ``grid``, one reduced
     :class:`_ReportBlock` per run of equal m (read a report with
     :func:`_build_report`).
@@ -812,10 +856,11 @@ def stack_reports(inequality_id, a, b, counts, grid, seeds, printed_form=True,
     a one-point grid.  With ``mask_failures``, an instance with a slice
     that fails the strict positive-definite check, the PSD clamp or f gets
     NaN terms at every point (indeterminate reports) instead of raising;
-    the other instances, those of its trial included, go on.
+    the other instances, those of its trial included, go on.  A ``carry``
+    (:class:`_Carry`) spares unmoved matrices' decompositions, not a bit.
     """
     chain = _chain(inequality_id, a, b, counts, grid, seeds, printed_form, epsilon_scale,
-                   direction, mask_failures)
+                   direction, mask_failures, carry)
     return _group_blocks(_reduce(chain, grid["norm"]), chain.groups)
 
 

@@ -91,12 +91,20 @@ def hermitian_part(a):
     """
     a = as_matrix(a)
     _check_hermitian(a)
-    return 0.5 * (a + a.conj().T)
+    return _symmetrize(a)
 
 
 def _adjoint(a):
     """Conjugate transpose of a matrix, or of every slice of a stack."""
     return a.conj().swapaxes(-1, -2)
+
+
+def _symmetrize(a):
+    """(A + A*)/2 of each slice of ``a``, halved before the sum: no finite
+    entry overflows, and above the subnormal range the bits are (A + A*)/2's."""
+    half = 0.5 * a
+    half += _adjoint(half)
+    return half
 
 
 def _check_hermitian(a):
@@ -129,11 +137,14 @@ class Spectrum:
     def dim(self):
         return self.eigenvalues.shape[-1]
 
+    def __getitem__(self, index):
+        """The spectrum of the slices ``index`` of a stacked one."""
+        return Spectrum(self.eigenvalues[index], self.vectors[index])
+
     def assemble(self, values):
         """Rebuild V diag(values) V* as an exactly Hermitian matrix (per slice)."""
         values = np.asarray(values, dtype=np.float64)
-        m = (self.vectors * values[..., None, :]) @ _adjoint(self.vectors)
-        return 0.5 * (m + _adjoint(m))
+        return _symmetrize((self.vectors * values[..., None, :]) @ _adjoint(self.vectors))
 
 
 def _eigh(a):
@@ -141,9 +152,8 @@ def _eigh(a):
 
     ``a`` is a matrix or a stack of them; it is symmetrized first.
     """
-    h = 0.5 * (a + _adjoint(a))
     try:
-        w, v = np.linalg.eigh(h)
+        w, v = np.linalg.eigh(_symmetrize(a))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     # Stable descending order keeps degenerate eigenspaces in LAPACK's

@@ -21,6 +21,7 @@ from .linalg import (
     _as_stack,
     _check_hermitian,
     _eigh,
+    _symmetrize,
     as_matrix,
     hermitian_part,
     spectrum_power,
@@ -105,7 +106,7 @@ def _mean_from_spectra(sa, sb, ts):
     mean = m @ _adjoint(m)
     if not np.isfinite(mean).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return 0.5 * (mean + _adjoint(mean))
+    return _symmetrize(mean)
 
 
 def _epsilon(epsilon_scale, w_a, w_b):
@@ -159,5 +160,4 @@ def sum_matrices(mats):
         if m.shape != mats[0].shape:
             raise ShapeError(f"shape error: cannot sum {mats[0].shape} and {m.shape}")
     _check_hermitian(np.stack(mats, axis=-3))
-    total = sum(mats)
-    return 0.5 * (total + _adjoint(total))
+    return _symmetrize(sum(mats))

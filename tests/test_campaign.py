@@ -1023,6 +1023,30 @@ class TestReportStream:
         assert render_reports(loaded, "json") == path.read_text()
         assert render_reports(loaded, "csv") == render_reports(stream, "csv")
 
+    def test_summary_builds_only_the_report_of_least_margin(self, monkeypatch):
+        # 270 reports in one trial, over six blocks; the least margin is
+        # neither in the first block nor at its first row.
+        cfg = CampaignConfig.from_obj({
+            "inequality-id": "main_theorem", "trials": 1, "dims": [2, 4, 6], "m-values": [2, 3],
+            "t-grid": [0.25, 0.5, 0.75], "r-grid": [1, 2, 3], "printed-form": False,
+            "norm-specs": ["schatten:1", "schatten:2", "schatten:inf", "kyfan:1", "kyfan:2"],
+            "ensemble": {"kind": "psd"}, "root-seed": 1})
+        _, stream = run_campaign(cfg)
+        built, report = [], inequalities.InequalityReport
+
+        def counted(*args):
+            built.append(report(*args))
+            return built[-1]
+        with monkeypatch.context() as patch:
+            patch.setattr(inequalities, "InequalityReport", counted)
+            summary = summarize(stream)
+        reports = list(stream)
+        worst = [k for k, r in enumerate(reports) if finite(r)
+                 and least_margin(r) == summary.min_margin][0]
+        assert worst >= 45 and len(built) == 1 and built[0] == reports[worst]
+        assert summary.min_margin_params == dict(reports[worst].params,
+                                                 **{"inequality-id": cfg.inequality_id})
+
     def test_slices_are_lists_of_reports(self):
         _, stream = run_campaign(small_config())
         reports = [r.to_json() for r in stream]
@@ -1224,6 +1248,32 @@ class TestSearch:
         report = search_counterexample(CampaignConfig.from_obj(SEARCH_BASE), steps)
         assert report.evaluations == sum(evaluated)
         assert max(evaluated) == min(steps, campaign.SEARCH_CHAINS)
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_TARGETS))
+    def test_carried_rounds_match_uncarried_evaluation(self, name, monkeypatch):
+        # A chain restarts after two stalls, so restarted chains, whose
+        # every matrix is new, are frequent; each carried stack is
+        # evaluated again without the carry, and every array must agree.
+        carried = []
+
+        def checked(*args, carry=None, **kwargs):
+            blocks = stack_reports(*args, carry=carry, **kwargs)
+            if carry is not None:
+                carried.append(carry)
+                for got, want in zip(blocks, stack_reports(*args, **kwargs), strict=True):
+                    assert (got.epsilon is None) == (want.epsilon is None)
+                    for array in ("values", "margins", "fan_margins", "finite", "holds",
+                                  "epsilon"):
+                        if getattr(want, array) is not None:
+                            assert np.array_equal(getattr(got, array), getattr(want, array),
+                                                  equal_nan=True), array
+            return blocks
+        monkeypatch.setattr(campaign, "SEARCH_STALL_LIMIT", 2)
+        monkeypatch.setattr(campaign, "stack_reports", checked)
+        cfg = CampaignConfig.from_obj(dict(SEARCH_BASE, **SEARCH_TARGETS[name]))
+        report = search_counterexample(cfg, 300)
+        assert report.restarts > 0
+        assert len(carried) == report.evaluations // campaign.SEARCH_CHAINS
 
     @pytest.mark.parametrize("name", sorted(SEARCH_TARGETS))
     def test_instance_reproduces_the_margin_exactly(self, name):

@@ -138,6 +138,14 @@ class TestBourinUchiyama:
             report = check_bourin_uchiyama(a_list, fid, direction, NormSpec.ky_fan(2))
             assert report.holds, (fid, direction, seed, report.margins)
 
+    def test_terms_above_half_the_float_range_stay_finite(self):
+        # expm1(709.7) = 1.65e308 is finite, but (M + M*) of it is not:
+        # every symmetrization halves before it adds.
+        report = check_bourin_uchiyama([np.diag([709.7, 1.0])], "expm1", "convex",
+                                       NormSpec.schatten(2))
+        assert [v for _, v in report.terms] == [math.expm1(709.7)] * 2
+        assert report.margins == [0.0] and report.holds
+
     def test_direction_mismatch(self):
         with pytest.raises(ValueError):
             check_bourin_uchiyama([np.eye(2)], "expm1", "concave", S1)
