@@ -17,7 +17,7 @@ each chain term is one call over the grid values it depends on (the pair
 means over every t, the main chain's terms over every (t, r) point they
 vary with), each covering every pair or instance of the stack.  Every
 norm then reduces those sequences into arrays, once per stack, which are
-split into one block per m; their verdict masks come from one rule
+split into one block per m, where one rule gives each report its verdict code
 (``inequalities._verdict``).  A report is built when the :class:`ReportStream`
 is read: :func:`summarize` builds only the one of least margin, and
 :func:`render_reports` none.  They read the blocks of a stream or of a list
@@ -61,8 +61,11 @@ from .errors import ConfigError, UnregisteredFunctionError
 from .inequalities import (
     AUDENAERT,
     BOURIN_UCHIYAMA,
+    INDETERMINATE,
     INEQUALITY_IDS,
     LEMMA_CHAIN,
+    TIE,
+    VIOLATED,
     InequalityReport,
     _Carry,
     _check,
@@ -309,16 +312,17 @@ class CampaignConfig(_Record):
 class CampaignSummary(_Record):
     """Aggregate of one report stream.
 
-    ``held + violated + indeterminate == total``, by the one verdict rule
-    (``inequalities._verdict``), whatever a report says: a report with a
-    non-finite term, margin or fan margin is indeterminate, and a finite
-    one is held when every margin clears the band of its largest term.
+    ``held + violated + indeterminate == total`` by the one verdict rule
+    (``inequalities._verdict``), whatever a report says: indeterminate if a
+    term, margin or fan margin is not finite, else held (``ties`` of them
+    within the band of the largest term, the others clear) or violated.
     ``min_margin`` is the least margin over the finite reports, attained
     first at ``min_margin_params`` (inf and ``{}`` when there is none).
     """
 
     total: int
     held: int
+    ties: int
     violated: int
     indeterminate: int
     min_margin: float
@@ -328,24 +332,26 @@ class CampaignSummary(_Record):
 
 def summarize(reports, wall_time=0.0):
     """The CampaignSummary of a report stream or a list of reports, read
-    from the ``finite`` and ``holds`` masks and the margins of its blocks
-    (:func:`_chunks`); only the report of least margin is built."""
+    from the verdict codes, one ``bincount`` per block, and the margins of
+    its blocks (:func:`_chunks`); only the report of least margin is built."""
     chunks = [[block for block, _ in chunk] for chunk in _chunks(reports)]
-    held = sum(int(b.holds.sum()) for blocks in chunks for b in blocks)
-    finite = sum(int(b.finite.sum()) for blocks in chunks for b in blocks)
+    counts = sum(np.bincount(b.verdict.ravel(), minlength=4) for c in chunks for b in c)
+    clear, ties, violated, indeterminate = map(int, counts + np.zeros(4, dtype=int))
     # Each report's least margin, inf where it is not finite, per chunk as
     # (instances, rows of the chunk): the flat order is stream order.  The
     # trailing inf is argmin's answer when no report is finite.
     lowest = np.concatenate([np.concatenate([
-        np.where(b.finite, b.margins.min(axis=2), np.inf).reshape(-1, len(b.seeds)).T
-        for b in blocks], axis=1).ravel() for blocks in chunks] + [[np.inf]])
+        np.where(b.verdict < INDETERMINATE, b.margins.min(axis=2), np.inf)
+        .reshape(-1, len(b.seeds)).T for b in blocks], axis=1).ravel() for blocks in chunks]
+        + [[np.inf]])
     k = int(lowest.argmin())
     worst = reports[k] if lowest[k] < np.inf else None
     return CampaignSummary(
         total=len(reports),
-        held=held,
-        violated=finite - held,
-        indeterminate=len(reports) - finite,
+        held=clear + ties,
+        ties=ties,
+        violated=violated,
+        indeterminate=indeterminate,
         min_margin=float(lowest[k]),
         min_margin_params=dict(worst.params, **{"inequality-id": worst.inequality_id})
         if worst else {},
@@ -613,7 +619,7 @@ def _block_rows(block, output_format, trials=None):
         trials or [None] * count,
         [null] * count if block.epsilon is None
         else list(map(str, _cells(block.epsilon, output_format))),
-        np.where(block.holds, "true", "false").transpose(2, 0, 1).reshape(count, -1).tolist(),
+        np.where(block.verdict <= TIE, "true", "false").reshape(-1, count).T.tolist(),
         by_instance(block.values), by_instance(block.margins), fans))
 
 
@@ -740,7 +746,7 @@ def _relative_margins(block):
     low, scale = block.margins[0, 0].min(axis=0), block.values[0, 0].max(axis=0)
     with np.errstate(invalid="ignore"):
         ratio = low / np.where(scale > 0.0, scale, 1.0)
-    return np.where(block.finite[0, 0], ratio, np.inf)
+    return np.where(block.verdict[0, 0] < INDETERMINATE, ratio, np.inf)
 
 
 def search_counterexample(config, steps):
@@ -829,7 +835,7 @@ def search_counterexample(config, steps):
         evaluations=chains * (rounds + 1),
         restarts=restarts,
         best_margin=float(np.min(block.margins[0, 0, :, k])),
-        violation_found=bool(block.finite[0, 0, k] and not block.holds[0, 0, k]),
+        violation_found=bool(block.verdict[0, 0, k] == VIOLATED),
         best_instance=instance_to_obj(best_a, best_b),
         best_report=report.to_obj(),
         wall_time=time.perf_counter() - start,

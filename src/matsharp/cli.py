@@ -85,11 +85,12 @@ def _cmd_search(args):
 
 
 def _cmd_eval(args):
-    try:
-        a_list = [load_matrix(p) for p in args.a]
-        b_list = [load_matrix(p) for p in args.b] if args.b else []
-    except OSError as exc:
-        raise MatSharpError(f"cannot read matrix file: {exc}") from exc
+    a_list, b_list = [], []
+    for matrices, path in [(a_list, p) for p in args.a] + [(b_list, p) for p in args.b or ()]:
+        try:
+            matrices.append(load_matrix(path))
+        except (OSError, ValueError) as exc:
+            raise MatSharpError(f"cannot read matrix file {path!r}: {exc}") from exc
     config = CampaignConfig(
         inequality_id=args.inequality,
         trials=1,

@@ -74,6 +74,9 @@ CONCAVE = "concave"
 # Commutation hypothesis tolerance (relative to the product of input scales).
 COMMUTATION_RTOL = 1e-10
 
+# The verdict codes of :func:`_verdict`, ordered: a report holds when its code is at most TIE.
+CLEAR, TIE, VIOLATED, INDETERMINATE = range(4)
+
 
 class _Record:
     """A dataclass as one JSON object: its fields in order, each under its
@@ -115,11 +118,11 @@ class InequalityReport(_Record):
     ``terms`` are ordered left-to-right as in the chain being tested;
     ``margins[i]`` is the signed slack of step i (nonnegative certifies);
     ``fan_margins`` are the matching Ky Fan prefix-sum margins (all-norms
-    certificate).  ``holds`` is the verdict of :func:`_verdict`, the one
-    rule: every term, margin and fan margin is finite and every margin
-    clears ``-tolerance_band(scale)`` (``REL_TOL * scale``), scale the
-    largest term value, so scaling the inputs of a homogeneous chain does
-    not change it; fan margins get no band.
+    certificate).  ``holds`` says that :func:`_verdict`, the one rule, finds
+    a clear hold or an in-band tie: every term, margin and fan margin is
+    finite and every margin clears ``-tolerance_band(scale)`` (``REL_TOL *
+    scale``), scale the largest term value, so scaling a homogeneous chain's
+    inputs does not change it; fan margins get no band.
     """
 
     inequality_id: str
@@ -167,7 +170,7 @@ class _Chain(NamedTuple):
 class _ReportBlock(NamedTuple):
     """A stack of T instances reduced over P points of one chain and N norms:
     ``values`` (P, N, terms, T), ``margins`` (P, N, steps, T), ``fan_margins``
-    (P, steps, T), which no norm changes, the masks ``finite`` and ``holds``
+    (P, steps, T), which no norm changes, the :func:`_verdict` code ``verdict``
     (P, N, T), and ``epsilon`` (T,) or None."""
 
     inequality_id: str
@@ -178,23 +181,24 @@ class _ReportBlock(NamedTuple):
     values: np.ndarray
     margins: np.ndarray
     fan_margins: np.ndarray
-    finite: np.ndarray
-    holds: np.ndarray
+    verdict: np.ndarray
     epsilon: np.ndarray | None
 
 
 def _verdict(values, margins, fan_margins):
-    """The one verdict rule, as the masks (finite, holds), each (P, N, T),
-    of terms ``values`` (P, N, terms, T), ``margins`` (P, N, steps, T) and
-    ``fan_margins`` ((P, steps, T), or None): a report with a term, margin
-    or fan margin that is not finite is indeterminate and never holds; a
-    finite one holds when every margin clears the band of its largest term.
-    A chain's terms are norms, so its margins are finite when they are; a
-    report read from a file may say otherwise, or say that it holds."""
+    """The one verdict rule, as one code per report, (P, N, T), of terms
+    ``values`` (P, N, terms, T), ``margins`` (P, N, steps, T) and
+    ``fan_margins`` ((P, steps, T), or None): INDETERMINATE if a term, margin
+    or fan margin is not finite, else VIOLATED, TIE or CLEAR as the least
+    margin lies below, within or above [-band, band], band that of the largest
+    term (all zeros are a TIE).  A chain's terms are norms, so its margins are
+    finite when they are; a report read from a file may say otherwise."""
     finite = np.isfinite(values).all(axis=2) & np.isfinite(margins).all(axis=2)
     if fan_margins is not None:
         finite &= np.isfinite(fan_margins).all(1)[:, None]
-    return finite, finite & (margins.min(axis=2) >= -tolerance_band(values.max(axis=2)))
+    low, band = margins.min(axis=2), tolerance_band(values.max(axis=2))
+    return np.where(finite, np.where(low < -band, VIOLATED, np.where(low > band, CLEAR, TIE)),
+                    INDETERMINATE)
 
 
 def _reduce(chain, norms):
@@ -207,7 +211,7 @@ def _reduce(chain, norms):
     fan_margins = (prefix[:, right] - prefix[:, left]).min(axis=-1)
     return _ReportBlock(chain.inequality_id, chain.params, chain.labels, tuple(norms),
                         chain.seeds, values, margins, fan_margins,
-                        *_verdict(values, margins, fan_margins), chain.epsilon)
+                        _verdict(values, margins, fan_margins), chain.epsilon)
 
 
 def _group_blocks(block, groups):
@@ -221,7 +225,7 @@ def _group_blocks(block, groups):
         blocks.append(_ReportBlock(
             block.inequality_id, [dict(point, m=m) for point in block.params], block.labels,
             block.norms, block.seeds[run], block.values[..., run], block.margins[..., run],
-            block.fan_margins[..., run], block.finite[..., run], block.holds[..., run],
+            block.fan_margins[..., run], block.verdict[..., run],
             None if block.epsilon is None else block.epsilon[run]))
     return blocks
 
@@ -230,15 +234,15 @@ def _instance_reports(block, k, row=None, **extra):
     """Instance ``k``'s reports in a reduced block in grid order, or only its
     report ``row``, one ``tolist`` per array; ``extra`` params end their params."""
     names = [str(norm) for norm in block.norms]
-    values, margins, holds, fans = (x[..., k].tolist() for x in (
-        block.values, block.margins, block.holds, block.fan_margins))
+    values, margins, codes, fans = (x[..., k].tolist() for x in (
+        block.values, block.margins, block.verdict, block.fan_margins))
     eps = None if block.epsilon is None else block.epsilon[k].tolist()
     rows = itertools.product(range(len(block.params)), range(len(names)))
     return [InequalityReport(block.inequality_id,
                              dict(block.params[point], **{"norm-spec": names[norm],
                                                           "seed": block.seeds[k]}, **extra),
                              list(zip(block.labels, values[point][norm])), margins[point][norm],
-                             holds[point][norm], eps, fans[point])
+                             codes[point][norm] <= TIE, eps, fans[point])
             for point, norm in (rows if row is None else [divmod(row, len(names))])]
 
 
@@ -271,7 +275,7 @@ def _report_blocks(reports):
         fan_margins = None if fans is None else floats([r.fan_margins for r in run])[:, :, None]
         yield _ReportBlock(
             inequality_id, [r.params for r in run], labels, (None,), (None,), values, margins,
-            fan_margins, *_verdict(values, margins, fan_margins),
+            fan_margins, _verdict(values, margins, fan_margins),
             None if eps is None else np.array([eps], dtype=float))
 
 
@@ -487,13 +491,10 @@ def resolve_function(function_id):
             p = float(fid.partition(":")[2])
         except ValueError:
             raise UnregisteredFunctionError(f"unregistered function {function_id!r}") from None
-        if p <= 0.0:
-            raise UnregisteredFunctionError(f"unregistered function {function_id!r}: power must be positive")
-        directions = set()
-        if p >= 1.0:
-            directions.add(CONVEX)
-        if p <= 1.0:
-            directions.add(CONCAVE)
+        if not 0.0 < p < math.inf:
+            raise UnregisteredFunctionError(f"unregistered function {function_id!r}: "
+                                            "power must be finite and positive")
+        directions = {CONVEX} if p > 1.0 else {CONCAVE} if p < 1.0 else {CONVEX, CONCAVE}
         return (lambda x: x ** p), frozenset(directions)
     raise UnregisteredFunctionError(f"unregistered function {function_id!r}")
 

@@ -51,8 +51,8 @@ class NormSpec:
             if self.p is None or not self.p >= 1.0:
                 raise InvalidNormError(f"Schatten exponent must be >= 1 or inf, got {self.p!r}")
         elif self.kind == KY_FAN:
-            if self.k is None or self.k < 1:
-                raise InvalidNormError(f"invalid Ky Fan index {self.k!r}")
+            if not (isinstance(self.k, int) and self.k >= 1):
+                raise InvalidNormError(f"invalid Ky Fan index in 'kyfan:{self.k}'")
         elif self.kind not in (OPERATOR, TRACE):
             raise InvalidNormError(f"unknown norm kind {self.kind!r}")
 
@@ -62,7 +62,7 @@ class NormSpec:
 
     @classmethod
     def ky_fan(cls, k):
-        return cls(KY_FAN, k=int(k))
+        return cls(KY_FAN, k=int(k) if float(k).is_integer() else k)
 
     @classmethod
     def operator(cls):
@@ -79,7 +79,7 @@ class NormSpec:
         if name == SCHATTEN:
             return cls.schatten(math.inf if arg in ("inf", "infinity") else float(arg))
         if name == KY_FAN:
-            return cls.ky_fan(int(arg))
+            return cls.ky_fan(float(arg))
         if name == OPERATOR and not arg:
             return cls.operator()
         if name == TRACE and not arg:

@@ -115,14 +115,19 @@ def reference_summary(reports):
     """The summary of ``reports`` as a JSON object without its wall time,
     in plain Python: a report that is not :func:`finite` is indeterminate,
     a finite one is held when its least margin clears the band of its
-    largest term (``REL_TOL`` times it), whatever it says, and the least
-    margin over the finite reports is taken at the first report that
-    attains it."""
+    largest term (``REL_TOL`` times it), whatever it says, and a tie when
+    that margin is also at most the band, and the least margin over the
+    finite reports is taken at the first report that attains it."""
     finite_reports = [r for r in reports if finite(r)]
-    held = sum(1 for r in finite_reports
-               if min(r.margins) >= -REL_TOL * max(value for _, value in r.terms))
+
+    def band(r):
+        return REL_TOL * max(value for _, value in r.terms)
+
+    held = sum(1 for r in finite_reports if min(r.margins) >= -band(r))
+    ties = sum(1 for r in finite_reports if abs(min(r.margins)) <= band(r))
     worst = min(finite_reports, key=lambda r: min(r.margins), default=None)
-    return {"total": len(reports), "held": held, "violated": len(finite_reports) - held,
+    return {"total": len(reports), "held": held, "ties": ties,
+            "violated": len(finite_reports) - held,
             "indeterminate": len(reports) - len(finite_reports),
             "min-margin": math.inf if worst is None else min(worst.margins),
             "min-margin-params": {} if worst is None else dict(
@@ -197,6 +202,17 @@ class TestConfig:
     ])
     def test_rejects_lists_of_the_wrong_type(self, key, value, tmp_path, capsys):
         assert_refused(key, {key: value}, tmp_path, capsys)
+
+    @pytest.mark.parametrize("function_id", ["power:inf", "power:1e400", "power:nan"])
+    def test_rejects_a_non_finite_power(self, function_id, tmp_path, capsys):
+        # power:inf ran, and every report of its instances was indeterminate,
+        # their power:2 reports included.
+        overrides = {"inequality-id": "bourin_uchiyama", "direction": "convex",
+                     "functions": [function_id, "power:2"]}
+        assert_refused("functions", overrides, tmp_path, capsys)
+        # power:nan was refused as a direction mismatch.
+        with pytest.raises(ConfigError, match="finite and positive"):
+            small_config(**overrides)
 
     @pytest.mark.parametrize("key,value", [
         ("printed-form", "no"),      # ran the printed form
@@ -874,6 +890,51 @@ class TestNonFinite:
         assert '"min-margin": Infinity, "min-margin-params": {}' in summary.to_json()
 
 
+# 20 trials of every chain below: the ties the paper's chains make on purpose.
+TIE_BASE = {"trials": 20, "dims": [2, 4], "m-values": [1, 2], "t-grid": [0.25, 0.5],
+            "r-grid": [1.0, 2.0], "norm-specs": ["schatten:2"]}
+
+
+class TestTies:
+    def test_proof_step_two_is_a_tie_at_m_one(self):
+        # At m = 1 step 2 of the proof is an identity, so its margin is
+        # exactly 0 and no held report is a clear hold.
+        _, stream = run_campaign(CampaignConfig.from_obj(
+            dict(TIE_BASE, **{"inequality-id": "proof_steps"})))
+        at_one = [r for r in stream if r.params["m"] == 1]
+        assert len(at_one) == 160 and all(r.margins[1] == 0.0 for r in at_one)
+        summary = summarize(at_one)
+        assert summary.ties == summary.held > 0
+        assert summary_obj(summary) == reference_summary(at_one)
+
+    def test_commuting_lemma_chain_ties_throughout(self):
+        # On commuting pairs every lemma term is A^((1-t)r) B^(tr).
+        summary, stream = run_campaign(CampaignConfig.from_obj(dict(
+            TIE_BASE, **{"inequality-id": "lemma_chain", "r-grid": [0.5, 1.0],
+                         "ensemble": {"kind": "commuting"}})))
+        assert summary.ties == summary.held == summary.total == 480
+        assert summary_obj(summary) == reference_summary(list(stream))
+
+    def test_variant_on_pd_inputs_holds_clear(self):
+        summary, stream = run_campaign(CampaignConfig.from_obj(
+            dict(TIE_BASE, **{"inequality-id": "main_theorem", "printed-form": False})))
+        assert (summary.total, summary.held, summary.ties) == (320, 320, 0)
+        assert summary_obj(summary) == reference_summary(list(stream))
+
+    def test_loaded_report_within_the_band_is_a_tie(self, tmp_path):
+        # The band of terms (2, 2 - 1e-9) is 2e-9: the margin -1e-9 holds, as
+        # a tie, and the other report's margin 1 clears it.
+        tie, clear = synthetic_report(0), synthetic_report(1)
+        tie.terms, tie.margins = [("left", 2.0), ("right", 2.0 - 1e-9)], [-1e-9]
+        path = tmp_path / "reports.json"
+        emit_report([tie, clear], "json", path)
+        loaded = load_reports(path)
+        assert [r.holds for r in loaded] == [True, True]
+        summary = summarize(loaded)
+        assert (summary.held, summary.ties, summary.violated) == (2, 1, 0)
+        assert summary_obj(summary) == reference_summary(loaded)
+
+
 FAILING_SLICE_ERRORS = {"BourinUchiyama": SingularFunctionError}
 
 
@@ -951,10 +1012,12 @@ def special_float_stream():
     margins = np.resize(np.roll(cells, 3), (2, 2, 2, 2))
     fans = np.resize(np.roll(cells, 5), (2, 2, 2))
     finite = np.isfinite(values).all(axis=2) & np.isfinite(margins).all(axis=2)
+    verdict = np.where(~finite, inequalities.INDETERMINATE,
+                       np.where(margins.min(axis=2) >= 0.0, inequalities.CLEAR,
+                                inequalities.VIOLATED))
     block = _ReportBlock(MAIN_THEOREM, params, ["left", "middle", "right"],
                          (NormSpec.trace(), NormSpec.schatten(2)), (2**63, 2**64 - 1), values,
-                         margins, fans, finite, finite & (margins.min(axis=2) >= 0.0),
-                         np.array([1e-300, 0.25]))
+                         margins, fans, verdict, np.array([1e-300, 0.25]))
     return ReportStream([[block]], 2, 4)
 
 
@@ -1127,8 +1190,8 @@ class TestRecords:
             "inequality-id", "params", "terms", "margins", "holds", "regularization-epsilon",
             "fan-margins"]
         assert list(summary.to_obj()) == [
-            "total", "held", "violated", "indeterminate", "min-margin", "min-margin-params",
-            "wall-time"]
+            "total", "held", "ties", "violated", "indeterminate", "min-margin",
+            "min-margin-params", "wall-time"]
         assert list(search.to_obj()) == [
             "inequality-id", "params", "steps", "evaluations", "restarts", "best-margin",
             "violation-found", "best-instance", "best-report", "wall-time"]
@@ -1262,8 +1325,7 @@ class TestSearch:
                 carried.append(carry)
                 for got, want in zip(blocks, stack_reports(*args, **kwargs), strict=True):
                     assert (got.epsilon is None) == (want.epsilon is None)
-                    for array in ("values", "margins", "fan_margins", "finite", "holds",
-                                  "epsilon"):
+                    for array in ("values", "margins", "fan_margins", "verdict", "epsilon"):
                         if getattr(want, array) is not None:
                             assert np.array_equal(getattr(got, array), getattr(want, array),
                                                   equal_nan=True), array
@@ -1308,7 +1370,8 @@ class TestSearch:
 
         def counted(*args, **kwargs):
             blocks = stack_reports(*args, **kwargs)
-            masked.append(sum(int((~block.finite).sum()) for block in blocks))
+            masked.append(sum(int((block.verdict == inequalities.INDETERMINATE).sum())
+                              for block in blocks))
             return blocks
         monkeypatch.setattr(campaign, "stack_reports", counted)
         cfg = CampaignConfig.from_obj({
@@ -1485,6 +1548,22 @@ class TestCli:
         assert cli_main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"dim": 2}', "missing key 'field'"),
+        ("{not json", "Expecting property name"),
+    ])
+    def test_unreadable_matrix_file_is_named(self, text, message, tmp_path, capsys):
+        # With several --a files, the error named none of them.
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        save_matrix(good, np.eye(2))
+        bad.write_text(text)
+        argv = ["eval", "--inequality", "main_theorem", "--a", str(good), "--a", str(bad),
+                "--b", str(good), "--b", str(good)]
+        assert cli_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and repr(str(bad)) in err and message in err
+        assert str(good) not in err
 
     def test_eval_refuses_zero_epsilon_scale(self, tmp_path, capsys):
         # A zero scale was taken as no scale: the PSD inputs then failed the

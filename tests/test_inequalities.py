@@ -38,9 +38,14 @@ from matsharp.ensembles import Stream, _assemble, _log_uniform_eigs
 from matsharp.inequalities import (
     AUDENAERT,
     BOURIN_UCHIYAMA,
+    CLEAR,
+    INDETERMINATE,
     INEQUALITY_IDS,
     LEMMA_CHAIN,
+    TIE,
+    VIOLATED,
     InequalityReport,
+    _verdict,
     lemma_chain_sigmas,
     stack_reports,
 )
@@ -159,6 +164,18 @@ class TestBourinUchiyama:
     def test_registry_directions(self):
         _, dirs = resolve_function("power:1")
         assert dirs == {"convex", "concave"}
+        assert resolve_function("power:2")[1] == {"convex"}
+        assert resolve_function("power:0.5")[1] == {"concave"}
+
+    @pytest.mark.parametrize("fid", ["power:inf", "power:1e400", "power:-inf", "power:nan"])
+    def test_non_finite_power_is_unregistered(self, fid):
+        # power:inf and power:1e400 registered as convex, and a campaign on
+        # them read every report indeterminate; power:nan was refused as a
+        # direction mismatch.
+        with pytest.raises(UnregisteredFunctionError, match="finite and positive"):
+            resolve_function(fid)
+        with pytest.raises(UnregisteredFunctionError, match=re.escape(fid)):
+            check_bourin_uchiyama([np.eye(2)], fid, "convex", S1)
 
 
 class TestLemmaChain:
@@ -658,6 +675,29 @@ class TestReportMechanics:
             report = check_lemma_chain(a, b, 0.5, r, 1.0, S1)
             scale = max(v for _, v in report.terms)
             assert report.holds == (min(report.margins) >= -tolerance_band(scale))
+
+    # The band of a report whose largest term is 1.
+    @pytest.mark.parametrize("margin,fan,code", [
+        (-tolerance_band(1.0), 0.0, TIE),
+        (tolerance_band(1.0), 0.0, TIE),
+        (np.nextafter(tolerance_band(1.0), math.inf), 0.0, CLEAR),
+        (np.nextafter(-tolerance_band(1.0), -math.inf), 0.0, VIOLATED),
+        (tolerance_band(1.0), math.nan, INDETERMINATE),
+    ], ids=["minus-band", "plus-band", "above-band", "below-band", "nan-fan-margin"])
+    def test_verdict_codes_at_the_band_edges(self, margin, fan, code):
+        # One report of terms (0.5, 1) and one step: the band edges
+        # themselves are ties.
+        values = np.array([0.5, 1.0]).reshape(1, 1, 2, 1)
+        assert _verdict(values, np.full((1, 1, 1, 1), margin),
+                        np.full((1, 1, 1), fan)).tolist() == [[[code]]]
+
+    def test_all_zero_report_is_a_tie(self):
+        # The band of an all-zero report is 0, and a zero margin lies on it.
+        zeros = np.zeros((1, 1, 2, 1))
+        assert _verdict(zeros, zeros[:, :, 1:], zeros[:, 0, 1:]).tolist() == [[[TIE]]]
+        report = check_main_theorem([np.zeros((2, 2))], [np.zeros((2, 2))], 0.5, 1.0, S1,
+                                    epsilon_scale=1e-10)
+        assert report.margins == [0.0, 0.0] and report.holds
 
     def test_margin_count_matches_terms(self):
         a = pd_for(7, n=2)

@@ -63,6 +63,20 @@ class TestNormSpec:
         with pytest.raises(InvalidNormError):   # every report was indeterminate
             NormSpec.parse("schatten:nan")
 
+    @pytest.mark.parametrize("make,spec", [
+        (lambda: NormSpec.ky_fan(2.7), "kyfan:2.7"),        # became kyfan:2
+        (lambda: NormSpec.parse("kyfan:1.5"), "kyfan:1.5"),  # was a bare int() error
+        (lambda: NormSpec.parse("kyfan:inf"), "kyfan:inf"),
+        (lambda: NormSpec.ky_fan(math.nan), "kyfan:nan"),
+    ])
+    def test_rejects_a_non_integral_ky_fan_index(self, make, spec):
+        with pytest.raises(InvalidNormError, match=spec):
+            make()
+
+    def test_integral_ky_fan_index_of_any_type(self):
+        assert NormSpec.ky_fan(2.0) == NormSpec.ky_fan(np.int64(2)) == NormSpec.parse("kyfan:2")
+        assert str(NormSpec.ky_fan(2.0)) == "kyfan:2"
+
     def test_default_set(self):
         specs = default_norm_specs(4)
         assert len(specs) == 5 + 4

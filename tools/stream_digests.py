@@ -23,10 +23,13 @@ regularized printed form and variant on A = B = cI at c = 0, 1e-8, ...,
 1e8, where every term ties.
 For every campaign, the script also renders the list of the stream's
 reports in both formats, and counts its verdicts itself: a report is
-finite when every term, margin and fan margin is.  It exits 1, naming the
-campaign on stderr, when the list's text differs from the stream's own
-rendering (naming the format too) or when the campaign's summary gives
-other held/violated/indeterminate counts than its own.
+finite when every term, margin and fan margin is, and a tie when it is
+finite and its least margin lies within +-``tolerance_band`` of its
+largest term.  It exits 1, naming the campaign on stderr, when the list's
+text differs from the stream's own rendering (naming the format too) or
+when the campaign's summary gives other held/violated/indeterminate
+counts, or another tie count, than its own.  A summary without a tie
+count (an older checkout) is not checked for one.
 The library is imported from the ``src`` directory next to this script.
 """
 
@@ -58,6 +61,7 @@ from matsharp import (  # noqa: E402
     render_reports,
     run_campaign,
     search_counterexample,
+    tolerance_band,
 )
 from matsharp.inequalities import lemma_chain_sigmas  # noqa: E402
 
@@ -151,11 +155,18 @@ def counts(reports):
     return f"{held}/{len(finite) - held}/{len(reports) - len(finite)}"
 
 
+def ties(reports):
+    """The finite reports whose least margin lies within the band of their
+    largest term."""
+    return sum(1 for r in reports if is_finite(r)
+               and abs(min(r.margins)) <= tolerance_band(max(v for _, v in r.terms)))
+
+
 def campaign_line(name, obj, records, mismatches):
     """The campaign's digest line; its config and summary records join
     ``records``, and each format in which the stream and its list of reports
     render differently, and the summary's counts when they differ from
-    :func:`counts`, join ``mismatches``."""
+    :func:`counts` or :func:`ties`, join ``mismatches``."""
     config = CampaignConfig.from_obj(dict(BASE, **obj))
     with np.errstate(over="ignore", invalid="ignore"):
         summary, reports = run_campaign(config)
@@ -170,6 +181,10 @@ def campaign_line(name, obj, records, mismatches):
     verdicts = f"{summary.held}/{summary.violated}/{summary.indeterminate}"
     if verdicts != counts(listed):
         mismatches.append(f"summary counts differ: {name} {verdicts}, not {counts(listed)}")
+    # getattr: a summary of an older checkout has no tie count.
+    tied = getattr(summary, "ties", None)
+    if tied is not None and tied != ties(listed):
+        mismatches.append(f"summary ties differ: {name} {tied}, not {ties(listed)}")
     return f"{name} {digest(text['json'] + text['csv'])} {counts(listed)}"
 
 
