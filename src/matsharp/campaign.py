@@ -34,7 +34,7 @@ indeterminate, and the others, of its trial too, go on.
 The searcher performs random-restart hill descent on the relative margin
 (least margin over largest term) of one fixed grid point, with
 ``SEARCH_CHAINS`` chains in lockstep: each round evaluates one candidate
-per chain as one stack, which decomposes only the moved matrices and pairs.
+per chain as one stack, which decomposes only the moved matrices and sums.
 
 The config, the summary and the search report are JSON records like the
 reports; the config refuses a value of the wrong JSON type, and a grid
@@ -713,18 +713,18 @@ def _search_target(config):
     return _grid_point(config)
 
 
-def _perturb(stream, a, b, scale, clamp_floor):
+def _perturb(stream, ab, scale, clamp_floor):
     """One random Hermitian step for each of C chains, re-projected.
 
-    ``a`` and ``b`` hold the chains' A- and B-lists, shape (C, m, n, n)
-    (``b`` is (C, 0, n, n) for Bourin-Uchiyama), and ``scale`` each chain's
-    step relative to ||M||_F.  Each chain moves one matrix M, picked
-    uniformly: ``stream`` gives the picks, then every step as one draw, each
-    in chain order.  The moved M is clamped at ``clamp_floor`` times its
-    largest eigenvalue and rebuilt exactly Hermitian; the kernel checks it.
+    ``ab`` holds the chains' A- and B-lists (2, C, m, n, n), one side for
+    Bourin-Uchiyama, and ``scale`` each chain's step relative to ||M||_F.
+    Each chain moves one matrix M, picked uniformly from its A- and B-list:
+    ``stream`` gives the picks, then every step as one draw, each in chain
+    order.  The moved M is clamped at ``clamp_floor`` times its largest
+    eigenvalue and rebuilt exactly Hermitian; the kernel checks it.
     """
-    chains, m, n = len(a), a.shape[1], a.shape[-1]
-    both = np.concatenate([a, b], axis=1)
+    chains, n = ab.shape[1], ab.shape[-1]
+    both = ab.swapaxes(0, 1).reshape(chains, -1, n, n)
     picks = np.ceil(stream.uniforms(chains) * both.shape[1]).astype(int) - 1
     rows = np.arange(chains)
     moved = both[rows, picks]
@@ -736,7 +736,7 @@ def _perturb(stream, a, b, scale, clamp_floor):
     w, v = np.linalg.eigh(_symmetrize(moved))
     w = np.maximum(w, clamp_floor * np.maximum(w.max(axis=-1), 1e-30)[:, None])
     both[rows, picks] = Spectrum(w, v).assemble(w)
-    return both[:, :m], both[:, m:]
+    return both.reshape(chains, len(ab), -1, n, n).swapaxes(0, 1)
 
 
 def _relative_margins(block):
@@ -759,13 +759,15 @@ def search_counterexample(config, steps):
     matrices M (see :func:`_perturb`), of size ``0.05 ||M||_F`` at first,
     grown 4x on acceptance up to ``||M||_F`` and halved on non-improvement; a
     chain that stalled 50 rounds offers the next unused restart draw instead.
-    A round decomposes only the moved M and its pair, and carries the rest
-    from the chain's state (``inequalities._Carry``).  On PD inputs a moved
-    matrix is clamped to condition number at most 1e12 (``SEARCH_CLAMP_FLOOR``),
-    which bounds how deep a descent can go.  A candidate is accepted when it
-    lowers its chain's relative margin, the least margin over the largest
-    term, which scaling the inputs does not move.  A candidate that fails a
-    spectral check or overflows is masked: it is never accepted and never best.
+    A round decomposes only the moved M, its pair's means and the sum of
+    M's side, and carries the rest from the chain's state, the other side's
+    sum included (``inequalities._Carry``); a restarted chain is decomposed
+    whole.  On PD inputs a moved matrix is clamped to condition number at
+    most 1e12 (``SEARCH_CLAMP_FLOOR``), which bounds how deep a descent can
+    go.  A candidate is accepted when it lowers its chain's relative margin,
+    the least margin over the largest term, which scaling the inputs does
+    not move.  A candidate that fails a spectral check or overflows is
+    masked: it is never accepted and never best.
 
     The report is the instance of least relative margin (the first, on a
     tie), built from the block it was evaluated in; ``best_margin`` is its
@@ -789,44 +791,40 @@ def search_counterexample(config, steps):
     stream = Stream(split_seed(config.root_seed, 0x5EA2C8))
 
     def fresh(first, count):
-        """Restart draws first, ..., first + count - 1 as lists (count, m, n, n)."""
+        """Restart draws first, ..., first + count - 1 as one stack (sides, count, m, n, n)."""
         trials = _split_seeds(config.root_seed % 2 ** 64, np.arange(first, first + count))
         a, b, _ = _build_inputs(config, n, (m,), (_split_seeds(trials, 0),))
-        return (a.reshape(count, m, n, n),
-                np.zeros((count, 0, n, n), a.dtype) if b is None else b.reshape(count, m, n, n))
+        return np.stack([a] if b is None else [a, b]).reshape(-1, count, m, n, n)
 
-    a, b = fresh(0, chains)
-    cand_a, cand_b = a.copy(), b.copy()
+    ab = fresh(0, chains)
     current = np.full(chains, np.inf)
     stall = np.zeros(chains, dtype=int)
     scale = np.full(chains, SEARCH_STEP_SCALE)
     restarts, best, carry = 0, None, _Carry()
     for round_index in range(rounds + 1):
-        restart = stall >= SEARCH_STALL_LIMIT
-        if round_index:
-            if restart.any():
-                count = int(restart.sum())
-                a[restart], b[restart] = fresh(chains + restarts, count)
-                restarts += count
-                current[restart], stall[restart], scale[restart] = np.inf, 0, SEARCH_STEP_SCALE
-            cand_a, cand_b = a.copy(), b.copy()
-            if not restart.all():
-                cand_a[~restart], cand_b[~restart] = _perturb(
-                    stream, a[~restart], b[~restart], scale[~restart], clamp_floor)
-        block, = stack_reports(config.inequality_id, cand_a.reshape(-1, n, n),
-                               cand_b.reshape(-1, n, n), (m,) * chains, grid, (None,) * chains,
+        restart = (stall >= SEARCH_STALL_LIMIT) & (round_index > 0)
+        if restart.any():
+            count = int(restart.sum())
+            ab[:, restart] = fresh(chains + restarts, count)
+            restarts += count
+            current[restart], stall[restart], scale[restart] = np.inf, 0, SEARCH_STEP_SCALE
+        cand = ab.copy()
+        if round_index and not restart.all():
+            cand[:, ~restart] = _perturb(stream, ab[:, ~restart], scale[~restart], clamp_floor)
+        block, = stack_reports(config.inequality_id, cand[0].reshape(-1, n, n),
+                               cand[-1].reshape(-1, n, n), (m,) * chains, grid, (None,) * chains,
                                mask_failures=True, carry=carry, **_kernel_options(config))
         objective = _relative_margins(block)
         k = int(objective.argmin())
         if best is None or objective[k] < best[0]:
-            best = objective[k], block, k, (cand_a[k], cand_b[k])
+            best = objective[k], block, k, cand[:, k]
         accept = objective < current
-        a[accept], b[accept], current[accept] = cand_a[accept], cand_b[accept], objective[accept]
+        ab[:, accept], current[accept] = cand[:, accept], objective[accept]
         # The carry keeps each chain's state: its candidate if accepted or restarted.
-        carry.commit(np.repeat(accept | restart, m))
+        carry.commit(accept | restart)
         stall = np.where(accept, 0, stall + 1)
         scale = np.where(accept, np.minimum(SEARCH_STEP_GROWTH * scale, 1.0), 0.5 * scale)
-    _, block, k, (best_a, best_b) = best
+    _, block, k, best_ab = best
     report = _build_report(block, k=k)
     return SearchReport(
         inequality_id=config.inequality_id,
@@ -836,7 +834,7 @@ def search_counterexample(config, steps):
         restarts=restarts,
         best_margin=float(np.min(block.margins[0, 0, :, k])),
         violation_found=bool(block.verdict[0, 0, k] == VIOLATED),
-        best_instance=instance_to_obj(best_a, best_b),
+        best_instance=instance_to_obj(best_ab[0], best_ab[1:].reshape(-1, n, n)),
         best_report=report.to_obj(),
         wall_time=time.perf_counter() - start,
     )

@@ -9,19 +9,19 @@ prefix-sum margins between consecutive terms ("fan margins"): when these
 are nonnegative the chain holds in every unitarily invariant norm at once.
 
 Each inequality has one evaluation kernel, and every kernel takes a stack
-of instances in one layout: every pair of every instance in one flat
-array (P, n, n) per side, instance by instance, and each instance's m.
-It builds the whole grid in one pass, each term once over the grid axes
-it depends on: input spectra and the sums once per stack, the pair means
-once over every t, the printed main-chain terms once over every r, the
-flank terms once over every grid point.  Each of those is one stacked
-call over those grid values and every pair (for the pair-level terms) or
-every instance of the stack, so its terms carry leading grid and batch
-axes; a sum over each instance's pairs runs on a zero-padded pair axis,
-and only the elementwise powers are taken one exponent at a time.  Every
-norm, margin and verdict is then an array reduction over those sequences
-(:func:`_reduce`), split by m (:func:`_group_blocks`) and read out as
-reports by :func:`_instance_reports`.  The main chain's kernel
+of instances in one layout: both sides' pairs in one array (2, P, n, n),
+instance by instance, and each instance's m.  It builds the whole grid in
+one pass, each term once over the grid axes it depends on: the input
+spectra of both sides in one call per stack and their sums' in another,
+the pair means once over every t, the printed main-chain terms once over
+every r, the flank terms once over every grid point.  Each of those is one
+stacked call over those grid values and every pair (for the pair-level
+terms) or every instance of the stack, so its terms carry leading grid and
+batch axes; a sum over each instance's pairs runs on a zero-padded pair
+axis, and only the elementwise powers are taken one exponent at a time.
+Every norm, margin and verdict is then an array reduction over those
+sequences (:func:`_reduce`), split by m (:func:`_group_blocks`) and read
+out as reports by :func:`_instance_reports`.  The main chain's kernel
 (:class:`_MainChain`) also serves the proof steps and, on single pairs,
 the lemma chain, whose last two terms are the t-dependent main chain's
 middle and right terms at s = 1 (:func:`_flank_sigmas`).  One driver,
@@ -87,6 +87,8 @@ class _Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._keys = {name.replace("_", "-"): name for name in cls.__annotations__}
+        # A field without a default has no class attribute.
+        cls._required = [key for key, name in cls._keys.items() if name not in vars(cls)]
 
     def to_obj(self):
         return {key: _json_data(getattr(self, name)) for key, name in self._keys.items()}
@@ -96,7 +98,9 @@ class _Record:
 
     @classmethod
     def from_obj(cls, obj):
-        """The record written as ``obj``; a missing key leaves its field's default."""
+        """The record written as ``obj``; a missing key leaves its field's default, if any."""
+        if missing := [key for key in cls._required if key not in obj]:
+            raise ValueError(f"{cls.__name__} record is missing keys {missing}")
         return cls(**{name: obj[key] for key, name in cls._keys.items() if key in obj})
 
     @classmethod
@@ -136,7 +140,8 @@ class InequalityReport(_Record):
     @classmethod
     def from_obj(cls, obj):
         """The report written as ``obj``; its terms become (label, value) tuples."""
-        return super().from_obj(dict(obj, terms=[tuple(term) for term in obj["terms"]]))
+        return super().from_obj(
+            dict(obj, terms=[tuple(term) for term in obj["terms"]]) if "terms" in obj else obj)
 
 
 def _params(m=None, n=None, t=None, r=None, s=None, function_id=None, **extra):
@@ -190,13 +195,13 @@ def _verdict(values, margins, fan_margins):
     ``values`` (P, N, terms, T), ``margins`` (P, N, steps, T) and
     ``fan_margins`` ((P, steps, T), or None): INDETERMINATE if a term, margin
     or fan margin is not finite, else VIOLATED, TIE or CLEAR as the least
-    margin lies below, within or above [-band, band], band that of the largest
-    term (all zeros are a TIE).  A chain's terms are norms, so its margins are
-    finite when they are; a report read from a file may say otherwise."""
+    margin lies below, within or above [-band, band], band that of the
+    largest absolute term (all zeros are a TIE).  A chain's terms are norms
+    and its margins finite when they are; a file's report may say otherwise."""
     finite = np.isfinite(values).all(axis=2) & np.isfinite(margins).all(axis=2)
     if fan_margins is not None:
         finite &= np.isfinite(fan_margins).all(1)[:, None]
-    low, band = margins.min(axis=2), tolerance_band(values.max(axis=2))
+    low, band = margins.min(axis=2), tolerance_band(np.abs(values).max(axis=2))
     return np.where(finite, np.where(low < -band, VIOLATED, np.where(low > band, CLEAR, TIE)),
                     INDETERMINATE)
 
@@ -354,29 +359,31 @@ def _validate_lists(a_list, b_list):
 
 class _Carry(dict):
     """Kernel entries kept between evaluations of stacks of one layout (the
-    search's rounds), and in ``last`` the last one's: name -> (arrays, pair
-    axis), "inputs" the matrices (2, P, n, n) whose bits decide what moved."""
+    search's rounds), and in ``last`` the last one's: name -> (arrays, owner),
+    ``owner`` mapping axis 1 (pairs or instances) to the instances."""
 
-    def commit(self, pairs):
-        """Keep the last entries at the mask ``pairs`` (all, the first time)."""
-        for name, (arrays, axis) in self.last.items():
-            kept = self.setdefault(name, ([x.copy() for x in arrays], axis))[0]
+    def commit(self, instances):
+        """Keep the last entries of the instances at mask ``instances`` (all, the first time)."""
+        for name, (arrays, owner) in self.last.items():
+            kept, keep = (self.setdefault(name, ([x.copy() for x in arrays], owner))[0],
+                          instances[owner])
             for old, x in zip(kept, arrays):
-                np.copyto(old, x, where=pairs.reshape((-1,) + (1,) * (x.ndim - axis - 1)))
+                np.copyto(old, x, where=keep.reshape((-1,) + (1,) * (x.ndim - 2)))
 
 
 class _StackKernel:
     """A stack of instances and the failure screen every kernel shares.
 
-    ``a`` and ``b`` hold every pair of every instance in one flat stack of
-    shape (P, n, n), instance by instance (``b`` is None for a chain
-    without B-lists), ``counts`` each instance's m, (T,), and ``seeds``
-    one seed per instance.  Pair-level work (spectra, screens, means, f,
-    products) runs once over the P pairs, instance-level work once over
-    the T instances, and a sum over each instance's pairs is
-    :meth:`_sum`.  ``owner`` maps each pair to its instance, ``slot`` to
-    its index within it, ``starts`` gives each instance's first pair, and
-    ``groups`` lists the runs of ``counts`` as (m, instances) pairs.
+    ``ab`` holds both sides (2, P, n, n), each every pair of every instance
+    in one flat stack, instance by instance, and ``a`` and ``b`` are views
+    of its sides (a chain without B-lists has one side, and ``b`` is
+    ``a``).  ``counts`` gives each instance's m, (T,), and ``seeds`` one
+    seed per instance.  Pair-level work (spectra, screens, means, f,
+    products) runs once over the P pairs of both sides, instance-level
+    work once over the T instances, and a sum over each instance's pairs
+    is :meth:`_sum`.  ``owner`` maps each pair to its instance, ``slot``
+    to its index within it, ``starts`` gives each instance's first pair,
+    and ``groups`` lists the runs of ``counts`` as (m, instances) pairs.
 
     It is the one place a kernel's inputs are validated: a matrix that is
     not square, finite and Hermitian raises, even with ``mask_failures``,
@@ -385,7 +392,8 @@ class _StackKernel:
     ``mask_failures`` it is replaced by the identity spectrum instead, so
     the other slices go on, and its instance (only its own) is marked in
     ``failed``: :func:`stack_reports` makes all of its terms NaN.  With a
-    :class:`_Carry`, only the ``moved`` matrices (2, P) are decomposed.
+    :class:`_Carry`, only the ``moved`` matrices (side, P), whose bits differ
+    from its "inputs", and the sums that hold one are decomposed.
     """
 
     def __init__(self, a, b, counts, seeds, mask_failures, carry=None):
@@ -394,10 +402,10 @@ class _StackKernel:
                 or (counts < 1).any() or counts.sum() != len(a)
                 or (b is not None and np.shape(b) != a.shape)):
             raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
-        self.a = _as_stack(a)
-        self.b = self.a if b is None else _as_stack(b)
         # One check for both sides; a defect of A is still the one reported first.
-        _check_hermitian(self.a if b is None else np.concatenate([self.a, self.b]))
+        self.ab = _as_stack(a[None] if b is None else np.stack([a, b]))
+        _check_hermitian(self.ab)
+        self.a, self.b = self.ab[0], self.ab[-1]
         self.counts = counts
         self.groups = tuple((m, len(list(run))) for m, run in itertools.groupby(counts.tolist()))
         self.width = int(counts.max())
@@ -407,28 +415,33 @@ class _StackKernel:
         self.seeds = tuple(seeds)
         self.mask_failures = mask_failures
         self.failed = np.zeros(len(self.seeds), dtype=bool)
-        self.carry, self.moved = carry, np.ones((2, len(a)), dtype=bool)
+        self.carry, self.moved = carry, np.ones(self.ab.shape[:2], dtype=bool)
         if carry is not None:
-            inputs = np.stack([self.a, self.b])
             if carry:
                 kept = carry["inputs"][0][0].view(np.uint64)
-                self.moved = (inputs.view(np.uint64) != kept).any(axis=(-2, -1))
-            carry.last = {"inputs": ([inputs], 1)}
+                self.moved = (self.ab.view(np.uint64) != kept).any(axis=(-2, -1))
+            carry.last = {"inputs": ([self.ab], self.owner)}
 
-    def _carried(self, name, fresh, compute, axis=0):
-        """The arrays ``compute(pairs)`` (pair axis ``axis``) at every pair of a
-        carried stack, computed only where ``fresh``, recorded as entry ``name``."""
+    def _carried(self, name, fresh, compute, owner, axis=0):
+        """The arrays ``compute(mask)`` of a carried stack, computed only at the mask
+        ``fresh`` (from axis ``axis`` on), recorded as entry ``name`` with ``owner``."""
         arrays = compute(slice(None)) if fresh.all() else [x.copy() for x in self.carry[name][0]]
         for full, x in zip(arrays, compute(fresh) if fresh.any() and not fresh.all() else ()):
             full[(slice(None),) * axis + (fresh,)] = x
-        self.carry.last[name] = arrays, axis
+        self.carry.last[name] = arrays, owner
         return arrays
 
-    def _spectrum(self, side):
-        """The spectra of the A_i (``side`` 0) or of the B_i (1), (P,)."""
-        x = (self.a, self.b)[side]
-        return _eigh(x) if self.carry is None else Spectrum(*self._carried(
-            "AB"[side], self.moved[side], lambda pairs: _arrays(_eigh(x[pairs]))))
+    def _spectra(self, sums=False):
+        """The spectra of the A_i and of the B_i, (P,) each, or with ``sums``
+        those of each instance's sum A and sum B, (T,) each (of the A side
+        only, on one side), from one decomposition.  With a carry, only the
+        moved matrices, or the sums that hold one, are decomposed."""
+        x, fresh, owner = (self.ab, self.moved, self.owner) if not sums else (
+            self._sum(self.ab), np.logical_or.reduceat(self.moved, self.starts, axis=1),
+            np.arange(len(self.counts)))
+        spec = _eigh(x) if self.carry is None else Spectrum(*self._carried(
+            "sums" if sums else "AB", fresh, lambda mask: _arrays(_eigh(x[mask])), owner))
+        return [spec[side] for side in range(len(x))]
 
     def _sum(self, x):
         """Each instance's sum of its own pairs, added one at a time from 0:
@@ -441,7 +454,7 @@ class _StackKernel:
         else:
             padded = np.zeros(shape, dtype=x.dtype)
             padded[..., self.owner, self.slot, :, :] = x
-        return sum(np.moveaxis(padded, -3, 0))
+        return sum(padded[..., slot, :, :] for slot in range(self.width))
 
     def _screen(self, spectra, failures, raise_for):
         """``spectra`` with the slices in ``failures`` (one mask per
@@ -515,8 +528,8 @@ class _FunctionSum(_StackKernel):
     def chain(self, function_ids, direction):
         """The chain at every f of ``function_ids``, in order, each f
         fitting ``direction`` (:func:`_check_grid`)."""
-        spec_a, = self._psd_screened([self._spectrum(0)])
-        spec_sum, = self._psd_screened([_eigh(self._sum(self.a))])
+        spec_a, = self._psd_screened(self._spectra())
+        spec_sum, = self._psd_screened(self._spectra(sums=True))
         sigma, params = [], []
         for function_id in function_ids:
             f, _ = resolve_function(function_id)
@@ -584,7 +597,7 @@ class _MainChain(_StackKernel):
         stacked (P,), and the epsilons (T,), or None without
         ``epsilon_scale``: each instance's largest epsilon over its own
         pairs."""
-        spectra, eps = [self._spectrum(0), self._spectrum(1)], None
+        spectra, eps = self._spectra(), None
         if epsilon_scale is not None:
             eps = np.maximum.reduceat(_epsilon(epsilon_scale, *(s.eigenvalues for s in spectra)),
                                       self.starts)
@@ -597,7 +610,7 @@ class _MainChain(_StackKernel):
     def _sums(self, eps):
         """Spectra of sum A and sum B, stacked (T,), each shifted by its
         instance's m times ``eps`` (when not None) and screened."""
-        spectra = [_eigh(self._sum(x)) for x in (self.a, self.b)]
+        spectra = self._spectra(sums=True)
         if eps is not None:
             spectra = [Spectrum(s.eigenvalues + (self.counts * eps)[:, None], s.vectors)
                        for s in spectra]
@@ -623,7 +636,7 @@ class _MainChain(_StackKernel):
             return (means, *_arrays(_eigh(means)))
         # With epsilon, a pair's means depend on its instance's other pairs.
         means, *spectra = pair_means(slice(None)) if self.carry is None else self._carried(
-            "means", self.moved.any(axis=0) | (eps is not None), pair_means, axis=1)
+            "means", self.moved.any(axis=0) | (eps is not None), pair_means, self.owner, axis=1)
         spectra = Spectrum(*spectra)
         mean_w = np.maximum(spectra.eigenvalues, 0.0)
         if lemma:
@@ -662,11 +675,9 @@ class _MainChain(_StackKernel):
         """(sum_i A_i #_t B_i)^r and (sumA #_t sumB)^r from the pair ``means``
         at every t and the spectra of the ``sums``, laid out (t, r, 1, T, n)."""
         sa, sb = self._strict_screened(sums, lambda side, index: ("sum A", "sum B")[side])
-        sum_of_means = _eigh(self._sum(means))
-        mean_of_sums = _eigh(_mean_from_spectra(sa, sb, ts))
-        return [(label, np.array([np.power(w, r) for r in rs]).swapaxes(0, 1)[:, :, None])
-                for label, w in (("(sum A_i#B_i)^r", np.maximum(sum_of_means.eigenvalues, 0.0)),
-                                 ("(sumA # sumB)^r", np.maximum(mean_of_sums.eigenvalues, 0.0)))]
+        w = _eigh(np.stack([self._sum(means), _mean_from_spectra(sa, sb, ts)])).eigenvalues
+        return [(label, np.array([np.power(x, r) for r in rs]).swapaxes(0, 1)[:, :, None])
+                for label, x in zip(("(sum A_i#B_i)^r", "(sumA # sumB)^r"), np.maximum(w, 0.0))]
 
     def _lemma_terms(self, sa, sb, mean_w, ts, rs, ss):
         """The lemma chain's four terms, laid out (t, r, s, T, n), from the
@@ -744,19 +755,18 @@ def _audenaert_chain(kernel):
     products = a @ b
     defect = np.linalg.norm(products - b @ a, axis=(-2, -1))
     # No absolute floor: the bound scales with the inputs, as the defect does.
-    bound = COMMUTATION_RTOL * (np.linalg.norm(a, axis=(-2, -1))
-                                * np.linalg.norm(b, axis=(-2, -1)))
+    bound = COMMUTATION_RTOL * np.prod(np.linalg.norm(kernel.ab, axis=(-2, -1)), axis=0)
     if (defect > bound).any():
         p = np.flatnonzero(defect > bound)[0]
         raise CommutationError(
             f"inputs do not commute: pair {kernel.slot[p]} has commutator norm {defect[p]:.3e} "
             f"(tolerance {bound[p]:.3e})"
         )
-    s_a, s_b = kernel._psd_screened([_eigh(a), _eigh(b)])
+    s_a, s_b = kernel._psd_screened(kernel._spectra())
     halves = s_a.assemble(spectrum_power(s_a, 0.5)) @ s_b.assemble(spectrum_power(s_b, 0.5))
     x = kernel._sum(halves)
     # The product of the sums reaches no _eigh, so each sum is symmetrized here.
-    sum_a, sum_b = (_symmetrize(kernel._sum(y)) for y in (a, b))
+    sum_a, sum_b = _symmetrize(kernel._sum(kernel.ab))
     sigma = [_product_sigma(kernel._sum(products)), _product_sigma(x @ x),
              _product_sigma(sum_a @ sum_b)]
     return _Chain(AUDENAERT, [_params(n=a.shape[-1])],

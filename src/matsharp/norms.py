@@ -76,10 +76,13 @@ class NormSpec:
     def parse(cls, text):
         """Parse ``"schatten:p"``, ``"kyfan:k"``, ``"operator"``, ``"trace"``."""
         name, _, arg = text.strip().lower().partition(":")
-        if name == SCHATTEN:
-            return cls.schatten(math.inf if arg in ("inf", "infinity") else float(arg))
-        if name == KY_FAN:
-            return cls.ky_fan(float(arg))
+        if name in (SCHATTEN, KY_FAN):
+            try:
+                value = float(arg)   # "inf" and "infinity" included
+            except ValueError:
+                raise InvalidNormError(f"cannot parse norm spec {text!r}: "
+                                       f"{arg!r} is not a number") from None
+            return cls.schatten(value) if name == SCHATTEN else cls.ky_fan(value)
         if name == OPERATOR and not arg:
             return cls.operator()
         if name == TRACE and not arg:

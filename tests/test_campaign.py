@@ -116,12 +116,13 @@ def reference_summary(reports):
     in plain Python: a report that is not :func:`finite` is indeterminate,
     a finite one is held when its least margin clears the band of its
     largest term (``REL_TOL`` times it), whatever it says, and a tie when
-    that margin is also at most the band, and the least margin over the
+    that margin is also at most the band (of the largest absolute term:
+    a loaded term can be negative), and the least margin over the
     finite reports is taken at the first report that attains it."""
     finite_reports = [r for r in reports if finite(r)]
 
     def band(r):
-        return REL_TOL * max(value for _, value in r.terms)
+        return REL_TOL * max(abs(value) for _, value in r.terms)
 
     held = sum(1 for r in finite_reports if min(r.margins) >= -band(r))
     ties = sum(1 for r in finite_reports if abs(min(r.margins)) <= band(r))
@@ -934,6 +935,21 @@ class TestTies:
         assert (summary.held, summary.ties, summary.violated) == (2, 1, 0)
         assert summary_obj(summary) == reference_summary(loaded)
 
+    def test_loaded_negative_terms_take_the_band_of_the_largest_absolute_term(self, tmp_path):
+        # A chain's terms are norms, but a loaded file can hold terms
+        # (-2, -2): the margin 0 lies within the band of |-2|, a tie, where
+        # the band of the signed largest term, -2e-9, made it a violation.
+        report = synthetic_report(0)
+        report.terms = [("left", -2.0), ("right", -2.0)]
+        report.margins, report.fan_margins = [0.0], [0.0]
+        path = tmp_path / "reports.json"
+        path.write_text(report.to_json() + "\n")
+        loaded = load_reports(path)
+        summary = summarize(loaded)
+        assert (summary.held, summary.ties, summary.violated) == (1, 1, 0)
+        assert summary_obj(summary) == reference_summary(loaded)
+        assert '"holds": true' in render_reports(loaded, "json")
+
 
 FAILING_SLICE_ERRORS = {"BourinUchiyama": SingularFunctionError}
 
@@ -1202,6 +1218,27 @@ class TestRecords:
         # best-report holds the report's to_obj, whose terms are tuples.
         assert SearchReport.from_json(search.to_json()).to_json() == search.to_json()
 
+    def test_record_without_a_required_key_is_refused_by_name(self, tmp_path):
+        # A summary written before "ties" existed raised a TypeError from
+        # the dataclass; a key whose field has a default may be missing.
+        summary, reports = run_campaign(small_config(trials=1, dims=[2], **{"m-values": [1]}))
+        obj = summary.to_obj()
+        del obj["ties"]
+        with pytest.raises(ValueError, match=re.escape("CampaignSummary record is missing "
+                                                       "keys ['ties']")):
+            CampaignSummary.from_obj(obj)
+        report = reports[0].to_obj()
+        for key in ("terms", "margins"):
+            del report[key]
+        path = tmp_path / "reports.json"
+        path.write_text(json.dumps(report) + "\n")
+        with pytest.raises(ValueError, match=re.escape("InequalityReport record is missing "
+                                                       "keys ['terms', 'margins']")):
+            load_reports(path)
+        del report["fan-margins"]
+        report.update(terms=[["left", 1.0], ["right", 2.0]], margins=[1.0])
+        assert InequalityReport.from_obj(report).fan_margins is None
+
 
 # The search targets of tools/stream_digests.py.
 SEARCH_BASE = {"inequality-id": "main_theorem", "dims": [3], "m-values": [2], "t-grid": [0.1],
@@ -1336,6 +1373,52 @@ class TestSearch:
         report = search_counterexample(cfg, 300)
         assert report.restarts > 0
         assert len(carried) == report.evaluations // campaign.SEARCH_CHAINS
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_TARGETS))
+    def test_carried_round_decomposes_only_what_moved(self, name, monkeypatch):
+        # A chain restarts after two stalls.  Each chain's state is kept
+        # here from the chains the search commits.  In each carried round,
+        # one decomposition gets exactly the matrices that differ from that
+        # state, and another exactly the sums (side, instance) that hold
+        # one: the other side's sum of a moved chain is carried, and a
+        # restarted chain, all new, gets both.  The lemma chain has no sums.
+        rounds, state = [], []
+        eigh, commit = inequalities._eigh, inequalities._Carry.commit
+
+        def recorded_eigh(x):
+            rounds[-1][-1].append(np.array(x).reshape(-1, *x.shape[-2:]))
+            return eigh(x)
+
+        def recorded(inequality_id, a, b, counts, *args, **kwargs):
+            ab = np.stack([a, b][:1 if inequality_id == BOURIN_UCHIYAMA else 2])
+            bits = ab.view(np.uint64)
+            moved = (bits != state[0].view(np.uint64)).any(axis=(-2, -1)) if state else None
+            rounds.append((ab, moved, []))
+            return stack_reports(inequality_id, a, b, counts, *args, **kwargs)
+
+        def recorded_commit(carry, instances):
+            ab = rounds[-1][0]
+            pairs = np.repeat(instances, len(ab[0]) // len(instances))
+            state[:] = [np.where(pairs[:, None, None], ab, state[0]) if state else ab.copy()]
+            commit(carry, instances)
+        monkeypatch.setattr(campaign, "SEARCH_STALL_LIMIT", 2)
+        monkeypatch.setattr(campaign, "stack_reports", recorded)
+        monkeypatch.setattr(inequalities, "_eigh", recorded_eigh)
+        monkeypatch.setattr(inequalities._Carry, "commit", recorded_commit)
+        cfg = CampaignConfig.from_obj(dict(SEARCH_BASE, **SEARCH_TARGETS[name]))
+        report = search_counterexample(cfg, 300)
+        assert report.restarts > 0
+        m = report.params["m"] or 1
+        fresh_sums = []
+        for ab, moved, calls in rounds[1:]:
+            sums = sum(ab.reshape(len(ab), -1, m, *ab.shape[-2:])[:, :, k] for k in range(m))
+            fresh_sums.append(moved.reshape(len(ab), -1, m).any(axis=2))
+            wanted = [ab[moved]] + ([] if name == "lemma" else [sums[fresh_sums[-1]]])
+            for x in wanted:
+                assert sum(np.array_equal(call, x) for call in calls) == 1
+        # Rounds with a chain that moved one side only and with a restart.
+        fresh = np.array(fresh_sums).sum(axis=1)
+        assert (fresh == 1).any() and (fresh == len(ab)).any()
 
     @pytest.mark.parametrize("name", sorted(SEARCH_TARGETS))
     def test_instance_reproduces_the_margin_exactly(self, name):
@@ -1564,6 +1647,17 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and repr(str(bad)) in err and message in err
         assert str(good) not in err
+
+    @pytest.mark.parametrize("spec", ["schatten:abc", "kyfan:x", "schatten:"])
+    def test_eval_names_a_norm_spec_whose_argument_is_no_number(self, spec, tmp_path, capsys):
+        # The error was float()'s bare "could not convert string to float".
+        a = tmp_path / "a.json"
+        save_matrix(a, np.eye(2))
+        code = cli_main(["eval", "--inequality", "main_theorem", "--a", str(a), "--b", str(a),
+                         "--norm", spec])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert f"cannot parse norm spec {spec!r}" in err
 
     def test_eval_refuses_zero_epsilon_scale(self, tmp_path, capsys):
         # A zero scale was taken as no scale: the PSD inputs then failed the

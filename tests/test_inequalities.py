@@ -811,6 +811,16 @@ class TestSingleErrors:
         with pytest.raises(error, match=text):
             call()
 
+    def test_first_failing_slice_is_taken_pair_by_pair(self):
+        # Both sides are decomposed in one call, but the first error is
+        # still taken in (instance, pair, side) order: B[0] fails before
+        # A[1], and A before B within a pair.
+        for a_list, b_list, name in (([PD, NON_PD], [NON_PD, PD], "B[0]"),
+                                     ([PD, PD], [PD, NON_PD], "B[1]"),
+                                     ([NON_PD, PD], [NON_PD, PD], "A[0]")):
+            with pytest.raises(NotPositiveDefiniteError, match=re.escape(f"{name} must")):
+                check_main_theorem(a_list, b_list, 0.5, 1.0, S1)
+
     @pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
     def test_masked_stack_raises_for_hermitian_defect(self, inequality_id):
         # mask_failures masks spectral failures of one instance; an input

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ class TestNormSpec:
     def test_rejects_a_non_integral_ky_fan_index(self, make, spec):
         with pytest.raises(InvalidNormError, match=spec):
             make()
+
+    @pytest.mark.parametrize("text", ["schatten:abc", "kyfan:x", "kyfan:", "Schatten:1e"])
+    def test_names_a_spec_whose_argument_is_no_number(self, text):
+        # float()'s bare "could not convert string to float" named no spec.
+        with pytest.raises(InvalidNormError, match=re.escape(f"cannot parse norm spec {text!r}")):
+            NormSpec.parse(text)
+
+    def test_schatten_infinity_in_any_spelling(self):
+        for text in ("schatten:inf", "schatten:Infinity", "SCHATTEN:INF"):
+            assert NormSpec.parse(text) == NormSpec.schatten(math.inf)
 
     def test_integral_ky_fan_index_of_any_type(self):
         assert NormSpec.ky_fan(2.0) == NormSpec.ky_fan(np.int64(2)) == NormSpec.parse("kyfan:2")

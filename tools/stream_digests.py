@@ -25,16 +25,20 @@ For every campaign, the script also renders the list of the stream's
 reports in both formats, and counts its verdicts itself: a report is
 finite when every term, margin and fan margin is, and a tie when it is
 finite and its least margin lies within +-``tolerance_band`` of its
-largest term.  It exits 1, naming the campaign on stderr, when the list's
+largest absolute term.  It exits 1, naming the campaign on stderr, when the list's
 text differs from the stream's own rendering (naming the format too) or
 when the campaign's summary gives other held/violated/indeterminate
 counts, or another tie count, than its own.  A summary without a tie
-count (an older checkout) is not checked for one.
+count (an older checkout) is not checked for one.  Each search's best
+instance is evaluated again by ``reevaluate_search_instance``, and the
+script also exits 1, naming the search on stderr, when its least margin
+is not exactly the report's ``best_margin`` (NaN matches NaN).
 The library is imported from the ``src`` directory next to this script.
 """
 
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -63,6 +67,7 @@ from matsharp import (  # noqa: E402
     search_counterexample,
     tolerance_band,
 )
+from matsharp.campaign import reevaluate_search_instance  # noqa: E402
 from matsharp.inequalities import lemma_chain_sigmas  # noqa: E402
 
 NORMS = ["schatten:1", "schatten:2", "operator", "trace", "kyfan:2"]
@@ -157,9 +162,9 @@ def counts(reports):
 
 def ties(reports):
     """The finite reports whose least margin lies within the band of their
-    largest term."""
+    largest absolute term."""
     return sum(1 for r in reports if is_finite(r)
-               and abs(min(r.margins)) <= tolerance_band(max(v for _, v in r.terms)))
+               and abs(min(r.margins)) <= tolerance_band(max(abs(v) for _, v in r.terms)))
 
 
 def campaign_line(name, obj, records, mismatches):
@@ -188,10 +193,19 @@ def campaign_line(name, obj, records, mismatches):
     return f"{name} {digest(text['json'] + text['csv'])} {counts(listed)}"
 
 
-def search_line(name, obj):
-    report = search_counterexample(CampaignConfig.from_obj(dict(SEARCH, **obj)), 300).to_obj()
-    del report["wall-time"]
-    return f"{name} {digest(json.dumps(report))} -"
+def search_line(name, obj, mismatches):
+    """The search's digest line; when its best instance, evaluated again,
+    gives another least margin than the report's, the search joins
+    ``mismatches``."""
+    config = CampaignConfig.from_obj(dict(SEARCH, **obj))
+    report = search_counterexample(config, 300)
+    margin, _ = reevaluate_search_instance(config, report)
+    best = report.best_margin
+    if margin != best and not (math.isnan(margin) and math.isnan(best)):
+        mismatches.append(f"search margin not reproduced: {name} {margin!r}, not {best!r}")
+    obj = report.to_obj()
+    del obj["wall-time"]
+    return f"{name} {digest(json.dumps(obj))} -"
 
 
 def direct_reports():
@@ -278,7 +292,7 @@ def main():
     for name, obj in CAMPAIGNS.items():
         print(campaign_line(name, obj, records, mismatches), flush=True)
     for name, obj in SEARCHES.items():
-        print(search_line(name, obj), flush=True)
+        print(search_line(name, obj, mismatches), flush=True)
     reports, sigmas = direct_reports()
     print(f"direct-checks {digest(render_reports(reports, 'json') + sigmas)} {counts(reports)}")
     print(f"lemma-sigmas-grid {digest(lemma_sigmas_grid())} -")
