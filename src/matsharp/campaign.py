@@ -11,13 +11,13 @@ ends with the norm.  The trials are taken in chunks of ``CHUNK_TRIALS``;
 within a chunk the instances of one n, at every m, are drawn in one call,
 in the kernels' layout (every pair in one flat stack per side, and each
 instance's m), and evaluated as one stack in one pass over the axes after
-m (t, r, s or f): for every chain, the input spectra are one call over
-every pair of the stack and the sums one call over every instance, and
-each chain term is one call over the grid values it depends on (the pair
-means over every t, the main chain's terms over every (t, r) point they
-vary with), each covering every pair or instance of the stack.  Every
-norm then reduces those sequences into arrays, once per stack, which are
-split into one block per m, where one rule gives each report its verdict code
+m (t, r, s or f): for every chain, the spectra of its pairs and of their
+sums are one call, and each chain term is one call over the grid values
+it depends on (the pair means over every t, the main chain's terms over
+every (t, r) point they vary with, the PSD terms' eigenvalues together),
+each covering every pair or instance of the stack.  Every norm then
+reduces those sequences into arrays, once per stack, which are split into
+one block per m, where one rule gives each report its verdict code
 (``inequalities._verdict``).  A report is built when the :class:`ReportStream`
 is read: :func:`summarize` builds only the one of least margin, and
 :func:`render_reports` none.  They read the blocks of a stream or of a list
@@ -34,7 +34,8 @@ indeterminate, and the others, of its trial too, go on.
 The searcher performs random-restart hill descent on the relative margin
 (least margin over largest term) of one fixed grid point, with
 ``SEARCH_CHAINS`` chains in lockstep: each round evaluates one candidate
-per chain as one stack, which decomposes only the moved matrices and sums.
+per chain as one stack, which checks only the moved matrices and
+decomposes them with the sums that hold one in one call.
 
 The config, the summary and the search report are JSON records like the
 reports; the config refuses a value of the wrong JSON type, and a grid
@@ -239,12 +240,13 @@ class CampaignConfig(_Record):
         self.root_seed = _integer("root-seed", self.root_seed)
         _typed("printed-form", self.printed_form, bool, "true or false")
         _typed("output-path", self.output_path, (str, type(None)), "a string or null")
+        _typed("direction", self.direction, (str, type(None)), "a string or null")
         self.validate()
 
     def validate(self):
         """Refuse, with a ConfigError naming the key, a config that cannot
-        run: each grid axis is checked by :func:`_check_grid`, the rule
-        every kernel call applies, before any draw."""
+        run: the direction and each grid axis go through :func:`_check_grid`,
+        the rule every kernel call applies, before any draw."""
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.dims or any(n < 1 for n in self.dims):
@@ -269,6 +271,11 @@ class CampaignConfig(_Record):
                 raise ConfigError(f"{_AXIS_KEYS[name]} must be nonempty for {self.inequality_id}")
             if len(set(grid)) < len(grid):
                 raise ConfigError(f"{_AXIS_KEYS[name]} repeats a value: {[str(x) for x in grid]}")
+        try:
+            _check_grid(self.inequality_id, {"f": ()}, self.direction)
+        except ValueError as exc:
+            raise ConfigError(f"direction: {exc.args[0]}") from None
+        for name, grid in self._axes():
             try:
                 _check_grid(self.inequality_id, {name: grid}, self.direction)
             except (ValueError, UnregisteredFunctionError) as exc:

@@ -12,13 +12,14 @@ Each inequality has one evaluation kernel, and every kernel takes a stack
 of instances in one layout: both sides' pairs in one array (2, P, n, n),
 instance by instance, and each instance's m.  It builds the whole grid in
 one pass, each term once over the grid axes it depends on: the input
-spectra of both sides in one call per stack and their sums' in another,
-the pair means once over every t, the printed main-chain terms once over
-every r, the flank terms once over every grid point.  Each of those is one
-stacked call over those grid values and every pair (for the pair-level
-terms) or every instance of the stack, so its terms carry leading grid and
-batch axes; a sum over each instance's pairs runs on a zero-padded pair
-axis, and only the elementwise powers are taken one exponent at a time.
+spectra of both sides and of their sums in one call per stack, the pair
+means once over every t, the printed main-chain terms once over every r,
+the flank terms once over every grid point.  Each of those is one stacked
+call over those grid values and every pair (for the pair-level terms) or
+every instance of the stack, so its terms carry leading grid and batch
+axes; a sum over each instance's pairs runs on a zero-padded pair axis,
+each spectrum is assembled once for all its powers, taken one exponent at
+a time, and a chain's PSD terms share one eigenvalue call.
 Every norm, margin and verdict is then an array reduction over those
 sequences (:func:`_reduce`), split by m (:func:`_group_blocks`) and read
 out as reports by :func:`_instance_reports`.  The main chain's kernel
@@ -301,9 +302,14 @@ def _finite_sigma(m, sigma):
     return values
 
 
-def _psd_sigma(m):
-    """Singular values of a PSD-by-construction term, Hermitian up to rounding."""
-    return _finite_sigma(m, lambda x: np.maximum(_eigh(x).eigenvalues, 0.0))
+def _psd_sigmas(*terms):
+    """Singular values of PSD-by-construction terms, Hermitian up to rounding:
+    of each of ``terms`` (stacks of one n), in its own stack shape, from one
+    eigenvalue call over all their slices."""
+    flat = _finite_sigma(np.concatenate([x.reshape(-1, *x.shape[-2:]) for x in terms]),
+                         lambda x: np.maximum(_eigh(x).eigenvalues, 0.0))
+    starts = [0, *itertools.accumulate(math.prod(x.shape[:-2]) for x in terms)]
+    return [flat[i:j].reshape(x.shape[:-1]) for x, i, j in zip(terms, starts, starts[1:])]
 
 
 def _product_sigma(m):
@@ -325,25 +331,26 @@ def _powers(spec, exponents):
     return spec.assemble(np.array([np.power(w, p) for p in exponents]))
 
 
-def _flank_sigmas(s_a, s_b, ts, rs, ss):
+def _flank_sigmas(s_a, s_b, ts, rs, ss, psd_terms=()):
     """Singular values of (B^(rts/2) A^((1-t)rs) B^(rts/2))^(1/s) and of
     (A^((1-t)rs) B^(rts))^(1/s) at every (t, r, s), built from the spectra
-    of A and B, each stacked (len(ts), len(rs), len(ss), ...).
+    of A and B, each stacked (len(ts), len(rs), len(ss), ...), then the
+    :func:`_psd_sigmas` of ``psd_terms`` from the first one's eigenvalue call.
 
     These are the lemma chain's last two terms and, at s = 1 on the spectra
     of the sums, the t-dependent main chain's middle and right terms.
     """
     grid = list(itertools.product(ts, rs, ss))
-    b_flank = _powers(s_b, [r * t * s / 2.0 for t, r, s in grid])
+    b_flank, b_full = _powers(s_b, [r * t * s / d for d in (2.0, 1.0) for t, r, s in grid]
+                              ).reshape(2, len(grid), *s_b.vectors.shape)
     a_mid = _powers(s_a, [(1.0 - t) * r * s for t, r, s in grid])
-    product = a_mid @ _powers(s_b, [r * t * s for t, r, s in grid])
     shape = (len(ts), len(rs), len(ss)) + s_a.eigenvalues.shape
-    sigmas = [_psd_sigma(b_flank @ a_mid @ b_flank).reshape(shape),
-              _product_sigma(product).reshape(shape)]
+    flank, *others = _psd_sigmas(b_flank @ a_mid @ b_flank, *psd_terms)
+    sigmas = [flank.reshape(shape), _product_sigma(a_mid @ b_full).reshape(shape)]
     for sigma in sigmas:
         for k, s in enumerate(ss):
             sigma[:, :, k] = sigma[:, :, k] ** (1.0 / s)
-    return sigmas
+    return sigmas + others
 
 
 def _validate_lists(a_list, b_list):
@@ -360,7 +367,8 @@ def _validate_lists(a_list, b_list):
 class _Carry(dict):
     """Kernel entries kept between evaluations of stacks of one layout (the
     search's rounds), and in ``last`` the last one's: name -> (arrays, owner),
-    ``owner`` mapping axis 1 (pairs or instances) to the instances."""
+    ``owner`` mapping axis 1 (pairs or instances) to the instances, and in
+    ``layout`` the stacks' groups, width, starts, owner and slot."""
 
     def commit(self, instances):
         """Keep the last entries of the instances at mask ``instances`` (all, the first time)."""
@@ -380,10 +388,11 @@ class _StackKernel:
     ``a``).  ``counts`` gives each instance's m, (T,), and ``seeds`` one
     seed per instance.  Pair-level work (spectra, screens, means, f,
     products) runs once over the P pairs of both sides, instance-level
-    work once over the T instances, and a sum over each instance's pairs
-    is :meth:`_sum`.  ``owner`` maps each pair to its instance, ``slot``
-    to its index within it, ``starts`` gives each instance's first pair,
-    and ``groups`` lists the runs of ``counts`` as (m, instances) pairs.
+    work once over the T instances (the sums' spectra in the pairs' call),
+    and a sum over each instance's pairs is :meth:`_sum`.  ``owner`` maps
+    each pair to its instance, ``slot`` to its index within it, ``starts``
+    gives each instance's first pair, and ``groups`` lists the runs of
+    ``counts`` as (m, instances) pairs.
 
     It is the one place a kernel's inputs are validated: a matrix that is
     not square, finite and Hermitian raises, even with ``mask_failures``,
@@ -393,7 +402,8 @@ class _StackKernel:
     the other slices go on, and its instance (only its own) is marked in
     ``failed``: :func:`stack_reports` makes all of its terms NaN.  With a
     :class:`_Carry`, only the ``moved`` matrices (side, P), whose bits differ
-    from its "inputs", and the sums that hold one are decomposed.
+    from its "inputs", are checked, only they and the sums that hold one
+    are decomposed, and the layout (``groups`` to ``slot``) is the carry's.
     """
 
     def __init__(self, a, b, counts, seeds, mask_failures, carry=None):
@@ -402,25 +412,28 @@ class _StackKernel:
                 or (counts < 1).any() or counts.sum() != len(a)
                 or (b is not None and np.shape(b) != a.shape)):
             raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
-        # One check for both sides; a defect of A is still the one reported first.
-        self.ab = _as_stack(a[None] if b is None else np.stack([a, b]))
-        _check_hermitian(self.ab)
+        self.ab = (a[None] if b is None else np.stack([a, b])).astype(np.complex128, copy=False)
+        self.carry, self.moved = carry, np.ones(self.ab.shape[:2], dtype=bool)
+        if carry:
+            kept = carry["inputs"][0][0].view(np.uint64)
+            self.moved = (self.ab.view(np.uint64) != kept).any(axis=(-2, -1))
+        # One check for both sides; a defect of A is still the one reported first.  An
+        # unmoved matrix of a carried stack passed it in the round that made it its state.
+        _check_hermitian(_as_stack(self.ab[self.moved] if carry else self.ab))
         self.a, self.b = self.ab[0], self.ab[-1]
         self.counts = counts
-        self.groups = tuple((m, len(list(run))) for m, run in itertools.groupby(counts.tolist()))
-        self.width = int(counts.max())
-        self.starts = np.cumsum(counts) - counts
-        self.owner = np.repeat(np.arange(len(counts)), counts)
-        self.slot = np.arange(len(a)) - self.starts[self.owner]
         self.seeds = tuple(seeds)
         self.mask_failures = mask_failures
         self.failed = np.zeros(len(self.seeds), dtype=bool)
-        self.carry, self.moved = carry, np.ones(self.ab.shape[:2], dtype=bool)
+        layout = getattr(carry, "layout", None)
+        if layout is None:
+            groups = tuple((m, len(list(run))) for m, run in itertools.groupby(counts.tolist()))
+            starts = np.cumsum(counts) - counts
+            owner = np.repeat(np.arange(len(counts)), counts)
+            layout = groups, int(counts.max()), starts, owner, np.arange(len(a)) - starts[owner]
+        self.groups, self.width, self.starts, self.owner, self.slot = layout
         if carry is not None:
-            if carry:
-                kept = carry["inputs"][0][0].view(np.uint64)
-                self.moved = (self.ab.view(np.uint64) != kept).any(axis=(-2, -1))
-            carry.last = {"inputs": ([self.ab], self.owner)}
+            carry.layout, carry.last = layout, {"inputs": ([self.ab], self.owner)}
 
     def _carried(self, name, fresh, compute, owner, axis=0):
         """The arrays ``compute(mask)`` of a carried stack, computed only at the mask
@@ -432,16 +445,20 @@ class _StackKernel:
         return arrays
 
     def _spectra(self, sums=False):
-        """The spectra of the A_i and of the B_i, (P,) each, or with ``sums``
-        those of each instance's sum A and sum B, (T,) each (of the A side
-        only, on one side), from one decomposition.  With a carry, only the
-        moved matrices, or the sums that hold one, are decomposed."""
-        x, fresh, owner = (self.ab, self.moved, self.owner) if not sums else (
-            self._sum(self.ab), np.logical_or.reduceat(self.moved, self.starts, axis=1),
-            np.arange(len(self.counts)))
+        """The spectra of the A_i and of the B_i, (P,) each, and those of each
+        instance's sum A and sum B, (T,) each with ``sums``, else (0,) (of
+        the A side only, on one side), from one decomposition of the pairs
+        and sums, (sides, P + T).  With a carry, only the moved matrices and
+        the sums that hold one are decomposed."""
+        x, fresh, owner = self.ab, self.moved, self.owner
+        if sums:
+            x = np.concatenate([x, self._sum(x)], axis=1)
+            fresh = np.concatenate([fresh, np.logical_or.reduceat(fresh, self.starts, axis=1)], 1)
+            owner = np.concatenate([owner, np.arange(len(self.counts))])
         spec = _eigh(x) if self.carry is None else Spectrum(*self._carried(
-            "sums" if sums else "AB", fresh, lambda mask: _arrays(_eigh(x[mask])), owner))
-        return [spec[side] for side in range(len(x))]
+            "spectra", fresh, lambda mask: _arrays(_eigh(x[mask])), owner))
+        return [[spec[side, part] for side in range(len(x))]
+                for part in (np.s_[:len(self.owner)], np.s_[len(self.owner):])]
 
     def _sum(self, x):
         """Each instance's sum of its own pairs, added one at a time from 0:
@@ -528,17 +545,18 @@ class _FunctionSum(_StackKernel):
     def chain(self, function_ids, direction):
         """The chain at every f of ``function_ids``, in order, each f
         fitting ``direction`` (:func:`_check_grid`)."""
-        spec_a, = self._psd_screened(self._spectra())
-        spec_sum, = self._psd_screened(self._spectra(sums=True))
-        sigma, params = [], []
+        pairs, sums = self._spectra(sums=True)
+        spec_a, = self._psd_screened(pairs)
+        spec_sum, = self._psd_screened(sums)
+        terms, params = [], []
         for function_id in function_ids:
             f, _ = resolve_function(function_id)
-            sigma.append([_psd_sigma(self._sum(self._mapped(spec_a, f))),
-                          _psd_sigma(self._mapped(spec_sum, f))])
+            terms += [self._sum(self._mapped(spec_a, f)), self._mapped(spec_sum, f)]
             params.append(_params(n=self.a.shape[-1], function_id=str(function_id),
                                   direction=direction))
+        sigma = np.reshape(_psd_sigmas(*terms), (len(params), 2) + spec_sum.eigenvalues.shape)
         steps = [(0, 1)] if direction == CONVEX else [(1, 0)]
-        return _Chain(BOURIN_UCHIYAMA, params, ["sum f(A_i)", "f(sum A_i)"], np.array(sigma),
+        return _Chain(BOURIN_UCHIYAMA, params, ["sum f(A_i)", "f(sum A_i)"], sigma,
                       self.seeds, self.groups, steps)
 
 
@@ -568,14 +586,15 @@ class _MainChain(_StackKernel):
     (t, r) grid, or (t, r, s) grid for the lemma chain, in one pass.
 
     :meth:`chain` computes the work that depends on neither t nor r once:
-    the pair spectra, the spectra of sum A and sum B, and, for the proof
-    chain, those spectra screened for the mean of the sums.  It then
+    the pair spectra and those of sum A and sum B in one call and, for the
+    proof chain, the latter screened for the mean of the sums.  It then
     builds each term once over the grid axes it depends on: the pair means
     over every t (one SVD of A^(-1/2) B^(1/2) serves them all), the printed
     terms over every r, A^r #_t B^r over every (t, r), and the flank terms
     over every point, each as one stacked call over those values and every
-    pair (or instance) of every stack.  Each term is then written into the
-    chain's one array, broadcast over the grid axes it does not depend on.
+    pair (or instance) of every stack, the PSD terms in one eigenvalue call.
+    Each term is then written into the chain's one array, broadcast over
+    the grid axes it does not depend on.
     On a stack of single pairs (m = 1) without ``epsilon_scale`` it is the
     lemma chain's kernel as well.
 
@@ -592,12 +611,11 @@ class _MainChain(_StackKernel):
         return self._screen(spectra, [spec.eigenvalues[..., -1] <= 0.0 for spec in spectra],
                             lambda side, index, spec: _strict_spectrum(spec, names(side, index)))
 
-    def _pair_spectra(self, epsilon_scale):
-        """Spectra of the A_i and of the B_i ready for the pair means,
-        stacked (P,), and the epsilons (T,), or None without
-        ``epsilon_scale``: each instance's largest epsilon over its own
-        pairs."""
-        spectra, eps = self._spectra(), None
+    def _pair_spectra(self, spectra, epsilon_scale):
+        """The ``spectra`` of the A_i and of the B_i, (P,), ready for the pair
+        means, and each instance's largest epsilon over its own pairs, (T,),
+        or None without ``epsilon_scale``."""
+        eps = None
         if epsilon_scale is not None:
             eps = np.maximum.reduceat(_epsilon(epsilon_scale, *(s.eigenvalues for s in spectra)),
                                       self.starts)
@@ -606,15 +624,6 @@ class _MainChain(_StackKernel):
         sa, sb = self._strict_screened(
             spectra, lambda side, index: f"{'AB'[side]}[{self.slot[index[0]]}]")
         return sa, sb, eps
-
-    def _sums(self, eps):
-        """Spectra of sum A and sum B, stacked (T,), each shifted by its
-        instance's m times ``eps`` (when not None) and screened."""
-        spectra = self._spectra(sums=True)
-        if eps is not None:
-            spectra = [Spectrum(s.eigenvalues + (self.counts * eps)[:, None], s.vectors)
-                       for s in spectra]
-        return self._psd_screened(spectra)
 
     def chain(self, inequality_id, grid, printed_form=True, epsilon_scale=None):
         """The chain ``inequality_id`` over ``grid``, in grid order: the
@@ -629,7 +638,8 @@ class _MainChain(_StackKernel):
         # Every term is laid out (t, r, s, T, n), with a length-1 axis for
         # each grid axis it does not depend on; the pair-level terms carry
         # the P pairs instead of the T instances until they are summed.
-        sa, sb, eps = self._pair_spectra(epsilon_scale)
+        pair_spectra, sums = self._spectra(sums=not lemma)
+        sa, sb, eps = self._pair_spectra(pair_spectra, epsilon_scale)
 
         def pair_means(pairs):
             means = _mean_from_spectra(sa[pairs], sb[pairs], ts)
@@ -642,25 +652,33 @@ class _MainChain(_StackKernel):
         if lemma:
             terms = self._lemma_terms(sa, sb, mean_w, ts, rs, ss)
         else:
+            # The PSD terms, sum (A_i#B_i)^r first, share one eigenvalue call.
             mean_pows = spectra.assemble(np.array([np.power(mean_w, r) for r in rs]))
-            lhs = _psd_sigma(self._sum(mean_pows)).swapaxes(0, 1)
-            terms = [("sum (A_i#B_i)^r", lhs[:, :, None])]
-            s_a, s_b = self._sums(eps)
+            psd = [self._sum(mean_pows)]
+            # The sums, shifted by each instance's m times its epsilon.
+            s_a, s_b = self._psd_screened(sums if eps is None else [
+                Spectrum(s.eigenvalues + (self.counts * eps)[:, None], s.vectors) for s in sums])
             if proof:
-                terms += self._proof_terms(means, [s_a, s_b], ts, rs)
+                strict = self._strict_screened([s_a, s_b],
+                                               lambda side, _: ("sum A", "sum B")[side])
+                psd += [self._sum(means), _mean_from_spectra(*strict, ts)]
             if printed_form or proof:
-                quarter = _powers(s_a, [r / 4.0 for r in rs])
+                quarter, half = _powers(s_a, [r / q for q in (4.0, 2.0) for r in rs]).reshape(
+                    2, len(rs), *s_a.vectors.shape)
                 half_b = _powers(s_b, [r / 2.0 for r in rs])
-                halves = _product_sigma(_powers(s_a, [r / 2.0 for r in rs]) @ half_b)
-                terms += [("sumA^(r/4) sumB^(r/2) sumA^(r/4)",
-                           _psd_sigma(quarter @ half_b @ quarter)[None, :, None]),
-                          ("sumA^(r/2) sumB^(r/2)", halves[None, :, None])]
+                halves = _product_sigma(half @ half_b)
+                lhs, *proof_w, middle = _psd_sigmas(*psd, quarter @ half_b @ quarter)
+                last = [("sumA^(r/4) sumB^(r/2) sumA^(r/4)", middle[None, :, None]),
+                        ("sumA^(r/2) sumB^(r/2)", halves[None, :, None])]
             else:
                 # t-dependent variant: the lemma chain's last two terms with
                 # s = 1, applied to the summed matrices.
-                mid, rhs = _flank_sigmas(s_a, s_b, ts, rs, (1.0,))
-                terms += [("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", mid),
-                          ("sumA^((1-t)r) sumB^(rt)", rhs)]
+                mid, rhs, lhs = _flank_sigmas(s_a, s_b, ts, rs, (1.0,), psd)
+                proof_w, last = [], [("sumB^(rt/2) sumA^((1-t)r) sumB^(rt/2)", mid),
+                                     ("sumA^((1-t)r) sumB^(rt)", rhs)]
+            terms = [("sum (A_i#B_i)^r", lhs.swapaxes(0, 1)[:, :, None])] + [
+                (label, np.array([np.power(w, r) for r in rs]).swapaxes(0, 1)[:, :, None])
+                for label, w in zip(("(sum A_i#B_i)^r", "(sumA # sumB)^r"), proof_w)] + last
         params = [_params(n=self.a.shape[-1], t=t, r=r, s=s, **({} if lemma or proof else {
                       "printed-form": bool(printed_form), "r-in-theorem-range": bool(r >= 1.0)}))
                   for t, r, s in itertools.product(ts, rs, ss)]
@@ -670,14 +688,6 @@ class _MainChain(_StackKernel):
             sigma[:, :, :, k] = x
         return _Chain(inequality_id, params, [label for label, _ in terms],
                       sigma.reshape(-1, *sigma.shape[3:]), self.seeds, self.groups, epsilon=eps)
-
-    def _proof_terms(self, means, sums, ts, rs):
-        """(sum_i A_i #_t B_i)^r and (sumA #_t sumB)^r from the pair ``means``
-        at every t and the spectra of the ``sums``, laid out (t, r, 1, T, n)."""
-        sa, sb = self._strict_screened(sums, lambda side, index: ("sum A", "sum B")[side])
-        w = _eigh(np.stack([self._sum(means), _mean_from_spectra(sa, sb, ts)])).eigenvalues
-        return [(label, np.array([np.power(x, r) for r in rs]).swapaxes(0, 1)[:, :, None])
-                for label, x in zip(("(sum A_i#B_i)^r", "(sumA # sumB)^r"), np.maximum(w, 0.0))]
 
     def _lemma_terms(self, sa, sb, mean_w, ts, rs, ss):
         """The lemma chain's four terms, laid out (t, r, s, T, n), from the
@@ -691,8 +701,9 @@ class _MainChain(_StackKernel):
         underflow = sa_r.eigenvalues[..., -1] <= 0.0
         sa_r, sb_r = self._screen([sa_r, sb_r], [underflow, underflow],
                                   lambda side, index, spec: spectrum_power(spec, -0.5))
-        means_r = np.moveaxis(_psd_sigma(_mean_from_spectra(sa_r, sb_r, ts)), 2, 1)
-        flank, product = _flank_sigmas(sa, sb, ts, rs, ss)
+        flank, product, means_r = _flank_sigmas(sa, sb, ts, rs, ss,
+                                                [_mean_from_spectra(sa_r, sb_r, ts)])
+        means_r = np.moveaxis(means_r, 2, 1)
         mean_pows = np.array([mean_w ** r for r in rs]).swapaxes(0, 1)
         return [("(A#B)^r", mean_pows[:, :, None]),
                 ("A^r#B^r", means_r[:, :, None]),
@@ -762,7 +773,7 @@ def _audenaert_chain(kernel):
             f"inputs do not commute: pair {kernel.slot[p]} has commutator norm {defect[p]:.3e} "
             f"(tolerance {bound[p]:.3e})"
         )
-    s_a, s_b = kernel._psd_screened(kernel._spectra())
+    s_a, s_b = kernel._psd_screened(kernel._spectra()[0])
     halves = s_a.assemble(spectrum_power(s_a, 0.5)) @ s_b.assemble(spectrum_power(s_b, 0.5))
     x = kernel._sum(halves)
     # The product of the sums reaches no _eigh, so each sum is symmetrized here.
@@ -792,11 +803,11 @@ def _check_grid(inequality_id, grid, direction=None):
     """Refuse, with a ValueError naming the axis, a value of ``grid`` (axis
     -> values) outside its chain's domain: every t lies in [0, 1], every r
     and s is finite and positive, every r of the proof steps is at least 1
-    (the convexity step needs it), and a Bourin-Uchiyama ``direction`` is
-    convex or concave and fits every f.  An axis missing from ``grid`` is
-    not read.  These rules are stated here only: every chain goes through
-    :func:`_chain`, which calls this, and a campaign config calls it on
-    each of its axes before any draw.
+    (the convexity step needs it), a Bourin-Uchiyama ``direction`` is
+    convex or concave and fits every f, and any other is convex, concave or
+    None.  An axis missing from ``grid`` is not read.  These rules are stated
+    here only: every chain goes through :func:`_chain`, which calls this,
+    and a campaign config on its direction and each axis before any draw.
     """
     for t in grid.get("t", ()):
         if not 0.0 <= t <= 1.0:
@@ -817,6 +828,8 @@ def _check_grid(inequality_id, grid, direction=None):
             if direction not in resolve_function(function_id)[1]:
                 raise ValueError(f"direction {direction!r} does not match the registered "
                                  f"convexity of {function_id!r}")
+    elif direction not in (None, CONVEX, CONCAVE):
+        raise ValueError(f"a direction must be 'convex' or 'concave', got {direction!r}")
 
 
 def _chain(inequality_id, a, b, counts, grid, seeds, printed_form=True, epsilon_scale=None,

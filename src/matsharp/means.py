@@ -95,14 +95,14 @@ def _mean_from_spectra(sa, sb, ts):
     # the mean as an exactly positive product M M*, which preserves
     # epsilon-level eigenvalues of regularized means that the sandwiched
     # form loses to rounding.  K does not depend on t: one SVD serves every
-    # t, and only s^t is taken per t.
-    k = sa.assemble(spectrum_power(sa, -0.5)) @ sb.assemble(spectrum_power(sb, 0.5))
+    # t, and only s^t is taken per t.  A^(-1/2) and A^(1/2) are one assembly.
+    a_inv_half, a_half = sa.assemble(np.array([spectrum_power(sa, p) for p in (-0.5, 0.5)]))
     try:
-        u, s, _ = np.linalg.svd(k)
+        u, s, _ = np.linalg.svd(a_inv_half @ sb.assemble(spectrum_power(sb, 0.5)))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     s_t = np.array([np.power(s, t) for t in ts])
-    m = sa.assemble(spectrum_power(sa, 0.5)) @ (u * s_t[..., None, :])
+    m = a_half @ (u * s_t[..., None, :])
     mean = m @ _adjoint(m)
     if not np.isfinite(mean).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")

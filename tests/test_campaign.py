@@ -276,6 +276,18 @@ class TestConfig:
             CampaignConfig.from_obj({"inequality-id": "bourin_uchiyama",
                                      "direction": "convex", "functions": []})
 
+    @pytest.mark.parametrize("direction", [5, "sideways", ["convex"]])
+    def test_rejects_a_direction_of_the_wrong_type_or_value(self, direction, tmp_path, capsys):
+        # Each was accepted for the main theorem, which reads no direction.
+        assert_refused("direction", {"direction": direction}, tmp_path, capsys)
+
+    def test_missing_bourin_uchiyama_direction_is_named_as_direction(self, tmp_path, capsys):
+        # It was reported under functions.
+        overrides = {"inequality-id": "bourin_uchiyama", "functions": ["power:2"]}
+        assert_refused("direction", overrides, tmp_path, capsys)
+        with pytest.raises(ConfigError, match="^direction: "):
+            small_config(**overrides)
+
     @pytest.mark.parametrize("functions,direction", [
         (["power:2", "ratio"], "convex"),   # ratio is concave
         (["power:3"], "concave"),
@@ -1378,10 +1390,11 @@ class TestSearch:
     def test_carried_round_decomposes_only_what_moved(self, name, monkeypatch):
         # A chain restarts after two stalls.  Each chain's state is kept
         # here from the chains the search commits.  In each carried round,
-        # one decomposition gets exactly the matrices that differ from that
-        # state, and another exactly the sums (side, instance) that hold
-        # one: the other side's sum of a moved chain is carried, and a
-        # restarted chain, all new, gets both.  The lemma chain has no sums.
+        # one decomposition gets, side by side, exactly the matrices that
+        # differ from that state followed by exactly the sums (instance)
+        # that hold one: the other side's sum of a moved chain is carried,
+        # and a restarted chain, all new, gets both.  No other decomposition
+        # gets an input matrix or a sum.  The lemma chain has no sums.
         rounds, state = [], []
         eigh, commit = inequalities._eigh, inequalities._Carry.commit
 
@@ -1411,14 +1424,58 @@ class TestSearch:
         m = report.params["m"] or 1
         fresh_sums = []
         for ab, moved, calls in rounds[1:]:
-            sums = sum(ab.reshape(len(ab), -1, m, *ab.shape[-2:])[:, :, k] for k in range(m))
+            n = ab.shape[-1]
+            sums = sum(ab.reshape(len(ab), -1, m, n, n)[:, :, k] for k in range(m))
             fresh_sums.append(moved.reshape(len(ab), -1, m).any(axis=2))
-            wanted = [ab[moved]] + ([] if name == "lemma" else [sums[fresh_sums[-1]]])
-            for x in wanted:
-                assert sum(np.array_equal(call, x) for call in calls) == 1
+            wanted = np.concatenate([
+                x for side in range(len(ab))
+                for x in [ab[side][moved[side]]]
+                + ([] if name == "lemma" else [sums[side][fresh_sums[-1][side]]])])
+            merged = [np.array_equal(call, wanted) for call in calls]
+            assert sum(merged) == 1
+            known = {x.tobytes() for x in np.concatenate([ab, sums], axis=1).reshape(-1, n, n)}
+            assert not any(x.tobytes() in known for call, is_merged in zip(calls, merged)
+                           if not is_merged for x in call)
         # Rounds with a chain that moved one side only and with a restart.
         fresh = np.array(fresh_sums).sum(axis=1)
         assert (fresh == 1).any() and (fresh == len(ab)).any()
+
+    def test_calls_per_round_and_per_stack(self, monkeypatch):
+        # numpy.linalg calls of a carried round of the printed main chain
+        # (its _perturb included) and of one campaign stack of each chain
+        # (its draw included): one eigh takes the pairs with their sums, and
+        # one the PSD terms of a chain.  Audenaert reads no sum spectra.
+        calls = []
+        for routine in ("eigh", "svd"):
+            def counted(*args, _routine=routine, _call=getattr(np.linalg, routine), **kwargs):
+                calls.append(_routine)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, routine, counted)
+
+        def tally():
+            counts = (calls.count("eigh"), calls.count("svd"))
+            calls.clear()
+            return counts
+        rounds, evaluate = [], campaign.stack_reports
+
+        def counted_round(*args, **kwargs):
+            rounds.append(tally())
+            return evaluate(*args, **kwargs)
+        monkeypatch.setattr(campaign, "stack_reports", counted_round)
+        cfg = CampaignConfig.from_obj(dict(SEARCH_BASE, **SEARCH_TARGETS["main-t0.1"]))
+        search_counterexample(cfg, 16 * 8)   # no restart in 8 rounds
+        # Entry k counts round k - 1's kernel and round k's _perturb.
+        assert rounds[2:] == [(4, 2)] * 7
+        monkeypatch.setattr(campaign, "stack_reports", evaluate)
+        for obj, expected in [({}, (4, 2)),
+                              ({"printed-form": False, "ensemble": {"kind": "psd"}}, (4, 2)),
+                              ({"inequality-id": "proof_steps"}, (4, 3)),
+                              ({"inequality-id": "lemma_chain", "s-grid": [1.0, 2.0]}, (4, 3)),
+                              ({"inequality-id": "audenaert"}, (2, 3))]:
+            tally()
+            run_campaign(CampaignConfig.from_obj(dict(
+                SEARCH_BASE, trials=3, **{"t-grid": [0.1, 0.5], "r-grid": [1.0, 2.0]}, **obj)))
+            assert tally() == expected, obj
 
     @pytest.mark.parametrize("name", sorted(SEARCH_TARGETS))
     def test_instance_reproduces_the_margin_exactly(self, name):

@@ -30,6 +30,7 @@ from matsharp import (
     norm_from_singular_values,
     random_commuting_pair,
     random_hermitian,
+    random_psd_rank_deficient,
     resolve_function,
     split_seed,
     tolerance_band,
@@ -42,9 +43,12 @@ from matsharp.inequalities import (
     INDETERMINATE,
     INEQUALITY_IDS,
     LEMMA_CHAIN,
+    MAIN_THEOREM,
+    PROOF_STEPS,
     TIE,
     VIOLATED,
     InequalityReport,
+    _Carry,
     _verdict,
     lemma_chain_sigmas,
     stack_reports,
@@ -706,6 +710,79 @@ class TestReportMechanics:
         assert len(report.fan_margins) == len(report.margins)
 
 
+# Each chain's stack_reports arguments: a grid, options, and its inputs'
+# kind.  Together they cover the printed form, the variant on PSD inputs
+# with epsilon, the proof steps, the lemma chain, Audenaert and
+# Bourin-Uchiyama.
+STACK_CHAINS = {
+    "main-printed": (MAIN_THEOREM, {"t": (0.0, 0.5), "r": (1.0, 2.0)}, {}, "pd"),
+    "main-variant-psd": (MAIN_THEOREM, {"t": (0.25, 1.0), "r": (0.5, 2.0)},
+                         {"printed_form": False, "epsilon_scale": 1e-10}, "psd"),
+    "proof-steps": (PROOF_STEPS, {"t": (0.25,), "r": (1.0, 3.0)}, {}, "pd"),
+    "lemma-chain": (LEMMA_CHAIN, {"t": (0.5,), "r": (1.0, 2.0), "s": (0.5, 2.0)}, {}, "pd"),
+    "audenaert": (AUDENAERT, {}, {}, "commuting"),
+    "bourin-uchiyama": (BOURIN_UCHIYAMA, {"f": ("power:3", "expm1")}, {}, "pd"),
+}
+STACK_NORMS = (S1, NormSpec.schatten(2), NormSpec.operator())
+
+
+def stack_inputs(kind, seed, n, counts, scales):
+    """A stack of ``kind`` pairs, instance k's scaled by ``scales[k]``: (a, b), (P, n, n) each."""
+    pairs = []
+    for k, (m, c) in enumerate(zip(counts, scales)):
+        for i in range(m):
+            keys = [split_seed(seed, 2 * (16 * k + i) + side) for side in (0, 1)]
+            if kind == "commuting":
+                pair = random_commuting_pair(EnsembleSpec(dim=n, kind="commuting", seed=keys[0]))
+            elif kind == "psd":
+                pair = [random_psd_rank_deficient(EnsembleSpec(dim=n, kind="psd", seed=key,
+                                                               rank=1)) for key in keys]
+            else:
+                pair = [pd_for(key, n=n) for key in keys]
+            pairs.append([c * x for x in pair])
+    return tuple(np.array(side) for side in zip(*pairs))
+
+
+def joined(blocks):
+    """Each array of reduced ``blocks``, joined along their instance axis."""
+    return [None if block_arrays[0] is None else np.concatenate(block_arrays, axis=-1)
+            for block_arrays in zip(*[(b.values, b.margins, b.fan_margins, b.verdict, b.epsilon)
+                                      for b in blocks])]
+
+
+class TestStackInvariance:
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(chain=st.sampled_from(sorted(STACK_CHAINS)), seed=st.integers(0, 2 ** 32 - 1),
+           n=st.integers(2, 3), counts=st.lists(st.integers(1, 3), min_size=2, max_size=5),
+           scales=st.lists(st.sampled_from([1e-3, 1.0, 10.0, 1e4]), min_size=5, max_size=5),
+           data=st.data())
+    def test_a_split_stack_gives_the_whole_stacks_bits(self, chain, seed, n, counts, scales,
+                                                       data):
+        # Each part of a stack split at an instance gives, bit for bit, the
+        # whole stack's slices: values, margins, fan margins, verdicts and
+        # each instance's own epsilon.
+        inequality_id, grid, options, kind = STACK_CHAINS[chain]
+        counts = [1] * len(counts) if inequality_id == LEMMA_CHAIN else counts
+        a, b = stack_inputs(kind, seed, n, counts, scales)
+        grid = dict(grid, norm=STACK_NORMS)
+        split = data.draw(st.integers(1, len(counts) - 1))
+        pairs = sum(counts[:split])
+
+        def reports(a, b, counts):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return joined(stack_reports(inequality_id, a, b, counts, grid,
+                                            (None,) * len(counts), direction="convex",
+                                            mask_failures=True, **options))
+        whole = reports(a, b, counts)
+        parts = zip(reports(a[:pairs], b[:pairs], counts[:split]),
+                    reports(a[pairs:], b[pairs:], counts[split:]))
+        for whole_array, (first, rest) in zip(whole, parts, strict=True):
+            if whole_array is None:
+                assert first is None and rest is None
+            else:
+                assert np.concatenate([first, rest], axis=-1).tobytes() == whole_array.tobytes()
+
+
 PD = np.diag([2.0, 3.0])
 PD_B = np.array([[2.0, 0.5], [0.5, 1.0]])
 NON_PD = np.diag([1.0, -1.0])
@@ -820,6 +897,24 @@ class TestSingleErrors:
                                      ([NON_PD, PD], [NON_PD, PD], "A[0]")):
             with pytest.raises(NotPositiveDefiniteError, match=re.escape(f"{name} must")):
                 check_main_theorem(a_list, b_list, 0.5, 1.0, S1)
+
+    def test_carried_stack_refuses_a_moved_matrix_as_a_stack_does(self):
+        # A carried stack checks only the matrices that moved since its
+        # chains' state, and refuses a bad one with an uncarried stack's error.
+        a, b = np.array([PD, PD_B]), np.array([PD_B, PD])
+        grid = {"t": (0.5,), "r": (1.0,), "norm": (S1,)}
+        carry = _Carry()
+        stack_reports(MAIN_THEOREM, a, b, (1, 1), grid, (1, 2), carry=carry)
+        carry.commit(np.ones(2, dtype=bool))
+        for bad, error in ((NON_HERMITIAN, HermitianDefectError), (NAN, ValueError)):
+            moved = b.copy()
+            moved[1] = bad
+            messages = []
+            for options in ({"carry": carry}, {}):
+                with pytest.raises(error) as raised:
+                    stack_reports(MAIN_THEOREM, a, moved, (1, 1), grid, (1, 2), **options)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
     def test_masked_stack_raises_for_hermitian_defect(self, inequality_id):

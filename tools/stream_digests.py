@@ -4,6 +4,7 @@ leaves every report byte-identical.
 Usage::
 
     python tools/stream_digests.py > digests.txt
+    python tools/stream_digests.py --against digests.txt
 
 Each output line is ``name digest held/violated/indeterminate``: the first
 12 hex digits of the SHA-256 of a fixed campaign's JSON and CSV rendering
@@ -13,7 +14,10 @@ criterion-4 grid, or, on the ``records`` line, of every campaign's config
 and summary records with the wall time set to 0), then the verdict
 counts.  The set covers every inequality id, stacks of more trials than
 one chunk, and configs whose stacks hold failing slices.  Run it in two
-checkouts and diff the outputs.  The digests depend on the LAPACK build,
+checkouts and diff the outputs, or give the first run's output to the
+second with ``--against FILE``: every line whose name (first field) reads
+otherwise in FILE, or is in one of the two only, is named on stderr, and
+the exit code is 1.  The digests depend on the LAPACK build,
 so none is pinned here.  The last two lines are no digests.
 ``screens-at-scale`` gives, for each of three inputs that the numerical
 screens must refuse, the outcome at c = 1e-8, 1e-6, ..., 1e8, one letter
@@ -36,6 +40,7 @@ is not exactly the report's ``best_margin`` (NaN matches NaN).
 The library is imported from the ``src`` directory next to this script.
 """
 
+import argparse
 import hashlib
 import json
 import math
@@ -287,18 +292,37 @@ def regularized_ties():
     return " ".join(fields)
 
 
-def main():
-    records, mismatches = [], []
+def differences(path, lines):
+    """A message naming each line of ``lines`` whose name reads otherwise in
+    the saved output ``path``, or that is in one of the two only."""
+    saved, new = ({line.split()[0]: line for line in text if line.strip()}
+                  for text in (Path(path).read_text().splitlines(), lines))
+    return [f"line differs from {path}: {name}" for name in dict.fromkeys([*saved, *new])
+            if saved.get(name) != new.get(name)]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Digests of matsharp's report streams.")
+    parser.add_argument("--against", metavar="FILE",
+                        help="a saved output; name each line that differs from it on stderr")
+    args = parser.parse_args(argv)
+    records, mismatches, lines = [], [], []
+
+    def emit(line):
+        print(line, flush=True)
+        lines.append(line)
     for name, obj in CAMPAIGNS.items():
-        print(campaign_line(name, obj, records, mismatches), flush=True)
+        emit(campaign_line(name, obj, records, mismatches))
     for name, obj in SEARCHES.items():
-        print(search_line(name, obj, mismatches), flush=True)
+        emit(search_line(name, obj, mismatches))
     reports, sigmas = direct_reports()
-    print(f"direct-checks {digest(render_reports(reports, 'json') + sigmas)} {counts(reports)}")
-    print(f"lemma-sigmas-grid {digest(lemma_sigmas_grid())} -")
-    print("records", digest("\n".join(records)), "-")
-    print("screens-at-scale", screens_at_scale())
-    print("regularized-ties", regularized_ties())
+    emit(f"direct-checks {digest(render_reports(reports, 'json') + sigmas)} {counts(reports)}")
+    emit(f"lemma-sigmas-grid {digest(lemma_sigmas_grid())} -")
+    emit(" ".join(["records", digest("\n".join(records)), "-"]))
+    emit(f"screens-at-scale {screens_at_scale()}")
+    emit(f"regularized-ties {regularized_ties()}")
+    if args.against:
+        mismatches += differences(args.against, lines)
     for mismatch in mismatches:
         print(mismatch, file=sys.stderr)
     return 1 if mismatches else 0
