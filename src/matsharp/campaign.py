@@ -21,14 +21,14 @@ one block per m, where one rule gives each report its verdict code
 (``inequalities._verdict``).  A report is built when the :class:`ReportStream`
 is read: :func:`summarize` builds only the one of least margin, and
 :func:`render_reports` none.  They read the blocks of a stream or of a list
-of reports (:func:`_chunks`), and rendering gives each grid point of a block
-one row template, which each of its (norm, instance) rows fills from the
-arrays.  NumPy gives each slice of a stacked call the bits of the
-single-matrix call, and a sum over a zero-padded pair axis has the bits of
-the sum over the instance's own pairs, so the reports are the ones the
-``check_*`` predicates give instance by instance and point by point, in
-(trial, grid point) order.  An instance that fails the strict check, the
-PSD clamp or a Bourin-Uchiyama f gets NaN terms: its reports are
+of reports (:func:`_chunks`), and rendering writes each (grid point, norm)
+row of a block once per verdict, then each instance with one ``format``
+call over one array of its cells.  NumPy gives each slice of a stacked
+call the bits of the single-matrix call, and a sum over a zero-padded pair
+axis has the bits of the sum over the instance's own pairs, so the reports
+are the ones the ``check_*`` predicates give instance by instance and point
+by point, in (trial, grid point) order.  An instance that fails the strict
+check, the PSD clamp or a Bourin-Uchiyama f gets NaN terms: its reports are
 indeterminate, and the others, of its trial too, go on.
 
 The searcher performs random-restart hill descent on the relative margin
@@ -513,121 +513,115 @@ def run_campaign(config):
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _mark(field):
-    """The stand-in for format field ``field`` while a row template is built:
-    its NUL characters are in no id, label or param of a report."""
-    return f"\0{field}\0"
+# A row's stand-ins, one control character each, which no id, label or
+# param of a report holds: a cell, the holds, epsilon and norm text, the
+# seed, the trial and, while a frame is built, the params.  json writes
+# each quoted, as \u000k.
+_STANDINS = _CELL, _HOLDS, _EPSILON, _NORM, _SEED, _TRIAL, _PARAMS = "\1\2\3\4\5\6\7"
+_QUOTED = [(json.dumps(mark), mark) for mark in _STANDINS]
 
 
-# The stand-ins as json and csv write them.
-_MARKS = {"json": re.compile(r'"\\u0000(\w+)\\u0000"'), "csv": re.compile("\0(\\w+)\0")}
+def _format_string(text):
+    """``text`` as a format string: braces doubled, each stand-in as itself
+    and each cell an automatic field."""
+    text = text.replace("{", "{{").replace("}", "}}")
+    for quoted, mark in _QUOTED:
+        text = text.replace(quoted, mark)
+    return text.replace(_CELL, "{}")
 
 
-def _format_string(output_format, text):
-    """``text`` as a format string: braces doubled, each stand-in its field."""
-    return _MARKS[output_format].sub(lambda mark: f"{{{mark[1]}}}",
-                                     text.replace("{", "{{").replace("}", "}}"))
-
-
-def _csv_line(cells):
-    """``cells`` as one CSV line, without its terminator."""
+def _csv_lines(rows):
+    """``rows`` as CSV lines without their terminators, through one writer."""
     buf = io.StringIO()
-    # csv writes None as an empty cell and any other value through str().
-    csv.writer(buf, lineterminator="\n").writerow(
-        ["true" if c is True else "false" if c is False else c for c in cells])
-    return buf.getvalue()[:-1]
+    writer = csv.writer(buf, lineterminator="\n")
+    # csv writes None as an empty cell and any other value through str();
+    # writerow returns the length of its line.
+    ends = list(itertools.accumulate(writer.writerow(
+        ["true" if c is True else "false" if c is False else c for c in row]) for row in rows))
+    text = buf.getvalue()
+    return [text[start:end - 1] for start, end in zip([0, *ends], ends)]
 
 
 @functools.lru_cache(maxsize=256)
 def _row_frame(output_format, inequality_id, labels, steps, fans):
-    """A row's text around its params, as format strings (before, after)
-    whose fields take a row's cells: {3} holds, {4} epsilon, then the term
-    values, the ``steps`` margins and the ``fans`` fan margins (None: the
-    report has none)."""
-    cells, params = [_mark(i) for i in range(5 + len(labels) + steps + (fans or 0))], _mark("p")
-    values, margins = cells[5:5 + len(labels)], cells[5 + len(labels):5 + len(labels) + steps]
+    """A row's text around its params, as format strings (before, after if
+    it does not hold, after if it holds) whose automatic fields take a row's
+    cells in row order: the term values, the ``steps`` margins, then in JSON
+    the ``fans`` fan margins (None: the report has none).  The epsilon text
+    is a stand-in."""
+    values, margins, params = [_CELL] * len(labels), [_CELL] * steps, _PARAMS
     if output_format == "json":
-        fan = None if fans is None else cells[5 + len(labels) + steps:]
         text = InequalityReport(inequality_id, params, list(zip(labels, values)), margins,
-                                cells[3], cells[4], fan).to_json()
-        params = json.dumps(params)
+                                _HOLDS, _EPSILON, None if fans is None else [_CELL] * fans)
+        text, params = text.to_json(), json.dumps(params)
     else:
         # The cells after the params, at their columns' offsets.
-        tail = [cells[4], cells[3], *values]
+        tail = [_EPSILON, _HOLDS, *values]
         tail += [None] * (_CSV_MARGINS - _CSV_TAIL - len(tail)) + margins
         tail += [None] * (len(CSV_COLUMNS) - _CSV_TAIL - len(tail))
-        text = _csv_line([inequality_id, params, *tail])
-    before, after = text.split(params)
-    return _format_string(output_format, before), _format_string(output_format, after + "\n")
+        text, = _csv_lines([[inequality_id, params, *tail]])
+    before, after = map(_format_string, text.split(params))
+    return before, *(after.replace(_HOLDS, holds) + "\n" for holds in ("false", "true"))
 
 
 def _cells(array, output_format):
-    """``array.tolist()``; in JSON, non-finite floats as json spells them."""
+    """``array``; in JSON, if it holds a non-finite float, as an object array
+    with each such float spelled as json spells it."""
     if output_format == "csv" or np.isfinite(array).all():
-        return array.tolist()
+        return array
     cells = array.astype(object)
     cells[np.isnan(array)] = "NaN"
     cells[array == np.inf] = "Infinity"
     cells[array == -np.inf] = "-Infinity"
-    return cells.tolist()
+    return cells
 
 
 def _block_rows(block, output_format, trials=None):
     """The rows of a reduced block as text, one string per instance.
 
-    Each grid point gets one format string, its params written once around
-    the frame of :func:`_row_frame`, and each of its (norm, instance) rows
-    fills the fields from one ``tolist`` per array; floats are written by
+    Each grid point's params are written once (in CSV, all through one
+    writer) between the frame of :func:`_row_frame`, and each (point, norm)
+    row gets one text per verdict, its norm written in.  An instance's rows
+    are those texts joined by its verdicts, with its seed, trial and epsilon
+    written in once, and one ``format`` call fills every cell from one
+    (instance, row, cell) array, ``tolist`` once: floats are written by
     ``float.__repr__``, each once.  ``trials``, one per instance, puts the
-    seed ({0}), the trial ({1}) and the norm ({2}) in each row's params, as
+    seed, the trial and the norm in each row's params, as
     :func:`_instance_reports` does; without it the block holds reports
     (:func:`_report_blocks`), whose params are written as they are.
     """
-    if trials is None:
-        params = block.params
-    else:
-        params = [dict(point, **{"norm-spec": _mark(2), "seed": _mark(0)}, trial=_mark(1))
-                  for point in block.params]
-    json_format, fan_margins = output_format == "json", block.fan_margins
-    before, after = _row_frame(output_format, block.inequality_id, tuple(block.labels),
-                               block.margins.shape[2],
-                               None if fan_margins is None else fan_margins.shape[1])
-    templates = [before + _format_string(output_format, json.dumps(point) if json_format
-                                         else _csv_line(map(point.get, _CSV_PARAMS))) + after
-                 for point in params]
-    # A norm's text ("schatten:2") needs no CSV quoting.
+    json_format, fan_margins, count = output_format == "json", block.fan_margins, len(block.seeds)
+    params = block.params if trials is None else [
+        dict(point, **{"norm-spec": _NORM, "seed": _SEED}, trial=_TRIAL) for point in block.params]
+    before, *afters = _row_frame(output_format, block.inequality_id, tuple(block.labels),
+                                 block.margins.shape[2],
+                                 None if fan_margins is None else fan_margins.shape[1])
+    params = map(json.dumps, params) if json_format else _csv_lines(
+        [map(point.get, _CSV_PARAMS) for point in params])
+    # A norm's text ("schatten:2") needs no CSV quoting.  Row i's text in
+    # verdict h (0 fails, 1 holds) is texts[2 i + h].
     names = [json.dumps(str(norm)) if json_format else str(norm) for norm in block.norms]
-    # One entry per row of an instance: the rows are (point, norm) pairs.
-    templates = [template for template in templates for _ in names]
-    names *= len(block.params)
-    count, null = len(block.seeds), "null" if json_format else ""
-
-    def by_instance(array):
-        """``array`` as (instance, row, entry)."""
-        return _cells(array.transpose(-1, *range(array.ndim - 1)).reshape(
-            count, len(templates), -1), output_format)
-
-    def instance_rows(seed, trial, eps, holds, values, margins, fans):
-        return "".join(template.format(seed, trial, name, held, eps, *value, *margin, *fan)
-                       for template, name, held, value, margin, fan in zip(
-                           templates, names, holds, values, margins, fans))
-
-    # An instance's epsilon, and in JSON its fan margins at a point, are the
-    # same in each norm's row: each goes to text once, as str.format writes it.
-    fans = [[()] * len(templates)] * count
+    rows = [before + point.replace(_NORM, name) for point in map(_format_string, params)
+            for name in names]
+    texts = [row + after for row in rows for after in afters]
+    picks = (np.arange(0, len(texts), 2) + (block.verdict <= TIE).reshape(-1, count).T).tolist()
+    # The cells of a row: its values, its margins and, in JSON, its point's fan margins.
+    parts = [_cells(np.concatenate([block.values, block.margins], axis=2), output_format)]
     if fan_margins is not None and json_format:
-        # (instance, point) tuples of text, each repeated for every norm.
-        text = zip(*[map(str, _cells(fan_margins.transpose(2, 0, 1).ravel(), output_format))]
-                   * fan_margins.shape[1])
-        rows = [point for point in text for _ in block.norms]
-        fans = [rows[k * len(templates):(k + 1) * len(templates)] for k in range(count)]
-    return list(map(
-        instance_rows, [null if seed is None else seed for seed in block.seeds],
-        trials or [None] * count,
-        [null] * count if block.epsilon is None
-        else list(map(str, _cells(block.epsilon, output_format))),
-        np.where(block.verdict <= TIE, "true", "false").reshape(-1, count).T.tolist(),
-        by_instance(block.values), by_instance(block.margins), fans))
+        # A point's fan margins go to text once, however many norms repeat them.
+        fans = np.array(list(map(str, _cells(fan_margins, output_format).ravel().tolist())),
+                        dtype=object)
+        parts.append(np.repeat(fans.reshape(fan_margins.shape)[:, None], len(block.norms), 1))
+    cells = np.concatenate(parts, axis=2).transpose(3, 0, 1, 2).reshape(count, -1).tolist()
+    null = "null" if json_format else ""
+    eps = [null] * count if block.epsilon is None else map(
+        str, _cells(block.epsilon, output_format).tolist())
+    # Without trials no row holds a trial's or a seed's stand-in.
+    return ["".join(map(texts.__getitem__, pick)).replace(
+        _SEED, null if seed is None else str(seed)).replace(_TRIAL, str(trial)).replace(
+        _EPSILON, e).format(*row)
+        for pick, seed, trial, e, row in zip(picks, block.seeds, trials or [null] * count, eps,
+                                             cells)]
 
 
 def render_reports(reports, output_format):
@@ -759,22 +753,24 @@ def _relative_margins(block):
 def search_counterexample(config, steps):
     """Random-restart hill descent on the relative margin of one target.
 
-    ``steps`` is the evaluation budget.  ``C = min(SEARCH_CHAINS, steps)`` chains
-    descend in lockstep, chain i starting from restart draw i, and each of
-    ``ceil(steps / C)`` rounds evaluates one candidate per chain, all C as one
-    stack.  A chain's candidate is a Hermitian perturbation of one of its
-    matrices M (see :func:`_perturb`), of size ``0.05 ||M||_F`` at first,
-    grown 4x on acceptance up to ``||M||_F`` and halved on non-improvement; a
-    chain that stalled 50 rounds offers the next unused restart draw instead.
-    A round decomposes only the moved M, its pair's means and the sum of
-    M's side, and carries the rest from the chain's state, the other side's
-    sum included (``inequalities._Carry``); a restarted chain is decomposed
-    whole.  On PD inputs a moved matrix is clamped to condition number at
-    most 1e12 (``SEARCH_CLAMP_FLOOR``), which bounds how deep a descent can
-    go.  A candidate is accepted when it lowers its chain's relative margin,
-    the least margin over the largest term, which scaling the inputs does
-    not move.  A candidate that fails a spectral check or overflows is
-    masked: it is never accepted and never best.
+    ``C = min(SEARCH_CHAINS, steps)`` chains descend in lockstep, chain i
+    starting from restart draw i, and after those draws each of
+    ``ceil(steps / C)`` rounds evaluates one candidate per chain, all C as
+    one stack: ``C (ceil(steps / C) + 1)`` evaluations, not ``steps`` (64
+    for 40 steps).  A chain's candidate is a Hermitian perturbation of one
+    of its matrices M (see :func:`_perturb`), of size ``0.05 ||M||_F`` at
+    first, grown 4x on acceptance up to ``||M||_F`` and halved on
+    non-improvement; a chain that stalled 50 rounds offers the next unused
+    restart draw instead.  A round decomposes only the moved M, its pair's
+    means and the sum of M's side, and carries the rest from the chain's
+    state, the other side's sum included (``inequalities._Carry``); a
+    restarted chain is decomposed whole.  On PD inputs a moved matrix is
+    clamped to condition number at most 1e12 (``SEARCH_CLAMP_FLOOR``),
+    which bounds how deep a descent can go.  A candidate is accepted when it
+    lowers its chain's relative margin, the least margin over the largest
+    term, which scaling the inputs does not move.  A candidate that fails a
+    spectral check or overflows is masked: it is never accepted and never
+    best.
 
     The report is the instance of least relative margin (the first, on a
     tie), built from the block it was evaluated in; ``best_margin`` is its

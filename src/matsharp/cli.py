@@ -123,7 +123,9 @@ def build_parser():
 
     p_search = sub.add_parser("search", help="hill-descent counterexample search")
     _add_common_flags(p_search)
-    p_search.add_argument("--steps", type=int, default=10000, help="evaluation budget")
+    p_search.add_argument("--steps", type=int, default=10000,
+                          help="C = min(16, steps) chains, each evaluated ceil(steps / C) + 1 "
+                          "times: 64 evaluations for 40 steps")
     p_search.set_defaults(func=_cmd_search)
 
     p_eval = sub.add_parser("eval", help="evaluate one instance from matrix JSON files")

@@ -1049,18 +1049,40 @@ def special_float_stream():
     return ReportStream([[block]], 2, 4)
 
 
+# Every chain id, more trials than one chunk, and the masked failing slice.
+STREAM_CONFIGS = {
+    "main_theorem": {"inequality-id": "main_theorem", "trials": CHUNK_TRIALS + 2},
+    "main_variant_psd": {"inequality-id": "main_theorem", "printed-form": False,
+                         "ensemble": {"kind": "psd"}},
+    "proof_steps": {"inequality-id": "proof_steps"},
+    "lemma_chain": {"inequality-id": "lemma_chain", "s-grid": [0.5, 1.0]},
+    "audenaert": {"inequality-id": "audenaert"},
+    "bourin_uchiyama": {"inequality-id": "bourin_uchiyama", "functions": ["power:2", "expm1"],
+                        "direction": "convex"},
+    "masked_failing_slice": MASKED_FAILING_SLICE,
+}
+
+
+def reference_csv(reports):
+    """``reports`` as CSV, each report's cells in ``CSV_COLUMNS`` order
+    through one ``csv.writer`` row: params by name, booleans in lower case,
+    missing terms and margins empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for report in reports:
+        cells = dict(report.params, **{"inequality-id": report.inequality_id,
+                                       "regularization-epsilon": report.regularization_epsilon,
+                                       "holds": report.holds})
+        cells.update((f"term-{i}", value) for i, (_, value) in enumerate(report.terms, 1))
+        cells.update((f"margin-{i}", value) for i, value in enumerate(report.margins, 1))
+        writer.writerow([str(cell).lower() if isinstance(cell, bool) else cell
+                         for cell in map(cells.get, CSV_COLUMNS)])
+    return buf.getvalue()
+
+
 class TestReportStream:
-    @pytest.mark.parametrize("obj", [
-        {"inequality-id": "main_theorem", "trials": CHUNK_TRIALS + 2},
-        {"inequality-id": "main_theorem", "printed-form": False, "ensemble": {"kind": "psd"}},
-        {"inequality-id": "proof_steps"},
-        {"inequality-id": "lemma_chain", "s-grid": [0.5, 1.0]},
-        {"inequality-id": "audenaert"},
-        {"inequality-id": "bourin_uchiyama", "functions": ["power:2", "expm1"],
-         "direction": "convex"},
-        MASKED_FAILING_SLICE,
-    ], ids=["main_theorem", "main_variant_psd", "proof_steps", "lemma_chain", "audenaert",
-            "bourin_uchiyama", "masked_failing_slice"])
+    @pytest.mark.parametrize("obj", list(STREAM_CONFIGS.values()), ids=list(STREAM_CONFIGS))
     def test_arrays_agree_with_the_reports_they_hold(self, obj):
         # The summary must keep the first report of a tie.
         cfg = CampaignConfig.from_obj(dict(STREAM_BASE, **obj))
@@ -1082,6 +1104,25 @@ class TestReportStream:
             assert summary.held and summary.indeterminate
             assert "NaN" in render_reports(stream, "json")
             assert ",nan," in render_reports(stream, "csv")
+
+    @pytest.mark.parametrize("obj", [*STREAM_CONFIGS.values(), None],
+                             ids=[*STREAM_CONFIGS, "special_floats"])
+    def test_rendering_matches_a_report_by_report_reference(self, obj):
+        # The reference writes each report on its own, not through the block
+        # renderer: JSON by to_json, CSV by one csv.writer row per report.
+        stream = special_float_stream() if obj is None else run_campaign(
+            CampaignConfig.from_obj(dict(STREAM_BASE, **obj)))[1]
+        reports = list(stream)
+        expected = {"json": "".join(r.to_json() + "\n" for r in reports),
+                    "csv": reference_csv(reports)}
+        for output_format, text in expected.items():
+            for rendered in render_reports(stream, output_format), render_reports(
+                    reports, output_format):
+                # Line by line: a failure names its first line, where a diff
+                # of the whole text would take minutes.
+                for number, pair in enumerate(itertools.zip_longest(
+                        rendered.splitlines(True), text.splitlines(True)), 1):
+                    assert (number, pair[0]) == (number, pair[1])
 
     def test_special_floats_render_as_json_and_csv_write_them(self):
         stream = special_float_stream()
