@@ -9,8 +9,8 @@ byte, and a trial's reports do not depend on which other trials run.
 Every grid starts with the instance axes (n, and m where it applies) and
 ends with the norm.  The trials are taken in chunks of ``CHUNK_TRIALS``;
 within a chunk the instances of one n, at every m, are drawn in one call,
-in the kernels' layout (every pair in one flat stack per side, and each
-instance's m), and evaluated as one stack in one pass over the axes after
+in the kernels' layout (both sides in one (sides, pairs, n, n) stack, and
+each instance's m), and evaluated as that stack, in one pass over the axes after
 m (t, r, s or f): for every chain, the spectra of its pairs and of their
 sums are one call, and each chain term is one call over the grid values
 it depends on (the pair means over every t, the main chain's terms over
@@ -383,9 +383,9 @@ def _build_inputs(config, n, m, inst_seed):
 
     Given a tuple of m-values and, for each, a sequence of instance seeds
     (a tuple, or a uint64 array), the inputs of every m as one draw, in
-    the kernel's layout (a, b, counts): ``a`` and ``b`` hold every pair of
-    every instance in one flat stack (P, n, n), instance by instance in
-    seed order, ``b`` None for Bourin-Uchiyama, which takes no B-list (a
+    the kernels' layout (ab, counts): ``ab`` holds both sides of every
+    pair of every instance, (2, P, n, n), instance by instance in seed
+    order, one side for Bourin-Uchiyama, which takes no B-list (a
     commuting draw's B side is dropped), and ``counts`` holds each
     instance's m.  Every matrix is drawn from its own seed, so it has the
     bits of its single draw.
@@ -402,16 +402,16 @@ def _build_inputs(config, n, m, inst_seed):
                      step * np.arange(pairs)[:, None] + np.arange(sides)).ravel()
         for pairs, seeds in zip(ms, seed_groups)]).tolist())
     if commuting:
-        a, b = random_commuting_pair(_ensemble_spec(config, n, streams, kind=KIND_COMMUTING))
-        b = None if config.inequality_id == BOURIN_UCHIYAMA else b
+        pair = random_commuting_pair(_ensemble_spec(config, n, streams, kind=KIND_COMMUTING))
+        ab = np.stack(pair[:1] if config.inequality_id == BOURIN_UCHIYAMA else pair)
     else:
         gen = random_psd_rank_deficient if kind == KIND_PSD else random_pd
         drawn = gen(_ensemble_spec(config, n, streams))
-        a, b = (drawn[0::2], drawn[1::2]) if sides == 2 else (drawn, None)
+        ab = np.ascontiguousarray(drawn.reshape(-1, sides, n, n).swapaxes(0, 1))
     counts = np.repeat(ms, [len(seeds) for seeds in seed_groups])
     if grouped:
-        return a, b, counts
-    return list(a), [] if b is None else list(b)
+        return ab, counts
+    return list(ab[0]), list(ab[1]) if len(ab) == 2 else []
 
 
 def _kernel_options(config):
@@ -500,8 +500,8 @@ def run_campaign(config):
         for n_index, n in enumerate(axes["n"]):
             # Row i holds the instance seeds of m index i.
             seeds = _split_seeds(_split_seeds(trial_seeds, n_index), np.arange(len(ms))[:, None])
-            a, b, counts = _build_inputs(config, n, ms, seeds)
-            blocks += stack_reports(config.inequality_id, a, b, counts, grid,
+            ab, counts = _build_inputs(config, n, ms, seeds)
+            blocks += stack_reports(config.inequality_id, ab, counts, grid,
                                     tuple(seeds.ravel().tolist()),
                                     mask_failures=True, **_kernel_options(config))
         chunks.append(blocks)
@@ -548,7 +548,7 @@ def _row_frame(output_format, inequality_id, labels, steps, fans):
     it does not hold, after if it holds) whose automatic fields take a row's
     cells in row order: the term values, the ``steps`` margins, then in JSON
     the ``fans`` fan margins (None: the report has none).  The epsilon text
-    is a stand-in."""
+    is a stand-in; a CSV row that overflows ``CSV_COLUMNS`` is a ValueError."""
     values, margins, params = [_CELL] * len(labels), [_CELL] * steps, _PARAMS
     if output_format == "json":
         text = InequalityReport(inequality_id, params, list(zip(labels, values)), margins,
@@ -557,6 +557,9 @@ def _row_frame(output_format, inequality_id, labels, steps, fans):
     else:
         # The cells after the params, at their columns' offsets.
         tail = [_EPSILON, _HOLDS, *values]
+        if len(tail) > _CSV_MARGINS - _CSV_TAIL or steps > len(CSV_COLUMNS) - _CSV_MARGINS:
+            raise ValueError(f"the CSV layout has columns for 5 terms and 4 margins; a "
+                             f"{inequality_id} row has {len(labels)} terms and {steps} margins")
         tail += [None] * (_CSV_MARGINS - _CSV_TAIL - len(tail)) + margins
         tail += [None] * (len(CSV_COLUMNS) - _CSV_TAIL - len(tail))
         text, = _csv_lines([[inequality_id, params, *tail]])
@@ -658,9 +661,16 @@ def emit_report(reports, output_format, path):
 
 
 def load_reports(path):
-    """Read back a line-delimited JSON report stream."""
+    """Read back a line-delimited JSON report stream; a line that holds no
+    report raises a ValueError naming ``path:line``."""
+    reports = []
     with open(path) as fh:
-        return [InequalityReport.from_json(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            try:
+                reports += [InequalityReport.from_json(line)] if line.strip() else []
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +806,8 @@ def search_counterexample(config, steps):
     def fresh(first, count):
         """Restart draws first, ..., first + count - 1 as one stack (sides, count, m, n, n)."""
         trials = _split_seeds(config.root_seed % 2 ** 64, np.arange(first, first + count))
-        a, b, _ = _build_inputs(config, n, (m,), (_split_seeds(trials, 0),))
-        return np.stack([a] if b is None else [a, b]).reshape(-1, count, m, n, n)
+        ab, _ = _build_inputs(config, n, (m,), (_split_seeds(trials, 0),))
+        return ab.reshape(-1, count, m, n, n)
 
     ab = fresh(0, chains)
     current = np.full(chains, np.inf)
@@ -814,9 +824,9 @@ def search_counterexample(config, steps):
         cand = ab.copy()
         if round_index and not restart.all():
             cand[:, ~restart] = _perturb(stream, ab[:, ~restart], scale[~restart], clamp_floor)
-        block, = stack_reports(config.inequality_id, cand[0].reshape(-1, n, n),
-                               cand[-1].reshape(-1, n, n), (m,) * chains, grid, (None,) * chains,
-                               mask_failures=True, carry=carry, **_kernel_options(config))
+        block, = stack_reports(config.inequality_id, cand.reshape(len(cand), -1, n, n),
+                               (m,) * chains, grid, (None,) * chains, mask_failures=True,
+                               carry=carry, **_kernel_options(config))
         objective = _relative_margins(block)
         k = int(objective.argmin())
         if best is None or objective[k] < best[0]:

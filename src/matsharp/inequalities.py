@@ -21,8 +21,8 @@ axes; a sum over each instance's pairs runs on a zero-padded pair axis,
 each spectrum is assembled once for all its powers, taken one exponent at
 a time, and a chain's PSD terms share one eigenvalue call.
 Every norm, margin and verdict is then an array reduction over those
-sequences (:func:`_reduce`), split by m (:func:`_group_blocks`) and read
-out as reports by :func:`_instance_reports`.  The main chain's kernel
+sequences, one block per m with its seeds (:func:`_reduce`), read out as
+reports by :func:`_instance_reports`.  The main chain's kernel
 (:class:`_MainChain`) also serves the proof steps and, on single pairs,
 the lemma chain, whose last two terms are the t-dependent main chain's
 middle and right terms at s = 1 (:func:`_flank_sigmas`).  One driver,
@@ -100,6 +100,8 @@ class _Record:
     @classmethod
     def from_obj(cls, obj):
         """The record written as ``obj``; a missing key leaves its field's default, if any."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"{cls.__name__} record must be a JSON object, got {obj!r}")
         if missing := [key for key in cls._required if key not in obj]:
             raise ValueError(f"{cls.__name__} record is missing keys {missing}")
         return cls(**{name: obj[key] for key, name in cls._keys.items() if key in obj})
@@ -140,9 +142,13 @@ class InequalityReport(_Record):
 
     @classmethod
     def from_obj(cls, obj):
-        """The report written as ``obj``; its terms become (label, value) tuples."""
-        return super().from_obj(
-            dict(obj, terms=[tuple(term) for term in obj["terms"]]) if "terms" in obj else obj)
+        """The report written as ``obj``; its terms, [label, number] pairs, become tuples."""
+        terms = [tuple(term) for term in obj.get("terms", ())] if isinstance(obj, dict) else ()
+        for term in terms:
+            if (len(term) != 2 or not isinstance(term[0], str) or isinstance(term[1], bool)
+                    or not isinstance(term[1], (int, float))):
+                raise ValueError(f"a report term must be a [label, number] pair, got {list(term)}")
+        return super().from_obj(dict(obj, terms=terms) if terms else obj)
 
 
 def _params(m=None, n=None, t=None, r=None, s=None, function_id=None, **extra):
@@ -153,22 +159,18 @@ def _params(m=None, n=None, t=None, r=None, s=None, function_id=None, **extra):
 
 class _Chain(NamedTuple):
     """One chain over the P points of a grid for a stack of T instances,
-    before any norm is taken: ``sigma`` holds the terms' singular-value
-    sequences, (P, terms, T, n) in grid order, each sorted nonincreasing;
-    ``params`` one dict per point, its "m" left None, ``labels`` one label
-    per term, and ``seeds`` and ``epsilon`` ((T,), or None) one entry per
-    instance.  ``groups`` lists the stack's runs of instances as (m, count)
-    pairs in instance order; :func:`_group_blocks` fills in each run's m.
-    ``steps`` lists (left_index, right_index) pairs, the ascending
-    consecutive chain when None.
+    before any norm is taken, as its kernel computes it: ``sigma`` holds the
+    terms' singular-value sequences, (P, terms, T, n) in grid order, each
+    sorted nonincreasing; ``params`` one dict per point, its "m" left None
+    (:func:`_reduce` fills it in), ``labels`` one label per term, and
+    ``epsilon`` ((T,), or None) one entry per instance.  ``steps`` lists
+    (left_index, right_index) pairs, the ascending consecutive chain when
+    None.
     """
 
-    inequality_id: str
     params: list
     labels: list
     sigma: np.ndarray
-    seeds: tuple
-    groups: tuple
     steps: list | None = None
     epsilon: np.ndarray | None = None
 
@@ -207,32 +209,23 @@ def _verdict(values, margins, fan_margins):
                     INDETERMINATE)
 
 
-def _reduce(chain, norms):
-    """Every norm's reports on ``chain`` as one :class:`_ReportBlock`."""
+def _reduce(inequality_id, chain, norms, seeds, counts):
+    """Every norm's reports on ``chain`` (of ``inequality_id``) as one :class:`_ReportBlock`
+    per run of equal m in ``counts``, with its instances' ``seeds`` and its m."""
     sigma = chain.sigma
     left, right = np.array(chain.steps or [(i, i + 1) for i in range(sigma.shape[1] - 1)]).T
     values = np.array([norm_from_singular_values(sigma, spec) for spec in norms]).swapaxes(0, 1)
     margins = values[:, :, right] - values[:, :, left]
     prefix = sigma.cumsum(axis=-1)
     fan_margins = (prefix[:, right] - prefix[:, left]).min(axis=-1)
-    return _ReportBlock(chain.inequality_id, chain.params, chain.labels, tuple(norms),
-                        chain.seeds, values, margins, fan_margins,
-                        _verdict(values, margins, fan_margins), chain.epsilon)
-
-
-def _group_blocks(block, groups):
-    """``block`` split along its instances into one block per run of
-    ``groups`` ((m, count) pairs in instance order), each point's "m" the
-    run's own."""
-    blocks, stop = [], 0
-    for m, count in groups:
-        run = slice(stop, stop + count)
-        stop += count
+    verdict, eps, blocks, stop = _verdict(values, margins, fan_margins), chain.epsilon, [], 0
+    for m, run in itertools.groupby(np.asarray(counts).tolist()):
+        run = slice(stop, stop + len(list(run)))
+        stop = run.stop
         blocks.append(_ReportBlock(
-            block.inequality_id, [dict(point, m=m) for point in block.params], block.labels,
-            block.norms, block.seeds[run], block.values[..., run], block.margins[..., run],
-            block.fan_margins[..., run], block.verdict[..., run],
-            None if block.epsilon is None else block.epsilon[run]))
+            inequality_id, [dict(point, m=m) for point in chain.params], chain.labels,
+            tuple(norms), seeds[run], values[..., run], margins[..., run],
+            fan_margins[..., run], verdict[..., run], None if eps is None else eps[run]))
     return blocks
 
 
@@ -354,21 +347,21 @@ def _flank_sigmas(s_a, s_b, ts, rs, ss, psd_terms=()):
 
 
 def _validate_lists(a_list, b_list):
-    """One instance's A- and B-lists, checked for length and shape, as stacks (m, n, n)."""
+    """One instance's A- and B-lists, checked for length and shape, as one stack (2, m, n, n)."""
     a_list, b_list = list(a_list), list(b_list)
     if not a_list or len(a_list) != len(b_list):
         raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
     shape = np.shape(a_list[0])
     if len(shape) != 2 or any(np.shape(m) != shape[-1:] * 2 for m in a_list + b_list):
         raise ShapeError("shape error: all matrices must be square and share one dimension")
-    return np.array(a_list), np.array(b_list)
+    return np.array([a_list, b_list])
 
 
 class _Carry(dict):
     """Kernel entries kept between evaluations of stacks of one layout (the
     search's rounds), and in ``last`` the last one's: name -> (arrays, owner),
     ``owner`` mapping axis 1 (pairs or instances) to the instances, and in
-    ``layout`` the stacks' groups, width, starts, owner and slot."""
+    ``layout`` the stacks' width, starts, owner and slot."""
 
     def commit(self, instances):
         """Keep the last entries of the instances at mask ``instances`` (all, the first time)."""
@@ -383,16 +376,16 @@ class _StackKernel:
     """A stack of instances and the failure screen every kernel shares.
 
     ``ab`` holds both sides (2, P, n, n), each every pair of every instance
-    in one flat stack, instance by instance, and ``a`` and ``b`` are views
-    of its sides (a chain without B-lists has one side, and ``b`` is
-    ``a``).  ``counts`` gives each instance's m, (T,), and ``seeds`` one
-    seed per instance.  Pair-level work (spectra, screens, means, f,
-    products) runs once over the P pairs of both sides, instance-level
-    work once over the T instances (the sums' spectra in the pairs' call),
-    and a sum over each instance's pairs is :meth:`_sum`.  ``owner`` maps
-    each pair to its instance, ``slot`` to its index within it, ``starts``
-    gives each instance's first pair, and ``groups`` lists the runs of
-    ``counts`` as (m, instances) pairs.
+    in one flat stack, instance by instance; a complex128 C-ordered ``ab``
+    is kept as given, never copied or written.  ``a`` and ``b`` are views of
+    its sides (a chain without B-lists has one side, (1, P, n, n), and
+    ``b`` is ``a``), and ``counts`` gives each instance's m, (T,).
+    Pair-level work (spectra, screens, means, f, products) runs once over
+    the P pairs of both sides, instance-level work once over the T
+    instances (the sums' spectra in the pairs' call), and a sum over each
+    instance's pairs is :meth:`_sum`.  ``owner`` maps each pair to its
+    instance, ``slot`` to its index within it, and ``starts`` gives each
+    instance's first pair.
 
     It is the one place a kernel's inputs are validated: a matrix that is
     not square, finite and Hermitian raises, even with ``mask_failures``,
@@ -403,16 +396,17 @@ class _StackKernel:
     ``failed``: :func:`stack_reports` makes all of its terms NaN.  With a
     :class:`_Carry`, only the ``moved`` matrices (side, P), whose bits differ
     from its "inputs", are checked, only they and the sums that hold one
-    are decomposed, and the layout (``groups`` to ``slot``) is the carry's.
+    are decomposed, and the layout (``width`` to ``slot``) is the carry's.
     """
 
-    def __init__(self, a, b, counts, seeds, mask_failures, carry=None):
-        a, counts = np.asarray(a), np.asarray(counts)
-        if (a.ndim != 3 or counts.ndim != 1 or not len(counts) or len(counts) != len(seeds)
-                or (counts < 1).any() or counts.sum() != len(a)
-                or (b is not None and np.shape(b) != a.shape)):
-            raise ShapeError("shape error: A-list and B-list must be nonempty and of equal length")
-        self.ab = (a[None] if b is None else np.stack([a, b])).astype(np.complex128, copy=False)
+    def __init__(self, ab, counts, mask_failures, carry=None):
+        self.ab, counts = np.ascontiguousarray(ab, dtype=np.complex128), np.asarray(counts)
+        if self.ab.ndim != 4 or len(self.ab) not in (1, 2):
+            raise ShapeError(f"shape error: stack must be (1 or 2, P, n, n), got {self.ab.shape}")
+        if (counts.ndim != 1 or not len(counts) or (counts < 1).any()
+                or counts.sum() != self.ab.shape[1]):
+            raise ShapeError(f"shape error: counts must be m >= 1 per instance summing to the "
+                             f"{self.ab.shape[1]} pairs, got {counts.tolist()}")
         self.carry, self.moved = carry, np.ones(self.ab.shape[:2], dtype=bool)
         if carry:
             kept = carry["inputs"][0][0].view(np.uint64)
@@ -422,16 +416,14 @@ class _StackKernel:
         _check_hermitian(_as_stack(self.ab[self.moved] if carry else self.ab))
         self.a, self.b = self.ab[0], self.ab[-1]
         self.counts = counts
-        self.seeds = tuple(seeds)
         self.mask_failures = mask_failures
-        self.failed = np.zeros(len(self.seeds), dtype=bool)
+        self.failed = np.zeros(len(counts), dtype=bool)
         layout = getattr(carry, "layout", None)
         if layout is None:
-            groups = tuple((m, len(list(run))) for m, run in itertools.groupby(counts.tolist()))
             starts = np.cumsum(counts) - counts
             owner = np.repeat(np.arange(len(counts)), counts)
-            layout = groups, int(counts.max()), starts, owner, np.arange(len(a)) - starts[owner]
-        self.groups, self.width, self.starts, self.owner, self.slot = layout
+            layout = int(counts.max()), starts, owner, np.arange(len(self.a)) - starts[owner]
+        self.width, self.starts, self.owner, self.slot = layout
         if carry is not None:
             carry.layout, carry.last = layout, {"inputs": ([self.ab], self.owner)}
 
@@ -556,8 +548,7 @@ class _FunctionSum(_StackKernel):
                                   direction=direction))
         sigma = np.reshape(_psd_sigmas(*terms), (len(params), 2) + spec_sum.eigenvalues.shape)
         steps = [(0, 1)] if direction == CONVEX else [(1, 0)]
-        return _Chain(BOURIN_UCHIYAMA, params, ["sum f(A_i)", "f(sum A_i)"], sigma,
-                      self.seeds, self.groups, steps)
+        return _Chain(params, ["sum f(A_i)", "f(sum A_i)"], sigma, steps)
 
 
 def check_bourin_uchiyama(a_list, function_id, direction, norm_spec, seed=None):
@@ -686,8 +677,8 @@ class _MainChain(_StackKernel):
         sigma = np.empty((len(ts), len(rs), len(ss), len(terms)) + terms[0][1].shape[-2:])
         for k, (_, x) in enumerate(terms):
             sigma[:, :, :, k] = x
-        return _Chain(inequality_id, params, [label for label, _ in terms],
-                      sigma.reshape(-1, *sigma.shape[3:]), self.seeds, self.groups, epsilon=eps)
+        return _Chain(params, [label for label, _ in terms], sigma.reshape(-1, *sigma.shape[3:]),
+                      epsilon=eps)
 
     def _lemma_terms(self, sa, sb, mean_w, ts, rs, ss):
         """The lemma chain's four terms, laid out (t, r, s, T, n), from the
@@ -741,8 +732,7 @@ def check_proof_steps(a_list, b_list, t, r, norm_spec, epsilon_scale=None, seed=
 
 def lemma_chain_sigmas(a, b, t, r, s):
     """Singular-value sequences of the four-term chain, in printed order."""
-    a, b = _validate_lists([a], [b])
-    chain = _chain(LEMMA_CHAIN, a, b, (1,), {"t": (t,), "r": (r,), "s": (s,)}, (None,))
+    chain = _chain(LEMMA_CHAIN, _validate_lists([a], [b]), (1,), {"t": (t,), "r": (r,), "s": (s,)})
     return list(zip(chain.labels, chain.sigma[0, :, 0]))
 
 
@@ -780,9 +770,8 @@ def _audenaert_chain(kernel):
     sum_a, sum_b = _symmetrize(kernel._sum(kernel.ab))
     sigma = [_product_sigma(kernel._sum(products)), _product_sigma(x @ x),
              _product_sigma(sum_a @ sum_b)]
-    return _Chain(AUDENAERT, [_params(n=a.shape[-1])],
-                  ["sum A_iB_i", "(sum A_i^(1/2)B_i^(1/2))^2", "sumA sumB"],
-                  np.array([sigma]), kernel.seeds, kernel.groups)
+    return _Chain([_params(n=a.shape[-1])],
+                  ["sum A_iB_i", "(sum A_i^(1/2)B_i^(1/2))^2", "sumA sumB"], np.array([sigma]))
 
 
 def check_audenaert(a_list, b_list, norm_spec, seed=None):
@@ -832,24 +821,24 @@ def _check_grid(inequality_id, grid, direction=None):
         raise ValueError(f"a direction must be 'convex' or 'concave', got {direction!r}")
 
 
-def _chain(inequality_id, a, b, counts, grid, seeds, printed_form=True, epsilon_scale=None,
+def _chain(inequality_id, ab, counts, grid, printed_form=True, epsilon_scale=None,
            direction=None, mask_failures=False, carry=None):
     """The chain ``inequality_id`` on a stack of instances over ``grid``, in
     grid order, with NaN terms for every instance its kernel masked: the one
     place an inequality id is mapped to its kernel, after
     :func:`_check_grid` has checked the grid.  The arguments are those of
-    :func:`stack_reports`, and the norm axis is not read.
+    :func:`stack_reports` but the seeds, and the norm axis is not read.
     """
     _check_grid(inequality_id, grid, direction)
     if inequality_id == BOURIN_UCHIYAMA:
-        kernel = _FunctionSum(a, None, counts, seeds, mask_failures, carry)
+        kernel = _FunctionSum(ab[:1], counts, mask_failures, carry)
         chain = kernel.chain(grid["f"], direction)
     elif inequality_id == AUDENAERT:
-        kernel = _StackKernel(a, b, counts, seeds, mask_failures, carry)
+        kernel = _StackKernel(ab, counts, mask_failures, carry)
         chain = _audenaert_chain(kernel)
     else:
         lemma = inequality_id == LEMMA_CHAIN
-        kernel = _MainChain(a, b, counts, seeds, mask_failures, carry)
+        kernel = _MainChain(ab, counts, mask_failures, carry)
         if lemma and kernel.width > 1:
             raise ShapeError(f"shape error: {LEMMA_CHAIN} takes one pair, got {kernel.width}")
         chain = kernel.chain(inequality_id, grid, printed_form, None if lemma else epsilon_scale)
@@ -857,35 +846,36 @@ def _chain(inequality_id, a, b, counts, grid, seeds, printed_form=True, epsilon_
     return chain
 
 
-def stack_reports(inequality_id, a, b, counts, grid, seeds, printed_form=True,
+def stack_reports(inequality_id, ab, counts, grid, seeds, printed_form=True,
                   epsilon_scale=None, direction=None, mask_failures=False, carry=None):
     """The reports of a stack of instances over ``grid``, one reduced
     :class:`_ReportBlock` per run of equal m (read a report with
     :func:`_build_report`).
 
-    ``a`` and ``b`` hold every pair of every instance in one flat stack of
-    shape (P, n, n), instance by instance (``b`` is ignored for
-    Bourin-Uchiyama and may be None there), ``counts`` each instance's m
-    (1 for the lemma chain) and ``seeds`` one seed per instance.  The
-    blocks come back in instance order.  ``grid`` maps the axes that follow
-    the instance axes to their values: ``t``, ``r`` and ``s`` (lemma
-    chain), ``t`` and ``r`` (main theorem, proof steps) or ``f``
-    (Bourin-Uchiyama), then ``norm``, varied fastest; the block's points
-    follow the axes before ``norm`` in grid order, and other axes are
+    ``ab`` holds both sides of every pair of every instance, (2, P, n, n),
+    instance by instance (Bourin-Uchiyama reads its first side only),
+    ``counts`` each instance's m (1 for the lemma chain) and ``seeds`` one
+    seed per instance.  The blocks come back in instance order.  ``grid`` maps
+    the axes that follow the instance axes to their values: ``t``, ``r`` and
+    ``s`` (lemma chain), ``t`` and ``r`` (main theorem, proof steps) or
+    ``f`` (Bourin-Uchiyama), then ``norm``, varied fastest; the block's
+    points follow the axes before ``norm`` in grid order, and other axes are
     ignored.  :func:`_chain` evaluates the chain over the grid, the whole
-    stack in one pass with each spectrum computed once at the outermost
-    axis it depends on, into one array of sequences, :func:`_reduce` takes
-    each norm as one reduction of it, and :func:`_group_blocks` splits it
-    by m.  A ``check_*`` predicate is this function on a stack of one over
-    a one-point grid.  With ``mask_failures``, an instance with a slice
-    that fails the strict positive-definite check, the PSD clamp or f gets
-    NaN terms at every point (indeterminate reports) instead of raising;
-    the other instances, those of its trial included, go on.  A ``carry``
+    stack in one pass with each spectrum computed once at the outermost axis
+    it depends on, into one array of sequences, and :func:`_reduce` takes
+    each norm as one reduction of it, split by m, with the seeds.  A
+    ``check_*`` predicate is this function on a stack of one over a
+    one-point grid.  With ``mask_failures``, an instance with a slice that
+    fails the strict positive-definite check, the PSD clamp or f gets NaN
+    terms at every point (indeterminate reports) instead of raising; the
+    other instances, those of its trial included, go on.  A ``carry``
     (:class:`_Carry`) spares unmoved matrices' decompositions, not a bit.
     """
-    chain = _chain(inequality_id, a, b, counts, grid, seeds, printed_form, epsilon_scale,
-                   direction, mask_failures, carry)
-    return _group_blocks(_reduce(chain, grid["norm"]), chain.groups)
+    if len(seeds) != np.size(counts):
+        raise ShapeError(f"shape error: seeds must be one per instance, got {len(seeds)}")
+    chain = _chain(inequality_id, ab, counts, grid, printed_form, epsilon_scale, direction,
+                   mask_failures, carry)
+    return _reduce(inequality_id, chain, grid["norm"], tuple(seeds), counts)
 
 
 def _check(inequality_id, a_list, b_list, point, seed, **options):
@@ -898,7 +888,7 @@ def _check(inequality_id, a_list, b_list, point, seed, **options):
     b_list = list(b_list)
     if inequality_id == BOURIN_UCHIYAMA and b_list:
         raise ShapeError(f"shape error: {BOURIN_UCHIYAMA} takes no B-list")
-    a, b = _validate_lists(a_list, a_list if inequality_id == BOURIN_UCHIYAMA else b_list)
+    ab = _validate_lists(a_list, a_list if inequality_id == BOURIN_UCHIYAMA else b_list)
     grid = {axis: (value,) for axis, value in point.items()}
-    return _build_report(stack_reports(inequality_id, a, b, (len(a),), grid, (seed,),
+    return _build_report(stack_reports(inequality_id, ab, (ab.shape[1],), grid, (seed,),
                                        **options)[0])

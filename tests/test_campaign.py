@@ -470,10 +470,10 @@ def instance_seed(cfg, trial, point):
                                  cfg.dims.index(point["n"])), m_index)
 
 
-def instance_bytes(a, b, counts, k):
-    """The bytes of instance ``k``'s A- and B-lists in a flat draw (b None: no B-list)."""
+def instance_bytes(ab, counts, k):
+    """The bytes of instance ``k``'s A- and B-lists in a draw's stack (one side: no B-list)."""
     pairs = slice(counts[:k].sum(), counts[:k + 1].sum())
-    return a[pairs].tobytes(), b"" if b is None else b[pairs].tobytes()
+    return ab[0, pairs].tobytes(), b"" if len(ab) == 1 else ab[1, pairs].tobytes()
 
 
 def expected_reports(cfg, trials):
@@ -629,11 +629,11 @@ class TestBatchInvariance:
     def test_stacked_draws_equal_single_draws(self, obj, n):
         cfg = CampaignConfig.from_obj(dict(obj, **{"root-seed": 47}))
         seeds = tuple(split_seed(47, k) for k in range(5))
-        a, b, counts = _build_inputs(cfg, n, (2,), (seeds,))
-        assert a.shape == (10, n, n) and counts.tolist() == [2] * 5
+        ab, counts = _build_inputs(cfg, n, (2,), (seeds,))
+        assert ab.shape[1:] == (10, n, n) and counts.tolist() == [2] * 5
         for k, seed in enumerate(seeds):
             a_list, b_list = _build_inputs(cfg, n, 2, seed)
-            assert instance_bytes(a, b, counts, k) == (np.array(a_list).tobytes(),
+            assert instance_bytes(ab, counts, k) == (np.array(a_list).tobytes(),
                                                        np.array(b_list).tobytes())
 
     @pytest.mark.parametrize("obj,n", [
@@ -649,15 +649,15 @@ class TestBatchInvariance:
         m_values = (1, 3, 2)
         seeds = tuple(tuple(split_seed(split_seed(47, k), i) for k in range(3 + i))
                       for i in range(len(m_values)))
-        a, b, counts = _build_inputs(cfg, n, m_values, seeds)
+        ab, counts = _build_inputs(cfg, n, m_values, seeds)
         assert counts.tolist() == [m for m, group in zip(m_values, seeds) for _ in group]
-        assert a.shape == (counts.sum(), n, n)
+        assert ab.shape[1:] == (counts.sum(), n, n)
         k = 0
         for m, group in zip(m_values, seeds):
             for seed in group:
                 a_list, b_list = _build_inputs(cfg, n, m, seed)
-                assert instance_bytes(a, b, counts, k) == (np.array(a_list).tobytes(),
-                                                           np.array(b_list).tobytes())
+                assert instance_bytes(ab, counts, k) == (np.array(a_list).tobytes(),
+                                                         np.array(b_list).tobytes())
                 k += 1
 
     def test_one_draw_and_one_kernel_per_chunk_and_dimension(self, monkeypatch):
@@ -670,9 +670,9 @@ class TestBatchInvariance:
             draws.append((n, m))
             return draw(config, n, m, inst_seed)
 
-        def counted_init(self, a, b, counts, *args):
+        def counted_init(self, ab, counts, *args):
             kernels.append([m for m, _ in itertools.groupby(counts.tolist())])
-            init(self, a, b, counts, *args)
+            init(self, ab, counts, *args)
         monkeypatch.setattr(campaign, "_build_inputs", counted_draw)
         monkeypatch.setattr(inequalities._StackKernel, "__init__", counted_init)
         cfg = small_config(trials=CHUNK_TRIALS + 1, dims=[2, 3], **{"m-values": [1, 2, 3],
@@ -715,11 +715,11 @@ class TestMixedStack:
         draw = campaign._build_inputs
 
         def corrupted(config, n, m, inst_seed):
-            a, b, counts = draw(config, n, m, inst_seed)
+            ab, counts = draw(config, n, m, inst_seed)
             # The given pairs of the first m = 2 instance.
             first = counts.tolist().index(2)
-            a[counts[:first].sum() + np.array(pairs)] = bad
-            return a, b, counts
+            ab[0, counts[:first].sum() + np.array(pairs)] = bad
+            return ab, counts
         monkeypatch.setattr(campaign, "_build_inputs", corrupted)
         cfg = CampaignConfig.from_obj(dict({
             "trials": 2, "dims": [2], "m-values": [1, 2, 3], "t-grid": [0.25, 0.5],
@@ -745,6 +745,22 @@ class TestMixedStack:
                 expected.params["trial"] = trial
                 assert finite(report) and report == expected
 
+    def test_masked_stack_leaves_the_callers_stack_unchanged(self):
+        # A stack with a failing slice is masked, not repaired, in place: the
+        # kernel keeps the caller's complex128 stack as given and writes none of it.
+        cfg = small_config(trials=3, dims=[2], **{"m-values": [1, 2], "r-grid": [1.0]})
+        ab, counts = _build_inputs(cfg, 2, (1, 2), ((5, 6, 7), (8, 9, 10)))
+        ab[1, 6] = np.diag([1.0, 0.0])   # the second B of the middle m = 2 instance
+        bits = ab.view(np.uint64).copy()
+        assert inequalities._StackKernel(ab, counts, True).ab is ab
+        blocks = stack_reports(MAIN_THEOREM, ab, counts, {"t": (0.5,), "r": (1.0,),
+                               "norm": (NormSpec.trace(),)}, (5, 6, 7, 8, 9, 10),
+                               mask_failures=True)
+        assert [block.verdict.ravel().tolist() for block in blocks] == [
+            [inequalities.CLEAR] * 3, [inequalities.CLEAR, inequalities.INDETERMINATE,
+                                       inequalities.CLEAR]]
+        assert np.array_equal(ab.view(np.uint64), bits)
+
     def test_regularized_epsilon_is_each_instances_own(self):
         # Each instance of a mixed-m stack is shifted by the largest
         # regularization_epsilon of its own pairs, bit for bit; the scales
@@ -753,7 +769,7 @@ class TestMixedStack:
         a, b = (np.array([c * random_psd_rank_deficient(
             EnsembleSpec(dim=3, kind="psd", seed=seed + k, rank=2)) for k, c in enumerate(scales)])
             for seed in (600, 700))
-        blocks = stack_reports(MAIN_THEOREM, a, b, counts, {"t": (0.5,), "r": (2.0,),
+        blocks = stack_reports(MAIN_THEOREM, np.stack([a, b]), counts, {"t": (0.5,), "r": (2.0,),
                                "norm": (NormSpec.trace(),)}, (None,) * len(counts),
                                printed_form=False, epsilon_scale=1e-10)
         starts = np.cumsum(counts) - counts
@@ -819,7 +835,7 @@ class TestNonFinite:
         a = np.stack([np.diag([354.5] * 3)] * 2)
         grid = {"f": ("expm1",), "norm": (NormSpec.trace(), NormSpec.schatten(2))}
         with np.errstate(over="ignore", invalid="ignore"):
-            block, = stack_reports(BOURIN_UCHIYAMA, np.concatenate([a, a / 354.5]), None,
+            block, = stack_reports(BOURIN_UCHIYAMA, np.concatenate([a, a / 354.5])[None],
                                    (2, 2), grid, (1, 2), direction="convex")
         stream = ReportStream([[block]], 2, 2)
         reports = list(stream)
@@ -1244,6 +1260,31 @@ class TestEmitReport:
         with pytest.raises(ConfigError, match="output-format"):
             render_reports([synthetic_report(0)], "parquet")
 
+    def test_csv_refuses_a_row_that_does_not_fit_its_layout(self, tmp_path):
+        # Six terms would push term 6 into margin-1; JSON has no fixed layout.
+        report = InequalityReport("MainTheorem", {"m": 1, "n": 2},
+                                  [(f"t{i}", float(i)) for i in range(6)], [1.0] * 5, True)
+        with pytest.raises(ValueError, match="CSV layout .* 6 terms and 5 margins"):
+            render_reports([report], "csv")
+        path = tmp_path / "wide.csv"
+        with pytest.raises(ValueError, match="CSV layout"):
+            emit_report([report], "csv", path)
+        assert not path.exists()
+        assert InequalityReport.from_json(render_reports([report], "json")) == report
+
+    @pytest.mark.parametrize("line,text", [
+        ("[1, 2]", "must be a JSON object"),
+        (json.dumps(dict(synthetic_report(0).to_obj(), terms=[["b"]])), r"\[label, number\]"),
+        (json.dumps(dict(synthetic_report(0).to_obj(), terms=[["b", "1"]])),
+         r"\[label, number\]"),
+        ("{not json", "Expecting property name"),
+    ])
+    def test_load_names_the_file_and_line_of_a_bad_record(self, tmp_path, line, text):
+        path = tmp_path / "bad.json"
+        path.write_text(synthetic_report(0).to_json() + "\n\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: .*{text}"):
+            load_reports(path)
+
 
 class TestRecords:
     def test_fields_in_order_under_hyphenated_keys(self):
@@ -1394,9 +1435,9 @@ class TestSearch:
     def test_evaluations_count_the_instances_evaluated(self, steps, monkeypatch):
         evaluated = []
 
-        def counted(inequality_id, a, b, counts, *args, **kwargs):
+        def counted(inequality_id, ab, counts, *args, **kwargs):
             evaluated.append(len(counts))
-            return stack_reports(inequality_id, a, b, counts, *args, **kwargs)
+            return stack_reports(inequality_id, ab, counts, *args, **kwargs)
         monkeypatch.setattr(campaign, "stack_reports", counted)
         report = search_counterexample(CampaignConfig.from_obj(SEARCH_BASE), steps)
         assert report.evaluations == sum(evaluated)
@@ -1443,12 +1484,11 @@ class TestSearch:
             rounds[-1][-1].append(np.array(x).reshape(-1, *x.shape[-2:]))
             return eigh(x)
 
-        def recorded(inequality_id, a, b, counts, *args, **kwargs):
-            ab = np.stack([a, b][:1 if inequality_id == BOURIN_UCHIYAMA else 2])
+        def recorded(inequality_id, ab, counts, *args, **kwargs):
             bits = ab.view(np.uint64)
             moved = (bits != state[0].view(np.uint64)).any(axis=(-2, -1)) if state else None
             rounds.append((ab, moved, []))
-            return stack_reports(inequality_id, a, b, counts, *args, **kwargs)
+            return stack_reports(inequality_id, ab, counts, *args, **kwargs)
 
         def recorded_commit(carry, instances):
             ab = rounds[-1][0]
@@ -1525,6 +1565,21 @@ class TestSearch:
         margin, _ = reevaluate_search_instance(cfg, report)
         assert margin == report.best_margin
 
+    def test_carried_round_leaves_the_candidates_unchanged(self, monkeypatch):
+        # The kernel reads a round's candidate stack where it lies, and writes
+        # none of it: its bits after the round are those it had before.
+        unchanged = []
+
+        def checked(inequality_id, ab, *args, **kwargs):
+            bits = ab.view(np.uint64).copy()
+            blocks = stack_reports(inequality_id, ab, *args, **kwargs)
+            unchanged.append(kwargs["carry"] is not None
+                             and np.array_equal(ab.view(np.uint64), bits))
+            return blocks
+        monkeypatch.setattr(campaign, "stack_reports", checked)
+        search_counterexample(CampaignConfig.from_obj(SEARCH_BASE), 64)
+        assert unchanged == [True] * 5
+
     def test_commuting_bourin_uchiyama_instance_has_no_b_list(self):
         # Bourin-Uchiyama takes no B-list, so a commuting draw's B side is
         # neither moved nor written, and the written instance reproduces.
@@ -1535,9 +1590,9 @@ class TestSearch:
         assert reevaluate_search_instance(cfg, report)[0] == report.best_margin
         # The A side keeps the bits of the commuting pairs' A side.
         pairs = CampaignConfig.from_obj(dict(cfg.to_obj(), **{"inequality-id": "audenaert"}))
-        a, b, _ = _build_inputs(cfg, 2, (2,), ((5, 6),))
-        assert b is None and _build_inputs(cfg, 2, 2, 5)[1] == []
-        assert np.array_equal(a, _build_inputs(pairs, 2, (2,), ((5, 6),))[0])
+        ab, _ = _build_inputs(cfg, 2, (2,), ((5, 6),))
+        assert len(ab) == 1 and _build_inputs(cfg, 2, 2, 5)[1] == []
+        assert np.array_equal(ab[0], _build_inputs(pairs, 2, (2,), ((5, 6),))[0][0])
 
     def test_runs_are_identical(self):
         cfg = CampaignConfig.from_obj(SEARCH_BASE)

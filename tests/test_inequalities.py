@@ -770,7 +770,7 @@ class TestStackInvariance:
 
         def reports(a, b, counts):
             with np.errstate(over="ignore", invalid="ignore"):
-                return joined(stack_reports(inequality_id, a, b, counts, grid,
+                return joined(stack_reports(inequality_id, np.stack([a, b]), counts, grid,
                                             (None,) * len(counts), direction="convex",
                                             mask_failures=True, **options))
         whole = reports(a, b, counts)
@@ -904,7 +904,7 @@ class TestSingleErrors:
         a, b = np.array([PD, PD_B]), np.array([PD_B, PD])
         grid = {"t": (0.5,), "r": (1.0,), "norm": (S1,)}
         carry = _Carry()
-        stack_reports(MAIN_THEOREM, a, b, (1, 1), grid, (1, 2), carry=carry)
+        stack_reports(MAIN_THEOREM, np.stack([a, b]), (1, 1), grid, (1, 2), carry=carry)
         carry.commit(np.ones(2, dtype=bool))
         for bad, error in ((NON_HERMITIAN, HermitianDefectError), (NAN, ValueError)):
             moved = b.copy()
@@ -912,9 +912,21 @@ class TestSingleErrors:
             messages = []
             for options in ({"carry": carry}, {}):
                 with pytest.raises(error) as raised:
-                    stack_reports(MAIN_THEOREM, a, moved, (1, 1), grid, (1, 2), **options)
+                    stack_reports(MAIN_THEOREM, np.stack([a, moved]), (1, 1), grid, (1, 2),
+                                  **options)
                 messages.append(str(raised.value))
             assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("ab,counts,seeds,text", [
+        (np.array([[PD, PD_B]] * 2), (3,), (1,), r"counts .* the 2 pairs, got \[3\]"),
+        (np.array([[PD, PD_B]] * 2), (1, 1), (1,), "seeds must be one per instance, got 1$"),
+        (np.array([PD, PD_B]), (1, 1), (1, 2), r"stack must be .* got \(2, 2, 2\)"),
+        (np.array([[PD, PD_B]] * 3), (1, 1), (1, 2), r"stack must be .* got \(3, 2,"),
+    ], ids=["counts", "seeds", "no-side-axis", "three-sides"])
+    def test_stack_boundary_names_its_defect(self, ab, counts, seeds, text):
+        with pytest.raises(ShapeError, match=text):
+            stack_reports(MAIN_THEOREM, ab, counts, {"t": (0.5,), "r": (1.0,), "norm": (S1,)},
+                          seeds)
 
     @pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
     def test_masked_stack_raises_for_hermitian_defect(self, inequality_id):
@@ -925,6 +937,6 @@ class TestSingleErrors:
                 LEMMA_CHAIN: {"t": (0.5,), "r": (1.0,), "s": (1.0,)}}.get(
             inequality_id, {"t": (0.5,), "r": (1.0,)})
         with pytest.raises(HermitianDefectError, match="not Hermitian"):
-            stack_reports(inequality_id, a, np.array(IDENTITIES * 2), (2, 2),
+            stack_reports(inequality_id, np.stack([a, np.array(IDENTITIES * 2)]), (2, 2),
                           dict(grid, norm=(S1,)), (1, 2), epsilon_scale=1e-10,
                           direction="convex", mask_failures=True)

@@ -1,6 +1,8 @@
 """The public API the demos rely on: every name they import resolves, and
 the quick demos run to completion.  The functions the benchmark's tracer
-reads (perfbench/spans.py) still exist."""
+reads (perfbench/spans.py) still exist.  The package holds no dead names:
+no import it never uses, and no private function, class or method that
+nothing in it references."""
 
 import ast
 import importlib
@@ -15,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 QUICK_DEMOS = [d for d in DEMOS if d.name[:2] in ("01", "02", "03", "05")]
+PACKAGE = ROOT / "src" / "matsharp"
 
 
 def matsharp_imports(path):
@@ -56,3 +59,61 @@ def test_traced_names_exist():
     for layer in spans.LAYERS:
         importlib.import_module(f"{spans.PACKAGE}.{layer}")
     assert spans.missing_names(spans.Tracer().names) == []
+
+
+def dead_names(sources):
+    """The dead names of a package given as {module file name: source}, as
+    (module, kind, name): each imported name its module never reads (the
+    package's ``__init__`` re-exports, so its imports are not counted), and
+    each private (one leading underscore) module-level function or class,
+    or private method, that no module names besides its definition: as a
+    name, an attribute or an imported name."""
+    trees = {module: ast.parse(text, filename=module) for module, text in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    dead = []
+    for module, tree in trees.items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [] if module == "__init__.py" else [
+            (alias.asname or alias.name).split(".")[0] for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+        dead += [(module, "import", name) for name in imports if name not in read]
+        definitions = [node for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        definitions += [node for cls in definitions if isinstance(cls, ast.ClassDef)
+                        for node in cls.body if isinstance(node, ast.FunctionDef)]
+        dead += [(module, "definition", node.name) for node in definitions
+                 if node.name.startswith("_") and not node.name.startswith("__")
+                 and node.name not in referenced]
+    return dead
+
+
+def package_sources():
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_package_has_no_dead_names():
+    assert dead_names(package_sources()) == []
+
+
+@pytest.mark.parametrize("module,before,added,fault", [
+    ("inequalities.py", "\n\ndef _instance_reports(",
+     "\n\ndef _group_blocks(block, groups):\n    return block\n",
+     ("inequalities.py", "definition", "_group_blocks")),
+    ("campaign.py", "import io\n", "import heapq\n", ("campaign.py", "import", "heapq")),
+    ("inequalities.py", "    def commit(self,", "    def _kept(self):\n        return self\n\n",
+     ("inequalities.py", "definition", "_kept")),
+])
+def test_dead_names_are_found(module, before, added, fault):
+    # The scan is run on the package with one dead name put in.
+    sources = package_sources()
+    assert sources[module].count(before) == 1
+    sources[module] = sources[module].replace(before, added + before)
+    assert dead_names(sources) == [fault]
