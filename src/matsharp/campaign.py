@@ -23,7 +23,8 @@ is read: :func:`summarize` builds only the one of least margin, and
 :func:`render_reports` none.  They read the blocks of a stream or of a list
 of reports (:func:`_chunks`), and rendering writes each (grid point, norm)
 row of a block once per verdict, then each instance with one ``format``
-call over one array of its cells.  NumPy gives each slice of a stacked
+call over its cells, whose floats one ``orjson.dumps`` call writes for the
+whole block (:func:`_float_texts`).  NumPy gives each slice of a stacked
 call the bits of the single-matrix call, and a sum over a zero-padded pair
 axis has the bits of the sum over the instance's own pairs, so the reports
 are the ones the ``check_*`` predicates give instance by instance and point
@@ -57,6 +58,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, UnregisteredFunctionError
 from .inequalities import (
@@ -567,16 +569,24 @@ def _row_frame(output_format, inequality_id, labels, steps, fans):
     return before, *(after.replace(_HOLDS, holds) + "\n" for holds in ("false", "true"))
 
 
-def _cells(array, output_format):
-    """``array``; in JSON, if it holds a non-finite float, as an object array
-    with each such float spelled as json spells it."""
-    if output_format == "csv" or np.isfinite(array).all():
-        return array
-    cells = array.astype(object)
-    cells[np.isnan(array)] = "NaN"
-    cells[array == np.inf] = "Infinity"
-    cells[array == -np.inf] = "-Infinity"
-    return cells
+def _float_texts(values, output_format):
+    """Each float of ``values``, in C order, as ``float.__repr__`` writes it
+    (json's NaN, Infinity and -Infinity in JSON), from one ``orjson.dumps``.
+
+    orjson (Ryu) and ``repr`` (Gay's correctly rounded conversion) both
+    write the shortest digits that read back to the same double, so their
+    texts differ only in notation.  Where 1e-4 <= |x| < 1e16 neither writes
+    an exponent and the texts are equal; every other value (zeros, smaller
+    and larger magnitudes, NaN and infinities, which orjson writes as null)
+    is written by ``json.dumps`` in JSON and ``str`` in CSV.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(
+        ",") if len(flat) else []
+    size, spell = np.abs(flat), json.dumps if output_format == "json" else str
+    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16))).tolist():
+        texts[i] = spell(float(flat[i]))
+    return texts
 
 
 def _block_rows(block, output_format, trials=None):
@@ -586,12 +596,13 @@ def _block_rows(block, output_format, trials=None):
     writer) between the frame of :func:`_row_frame`, and each (point, norm)
     row gets one text per verdict, its norm written in.  An instance's rows
     are those texts joined by its verdicts, with its seed, trial and epsilon
-    written in once, and one ``format`` call fills every cell from one
-    (instance, row, cell) array, ``tolist`` once: floats are written by
-    ``float.__repr__``, each once.  ``trials``, one per instance, puts the
-    seed, the trial and the norm in each row's params, as
-    :func:`_instance_reports` does; without it the block holds reports
-    (:func:`_report_blocks`), whose params are written as they are.
+    written in once, and one ``format`` call fills every cell from the texts
+    that one :func:`_float_texts` call writes for an (instance, row, cell)
+    array (in JSON, a point's fan margins repeated over its norms).
+    ``trials``, one per instance, puts the seed, the trial and the norm in
+    each row's params, as :func:`_instance_reports` does; without it the
+    block holds reports (:func:`_report_blocks`), whose params are written
+    as they are.
     """
     json_format, fan_margins, count = output_format == "json", block.fan_margins, len(block.seeds)
     params = block.params if trials is None else [
@@ -608,23 +619,21 @@ def _block_rows(block, output_format, trials=None):
             for name in names]
     texts = [row + after for row in rows for after in afters]
     picks = (np.arange(0, len(texts), 2) + (block.verdict <= TIE).reshape(-1, count).T).tolist()
-    # The cells of a row: its values, its margins and, in JSON, its point's fan margins.
-    parts = [_cells(np.concatenate([block.values, block.margins], axis=2), output_format)]
+    # The cells of a row: its values, its margins and, in JSON, its point's
+    # fan margins, repeated over the norms; all go to text in one call.
+    parts = [block.values, block.margins]
     if fan_margins is not None and json_format:
-        # A point's fan margins go to text once, however many norms repeat them.
-        fans = np.array(list(map(str, _cells(fan_margins, output_format).ravel().tolist())),
-                        dtype=object)
-        parts.append(np.repeat(fans.reshape(fan_margins.shape)[:, None], len(block.norms), 1))
-    cells = np.concatenate(parts, axis=2).transpose(3, 0, 1, 2).reshape(count, -1).tolist()
+        parts.append(np.repeat(fan_margins[:, None], len(block.norms), 1))
+    cells = np.concatenate(parts, axis=2).transpose(3, 0, 1, 2).reshape(count, -1)
+    width, cells = cells.shape[1], _float_texts(cells, output_format)
     null = "null" if json_format else ""
-    eps = [null] * count if block.epsilon is None else map(
-        str, _cells(block.epsilon, output_format).tolist())
+    eps = [null] * count if block.epsilon is None else _float_texts(block.epsilon, output_format)
     # Without trials no row holds a trial's or a seed's stand-in.
     return ["".join(map(texts.__getitem__, pick)).replace(
         _SEED, null if seed is None else str(seed)).replace(_TRIAL, str(trial)).replace(
-        _EPSILON, e).format(*row)
-        for pick, seed, trial, e, row in zip(picks, block.seeds, trials or [null] * count, eps,
-                                             cells)]
+        _EPSILON, e).format(*cells[i * width:(i + 1) * width])
+        for i, pick, seed, trial, e in zip(range(count), picks, block.seeds,
+                                           trials or [null] * count, eps)]
 
 
 def render_reports(reports, output_format):

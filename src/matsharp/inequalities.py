@@ -142,13 +142,30 @@ class InequalityReport(_Record):
 
     @classmethod
     def from_obj(cls, obj):
-        """The report written as ``obj``; its terms, [label, number] pairs, become tuples."""
-        terms = [tuple(term) for term in obj.get("terms", ())] if isinstance(obj, dict) else ()
-        for term in terms:
-            if (len(term) != 2 or not isinstance(term[0], str) or isinstance(term[1], bool)
-                    or not isinstance(term[1], (int, float))):
+        """The report written as ``obj``; its terms, [label, number] pairs,
+        become tuples.  A ValueError refuses fewer than two terms, margins
+        that are not one number per step (one fewer than the terms) and fan
+        margins that are neither null nor one number per step."""
+        report = super().from_obj(obj)
+        report.terms = [tuple(term) for term in report.terms]
+        for term in report.terms:
+            if len(term) != 2 or not isinstance(term[0], str) or not _is_number(term[1]):
                 raise ValueError(f"a report term must be a [label, number] pair, got {list(term)}")
-        return super().from_obj(dict(obj, terms=terms) if terms else obj)
+        steps = len(report.terms) - 1
+        if steps < 1:
+            raise ValueError(f"a report needs at least two terms, got {steps + 1}")
+        for key, margins in ("margins", report.margins), ("fan-margins", report.fan_margins):
+            if (margins is not None or key == "margins") and not (
+                    isinstance(margins, (list, tuple)) and len(margins) == steps
+                    and all(map(_is_number, margins))):
+                raise ValueError(f"a report needs one number per step as {key}, {steps} for "
+                                 f"{steps + 1} terms, got {margins!r}")
+        return report
+
+
+def _is_number(value):
+    """Whether ``value`` is a JSON number; as in JSON, a bool is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _params(m=None, n=None, t=None, r=None, s=None, function_id=None, **extra):

@@ -1049,19 +1049,20 @@ MASKED_FAILING_SLICE = {"inequality-id": "main_theorem", "ensemble": {"condition
 def special_float_stream():
     """A hand-built stream of 2 trials x 2 points x 2 norms whose cells hold
     every float a renderer must spell: NaN, +-inf, -0.0, 1e-300 and 5e+300,
-    at t = 0.0 and 1.0, with seeds from 2^63 up and one epsilon each."""
+    and each side of the bounds where ``repr`` starts writing an exponent
+    (1e-4 and 1e16), at t = 0.0 and 1.0, with seeds from 2^63 up and one
+    epsilon each."""
     params = [_params(m=1, n=2, t=t, r=1.0, **{"printed-form": True}) for t in (0.0, 1.0)]
-    cells = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e300, 0.1, 2.0])
+    cells = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e300, 0.1, 2.0,
+                      9.999999999999999e-05, 1e-4, 1e15, 9999999999999998.0, 1e16,
+                      2.0**53 + 2])
     values = np.resize(cells, (2, 2, 3, 2))
     margins = np.resize(np.roll(cells, 3), (2, 2, 2, 2))
     fans = np.resize(np.roll(cells, 5), (2, 2, 2))
-    finite = np.isfinite(values).all(axis=2) & np.isfinite(margins).all(axis=2)
-    verdict = np.where(~finite, inequalities.INDETERMINATE,
-                       np.where(margins.min(axis=2) >= 0.0, inequalities.CLEAR,
-                                inequalities.VIOLATED))
     block = _ReportBlock(MAIN_THEOREM, params, ["left", "middle", "right"],
                          (NormSpec.trace(), NormSpec.schatten(2)), (2**63, 2**64 - 1), values,
-                         margins, fans, verdict, np.array([1e-300, 0.25]))
+                         margins, fans, inequalities._verdict(values, margins, fans),
+                         np.array([1e-300, 0.25]))
     return ReportStream([[block]], 2, 4)
 
 
@@ -1205,6 +1206,45 @@ class TestReportStream:
             assert [r.to_json() for r in got] == reports[index]
 
 
+def float_spellings(values, output_format):
+    """Each float of ``values`` as json spells it in JSON and as str in CSV."""
+    spell = json.dumps if output_format == "json" else str
+    return [spell(x) for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+class TestFloatTexts:
+    # repr writes an exponent below 1e-4 and from 1e16 on, orjson at other
+    # bounds: the neighbours of these four doubles cross both bounds.
+    BOUNDS = (1e-4, 1e15, 2.0**53, 1e16)
+
+    @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @given(st.lists(st.floats(), max_size=4), st.sampled_from(["json", "csv"]))
+    def test_each_float_is_spelled_as_json_or_str_spells_it(self, floats, output_format):
+        assert campaign._float_texts(np.array(floats, dtype=float), output_format) == (
+            float_spellings(floats, output_format))
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_random_bit_patterns_and_the_bounds_neighbours(self, output_format):
+        rng = np.random.default_rng(29)
+        # Every bit pattern: NaN payloads, infinities, subnormals and zeros;
+        # then magnitudes spread over the range where orjson's text is kept.
+        patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+        spread = 10.0 ** rng.uniform(-4.0, 16.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        bits = np.array(self.BOUNDS).view(np.int64)[:, None] + np.arange(-2000, 2001)
+        neighbours = bits.view(np.float64).ravel()
+        for values in patterns.view(np.float64), spread, neighbours, -neighbours:
+            pairs = itertools.zip_longest(campaign._float_texts(values, output_format),
+                                          float_spellings(values, output_format))
+            assert [(i, *pair) for i, pair in enumerate(pairs) if pair[0] != pair[1]] == []
+
+    def test_texts_follow_c_order_and_an_empty_array_has_none(self):
+        values = np.array([[1.5, math.nan], [1e-5, 2.5e16], [0.25, -0.0]]).T
+        assert campaign._float_texts(values, "json") == [
+            "1.5", "1e-05", "0.25", "NaN", "2.5e+16", "-0.0"]
+        assert campaign._float_texts(values, "csv")[3] == "nan"
+        assert campaign._float_texts(np.zeros((0, 3)), "csv") == []
+
+
 class TestLemmaSeeds:
     def test_stream_ignores_m_values(self):
         # The lemma chain has no m axis, so m-values must not reach its seeds.
@@ -1278,6 +1318,12 @@ class TestEmitReport:
         (json.dumps(dict(synthetic_report(0).to_obj(), terms=[["b", "1"]])),
          r"\[label, number\]"),
         ("{not json", "Expecting property name"),
+        *[(json.dumps(dict(synthetic_report(0).to_obj(), **{key: value})),
+           rf"one number per step as {key}, 1 for 2 terms, got {re.escape(repr(value))}")
+          for key in ("margins", "fan-margins")
+          for value in ("x", [1.0, 1.0], [True], ["1.0"], [])],
+        (json.dumps(dict(synthetic_report(0).to_obj(), terms=[["left", 1.0]], margins=[],
+                         **{"fan-margins": None})), "at least two terms, got 1"),
     ])
     def test_load_names_the_file_and_line_of_a_bad_record(self, tmp_path, line, text):
         path = tmp_path / "bad.json"

@@ -2,12 +2,14 @@
 the quick demos run to completion.  The functions the benchmark's tracer
 reads (perfbench/spans.py) still exist.  The package holds no dead names:
 no import it never uses, and no private function, class or method that
-nothing in it references."""
+nothing in it references.  It imports, besides the standard library and
+itself, exactly the dependencies that pyproject.toml declares."""
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,3 +119,38 @@ def test_dead_names_are_found(module, before, added, fault):
     assert sources[module].count(before) == 1
     sources[module] = sources[module].replace(before, added + before)
     assert dead_names(sources) == [fault]
+
+
+def third_party_imports(sources):
+    """The top-level names that a package given as {module file name:
+    source} imports by absolute import, less the standard library's and
+    matsharp's own."""
+    names = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text, filename=module)):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"matsharp"}
+
+
+def declared_dependencies(pyproject):
+    """The names of the ``[project] dependencies`` in a pyproject.toml's text."""
+    tomllib = pytest.importorskip("tomllib")
+    return {re.match(r"[\w.-]+", requirement).group().lower()
+            for requirement in tomllib.loads(pyproject)["project"]["dependencies"]}
+
+
+def test_every_import_is_a_declared_dependency():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert third_party_imports(package_sources()) == declared_dependencies(pyproject)
+
+
+def test_dependency_scan_reads_absolute_imports_and_requirement_names():
+    sources = package_sources()
+    sources["campaign.py"] = "import heapq\nimport yaml.nodes\nfrom . import norms\n" + (
+        sources["campaign.py"])
+    assert third_party_imports(sources) == {"numpy", "orjson", "yaml"}
+    assert declared_dependencies('[project]\ndependencies = ["NumPy>=1.24", "orjson"]\n') == {
+        "numpy", "orjson"}
