@@ -57,7 +57,6 @@ from .linalg import (
     matrix_power_psd,
     matrix_to_obj,
     save_matrix,
-    spectral_norm,
 )
 from .means import (
     geometric_mean,
@@ -73,6 +72,7 @@ from .norms import (
     log_majorization,
     norm_from_singular_values,
     singular_values,
+    spectral_norm,
     tolerance_band,
     ui_norm,
     weak_majorization,

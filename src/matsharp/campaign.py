@@ -282,9 +282,10 @@ class CampaignConfig(_Record):
                 _check_grid(self.inequality_id, {name: grid}, self.direction)
             except (ValueError, UnregisteredFunctionError) as exc:
                 raise ConfigError(f"{_AXIS_KEYS[name]}: {exc.args[0]}") from None
-        if self.inequality_id == LEMMA_CHAIN and self.ensemble["kind"] == KIND_PSD:
-            raise ConfigError("LemmaChain requires strictly positive definite inputs; "
-                              "use a pd or commuting ensemble")
+        # Neither chain is regularized (Audenaert's commuting draw ignores the kind).
+        if self.inequality_id in (LEMMA_CHAIN, AUDENAERT) and self.ensemble["kind"] == KIND_PSD:
+            raise ConfigError(f"{self.inequality_id} requires strictly positive definite "
+                              "inputs; use a pd or commuting ensemble")
 
     def _axes(self):
         """Applicable grid axes, in iteration (and emission) order."""
@@ -309,7 +310,7 @@ class CampaignConfig(_Record):
 
     @classmethod
     def from_obj(cls, obj):
-        unknown = set(obj) - set(cls._keys)
+        unknown = set(_typed("config", obj, dict, "a JSON object")) - set(cls._keys)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         if "inequality-id" not in obj:
@@ -710,6 +711,15 @@ def instance_to_obj(a_list, b_list):
 
 
 def instance_from_obj(obj):
+    """The A-list and B-list of :func:`instance_to_obj`'s object; ValueError
+    naming the key unless ``a-list`` and ``b-list`` are JSON arrays."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"an instance must be a JSON object, got {obj!r}")
+    for key in ("a-list", "b-list"):
+        if key not in obj:
+            raise ValueError(f"instance is missing key {key!r}")
+        if not isinstance(obj[key], list):
+            raise ValueError(f"instance {key!r} must be a JSON array, got {obj[key]!r}")
     return ([matrix_from_obj(o) for o in obj["a-list"]],
             [matrix_from_obj(o) for o in obj["b-list"]])
 

@@ -58,7 +58,7 @@ from .linalg import (
     spectrum_function,
     spectrum_power,
 )
-from .means import _epsilon, _mean_from_spectra, _strict_spectrum
+from .means import _check_weight, _epsilon, _mean_from_spectra, _strict_spectrum
 from .norms import NormSpec, norm_from_singular_values, singular_values, tolerance_band
 
 AUDENAERT = "Audenaert"
@@ -816,8 +816,7 @@ def _check_grid(inequality_id, grid, direction=None):
     and a campaign config on its direction and each axis before any draw.
     """
     for t in grid.get("t", ()):
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {t!r}")
+        _check_weight(t)
     for axis in ("r", "s"):
         for x in grid.get(axis, ()):
             if not 0.0 < x < math.inf:

@@ -7,13 +7,12 @@ so accuracy and determinism are preferred over asymptotic speed.  Every
 function is pure: identical input bits produce identical output bits.
 
 The spectral hot path (:func:`_eigh`, :meth:`Spectrum.assemble`,
-:func:`spectrum_power`, :func:`clamp_psd_eigenvalues` and
-:func:`spectral_norm`) also takes stacks: arrays with leading batch axes,
-``(..., n, n)`` for matrices and ``(..., n)`` for eigenvalues.  NumPy's
-``eigh``, ``svd`` and ``@`` treat each slice of a stack as they treat a
-single matrix, so every slice gets the bits of the single-matrix call at a
-fraction of the per-call overhead.  The validating entry points
-(:func:`as_matrix`, :func:`hermitian_part`,
+:func:`spectrum_power` and :func:`clamp_psd_eigenvalues`) also takes stacks:
+arrays with leading batch axes, ``(..., n, n)`` for matrices and ``(..., n)``
+for eigenvalues.  NumPy's ``eigh``, ``svd`` and ``@`` treat each slice of a
+stack as they treat a single matrix, so every slice gets the bits of the
+single-matrix call at a fraction of the per-call overhead.  The validating
+entry points (:func:`as_matrix`, :func:`hermitian_part`,
 :func:`hermitian_eigendecompose`) take one matrix.  The inequality kernels
 have one boundary, ``inequalities._StackKernel``: it runs :func:`_as_stack`
 and :func:`_check_hermitian` on each stack, and nothing behind it re-checks.
@@ -309,16 +308,6 @@ def matrix_power_psd(a, p):
     """
     spec = _eigh(hermitian_part(a))
     return spec.assemble(spectrum_power(spec, p))
-
-
-def spectral_norm(a):
-    """Largest singular value, computed from the spectrum of A*A.
-
-    For a stack of matrices, one value per slice (an array).
-    """
-    a = _as_stack(a)
-    norm = np.sqrt(np.maximum(_eigh(_adjoint(a) @ a).eigenvalues[..., 0], 0.0))
-    return float(norm) if norm.ndim == 0 else norm
 
 
 # ---------------------------------------------------------------------------

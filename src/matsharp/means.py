@@ -17,13 +17,14 @@ import numpy as np
 
 from .errors import ConvergenceError, EmptySumError, NotPositiveDefiniteError, ShapeError
 from .linalg import (
+    Spectrum,
     _adjoint,
     _as_stack,
     _check_hermitian,
     _eigh,
     _symmetrize,
     as_matrix,
-    hermitian_part,
+    clamp_psd_eigenvalues,
     spectrum_power,
 )
 
@@ -39,7 +40,7 @@ DEFAULT_S_GRID = (0.5, 1.0, 2.0)
 
 def _check_weight(t):
     if not 0.0 <= t <= 1.0:
-        raise ValueError(f"mean weight t must lie in [0, 1], got {t!r}")
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
 
 
 def geometric_mean(a, b, t):
@@ -65,11 +66,19 @@ def geometric_mean(a, b, t):
         :func:`psd_geometric_mean` for PSD inputs.
     """
     _check_weight(t)
-    sa = _eigh(hermitian_part(a))
-    sb = _eigh(hermitian_part(b))
-    if sa.dim != sb.dim:
-        raise ShapeError(f"shape error: dimensions {sa.dim} vs {sb.dim}")
+    sa, sb = _checked_spectra(as_matrix(a), as_matrix(b))
     return _mean_from_spectra(_strict_spectrum(sa, "A"), _strict_spectrum(sb, "B"), (t,))[0]
+
+
+def _checked_spectra(a, b):
+    """The spectra of A and B, or of stacks that broadcast against each other:
+    each input checked once (square, finite, Hermitian, equal n), then decomposed."""
+    a, b = _as_stack(a), _as_stack(b)
+    _check_hermitian(a)
+    _check_hermitian(b)
+    if a.shape[-1] != b.shape[-1]:
+        raise ShapeError(f"shape error: dimensions {a.shape[-1]} vs {b.shape[-1]}")
+    return _eigh(a), _eigh(b)
 
 
 def _strict_spectrum(spec, name):
@@ -121,29 +130,26 @@ def _epsilon(epsilon_scale, w_a, w_b):
 
 
 def regularization_epsilon(a, b, epsilon_scale=DEFAULT_EPSILON_SCALE):
-    """Epsilon used by the regularized mean: scale * (1 + max spectral norm),
-    with the spectral norm of Hermitian A read as max|lambda| from one
-    eigendecomposition of A.
-
-    For equal-shape stacks of matrices, one epsilon per pair of slices.
-    """
-    w_a, w_b = (_eigh(_as_stack(x)).eigenvalues for x in (a, b))
-    return _epsilon(epsilon_scale, w_a, w_b)
+    """The shift of the regularized mean, scale * (1 + max spectral norm),
+    with ||A||_2 read as max|lambda| from one checked decomposition of A;
+    for stacks that broadcast together, one epsilon per pair of slices."""
+    return _epsilon(epsilon_scale, *(s.eigenvalues for s in _checked_spectra(a, b)))
 
 
 def psd_geometric_mean(a, b, t, epsilon_scale=DEFAULT_EPSILON_SCALE):
-    """Regularized t-geometric mean for positive semidefinite inputs.
-
-    Computes ``geometric_mean(A + eps*I, B + eps*I, t)`` with
-    ``eps = epsilon_scale * (1 + max(||A||_2, ||B||_2))``: the strict mean
-    of the inputs shifted by one eps * I, as a regularized chain shifts
-    each instance.  This is a regularized surrogate for singular inputs,
-    not a limit claim; report the epsilon alongside any result derived
-    from it (:func:`regularization_epsilon` recomputes it).
+    """Regularized t-geometric mean for positive semidefinite inputs: the
+    strict mean of A + eps*I and B + eps*I, ``eps`` that of
+    :func:`regularization_epsilon`, bit for bit as a regularized chain
+    computes it for the one pair (A, B), from one decomposition per input
+    whose eigenvalues pass the chain's PSD screen and are shifted by eps.
+    A surrogate for singular inputs, not a limit claim: report eps with it.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    shift = regularization_epsilon(a, b, epsilon_scale) * np.eye(a.shape[-1])
-    return geometric_mean(a + shift, b + shift, t)
+    _check_weight(t)
+    sa, sb = _checked_spectra(as_matrix(a), as_matrix(b))
+    clamp_psd_eigenvalues(np.stack([sa.eigenvalues, sb.eigenvalues]))
+    eps = _epsilon(epsilon_scale, sa.eigenvalues, sb.eigenvalues)
+    sa, sb = (Spectrum(s.eigenvalues + eps, s.vectors) for s in (sa, sb))
+    return _mean_from_spectra(_strict_spectrum(sa, "A"), _strict_spectrum(sb, "B"), (t,))[0]
 
 
 def sum_matrices(mats):

@@ -185,6 +185,11 @@ def ui_norm(m, spec):
     return norm_from_singular_values(singular_values(m), spec)
 
 
+def spectral_norm(m):
+    """sigma_1, the operator norm: a float for one matrix, an array for a stack."""
+    return ui_norm(m, NormSpec.operator())
+
+
 class MajorizationResult(NamedTuple):
     """Boolean verdict plus the signed margin that produced it."""
 

@@ -337,6 +337,20 @@ class TestConfig:
             CampaignConfig.from_obj({"inequality-id": "lemma_chain",
                                      "ensemble": {"kind": "psd"}})
 
+    def test_audenaert_rejects_psd_ensemble(self):
+        # It drew positive definite commuting pairs under a psd record, with no epsilon.
+        with pytest.raises(ConfigError, match=re.escape(
+                "Audenaert requires strictly positive definite inputs; "
+                "use a pd or commuting ensemble")):
+            CampaignConfig.from_obj({"inequality-id": "audenaert", "ensemble": {"kind": "psd"}})
+
+    @pytest.mark.parametrize("obj", [5, "abc", [1], None])
+    def test_rejects_a_config_that_is_not_an_object(self, obj):
+        # 5 and None were TypeErrors; "abc" and [1] were read as unknown keys.
+        text = f"config takes a JSON object, got {obj!r}"
+        with pytest.raises(ConfigError, match=re.escape(text)):
+            CampaignConfig.from_obj(obj)
+
     def test_round_trip_exact_keys(self):
         cfg = small_config()
         obj = cfg.to_obj()
@@ -1467,6 +1481,18 @@ class TestSearch:
         margin, report = reevaluate_search_instance(CampaignConfig.from_obj(SEARCH_BASE), obj)
         assert margin == obj["best-margin"]
         assert report == InequalityReport.from_obj(obj["best-report"])
+
+    @pytest.mark.parametrize("instance,text", [
+        ({"a-list": []}, "instance is missing key 'b-list'"),
+        ({"a-list": 5, "b-list": []}, "instance 'a-list' must be a JSON array, got 5"),
+        ({"a-list": [], "b-list": None}, "instance 'b-list' must be a JSON array, got None"),
+        ([[], []], "an instance must be a JSON object"),
+    ])
+    def test_refuses_a_malformed_instance(self, instance, text):
+        # Each was a KeyError or a TypeError from the list comprehension.
+        with pytest.raises(ValueError, match=re.escape(text)):
+            reevaluate_search_instance(CampaignConfig.from_obj(SEARCH_BASE),
+                                       {"best-instance": instance})
 
     def test_refuses_audenaert_before_any_draw(self, monkeypatch):
         # A step moves A_i and B_i apart, so the pairs stop commuting.

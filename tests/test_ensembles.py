@@ -236,6 +236,9 @@ class TestPsdRankDeficient:
     def test_invalid_rank(self):
         with pytest.raises(InvalidRankError):
             random_psd_rank_deficient(EnsembleSpec(dim=3, kind="psd", seed=0, rank=3))
+        # Only a psd spec checks its rank when built; the draw checks it too.
+        with pytest.raises(InvalidRankError, match="invalid rank 3 for dimension 3"):
+            random_psd_rank_deficient(EnsembleSpec(dim=3, kind="pd", seed=0, rank=3))
 
 
 class TestStream:

@@ -164,6 +164,8 @@ class TestBourinUchiyama:
             check_bourin_uchiyama([np.eye(2)], "log1p", "concave", S1)
         with pytest.raises(UnregisteredFunctionError):
             resolve_function("power:-1")
+        with pytest.raises(UnregisteredFunctionError, match="'power:abc'"):
+            resolve_function("power:abc")
 
     def test_registry_directions(self):
         _, dirs = resolve_function("power:1")

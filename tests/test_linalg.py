@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,8 @@ class TestArithmetic:
             as_matrix(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
             as_matrix(np.zeros((0, 0)))
+        with pytest.raises(ShapeError, match=re.escape("(2, 2, 2)")):   # one matrix, no stack
+            as_matrix(np.zeros((2, 2, 2)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -203,3 +206,14 @@ class TestMatrixJson:
     def test_rejects_values_that_are_not_json_numbers(self, dim, field, entries, error, text):
         with pytest.raises(error, match=text):
             matrix_from_obj({"dim": dim, "field": field, "entries": entries})
+
+    @pytest.mark.parametrize("call,error,text", [
+        (lambda: matrix_to_obj(1j * np.eye(2), field="real"), ValueError, "nonzero imaginary"),
+        (lambda: matrix_to_obj(np.eye(2), field="quaternion"), ValueError, "unknown field"),
+        (lambda: matrix_from_obj([1.0]), ValueError, "must be a JSON object"),
+        (lambda: matrix_from_obj({"dim": 1, "field": "complex", "entries": [1.0]}),
+         ShapeError, re.escape("[re, im] pairs")),
+    ])
+    def test_refuses_what_the_object_form_cannot_hold(self, call, error, text):
+        with pytest.raises(error, match=text):
+            call()

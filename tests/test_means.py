@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import pd_for
+from matsharp import inequalities, means
 from matsharp import (
     EmptySumError,
     EnsembleSpec,
@@ -24,6 +27,7 @@ from matsharp import (
 )
 
 T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+S2 = NormSpec.schatten(2.0)
 
 
 class TestGeometricMean:
@@ -105,6 +109,37 @@ class TestGeometricMean:
             geometric_mean(np.eye(2), np.eye(2), 1.5)
 
 
+@pytest.mark.parametrize("kind", ["pd", "psd"])
+def test_a_mean_is_the_chains_pair_mean_bit_for_bit(kind, monkeypatch):
+    # The chain's pair mean is read where the kernel computes it; on PSD
+    # inputs the chain is the regularized one.  Either mean decomposes each
+    # input once: psd_geometric_mean shifts the spectra, not the matrices.
+    chain_means, eighs = [], []
+    kernel_mean, decompose = inequalities._mean_from_spectra, means._eigh
+
+    def spy_mean(*args):
+        chain_means.append(kernel_mean(*args))
+        return chain_means[-1]
+
+    def spy_eigh(x):
+        eighs.append(x)
+        return decompose(x)
+    monkeypatch.setattr(inequalities, "_mean_from_spectra", spy_mean)
+    monkeypatch.setattr(means, "_eigh", spy_eigh)
+    eps = 1e-10 if kind == "psd" else None
+    for seed in range(30):
+        n = 2 + seed % 5
+        a, b = (random_psd_rank_deficient(EnsembleSpec(dim=n, kind="psd", seed=seed + k,
+                                                       rank=seed % n)) if eps else
+                pd_for(seed + k, n=n) for k in (0, 500))
+        chain_means.clear()
+        check_main_theorem([a], [b], 0.3, 1.0, S2, printed_form=False, epsilon_scale=eps)
+        eighs.clear()
+        got = psd_geometric_mean(a, b, 0.3, eps) if eps else geometric_mean(a, b, 0.3)
+        assert got.tobytes() == chain_means[0][0, 0].tobytes()
+        assert len(eighs) == 2
+
+
 class TestPsdGeometricMean:
     def test_zero_matrices(self):
         zero = np.zeros((2, 2))
@@ -135,6 +170,22 @@ class TestPsdGeometricMean:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             psd_geometric_mean(np.eye(2), np.eye(2), 0.5, 0.0)
+
+    def test_refuses_what_the_regularized_chain_refuses(self):
+        # -1e-11 is below the PSD clamp's -1e-12 * max|w|; shifting the
+        # matrices by eps * I (1e-10) made it a mean.
+        a = np.diag([1.0, -1e-11])
+        with pytest.raises(NotPositiveDefiniteError, match="not positive semidefinite"):
+            check_main_theorem([a], [np.eye(2)], 0.5, 1.0, S2, epsilon_scale=1e-10)
+        with pytest.raises(NotPositiveDefiniteError, match="not positive semidefinite"):
+            psd_geometric_mean(a, np.eye(2), 0.5, 1e-10)
+
+    def test_refuses_a_bad_t_before_any_decomposition(self, monkeypatch):
+        def no_eigh(x):
+            raise AssertionError("decomposed before the t check")
+        monkeypatch.setattr(means, "_eigh", no_eigh)
+        with pytest.raises(ValueError, match=re.escape("t must lie in [0, 1], got 1.5")):
+            psd_geometric_mean(np.eye(2), np.eye(2), 1.5)
 
     def test_epsilon_reads_the_spectral_norm_from_the_eigenvalues(self):
         # ||A||_2 of a Hermitian A is its largest |eigenvalue|, negative or not.

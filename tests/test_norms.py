@@ -19,6 +19,7 @@ from matsharp import (
     matrix_power_psd,
     norm_from_singular_values,
     singular_values,
+    spectral_norm,
     ui_norm,
     weak_majorization,
 )
@@ -63,6 +64,8 @@ class TestNormSpec:
             NormSpec.parse("nuclear")
         with pytest.raises(InvalidNormError):   # every report was indeterminate
             NormSpec.parse("schatten:nan")
+        with pytest.raises(InvalidNormError, match="unknown norm kind 'bogus'"):
+            NormSpec("bogus")
 
     @pytest.mark.parametrize("make,spec", [
         (lambda: NormSpec.ky_fan(2.7), "kyfan:2.7"),        # became kyfan:2
@@ -106,6 +109,16 @@ class TestUiNorm:
         mean = geometric_mean(np.diag([2.0, 8.0]), np.diag([8.0, 2.0]), 0.5)
         assert np.allclose(mean, np.diag([4.0, 4.0]), atol=1e-12)
         assert ui_norm(mean, NormSpec.schatten(1)) == pytest.approx(8.0)
+
+    def test_spectral_norm_is_the_operator_norm(self):
+        # sigma_1 of a general matrix, a float for one matrix, an array for a stack.
+        stack = np.array([general_matrix(seed, 3) for seed in range(4)]).reshape(2, 2, 3, 3)
+        got = spectral_norm(stack)
+        assert got.shape == (2, 2)
+        assert got.tobytes() == ui_norm(stack, NormSpec.operator()).tobytes()
+        one = spectral_norm(stack[1, 0])
+        assert type(one) is float and one == ui_norm(stack[1, 0], NormSpec.operator())
+        assert abs(one - oracles.singular_values(oracles.to_mp(stack[1, 0]))[0]) <= 1e-13 * one
 
     def test_ky_fan_out_of_range(self):
         with pytest.raises(InvalidNormError):
