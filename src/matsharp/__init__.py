@@ -26,7 +26,6 @@ from .errors import (
     CommutationError,
     ConfigError,
     ConvergenceError,
-    EmptySumError,
     HermitianDefectError,
     InvalidNormError,
     InvalidRankError,
@@ -53,7 +52,6 @@ from .linalg import (
     hermitian_part,
     load_matrix,
     matrix_from_obj,
-    matrix_function,
     matrix_power_psd,
     matrix_to_obj,
     save_matrix,
@@ -62,7 +60,6 @@ from .means import (
     geometric_mean,
     psd_geometric_mean,
     regularization_epsilon,
-    sum_matrices,
 )
 from .norms import (
     MajorizationResult,
@@ -72,7 +69,6 @@ from .norms import (
     log_majorization,
     norm_from_singular_values,
     singular_values,
-    spectral_norm,
     tolerance_band,
     ui_norm,
     weak_majorization,

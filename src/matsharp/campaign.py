@@ -20,11 +20,11 @@ reduces those sequences into arrays, once per stack, which are split into
 one block per m, where one rule gives each report its verdict code
 (``inequalities._verdict``).  A report is built when the :class:`ReportStream`
 is read: :func:`summarize` builds only the one of least margin, and
-:func:`render_reports` none.  They read the blocks of a stream or of a list
-of reports (:func:`_chunks`), and rendering writes each (grid point, norm)
-row of a block once per verdict, then each instance with one ``format``
-call over its cells, whose floats one ``orjson.dumps`` call writes for the
-whole block (:func:`_float_texts`).  NumPy gives each slice of a stacked
+:func:`render_reports` none.  Both read only a stream, in its blocks
+(:func:`_chunks`), and rendering writes each (grid point, norm) row of a
+block once per verdict, then each instance with one ``format`` call over
+its cells, whose floats one ``orjson.dumps`` call writes for the whole
+block (:func:`_float_texts`).  NumPy gives each slice of a stacked
 call the bits of the single-matrix call, and a sum over a zero-padded pair
 axis has the bits of the sum over the instance's own pairs, so the reports
 are the ones the ``check_*`` predicates give instance by instance and point
@@ -76,7 +76,6 @@ from .inequalities import (
     _Record,
     _build_report,
     _instance_reports,
-    _report_blocks,
     stack_reports,
 )
 from .linalg import Spectrum, _symmetrize, matrix_from_obj, matrix_to_obj
@@ -323,9 +322,9 @@ class CampaignSummary(_Record):
     """Aggregate of one report stream.
 
     ``held + violated + indeterminate == total`` by the one verdict rule
-    (``inequalities._verdict``), whatever a report says: indeterminate if a
-    term, margin or fan margin is not finite, else held (``ties`` of them
-    within the band of the largest term, the others clear) or violated.
+    (``inequalities._verdict``): indeterminate if a term, margin or fan
+    margin is not finite, else held (``ties`` of them within the band of
+    the largest term, the others clear) or violated.
     ``min_margin`` is the least margin over the finite reports, attained
     first at ``min_margin_params`` (inf and ``{}`` when there is none).
     """
@@ -341,9 +340,9 @@ class CampaignSummary(_Record):
 
 
 def summarize(reports, wall_time=0.0):
-    """The CampaignSummary of a report stream or a list of reports, read
-    from the verdict codes, one ``bincount`` per block, and the margins of
-    its blocks (:func:`_chunks`); only the report of least margin is built."""
+    """The CampaignSummary of a :class:`ReportStream`, read from the verdict
+    codes, one ``bincount`` per block, and the margins of its blocks
+    (:func:`_chunks`); only the report of least margin is built."""
     chunks = [[block for block, _ in chunk] for chunk in _chunks(reports)]
     counts = sum(np.bincount(b.verdict.ravel(), minlength=4) for c in chunks for b in c)
     clear, ties, violated, indeterminate = map(int, counts + np.zeros(4, dtype=int))
@@ -458,15 +457,14 @@ class ReportStream(Sequence):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
-def _chunks(reports):
-    """The chunks of reduced blocks of a report stream (its own) or of a list
-    of reports (each of :func:`_report_blocks` alone), each block with its
-    instances' trials (None: its params hold them).  Within a chunk the
-    reports run in (instance, block, row) order."""
-    if isinstance(reports, ReportStream):
-        return ([(block, range(first, first + len(block.seeds))) for block in blocks]
-                for first, blocks in zip(itertools.count(0, CHUNK_TRIALS), reports._chunks))
-    return ([(block, None)] for block in _report_blocks(reports))
+def _chunks(stream):
+    """The chunks of reduced blocks of a :class:`ReportStream`, each block
+    with its instances' trials; anything else is a TypeError.  Within a
+    chunk the reports run in (instance, block, row) order."""
+    if not isinstance(stream, ReportStream):
+        raise TypeError(f"expected a ReportStream, got {type(stream).__name__}")
+    return ([(block, range(first, first + len(block.seeds))) for block in blocks]
+            for first, blocks in zip(itertools.count(0, CHUNK_TRIALS), stream._chunks))
 
 
 def run_campaign(config):
@@ -550,12 +548,12 @@ def _row_frame(output_format, inequality_id, labels, steps, fans):
     """A row's text around its params, as format strings (before, after if
     it does not hold, after if it holds) whose automatic fields take a row's
     cells in row order: the term values, the ``steps`` margins, then in JSON
-    the ``fans`` fan margins (None: the report has none).  The epsilon text
-    is a stand-in; a CSV row that overflows ``CSV_COLUMNS`` is a ValueError."""
+    the ``fans`` fan margins.  The epsilon text is a stand-in; a CSV row
+    that overflows ``CSV_COLUMNS`` is a ValueError."""
     values, margins, params = [_CELL] * len(labels), [_CELL] * steps, _PARAMS
     if output_format == "json":
         text = InequalityReport(inequality_id, params, list(zip(labels, values)), margins,
-                                _HOLDS, _EPSILON, None if fans is None else [_CELL] * fans)
+                                _HOLDS, _EPSILON, [_CELL] * fans)
         text, params = text.to_json(), json.dumps(params)
     else:
         # The cells after the params, at their columns' offsets.
@@ -590,7 +588,7 @@ def _float_texts(values, output_format):
     return texts
 
 
-def _block_rows(block, output_format, trials=None):
+def _block_rows(block, output_format, trials):
     """The rows of a reduced block as text, one string per instance.
 
     Each grid point's params are written once (in CSV, all through one
@@ -599,18 +597,15 @@ def _block_rows(block, output_format, trials=None):
     are those texts joined by its verdicts, with its seed, trial and epsilon
     written in once, and one ``format`` call fills every cell from the texts
     that one :func:`_float_texts` call writes for an (instance, row, cell)
-    array (in JSON, a point's fan margins repeated over its norms).
-    ``trials``, one per instance, puts the seed, the trial and the norm in
-    each row's params, as :func:`_instance_reports` does; without it the
-    block holds reports (:func:`_report_blocks`), whose params are written
-    as they are.
+    array (in JSON, a point's fan margins repeated over its norms).  Each
+    row's params end with its norm, its instance's seed and its trial, one
+    of ``trials`` per instance, as :func:`_instance_reports` writes them.
     """
     json_format, fan_margins, count = output_format == "json", block.fan_margins, len(block.seeds)
-    params = block.params if trials is None else [
-        dict(point, **{"norm-spec": _NORM, "seed": _SEED}, trial=_TRIAL) for point in block.params]
+    params = [dict(point, **{"norm-spec": _NORM, "seed": _SEED}, trial=_TRIAL)
+              for point in block.params]
     before, *afters = _row_frame(output_format, block.inequality_id, tuple(block.labels),
-                                 block.margins.shape[2],
-                                 None if fan_margins is None else fan_margins.shape[1])
+                                 block.margins.shape[2], fan_margins.shape[1])
     params = map(json.dumps, params) if json_format else _csv_lines(
         [map(point.get, _CSV_PARAMS) for point in params])
     # A norm's text ("schatten:2") needs no CSV quoting.  Row i's text in
@@ -623,26 +618,22 @@ def _block_rows(block, output_format, trials=None):
     # The cells of a row: its values, its margins and, in JSON, its point's
     # fan margins, repeated over the norms; all go to text in one call.
     parts = [block.values, block.margins]
-    if fan_margins is not None and json_format:
+    if json_format:
         parts.append(np.repeat(fan_margins[:, None], len(block.norms), 1))
     cells = np.concatenate(parts, axis=2).transpose(3, 0, 1, 2).reshape(count, -1)
     width, cells = cells.shape[1], _float_texts(cells, output_format)
-    null = "null" if json_format else ""
-    eps = [null] * count if block.epsilon is None else _float_texts(block.epsilon, output_format)
-    # Without trials no row holds a trial's or a seed's stand-in.
-    return ["".join(map(texts.__getitem__, pick)).replace(
-        _SEED, null if seed is None else str(seed)).replace(_TRIAL, str(trial)).replace(
-        _EPSILON, e).format(*cells[i * width:(i + 1) * width])
-        for i, pick, seed, trial, e in zip(range(count), picks, block.seeds,
-                                           trials or [null] * count, eps)]
+    eps = ["null" if json_format else ""] * count if block.epsilon is None else _float_texts(
+        block.epsilon, output_format)
+    return ["".join(map(texts.__getitem__, pick)).replace(_SEED, str(seed)).replace(
+        _TRIAL, str(trial)).replace(_EPSILON, e).format(*cells[i * width:(i + 1) * width])
+        for i, pick, seed, trial, e in zip(range(count), picks, block.seeds, trials, eps)]
 
 
 def render_reports(reports, output_format):
-    """Render a report stream, or a list of reports, to text (line-delimited
-    JSON or CSV).
+    """Render a :class:`ReportStream` to text (line-delimited JSON or CSV).
 
-    Both go through one row formatter, :func:`_block_rows`, over the
-    blocks of :func:`_chunks`, with no report built.
+    Both formats go through one row formatter, :func:`_block_rows`, over
+    the blocks of :func:`_chunks`, with no report built.
     """
     if output_format not in ("json", "csv"):
         raise ConfigError(f"output-format must be 'json' or 'csv', got {output_format!r}")
@@ -671,8 +662,9 @@ def emit_report(reports, output_format, path):
 
 
 def load_reports(path):
-    """Read back a line-delimited JSON report stream; a line that holds no
-    report raises a ValueError naming ``path:line``."""
+    """Read back a line-delimited JSON report stream as a list of
+    :class:`InequalityReport`; a line that holds no report raises a
+    ValueError naming ``path:line``."""
     reports = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):

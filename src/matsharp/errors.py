@@ -37,10 +37,6 @@ class UnregisteredFunctionError(MatSharpError, KeyError):
     """Function id is not in the registered convex/concave family."""
 
 
-class EmptySumError(MatSharpError, ValueError):
-    """A nonempty list of matrices was required."""
-
-
 class InvalidRankError(MatSharpError, ValueError):
     """Requested rank is incompatible with the matrix dimension."""
 

@@ -213,14 +213,12 @@ class _ReportBlock(NamedTuple):
 def _verdict(values, margins, fan_margins):
     """The one verdict rule, as one code per report, (P, N, T), of terms
     ``values`` (P, N, terms, T), ``margins`` (P, N, steps, T) and
-    ``fan_margins`` ((P, steps, T), or None): INDETERMINATE if a term, margin
-    or fan margin is not finite, else VIOLATED, TIE or CLEAR as the least
-    margin lies below, within or above [-band, band], band that of the
-    largest absolute term (all zeros are a TIE).  A chain's terms are norms
-    and its margins finite when they are; a file's report may say otherwise."""
-    finite = np.isfinite(values).all(axis=2) & np.isfinite(margins).all(axis=2)
-    if fan_margins is not None:
-        finite &= np.isfinite(fan_margins).all(1)[:, None]
+    ``fan_margins`` (P, steps, T): INDETERMINATE if a term, margin or fan
+    margin is not finite, else VIOLATED, TIE or CLEAR as the least margin
+    lies below, within or above [-band, band], band that of the largest
+    absolute term (all zeros are a TIE)."""
+    finite = (np.isfinite(values).all(axis=2) & np.isfinite(margins).all(axis=2)
+              & np.isfinite(fan_margins).all(1)[:, None])
     low, band = margins.min(axis=2), tolerance_band(np.abs(values).max(axis=2))
     return np.where(finite, np.where(low < -band, VIOLATED, np.where(low > band, CLEAR, TIE)),
                     INDETERMINATE)
@@ -266,33 +264,6 @@ def _build_report(block, k=0):
     """The first report of instance ``k`` of a reduced block; by default the
     only one of a ``check_*`` block."""
     return _instance_reports(block, k, 0)[0]
-
-
-def _report_blocks(reports):
-    """A list of reports as reduced blocks, the inverse of
-    :func:`_instance_reports`: each run of reports that share a chain, term
-    labels, step counts and epsilon is one block of a point per report, one
-    norm and one instance, with the reports' own params and the
-    :func:`_verdict` of their numbers, whatever their ``holds`` says."""
-    def layout(report):
-        return (report.inequality_id, [label for label, _ in report.terms], len(report.margins),
-                None if report.fan_margins is None else len(report.fan_margins),
-                report.regularization_epsilon)
-
-    for (inequality_id, labels, _, fans, eps), run in itertools.groupby(reports, key=layout):
-        run = list(run)
-
-        def floats(rows):
-            """(reports, entries) as floats."""
-            return np.array(rows, dtype=float).reshape(len(run), -1)
-
-        values = floats([[v for _, v in r.terms] for r in run])[:, None, :, None]
-        margins = floats([r.margins for r in run])[:, None, :, None]
-        fan_margins = None if fans is None else floats([r.fan_margins for r in run])[:, :, None]
-        yield _ReportBlock(
-            inequality_id, [r.params for r in run], labels, (None,), (None,), values, margins,
-            fan_margins, _verdict(values, margins, fan_margins),
-            None if eps is None else np.array([eps], dtype=float))
 
 
 # ---------------------------------------------------------------------------

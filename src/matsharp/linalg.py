@@ -225,43 +225,15 @@ def clamp_psd_eigenvalues(w):
     return np.where(w < 0.0, 0.0, w)
 
 
-def matrix_function(a, f):
-    """Apply a scalar function to a positive semidefinite matrix spectrally.
-
-    Parameters
-    ----------
-    a : array_like
-        PSD Hermitian matrix; eigenvalues in ``[-SCREEN_RTOL * max|w|, 0)``
-        are clamped to 0 before ``f`` is evaluated.
-    f : callable
-        Real scalar function defined on ``[0, max eigenvalue]``.
-
-    Returns
-    -------
-    ndarray
-        ``V diag(f(w)) V*``, Hermitian by construction.
-
-    Raises
-    ------
-    SingularFunctionError
-        If ``f`` is undefined (non-finite) at some eigenvalue, e.g. a
-        negative power at 0.
-    """
-    spec = _eigh(hermitian_part(a))
-    return spec.assemble(spectrum_function(spec, f))
-
-
 def spectrum_function(spec, f):
-    """Eigenvalues of a PSD spectrum mapped through ``f`` (clamped first).
-
-    The spectral half of :func:`matrix_function`, for callers that apply
-    several functions to one decomposition.
-    """
+    """Eigenvalues of a PSD spectrum mapped through ``f`` (clamped first);
+    an eigenvalue where f raises or is not finite (a negative power at 0)
+    is a SingularFunctionError naming it."""
     w = clamp_psd_eigenvalues(spec.eigenvalues)
     fw = _function_values(w, f)
     bad = ~np.isfinite(fw)
     if bad.any():
-        x = w[bad][0]
+        x = float(w[bad][0])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             try:
                 y = float(f(x))

@@ -1,4 +1,4 @@
-"""The t-geometric mean, its regularized surrogate, and matrix sums.
+"""The t-geometric mean and its regularized surrogate.
 
 The mean ``A #_t B = A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2)`` is the
 Riemannian geodesic between positive definite A and B at parameter t.
@@ -7,15 +7,14 @@ stress tests is the strict mean of the inputs shifted by one epsilon * I.
 The chain terms built from these means live in
 :mod:`matsharp.inequalities`; they share this module's strict-positivity
 check and epsilon formula, so each is written once.
-:func:`_mean_from_spectra`, :func:`regularization_epsilon` and
-:func:`sum_matrices` also take stacks of matrices (leading batch axes),
-one result per slice; :func:`_mean_from_spectra` also takes every t of a
-grid at once.
+:func:`_mean_from_spectra` and :func:`regularization_epsilon` also take
+stacks of matrices (leading batch axes), one result per slice;
+:func:`_mean_from_spectra` also takes every t of a grid at once.
 """
 
 import numpy as np
 
-from .errors import ConvergenceError, EmptySumError, NotPositiveDefiniteError, ShapeError
+from .errors import ConvergenceError, NotPositiveDefiniteError, ShapeError
 from .linalg import (
     Spectrum,
     _adjoint,
@@ -72,12 +71,18 @@ def geometric_mean(a, b, t):
 
 def _checked_spectra(a, b):
     """The spectra of A and B, or of stacks that broadcast against each other:
-    each input checked once (square, finite, Hermitian, equal n), then decomposed."""
+    each input checked once (square, finite, Hermitian, equal n, batch axes
+    that broadcast), then decomposed."""
     a, b = _as_stack(a), _as_stack(b)
     _check_hermitian(a)
     _check_hermitian(b)
     if a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"shape error: dimensions {a.shape[-1]} vs {b.shape[-1]}")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"shape error: stacks of shape {a.shape} and {b.shape} "
+                         "do not broadcast") from None
     return _eigh(a), _eigh(b)
 
 
@@ -151,19 +156,3 @@ def psd_geometric_mean(a, b, t, epsilon_scale=DEFAULT_EPSILON_SCALE):
     sa, sb = (Spectrum(s.eigenvalues + eps, s.vectors) for s in (sa, sb))
     return _mean_from_spectra(_strict_spectrum(sa, "A"), _strict_spectrum(sb, "B"), (t,))[0]
 
-
-def sum_matrices(mats):
-    """Entrywise sum of a nonempty list of Hermitian matrices.
-
-    The summands may be equal-shape stacks of matrices; the sum is then
-    taken slice by slice.  Every summand is validated as square, finite and
-    Hermitian.
-    """
-    mats = [_as_stack(m) for m in mats]
-    if not mats:
-        raise EmptySumError("empty sum: at least one matrix is required")
-    for m in mats:
-        if m.shape != mats[0].shape:
-            raise ShapeError(f"shape error: cannot sum {mats[0].shape} and {m.shape}")
-    _check_hermitian(np.stack(mats, axis=-3))
-    return _symmetrize(sum(mats))

@@ -138,7 +138,7 @@ def norm_from_singular_values(sigma, spec):
         value = sigma[..., : spec.k].sum(axis=-1)
     elif spec.kind == TRACE:
         value = sigma.sum(axis=-1)
-    elif spec.kind == SCHATTEN:
+    else:  # Schatten-p, finite p: NormSpec admits no other kind.
         with np.errstate(over="ignore"):
             value = _schatten(sigma, spec.p)
         # Where the sum of powers overflows although the sequence is
@@ -148,8 +148,6 @@ def norm_from_singular_values(sigma, spec):
             over &= np.isfinite(sigma).all(axis=-1)
             top = sigma[over].max(axis=-1, keepdims=True)
             value[over] = top[:, 0] * _schatten(sigma[over] / top, spec.p)
-    else:
-        raise InvalidNormError(f"unknown norm kind {spec.kind!r}")
     return float(value) if sigma.ndim == 1 else value
 
 
@@ -183,11 +181,6 @@ def ui_norm(m, spec):
         sigma_i; operator: sigma_1; trace: sum sigma_i.
     """
     return norm_from_singular_values(singular_values(m), spec)
-
-
-def spectral_norm(m):
-    """sigma_1, the operator norm: a float for one matrix, an array for a stack."""
-    return ui_norm(m, NormSpec.operator())
 
 
 class MajorizationResult(NamedTuple):

@@ -583,8 +583,8 @@ class TestBatchInvariance:
         _, alone = run_campaign(CampaignConfig.from_obj(dict(base, trials=1)))
         _, batch = run_campaign(CampaignConfig.from_obj(dict(base, trials=9)))
         first = [r for r in batch if r.params["trial"] == 0]
-        assert render_reports(alone, "json") == render_reports(first, "json")
-        assert render_reports(alone, "csv") == render_reports(first, "csv")
+        for output_format in ("json", "csv"):
+            assert render_reports(alone, output_format) == reference_text(first, output_format)
 
     @pytest.mark.parametrize("chunk", [CHUNK_TRIALS, 2])
     @pytest.mark.parametrize("obj", SUB_GRID_CHAINS,
@@ -858,9 +858,9 @@ class TestNonFinite:
         assert all(math.isfinite(x) for x in bad.fan_margins)
         assert not finite(bad) and bad.holds is False
         assert all(finite(r) and r.holds for r in reports[1:])
-        for summary in (summarize(stream), summarize(reports)):
-            assert (summary.held, summary.violated, summary.indeterminate) == (3, 0, 1)
-            assert summary_obj(summary) == reference_summary(reports)
+        summary = summarize(stream)
+        assert (summary.held, summary.violated, summary.indeterminate) == (3, 0, 1)
+        assert summary_obj(summary) == reference_summary(reports)
         with np.errstate(over="ignore", invalid="ignore"):
             check = check_bourin_uchiyama(list(a), "expm1", "convex", NormSpec.trace(), seed=1)
         check.params["trial"] = 0
@@ -871,63 +871,49 @@ class TestNonFinite:
         # non-finite matrices, so the margins are NaN.
         a = pd_for(0, n=4, kappa=1e12)
         b = pd_for(100, n=4, kappa=1e12)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = check_main_theorem([a], [b], 0.5, 60.0, NormSpec.schatten(2))
+
+        def stream_at(r_grid):
+            """The reports of (a, b) at t = 1/2 and every r of ``r_grid``."""
+            grid = {"t": (0.5,), "r": r_grid, "norm": (NormSpec.schatten(2),)}
+            with np.errstate(over="ignore", invalid="ignore"):
+                blocks = stack_reports(MAIN_THEOREM, np.array([[a], [b]]), (1,), grid, (0,))
+            return ReportStream([blocks], 1, len(r_grid))
         good = check_main_theorem([a], [b], 0.5, 1.0, NormSpec.schatten(2))
-        assert math.isnan(least_margin(bad))
-        for stream in ([bad, good], [good, bad]):
+        for r_grid in (60.0, 1.0), (1.0, 60.0):
+            stream = stream_at(r_grid)
+            assert math.isnan(least_margin(stream[r_grid.index(60.0)]))
             summary = summarize(stream)
             assert (summary.total, summary.held, summary.violated,
                     summary.indeterminate) == (2, 1, 0, 1)
             assert summary.min_margin == least_margin(good)
             assert summary.min_margin_params["r"] == 1.0
-            assert summary_obj(summary) == reference_summary(stream)
-        alone = summarize([bad])
-        assert (alone.violated, alone.indeterminate) == (0, 1)
-        assert alone.min_margin == math.inf and alone.min_margin_params == {}
-        assert alone.to_obj()["indeterminate"] == 1
-        assert summary_obj(alone) == reference_summary([bad])
+            assert summary_obj(summary) == reference_summary(list(stream))
+        alone = stream_at((60.0,))
+        summary = summarize(alone)
+        assert (summary.violated, summary.indeterminate) == (0, 1)
+        assert summary.min_margin == math.inf and summary.min_margin_params == {}
+        assert summary.to_obj()["indeterminate"] == 1
+        assert summary_obj(summary) == reference_summary(list(alone))
 
-    def test_outside_report_that_says_it_holds_is_indeterminate_when_not_finite(self,
-                                                                                  tmp_path):
+    def test_loaded_reports_keep_the_verdict_their_file_says(self, tmp_path):
         # load_reports reads files from outside the program: a file can say
-        # "holds": true next to a NaN term, margin or fan margin.
-        good, nan_term, nan_margin, nan_fan = (synthetic_report(i) for i in range(4))
+        # "holds": true next to a NaN term, margin or fan margin, or next to
+        # finite numbers that violate the chain.  The reader keeps what the
+        # file says; only a stream's reports carry the one verdict rule.
+        good, nan_term, nan_margin, nan_fan, violated = (synthetic_report(i) for i in range(5))
         nan_term.terms[1] = ("right", math.nan)
         nan_margin.margins = [math.nan]
         nan_fan.fan_margins = [math.nan]
+        violated.terms, violated.margins = [("left", 3.0), ("right", 1.0)], [-2.0]
+        written = [good, nan_term, nan_margin, nan_fan, violated]
         path = tmp_path / "reports.json"
-        # Written as the reports say: render_reports would write the verdict.
-        path.write_text("".join(r.to_json() + "\n" for r in (good, nan_term, nan_margin, nan_fan)))
+        path.write_text("".join(r.to_json() + "\n" for r in written))
         loaded = load_reports(path)
         assert all(r.holds for r in loaded)
-        for reports, verdicts in ((loaded, (1, 0, 3)), ([nan_term], (0, 0, 1)),
-                                  ([nan_margin], (0, 0, 1)), ([nan_fan], (0, 0, 1))):
-            summary = summarize(reports)
-            assert (summary.held, summary.violated, summary.indeterminate) == verdicts
-            assert summary.held + summary.violated + summary.indeterminate == summary.total
-            assert summary_obj(summary) == reference_summary(reports)
-
-    def test_outside_report_that_says_a_violation_holds_is_violated(self, tmp_path):
-        # A file can say "holds": true next to finite numbers that violate
-        # the chain; the verdict comes from the numbers.
-        report = InequalityReport(
-            inequality_id="LemmaChain", params=synthetic_report(0).params,
-            terms=[("left", 3.0), ("right", 1.0)], margins=[-2.0], holds=True,
-            fan_margins=[-2.0])
-        path = tmp_path / "reports.json"
-        path.write_text(report.to_json() + "\n")
-        loaded = load_reports(path)
-        assert loaded[0].holds
-        summary = summarize(loaded)
-        assert (summary.held, summary.violated, summary.indeterminate) == (0, 1, 0)
-        assert summary.min_margin == -2.0
-        assert summary_obj(summary) == reference_summary(loaded)
-        assert render_reports(loaded, "json") == report.to_json().replace(
-            '"holds": true', '"holds": false') + "\n"
+        assert [r.to_json() for r in loaded] == [r.to_json() for r in written]
 
     def test_summary_of_no_reports(self):
-        summary = summarize([])
+        summary = summarize(ReportStream([], 0, 1))
         assert (summary.total, summary.held, summary.violated, summary.indeterminate) == (0,) * 4
         assert summary.min_margin == math.inf and summary.min_margin_params == {}
         assert '"min-margin": Infinity, "min-margin-params": {}' in summary.to_json()
@@ -942,11 +928,10 @@ class TestTies:
     def test_proof_step_two_is_a_tie_at_m_one(self):
         # At m = 1 step 2 of the proof is an identity, so its margin is
         # exactly 0 and no held report is a clear hold.
-        _, stream = run_campaign(CampaignConfig.from_obj(
-            dict(TIE_BASE, **{"inequality-id": "proof_steps"})))
-        at_one = [r for r in stream if r.params["m"] == 1]
+        summary, stream = run_campaign(CampaignConfig.from_obj(
+            dict(TIE_BASE, **{"inequality-id": "proof_steps", "m-values": [1]})))
+        at_one = list(stream)
         assert len(at_one) == 160 and all(r.margins[1] == 0.0 for r in at_one)
-        summary = summarize(at_one)
         assert summary.ties == summary.held > 0
         assert summary_obj(summary) == reference_summary(at_one)
 
@@ -963,34 +948,6 @@ class TestTies:
             dict(TIE_BASE, **{"inequality-id": "main_theorem", "printed-form": False})))
         assert (summary.total, summary.held, summary.ties) == (320, 320, 0)
         assert summary_obj(summary) == reference_summary(list(stream))
-
-    def test_loaded_report_within_the_band_is_a_tie(self, tmp_path):
-        # The band of terms (2, 2 - 1e-9) is 2e-9: the margin -1e-9 holds, as
-        # a tie, and the other report's margin 1 clears it.
-        tie, clear = synthetic_report(0), synthetic_report(1)
-        tie.terms, tie.margins = [("left", 2.0), ("right", 2.0 - 1e-9)], [-1e-9]
-        path = tmp_path / "reports.json"
-        emit_report([tie, clear], "json", path)
-        loaded = load_reports(path)
-        assert [r.holds for r in loaded] == [True, True]
-        summary = summarize(loaded)
-        assert (summary.held, summary.ties, summary.violated) == (2, 1, 0)
-        assert summary_obj(summary) == reference_summary(loaded)
-
-    def test_loaded_negative_terms_take_the_band_of_the_largest_absolute_term(self, tmp_path):
-        # A chain's terms are norms, but a loaded file can hold terms
-        # (-2, -2): the margin 0 lies within the band of |-2|, a tie, where
-        # the band of the signed largest term, -2e-9, made it a violation.
-        report = synthetic_report(0)
-        report.terms = [("left", -2.0), ("right", -2.0)]
-        report.margins, report.fan_margins = [0.0], [0.0]
-        path = tmp_path / "reports.json"
-        path.write_text(report.to_json() + "\n")
-        loaded = load_reports(path)
-        summary = summarize(loaded)
-        assert (summary.held, summary.ties, summary.violated) == (1, 1, 0)
-        assert summary_obj(summary) == reference_summary(loaded)
-        assert '"holds": true' in render_reports(loaded, "json")
 
 
 FAILING_SLICE_ERRORS = {"BourinUchiyama": SingularFunctionError}
@@ -1112,6 +1069,14 @@ def reference_csv(reports):
     return buf.getvalue()
 
 
+def reference_text(reports, output_format):
+    """``reports`` written one by one, not through the block renderer:
+    JSON by ``to_json``, CSV by :func:`reference_csv`."""
+    if output_format == "json":
+        return "".join(r.to_json() + "\n" for r in reports)
+    return reference_csv(reports)
+
+
 class TestReportStream:
     @pytest.mark.parametrize("obj", list(STREAM_CONFIGS.values()), ids=list(STREAM_CONFIGS))
     def test_arrays_agree_with_the_reports_they_hold(self, obj):
@@ -1120,8 +1085,6 @@ class TestReportStream:
         summary, stream = run_campaign(cfg)
         reports = list(stream)
         assert len(stream) == len(reports) == cfg.trials * cfg.grid_size()
-        for output_format in ("json", "csv"):
-            assert render_reports(stream, output_format) == render_reports(reports, output_format)
         assert summary_obj(summary) == reference_summary(reports)
         tied = [r for r in reports if finite(r) and least_margin(r) == summary.min_margin]
         assert len(tied) >= 2 and tied[1].params["norm-spec"] == "operator"
@@ -1144,23 +1107,18 @@ class TestReportStream:
         stream = special_float_stream() if obj is None else run_campaign(
             CampaignConfig.from_obj(dict(STREAM_BASE, **obj)))[1]
         reports = list(stream)
-        expected = {"json": "".join(r.to_json() + "\n" for r in reports),
-                    "csv": reference_csv(reports)}
-        for output_format, text in expected.items():
-            for rendered in render_reports(stream, output_format), render_reports(
-                    reports, output_format):
-                # Line by line: a failure names its first line, where a diff
-                # of the whole text would take minutes.
-                for number, pair in enumerate(itertools.zip_longest(
-                        rendered.splitlines(True), text.splitlines(True)), 1):
-                    assert (number, pair[0]) == (number, pair[1])
+        for output_format in ("json", "csv"):
+            # Line by line: a failure names its first line, where a diff of
+            # the whole text would take minutes.
+            for number, pair in enumerate(itertools.zip_longest(
+                    render_reports(stream, output_format).splitlines(True),
+                    reference_text(reports, output_format).splitlines(True)), 1):
+                assert (number, pair[0]) == (number, pair[1])
 
     def test_special_floats_render_as_json_and_csv_write_them(self):
         stream = special_float_stream()
         reports = list(stream)
         text = {fmt: render_reports(stream, fmt) for fmt in ("json", "csv")}
-        for output_format, rendered in text.items():
-            assert rendered == render_reports(reports, output_format)
         assert text["json"].splitlines() == [json.dumps(r.to_obj()) for r in reports]
         assert {"NaN", "Infinity", "-Infinity", "-0.0", "1e-300", "5e+300"} <= set(
             re.findall(r"[-\w.+]+", text["json"]))
@@ -1183,8 +1141,8 @@ class TestReportStream:
         emit_report(stream, "json", path)
         loaded = load_reports(path)
         assert any(not finite(r) for r in loaded)
-        assert render_reports(loaded, "json") == path.read_text()
-        assert render_reports(loaded, "csv") == render_reports(stream, "csv")
+        assert reference_text(loaded, "json") == path.read_text()
+        assert reference_text(loaded, "csv") == render_reports(stream, "csv")
 
     def test_summary_builds_only_the_report_of_least_margin(self, monkeypatch):
         # 270 reports in one trial, over six blocks; the least margin is
@@ -1291,40 +1249,47 @@ class TestConcurrency:
 class TestEmitReport:
     def test_empty_stream_csv_has_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_report([], "csv", path)
+        emit_report(ReportStream([], 0, 1), "csv", path)
         lines = path.read_text().splitlines()
         assert lines == [",".join(CSV_COLUMNS)]
 
     def test_json_line_round_trip(self, tmp_path):
-        path = tmp_path / "one.json"
-        report = synthetic_report(0)
-        emit_report([report], "json", path)
-        assert load_reports(path) == [report]
+        path = tmp_path / "small.json"
+        _, stream = run_campaign(small_config())
+        emit_report(stream, "json", path)
+        assert load_reports(path) == list(stream)
 
     def test_thousand_report_csv_row_count(self, tmp_path):
         path = tmp_path / "big.csv"
-        emit_report([synthetic_report(i) for i in range(1000)], "csv", path)
-        assert len(path.read_text().splitlines()) == 1001
+        _, stream = run_campaign(small_config(trials=125))
+        emit_report(stream, "csv", path)
+        assert len(stream) == 1000 and len(path.read_text().splitlines()) == 1001
 
     def test_unwritable_path_has_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such/dir"):
-            emit_report([], "csv", tmp_path / "no" / "such" / "dir" / "x.csv")
+            emit_report(ReportStream([], 0, 1), "csv", tmp_path / "no" / "such" / "dir" / "x.csv")
 
     def test_unknown_format_is_refused(self):
         with pytest.raises(ConfigError, match="output-format"):
-            render_reports([synthetic_report(0)], "parquet")
+            render_reports(ReportStream([], 0, 1), "parquet")
 
-    def test_csv_refuses_a_row_that_does_not_fit_its_layout(self, tmp_path):
-        # Six terms would push term 6 into margin-1; JSON has no fixed layout.
-        report = InequalityReport("MainTheorem", {"m": 1, "n": 2},
-                                  [(f"t{i}", float(i)) for i in range(6)], [1.0] * 5, True)
-        with pytest.raises(ValueError, match="CSV layout .* 6 terms and 5 margins"):
-            render_reports([report], "csv")
-        path = tmp_path / "wide.csv"
-        with pytest.raises(ValueError, match="CSV layout"):
-            emit_report([report], "csv", path)
+    @pytest.mark.parametrize("reports", [[], [synthetic_report(0)], (synthetic_report(0),)],
+                             ids=["empty-list", "list", "tuple"])
+    def test_only_a_stream_is_rendered_or_summarized(self, reports, tmp_path):
+        path = tmp_path / "reports.json"
+        for call in (lambda: render_reports(reports, "json"), lambda: summarize(reports),
+                     lambda: emit_report(reports, "json", path)):
+            with pytest.raises(TypeError, match="expected a ReportStream, got "):
+                call()
         assert not path.exists()
-        assert InequalityReport.from_json(render_reports([report], "json")) == report
+
+    def test_csv_refuses_a_row_that_does_not_fit_its_layout(self):
+        # Six terms would push term 6 into margin-1; JSON has no fixed layout.
+        labels = tuple(f"t{i}" for i in range(6))
+        with pytest.raises(ValueError, match="CSV layout .* 6 terms and 5 margins"):
+            campaign._row_frame("csv", "MainTheorem", labels, 5, 5)
+        before, *afters = campaign._row_frame("json", "MainTheorem", labels, 5, 5)
+        assert before.count("{}") + afters[0].count("{}") == 6 + 5 + 5
 
     @pytest.mark.parametrize("line,text", [
         ("[1, 2]", "must be a JSON object"),

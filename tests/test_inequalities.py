@@ -697,6 +697,27 @@ class TestReportMechanics:
         assert _verdict(values, np.full((1, 1, 1, 1), margin),
                         np.full((1, 1, 1), fan)).tolist() == [[[code]]]
 
+    # One report of terms (0.5, 1), one step and a fan margin, with one
+    # entry not finite.  A stream's margins are differences of its terms,
+    # so only a direct call gives a non-finite term next to finite margins.
+    @pytest.mark.parametrize("where", ["term", "margin"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_a_non_finite_term_or_margin_is_indeterminate(self, where, bad):
+        values, margins = np.array([0.5, 1.0]).reshape(1, 1, 2, 1), np.full((1, 1, 1, 1), 0.5)
+        (values if where == "term" else margins)[0, 0, 0, 0] = bad
+        assert _verdict(values, margins, np.zeros((1, 1, 1))).tolist() == [[[INDETERMINATE]]]
+
+    def test_negative_terms_take_the_band_of_the_largest_absolute_term(self):
+        # A chain's terms are norms, but the rule takes the band of |term|:
+        # terms (-2, -2) with margin 0 lie within the band of 2, a tie, where
+        # the band of the signed largest term, -2e-9, would make a violation;
+        # a margin just below -band(2) is a violation.
+        values = np.full((1, 1, 2, 1), -2.0)
+        fans = np.zeros((1, 1, 1))
+        for margin, code in ((0.0, TIE), (-tolerance_band(2.0), TIE),
+                             (np.nextafter(-tolerance_band(2.0), -math.inf), VIOLATED)):
+            assert _verdict(values, np.full((1, 1, 1, 1), margin), fans).tolist() == [[[code]]]
+
     def test_all_zero_report_is_a_tie(self):
         # The band of an all-zero report is 0, and a zero margin lies on it.
         zeros = np.zeros((1, 1, 2, 1))

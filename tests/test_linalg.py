@@ -8,6 +8,7 @@ import oracles
 from conftest import hermitian_for, pd_for
 from matsharp import (
     HermitianDefectError,
+    NormSpec,
     NotPositiveDefiniteError,
     ShapeError,
     SingularFunctionError,
@@ -15,14 +16,13 @@ from matsharp import (
     hermitian_eigendecompose,
     hermitian_part,
     matrix_from_obj,
-    matrix_function,
     matrix_power_psd,
     matrix_to_obj,
     load_matrix,
     save_matrix,
-    spectral_norm,
+    ui_norm,
 )
-from matsharp.linalg import _eigh, clamp_psd_eigenvalues, spectrum_power
+from matsharp.linalg import _eigh, clamp_psd_eigenvalues, spectrum_function, spectrum_power
 
 
 class TestEigendecompose:
@@ -81,7 +81,7 @@ class TestStacks:
             stacked = _eigh(mats)
             powers = spectrum_power(stacked, 0.75)
             rebuilt = stacked.assemble(powers)
-            norms = spectral_norm(mats)
+            norms = ui_norm(mats, NormSpec.operator())
             assert stacked.eigenvalues.shape == (2, 3, n) and rebuilt.shape == (2, 3, n, n)
             for i in range(2):
                 for j in range(3):
@@ -91,7 +91,7 @@ class TestStacks:
                     assert powers[i, j].tobytes() == spectrum_power(one, 0.75).tobytes()
                     assert rebuilt[i, j].tobytes() == one.assemble(
                         spectrum_power(one, 0.75)).tobytes()
-                    assert norms[i, j] == spectral_norm(mats[i, j])
+                    assert norms[i, j] == ui_norm(mats[i, j], NormSpec.operator())
 
     def test_one_failing_slice_raises(self):
         w = np.array([[2.0, 1.0, 0.0], [1.0, -1e-13, -1e-14], [3.0, 1.0, -0.5]])
@@ -102,32 +102,36 @@ class TestStacks:
         assert clamped.tobytes() == rows.tobytes()
 
 
-class TestMatrixFunction:
+class TestSpectrumFunction:
+    # f through the eigenvalues of one decomposition, as the Bourin-Uchiyama
+    # kernel maps them.
     def test_sqrt_diagonal(self):
-        got = matrix_function(np.diag([4.0, 9.0]), math.sqrt)
-        assert np.allclose(got, np.diag([2.0, 3.0]), atol=1e-14)
+        got = spectrum_function(_eigh(np.diag([4.0, 9.0])), math.sqrt)
+        assert np.allclose(got, [3.0, 2.0], atol=1e-14)
 
     def test_negative_half_power(self):
-        got = matrix_function(np.diag([4.0]), lambda x: x ** -0.5)
-        assert np.allclose(got, np.diag([0.5]), atol=1e-15)
+        got = spectrum_function(_eigh(np.diag([4.0])), lambda x: x ** -0.5)
+        assert np.allclose(got, [0.5], atol=1e-15)
 
     def test_sqrt_2x2_closed_form(self):
         # Exact spectral formula with eigenvalues 3 and 1.
-        got = matrix_function(np.array([[2.0, 1.0], [1.0, 2.0]]), math.sqrt)
+        spec = _eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        got = spec.assemble(spectrum_function(spec, math.sqrt))
         s3 = math.sqrt(3.0)
         want = 0.5 * np.array([[s3 + 1.0, s3 - 1.0], [s3 - 1.0, s3 + 1.0]])
         assert np.allclose(got, want, atol=1e-14)
 
     def test_negative_power_at_zero_raises(self):
-        with pytest.raises(SingularFunctionError):
-            matrix_function(np.diag([1.0, 0.0]), lambda x: x ** -0.5)
+        with pytest.raises(SingularFunctionError, match="f undefined at eigenvalue 0.0"):
+            spectrum_function(_eigh(np.diag([1.0, 0.0])), lambda x: x ** -0.5)
+        with pytest.raises(SingularFunctionError, match=re.escape("f(0.0) = inf")):
+            spectrum_function(_eigh(np.diag([1.0, 0.0])), lambda x: math.inf if x == 0 else x)
         with pytest.raises(SingularFunctionError):
             matrix_power_psd(np.diag([1.0, 0.0]), -1.0)
 
-    def test_identity_function_returns_input(self):
-        a = pd_for(8, n=5)
-        got = matrix_function(a, lambda x: x)
-        assert np.linalg.norm(got - a) <= 1e-12 * (1 + np.linalg.norm(a))
+    def test_identity_function_returns_the_eigenvalues(self):
+        spec = _eigh(pd_for(8, n=5))
+        assert spectrum_function(spec, lambda x: x).tobytes() == spec.eigenvalues.tobytes()
 
     def test_sqrt_then_square(self):
         for seed in range(20):
@@ -137,15 +141,15 @@ class TestMatrixFunction:
             assert np.linalg.norm(back - a) <= 1e-11 * np.linalg.norm(a)
 
     def test_eigenvalues_map_through(self):
-        a = pd_for(21, n=5)
-        w = np.sort(hermitian_eigendecompose(a).eigenvalues)
-        got = np.sort(hermitian_eigendecompose(matrix_function(a, lambda x: x / (1 + x))).eigenvalues)
-        want = np.sort(w / (1 + w))
-        assert np.allclose(got, want, rtol=1e-12)
+        spec = _eigh(pd_for(21, n=5))
+        got = np.sort(hermitian_eigendecompose(
+            spec.assemble(spectrum_function(spec, lambda x: x / (1 + x)))).eigenvalues)
+        w = np.sort(spec.eigenvalues)
+        assert np.allclose(got, w / (1 + w), rtol=1e-12)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
-            matrix_function(np.diag([1.0, -1.0]), math.sqrt)
+            spectrum_function(_eigh(np.diag([1.0, -1.0])), math.sqrt)
 
 
 class TestArithmetic:

@@ -7,9 +7,7 @@ import oracles
 from conftest import pd_for
 from matsharp import inequalities, means
 from matsharp import (
-    EmptySumError,
     EnsembleSpec,
-    HermitianDefectError,
     NormSpec,
     NotPositiveDefiniteError,
     ShapeError,
@@ -22,7 +20,6 @@ from matsharp import (
     random_commuting_pair,
     random_psd_rank_deficient,
     regularization_epsilon,
-    sum_matrices,
     ui_norm,
 )
 
@@ -193,34 +190,17 @@ class TestPsdGeometricMean:
         stack = np.array([np.diag([3.0, -5.0]), 2 * np.eye(2)])
         assert regularization_epsilon(stack, np.eye(2), 0.5).tolist() == [3.0, 1.5]
 
-
-class TestSumMatrices:
-    def test_singleton(self):
-        a = pd_for(3, n=3)
-        assert np.allclose(sum_matrices([a]), a)
-
-    def test_two_identities(self):
-        assert np.array_equal(sum_matrices([np.eye(2), np.eye(2)]), 2 * np.eye(2))
-
-    def test_cancellation(self):
-        a = pd_for(4, n=3)
-        assert np.allclose(sum_matrices([a, -a]), np.zeros((3, 3)), atol=1e-15)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptySumError):
-            sum_matrices([])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            sum_matrices([np.eye(2), np.eye(3)])
-
-    def test_rejects_non_hermitian_summand(self):
-        x = np.array([[2.0, 1.0], [0.0, 2.0]])
-        with pytest.raises(HermitianDefectError):
-            sum_matrices([x, np.eye(2)])
-        # Each summand is checked, not only the sum: X + X* is Hermitian.
-        with pytest.raises(HermitianDefectError):
-            sum_matrices([x, x.T])
+    def test_epsilon_refuses_stacks_that_do_not_broadcast(self, monkeypatch):
+        # Batch axes 2 and 3 do not broadcast: a ShapeError names both
+        # stacks before either is decomposed.
+        def no_eigh(x):
+            raise AssertionError("decomposed before the shape check")
+        monkeypatch.setattr(means, "_eigh", no_eigh)
+        a, b = np.stack([np.eye(2)] * 2), np.stack([np.eye(2)] * 3)
+        for first, second in (a, b), (b, a):
+            with pytest.raises(ShapeError, match=re.escape(
+                    f"stacks of shape {first.shape} and {second.shape} do not broadcast")):
+                regularization_epsilon(first, second)
 
 
 def term_values(report):
