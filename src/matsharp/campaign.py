@@ -18,8 +18,11 @@ every (t, r) point they vary with, the PSD terms' eigenvalues together),
 each covering every pair or instance of the stack.  Every norm then
 reduces those sequences into arrays, once per stack, which are split into
 one block per m, where one rule gives each report its verdict code
-(``inequalities._verdict``).  A report is built when the :class:`ReportStream`
-is read: :func:`summarize` builds only the one of least margin, and
+(``inequalities._verdict``).  One generator yields the chunks in order
+(:func:`_campaign_chunks`): :func:`run_campaign` keeps them all in a
+:class:`ReportStream`, while ``matsharp campaign`` renders and writes each
+as it comes and keeps one.  A report is built when the stream is read:
+:func:`summarize` builds only the one of least margin of each chunk, and
 :func:`render_reports` none.  Both read only a stream, in its blocks
 (:func:`_chunks`), and rendering writes each (grid point, norm) row of a
 block once per verdict, then each instance with one ``format`` call over
@@ -42,7 +45,7 @@ The config, the summary and the search report are JSON records like the
 reports; the config refuses a value of the wrong JSON type, and a grid
 value outside its domain by the kernels' own rules
 (``inequalities._check_grid``), naming its key.  Every output file is
-written by :func:`write_output`.
+written by :func:`write_output`, in place.
 """
 
 import csv
@@ -52,7 +55,9 @@ import itertools
 import json
 import math
 import numbers
+import os
 import re
+import stat
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -340,31 +345,53 @@ class CampaignSummary(_Record):
 
 
 def summarize(reports, wall_time=0.0):
-    """The CampaignSummary of a :class:`ReportStream`, read from the verdict
-    codes, one ``bincount`` per block, and the margins of its blocks
-    (:func:`_chunks`); only the report of least margin is built."""
-    chunks = [[block for block, _ in chunk] for chunk in _chunks(reports)]
-    counts = sum(np.bincount(b.verdict.ravel(), minlength=4) for c in chunks for b in c)
-    clear, ties, violated, indeterminate = map(int, counts + np.zeros(4, dtype=int))
-    # Each report's least margin, inf where it is not finite, per chunk as
-    # (instances, rows of the chunk): the flat order is stream order.  The
-    # trailing inf is argmin's answer when no report is finite.
-    lowest = np.concatenate([np.concatenate([
-        np.where(b.verdict < INDETERMINATE, b.margins.min(axis=2), np.inf)
-        .reshape(-1, len(b.seeds)).T for b in blocks], axis=1).ravel() for blocks in chunks]
-        + [[np.inf]])
+    """The CampaignSummary of a :class:`ReportStream`, read chunk by chunk
+    (:func:`_chunks`) from the verdict codes and margins of its blocks; of
+    each chunk, only the report of least margin is built."""
+    summary = _merged([_chunk_summary(blocks, trials) for trials, blocks in _chunks(reports)])
+    summary.wall_time = wall_time
+    return summary
+
+
+def _chunk_summary(blocks, trials, wall_time=0.0):
+    """The CampaignSummary of one chunk's blocks, whose instances are the
+    trials of the range ``trials``: the verdict codes counted, one
+    ``bincount`` per block, and the least margin, of which only the report
+    is built."""
+    counts = sum((np.bincount(b.verdict.ravel(), minlength=4) for b in blocks), np.zeros(4, int))
+    clear, ties, violated, indeterminate = map(int, counts)
+    # Each report's least margin, inf where it is not finite, as
+    # (instances, rows of the chunk): the flat order is stream order.
+    lowest = np.concatenate([np.where(b.verdict < INDETERMINATE, b.margins.min(axis=2), np.inf)
+                             .reshape(-1, len(trials)).T for b in blocks], axis=1)
     k = int(lowest.argmin())
-    worst = reports[k] if lowest[k] < np.inf else None
+    low = float(lowest.flat[k])
+    worst = ReportStream([blocks], trials, lowest.shape[1])[k] if low < np.inf else None
     return CampaignSummary(
-        total=len(reports),
+        total=lowest.size,
         held=clear + ties,
         ties=ties,
         violated=violated,
         indeterminate=indeterminate,
-        min_margin=float(lowest[k]),
+        min_margin=low,
         min_margin_params=dict(worst.params, **{"inequality-id": worst.inequality_id})
         if worst else {},
         wall_time=wall_time,
+    )
+
+
+def _merged(parts):
+    """One CampaignSummary of the consecutive parts of a stream, in stream
+    order: counts and wall times add up, and the least margin is the one of
+    the first part that attains it, so a tie goes to the first report."""
+    worst = min(parts, key=lambda part: part.min_margin,
+                default=CampaignSummary(0, 0, 0, 0, 0, math.inf, {}, 0.0))
+    return CampaignSummary(
+        *(sum(getattr(part, key) for part in parts)
+          for key in ("total", "held", "ties", "violated", "indeterminate")),
+        min_margin=worst.min_margin,
+        min_margin_params=worst.min_margin_params,
+        wall_time=sum((part.wall_time for part in parts), 0.0),
     )
 
 
@@ -430,26 +457,33 @@ def run_check(config, point, a_list, b_list, seed=None):
 class ReportStream(Sequence):
     """A campaign's reports in (trial, grid point) order, kept as the reduced
     blocks of its stacks (one list per chunk of trials): reports are built
-    when they are read, while summaries and rendering read the arrays."""
+    when they are read, while summaries and rendering read the arrays.
+
+    ``trials`` is the range of trials the stream holds, or their number
+    from trial 0.  A stream of one chunk holds the chunk's range; one that
+    starts after trial 0 continues a campaign, and its CSV has no header.
+    """
 
     def __init__(self, chunks, trials, grid_size):
-        self._chunks, self._trials, self._grid_size = chunks, trials, grid_size
+        self._chunks, self._grid_size = chunks, grid_size
+        self._trials = trials if isinstance(trials, range) else range(trials)
 
     def __len__(self):
-        return self._trials * self._grid_size
+        return len(self._trials) * self._grid_size
 
     def __iter__(self):
-        for trial in range(self._trials):
-            for block in self._chunks[trial // CHUNK_TRIALS]:
-                yield from _instance_reports(block, trial % CHUNK_TRIALS, trial=trial)
+        for i, trial in enumerate(self._trials):
+            for block in self._chunks[i // CHUNK_TRIALS]:
+                yield from _instance_reports(block, i % CHUNK_TRIALS, trial=trial)
 
     def __getitem__(self, index):
         rows = range(len(self))[index]
         if isinstance(rows, int):
-            trial, offset = divmod(rows, self._grid_size)
-            for block in self._chunks[trial // CHUNK_TRIALS]:
+            i, offset = divmod(rows, self._grid_size)
+            for block in self._chunks[i // CHUNK_TRIALS]:
                 if offset < len(block.params) * len(block.norms):
-                    return _instance_reports(block, trial % CHUNK_TRIALS, offset, trial=trial)[0]
+                    return _instance_reports(block, i % CHUNK_TRIALS, offset,
+                                             trial=self._trials[i])[0]
                 offset -= len(block.params) * len(block.norms)
         return [self[row] for row in rows]
 
@@ -458,36 +492,29 @@ class ReportStream(Sequence):
 
 
 def _chunks(stream):
-    """The chunks of reduced blocks of a :class:`ReportStream`, each block
-    with its instances' trials; anything else is a TypeError.  Within a
-    chunk the reports run in (instance, block, row) order."""
+    """The chunks of a :class:`ReportStream`, each as the range of its trials
+    and its reduced blocks; anything else is a TypeError.  Within a chunk
+    the reports run in (instance, block, row) order."""
     if not isinstance(stream, ReportStream):
         raise TypeError(f"expected a ReportStream, got {type(stream).__name__}")
-    return ([(block, range(first, first + len(block.seeds))) for block in blocks]
-            for first, blocks in zip(itertools.count(0, CHUNK_TRIALS), stream._chunks))
+    trials = stream._trials
+    return ((trials[first:first + CHUNK_TRIALS], blocks)
+            for first, blocks in zip(range(0, len(trials), CHUNK_TRIALS), stream._chunks))
 
 
-def run_campaign(config):
-    """Execute a campaign.
+def _campaign_chunks(config):
+    """A campaign, one chunk of ``CHUNK_TRIALS`` trials at a time, in trial
+    order: each chunk's reduced blocks, the range of its trials and its
+    summary (:func:`_chunk_summary`), whose wall time is the seconds spent
+    drawing, evaluating and reducing the chunk, not summarizing it.
 
-    Within each chunk of ``CHUNK_TRIALS`` trials, the instances of each n
-    are drawn in one :func:`_build_inputs` call, every m at once, and
-    evaluated as one stack in one pass over the remaining axes, then split
-    into one block per m (see :func:`stack_reports`).  An instance that
-    fails the strict positive-definite check, the PSD clamp or f is
-    reported with NaN terms (indeterminate) instead of aborting the
-    campaign; the other instances of its stack, its trial's included, are
-    not touched.
-
-    Returns
-    -------
-    (CampaignSummary, ReportStream)
-        Exactly ``trials * grid_size`` reports, ordered by
-        (trial, grid point); the stream is a pure function of the config.
+    Within a chunk, the instances of each n are drawn in one
+    :func:`_build_inputs` call, every m at once, and evaluated as one stack
+    in one pass over the remaining axes, then split into one block per m
+    (see :func:`stack_reports`).  The generator keeps no chunk once it has
+    yielded it.
     """
     config.validate()
-    start = time.perf_counter()
-    chunks = []
     # The instance axes n and m lead every grid and the norm ends it; a
     # chain without an m axis draws one pair per instance, seeded with m
     # index 0.
@@ -495,8 +522,9 @@ def run_campaign(config):
     ms = axes.get("m", (1,))
     grid = {name: values for name, values in axes.items() if name not in ("n", "m")}
     for first in range(0, config.trials, CHUNK_TRIALS):
-        trial_seeds = _split_seeds(config.root_seed % 2 ** 64,
-                                   np.arange(first, min(first + CHUNK_TRIALS, config.trials)))
+        start = time.perf_counter()
+        trials = range(first, min(first + CHUNK_TRIALS, config.trials))
+        trial_seeds = _split_seeds(config.root_seed % 2 ** 64, np.arange(first, trials.stop))
         blocks = []
         for n_index, n in enumerate(axes["n"]):
             # Row i holds the instance seeds of m index i.
@@ -505,9 +533,32 @@ def run_campaign(config):
             blocks += stack_reports(config.inequality_id, ab, counts, grid,
                                     tuple(seeds.ravel().tolist()),
                                     mask_failures=True, **_kernel_options(config))
+        yield blocks, trials, _chunk_summary(blocks, trials, time.perf_counter() - start)
+
+
+def run_campaign(config):
+    """Execute a campaign: collect every chunk of :func:`_campaign_chunks`.
+
+    An instance that fails the strict positive-definite check, the PSD
+    clamp or f is reported with NaN terms (indeterminate) instead of
+    aborting the campaign; the other instances of its stack, its trial's
+    included, are not touched.  The stream keeps every chunk's blocks, so
+    its memory grows with the trials; ``matsharp campaign`` instead renders
+    and writes each chunk as it comes and keeps one at a time.
+
+    Returns
+    -------
+    (CampaignSummary, ReportStream)
+        Exactly ``trials * grid_size`` reports, ordered by
+        (trial, grid point); the stream is a pure function of the config.
+        The summary merges the chunks' summaries (:func:`_merged`), and its
+        wall time is the sum of theirs.
+    """
+    chunks, parts = [], []
+    for blocks, _, summary in _campaign_chunks(config):
         chunks.append(blocks)
-    stream = ReportStream(chunks, config.trials, config.grid_size())
-    return summarize(stream, wall_time=time.perf_counter() - start), stream
+        parts.append(summary)
+    return _merged(parts), ReportStream(chunks, config.trials, config.grid_size())
 
 
 # ---------------------------------------------------------------------------
@@ -633,31 +684,51 @@ def render_reports(reports, output_format):
     """Render a :class:`ReportStream` to text (line-delimited JSON or CSV).
 
     Both formats go through one row formatter, :func:`_block_rows`, over
-    the blocks of :func:`_chunks`, with no report built.
+    the blocks of :func:`_chunks`, with no report built.  A CSV starts with
+    its header when the stream starts at trial 0, so a campaign's chunks,
+    each rendered on its own as it comes, join to its whole text.
     """
     if output_format not in ("json", "csv"):
         raise ConfigError(f"output-format must be 'json' or 'csv', got {output_format!r}")
-    text = [] if output_format == "json" else [",".join(CSV_COLUMNS) + "\n"]
-    for chunk in _chunks(reports):
+    chunks = _chunks(reports)
+    header = output_format == "csv" and reports._trials.start == 0
+    text = [",".join(CSV_COLUMNS) + "\n"] if header else []
+    for trials, blocks in chunks:
         # One string per instance and block: the stream's order is (trial, block).
         text += itertools.chain.from_iterable(
-            zip(*[_block_rows(block, output_format, trials) for block, trials in chunk]))
+            zip(*[_block_rows(block, output_format, trials) for block in blocks]))
     return "".join(text)
 
 
 def write_output(path, text):
-    """Write ``text`` to ``path``, the one writer of every output file; an
-    error names the path."""
+    """Write ``text``, a string or an iterable of strings, to ``path``: the
+    one writer of every output file.  An error names the path.
+
+    The first string is made before the file is opened, so an output refused
+    while it is rendered creates no file.  Each string is written as it
+    comes.  The file is opened without truncation and, if it is a regular
+    file, truncated to the bytes written at the end: a re-run overwrites
+    its file in place, and a longer previous file loses its tail only
+    then.  A device or a pipe (``/dev/null``, a FIFO) is written, never
+    truncated.  So a run stopped early leaves a partial file, which may end
+    in bytes of the previous one.
+    """
+    texts = iter((text,) if isinstance(text, str) else text)
+    first = next(texts, "")
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+            for part in itertools.chain((first,), texts):
+                fh.write(part)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise OSError(f"cannot write {path!r}: {exc}") from exc
     return path
 
 
 def emit_report(reports, output_format, path):
-    """Write a report stream to ``path``; errors carry the path context."""
+    """Write a report stream to ``path`` through :func:`write_output`, which
+    overwrites an existing file in place; errors carry the path context."""
     return write_output(path, render_reports(reports, output_format))
 
 

@@ -14,10 +14,11 @@ import sys
 
 from .campaign import (
     CampaignConfig,
+    ReportStream,
+    _campaign_chunks,
     _grid_point,
-    emit_report,
+    _merged,
     render_reports,
-    run_campaign,
     run_check,
     search_counterexample,
     write_output,
@@ -57,15 +58,27 @@ def _add_common_flags(parser):
                         default=None, help="override printed-form")
 
 
+def _chunk_texts(config, parts):
+    """The campaign's text, one chunk at a time, each rendered as it comes;
+    each chunk's summary joins ``parts``."""
+    for blocks, trials, summary in _campaign_chunks(config):
+        parts.append(summary)
+        text = render_reports(ReportStream([blocks], trials, config.grid_size()),
+                              config.output_format)
+        # Drop the chunk before the next one is drawn: one chunk at a time.
+        del blocks
+        yield text
+
+
 def _cmd_campaign(args):
     config = _load_config(args)
-    summary, reports = run_campaign(config)
+    parts = []
     if config.output_path:
-        emit_report(reports, config.output_format, config.output_path)
-        print(summary.to_json())
+        write_output(config.output_path, _chunk_texts(config, parts))
     else:
-        sys.stdout.write(render_reports(reports, config.output_format))
-        print(summary.to_json(), file=sys.stderr)
+        sys.stdout.writelines(_chunk_texts(config, parts))
+    summary = _merged(parts)
+    print(summary.to_json(), file=sys.stdout if config.output_path else sys.stderr)
     return 2 if summary.violated or summary.indeterminate else 0
 
 

@@ -3,7 +3,10 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -1919,3 +1922,178 @@ class TestCli:
         assert cli_main(argv + ["--out", str(out_path)]) == streamed == 2
         assert out == out_path.read_text()
         assert ("NaN" if output_format == "json" else ",nan,") in out
+
+
+# A campaign of several chunks once CHUNK_TRIALS is 2: 7 trials, the last
+# chunk short, with masked failing slices among them.
+CHUNKED = dict(STREAM_BASE, trials=7, **MASKED_FAILING_SLICE)
+# Real commuting pairs at n = 1: the least margin, -4.4e-16, is attained at
+# trials 1, 4 and 5, in chunks 0 and 2 of 2 trials.
+CROSS_CHUNK_TIE = {"inequality-id": "lemma_chain", "trials": 6, "dims": [1], "t-grid": [0.5],
+                   "r-grid": [1.0], "s-grid": [1.0], "norm-specs": ["trace"], "root-seed": 3,
+                   "ensemble": {"kind": "commuting", "field": "real"}}
+
+
+def run_cli_campaign(obj, tmp_path, capsys, *flags):
+    """``matsharp campaign`` on the config ``obj`` with ``flags``: its exit
+    code, its output path and its printed summary as a JSON object (None
+    when it printed none)."""
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "reports.out"
+    cfg_path.write_text(json.dumps(obj))
+    code = cli_main(["campaign", "--config", str(cfg_path), "--out", str(out_path), *flags])
+    out = capsys.readouterr().out
+    return code, out_path, json.loads(out) if out else None
+
+
+class TestStreamedCampaign:
+    """``matsharp campaign`` renders and writes each chunk as it comes."""
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_file_and_summary_are_the_streams(self, output_format, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(campaign, "CHUNK_TRIALS", 2)
+        code, out_path, printed = run_cli_campaign(CHUNKED, tmp_path, capsys,
+                                                   "--format", output_format)
+        cfg = CampaignConfig.from_obj(CHUNKED)
+        summary, stream = run_campaign(cfg)
+        assert code == 2 and summary.indeterminate
+        assert out_path.read_text() == render_reports(stream, output_format)
+        assert {**printed, "wall-time": 0} == {**summary.to_obj(), "wall-time": 0}
+        assert summary_obj(summary) == reference_summary(list(stream))
+        # Each report carries its campaign trial, not its index in its chunk.
+        rows = (load_reports(out_path) if output_format == "json" else
+                list(csv.DictReader(io.StringIO(out_path.read_text()))))
+        trials = [int(r.params["trial"] if output_format == "json" else r["trial"]) for r in rows]
+        assert trials == [t for t in range(cfg.trials) for _ in range(cfg.grid_size())]
+
+    def test_a_tie_across_chunks_goes_to_the_first(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(campaign, "CHUNK_TRIALS", 2)
+        _, _, printed = run_cli_campaign(CROSS_CHUNK_TIE, tmp_path, capsys)
+        summary, stream = run_campaign(CampaignConfig.from_obj(CROSS_CHUNK_TIE))
+        tied = [r.params["trial"] for r in stream if least_margin(r) == summary.min_margin]
+        assert len({trial // 2 for trial in tied}) >= 2
+        assert summary.min_margin_params["trial"] == printed["min-margin-params"]["trial"] == (
+            tied[0])
+        assert {**printed, "wall-time": 0} == {**summary.to_obj(), "wall-time": 0}
+        assert summary_obj(summary) == reference_summary(list(stream))
+
+    def test_one_chunk_is_held_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # Weak references to each rendered chunk's arrays: every one is dead
+        # when the next chunk is drawn, and when it is rendered.
+        monkeypatch.setattr(campaign, "CHUNK_TRIALS", 2)
+        refs, rendered, draw, render = [], [], campaign._build_inputs, cli.render_reports
+
+        def all_dead():
+            assert [ref for ref in refs if ref() is not None] == []
+
+        def spied_draw(*args):
+            all_dead()
+            return draw(*args)
+
+        def spied_render(stream, output_format):
+            all_dead()
+            rendered.append(stream._trials)
+            refs.extend(weakref.ref(array) for blocks in stream._chunks for block in blocks
+                        for array in (block.values, block.margins, block.verdict))
+            return render(stream, output_format)
+        monkeypatch.setattr(campaign, "_build_inputs", spied_draw)
+        monkeypatch.setattr(cli, "render_reports", spied_render)
+        code, _, _ = run_cli_campaign(CHUNKED, tmp_path, capsys)
+        assert code == 2 and rendered == [range(0, 2), range(2, 4), range(4, 6), range(6, 7)]
+        all_dead()
+
+    def test_wall_time_leaves_out_rendering(self, tmp_path, capsys, monkeypatch):
+        # Perfbench's evals_per_s divides by the wall time: it counts the
+        # draws, kernels and reductions only.
+        monkeypatch.setattr(campaign, "CHUNK_TRIALS", 2)
+        rows, pause = campaign._block_rows, 0.1
+
+        def slow_rows(*args):
+            time.sleep(pause)
+            return rows(*args)
+        monkeypatch.setattr(campaign, "_block_rows", slow_rows)
+        obj = dict(SMALL, trials=3, dims=[2])
+        start = time.perf_counter()
+        code, _, printed = run_cli_campaign(obj, tmp_path, capsys)
+        # Two chunks of two blocks (m = 1 and 2): four calls.
+        assert code == 0 and time.perf_counter() - start >= 4 * pause
+        assert 0.0 < printed["wall-time"] < pause
+
+    def test_a_refused_first_chunk_creates_no_file(self, tmp_path, capsys, monkeypatch):
+        # Two columns after the params leave no room for a term: every CSV
+        # row overflows its layout, the first chunk's included.
+        campaign._row_frame.cache_clear()
+        monkeypatch.setattr(campaign, "_CSV_MARGINS", campaign._CSV_TAIL + 2)
+        monkeypatch.setattr(campaign, "CHUNK_TRIALS", 2)
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "reports.csv"
+        cfg_path.write_text(json.dumps(CHUNKED))
+        code = cli_main(["campaign", "--config", str(cfg_path), "--out", str(out_path),
+                         "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and "CSV layout" in err
+        assert not out_path.exists()
+
+    def test_dev_null_is_written(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        assert cli_main(["campaign", "--config", str(cfg_path), "--out", os.devnull]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 32
+
+    def test_a_shorter_rerun_leaves_only_its_bytes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(campaign, "CHUNK_TRIALS", 2)
+        for trials in (7, 3):
+            code, out_path, _ = run_cli_campaign(dict(SMALL, trials=trials), tmp_path, capsys)
+            assert code == 0
+        assert out_path.read_text() == render_reports(run_campaign(small_config(trials=3))[1],
+                                                      "json")
+
+    def test_an_unwritable_path_is_named(self, tmp_path, capsys):
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "no" / "such" / "r.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        assert cli_main(["campaign", "--config", str(cfg_path), "--out", str(out_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"cannot write {str(out_path)!r}" in err
+
+
+class TestWriteOutput:
+    def test_strings_are_written_in_order_over_a_longer_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("x" * 100)
+        inode = path.stat().st_ino
+        assert campaign.write_output(path, iter(["ab", "", "cd\n"])) == path
+        assert path.read_text() == "abcd\n" and path.stat().st_ino == inode
+        campaign.write_output(path, "e")
+        assert path.read_text() == "e"
+
+    def test_opens_without_truncating(self, tmp_path, monkeypatch):
+        # The truncating open frees the previous file's blocks before the
+        # write; the writer overwrites in place and truncates at the end.
+        flags, real_open = [], os.open
+
+        def spied_open(path, flag, *args):
+            flags.append(flag)
+            return real_open(path, flag, *args)
+        monkeypatch.setattr(os, "open", spied_open)
+        campaign.write_output(tmp_path / "out.txt", "abc")
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+
+    def test_an_error_making_the_first_string_creates_no_file(self, tmp_path):
+        def texts():
+            raise ValueError("refused")
+            yield "never"
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match="refused"):
+            campaign.write_output(path, texts())
+        assert not path.exists()
+
+    def test_a_fifo_is_written_and_not_truncated(self, tmp_path):
+        # Truncating a FIFO is an illegal seek.  The read end is opened
+        # first, without blocking, and the text fits in the pipe's buffer.
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            campaign.write_output(path, ["abc\n", "def\n"])
+            assert os.read(reader, 1024) == b"abc\ndef\n"
+        finally:
+            os.close(reader)

@@ -32,7 +32,11 @@ is, and a tie when it is finite and its least margin lies within
 campaign on stderr, when the campaign's summary gives other
 held/violated/indeterminate counts, or another tie count, than its own.
 A summary without a tie count (an older checkout) is not checked for
-one.  Each search's best instance is evaluated again by
+one.  Every campaign is also run through ``matsharp campaign`` into a
+temporary file, in JSON and in CSV: the script exits 1, naming the
+campaign on stderr, when the file is not the stream's rendering byte for
+byte, or when the printed summary is not the stream's, the wall time
+dropped.  Each search's best instance is evaluated again by
 ``reevaluate_search_instance``, and the
 script also exits 1, naming the search on stderr, when its least margin
 is not exactly the report's ``best_margin`` (NaN matches NaN).
@@ -40,11 +44,14 @@ The library is imported from the ``src`` directory next to this script.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -72,6 +79,7 @@ from matsharp import (  # noqa: E402
     tolerance_band,
 )
 from matsharp.campaign import reevaluate_search_instance  # noqa: E402
+from matsharp.cli import main as cli_main  # noqa: E402
 from matsharp.inequalities import lemma_chain_sigmas  # noqa: E402
 
 NORMS = ["schatten:1", "schatten:2", "operator", "trace", "kyfan:2"]
@@ -191,7 +199,34 @@ def campaign_line(name, obj, records, mismatches):
     tied = getattr(summary, "ties", None)
     if tied is not None and tied != ties(listed):
         mismatches.append(f"summary ties differ: {name} {tied}, not {ties(listed)}")
+    summary_obj = json.loads(summary.to_json())
+    del summary_obj["wall-time"]
+    for fmt, rendered in text.items():
+        for mismatch in cli_mismatches(config, fmt, rendered, summary_obj):
+            mismatches.append(f"{mismatch}: {name} {fmt}")
     return f"{name} {digest(text['json'] + text['csv'])} {counts(listed)}"
+
+
+def cli_mismatches(config, fmt, rendered, summary_obj):
+    """What ``matsharp campaign`` does otherwise than the stream, run on
+    ``config`` in format ``fmt`` into a temporary file: its file against
+    the stream's rendering ``rendered``, its printed summary against the
+    stream's, ``summary_obj``, without the wall time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path, out_path = Path(tmp, "config.json"), Path(tmp, f"reports.{fmt}")
+        config_path.write_text(json.dumps(config.to_obj()))
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), np.errstate(over="ignore", invalid="ignore"):
+            cli_main(["campaign", "--config", str(config_path), "--out", str(out_path),
+                      "--format", fmt])
+        written = out_path.read_text() if out_path.exists() else None
+    mismatches = [] if written == rendered else ["cli file differs from the stream"]
+    try:
+        obj = json.loads(printed.getvalue().splitlines()[-1])
+        obj.pop("wall-time")
+    except (ValueError, IndexError, KeyError, AttributeError):
+        obj = None
+    return mismatches + ([] if obj == summary_obj else ["cli summary differs from the stream's"])
 
 
 def search_line(name, obj, mismatches):
